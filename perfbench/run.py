@@ -1,11 +1,11 @@
 """stratal benchmark: one workload per run, closed loop, one caller.
 
-    python3 perfbench/run.py --workload ih-ladder --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25
+    python3 perfbench/run.py --workload ih-ladder --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 30
 
 With --trace 0 the run repeats the workload's fixed round of work (set-up,
-then its operations) as many times as --seconds allows on the reference
-machine and reports the end-to-end metrics. With --trace 1 it runs one
+then its operations) as many times as --seconds allows at the typical round
+time and reports the end-to-end metrics. With --trace 1 it runs one
 untraced round, then two rounds with every public `stratal` function wrapped,
 and reports the per-layer metrics. Every answer is checked against an
 independent value. The last line of standard output is the JSON result; the
@@ -27,6 +27,8 @@ import time
 import traceback
 from pathlib import Path
 
+from pace import PROBE_S, at_reference, probe
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -44,10 +46,6 @@ SETUP_SAMPLES = 5
 SETUP_MIN_S = 0.5
 MIN_ROUNDS = 2
 TRACED_ROUNDS = 2
-# on a machine much slower than the reference one, no new round starts after
-# this many times --seconds, and never after 120 s, so a run ends within 180 s
-HARD_STOP = 1.5
-HARD_STOP_S = 120.0
 
 
 def fail(message):
@@ -121,18 +119,23 @@ class Context:
 
 def run_round(wl, tracer=None, seeded=True):
     """One round: fresh set-up, then every operation once, timed one by one;
-    the seed-dependent operations too when `seeded`."""
+    the seed-dependent operations too when `seeded`. The host pace is probed
+    before the set-up and after every timed step, outside the timing, and
+    each step's time is also given at the reference pace (`pace.py`)."""
     gc.collect()
     if tracer is not None:
         tracer.reset()
         tracer.op = "setup"
+    before = probe()
     start = time.perf_counter()
     state = wl.setup()
     setup_s = time.perf_counter() - start
+    after = probe()
+    setup_ref_s, before = at_reference(setup_s, before, after), after
     answers, errors = {}, {}
     ops = wl.ops(state, tracer)
     seeded = wl.seeded_ops(state, tracer) if seeded else []
-    n_fixed, latencies = len(ops), []
+    n_fixed, latencies, scaled = len(ops), [], []
     for idx, (key, op) in enumerate(ops + seeded):
         if tracer is not None:
             tracer.op = idx
@@ -144,14 +147,17 @@ def run_round(wl, tracer=None, seeded=True):
             traceback.print_exc(file=sys.stderr)
             result = None
         latencies.append(time.perf_counter() - start)
+        after = probe()
+        scaled.append(at_reference(latencies[-1], before, after))
+        before = after
         if key not in errors:
             answers[key] = wl.summarize(key, result)
         del result
     del state, ops, seeded
     errors.update({k: v for k, v in wl.check(answers).items() if k not in errors})
-    return {"setup_s": setup_s, "answers": answers, "errors": errors,
-            "latencies": latencies[:n_fixed], "seeded_s": sum(latencies[n_fixed:]),
-            "wall_s": sum(latencies[:n_fixed]), "attempted": len(latencies)}
+    return {"setup_s": setup_s, "setup_ref_s": setup_ref_s, "answers": answers,
+            "errors": errors, "latencies": latencies[:n_fixed], "scaled": scaled[:n_fixed],
+            "seeded_s": sum(latencies[n_fixed:]), "attempted": len(latencies)}
 
 
 def tail_percentile(n):
@@ -166,29 +172,36 @@ def percentile(samples, q):
 
 
 def measure(wl, seconds):
+    # the number of rounds depends on --seconds alone, so the same arguments
+    # do the same work and count the same samples; a slow host may run fewer
     rounds = max(MIN_ROUNDS, int(seconds // wl.nominal_round_s))
-    setups = []
-    while len(setups) < SETUP_SAMPLES - rounds or sum(setups) < SETUP_MIN_S:
-        gc.collect()
-        start = time.perf_counter()
-        state = wl.setup()
-        setups.append(time.perf_counter() - start)
-        del state
-    began = time.perf_counter()
-    results = []
+    began, results, last = time.perf_counter(), [], 0.0
     for _ in range(rounds):
-        late = time.perf_counter() - began > min(HARD_STOP * seconds, HARD_STOP_S)
-        if len(results) >= MIN_ROUNDS and late:
+        elapsed = time.perf_counter() - began
+        if len(results) >= MIN_ROUNDS and elapsed + last > seconds:
             print(f"perfbench: stopped after {len(results)} rounds", file=sys.stderr)
             break
         # the seed-dependent operations add coverage, not samples: once a run
         results.append(run_round(wl, seeded=not results))
-    setups += [r["setup_s"] for r in results]
-    # each operation's latency is its median over the rounds, counted once per
-    # round, so one disturbed round moves no percentile
-    typical = [statistics.median(op) * 1000
-               for op in zip(*(r["latencies"] for r in results))]
-    latencies = sorted(ms for ms in typical for _ in results)
+        last = time.perf_counter() - began - elapsed
+    setups = [r["setup_ref_s"] for r in results]
+    measured = sum(r["setup_s"] for r in results)
+    while len(setups) < SETUP_SAMPLES or measured < SETUP_MIN_S:
+        # set-ups shorter than a probe share one pair of probes
+        before, batch = probe(), []
+        while not batch or sum(batch) < PROBE_S:
+            gc.collect()
+            start = time.perf_counter()
+            state = wl.setup()
+            batch.append(time.perf_counter() - start)
+            del state
+        after = probe()
+        setups += [at_reference(t, before, after) for t in batch]
+        measured += sum(batch)
+    # each operation's latency is its median over the rounds at the reference
+    # pace, counted once per round, so one disturbed round moves no percentile
+    typical = [statistics.median(op) * 1000 for op in zip(*(r["scaled"] for r in results))]
+    latencies = sorted(ms for ms in typical for _ in range(rounds))
     q = tail_percentile(len(latencies))
     who = resource.RUSAGE_CHILDREN if wl.name == "cli-cold" else resource.RUSAGE_SELF
     values = {
@@ -198,12 +211,16 @@ def measure(wl, seconds):
         "op_tail_ms": percentile(latencies, q),
         "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024,
     }
+    raw = sum(statistics.median(op) for op in zip(*(r["latencies"] for r in results)))
+    print(f"[{wl.name}] measured wall_s = {raw:.6g} s  (sum of per-operation medians "
+          f"before scaling; the host ran at {raw / values['wall_s']:.3g}x the reference time)")
     if results[0]["seeded_s"]:
         print(f"[{wl.name}] seeded_s = {results[0]['seeded_s']:.6g} s  (seed-dependent "
               "queries of the first round; checked, not an end-to-end metric)")
     notes = {
-        "wall_s": f"sum of per-operation medians over {len(results)} rounds",
-        "setup_s": f"median of {len(setups)} set-ups",
+        "wall_s": f"sum of per-operation medians over {len(results)} rounds, "
+                  "at the reference pace",
+        "setup_s": f"median of {len(setups)} set-ups at the reference pace",
         "op_p50_ms": f"p50 of {len(latencies)} operations, {len(typical)} per round",
         "op_tail_ms": f"p{q} of {len(latencies)} operations, {len(typical)} per round",
         "peak_rss_mb": "largest child process" if wl.name == "cli-cold" else "this process",
@@ -235,7 +252,8 @@ def traced(wl):
     for res in traced_rounds:
         if res["answers"] != results[0]["answers"]:
             problems.append("traced answers differ from untraced answers")
-    overhead = statistics.median(r["wall_s"] for r in traced_rounds) / results[0]["wall_s"]
+    overhead = (statistics.median(sum(r["scaled"]) for r in traced_rounds)
+                / sum(results[0]["scaled"]))
     per_round = [layer_metrics(r["spans"], r["cli_runs"], overhead) for r in traced_rounds]
     defs = metric_defs()
     for name, _, _, kind in defs:
@@ -333,7 +351,7 @@ def main():
     parser.add_argument("--workload", required=True,
                         choices=["ih-ladder", "verify-sweep", "build-ladder", "cli-cold", "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     import_stratal()

@@ -95,7 +95,7 @@ class IhLadder(Workload):
     """IH betti queries on five ladder spaces, built fresh every round."""
 
     name = "ih-ladder"
-    nominal_round_s = 6.0
+    nominal_round_s = 5.8
     # space -> dimension
     SPACES = {"susp(susp t2)": 4, "cone(susp(susp t2))": 5, "sd(cone_t2)": 3,
               "sd(susp t2)": 3, "cone(sd(susp t2))": 4}
@@ -203,7 +203,7 @@ class VerifySweep(Workload):
     """All eight verify suites in-process, seeded ones with the run's seed."""
 
     name = "verify-sweep"
-    nominal_round_s = 2.5
+    nominal_round_s = 2.7
     SUITES = ("duality", "cone-local", "mil", "hunsicker", "realizability",
               "ris-consistency", "hilbert", "degeneration")
 
@@ -266,7 +266,7 @@ class BuildLadder(Workload):
     simplices, each result round-tripped through its JSON document."""
 
     name = "build-ladder"
-    nominal_round_s = 8.3
+    nominal_round_s = 7.5
     # (key, constructor, input key); the seed draws the apex weights
     STEPS = (
         ("susp(t2)", "suspension", "t2"),
