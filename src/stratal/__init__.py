@@ -38,10 +38,8 @@ from .hilbert import (
 from .intersection import (
     StratifiedChainComplex,
     allowable,
-    build_chains,
     duality_check,
     intersection_betti,
-    intersection_cobetti,
 )
 from .l2model import (
     ClosedManifold,
@@ -66,6 +64,7 @@ from .perversity import (
     middle_perversities,
     perversity_from_weights,
     top_perversity,
+    weight_perversity,
     weights_from_perversity,
     zero_perversity,
 )

@@ -24,9 +24,9 @@ from .perversity import (
     is_gm_perversity,
     middle_perversities,
     perversity_from_json,
-    perversity_from_weights,
     perversity_to_json,
     top_perversity,
+    weight_perversity,
     zero_perversity,
 )
 from .rationals import format_rational, parse_rational
@@ -59,8 +59,7 @@ def _resolve_perversity(spec, n, space=None):
     if spec == "from-weights":
         if space is None:
             raise StratalError("perversity spec 'from-weights' needs a space")
-        strata = [(s.id, s.link_dim) for s in space.singular_strata()]
-        return perversity_from_weights(strata, space.weights)
+        return weight_perversity(space)
     if spec.startswith("gm:"):
         values = [int(v) for v in spec[3:].split(",") if v != ""]
         return Perversity(BY_CODIM, {k + 2: v for k, v in enumerate(values)})
@@ -112,8 +111,7 @@ def cmd_ih(args):
 def cmd_perversity(args):
     if args.space:
         K = _load_space(args.space, args.corpus_dir)
-        strata = [(s.id, s.link_dim) for s in K.singular_strata()]
-        p_g = perversity_from_weights(strata, K.weights)
+        p_g = weight_perversity(K)
         q_g = dual(p_g, K)
         report = {
             "space": K.name,

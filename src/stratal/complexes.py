@@ -94,7 +94,7 @@ class FilteredComplex:
     """Immutable after construction; build via load(), build(), or a constructor."""
 
     def __init__(self, name, n, vertex_ids, simplices, skeleta, levels, strata,
-                 label_of, weights, given_orientation=None):
+                 label_of, weights):
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
@@ -106,8 +106,8 @@ class FilteredComplex:
         self.strata = strata
         self.label_of = label_of
         self.weights = dict(weights or {})
-        self.given_orientation = given_orientation
         self._boundaries = {}
+        self._regular = None  # lazy: intersection._regular_cache fills it on first use
 
     # ------------------------------------------------------------------ basics
 
@@ -347,7 +347,7 @@ def _subdivide_raw(vertex_ids, maximal, chain):
 
 
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None,
-              given_orientation=None, subdivisions_left=2):
+              subdivisions_left=2):
     closure = _face_closure(maximal)
     for s in closure:
         if len(s) - 1 > n:
@@ -366,12 +366,12 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None,
         new_ids, new_maximal, new_chain = _subdivide_raw(vertex_ids, maximal, chain)
         return _assemble(name, n, new_ids, new_maximal,
                          {j: list(v) for j, v in new_chain.items()},
-                         weights_doc, None, subdivisions_left - 1)
+                         weights_doc, subdivisions_left - 1)
     levels = _levels(n, closure, chain)
     _check_purity_density(n, closure, levels, vertex_ids)
     strata, label_of = _stratify(n, closure, levels, vertex_ids)
     K = FilteredComplex(name, n, vertex_ids, closure, chain, levels, strata,
-                        label_of, {}, given_orientation)
+                        label_of, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
@@ -433,9 +433,8 @@ def load(source):
             len(e) != 2 or e[1] not in (1, -1) for e in orientation
         ):
             raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
-    K = _assemble(name, n, list(vertex_ids), maximal, doc.get("skeleta"),
-                  doc.get("weights"), orientation)
-    return K
+    return _assemble(name, n, list(vertex_ids), maximal, doc.get("skeleta"),
+                     doc.get("weights"))
 
 
 def to_document(K):

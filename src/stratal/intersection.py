@@ -20,31 +20,19 @@ from .perversity import Perversity, dual, perversity_to_json
 
 def _regular_cache(K):
     """Per-degree regular bases, boundaries with singular faces dropped, and
-    singular-face profiles. Cached on the complex (immutable after load)."""
-    cache = getattr(K, "_r0_cache", None)
-    if cache is not None:
-        return cache
+    singular-face profiles. Built once per complex, on first use."""
+    if K._regular is not None:
+        return K._regular
     n = K.n
-    reg = []
-    reg_index = []
-    for i in range(n + 1):
-        simplices = [s for s in K.simplices(i) if K.levels[s] == n]
-        reg.append(simplices)
-        reg_index.append({s: j for j, s in enumerate(simplices)})
-    bnd = [None] * (n + 1)
+    reg = [[s for s in K.simplices(i) if K.levels[s] == n] for i in range(n + 1)]
+    bnd = [[{} for _ in reg[0]]]
     for i in range(1, n + 1):
-        rows = reg_index[i - 1]
-        cols = []
-        for s in reg[i]:
-            col = {}
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                r = rows.get(face)
-                if r is not None:
-                    col[r] = -1 if j % 2 else 1
-            cols.append(col)
-        bnd[i] = cols
-    bnd[0] = [{} for _ in reg[0]]
+        # the dropped-face boundary is the full boundary restricted to regular rows
+        rows = {K.index(s): j for j, s in enumerate(reg[i - 1])}
+        full = K.boundary_matrix(i)
+        bnd.append([
+            {rows[r]: v for r, v in full[K.index(s)].items() if r in rows} for s in reg[i]
+        ])
     profiles = {}
     for i in range(n + 1):
         for s in reg[i]:
@@ -57,9 +45,17 @@ def _regular_cache(K):
                         if prof.get(sid, -1) < d:
                             prof[sid] = d
             profiles[s] = prof
-    cache = (reg, reg_index, bnd, profiles)
-    K._r0_cache = cache
-    return cache
+    K._regular = (reg, bnd, profiles)
+    return K._regular
+
+
+def _allowed(prof, i, K, p):
+    """p-allowability at chain degree i of a simplex with singular-face profile prof."""
+    for sid, d in prof.items():
+        st = K.strata[sid]
+        if d > i - st.codim + p.value(sid, st.codim):
+            return False
+    return True
 
 
 def allowable(sigma, i, K, p: Perversity) -> bool:
@@ -68,13 +64,7 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
     The degree is the chain degree, which exceeds dim(sigma) when boundary
     faces are being checked at their own degree i-1.
     """
-    _, _, _, profiles = _regular_cache(K)
-    prof = profiles[tuple(sigma)]
-    for sid, d in prof.items():
-        st = K.strata[sid]
-        if d > i - st.codim + p.value(sid, st.codim):
-            return False
-    return True
+    return _allowed(_regular_cache(K)[2][tuple(sigma)], i, K, p)
 
 
 class StratifiedChainComplex:
@@ -83,13 +73,13 @@ class StratifiedChainComplex:
     def __init__(self, K, p: Perversity):
         self.K = K
         self.p = p
-        reg, _, bnd, profiles = _regular_cache(K)
+        reg, bnd, profiles = _regular_cache(K)
         n = K.n
         self.reg = reg
         self._bnd = bnd
         allow = []
         for i in range(n + 1):
-            allow.append([j for j, s in enumerate(reg[i]) if self._allow(profiles[s], i)])
+            allow.append([j for j, s in enumerate(reg[i]) if _allowed(profiles[s], i, K, p)])
         self.allowable_indices = allow
         bases = []
         for i in range(n + 1):
@@ -112,13 +102,6 @@ class StratifiedChainComplex:
             bases.append(linalg.rcef(combos))
         self.bases = bases
 
-    def _allow(self, prof, i):
-        for sid, d in prof.items():
-            st = self.K.strata[sid]
-            if d > i - st.codim + self.p.value(sid, st.codim):
-                return False
-        return True
-
     def dim_chain(self, i):
         return len(self.bases[i])
 
@@ -139,19 +122,9 @@ class StratifiedChainComplex:
         )
 
 
-def build_chains(K, p: Perversity) -> StratifiedChainComplex:
-    return StratifiedChainComplex(K, p)
-
-
 def intersection_betti(K, p: Perversity):
     """Intersection homology ranks with stratified rational coefficients."""
     return StratifiedChainComplex(K, p).homology()
-
-
-def intersection_cobetti(K, p: Perversity):
-    """Cohomological ranks; over a field these equal the betti numbers, and
-    the separate name keeps reports in cohomological indexing."""
-    return intersection_betti(K, p)
 
 
 def duality_check(K, p: Perversity):

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError
-from .intersection import intersection_cobetti
+from .intersection import intersection_betti
 from .perversity import (
     BY_CODIM,
     Perversity,
     dual,
     is_gm_perversity,
-    perversity_from_weights,
     perversity_to_json,
+    weight_perversity,
 )
 from .rationals import format_rational
 
@@ -149,14 +149,6 @@ def eval_max(expr):
     raise ConfigurationError(f"not a space expression: {expr!r}")
 
 
-def _stratum_weight_perversity(K):
-    strata = [(s.id, s.link_dim) for s in K.singular_strata()]
-    missing = [sid for sid, _ in strata if sid not in K.weights]
-    if missing:
-        raise ConfigurationError(f"strata without weights: {sorted(missing)}")
-    return perversity_from_weights(strata, K.weights)
-
-
 def _classical_by_codim(p: Perversity, K):
     """A by-codim classical perversity matching p on K's strata, or None."""
     by_codim = {}
@@ -199,7 +191,7 @@ def theorem_predictions(K):
     """
     singular = K.singular_strata()
     if not singular:
-        betti = intersection_cobetti(K, Perversity(BY_CODIM, {k: 0 for k in range(1, K.n + 1)}))
+        betti = intersection_betti(K, Perversity(BY_CODIM, {k: 0 for k in range(1, K.n + 1)}))
         return {
             "space": K.name,
             "p_g": {"kind": "per-stratum", "values": {}},
@@ -210,10 +202,10 @@ def theorem_predictions(K):
             "top_two_skeleta_equal": True,
             "cor_z_applies": True,
         }
-    p_g = _stratum_weight_perversity(K)
+    p_g = weight_perversity(K)
     q_g = dual(p_g, K)
-    max_betti = intersection_cobetti(K, q_g)
-    min_betti = intersection_cobetti(K, p_g)
+    max_betti = intersection_betti(K, q_g)
+    min_betti = intersection_betti(K, p_g)
     classical = _classical_by_codim(p_g, K) is not None
     if K.n >= 2:
         skeleta_equal = K.skeleta[K.n - 1] == K.skeleta[K.n - 2]
@@ -260,9 +252,9 @@ def local_model_check(K_link, c):
     f = K_link.n
     analytic = cone_max_cohomology(link_max, f, c)
     C = build_cone(K_link, c)
-    p_g = _stratum_weight_perversity(C)
+    p_g = weight_perversity(C)
     q_g = dual(p_g, C)
-    simplicial = intersection_cobetti(C, q_g)
+    simplicial = intersection_betti(C, q_g)
     return {
         "link": K_link.name,
         "weight": format_rational(c),

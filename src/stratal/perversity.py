@@ -148,6 +148,16 @@ def perversity_from_weights(strata, weights) -> Perversity:
     return Perversity(PER_STRATUM, out)
 
 
+def weight_perversity(K) -> Perversity:
+    """The weight perversity p_g of a weighted space: perversity_from_weights
+    over every singular stratum of K and its link dimension."""
+    strata = [(s.id, s.link_dim) for s in K.singular_strata()]
+    missing = sorted(sid for sid, _ in strata if sid not in K.weights)
+    if missing:
+        raise ConfigurationError(f"strata without weights: {missing}")
+    return perversity_from_weights(strata, K.weights)
+
+
 def weights_from_perversity(p: Perversity, strata):
     """Weights realizing p exactly, for p at or above the upper middle.
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from stratal.corpus import corpus_dir
+
 
 def _run(*args, **kw):
     return subprocess.run(
@@ -153,3 +155,16 @@ def test_malformed_json_no_traceback(tmp_path: Path):
     r = _run("ih", "--space", str(bad), "--perversity", "zero")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+
+
+def test_from_weights_missing_weight_exit_code(tmp_path: Path):
+    space = json.loads((corpus_dir() / "susp_t2.json").read_text())
+    dropped = sorted(space["weights"])[0]
+    del space["weights"][dropped]
+    st = tmp_path / "susp_t2_unweighted.json"
+    st.write_text(json.dumps(space))
+    r = _run("ih", "--space", str(st), "--perversity", "from-weights")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert dropped in r.stderr

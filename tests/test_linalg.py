@@ -1,9 +1,19 @@
-"""Exact linear algebra against brute-force oracles."""
+"""Exact linear algebra against brute-force and independent oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from stratal import hilbert as hb
 from stratal import linalg
+from stratal import perversity as pv
+from stratal.intersection import StratifiedChainComplex
 
 
 def _random_cols(rng, nrows, ncols, density=0.5, lo=-3, hi=3):
@@ -120,3 +130,174 @@ def test_transpose_and_stack_shapes():
     assert t == [{0: 1}, {1: 5}, {0: -1}]
     stacked = linalg.stack_cols(cols, [{0: 7}, {}], 3)
     assert stacked == [{0: 1, 2: -1, 3: 7}, {1: 5}]
+
+
+# ------------------------------------------------ sympy oracle (tests only)
+
+_ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                   suppress_health_check=[HealthCheck.too_slow])
+# One byte per entry keeps generation cheap. Bytes index a table of small
+# ints, a third of them zero (byte 0 gives 1, not 0), with Fractions added
+# for about half of the matrices.
+_INTS = [1, 0, -1, 2, 0, -2, 3, 0, -3, 4, 0, -4]
+_MIXED = _INTS + [0, 0, 0] + [Fraction(a, q) for q in (2, 3, 5, 6) for a in (-7, -1, 1, 5)]
+
+
+def _block(draw, nr, nc, values):
+    raw = draw(st.binary(min_size=nr * nc, max_size=nr * nc))
+    return [[values[b % len(values)] for b in raw[r * nc:(r + 1) * nc]] for r in range(nr)]
+
+
+@st.composite
+def _matrices(draw, max_side=20):
+    """Dense rows of int or int-and-Fraction entries, up to 20x20; about half
+    are products through an inner dimension of at most 4, so low rank is common."""
+    nr = draw(st.integers(0, max_side))
+    nc = draw(st.integers(0, max_side))
+    values = draw(st.sampled_from([_INTS, _MIXED]))
+    if not draw(st.booleans()):
+        return _block(draw, nr, nc, values), nc
+    k = draw(st.integers(0, 4))
+    left, right = _block(draw, nr, k, values), _block(draw, k, nc, values)
+    return [[sum(left[r][t] * right[t][c] for t in range(k)) for c in range(nc)]
+            for r in range(nr)], nc
+
+
+def _columns(rows, nc):
+    return [{r: v for r, row in enumerate(rows) if (v := row[c])} for c in range(nc)]
+
+
+def _domain(rows, nr, nc):
+    return DomainMatrix([[QQ(Fraction(v).numerator, Fraction(v).denominator) for v in row]
+                         for row in rows], (nr, nc), QQ)
+
+
+def _sympy_rcef(rows, nc):
+    """Nonzero rows of the rref of the transpose, as rcef columns."""
+    nr = len(rows)
+    transposed = [[rows[r][c] for r in range(nr)] for c in range(nc)]
+    reduced = _domain(transposed, nc, nr).rref()[0].to_list()
+    out = []
+    for row in reduced:
+        col = {r: Fraction(int(v.numerator), int(v.denominator)) for r, v in enumerate(row) if v}
+        if col:
+            out.append(col)
+    return out
+
+
+@_ORACLE
+@given(_matrices())
+def test_rank_matches_sympy(mat):
+    rows, nc = mat
+    assert linalg.rank(_columns(rows, nc)) == _domain(rows, len(rows), nc).rank()
+
+
+@_ORACLE
+@given(_matrices())
+def test_kernel_dimension_and_annihilation(mat):
+    rows, nc = mat
+    cols = _columns(rows, nc)
+    kern = linalg.kernel(cols)
+    assert len(kern) == nc - _domain(rows, len(rows), nc).rank()
+    for kv in kern:
+        assert not linalg.combine_columns(cols, [kv])[0]
+        assert all(isinstance(v, int) for v in kv.values())
+        assert kv[max(kv)] > 0 and linalg.col_primitive(kv) == kv
+    assert linalg.rank(kern) == len(kern)
+
+
+@_ORACLE
+@given(_matrices())
+def test_rcef_matches_sympy_rref_of_transpose(mat):
+    rows, nc = mat
+    assert linalg.rcef(_columns(rows, nc)) == _sympy_rcef(rows, nc)
+
+
+def test_large_entries_renormalize_tracked_combinations(monkeypatch):
+    rng = random.Random(130)
+    big = 1 << 130
+    rows = [[rng.choice([0, 1, -1]) * (big + rng.randint(-9, 9)) for _ in range(7)]
+            for _ in range(5)]
+    cols = _columns(rows, 7)
+    renormalized = []
+    shrink = linalg._shrink
+
+    def spy(col, combo):
+        out = shrink(col, combo)
+        if combo is not None and out[1] is not combo:
+            renormalized.append(True)
+        return out
+
+    monkeypatch.setattr(linalg, "_shrink", spy)
+    kern = linalg.kernel(cols)
+    assert renormalized
+    assert len(kern) == 7 - _domain(rows, 5, 7).rank()
+    for kv in kern:
+        assert not linalg.combine_columns(cols, [kv])[0]
+    assert linalg.rank(cols) == _domain(rows, 5, 7).rank()
+    assert linalg.rcef(cols) == _sympy_rcef(rows, 7)
+
+
+# ------------------------------------------------------------ pinned outputs
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _sorted_cols(cols):
+    return [sorted((r, str(Fraction(v))) for r, v in col.items()) for col in cols]
+
+
+def _named_perversities(n):
+    if n < 1:
+        return [pv.zero_perversity(n)]
+    return [pv.zero_perversity(n), pv.top_perversity(n), *pv.middle_perversities(n)]
+
+
+def _bases_digest(K):
+    bases = [_sorted_cols(b) for p in _named_perversities(K.n)
+             for b in StratifiedChainComplex(K, p).bases]
+    return _digest(bases)
+
+
+def _kodaira_digest():
+    parts = []
+    for seed in range(25):
+        rng = random.Random(seed)
+        C = hb.random_complex(rng)
+        for i, dim in enumerate(C.dims):
+            if dim:
+                v = [rng.randint(-3, 3) for _ in range(dim)]
+                parts.append(_sorted_cols(hb.kodaira_decompose(C, i, v)))
+    return _digest(parts)
+
+
+# sha256 of the sorted-items bases of StratifiedChainComplex(K, p) over the
+# named perversities of every corpus space, and of the Kodaira parts of 25
+# seeded random complexes. Both are canonical (rcef bases, orthogonal
+# projections), so no change to the elimination may alter them.
+PINNED_BASES = {
+    "cone_cone_s1": "63ebb55d8debcad4150713571e1042fd5b59bb4b270c49b05dc26d9065d7204a",
+    "cone_s1_c_half": "0c15b751311bee6fa968f5cf77854dc41268f01327d36ed498d9e344a11c2100",
+    "cone_t2": "a95aceb473fd8a410ad315647df1ab4b7656a3f5c15b7ab4bd41c527e39e4113",
+    "mobius": "b713f44710b892e5c8306102cb261f5b9f8ec6852bfcef5aebfad6f5174274d5",
+    "point": "7fc91e51826a888dfe88a077066093c377ca2a8053332aad8b9e691add642534",
+    "s0": "c16ae42141dc42d2bac3ebca9975c34557be2e424800988434a786cfb592b10b",
+    "s1_hex": "bd8d569191e5d19f79a3e37300105419615d5f92e3462e6f5fc28e6bad89f478",
+    "s2": "6200e069e41275493a834fbe74f2fb3f12961830072232242bd4745e42f8d4c2",
+    "susp_s0": "75b68fec1a14687a04f77a1b36d10e4a6e929e7fe3c483286be3cfe117d8c4a7",
+    "susp_s2": "7f583bb0516763065858936e5461c9fa03f2c7dd5f9dc3078186b26715203f1d",
+    "susp_t2": "ba6c897f431414c6677f990fdcb405f807d03e149bec32441cb6f10a5d283eb5",
+    "t2_7": "62461993e7266b577679558a9e26e733eea297782935459a7eb0adba566ef0c5",
+}
+
+PINNED_KODAIRA = "13b3c10b1cb6ca1ed91da241633a4bcd0215581f1bca4a6d94d1821bb84242a2"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_chain_bases_pinned(spaces, name):
+    assert _bases_digest(spaces[name]) == PINNED_BASES[name]
+
+
+def test_kodaira_parts_pinned():
+    assert _kodaira_digest() == PINNED_KODAIRA

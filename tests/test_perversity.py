@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from stratal import complexes as cx
 from stratal import perversity as pv
 from stratal.errors import ConfigurationError, RealizabilityError
 
@@ -94,6 +95,17 @@ def test_perversity_from_weights_matches_raw_bracket_above_dim_zero():
 def test_missing_weight_is_configuration_error():
     with pytest.raises(ConfigurationError):
         pv.perversity_from_weights([("a", 2)], {})
+
+
+def test_weight_perversity_names_every_missing_stratum(susp_t2, t2):
+    strata = [(s.id, s.link_dim) for s in susp_t2.singular_strata()]
+    assert pv.weight_perversity(susp_t2) == pv.perversity_from_weights(strata, susp_t2.weights)
+    bare = cx.suspension(t2)
+    bare.weights.clear()
+    with pytest.raises(ConfigurationError) as err:
+        pv.weight_perversity(bare)
+    for s in bare.singular_strata():
+        assert s.id in str(err.value)
 
 
 def test_weights_from_perversity_examples():
