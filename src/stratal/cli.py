@@ -13,7 +13,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import hilbert as hb
 from .complexes import load
-from .errors import StratalError
+from .errors import ConfigurationError, StratalError
 from .intersection import StratifiedChainComplex
 from .l2model import cone_report, fredholm_indices, theorem_predictions
 from .perversity import (
@@ -66,9 +66,11 @@ def _resolve_perversity(spec, n, space=None):
     if spec.startswith("per-stratum:"):
         path = spec.split(":", 1)[1]
         doc = json.loads(Path(path).read_text())
-        if "kind" in doc:
-            return perversity_from_json(doc)
-        return Perversity(PER_STRATUM, {str(k): int(v) for k, v in doc.items()})
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"perversity file {path} must hold a JSON object")
+        if "kind" not in doc:
+            doc = {"kind": PER_STRATUM, "values": doc}
+        return perversity_from_json(doc)
     raise StratalError(
         f"unknown perversity spec {spec!r}; use zero | top | lower-middle | "
         "upper-middle | gm:k0,k1,... | per-stratum:FILE | from-weights"

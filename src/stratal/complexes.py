@@ -126,9 +126,6 @@ class FilteredComplex:
     def index(self, simplex):
         return self._index[len(simplex) - 1][simplex]
 
-    def level(self, simplex):
-        return self.levels[simplex]
-
     def label(self, simplex):
         return self.label_of[simplex]
 
@@ -396,6 +393,20 @@ def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None)
     return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
 
 
+def _simplex_list(value, field, nverts):
+    """Simplices of a document field as sorted tuples; each must be a
+    non-empty list of distinct vertex indices below nverts."""
+    if not isinstance(value, list):
+        raise SpaceFormatError(f"{field} must be a list of simplices")
+    for s in value:
+        if (not isinstance(s, list) or not s
+                or any(type(v) is not int or v < 0 or v >= nverts for v in s)):
+            raise SpaceFormatError(f"bad simplex {s!r} in {field}")
+        if len(set(s)) != len(s):
+            raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
+    return [tuple(sorted(s)) for s in value]
+
+
 def load(source):
     """Load a space document (dict, JSON text, or path) into a FilteredComplex."""
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -416,25 +427,24 @@ def load(source):
     name = doc.get("name", "unnamed")
     n = doc["dimension"]
     vertex_ids = doc["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise SpaceFormatError("dimension must be a non-negative integer")
-    if len(set(map(str, vertex_ids))) != len(vertex_ids):
-        raise SpaceFormatError("vertex ids must be unique")
-    maximal = []
-    for s in doc["maximal_simplices"]:
-        if not s or any(not isinstance(v, int) or v < 0 or v >= len(vertex_ids) for v in s):
-            raise SpaceFormatError(f"bad simplex {s!r} in maximal_simplices")
-        if len(set(s)) != len(s):
-            raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
-        maximal.append(tuple(sorted(s)))
+    if not isinstance(vertex_ids, list) or len(set(map(str, vertex_ids))) != len(vertex_ids):
+        raise SpaceFormatError("vertices must be a list of unique ids")
+    maximal = _simplex_list(doc["maximal_simplices"], "maximal_simplices", len(vertex_ids))
+    skeleta, weights = doc.get("skeleta") or {}, doc.get("weights") or {}
+    if not isinstance(skeleta, dict) or not isinstance(weights, dict):
+        raise SpaceFormatError("skeleta and weights must be JSON objects")
+    skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
+               for j, level in skeleta.items()}
     orientation = doc.get("orientation")
     if orientation is not None:
         if not isinstance(orientation, list) or any(
-            len(e) != 2 or e[1] not in (1, -1) for e in orientation
+            not isinstance(e, list) or len(e) != 2 or e[1] not in (1, -1)
+            for e in orientation
         ):
             raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
-    return _assemble(name, n, list(vertex_ids), maximal, doc.get("skeleta"),
-                     doc.get("weights"))
+    return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
 
 
 def to_document(K):

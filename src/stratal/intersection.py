@@ -7,10 +7,12 @@ X_{n-1}. A simplex is p-allowable in chain degree i when, for every singular
 stratum Y, its largest face labeled Y has dimension at most
 i - codim(Y) + p(Y). The intersection chain space in degree i is the kernel
 of the non-allowable row block of the boundary restricted to allowable
-columns; bases are returned in reduced column echelon form so that subspace
-comparisons are deterministic.
+columns. Betti numbers come from two integer ranks per degree and need no
+basis; explicit bases are built only when read, in reduced column echelon
+form so that subspace comparisons are deterministic.
 """
 
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -68,21 +70,27 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
 
 
 class StratifiedChainComplex:
-    """The intersection chain complex of (K, p) with explicit rational bases."""
+    """The intersection chain complex of (K, p): regular bases, allowable
+    columns, and the dropped-face boundary; explicit bases only on demand."""
 
     def __init__(self, K, p: Perversity):
         self.K = K
         self.p = p
         reg, bnd, profiles = _regular_cache(K)
-        n = K.n
         self.reg = reg
         self._bnd = bnd
-        allow = []
-        for i in range(n + 1):
-            allow.append([j for j, s in enumerate(reg[i]) if _allowed(profiles[s], i, K, p)])
-        self.allowable_indices = allow
+        self.allowable_indices = [
+            [j for j, s in enumerate(reg[i]) if _allowed(profiles[s], i, K, p)]
+            for i in range(K.n + 1)
+        ]
+
+    @cached_property
+    def bases(self):
+        """RCEF bases of the chain spaces IC_i over the regular i-simplices,
+        built on first access."""
+        reg, bnd, allow = self.reg, self._bnd, self.allowable_indices
         bases = []
-        for i in range(n + 1):
+        for i in range(self.K.n + 1):
             cols_idx = allow[i]
             if i == 0:
                 combos = [{j: 1} for j in cols_idx]
@@ -100,26 +108,29 @@ class StratifiedChainComplex:
                         {cols_idx[pos]: v for pos, v in combo.items()} for combo in kern
                     ]
             bases.append(linalg.rcef(combos))
-        self.bases = bases
-
-    def dim_chain(self, i):
-        return len(self.bases[i])
-
-    def boundary_on_basis(self, i):
-        """Images of the degree-i basis under the dropped-face boundary,
-        as columns over the regular (i-1)-basis."""
-        if i <= 0 or i > self.K.n:
-            return []
-        return linalg.combine_columns(self._bnd[i], self.bases[i])
+        return bases
 
     def homology(self):
+        """Betti numbers from two ranks per degree.
+
+        With A_i the allowable columns and B_{i-1} the non-allowable rows,
+        IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
+        for r_bad = rank ∂_i[B_{i-1}, A_i]. The boundary on IC_i has kernel
+        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad.
+        """
         n = self.K.n
+        allow = self.allowable_indices
+        dims = [len(a) for a in allow]
         ranks = [0] * (n + 2)
         for i in range(1, n + 1):
-            ranks[i] = linalg.rank(self.boundary_on_basis(i))
-        return tuple(
-            len(self.bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1)
-        )
+            allowed_rows = set(allow[i - 1])
+            cols = [self._bnd[i][j] for j in allow[i]]
+            r_bad = linalg.rank(
+                [{r: v for r, v in col.items() if r not in allowed_rows} for col in cols]
+            )
+            dims[i] -= r_bad
+            ranks[i] = linalg.rank(cols) - r_bad
+        return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
 def intersection_betti(K, p: Perversity):

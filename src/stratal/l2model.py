@@ -189,19 +189,6 @@ def theorem_predictions(K):
     perversity, the minimal side for the weight perversity itself; the report
     also notes when plain (non-stratified) coefficients would already do.
     """
-    singular = K.singular_strata()
-    if not singular:
-        betti = intersection_betti(K, Perversity(BY_CODIM, {k: 0 for k in range(1, K.n + 1)}))
-        return {
-            "space": K.name,
-            "p_g": {"kind": "per-stratum", "values": {}},
-            "q_g": {"kind": "per-stratum", "values": {}},
-            "max_betti": list(betti),
-            "min_betti": list(betti),
-            "classical_gm": True,
-            "top_two_skeleta_equal": True,
-            "cor_z_applies": True,
-        }
     p_g = weight_perversity(K)
     q_g = dual(p_g, K)
     max_betti = intersection_betti(K, q_g)
@@ -210,7 +197,8 @@ def theorem_predictions(K):
     if K.n >= 2:
         skeleta_equal = K.skeleta[K.n - 1] == K.skeleta[K.n - 2]
     else:
-        skeleta_equal = not K.skeleta[0]
+        # a 0-dimensional space has no X_0 entry
+        skeleta_equal = not K.skeleta.get(0)
     return {
         "space": K.name,
         "p_g": perversity_to_json(p_g),

@@ -262,10 +262,12 @@ def perversity_from_json(doc) -> Perversity:
         raise ConfigurationError("perversity document needs 'kind' and 'values'")
     kind = doc["kind"]
     raw = doc["values"]
+    if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
+        raise ConfigurationError("perversity values must map keys to integers")
     if kind == BY_CODIM:
-        values = {int(k): int(v) for k, v in raw.items()}
+        values = {int(k): v for k, v in raw.items()}
     elif kind == PER_STRATUM:
-        values = {str(k): int(v) for k, v in raw.items()}
+        values = {str(k): v for k, v in raw.items()}
     else:
         raise ConfigurationError(f"unknown perversity kind {kind!r}")
     return Perversity(kind, values)

@@ -223,6 +223,7 @@ def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED, trials=100):
         ch = hb.cohomology_dims(C)
         ha = hb.harmonic_dims(C)
         _, dual_rep = hb.dual_complex(C)
+        # Euler-Poincaré: the index equals the alternating cohomology sum
         idx = hb.index_even_odd(C)
         alt = sum((-1) ** i * h for i, h in enumerate(ch))
         ok = ch == ha and dual_rep["pass"] and idx == alt

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stratal.corpus import corpus_dir
 
 
@@ -149,11 +151,28 @@ def test_load_error_exit_code(tmp_path: Path):
     assert r.returncode == 2
 
 
-def test_malformed_json_no_traceback(tmp_path: Path):
-    bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    r = _run("ih", "--space", str(bad), "--perversity", "zero")
+_CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("space, perversity", [
+    pytest.param("{not json", "zero", id="not-json"),
+    pytest.param({**_CIRCLE, "vertices": 3}, "zero", id="vertices-int"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], 2]}, "zero", id="bare-int-simplex"),
+    pytest.param({**_CIRCLE, "dimension": True}, "zero", id="dimension-bool"),
+    pytest.param({**_CIRCLE, "skeleta": {"0": 5}}, "zero", id="skeleton-int"),
+    pytest.param({**_CIRCLE, "weights": [1]}, "zero", id="weights-list"),
+    pytest.param(_CIRCLE, [1], id="per-stratum-list"),
+])
+def test_malformed_json_no_traceback(tmp_path: Path, space, perversity):
+    bad = tmp_path / "space.json"
+    bad.write_text(space if isinstance(space, str) else json.dumps(space))
+    if not isinstance(perversity, str):
+        pfile = tmp_path / "perversity.json"
+        pfile.write_text(json.dumps(perversity))
+        perversity = f"per-stratum:{pfile}"
+    r = _run("ih", "--space", str(bad), "--perversity", perversity)
     assert r.returncode == 2
+    assert r.stdout == ""
     assert "Traceback" not in r.stderr
 
 

@@ -7,6 +7,7 @@ from stratal import complexes as cx
 from stratal import intersection as ix
 from stratal import linalg
 from stratal import perversity as pv
+from stratal.verify import _named_perversities
 
 
 def _per_stratum(K, value):
@@ -77,8 +78,38 @@ def test_boundary_closure(susp_t2):
     for p in (lower, upper, _per_stratum(susp_t2, 2)):
         chains = ix.StratifiedChainComplex(susp_t2, p)
         for i in range(1, susp_t2.n + 1):
-            for img in chains.boundary_on_basis(i):
+            for img in linalg.combine_columns(chains._bnd[i], chains.bases[i]):
                 assert linalg.in_span(img, chains.bases[i - 1])
+
+
+def _basis_homology(chains):
+    """Betti numbers from the explicit bases: dim IC_i minus the ranks of the
+    boundary images of the degree-i and degree-(i+1) bases."""
+    n = chains.K.n
+    ranks = [0] * (n + 2)
+    for i in range(1, n + 1):
+        ranks[i] = linalg.rank(linalg.combine_columns(chains._bnd[i], chains.bases[i]))
+    return tuple(len(chains.bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
+
+
+def _oracle_perversities(K, rng):
+    seeded = [
+        pv.Perversity(pv.PER_STRATUM,
+                      {s.id: rng.randint(-2, K.n + 1) for s in K.singular_strata()})
+        for _ in range(3)
+    ]
+    return [p for _, p in _named_perversities(K.n)] + seeded
+
+
+def test_rank_homology_matches_basis_homology(spaces):
+    rng = random.Random(2011)
+    for name in sorted(spaces):
+        K = spaces[name]
+        for p in _oracle_perversities(K, rng):
+            chains = ix.StratifiedChainComplex(K, p)
+            betti = chains.homology()
+            assert "bases" not in vars(chains)
+            assert betti == _basis_homology(chains), (name, p)
 
 
 def test_dd_zero_on_r0_chains(susp_t2):
