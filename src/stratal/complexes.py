@@ -2,11 +2,15 @@
 
 A FilteredComplex is the combinatorial stand-in for a compact stratified
 pseudomanifold: a pure n-dimensional face-closed simplicial complex together
-with a chain of closed, full subcomplexes X_0 <= ... <= X_{n-1}. Strata are
-the connected components of each difference X_j - X_{j-1}, computed through
-shared codimension-one faces at the same filtration level; every simplex
-carries exactly one stratum label. Codimension-one strata are allowed, and
-the top filtration step X_{n-1} may differ from X_{n-2}.
+with a chain of closed, full subcomplexes X_0 <= ... <= X_{n-1}. Purity makes
+the regular part dense: X_{n-1} holds no n-simplex, so every simplex is a face
+of a regular one. A filtration that is not full is repaired by one barycentric
+subdivision, after which every skeleton is full. Strata are the connected
+components of each difference X_j - X_{j-1}; with full skeleta a level-j
+simplex lies in the stratum of any of its level-j vertices, so the components
+are those of the level-j vertices joined by level-j edges. Every simplex
+carries exactly one stratum label. Codimension-one strata are allowed, and the
+top filtration step X_{n-1} may differ from X_{n-2}.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
@@ -14,7 +18,7 @@ exact ranks; the allowable-chain machinery lives in `intersection`.
 
 import json
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from pathlib import Path
 
 from . import linalg
@@ -50,11 +54,6 @@ class Orientation:
         self.signs = signs
 
 
-def _faces(simplex):
-    for size in range(1, len(simplex)):
-        yield from combinations(simplex, size)
-
-
 def _facets(simplex):
     if len(simplex) == 1:
         return []
@@ -74,16 +73,10 @@ def _face_closure(simplices):
     return closed
 
 
-def _maximal_of(simplices):
-    # processing in decreasing dimension, a simplex is maximal iff no larger
-    # simplex has already marked it as a proper face
-    seen = set()
-    out = []
-    for s in sorted(simplices, key=len, reverse=True):
-        if s not in seen:
-            out.append(s)
-        seen.update(_faces(s))
-    return sorted(out)
+def _maximal_of(closed):
+    # in a face-closed set every non-maximal simplex is a facet of another
+    facets = {f for s in closed for f in _facets(s)}
+    return sorted(s for s in closed if s not in facets)
 
 
 def _name_simplex(simplex, vertex_ids):
@@ -209,7 +202,12 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     """Validate and complete the filtration chain X_0 <= ... <= X_{n-1}."""
     chain = {}
     prev = frozenset()
-    given = {int(j): v for j, v in (raw_skeleta or {}).items()}
+    given = {}
+    for j, v in (raw_skeleta or {}).items():
+        try:
+            given[int(j)] = v
+        except (TypeError, ValueError):
+            raise SpaceFormatError(f"skeleton level {j!r} is not an integer") from None
     for j in sorted(given):
         if j < 0 or j > n - 1:
             raise SpaceFormatError(f"skeleton level {j} outside 0..{n - 1}")
@@ -241,39 +239,35 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
 
 
 def _levels(n, closure, chain):
-    levels = {}
-    for s in closure:
-        lvl = n
-        for j in range(n):
-            if s in chain[j]:
-                lvl = j
-                break
-        levels[s] = lvl
+    """The least j with s in X_j for each simplex s, or n when there is none."""
+    levels = dict.fromkeys(closure, n)
+    for j in reversed(range(n)):
+        for s in chain[j]:
+            levels[s] = j
     return levels
 
 
 def _stratify(n, closure, levels, vertex_ids):
-    parent = {s: s for s in closure}
+    # Skeleta are full, so a level-j simplex shares a stratum with each of its
+    # level-j vertices, and those vertices are joined by its level-j edges.
+    parent = {s[0]: s[0] for s in closure if len(s) == 1}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
     for s in closure:
-        lvl = levels[s]
-        for f in _facets(s):
-            if levels[f] == lvl:
-                union(s, f)
+        if len(s) == 2 and levels[(s[0],)] == levels[(s[1],)] == levels[s]:
+            ra, rb = find(s[0]), find(s[1])
+            if ra != rb:
+                parent[ra] = rb
     groups = {}
     for s in closure:
-        groups.setdefault(find(s), []).append(s)
+        lvl = levels[s]
+        v = next(v for v in s if levels[(v,)] == lvl)
+        groups.setdefault(find(v), []).append(s)
     strata = {}
     label_of = {}
     for members in groups.values():
@@ -291,36 +285,13 @@ def _stratify(n, closure, levels, vertex_ids):
     return strata, label_of
 
 
-def _check_purity_density(n, closure, levels, vertex_ids):
-    for s in _maximal_of(closure):
-        if len(s) - 1 != n:
-            raise SpaceFormatError(
-                f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
-                f"has dimension {len(s) - 1}, expected {n}"
-            )
-    reachable = _face_closure([s for s in closure if levels[s] == n])
-    for s in sorted(closure):
-        if s not in reachable:
-            raise SpaceFormatError(
-                f"regular part not dense at {_name_simplex(s, vertex_ids)}"
-            )
-
-
-def _fullness_offender(closure, chain):
-    for j in sorted(chain):
-        level = chain[j]
-        vset = {s[0] for s in level if len(s) == 1}
-        for s in closure:
-            if s not in level and all(v in vset for v in s):
-                return j, s
-    return None
-
-
-def _subdivide_raw(vertex_ids, maximal, chain):
-    """First barycentric subdivision of the raw data (vertices, maximal, skeleta)."""
-    closure = sorted(_face_closure(maximal))
-    new_index = {s: i for i, s in enumerate(closure)}
-    new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in closure]
+def _subdivide_raw(vertex_ids, closure, top, chain):
+    """First barycentric subdivision of the raw data: one new vertex per simplex
+    of `closure` in sorted order, and the flags of the maximal simplices `top`
+    and of each skeleton. Returns the new vertex ids, maximal simplices and
+    skeleta, and the new vertex index of each old simplex."""
+    new_index = {s: i for i, s in enumerate(sorted(closure))}
+    new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in new_index]
 
     def full_chains(simplex):
         out = []
@@ -331,41 +302,34 @@ def _subdivide_raw(vertex_ids, maximal, chain):
             out.append(flag)
         return out
 
-    new_maximal = []
-    for s in _maximal_of(closure):
-        new_maximal.extend(full_chains(s))
-    new_chain = {}
-    for j, level in chain.items():
-        flags = []
-        for s in _maximal_of(level):
-            flags.extend(full_chains(s))
-        new_chain[j] = flags
-    return new_ids, sorted(set(new_maximal)), new_chain
+    new_maximal = sorted(f for s in top for f in full_chains(s))
+    new_chain = {j: [f for s in _maximal_of(level) for f in full_chains(s)]
+                 for j, level in chain.items()}
+    return new_ids, new_maximal, new_chain, new_index
 
 
-def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None,
-              subdivisions_left=2):
+def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
+    if not maximal:
+        raise SpaceFormatError("a complex needs at least one simplex")
     closure = _face_closure(maximal)
-    for s in closure:
-        if len(s) - 1 > n:
+    top = _maximal_of(closure)
+    widest = max(top, key=len)
+    if len(widest) - 1 > n:
+        raise SpaceFormatError(
+            f"simplex {_name_simplex(widest, vertex_ids)} exceeds dimension {n}"
+        )
+    for s in top:
+        if len(s) - 1 != n:
             raise SpaceFormatError(
-                f"simplex {_name_simplex(s, vertex_ids)} exceeds dimension {n}"
+                f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
+                f"has dimension {len(s) - 1}, expected {n}"
             )
     chain = _complete_skeleta(n, closure, raw_skeleta, vertex_ids)
-    offender = _fullness_offender(closure, chain)
-    if offender is not None:
-        j, s = offender
-        if subdivisions_left == 0:
-            raise SpaceFormatError(
-                f"skeleton {j} is not full at {_name_simplex(s, vertex_ids)} "
-                "even after two barycentric subdivisions"
-            )
-        new_ids, new_maximal, new_chain = _subdivide_raw(vertex_ids, maximal, chain)
-        return _assemble(name, n, new_ids, new_maximal,
-                         {j: list(v) for j, v in new_chain.items()},
-                         weights_doc, subdivisions_left - 1)
     levels = _levels(n, closure, chain)
-    _check_purity_density(n, closure, levels, vertex_ids)
+    if any(levels[s] != max(levels[(v,)] for v in s) for s in closure):
+        # some X_j is not full; after one barycentric subdivision every one is
+        new_ids, new_maximal, new_chain, _ = _subdivide_raw(vertex_ids, closure, top, chain)
+        return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
     strata, label_of = _stratify(n, closure, levels, vertex_ids)
     K = FilteredComplex(name, n, vertex_ids, closure, chain, levels, strata,
                         label_of, {})
@@ -387,9 +351,7 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None,
 def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None):
     """Assemble a FilteredComplex from maximal simplices given as index tuples."""
     maximal = [tuple(sorted(s)) for s in maximal]
-    if not maximal:
-        raise SpaceFormatError("a complex needs at least one simplex")
-    n = dimension if dimension is not None else max(len(s) - 1 for s in maximal)
+    n = dimension if dimension is not None else max(map(len, maximal), default=1) - 1
     return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
 
 
@@ -427,9 +389,13 @@ def load(source):
     name = doc.get("name", "unnamed")
     n = doc["dimension"]
     vertex_ids = doc["vertices"]
+    if not isinstance(name, str):
+        raise SpaceFormatError("name must be a string")
     if type(n) is not int or n < 0:
         raise SpaceFormatError("dimension must be a non-negative integer")
-    if not isinstance(vertex_ids, list) or len(set(map(str, vertex_ids))) != len(vertex_ids):
+    if (not isinstance(vertex_ids, list)
+            or any(type(v) not in (int, str) for v in vertex_ids)
+            or len(set(map(str, vertex_ids))) != len(vertex_ids)):
         raise SpaceFormatError("vertices must be a list of unique ids")
     maximal = _simplex_list(doc["maximal_simplices"], "maximal_simplices", len(vertex_ids))
     skeleta, weights = doc.get("skeleta") or {}, doc.get("weights") or {}
@@ -450,7 +416,6 @@ def load(source):
 def to_document(K):
     """Serialize to the space-file schema; loading it back is stable, including
     stratum ids (which weights are keyed by)."""
-    maximal = _maximal_of(set(K.all_simplices()))
     skeleta = {}
     for j in range(K.n):
         level = K.skeleta[j]
@@ -463,7 +428,7 @@ def to_document(K):
         "name": K.name,
         "dimension": K.n,
         "vertices": list(K.vertex_ids),
-        "maximal_simplices": [list(s) for s in maximal],
+        "maximal_simplices": [list(s) for s in K.simplices(K.n)],
     }
     if skeleta:
         doc["skeleta"] = skeleta
@@ -482,6 +447,31 @@ def _fresh_vertex_id(existing, wanted):
     return vid
 
 
+def _join(K, label, apex_names, apex_weights):
+    """K joined with one new apex per name: a cone over K for each apex, the
+    cones glued along K. Each apex becomes a singular stratum with its weight;
+    every stratum of K turns into its joined stratum (same codimension,
+    weight inherited)."""
+    vertex_ids = list(K.vertex_ids)
+    apexes = []
+    for wanted in apex_names:
+        apexes.append(len(vertex_ids))
+        vertex_ids.append(_fresh_vertex_id(vertex_ids, wanted))
+    points = [(a,) for a in apexes]
+    maximal = [s + (a,) for a in apexes for s in K.simplices(K.n)]
+    chain = {0: points}
+    for j in range(1, K.n + 1):
+        below = K.skeleta.get(j - 1, frozenset())
+        chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
+    J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
+    for a, w in zip(apexes, apex_weights):
+        J.weights[J.label((a,))] = w
+    for s in K.singular_strata():
+        if s.id in K.weights:
+            J.weights[J.label(s.simplices[0])] = K.weights[s.id]
+    return J
+
+
 def cone(K, weight=Fraction(1)):
     """Closed simplicial cone: a new apex joined to every simplex of K.
 
@@ -492,20 +482,7 @@ def cone(K, weight=Fraction(1)):
     weight = Fraction(weight)
     if weight <= 0:
         raise ConfigurationError("cone weight must be positive")
-    apex = _fresh_vertex_id(K.vertex_ids, "apex")
-    a = len(K.vertex_ids)
-    vertex_ids = list(K.vertex_ids) + [apex]
-    maximal = [s + (a,) for s in K.simplices(K.n)]
-    chain = {0: [(a,)]}
-    for j in range(1, K.n + 1):
-        below = K.skeleta.get(j - 1, frozenset())
-        chain[j] = [(a,)] + [s for s in below] + [s + (a,) for s in below]
-    C = _assemble(f"cone({K.name})", K.n + 1, vertex_ids, maximal, chain)
-    C.weights[C.label((a,))] = weight
-    for s in K.singular_strata():
-        if s.id in K.weights:
-            C.weights[C.label(s.simplices[0])] = K.weights[s.id]
-    return C
+    return _join(K, "cone", ["apex"], [weight])
 
 
 def suspension(K, weights=(Fraction(1), Fraction(1))):
@@ -517,27 +494,7 @@ def suspension(K, weights=(Fraction(1), Fraction(1))):
     w_north, w_south = (Fraction(w) for w in weights)
     if w_north <= 0 or w_south <= 0:
         raise ConfigurationError("suspension weights must be positive")
-    north = _fresh_vertex_id(K.vertex_ids, "north")
-    south = _fresh_vertex_id(list(K.vertex_ids) + [north], "south")
-    nv = len(K.vertex_ids)
-    vertex_ids = list(K.vertex_ids) + [north, south]
-    n_idx, s_idx = nv, nv + 1
-    maximal = [s + (n_idx,) for s in K.simplices(K.n)]
-    maximal += [s + (s_idx,) for s in K.simplices(K.n)]
-    chain = {0: [(n_idx,), (s_idx,)]}
-    for j in range(1, K.n + 1):
-        below = K.skeleta.get(j - 1, frozenset())
-        chain[j] = [(n_idx,), (s_idx,)]
-        chain[j] += [s for s in below]
-        chain[j] += [s + (n_idx,) for s in below]
-        chain[j] += [s + (s_idx,) for s in below]
-    S = _assemble(f"susp({K.name})", K.n + 1, vertex_ids, maximal, chain)
-    S.weights[S.label((n_idx,))] = w_north
-    S.weights[S.label((s_idx,))] = w_south
-    for s in K.singular_strata():
-        if s.id in K.weights:
-            S.weights[S.label(s.simplices[0])] = K.weights[s.id]
-    return S
+    return _join(K, "susp", ["north", "south"], [w_north, w_south])
 
 
 def barycentric_subdivide(K):
@@ -547,12 +504,9 @@ def barycentric_subdivide(K):
     with components recomputed this reproduces exactly one stratum per
     original stratum, and all skeleta of the subdivision are full.
     """
-    maximal = _maximal_of(set(K.all_simplices()))
-    new_ids, new_maximal, new_chain = _subdivide_raw(K.vertex_ids, maximal, K.skeleta)
-    closure_sorted = sorted(_face_closure(maximal))
-    flag_vertex = {s: i for i, s in enumerate(closure_sorted)}
-    S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal,
-                  {j: list(v) for j, v in new_chain.items()})
+    new_ids, new_maximal, new_chain, flag_vertex = _subdivide_raw(
+        K.vertex_ids, K.all_simplices(), K.simplices(K.n), K.skeleta)
+    S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_chain)
     for s in K.singular_strata():
         if s.id in K.weights:
             rep = (flag_vertex[s.simplices[0]],)

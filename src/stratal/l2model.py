@@ -95,6 +95,11 @@ class L2Report:
         return doc
 
 
+def _cutoff(f, c):
+    """The cone truncation cutoff f/2 + 1/(2c) for link dimension f, weight c."""
+    return Fraction(f, 2) + Fraction(1, 2) / c
+
+
 def _cutoff_hypothesis(f, c):
     # In the undecided band the finite-dimensionality clause always applies
     # to representable inputs, so the sharp cutoff is available throughout.
@@ -115,7 +120,7 @@ def cone_max_cohomology(link_betti, f: int, c):
     if c <= 0:
         raise ConfigurationError("cone weight must be positive")
     link_betti = list(link_betti)
-    cutoff = Fraction(f, 2) + Fraction(1, 2) / c
+    cutoff = _cutoff(f, c)
     out = []
     for i in range(f + 2):
         b = link_betti[i] if i < len(link_betti) else 0
@@ -127,7 +132,7 @@ def cone_report(link_betti, f: int, c) -> L2Report:
     c = Fraction(c)
     return L2Report(
         max_betti=cone_max_cohomology(link_betti, f, c),
-        cutoff=Fraction(f, 2) + Fraction(1, 2) / c,
+        cutoff=_cutoff(f, c),
         hypothesis_used=_cutoff_hypothesis(f, c),
     )
 
@@ -194,11 +199,7 @@ def theorem_predictions(K):
     max_betti = intersection_betti(K, q_g)
     min_betti = intersection_betti(K, p_g)
     classical = _classical_by_codim(p_g, K) is not None
-    if K.n >= 2:
-        skeleta_equal = K.skeleta[K.n - 1] == K.skeleta[K.n - 2]
-    else:
-        # a 0-dimensional space has no X_0 entry
-        skeleta_equal = not K.skeleta.get(0)
+    skeleta_equal = not any(s.level == K.n - 1 for s in K.strata.values())
     return {
         "space": K.name,
         "p_g": perversity_to_json(p_g),
@@ -246,7 +247,7 @@ def local_model_check(K_link, c):
     return {
         "link": K_link.name,
         "weight": format_rational(c),
-        "cutoff": format_rational(Fraction(f, 2) + Fraction(1, 2) / c),
+        "cutoff": format_rational(_cutoff(f, c)),
         "hypothesis_used": _cutoff_hypothesis(f, c),
         "analytic": list(analytic),
         "simplicial": list(simplicial),

@@ -129,8 +129,9 @@ def perversity_from_weights(strata, weights) -> Perversity:
 
     `strata` is a list of (stratum_id, link_dim) pairs; `weights` maps
     stratum_id to a positive rational. Link dimension zero always gives 0
-    (the weight is metrically inert on codimension-one strata); even l gives
-    l/2 + [[1/(2c)]]; odd l gives (l-1)/2 + [[1/2 + 1/(2c)]].
+    (the weight is metrically inert on codimension-one strata); any other l
+    gives [[l/2 + 1/(2c)]], which is l/2 + [[1/(2c)]] for even l and
+    (l-1)/2 + [[1/2 + 1/(2c)]] for odd l.
     """
     out = {}
     for sid, l in strata:
@@ -139,12 +140,7 @@ def perversity_from_weights(strata, weights) -> Perversity:
         c = Fraction(weights[sid])
         if c <= 0:
             raise ConfigurationError(f"weight for stratum {sid!r} must be positive")
-        if l == 0:
-            out[sid] = 0
-        elif l % 2 == 0:
-            out[sid] = l // 2 + bracket(Fraction(1, 2) / c)
-        else:
-            out[sid] = (l - 1) // 2 + bracket(Fraction(1, 2) + Fraction(1, 2) / c)
+        out[sid] = 0 if l == 0 else bracket(Fraction(l, 2) + Fraction(1, 2) / c)
     return Perversity(PER_STRATUM, out)
 
 
@@ -176,7 +172,7 @@ def weights_from_perversity(p: Perversity, strata):
                 )
             out[sid] = Fraction(1)
             continue
-        floor_mid = l // 2 if l % 2 == 0 else (l - 1) // 2
+        floor_mid = l // 2
         excess = v - floor_mid
         if excess < 0:
             raise RealizabilityError(

@@ -10,8 +10,8 @@ from .errors import SpaceFormatError
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" (or a bare integer string / int) into a Fraction."""
-    if isinstance(text, int):
+    """Parse "p/q" (or a bare integer string / int, not a bool) into a Fraction."""
+    if type(text) is int:
         return Fraction(text)
     if isinstance(text, float):
         raise SpaceFormatError(f"floats are not accepted as rationals: {text!r}")

@@ -60,7 +60,7 @@ def suite_mil(corpus_dir=None):
     """Weights at or above one give exactly the middle perversities."""
     report = CheckSuiteReport("mil")
     for l in range(13):
-        upper_v = 0 if l == 0 else (l // 2 if l % 2 == 0 else (l - 1) // 2)
+        upper_v = l // 2
         lower_v = (l + 1) - 2 - upper_v
         for c in _mil_grid():
             p = perversity_from_weights([("y", l)], {"y": c}).values["y"]
@@ -111,8 +111,7 @@ def suite_realizability(corpus_dir=None, seed=DEFAULT_SEED, trials=200):
             if l == 0:
                 values[sid] = 0
             else:
-                base = l // 2 if l % 2 == 0 else (l - 1) // 2
-                values[sid] = base + rng.randint(0, 4)
+                values[sid] = l // 2 + rng.randint(0, 4)
         p = Perversity(PER_STRATUM, values)
         w = weights_from_perversity(p, strata)
         back = perversity_from_weights(strata, w)

@@ -162,6 +162,12 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
     pytest.param({**_CIRCLE, "skeleta": {"0": 5}}, "zero", id="skeleton-int"),
     pytest.param({**_CIRCLE, "weights": [1]}, "zero", id="weights-list"),
     pytest.param(_CIRCLE, [1], id="per-stratum-list"),
+    pytest.param({**_CIRCLE, "maximal_simplices": []}, "zero", id="empty-complex"),
+    pytest.param({**_CIRCLE, "vertices": [[0], 1, 2]}, "zero", id="vertex-list-id"),
+    pytest.param({**_CIRCLE, "vertices": [0, True, 2]}, "zero", id="vertex-bool"),
+    pytest.param({**_CIRCLE, "name": 5}, "zero", id="name-int"),
+    pytest.param({**_CIRCLE, "skeleta": {"0": [[0]]}, "weights": {"s0:0": True}}, "zero",
+                 id="weight-bool"),
 ])
 def test_malformed_json_no_traceback(tmp_path: Path, space, perversity):
     bad = tmp_path / "space.json"

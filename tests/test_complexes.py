@@ -1,12 +1,16 @@
 """Complex loading, validation, constructors, subdivision, orientation."""
 
+import functools
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stratal import complexes as cx
-from stratal import linalg
-from stratal.errors import SpaceFormatError, StructureError
+from stratal import corpus, linalg
+from stratal.errors import SpaceFormatError, StratalError, StructureError
 
 
 def test_load_boundary_delta3_single_stratum(s2):
@@ -56,6 +60,28 @@ def test_load_rejects_impure_complex():
         "maximal_simplices": [[0, 1, 2], [3]],
     }
     with pytest.raises(SpaceFormatError, match="not pure"):
+        cx.load(doc)
+
+
+_CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({**_CIRCLE, "skeleta": {"x": [[0]]}}, "skeleton level 'x' is not an integer",
+                 id="skeleton-key-text"),
+    # purity is checked before the dimension-sized filtration is built
+    pytest.param({"dimension": 10**9, "vertices": [0], "maximal_simplices": [[0]]},
+                 "not pure", id="huge-dimension"),
+    # an impure document with a non-full filtration names its own simplex
+    pytest.param({"dimension": 2, "vertices": [0, 1, 2, 3, 4],
+                  "maximal_simplices": [[0, 1, 2], [3, 4]], "skeleta": {"0": [[3], [4]]}},
+                 r"maximal simplex \(3,4\) has dimension 1", id="impure-not-full"),
+    pytest.param({"dimension": 1, "vertices": [0, 1, 2, 3], "maximal_simplices": [[0, 1, 2, 3]]},
+                 r"simplex \(0,1,2,3\) exceeds dimension 1", id="exceeds-dimension"),
+    pytest.param({**_CIRCLE, "maximal_simplices": []}, "at least one simplex", id="empty"),
+])
+def test_load_rejects_malformed_structure(doc, message):
+    with pytest.raises(SpaceFormatError, match=message):
         cx.load(doc)
 
 
@@ -206,3 +232,147 @@ def test_document_round_trip_stable(spaces):
         assert cx.to_document(K2) == doc
         assert K2.weights == K.weights
         assert {s.id for s in K2.singular_strata()} == {s.id for s in K.singular_strata()}
+
+
+# ------------------------------------------------ construction properties
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=120,
+                     suppress_health_check=[HealthCheck.too_slow])
+_BASE_NAMES = corpus.SPACE_NAMES + [f"cone {name}" for name in (
+    "s0", "s1_hex", "s2", "t2_7", "mobius", "susp_s0", "cone_s1_c_half")]
+
+
+@functools.cache
+def _base(name):
+    if name.startswith("cone "):
+        return cx.cone(corpus.load_space(name[len("cone "):]))
+    return corpus.load_space(name)
+
+
+@functools.cache
+def _subdivided_counts(name):
+    return cx.barycentric_subdivide(_base(name)).counts()
+
+
+@st.composite
+def _filtered_documents(draw):
+    """A corpus space or cone, unweighted, under random nested skeleta: each
+    level adds up to three simplices of dimension <= j to the ones below and
+    is either listed or left to inherit. Most of them are not full."""
+    name = draw(st.sampled_from(_BASE_NAMES))
+    K = _base(name)
+    doc = cx.to_document(K)
+    doc.pop("weights", None)
+    closure = sorted(K.all_simplices())
+    chosen, skeleta = set(), {}
+    for j in range(K.n):
+        low = [s for s in closure if len(s) <= j + 1]
+        chosen.update(draw(st.lists(st.sampled_from(low), max_size=3)))
+        if draw(st.booleans()):
+            skeleta[str(j)] = [list(s) for s in sorted(chosen)]
+    doc["skeleta"] = skeleta
+    return name, doc
+
+
+def _facet_strata(K):
+    """Strata by definition: components of each X_j - X_{j-1} joined through
+    facets at the same level, grouped in the order in which their simplices
+    come in K.levels (the construction's closure order), each id taken from
+    the least member."""
+    levels = K.levels
+    parent = {s: s for s in levels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in levels:
+        for i in range(len(s) if len(s) > 1 else 0):
+            f = s[:i] + s[i + 1:]
+            if levels[f] == levels[s]:
+                parent[find(s)] = find(f)
+    groups = {}
+    for s in levels:
+        groups.setdefault(find(s), []).append(s)
+    strata = {}
+    for members in groups.values():
+        members.sort()
+        dim = max(len(s) for s in members) - 1
+        sid = f"s{dim}:" + ".".join(str(K.vertex_ids[v]) for v in members[0])
+        strata[sid] = (dim, K.n - dim, levels[members[0]], tuple(members))
+    return strata
+
+
+@_PROPERTY
+@given(_filtered_documents())
+def test_random_filtrations_load_full_with_facet_strata(case):
+    name, doc = case
+    K = cx.load(json.dumps(doc))
+    assert K.counts() in (_base(name).counts(), _subdivided_counts(name))
+    levels = K.levels
+    for s in levels:
+        assert levels[s] == max(levels[(v,)] for v in s)
+    for j in range(K.n):
+        assert K.skeleta[j] == {s for s in levels if levels[s] <= j}
+    want = _facet_strata(K)
+    assert list(K.strata) == list(want)
+    for sid, (dim, codim, level, members) in want.items():
+        got = K.strata[sid]
+        assert (got.dim, got.codim, got.level, got.simplices) == (dim, codim, level, members)
+        assert got.singular == (level < K.n)
+        assert all(K.label(s) == sid for s in members)
+    again = cx.to_document(K)
+    K2 = cx.load(json.dumps(again))
+    assert cx.to_document(K2) == again
+    assert sorted(K2.strata) == sorted(K.strata)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**12) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, dict):
+        items = value.items()
+    else:
+        items = ()
+    for key, inner in items:
+        yield from _paths(inner, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A small corpus document, with an orientation, in which one value
+    anywhere is replaced by random JSON or one object gains a random key."""
+    doc = cx.to_document(corpus.load_space(draw(st.sampled_from(
+        ["point", "s0", "s1_hex", "cone_s1_c_half", "susp_s0", "cone_cone_s1"]))))
+    doc["orientation"] = [[s, 1] for s in doc["maximal_simplices"]]
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(_JSON_VALUES)
+    if not path:
+        return value
+    *head, last = path
+    target = functools.reduce(lambda d, k: d[k], head, doc)
+    if isinstance(target, dict) and draw(st.booleans()):
+        target[draw(st.text(max_size=3))] = value
+    else:
+        target[last] = value
+    return doc
+
+
+@_PROPERTY
+@given(_mutated_documents())
+def test_load_raises_only_stratal_errors(doc):
+    try:
+        cx.load(json.dumps(doc))
+    except StratalError:
+        pass
