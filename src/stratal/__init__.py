@@ -7,7 +7,6 @@ Everything is exact rational arithmetic; no floats enter any computation.
 
 from .complexes import (
     FilteredComplex,
-    Orientation,
     Stratum,
     barycentric_subdivide,
     build,

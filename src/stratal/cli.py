@@ -1,33 +1,32 @@
 """Command-line surface: deterministic JSON reports over the bundled corpus.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage/load error.
-Malformed input never produces a traceback.
+Exit codes: 0 success, 1 a verification check failed, 2 usage/load error,
+3 an internal error. No exit code comes with a traceback.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import hilbert as hb
-from .complexes import load
+from .complexes import _name_simplex, load
 from .errors import ConfigurationError, StratalError
 from .intersection import StratifiedChainComplex
 from .l2model import cone_report, fredholm_indices, theorem_predictions
 from .perversity import (
     BY_CODIM,
+    NAMED_PERVERSITIES,
     PER_STRATUM,
     Perversity,
     dual,
     is_gm_perversity,
-    middle_perversities,
+    named_perversity,
     perversity_from_json,
     perversity_to_json,
-    top_perversity,
     weight_perversity,
-    zero_perversity,
+    weights_to_json,
 )
 from .rationals import format_rational, parse_rational
 from .verify import SUITES, run_suite
@@ -48,14 +47,8 @@ def _load_space(spec, corpus_dir=None):
 
 
 def _resolve_perversity(spec, n, space=None):
-    if spec == "zero":
-        return zero_perversity(n) if n >= 1 else Perversity(PER_STRATUM, {})
-    if spec == "top":
-        return top_perversity(n)
-    if spec == "lower-middle":
-        return middle_perversities(n)[0]
-    if spec == "upper-middle":
-        return middle_perversities(n)[1]
+    if spec in NAMED_PERVERSITIES:
+        return named_perversity(spec, n)
     if spec == "from-weights":
         if space is None:
             raise StratalError("perversity spec 'from-weights' needs a space")
@@ -92,20 +85,14 @@ def cmd_ih(args):
     if args.cobetti:
         report["cobetti"] = list(betti)
     if args.emit_generators:
-        gens = {}
-        for i in range(K.n + 1):
-            reg = chains.reg[i]
-            vecs = []
-            for col in chains.bases[i]:
-                vecs.append(
-                    {
-                        "(" + ",".join(str(K.vertex_ids[v]) for v in reg[r]) + ")":
-                        format_rational(val)
-                        for r, val in sorted(col.items())
-                    }
-                )
-            gens[str(i)] = vecs
-        report["chain_basis"] = gens
+        report["chain_basis"] = {
+            str(i): [
+                {_name_simplex(chains.reg[i][r], K.vertex_ids): format_rational(val)
+                 for r, val in sorted(col.items())}
+                for col in chains.bases[i]
+            ]
+            for i in range(K.n + 1)
+        }
     _emit(report)
     return 0
 
@@ -117,7 +104,7 @@ def cmd_perversity(args):
         q_g = dual(p_g, K)
         report = {
             "space": K.name,
-            "weights": {sid: format_rational(c) for sid, c in sorted(K.weights.items())},
+            "weights": weights_to_json(K.weights),
             "p_g": perversity_to_json(p_g),
             "q_g": perversity_to_json(q_g),
         }
@@ -129,13 +116,11 @@ def cmd_perversity(args):
     if args.dual:
         p = dual(p)
     report = {"perversity": perversity_to_json(p)}
-    if p.kind == BY_CODIM and all(k >= 1 for k in p.values):
+    if p.kind == BY_CODIM:
         try:
-            report["classical_gm"] = is_gm_perversity(
-                Perversity(BY_CODIM, {k: v for k, v in p.values.items() if k >= 2})
-            )
+            report["classical_gm"] = is_gm_perversity(p)
         except StratalError:
-            pass
+            pass  # a by-codim file need not cover codimensions 2..n
     _emit(report)
     return 0
 
@@ -183,7 +168,7 @@ def cmd_hilbert(args):
         if not args.vector:
             raise StratalError("--decompose needs --vector FILE")
         vec_doc = json.loads(Path(args.vector).read_text())
-        vec = [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in vec_doc]
+        vec = [parse_rational(v) for v in vec_doc]
         h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):
             return {str(r): format_rational(v) for r, v in sorted(part.items())}
@@ -214,8 +199,6 @@ def _build_parser():
     # SUPPRESS keeps a subcommand's unset flags from clobbering globals given
     # before the subcommand; real defaults are applied after parsing.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit JSON reports (default)")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress progress lines")
     common.add_argument("--corpus-dir", default=argparse.SUPPRESS,
@@ -277,17 +260,17 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name, default in (("json", True), ("quiet", False), ("corpus_dir", None)):
+    for name, default in (("quiet", False), ("corpus_dir", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
         return args.func(args)
-    except StratalError as exc:
+    except (StratalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

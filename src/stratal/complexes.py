@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import linalg
 from .errors import ConfigurationError, SpaceFormatError, StructureError
+from .perversity import weights_to_json
 from .rationals import format_rational, parse_rational
 
 
@@ -43,15 +44,6 @@ class Stratum:
     def __repr__(self):
         kind = "singular" if self.singular else "regular"
         return f"<Stratum {self.id} dim={self.dim} codim={self.codim} {kind}>"
-
-
-class Orientation:
-    """Coherent signs on the n-simplices, when they exist."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs):
-        self.signs = signs
 
 
 def _facets(simplex):
@@ -118,9 +110,6 @@ class FilteredComplex:
 
     def index(self, simplex):
         return self._index[len(simplex) - 1][simplex]
-
-    def label(self, simplex):
-        return self.label_of[simplex]
 
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
@@ -341,7 +330,7 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
                     f"weight references unknown singular stratum {sid!r}; "
                     f"known: {sorted(singular_ids)}"
                 )
-            c = parse_rational(text) if not isinstance(text, Fraction) else text
+            c = parse_rational(text)
             if c <= 0:
                 raise SpaceFormatError(f"weight for {sid!r} must be positive")
             K.weights[sid] = c
@@ -398,7 +387,7 @@ def load(source):
             or len(set(map(str, vertex_ids))) != len(vertex_ids)):
         raise SpaceFormatError("vertices must be a list of unique ids")
     maximal = _simplex_list(doc["maximal_simplices"], "maximal_simplices", len(vertex_ids))
-    skeleta, weights = doc.get("skeleta") or {}, doc.get("weights") or {}
+    skeleta, weights = doc.get("skeleta", {}), doc.get("weights", {})
     if not isinstance(skeleta, dict) or not isinstance(weights, dict):
         raise SpaceFormatError("skeleta and weights must be JSON objects")
     skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
@@ -433,7 +422,7 @@ def to_document(K):
     if skeleta:
         doc["skeleta"] = skeleta
     if K.weights:
-        doc["weights"] = {sid: format_rational(c) for sid, c in sorted(K.weights.items())}
+        doc["weights"] = weights_to_json(K.weights)
     return doc
 
 
@@ -465,10 +454,10 @@ def _join(K, label, apex_names, apex_weights):
         chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
     J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
     for a, w in zip(apexes, apex_weights):
-        J.weights[J.label((a,))] = w
+        J.weights[J.label_of[(a,)]] = w
     for s in K.singular_strata():
         if s.id in K.weights:
-            J.weights[J.label(s.simplices[0])] = K.weights[s.id]
+            J.weights[J.label_of[s.simplices[0]]] = K.weights[s.id]
     return J
 
 
@@ -510,7 +499,7 @@ def barycentric_subdivide(K):
     for s in K.singular_strata():
         if s.id in K.weights:
             rep = (flag_vertex[s.simplices[0]],)
-            S.weights[S.label(rep)] = K.weights[s.id]
+            S.weights[S.label_of[rep]] = K.weights[s.id]
     return S
 
 
@@ -518,7 +507,8 @@ def barycentric_subdivide(K):
 
 
 def check_orientation(K):
-    """Coherent orientation of the n-simplices, or None when obstructed.
+    """Coherent signs on the n-simplices as a dict simplex -> ±1, or None
+    when obstructed.
 
     Signs must cancel across every regular (n-1)-simplex with exactly two
     top-dimensional cofaces; boundary faces (one coface) impose nothing.
@@ -527,7 +517,7 @@ def check_orientation(K):
     n = K.n
     tops = K.simplices(n)
     if n == 0:
-        return Orientation({s: 1 for s in tops})
+        return {s: 1 for s in tops}
     cofaces = {}
     for s in tops:
         for idx, f in enumerate(_facets(s)):
@@ -562,4 +552,4 @@ def check_orientation(K):
                 else:
                     signs[t] = wanted
                     queue.append(t)
-    return Orientation(signs)
+    return signs

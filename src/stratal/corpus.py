@@ -79,17 +79,13 @@ def corpus_dir() -> Path:
     return Path(__file__).parent / "corpus_data"
 
 
-def space_document(name):
-    return to_document(generate_space(name))
-
-
 def write_corpus(target=None):
     """Regenerate all bundled space files; byte-stable across runs."""
     target = Path(target) if target else corpus_dir()
     target.mkdir(parents=True, exist_ok=True)
     written = []
     for name in SPACE_NAMES:
-        doc = space_document(name)
+        doc = to_document(generate_space(name))
         path = target / f"{name}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(str(path))

@@ -4,9 +4,7 @@ A complex is a sequence of coordinate spaces with differentials satisfying
 D_{i+1} D_i = 0 and the identity inner product on each space. In finite
 dimensions every range is closed, so harmonic representatives, the weak
 Kodaira decomposition, the dual-complex dimension reversal, and the
-even-to-odd index are all exact linear algebra. A Gram-matrix parameter for
-non-identity inner products is accepted but must be the identity for now;
-all the verified identities are basis-invariant.
+even-to-odd index are all exact linear algebra.
 """
 
 from fractions import Fraction
@@ -22,9 +20,6 @@ class FiniteHilbertComplex:
     def __init__(self, dims, diff_cols):
         self.dims = tuple(int(d) for d in dims)
         self.diffs = diff_cols  # diffs[i]: columns of D_i, mapping H_i -> H_{i+1}
-
-    def __len__(self):
-        return len(self.dims)
 
     def differential(self, i):
         """Columns of D_i; zero maps outside 0..n-1."""
@@ -46,20 +41,18 @@ def _to_columns(matrix, nrows, ncols, where):
         if len(row) != ncols:
             raise ConstructionError(f"{where}: row {r} has length {len(row)}, expected {ncols}")
         for c, entry in enumerate(row):
-            v = parse_rational(entry) if isinstance(entry, str) else Fraction(entry)
+            v = parse_rational(entry)
             if v:
                 cols[c][r] = v
     return cols
 
 
-def validate(dims, matrices, gram=None) -> FiniteHilbertComplex:
+def validate(dims, matrices) -> FiniteHilbertComplex:
     """Build a complex from dense row-major matrices, verifying D∘D = 0.
 
     `matrices[i]` is D_i with dims[i+1] rows and dims[i] columns; entries may
-    be ints, Fractions, or "p/q" strings.
+    be ints, Fractions, or "p/q" strings (never bools or floats).
     """
-    if gram is not None:
-        raise ConfigurationError("non-identity inner products are not supported yet")
     dims = [int(d) for d in dims]
     if any(d < 0 for d in dims):
         raise ConstructionError("space dimensions cannot be negative")

@@ -75,7 +75,6 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        self.p = p
         reg, bnd, profiles = _regular_cache(K)
         self.reg = reg
         self._bnd = bnd

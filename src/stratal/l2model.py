@@ -12,14 +12,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 from .intersection import intersection_betti
-from .perversity import (
-    BY_CODIM,
-    Perversity,
-    dual,
-    is_gm_perversity,
-    perversity_to_json,
-    weight_perversity,
-)
+from .perversity import dual, perversity_to_json, weight_perversity
 from .rationals import format_rational
 
 
@@ -82,17 +75,13 @@ class L2Report:
     max_betti: tuple
     cutoff: Fraction
     hypothesis_used: str
-    min_betti: tuple = None
 
     def to_json(self):
-        doc = {
+        return {
             "max_betti": list(self.max_betti),
             "cutoff": format_rational(self.cutoff),
             "hypothesis_used": self.hypothesis_used,
         }
-        if self.min_betti is not None:
-            doc["min_betti"] = list(self.min_betti)
-        return doc
 
 
 def _cutoff(f, c):
@@ -113,19 +102,16 @@ def _cutoff_hypothesis(f, c):
 def cone_max_cohomology(link_betti, f: int, c):
     """Truncate the link vector strictly below f/2 + 1/(2c); degrees 0..f+1.
 
+    The link vector is a ClosedManifold's: f+1 entries, none negative.
     Disconnected links enter through the total betti vector of the disjoint
     union; the truncation acts componentwise on that sum.
     """
     c = Fraction(c)
     if c <= 0:
         raise ConfigurationError("cone weight must be positive")
-    link_betti = list(link_betti)
+    link = ClosedManifold(link_betti, f)
     cutoff = _cutoff(f, c)
-    out = []
-    for i in range(f + 2):
-        b = link_betti[i] if i < len(link_betti) else 0
-        out.append(b if Fraction(i) < cutoff else 0)
-    return tuple(out)
+    return tuple(b if i < cutoff else 0 for i, b in enumerate(link.betti + (0,)))
 
 
 def cone_report(link_betti, f: int, c) -> L2Report:
@@ -154,37 +140,20 @@ def eval_max(expr):
     raise ConfigurationError(f"not a space expression: {expr!r}")
 
 
-def _classical_by_codim(p: Perversity, K):
-    """A by-codim classical perversity matching p on K's strata, or None."""
-    by_codim = {}
+def _is_classical(p, K):
+    """Whether the per-stratum p is a classical Goresky-MacPherson
+    perversity on K's strata: one value per codimension, no codimension-one
+    stratum, 0 at codimension 2, and between consecutive codimensions that
+    carry a value (codimension 2 always does) a rise of at least 0 and at
+    most the codimension gap, so the growth rule can fill the gaps."""
+    anchors = {2: 0}
     for s in K.singular_strata():
         v = p.values[s.id]
-        if by_codim.get(s.codim, v) != v:
-            return None
-        by_codim[s.codim] = v
-    if 1 in by_codim:
-        return None
-    if by_codim.get(2, 0) != 0:
-        return None
-    targets = dict(by_codim)
-    targets.setdefault(2, 0)
-    anchored = sorted(targets.items())
-    for (k1, v1), (k2, v2) in zip(anchored, anchored[1:]):
-        if not (0 <= v2 - v1 <= k2 - k1):
-            return None
-    # complete by climbing as late as possible, then recheck the growth rule
-    filled = {2: 0}
-    for k in range(3, K.n + 1):
-        if k in targets:
-            filled[k] = targets[k]
-        else:
-            nxt = min((kk for kk in targets if kk > k), default=None)
-            if nxt is None:
-                filled[k] = filled[k - 1]
-            else:
-                filled[k] = max(filled[k - 1], targets[nxt] - (nxt - k))
-    candidate = Perversity(BY_CODIM, filled)
-    return candidate if is_gm_perversity(candidate) else None
+        if s.codim == 1 or anchors.setdefault(s.codim, v) != v:
+            return False
+    anchored = sorted(anchors.items())
+    return all(0 <= v2 - v1 <= k2 - k1
+               for (k1, v1), (k2, v2) in zip(anchored, anchored[1:]))
 
 
 def theorem_predictions(K):
@@ -198,7 +167,7 @@ def theorem_predictions(K):
     q_g = dual(p_g, K)
     max_betti = intersection_betti(K, q_g)
     min_betti = intersection_betti(K, p_g)
-    classical = _classical_by_codim(p_g, K) is not None
+    classical = _is_classical(p_g, K)
     skeleta_equal = not any(s.level == K.n - 1 for s in K.strata.values())
     return {
         "space": K.name,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConfigurationError, RealizabilityError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 BY_CODIM = "by-codim"
 PER_STRATUM = "per-stratum"
@@ -96,6 +96,26 @@ def middle_perversities(n):
     upper = Perversity(BY_CODIM, {k: (k - 1) // 2 for k in range(1, n + 1)})
     lower = Perversity(BY_CODIM, {k: (k - 2) - (k - 1) // 2 for k in range(1, n + 1)})
     return lower, upper
+
+
+NAMED_PERVERSITIES = ("zero", "top", "lower-middle", "upper-middle")
+
+
+def named_perversity(name, n) -> Perversity:
+    """One of NAMED_PERVERSITIES on codimensions 1..n.
+
+    A 0-dimensional space has no codimensions: there zero is the empty
+    per-stratum perversity, and the others raise.
+    """
+    if name == "zero":
+        return zero_perversity(n) if n >= 1 else Perversity(PER_STRATUM, {})
+    if name == "top":
+        return top_perversity(n)
+    if name in ("lower-middle", "upper-middle"):
+        return middle_perversities(n)[name == "upper-middle"]
+    raise ConfigurationError(
+        f"unknown perversity name {name!r}; use one of {NAMED_PERVERSITIES}"
+    )
 
 
 def dual(p: Perversity, ambient=None) -> Perversity:
@@ -262,6 +282,8 @@ def perversity_from_json(doc) -> Perversity:
         raise ConfigurationError("perversity values must map keys to integers")
     if kind == BY_CODIM:
         values = {int(k): v for k, v in raw.items()}
+        if any(k < 1 for k in values):
+            raise ConfigurationError("by-codim perversity keys must be codimensions >= 1")
     elif kind == PER_STRATUM:
         values = {str(k): v for k, v in raw.items()}
     else:
@@ -270,14 +292,5 @@ def perversity_from_json(doc) -> Perversity:
 
 
 def weights_to_json(weights) -> dict:
-    return {str(sid): format_rational(c) for sid, c in weights.items()}
-
-
-def weights_from_json(doc) -> dict:
-    out = {}
-    for sid, text in doc.items():
-        c = parse_rational(text)
-        if c <= 0:
-            raise ConfigurationError(f"weight for stratum {sid!r} must be positive")
-        out[str(sid)] = c
-    return out
+    """Stratum weights in their wire form: "p/q" strings in stratum-id order."""
+    return {str(sid): format_rational(c) for sid, c in sorted(weights.items())}

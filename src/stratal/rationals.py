@@ -10,7 +10,10 @@ from .errors import SpaceFormatError
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" (or a bare integer string / int, not a bool) into a Fraction."""
+    """Parse "p/q" (or a bare integer string / int, not a bool) into a Fraction;
+    a Fraction is returned unchanged."""
+    if isinstance(text, Fraction):
+        return text
     if type(text) is int:
         return Fraction(text)
     if isinstance(text, float):

@@ -17,12 +17,13 @@ from .errors import StratalError
 from .intersection import duality_check, intersection_betti
 from .l2model import fredholm_indices, local_model_check, theorem_predictions
 from .perversity import (
+    NAMED_PERVERSITIES,
     PER_STRATUM,
     Perversity,
     hunsicker_shift_check,
     middle_perversities,
+    named_perversity,
     perversity_from_weights,
-    top_perversity,
     weights_from_perversity,
     zero_perversity,
 )
@@ -52,8 +53,7 @@ class CheckSuiteReport:
         }
 
 
-def _mil_grid():
-    return [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5), Fraction(100)]
+MIL_WEIGHTS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5), Fraction(100))
 
 
 def suite_mil(corpus_dir=None):
@@ -62,7 +62,7 @@ def suite_mil(corpus_dir=None):
     for l in range(13):
         upper_v = l // 2
         lower_v = (l + 1) - 2 - upper_v
-        for c in _mil_grid():
+        for c in MIL_WEIGHTS:
             p = perversity_from_weights([("y", l)], {"y": c}).values["y"]
             q = (l + 1) - 2 - p
             report.add(
@@ -137,16 +137,10 @@ def suite_cone_local(corpus_dir=None):
 
 
 def _named_perversities(n):
-    """zero/top/lower-middle/upper-middle, or just the empty one in dim 0."""
+    """The named perversities, or just the empty one in dim 0."""
     if n == 0:
-        return [("empty", Perversity(PER_STRATUM, {}))]
-    lower, upper = middle_perversities(n)
-    return [
-        ("zero", zero_perversity(n)),
-        ("top", top_perversity(n)),
-        ("lower-middle", lower),
-        ("upper-middle", upper),
-    ]
+        return [("empty", named_perversity("zero", 0))]
+    return [(name, named_perversity(name, n)) for name in NAMED_PERVERSITIES]
 
 
 def _duality_perversities(K, rng):

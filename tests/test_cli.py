@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from stratal import cli
 from stratal.corpus import corpus_dir
 
 
@@ -168,6 +169,9 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
     pytest.param({**_CIRCLE, "name": 5}, "zero", id="name-int"),
     pytest.param({**_CIRCLE, "skeleta": {"0": [[0]]}, "weights": {"s0:0": True}}, "zero",
                  id="weight-bool"),
+    pytest.param({**_CIRCLE, "skeleta": []}, "zero", id="skeleta-list"),
+    pytest.param({**_CIRCLE, "weights": None}, "zero", id="weights-null"),
+    pytest.param({**_CIRCLE, "weights": False}, "zero", id="weights-false"),
 ])
 def test_malformed_json_no_traceback(tmp_path: Path, space, perversity):
     bad = tmp_path / "space.json"
@@ -193,3 +197,50 @@ def test_from_weights_missing_weight_exit_code(tmp_path: Path):
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
     assert dropped in r.stderr
+
+
+_LINE = {"dims": [1, 1], "differentials": [[[1]]]}
+
+
+@pytest.mark.parametrize("complex_doc, vector", [
+    pytest.param({"dims": [1, 1], "differentials": [[[True]]]}, None, id="entry-true"),
+    pytest.param({"dims": [1, 1], "differentials": [[[0.1]]]}, None, id="entry-float"),
+    pytest.param(_LINE, [True], id="vector-true"),
+    pytest.param(_LINE, [0.5], id="vector-float"),
+])
+def test_hilbert_rejects_bool_and_float_entries(tmp_path: Path, complex_doc, vector):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(complex_doc))
+    args = ["hilbert", "--complex", str(cfile)]
+    if vector is not None:
+        vfile = tmp_path / "v.json"
+        vfile.write_text(json.dumps(vector))
+        args += ["--decompose", "0", "--vector", str(vfile)]
+    r = _run(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("betti", [
+    pytest.param("1,-1", id="negative"),
+    pytest.param("1,1,1,1,1", id="too-long"),
+    pytest.param("1", id="too-short"),
+])
+def test_cone_rejects_bad_link_vector(betti):
+    r = _run("cone", "--link-betti", betti, "--link-dim", "1", "--weight", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_ih", broken)
+    assert cli.main(["ih", "--space", "s1_hex", "--perversity", "zero"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError('boom')\n"
+    assert "Traceback" not in captured.err

@@ -209,7 +209,7 @@ def test_orientation(s2, t2, mobius):
 def test_orientation_signs_cancel(t2):
     orient = cx.check_orientation(t2)
     incid = {}
-    for s, sign in orient.signs.items():
+    for s, sign in orient.items():
         for j in range(len(s)):
             face = s[:j] + s[j + 1 :]
             parity = -1 if j % 2 else 1
@@ -322,7 +322,7 @@ def test_random_filtrations_load_full_with_facet_strata(case):
         got = K.strata[sid]
         assert (got.dim, got.codim, got.level, got.simplices) == (dim, codim, level, members)
         assert got.singular == (level < K.n)
-        assert all(K.label(s) == sid for s in members)
+        assert all(K.label_of[s] == sid for s in members)
     again = cx.to_document(K)
     K2 = cx.load(json.dumps(again))
     assert cx.to_document(K2) == again

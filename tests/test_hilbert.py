@@ -7,7 +7,7 @@ import pytest
 
 from stratal import hilbert as hb
 from stratal import linalg
-from stratal.errors import ConstructionError
+from stratal.errors import ConstructionError, SpaceFormatError
 
 
 def _cochain_complex(K):
@@ -126,8 +126,15 @@ def test_random_complexes_properties():
         assert hb.index_even_odd(C) == sum((-1) ** i * h for i, h in enumerate(ch))
 
 
-def test_gram_parameter_rejected_for_now():
-    from stratal.errors import ConfigurationError
+@pytest.mark.parametrize("entry", [True, False, 0.1, 1.0, None, [1]])
+def test_validate_rejects_non_rational_entries(entry):
+    # a bool or float is never read as a number: Fraction(0.1) is a binary
+    # approximation, not one tenth
+    with pytest.raises(SpaceFormatError):
+        hb.validate([1, 1], [[[entry]]])
 
-    with pytest.raises(ConfigurationError):
-        hb.validate([1, 1], [[[0]]], gram=[[1]])
+
+def test_validate_accepts_int_fraction_and_text_entries():
+    C = hb.validate([1, 2], [[[2], [F(1, 3)]]])
+    D = hb.validate([1, 2], [[["2/1"], ["1/3"]]])
+    assert C.differential(0) == D.differential(0) == [{0: 2, 1: F(1, 3)}]

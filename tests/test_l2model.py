@@ -5,9 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from types import SimpleNamespace
+
 from stratal import complexes as cx
 from stratal import l2model as l2
 from stratal.errors import ConfigurationError
+from stratal.perversity import (
+    BY_CODIM,
+    PER_STRATUM,
+    Perversity,
+    is_gm_perversity,
+    weight_perversity,
+)
 
 
 def test_cone_max_cohomology_examples():
@@ -133,3 +142,66 @@ def test_middle_weights_give_middle_vectors(spaces, t2):
         lower, upper = pv.middle_perversities(st.n)
         assert pred["max_betti"] == list(ix.intersection_betti(st, lower))
         assert pred["min_betti"] == list(ix.intersection_betti(st, upper))
+
+
+def _classical_by_codim(p: Perversity, K):
+    """The former classicality test, kept verbatim as the oracle: a by-codim
+    classical perversity matching p on K's strata, or None."""
+    by_codim = {}
+    for s in K.singular_strata():
+        v = p.values[s.id]
+        if by_codim.get(s.codim, v) != v:
+            return None
+        by_codim[s.codim] = v
+    if 1 in by_codim:
+        return None
+    if by_codim.get(2, 0) != 0:
+        return None
+    targets = dict(by_codim)
+    targets.setdefault(2, 0)
+    anchored = sorted(targets.items())
+    for (k1, v1), (k2, v2) in zip(anchored, anchored[1:]):
+        if not (0 <= v2 - v1 <= k2 - k1):
+            return None
+    # complete by climbing as late as possible, then recheck the growth rule
+    filled = {2: 0}
+    for k in range(3, K.n + 1):
+        if k in targets:
+            filled[k] = targets[k]
+        else:
+            nxt = min((kk for kk in targets if kk > k), default=None)
+            if nxt is None:
+                filled[k] = filled[k - 1]
+            else:
+                filled[k] = max(filled[k - 1], targets[nxt] - (nxt - k))
+    candidate = Perversity(BY_CODIM, filled)
+    return candidate if is_gm_perversity(candidate) else None
+
+
+def test_classicality_matches_completion_oracle_on_corpus(spaces):
+    seen = set()
+    for K in spaces.values():
+        p_g = weight_perversity(K)
+        got = l2._is_classical(p_g, K)
+        assert got == (_classical_by_codim(p_g, K) is not None), K.name
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_classicality_matches_completion_oracle_on_random_strata():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for _ in range(12000):
+        n = rng.randint(0, 9)
+        strata, values = [], {}
+        for idx in range(rng.randint(0, 5) if n else 0):
+            codim = rng.randint(1, n) if rng.random() < 0.15 else rng.randint(min(2, n), n)
+            sid = f"y{idx}"
+            strata.append(SimpleNamespace(id=sid, codim=codim))
+            values[sid] = rng.randint(-1, codim - 1)
+        K = SimpleNamespace(n=n, singular_strata=lambda strata=strata: strata)
+        p = Perversity(PER_STRATUM, values)
+        got = l2._is_classical(p, K)
+        assert got == (_classical_by_codim(p, K) is not None), (n, strata, values)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 2000, outcomes

@@ -172,6 +172,22 @@ def test_json_round_trip():
     assert pv.perversity_from_json(json.loads(json.dumps(pv.perversity_to_json(t)))) == t
     ps = pv.Perversity(pv.PER_STRATUM, {"apex-n": 1})
     assert pv.perversity_from_json(pv.perversity_to_json(ps)) == ps
-    w = {"apex-n": F(1, 3)}
-    assert pv.weights_from_json(pv.weights_to_json(w)) == w
-    assert pv.weights_to_json(w) == {"apex-n": "1/3"}
+    w = {"apex-s": F(2), "apex-n": F(1, 3)}
+    assert list(pv.weights_to_json(w).items()) == [("apex-n", "1/3"), ("apex-s", "2/1")]
+
+
+def test_perversity_from_json_rejects_codimension_below_one():
+    for key in ("0", "-1"):
+        with pytest.raises(ConfigurationError):
+            pv.perversity_from_json({"kind": pv.BY_CODIM, "values": {key: 0, "2": 0}})
+
+
+def test_named_perversity():
+    lower, upper = pv.middle_perversities(4)
+    assert [pv.named_perversity(name, 4) for name in pv.NAMED_PERVERSITIES] == [
+        pv.zero_perversity(4), pv.top_perversity(4), lower, upper]
+    # a 0-dimensional space has no codimensions: only zero exists there
+    assert pv.named_perversity("zero", 0) == pv.Perversity(pv.PER_STRATUM, {})
+    for name in ("top", "lower-middle", "upper-middle", "middle"):
+        with pytest.raises(ConfigurationError):
+            pv.named_perversity(name, 0)
