@@ -153,8 +153,8 @@ def cmd_verify(args):
 
 def cmd_hilbert(args):
     doc = json.loads(Path(args.complex).read_text())
-    if "dims" not in doc or "differentials" not in doc:
-        raise StratalError("complex file needs 'dims' and 'differentials'")
+    if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
+        raise StratalError("complex file needs an object with 'dims' and 'differentials'")
     C = hb.validate(doc["dims"], doc["differentials"])
     _, dual_rep = hb.dual_complex(C)
     report = {
@@ -168,6 +168,8 @@ def cmd_hilbert(args):
         if not args.vector:
             raise StratalError("--decompose needs --vector FILE")
         vec_doc = json.loads(Path(args.vector).read_text())
+        if not isinstance(vec_doc, list):
+            raise StratalError("vector file must hold a JSON list")
         vec = [parse_rational(v) for v in vec_doc]
         h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):

@@ -152,9 +152,9 @@ class FilteredComplex:
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact."""
-        ranks = [linalg.rank(self.boundary_matrix(i)) for i in range(self.n + 2)]
-        counts = self.counts()
-        return tuple(counts[i] - ranks[i] - ranks[i + 1] for i in range(self.n + 1))
+        bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
+        ranks = [r for r, _ in linalg.chain_ranks(bnd, [range(len(b)) for b in bnd])] + [0]
+        return tuple(len(bnd[i]) - ranks[i] - ranks[i + 1] for i in range(self.n + 1))
 
     # ----------------------------------------------------------------- reports
 

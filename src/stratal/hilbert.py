@@ -38,6 +38,8 @@ def _to_columns(matrix, nrows, ncols, where):
         raise ConstructionError(f"{where}: expected {nrows} rows, got {len(matrix)}")
     cols = [{} for _ in range(ncols)]
     for r, row in enumerate(matrix):
+        if not isinstance(row, list):
+            raise ConstructionError(f"{where}: row {r} is not a list")
         if len(row) != ncols:
             raise ConstructionError(f"{where}: row {r} has length {len(row)}, expected {ncols}")
         for c, entry in enumerate(row):
@@ -51,11 +53,15 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
     """Build a complex from dense row-major matrices, verifying D∘D = 0.
 
     `matrices[i]` is D_i with dims[i+1] rows and dims[i] columns; entries may
-    be ints, Fractions, or "p/q" strings (never bools or floats).
+    be ints, Fractions, or "p/q" strings (never bools or floats). D_i may
+    also be given as its dims[i] columns, dicts keyed by int row indices.
     """
-    dims = [int(d) for d in dims]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ConstructionError("dims must be a list of integers")
     if any(d < 0 for d in dims):
         raise ConstructionError("space dimensions cannot be negative")
+    if not isinstance(matrices, list) or not all(isinstance(m, list) for m in matrices):
+        raise ConstructionError("differentials must be a list of matrices, each a list")
     if len(matrices) != max(len(dims) - 1, 0):
         raise ConstructionError(
             f"expected {max(len(dims) - 1, 0)} differentials for {len(dims)} spaces, "
@@ -70,6 +76,8 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                 raise ConstructionError(
                     f"D_{i}: expected {dims[i]} columns, got {len(mat)}"
                 )
+            if any(type(r) is not int or not 0 <= r < dims[i + 1] for col in mat for r in col):
+                raise ConstructionError(f"D_{i}: column rows must be ints below {dims[i + 1]}")
             cols.append(mat)
         elif mat == [] and dims[i + 1] == 0:
             cols.append([{} for _ in range(dims[i])])
@@ -88,7 +96,9 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
 def cohomology_dims(C: FiniteHilbertComplex):
     """dim ker D_i - rank D_{i-1} in every degree, exact."""
     n = len(C.dims)
-    ranks = [linalg.rank(C.differential(i)) for i in range(n)]
+    # reversed, the cochain complex is a chain complex: D_i is ∂_{n-1-i}
+    bnd = [C.differential(n - 1 - k) for k in range(n)]
+    ranks = [r for r, _ in reversed(linalg.chain_ranks(bnd, [range(len(b)) for b in bnd]))]
     out = []
     for i in range(n):
         below = ranks[i - 1] if i > 0 else 0

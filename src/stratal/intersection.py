@@ -7,9 +7,10 @@ X_{n-1}. A simplex is p-allowable in chain degree i when, for every singular
 stratum Y, its largest face labeled Y has dimension at most
 i - codim(Y) + p(Y). The intersection chain space in degree i is the kernel
 of the non-allowable row block of the boundary restricted to allowable
-columns. Betti numbers come from two integer ranks per degree and need no
-basis; explicit bases are built only when read, in reduced column echelon
-form so that subspace comparisons are deterministic.
+columns. Betti numbers need no basis: one reduction per degree, from the
+top degree down with clearing, gives both ranks they need
+(`linalg.chain_ranks`). Explicit bases are built only when read, in reduced
+column echelon form so that subspace comparisons are deterministic.
 """
 
 from functools import cached_property
@@ -110,7 +111,7 @@ class StratifiedChainComplex:
         return bases
 
     def homology(self):
-        """Betti numbers from two ranks per degree.
+        """Betti numbers from one reduction per degree.
 
         With A_i the allowable columns and B_{i-1} the non-allowable rows,
         IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
@@ -121,14 +122,9 @@ class StratifiedChainComplex:
         allow = self.allowable_indices
         dims = [len(a) for a in allow]
         ranks = [0] * (n + 2)
-        for i in range(1, n + 1):
-            allowed_rows = set(allow[i - 1])
-            cols = [self._bnd[i][j] for j in allow[i]]
-            r_bad = linalg.rank(
-                [{r: v for r, v in col.items() if r not in allowed_rows} for col in cols]
-            )
+        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(self._bnd, allow)):
             dims[i] -= r_bad
-            ranks[i] = linalg.rank(cols) - r_bad
+            ranks[i] = r_all - r_bad
         return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 

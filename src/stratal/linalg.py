@@ -6,7 +6,9 @@ values are ints or Fractions; zeros are never stored.
 All elimination goes through one fraction-free integer column reduction,
 `_reduce`. Each column is made primitive over the integers, then reduced
 against the earlier pivot columns at the row that `pivot` picks, until its
-pivot row is new or the column vanishes. With `track` it also carries the
+pivot row is new or the column vanishes. Where the pivot entry divides the
+entry being eliminated, the pivot column is subtracted in place; otherwise
+both are scaled to a common multiple. With `track` it also carries the
 column's combination of the inputs, so the columns that vanish give the
 kernel. Everything else derives from its pivot table and zero combinations:
 
@@ -14,16 +16,21 @@ kernel. Everything else derives from its pivot table and zero combinations:
   Both pivot on the lowest row (`max`); on the boundaries of
   sd(susp(susp t2)) that makes `rank` about three times faster than the
   topmost row does.
+- `chain_ranks` reduces each degree of a chain complex once, from the top
+  degree down, and skips the columns that the degree above has already
+  shown to be cycles ("clearing": Chen & Kerber, *Persistent Homology
+  Computation with a Twist*, EuroCG 2011). With the allowed rows numbered
+  first, the pivots that fall in the other rows count the rank of that row
+  block too.
 - `rcef` pivots on the topmost row (`min`), because its canonical form is
   keyed by each column's topmost entry. It divides each pivot column by its
   pivot entry and back-substitutes in Fractions.
-- `in_span` compares two ranks.
 - `project_onto_span` solves the normal equations of the pivot columns B by
   reading the single kernel vector of [BᵀB | Bᵀv].
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Entries larger than this trigger a gcd renormalization during elimination.
 _GROWTH_LIMIT = 1 << 128
@@ -31,20 +38,14 @@ _GROWTH_LIMIT = 1 << 128
 
 def col_primitive(col):
     """Primitive integer copy of a column: denominators cleared, gcd divided out."""
-    if not col:
-        return {}
-    mult = 1
-    for v in col.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            mult = mult * d // gcd(mult, d)
-    out = {r: int(v * mult) for r, v in col.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, abs(v))
+    dens = [v.denominator for v in col.values() if type(v) is not int]
+    if dens:
+        mult = lcm(*dens)
+        col = {r: int(v * mult) for r, v in col.items()}
+    g = gcd(*col.values())
     if g > 1:
-        out = {r: v // g for r, v in out.items()}
-    return {r: v for r, v in out.items() if v}
+        return {r: v // g for r, v in col.items() if v}
+    return {r: v for r, v in col.items() if v}
 
 
 def _combine(a_col, a, b_col, b):
@@ -57,6 +58,16 @@ def _combine(a_col, a, b_col, b):
         elif r in out:
             del out[r]
     return out
+
+
+def _subtract(col, q, pcol):
+    """col -= q*pcol in place, for a nonzero q."""
+    for r, v in pcol.items():
+        w = col.get(r, 0) - q * v
+        if w:
+            col[r] = w
+        else:
+            del col[r]
 
 
 def _shrink(col, combo):
@@ -106,10 +117,18 @@ def _reduce(cols, track=False, pivot=max):
                 break
             pcol, pcombo = piv
             a, b = pcol[row], col[row]
-            col = _combine(col, a, pcol, b)
-            if track:
-                combo = _combine(combo, a, pcombo, b)
-            col, combo = _shrink(col, combo)
+            q, rem = divmod(b, a)
+            if rem:
+                # scaling by a is what builds up common factors, so only
+                # this step renormalizes
+                col = _combine(col, a, pcol, b)
+                if track:
+                    combo = _combine(combo, a, pcombo, b)
+                col, combo = _shrink(col, combo)
+            else:
+                _subtract(col, q, pcol)
+                if track:
+                    _subtract(combo, q, pcombo)
         else:
             if track:
                 zeros.append({k: v * scale.get(k, 1) for k, v in combo.items()})
@@ -119,6 +138,36 @@ def _reduce(cols, track=False, pivot=max):
 def rank(cols):
     """Rank of the matrix whose columns are `cols`, exact over the rationals."""
     return len(_reduce(cols)[0])
+
+
+def chain_ranks(bnd, allow):
+    """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact.
+
+    `bnd[i]` holds the columns of ∂_i (∂_0 is zero and is not read) and
+    `allow[i]` the sorted allowed indices A_i of degree i, which are both the
+    columns of ∂_i and the allowed rows of ∂_{i+1}; B_{i-1} is the rest of
+    the rows. Each degree is reduced once with the allowed rows numbered
+    first, so the pivots in B rows count the second rank. Degrees go from
+    the top down with clearing: a reduced column of ∂_{i+1} whose pivot j is
+    an allowed row lies wholly in allowed rows, so it is an allowable
+    boundary; putting it in place of column j of ∂_i is an invertible change
+    of columns whose image is zero, so column j is skipped.
+    """
+    out = [(0, 0)] * len(bnd)
+    cleared = set()
+    for i in range(len(bnd) - 1, 0, -1):
+        rows = allow[i - 1]
+        m = len(rows)
+        cols = [bnd[i][j] for j in allow[i] if j not in cleared]
+        if m and rows[-1] != m - 1:
+            # allowed rows to 0..m-1 in order, B row r to m + r
+            pos = {r: k for k, r in enumerate(rows)}
+            cols = [{pos.get(r, m + r): v for r, v in col.items()} for col in cols]
+        pivots = _reduce(cols)[0]
+        bad = sum(1 for row in pivots if row >= m)
+        out[i] = (len(pivots), bad)
+        cleared = {rows[row] for row in pivots if row < m}
+    return out
 
 
 def kernel(cols):
@@ -164,11 +213,6 @@ def rcef(cols):
                 elif r in col:
                     del col[r]
     return [basis[top] for top in sorted(basis)]
-
-
-def in_span(col, cols):
-    """True when `col` lies in the span of `cols`."""
-    return rank([*cols, col]) == rank(cols)
 
 
 def combine_columns(cols, combos):

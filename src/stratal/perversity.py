@@ -105,8 +105,10 @@ def named_perversity(name, n) -> Perversity:
     """One of NAMED_PERVERSITIES on codimensions 1..n.
 
     A 0-dimensional space has no codimensions: there zero is the empty
-    per-stratum perversity, and the others raise.
+    per-stratum perversity, and the others raise. A negative n raises.
     """
+    if n < 0:
+        raise ConfigurationError(f"ambient dimension cannot be negative, got {n}")
     if name == "zero":
         return zero_perversity(n) if n >= 1 else Perversity(PER_STRATUM, {})
     if name == "top":

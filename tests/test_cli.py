@@ -1,14 +1,20 @@
 """CLI smoke tests: reports, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import stratal
 from stratal import cli
 from stratal.corpus import corpus_dir
+
+# the child processes import the same stratal as the tests, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(stratal.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def _run(*args, **kw):
@@ -16,6 +22,7 @@ def _run(*args, **kw):
         [sys.executable, "-m", "stratal.cli", *args],
         capture_output=True,
         text=True,
+        env=_ENV,
         **kw,
     )
 
@@ -220,6 +227,38 @@ def test_hilbert_rejects_bool_and_float_entries(tmp_path: Path, complex_doc, vec
     assert r.returncode == 2
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("complex_doc, vector", [
+    pytest.param(5, None, id="document-int"),
+    pytest.param(_LINE, 5, id="vector-int"),
+    pytest.param({"dims": [1, 1], "differentials": 7}, None, id="differentials-int"),
+    pytest.param({"dims": [1, 1], "differentials": [5]}, None, id="matrix-int"),
+    pytest.param({"dims": [1, 1], "differentials": [[5]]}, None, id="row-int"),
+    pytest.param({"dims": [None, 1], "differentials": [[[1]]]}, None, id="dim-null"),
+    pytest.param({"dims": [True, 1.5], "differentials": [[[1]]]}, None, id="dims-bool-float"),
+    pytest.param({"dims": 2, "differentials": []}, None, id="dims-int"),
+    pytest.param({"dims": [1, 1], "differentials": [[{"0": 1}]]}, None, id="dict-column"),
+])
+def test_hilbert_rejects_malformed_shape(tmp_path: Path, capsys, complex_doc, vector):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(complex_doc))
+    args = ["hilbert", "--complex", str(cfile)]
+    if vector is not None:
+        vfile = tmp_path / "v.json"
+        vfile.write_text(json.dumps(vector))
+        args += ["--decompose", "0", "--vector", str(vfile)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal" not in captured.err
+
+
+def test_perversity_rejects_negative_dim(capsys):
+    assert cli.main(["perversity", "--dim", "-3", "--spec", "zero"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative" in captured.err
 
 
 @pytest.mark.parametrize("betti", [

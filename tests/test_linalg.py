@@ -97,10 +97,11 @@ def test_rcef_pivots_are_one_and_cleared():
 
 
 def test_in_span_and_residual():
+    # a column lies in the span exactly when adding it leaves the rcef unchanged
     cols = [{0: 1, 1: 1}, {1: 1, 2: 1}]
     ech = linalg.rcef(cols)
-    assert linalg.in_span({0: 1, 1: 2, 2: 1}, ech)
-    assert not linalg.in_span({0: 1}, ech)
+    assert linalg.rcef([*ech, {0: 1, 1: 2, 2: 1}]) == ech
+    assert linalg.rcef([*ech, {0: 1}]) != ech
 
 
 def test_projection_is_orthogonal_and_idempotent():
@@ -211,6 +212,87 @@ def test_kernel_dimension_and_annihilation(mat):
 def test_rcef_matches_sympy_rref_of_transpose(mat):
     rows, nc = mat
     assert linalg.rcef(_columns(rows, nc)) == _sympy_rcef(rows, nc)
+
+
+def _sub_rank(rows, row_idx, col_idx):
+    """Rank over QQ of the submatrix on the given rows and columns."""
+    sub = [[rows[r][c] for c in col_idx] for r in row_idx]
+    return _domain(sub, len(sub), len(col_idx)).rank()
+
+
+def _subset(draw, n):
+    return sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+
+
+def _zero_cols(n):
+    return [{} for _ in range(n)]
+
+
+# the chain-rank oracles draw three matrices' worth of sympy ranks per example
+_CHAIN_ORACLE = settings(_ORACLE, max_examples=100)
+
+
+@_CHAIN_ORACLE
+@given(_matrices(), st.data())
+def test_chain_ranks_match_sympy(mat, data):
+    rows, nc = mat
+    nr = len(rows)
+    good, cols_idx = _subset(data.draw, nr), _subset(data.draw, nc)
+    bad = [r for r in range(nr) if r not in good]
+    _, (r_all, r_bad) = linalg.chain_ranks([_zero_cols(nr), _columns(rows, nc)],
+                                           [good, cols_idx])
+    assert r_all == _sub_rank(rows, range(nr), cols_idx)
+    assert r_bad == _sub_rank(rows, bad, cols_idx)
+
+
+@st.composite
+def _chain_complexes(draw):
+    """Dense (∂_1, ∂_2, n0) with ∂_1 ∂_2 = 0: ∂_2 is drawn freely and every
+    row of ∂_1 is a combination of the left-kernel vectors of ∂_2."""
+    d2, n2 = draw(_matrices(max_side=10))
+    n1 = len(d2)
+    left = linalg.kernel(linalg.transpose_cols(_columns(d2, n2), n1))
+    n0 = draw(st.integers(0, 10))
+    coeffs = _block(draw, n0, len(left), _INTS)
+    d1 = [[sum(coeffs[r][k] * vec.get(c, 0) for k, vec in enumerate(left))
+           for c in range(n1)] for r in range(n0)]
+    return d1, d2, n0
+
+
+@_CHAIN_ORACLE
+@given(_chain_complexes(), st.data())
+def test_chain_ranks_with_clearing_match_sympy(chain, data):
+    d1, d2, n0 = chain
+    n1, n2 = len(d2), len(d2[0]) if d2 else 0
+    bnd = [_zero_cols(n0), _columns(d1, n1), _columns(d2, n2)]
+    assert not any(linalg.combine_columns(bnd[1], bnd[2]))
+    allow = [_subset(data.draw, n) for n in (n0, n1, n2)]
+    out = linalg.chain_ranks(bnd, allow)
+    for i, rows in ((1, d1), (2, d2)):
+        bad = [r for r in range(len(rows)) if r not in allow[i - 1]]
+        assert out[i] == (_sub_rank(rows, range(len(rows)), allow[i]),
+                          _sub_rank(rows, bad, allow[i]))
+
+
+def test_chain_ranks_clearing_skips_cycle_columns(monkeypatch):
+    # the filled triangle on vertices 0, 1, 2 with edges 01, 02, 12; vertex 2
+    # is not allowed, so the edge 12 that the triangle's boundary pivots on
+    # is cleared from ∂_1, which is reduced on edges 01 and 02 alone
+    d1 = [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    d2 = [[1], [-1], [1]]
+    bnd = [_zero_cols(3), _columns(d1, 3), _columns(d2, 1)]
+    reduced = []
+    reduce = linalg._reduce
+
+    def spy(cols, *args, **kw):
+        reduced.append(len(cols))
+        return reduce(cols, *args, **kw)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    out = linalg.chain_ranks(bnd, [[0, 1], [0, 1, 2], [0]])
+    assert reduced == [1, 2]
+    # ∂_1 has rank 2 and its vertex-2 row [0, 1, 1] rank 1
+    assert out == [(0, 0), (2, 1), (1, 0)]
 
 
 def test_large_entries_renormalize_tracked_combinations(monkeypatch):

@@ -191,3 +191,9 @@ def test_named_perversity():
     for name in ("top", "lower-middle", "upper-middle", "middle"):
         with pytest.raises(ConfigurationError):
             pv.named_perversity(name, 0)
+
+
+@pytest.mark.parametrize("name", pv.NAMED_PERVERSITIES)
+def test_named_perversity_rejects_negative_dimension(name):
+    with pytest.raises(ConfigurationError):
+        pv.named_perversity(name, -3)
