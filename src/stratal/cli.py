@@ -112,6 +112,8 @@ def cmd_perversity(args):
         return 0
     if not args.dim:
         raise StratalError("perversity needs --space or --dim with --spec")
+    if args.dim < 0:
+        raise ConfigurationError(f"ambient dimension cannot be negative, got {args.dim}")
     p = _resolve_perversity(args.spec, args.dim)
     if args.dual:
         p = dual(p)

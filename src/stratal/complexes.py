@@ -12,13 +12,21 @@ are those of the level-j vertices joined by level-j edges. Every simplex
 carries exactly one stratum label. Codimension-one strata are allowed, and the
 top filtration step X_{n-1} may differ from X_{n-2}.
 
+Stratum order is deterministic and follows the face-closure order: `levels`
+is keyed, and `strata` listed, in the iteration order of the set that
+`_face_closure` fills in one fixed sequence. `singular_strata()` and the
+seeded verify suites walk strata in this order, so it is part of the output:
+`verify --suite duality` draws its per-stratum values in it.
+
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from functools import partial
+from itertools import accumulate, combinations, repeat
 from pathlib import Path
 
 from . import linalg
@@ -53,22 +61,32 @@ def _facets(simplex):
 
 
 def _face_closure(simplices):
+    """Every face of the given simplices, added to the set depth first: each
+    simplex is followed by its facets, s[:-1] first. The set's iteration
+    order follows from that sequence of additions, and the order of a
+    complex's levels and strata follows from the set's."""
     closed = set()
-    stack = [tuple(s) for s in simplices]
+    add = closed.add
+    stack = list(map(tuple, simplices))
+    pop, push = stack.pop, stack.extend
     while stack:
-        s = stack.pop()
+        s = pop()
         if s in closed:
             continue
-        closed.add(s)
+        add(s)
         if len(s) > 1:
-            stack.extend(_facets(s))
+            facets = list(combinations(s, len(s) - 1))
+            facets.reverse()  # pushed in _facets order, so popped s[:-1] first
+            push(facets)
     return closed
 
 
 def _maximal_of(closed):
     # in a face-closed set every non-maximal simplex is a facet of another
-    facets = {f for s in closed for f in _facets(s)}
-    return sorted(s for s in closed if s not in facets)
+    facets = set()
+    for s in closed:
+        facets.update(combinations(s, len(s) - 1))
+    return sorted(closed.difference(facets))
 
 
 def _name_simplex(simplex, vertex_ids):
@@ -80,12 +98,15 @@ class FilteredComplex:
 
     def __init__(self, name, n, vertex_ids, simplices, skeleta, levels, strata,
                  label_of, weights):
+        """`simplices` is the whole complex in sorted order."""
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
-        self._by_dim = [tuple(sorted(s for s in simplices if len(s) == d + 1))
-                        for d in range(n + 1)]
-        self._index = [{s: i for i, s in enumerate(level)} for level in self._by_dim]
+        by_dim = [[] for _ in range(n + 1)]
+        for s in simplices:
+            by_dim[len(s) - 1].append(s)
+        self._by_dim = by_dim = list(map(tuple, by_dim))
+        self._index = [{s: i for i, s in enumerate(level)} for level in by_dim]
         self.skeleta = skeleta
         self.levels = levels
         self.strata = strata
@@ -227,50 +248,42 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     return chain
 
 
-def _levels(n, closure, chain):
-    """The least j with s in X_j for each simplex s, or n when there is none."""
-    levels = dict.fromkeys(closure, n)
-    for j in reversed(range(n)):
-        for s in chain[j]:
-            levels[s] = j
-    return levels
-
-
-def _stratify(n, closure, levels, vertex_ids):
+def _stratify(n, closure, top_vertex, vertex_level, vertex_ids):
+    """Strata, in the order in which the list `closure` first reaches them,
+    and the stratum label of each simplex. `top_vertex[i]` is a highest-level
+    vertex of closure[i]. Sorts `closure` in place."""
     # Skeleta are full, so a level-j simplex shares a stratum with each of its
     # level-j vertices, and those vertices are joined by its level-j edges.
-    parent = {s[0]: s[0] for s in closure if len(s) == 1}
+    root = list(range(len(vertex_ids)))
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
         return v
 
     for s in closure:
-        if len(s) == 2 and levels[(s[0],)] == levels[(s[1],)] == levels[s]:
+        if len(s) == 2 and vertex_level[s[0]] == vertex_level[s[1]]:
             ra, rb = find(s[0]), find(s[1])
             if ra != rb:
-                parent[ra] = rb
-    groups = {}
+                root[ra] = rb
+    root = list(map(find, range(len(root))))
+    groups = {r: [] for r in dict.fromkeys(map(root.__getitem__, top_vertex))}
+    top_of = partial(max, key=vertex_level.__getitem__)
+    closure.sort()
     for s in closure:
-        lvl = levels[s]
-        v = next(v for v in s if levels[(v,)] == lvl)
-        groups.setdefault(find(v), []).append(s)
+        groups[root[top_of(s)]].append(s)
     strata = {}
     label_of = {}
-    for members in groups.values():
-        members.sort()
-        dim = max(len(s) for s in members) - 1
-        lvl = levels[members[0]]
-        rep = members[0]
-        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in rep)
-        stratum = Stratum(sid, dim, n - dim, lvl < n, lvl, tuple(members))
+    for r, members in groups.items():
+        members = tuple(members)
+        dim = max(map(len, members)) - 1
+        lvl = vertex_level[r]
+        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in members[0])
         if sid in strata:
             raise SpaceFormatError(f"stratum id collision at {sid}")
-        strata[sid] = stratum
-        for s in members:
-            label_of[s] = sid
+        strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, members)
+        label_of.update(zip(members, repeat(sid)))
     return strata, label_of
 
 
@@ -281,14 +294,20 @@ def _subdivide_raw(vertex_ids, closure, top, chain):
     skeleta, and the new vertex index of each old simplex."""
     new_index = {s: i for i, s in enumerate(sorted(closure))}
     new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in new_index]
+    flags = {}
 
     def full_chains(simplex):
-        out = []
-        for perm in permutations(simplex):
-            flag = tuple(
-                sorted(new_index[tuple(sorted(perm[: k + 1]))] for k in range(len(perm)))
-            )
-            out.append(flag)
+        # the flags ending at simplex, as sorted tuples; each face's are built once
+        out = flags.get(simplex)
+        if out is None:
+            i = new_index[simplex]
+            if len(simplex) == 1:
+                out = [(i,)]
+            else:
+                out = [tuple(sorted(f + (i,)))
+                       for face in combinations(simplex, len(simplex) - 1)
+                       for f in full_chains(face)]
+            flags[simplex] = out
         return out
 
     new_maximal = sorted(f for s in top for f in full_chains(s))
@@ -301,25 +320,40 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     if not maximal:
         raise SpaceFormatError("a complex needs at least one simplex")
     closure = _face_closure(maximal)
-    top = _maximal_of(closure)
-    widest = max(top, key=len)
-    if len(widest) - 1 > n:
-        raise SpaceFormatError(
-            f"simplex {_name_simplex(widest, vertex_ids)} exceeds dimension {n}"
-        )
-    for s in top:
-        if len(s) - 1 != n:
+    if set(map(len, maximal)) == {n + 1}:
+        # simplices of equal length are never faces of one another
+        top = sorted(set(maximal))
+    else:
+        top = _maximal_of(closure)
+        widest = max(top, key=len)
+        if len(widest) - 1 > n:
             raise SpaceFormatError(
-                f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
-                f"has dimension {len(s) - 1}, expected {n}"
+                f"simplex {_name_simplex(widest, vertex_ids)} exceeds dimension {n}"
             )
+        for s in top:
+            if len(s) - 1 != n:
+                raise SpaceFormatError(
+                    f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
+                    f"has dimension {len(s) - 1}, expected {n}"
+                )
     chain = _complete_skeleta(n, closure, raw_skeleta, vertex_ids)
-    levels = _levels(n, closure, chain)
-    if any(levels[s] != max(levels[(v,)] for v in s) for s in closure):
+    vertex_level = [n] * len(vertex_ids)
+    for j in reversed(range(n)):
+        for s in chain[j]:
+            if len(s) == 1:
+                vertex_level[s[0]] = j
+    closure = list(closure)
+    top_vertex = list(map(partial(max, key=vertex_level.__getitem__), closure))
+    levels = dict(zip(closure, map(vertex_level.__getitem__, top_vertex)))
+    # X_j lies inside {s : levels[s] <= j} and is full exactly when it is all of it
+    per_level = Counter(levels.values())
+    if any(len(chain[j]) != below
+           for j, below in enumerate(accumulate(per_level[j] for j in range(n)))):
         # some X_j is not full; after one barycentric subdivision every one is
         new_ids, new_maximal, new_chain, _ = _subdivide_raw(vertex_ids, closure, top, chain)
         return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    strata, label_of = _stratify(n, closure, levels, vertex_ids)
+    strata, label_of = _stratify(n, closure, top_vertex, vertex_level, vertex_ids)
+    del top_vertex  # freed before the index dicts are built
     K = FilteredComplex(name, n, vertex_ids, closure, chain, levels, strata,
                         label_of, {})
     if weights_doc:

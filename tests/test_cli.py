@@ -254,11 +254,14 @@ def test_hilbert_rejects_malformed_shape(tmp_path: Path, capsys, complex_doc, ve
     assert "internal" not in captured.err
 
 
-def test_perversity_rejects_negative_dim(capsys):
-    assert cli.main(["perversity", "--dim", "-3", "--spec", "zero"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "negative" in captured.err
+def test_perversity_rejects_negative_dim(tmp_path, capsys):
+    per_stratum = tmp_path / "p.json"
+    per_stratum.write_text('{"s0:apex": 0}')
+    for spec in ("zero", "gm:0,1", f"per-stratum:{per_stratum}"):
+        assert cli.main(["perversity", "--dim", "-3", "--spec", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ambient dimension cannot be negative, got -3\n"
 
 
 @pytest.mark.parametrize("betti", [
