@@ -25,7 +25,7 @@ exact ranks; the allowable-chain machinery lives in `intersection`.
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, combinations, repeat
 from pathlib import Path
 
@@ -113,7 +113,6 @@ class FilteredComplex:
         self.label_of = label_of
         self.weights = dict(weights or {})
         self._boundaries = {}
-        self._regular = None  # lazy: intersection._regular_cache fills it on first use
 
     # ------------------------------------------------------------------ basics
 
@@ -170,6 +169,39 @@ class FilteredComplex:
                 cols.append(col)
         self._boundaries[i] = cols
         return cols
+
+    @cached_property
+    def regular(self):
+        """Per degree, the regular simplices (those not in X_{n-1}) and the
+        boundary with its singular faces dropped; and per regular simplex its
+        singular-face profile, mapping each singular stratum that it meets to
+        the dimension of its largest face in that stratum.
+
+        The profile comes from the vertices alone. Skeleta are full, so the
+        largest face of a simplex in a stratum of level j is spanned by its
+        vertices of level <= j, and its level-j vertices, joined by its own
+        level-j edges, lie in one stratum. Sorted by level, the vertex at
+        position d closes a face of dimension d, and the last one of each
+        level gives that stratum's entry.
+        """
+        n, levels = self.n, self.levels
+        reg = [[s for s in simplices if levels[s] == n] for simplices in self._by_dim]
+        bnd = [[{} for _ in reg[0]]]
+        for i in range(1, n + 1):
+            # the dropped-face boundary is the full boundary restricted to regular rows
+            rows = {self.index(s): j for j, s in enumerate(reg[i - 1])}
+            full = self.boundary_matrix(i)
+            bnd.append([
+                {rows[r]: v for r, v in full[self.index(s)].items() if r in rows} for s in reg[i]
+            ])
+        level = {v: levels[(v,)] for (v,) in self._by_dim[0]}
+        label = {v: self.label_of[(v,)] for v in level}
+        profiles = {
+            s: {label[v]: d for d, v in enumerate(sorted(s, key=level.__getitem__))
+                if level[v] < n}
+            for simplices in reg for s in simplices
+        }
+        return reg, bnd, profiles
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact."""

@@ -78,7 +78,7 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                 )
             if any(type(r) is not int or not 0 <= r < dims[i + 1] for col in mat for r in col):
                 raise ConstructionError(f"D_{i}: column rows must be ints below {dims[i + 1]}")
-            cols.append(mat)
+            cols.append([{r: v for r, v in col.items() if v} for col in mat])  # linalg stores no zeros
         elif mat == [] and dims[i + 1] == 0:
             cols.append([{} for _ in range(dims[i])])
         else:
@@ -135,12 +135,7 @@ def laplacian_cols(C: FiniteHilbertComplex, i: int):
     out = []
     for a, b in zip(term1, term2):
         col = dict(a)
-        for r, v in b.items():
-            w = col.get(r, 0) + v
-            if w:
-                col[r] = w
-            elif r in col:
-                del col[r]
+        linalg._subtract(col, -1, b)
         out.append(col)
     return out
 
@@ -151,8 +146,13 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     The exact part is the projection onto the image of D_{i-1}, the coexact
     part the projection onto the image of D_i^T; reconstruction is exact.
     """
+    if not 0 <= i < len(C.dims):
+        raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
     if isinstance(v, dict):
         vec = {int(r): Fraction(val) for r, val in v.items() if val}
+    elif len(v) != C.dims[i]:
+        raise ConfigurationError(
+            f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")
     else:
         vec = {r: Fraction(val) for r, val in enumerate(v) if val}
     if any(r < 0 or r >= C.dims[i] for r in vec):
@@ -163,12 +163,7 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     coexact = linalg.project_onto_span(vec, coexact_span) if coexact_span else {}
     harmonic = dict(vec)
     for part in (exact, coexact):
-        for r, val in part.items():
-            w = harmonic.get(r, 0) - val
-            if w:
-                harmonic[r] = w
-            elif r in harmonic:
-                del harmonic[r]
+        linalg._subtract(harmonic, 1, part)
     return harmonic, exact, coexact
 
 

@@ -5,51 +5,22 @@ singular set" system: the degree-i basis consists of the regular i-simplices
 (those not contained in X_{n-1}), and boundaries drop faces that lie inside
 X_{n-1}. A simplex is p-allowable in chain degree i when, for every singular
 stratum Y, its largest face labeled Y has dimension at most
-i - codim(Y) + p(Y). The intersection chain space in degree i is the kernel
-of the non-allowable row block of the boundary restricted to allowable
-columns. Betti numbers need no basis: one reduction per degree, from the
-top degree down with clearing, gives both ranks they need
-(`linalg.chain_ranks`). Explicit bases are built only when read, in reduced
-column echelon form so that subspace comparisons are deterministic.
+i - codim(Y) + p(Y). Skeleta are full, so that face is spanned by the
+simplex's vertices of level <= level(Y); `FilteredComplex.regular` reads
+every profile from one sort of the vertices by level. The intersection
+chain space in degree i is the kernel of the non-allowable row block of the
+boundary restricted to allowable columns. Betti numbers need no basis: one
+reduction per degree, from the top degree down with clearing, gives both
+ranks they need (`linalg.chain_ranks`). Explicit bases are built only when
+read, in reduced column echelon form so that subspace comparisons are
+deterministic.
 """
 
 from functools import cached_property
-from itertools import combinations
 
 from . import linalg
 from .complexes import check_orientation
 from .perversity import Perversity, dual, perversity_to_json
-
-
-def _regular_cache(K):
-    """Per-degree regular bases, boundaries with singular faces dropped, and
-    singular-face profiles. Built once per complex, on first use."""
-    if K._regular is not None:
-        return K._regular
-    n = K.n
-    reg = [[s for s in K.simplices(i) if K.levels[s] == n] for i in range(n + 1)]
-    bnd = [[{} for _ in reg[0]]]
-    for i in range(1, n + 1):
-        # the dropped-face boundary is the full boundary restricted to regular rows
-        rows = {K.index(s): j for j, s in enumerate(reg[i - 1])}
-        full = K.boundary_matrix(i)
-        bnd.append([
-            {rows[r]: v for r, v in full[K.index(s)].items() if r in rows} for s in reg[i]
-        ])
-    profiles = {}
-    for i in range(n + 1):
-        for s in reg[i]:
-            prof = {}
-            for size in range(1, len(s)):
-                for face in combinations(s, size):
-                    sid = K.label_of[face]
-                    if K.strata[sid].singular:
-                        d = size - 1
-                        if prof.get(sid, -1) < d:
-                            prof[sid] = d
-            profiles[s] = prof
-    K._regular = (reg, bnd, profiles)
-    return K._regular
 
 
 def _allowed(prof, i, K, p):
@@ -67,7 +38,7 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
     The degree is the chain degree, which exceeds dim(sigma) when boundary
     faces are being checked at their own degree i-1.
     """
-    return _allowed(_regular_cache(K)[2][tuple(sigma)], i, K, p)
+    return _allowed(K.regular[2][tuple(sigma)], i, K, p)
 
 
 class StratifiedChainComplex:
@@ -76,37 +47,24 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        reg, bnd, profiles = _regular_cache(K)
-        self.reg = reg
-        self._bnd = bnd
+        self.reg, self._bnd, profiles = K.regular
         self.allowable_indices = [
-            [j for j, s in enumerate(reg[i]) if _allowed(profiles[s], i, K, p)]
-            for i in range(K.n + 1)
+            [j for j, s in enumerate(simplices) if _allowed(profiles[s], i, K, p)]
+            for i, simplices in enumerate(self.reg)
         ]
 
     @cached_property
     def bases(self):
         """RCEF bases of the chain spaces IC_i over the regular i-simplices,
         built on first access."""
-        reg, bnd, allow = self.reg, self._bnd, self.allowable_indices
+        bnd, allow = self._bnd, self.allowable_indices
         bases = []
-        for i in range(self.K.n + 1):
-            cols_idx = allow[i]
-            if i == 0:
-                combos = [{j: 1} for j in cols_idx]
-            else:
-                bad_rows = set(range(len(reg[i - 1]))) - set(allow[i - 1])
-                if not bad_rows:
-                    combos = [{j: 1} for j in cols_idx]
-                else:
-                    sub = []
-                    for j in cols_idx:
-                        col = {r: v for r, v in bnd[i][j].items() if r in bad_rows}
-                        sub.append(col)
-                    kern = linalg.kernel(sub)
-                    combos = [
-                        {cols_idx[pos]: v for pos, v in combo.items()} for combo in kern
-                    ]
+        for i, cols_idx in enumerate(allow):
+            # IC_i is the kernel of the non-allowable rows; ∂_0 has no entries
+            allowed = set(allow[i - 1])
+            sub = [{r: v for r, v in bnd[i][j].items() if r not in allowed} for j in cols_idx]
+            combos = [{cols_idx[pos]: v for pos, v in combo.items()}
+                      for combo in linalg.kernel(sub)]
             bases.append(linalg.rcef(combos))
         return bases
 

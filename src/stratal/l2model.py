@@ -10,6 +10,7 @@ Cutoff comparisons are exact rational comparisons against integer degrees.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .complexes import cone
 from .errors import ConfigurationError
 from .intersection import intersection_betti
 from .perversity import dual, perversity_to_json, weight_perversity
@@ -200,8 +201,6 @@ def local_model_check(K_link, c):
     weight perversity of its full stratum set, and computes the dual-side
     intersection cohomology. The report lists both vectors degreewise.
     """
-    from .complexes import cone as build_cone
-
     c = Fraction(c)
     if K_link.singular_strata():
         link_max = theorem_predictions(K_link)["max_betti"]
@@ -209,7 +208,7 @@ def local_model_check(K_link, c):
         link_max = list(K_link.betti())
     f = K_link.n
     analytic = cone_max_cohomology(link_max, f, c)
-    C = build_cone(K_link, c)
+    C = cone(K_link, c)
     p_g = weight_perversity(C)
     q_g = dual(p_g, C)
     simplicial = intersection_betti(C, q_g)

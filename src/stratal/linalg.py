@@ -51,12 +51,7 @@ def col_primitive(col):
 def _combine(a_col, a, b_col, b):
     """a*a_col - b*b_col as a fresh integer column."""
     out = {r: a * v for r, v in a_col.items()}
-    for r, v in b_col.items():
-        w = out.get(r, 0) - b * v
-        if w:
-            out[r] = w
-        elif r in out:
-            del out[r]
+    _subtract(out, b, b_col)
     return out
 
 
@@ -203,15 +198,8 @@ def rcef(cols):
         col = basis[top]
         for other in sorted(r for r in col if r != top and r in basis):
             f = col.get(other)
-            if f is None:
-                continue
-            ref = basis[other]
-            for r, v in ref.items():
-                w = col.get(r, 0) - f * v
-                if w:
-                    col[r] = w
-                elif r in col:
-                    del col[r]
+            if f is not None:
+                _subtract(col, f, basis[other])
     return [basis[top] for top in sorted(basis)]
 
 
@@ -225,12 +213,8 @@ def combine_columns(cols, combos):
     for combo in combos:
         acc = {}
         for j, coeff in combo.items():
-            for r, v in cols[j].items():
-                w = acc.get(r, 0) + coeff * v
-                if w:
-                    acc[r] = w
-                elif r in acc:
-                    del acc[r]
+            if coeff:
+                _subtract(acc, -coeff, cols[j])
         out.append(acc)
     return out
 

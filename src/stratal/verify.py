@@ -13,7 +13,6 @@ from . import hilbert as hb
 from . import linalg
 from .complexes import barycentric_subdivide, check_orientation
 from .corpus import load_corpus, load_space
-from .errors import StratalError
 from .intersection import duality_check, intersection_betti
 from .l2model import fredholm_indices, local_model_check, theorem_predictions
 from .perversity import (
@@ -279,9 +278,3 @@ SUITES = {
     "hilbert": suite_hilbert,
     "degeneration": suite_degeneration,
 }
-
-
-def run_suite(name, corpus_dir=None):
-    if name not in SUITES:
-        raise StratalError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return SUITES[name](corpus_dir)

@@ -207,6 +207,7 @@ def test_from_weights_missing_weight_exit_code(tmp_path: Path):
 
 
 _LINE = {"dims": [1, 1], "differentials": [[[1]]]}
+_PATH = {"dims": [1, 2, 1], "differentials": [[[1], [1]], [[1, -1]]]}
 
 
 @pytest.mark.parametrize("complex_doc, vector", [
@@ -229,29 +230,34 @@ def test_hilbert_rejects_bool_and_float_entries(tmp_path: Path, complex_doc, vec
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("complex_doc, vector", [
-    pytest.param(5, None, id="document-int"),
-    pytest.param(_LINE, 5, id="vector-int"),
-    pytest.param({"dims": [1, 1], "differentials": 7}, None, id="differentials-int"),
-    pytest.param({"dims": [1, 1], "differentials": [5]}, None, id="matrix-int"),
-    pytest.param({"dims": [1, 1], "differentials": [[5]]}, None, id="row-int"),
-    pytest.param({"dims": [None, 1], "differentials": [[[1]]]}, None, id="dim-null"),
-    pytest.param({"dims": [True, 1.5], "differentials": [[[1]]]}, None, id="dims-bool-float"),
-    pytest.param({"dims": 2, "differentials": []}, None, id="dims-int"),
-    pytest.param({"dims": [1, 1], "differentials": [[{"0": 1}]]}, None, id="dict-column"),
+@pytest.mark.parametrize("complex_doc, vector, degree", [
+    pytest.param(5, None, "0", id="document-int"),
+    pytest.param(_LINE, 5, "0", id="vector-int"),
+    pytest.param({"dims": [1, 1], "differentials": 7}, None, "0", id="differentials-int"),
+    pytest.param({"dims": [1, 1], "differentials": [5]}, None, "0", id="matrix-int"),
+    pytest.param({"dims": [1, 1], "differentials": [[5]]}, None, "0", id="row-int"),
+    pytest.param({"dims": [None, 1], "differentials": [[[1]]]}, None, "0", id="dim-null"),
+    pytest.param({"dims": [True, 1.5], "differentials": [[[1]]]}, None, "0", id="dims-bool-float"),
+    pytest.param({"dims": 2, "differentials": []}, None, "0", id="dims-int"),
+    pytest.param({"dims": [1, 1], "differentials": [[{"0": 1}]]}, None, "0", id="dict-column"),
+    pytest.param(_PATH, [1], "-1", id="degree-negative"),
+    pytest.param(_PATH, [1], "3", id="degree-past-top"),
+    pytest.param(_PATH, [1], "1", id="vector-short"),
+    pytest.param(_PATH, [1, 0, 0], "1", id="vector-long"),
 ])
-def test_hilbert_rejects_malformed_shape(tmp_path: Path, capsys, complex_doc, vector):
+def test_hilbert_rejects_malformed_shape(tmp_path: Path, capsys, complex_doc, vector, degree):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps(complex_doc))
     args = ["hilbert", "--complex", str(cfile)]
     if vector is not None:
         vfile = tmp_path / "v.json"
         vfile.write_text(json.dumps(vector))
-        args += ["--decompose", "0", "--vector", str(vfile)]
+        args += ["--decompose", degree, "--vector", str(vfile)]
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_perversity_rejects_negative_dim(tmp_path, capsys):

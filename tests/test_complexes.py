@@ -333,7 +333,7 @@ def _facet_strata(K):
 
 @_PROPERTY
 @given(_filtered_documents())
-def test_random_filtrations_load_full_with_facet_strata(case):
+def test_random_filtrations_load_full_with_facet_strata(face_profiles, case):
     name, doc = case
     K = cx.load(json.dumps(doc))
     assert K.counts() in (_base(name).counts(), _subdivided_counts(name))
@@ -349,6 +349,7 @@ def test_random_filtrations_load_full_with_facet_strata(case):
         assert (got.dim, got.codim, got.level, got.simplices) == (dim, codim, level, members)
         assert got.singular == (level < K.n)
         assert all(K.label_of[s] == sid for s in members)
+    assert K.regular[2] == face_profiles(K)
     again = cx.to_document(K)
     K2 = cx.load(json.dumps(again))
     assert cx.to_document(K2) == again

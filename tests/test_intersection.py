@@ -152,7 +152,8 @@ def generated():
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
-def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated, data):
+def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated, face_profiles,
+                                                              data):
     """Iterated cones, suspensions and subdivisions of small corpus spaces,
     under drawn per-stratum perversities. A space stops growing past 400
     simplices and is subdivided only up to 100, which keeps the oracle fast."""
@@ -166,11 +167,21 @@ def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated,
         if path not in generated:
             generated[path] = _BUILD[path[-1]](K)
         K = generated[path]
+    assert K.regular[2] == face_profiles(K), K.name
     for _ in range(2):
         p = pv.Perversity(pv.PER_STRATUM, {
             s.id: data.draw(st.integers(-2, K.n + 1)) for s in K.singular_strata()})
         chains = ix.StratifiedChainComplex(K, p)
         assert chains.homology() == _two_rank_homology(chains), (K.name, p)
+
+
+def test_regular_profiles_match_face_enumeration(spaces, face_profiles):
+    """Profiles read from vertex levels equal the per-face definition on
+    every corpus space and its subdivision."""
+    for name in sorted(spaces):
+        K = spaces[name]
+        for L in (K, cx.barycentric_subdivide(K)):
+            assert L.regular[2] == face_profiles(L), L.name
 
 
 def test_dd_zero_on_r0_chains(susp_t2):
