@@ -3,7 +3,11 @@ pseudomanifolds, with the weighted-cone L2 model formulas and a
 finite-dimensional Hilbert-complex lab.
 
 Everything is exact rational arithmetic; no floats enter any computation.
+
+The names from `hilbert` and `l2model` load their module on first access.
 """
+
+import importlib
 
 from .complexes import (
     FilteredComplex,
@@ -24,34 +28,11 @@ from .errors import (
     StratalError,
     StructureError,
 )
-from .hilbert import (
-    FiniteHilbertComplex,
-    cohomology_dims,
-    dual_complex,
-    harmonic_dims,
-    index_even_odd,
-    kodaira_decompose,
-    random_complex,
-    validate,
-)
 from .intersection import (
     StratifiedChainComplex,
     allowable,
     duality_check,
     intersection_betti,
-)
-from .l2model import (
-    ClosedManifold,
-    Cone,
-    Cylinder,
-    L2Report,
-    cone_max_cohomology,
-    cone_report,
-    cylinder_max_cohomology,
-    eval_max,
-    fredholm_indices,
-    local_model_check,
-    theorem_predictions,
 )
 from .perversity import (
     Perversity,
@@ -69,3 +50,26 @@ from .perversity import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys(("FiniteHilbertComplex", "cohomology_dims", "dual_complex",
+                     "harmonic_dims", "index_even_odd", "kodaira_decompose",
+                     "random_complex", "validate"), "hilbert"),
+    **dict.fromkeys(("ClosedManifold", "Cone", "Cylinder", "L2Report",
+                     "cone_max_cohomology", "cone_report", "cylinder_max_cohomology",
+                     "eval_max", "fredholm_indices", "local_model_check",
+                     "theorem_predictions"), "l2model"),
+}
+
+
+def __getattr__(name):
+    # Nothing is cached in the package globals: each access reads the
+    # module's current binding, so a function patched in its module (say, by a
+    # profiler's wrapper) is seen here, and no copy outlives its removal.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

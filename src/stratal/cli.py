@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage/load error,
 3 an internal error. No exit code comes with a traceback.
+
+A command imports `verify`, `hilbert` or `l2model` only when it needs them,
+so no process pays for the modules of another command.
 """
 
 import argparse
@@ -10,11 +13,9 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import hilbert as hb
 from .complexes import _name_simplex, load
 from .errors import ConfigurationError, StratalError
 from .intersection import StratifiedChainComplex
-from .l2model import cone_report, fredholm_indices, theorem_predictions
 from .perversity import (
     BY_CODIM,
     NAMED_PERVERSITIES,
@@ -29,7 +30,6 @@ from .perversity import (
     weights_to_json,
 )
 from .rationals import format_rational, parse_rational
-from .verify import SUITES
 
 
 def _emit(doc):
@@ -128,6 +128,8 @@ def cmd_perversity(args):
 
 
 def cmd_cone(args):
+    from .l2model import cone_report
+
     betti = [int(b) for b in args.link_betti.split(",")]
     c = parse_rational(args.weight)
     rep = cone_report(betti, args.link_dim, c)
@@ -136,6 +138,8 @@ def cmd_cone(args):
 
 
 def cmd_predict(args):
+    from .l2model import fredholm_indices, theorem_predictions
+
     K = _load_space(args.space, args.corpus_dir)
     pred = theorem_predictions(K)
     ind_max, ind_min = fredholm_indices(pred["max_betti"], pred["min_betti"])
@@ -145,6 +149,11 @@ def cmd_predict(args):
 
 
 def cmd_verify(args):
+    from .verify import SUITES
+
+    if args.suite not in SUITES:
+        raise ConfigurationError(
+            f"unknown suite {args.suite!r}; use one of {', '.join(sorted(SUITES))}")
     report = SUITES[args.suite](args.corpus_dir)
     _emit(report.to_json())
     if not args.quiet:
@@ -154,6 +163,8 @@ def cmd_verify(args):
 
 
 def cmd_hilbert(args):
+    from . import hilbert as hb
+
     doc = json.loads(Path(args.complex).read_text())
     if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
         raise StratalError("complex file needs an object with 'dims' and 'differentials'")
@@ -243,7 +254,7 @@ def _build_parser():
     p.set_defaults(func=cmd_predict)
 
     p = add_parser("verify", help="run a theorem-check suite over the corpus")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, help="suite name; an unknown one lists them")
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("hilbert", help="validate and analyze a finite complex")

@@ -7,57 +7,54 @@ simplicial intersection engine via the weight perversity p_g and its dual.
 Cutoff comparisons are exact rational comparisons against integer degrees.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import cone
 from .errors import ConfigurationError
 from .intersection import intersection_betti
-from .perversity import dual, perversity_to_json, weight_perversity
+from .perversity import Frozen, Record, dual, perversity_to_json, weight_perversity
 from .rationals import format_rational
 
 
-@dataclass(frozen=True)
-class ClosedManifold:
+class ClosedManifold(Frozen):
     """A closed manifold known only through its betti vector."""
 
-    betti: tuple
-    dim: int
+    __slots__ = __match_args__ = ("betti", "dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
-        if len(self.betti) != self.dim + 1:
+    def __init__(self, betti, dim):
+        betti = tuple(int(b) for b in betti)
+        if len(betti) != dim + 1:
             raise ConfigurationError(
-                f"betti vector of length {len(self.betti)} does not match dim {self.dim}"
+                f"betti vector of length {len(betti)} does not match dim {dim}"
             )
-        if any(b < 0 for b in self.betti):
+        if any(b < 0 for b in betti):
             raise ConfigurationError("betti numbers cannot be negative")
+        self._set(betti, dim)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Weighted cone over a compact-flavored link (manifold or cone)."""
 
-    c: Fraction
-    link: object
+    __slots__ = __match_args__ = ("c", "link")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c <= 0:
+    def __init__(self, c, link):
+        c = Fraction(c)
+        if c <= 0:
             raise ConfigurationError("cone weight must be positive")
-        if isinstance(self.link, Cylinder):
+        if isinstance(link, Cylinder):
             raise ConfigurationError("the link of a cone must be compact-flavored")
-        if not isinstance(self.link, (ClosedManifold, Cone)):
-            raise ConfigurationError(f"malformed cone link: {self.link!r}")
+        if not isinstance(link, (ClosedManifold, Cone)):
+            raise ConfigurationError(f"malformed cone link: {link!r}")
+        self._set(c, link)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    base: object
+class Cylinder(Frozen):
+    __slots__ = __match_args__ = ("base",)
 
-    def __post_init__(self):
-        if not isinstance(self.base, (ClosedManifold, Cone, Cylinder)):
-            raise ConfigurationError(f"malformed cylinder base: {self.base!r}")
+    def __init__(self, base):
+        if not isinstance(base, (ClosedManifold, Cone, Cylinder)):
+            raise ConfigurationError(f"malformed cylinder base: {base!r}")
+        self._set(base)
 
 
 def expr_dim(expr) -> int:
@@ -69,13 +66,15 @@ def expr_dim(expr) -> int:
     raise ConfigurationError(f"not a space expression: {expr!r}")
 
 
-@dataclass
-class L2Report:
+class L2Report(Record):
     """Outcome of one cone evaluation: which hypothesis fired and the cutoff."""
 
-    max_betti: tuple
-    cutoff: Fraction
-    hypothesis_used: str
+    __match_args__ = ("max_betti", "cutoff", "hypothesis_used")
+
+    def __init__(self, max_betti, cutoff, hypothesis_used):
+        self.max_betti = max_betti
+        self.cutoff = cutoff
+        self.hypothesis_used = hypothesis_used
 
     def to_json(self):
         return {

@@ -7,11 +7,12 @@ rationals; the bracket function [[x]] (greatest integer strictly below x) is
 the only nonlinearity, and it is evaluated exactly. No floats anywhere: the
 bracket is discontinuous at integers and float rounding would corrupt the
 resulting perversities.
+
+`Record` and `Frozen` are the small value-type bases that `l2model` and
+`verify` reuse; they live here because both modules already import this one.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import ConfigurationError, RealizabilityError
 from .rationals import format_rational
@@ -20,8 +21,53 @@ BY_CODIM = "by-codim"
 PER_STRATUM = "per-stratum"
 
 
-@dataclass(frozen=True)
-class Perversity:
+class Record:
+    """Value semantics over the field names in `__match_args__`: a keyword
+    repr, and equality between instances of one class, field by field.
+
+    Like a plain dataclass it is unhashable and mutable; `Frozen` adds the
+    hash and forbids assignment."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class Frozen(Record):
+    """An immutable, hashable Record. A subclass lists its fields in both
+    `__slots__` and `__match_args__` and sets them once, through `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Perversity(Frozen):
     """An integer-valued perversity.
 
     kind "by-codim": values maps codimension k >= 1 to an integer.
@@ -29,13 +75,12 @@ class Perversity:
     Negative values are legitimate; nothing is clamped.
     """
 
-    kind: str
-    values: Mapping
+    __slots__ = __match_args__ = ("kind", "values")
 
-    def __post_init__(self):
-        if self.kind not in (BY_CODIM, PER_STRATUM):
-            raise ConfigurationError(f"unknown perversity kind {self.kind!r}")
-        object.__setattr__(self, "values", dict(self.values))
+    def __init__(self, kind, values):
+        if kind not in (BY_CODIM, PER_STRATUM):
+            raise ConfigurationError(f"unknown perversity kind {kind!r}")
+        self._set(kind, dict(values))
 
     def value(self, stratum_id, codim):
         """Value on a stratum identified by id and codimension."""

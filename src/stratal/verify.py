@@ -6,7 +6,6 @@ suite to exit code 1.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hilbert as hb
@@ -19,6 +18,7 @@ from .perversity import (
     NAMED_PERVERSITIES,
     PER_STRATUM,
     Perversity,
+    Record,
     hunsicker_shift_check,
     middle_perversities,
     named_perversity,
@@ -31,10 +31,12 @@ from .rationals import format_rational
 DEFAULT_SEED = 20260808
 
 
-@dataclass
-class CheckSuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
+class CheckSuiteReport(Record):
+    __match_args__ = ("suite", "checks")
+
+    def __init__(self, suite, checks=None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     def add(self, name, passed, detail=None):
         self.checks.append({"name": name, "pass": bool(passed), "detail": detail or {}})

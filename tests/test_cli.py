@@ -282,6 +282,17 @@ def test_cone_rejects_bad_link_vector(betti):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("suite", ["nonsense", "", "Mil"])
+def test_verify_rejects_unknown_suite(suite):
+    r = _run("verify", "--suite", suite)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [
+        f"error: unknown suite {suite!r}; use one of cone-local, degeneration, duality, "
+        "hilbert, hunsicker, mil, realizability, ris-consistency"]
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

@@ -93,6 +93,29 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
     pytest.param({"dimension": 1, "vertices": [0, 1, 2, 3],
                   "maximal_simplices": [[0, 1, 2], [1, 2, 3]]},
                  r"simplex \(0,1,2\) exceeds dimension 1", id="equal-lengths-long"),
+    # each simplex rule, named by the first simplex that breaks any of them
+    pytest.param({**_CIRCLE, "maximal_simplices": {"0": [0, 1]}},
+                 "maximal_simplices must be a list of simplices", id="simplices-object"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, True]]},
+                 r"^bad simplex \[1, True\] in maximal_simplices$", id="vertex-true"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, 2.0]]},
+                 r"^bad simplex \[1, 2\.0\] in maximal_simplices$", id="vertex-float"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [-1, 2]]},
+                 r"^bad simplex \[-1, 2\] in maximal_simplices$", id="vertex-negative"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, 3]]},
+                 r"^bad simplex \[1, 3\] in maximal_simplices$", id="vertex-past-count"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], []]},
+                 r"^bad simplex \[\] in maximal_simplices$", id="simplex-empty"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], "12"]},
+                 r"^bad simplex '12' in maximal_simplices$", id="simplex-string"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, 2, 1]]},
+                 r"^repeated vertex in simplex \[1, 2, 1\]$", id="vertex-repeated"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 0], [0, 5]]},
+                 r"^repeated vertex in simplex \[0, 0\]$", id="first-bad-repeated"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 5], [0, 0]]},
+                 r"^bad simplex \[0, 5\] in maximal_simplices$", id="first-bad-range"),
+    pytest.param({**_CIRCLE, "skeleta": {"0": [[0], [3]]}},
+                 r"^bad simplex \[3\] in skeleton 0$", id="skeleton-vertex-past-count"),
 ])
 def test_load_rejects_malformed_structure(doc, message):
     with pytest.raises(SpaceFormatError, match=message):
