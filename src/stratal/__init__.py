@@ -7,7 +7,7 @@ Everything is exact rational arithmetic; no floats enter any computation.
 The names from `hilbert` and `l2model` load their module on first access.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 from .complexes import (
     FilteredComplex,
@@ -68,7 +68,7 @@ def __getattr__(name):
     # profiler's wrapper) is seen here, and no copy outlives its removal.
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 
 def __dir__():

@@ -254,7 +254,8 @@ def _build_parser():
     p.set_defaults(func=cmd_predict)
 
     p = add_parser("verify", help="run a theorem-check suite over the corpus")
-    p.add_argument("--suite", required=True, help="suite name; an unknown one lists them")
+    p.add_argument("--suite", required=True,
+                   help="suite name (see README 'Command line'); an unknown one lists them")
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("hilbert", help="validate and analyze a finite complex")

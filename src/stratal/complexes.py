@@ -26,7 +26,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, combinations, repeat
 from pathlib import Path
 
 from . import linalg
@@ -410,31 +410,18 @@ def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None)
     return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
 
 
-def _simplices_ok(value, nverts):
-    """Whether every simplex is a non-empty list of distinct int vertices
-    below nverts, checked in whole-list passes rather than per simplex."""
-    if not ({*map(type, value)} <= {list} and all(value)):
-        return False
-    flat = [*chain.from_iterable(value)]
-    return ({*map(type, flat)} <= {int} and min(flat, default=0) >= 0
-            and max(flat, default=-1) < nverts
-            and sum(map(len, map(set, value))) == len(flat))
-
-
 def _simplex_list(value, field, nverts):
     """Simplices of a document field as sorted tuples; each must be a
-    non-empty list of distinct vertex indices below nverts. A list that
-    fails the whole-list checks is walked to name its first bad simplex."""
+    non-empty list of distinct vertex indices below nverts."""
     if not isinstance(value, list):
         raise SpaceFormatError(f"{field} must be a list of simplices")
-    if not _simplices_ok(value, nverts):
-        for s in value:
-            if (not isinstance(s, list) or not s
-                    or any(type(v) is not int or v < 0 or v >= nverts for v in s)):
-                raise SpaceFormatError(f"bad simplex {s!r} in {field}")
-            if len(set(s)) != len(s):
-                raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
-    return [*map(tuple, map(sorted, value))]
+    for s in value:
+        if (not isinstance(s, list) or not s
+                or any(type(v) is not int or v < 0 or v >= nverts for v in s)):
+            raise SpaceFormatError(f"bad simplex {s!r} in {field}")
+        if len(set(s)) != len(s):
+            raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
+    return [tuple(sorted(s)) for s in value]
 
 
 def load(source):

@@ -59,6 +59,7 @@ def test_exported_name_is_the_defining_object(module, name):
 def test_unknown_attribute_raises():
     assert stratal.__version__ == "0.1.0"
     assert {name for names in EXPORTS.values() for name in names} <= set(dir(stratal))
+    assert "importlib" not in dir(stratal)
     with pytest.raises(AttributeError, match="no_such_name"):
         stratal.no_such_name
     with pytest.raises(ImportError):
