@@ -182,7 +182,9 @@ class FilteredComplex:
         vertices of level <= j, and its level-j vertices, joined by its own
         level-j edges, lie in one stratum. Sorted by level, the vertex at
         position d closes a face of dimension d, and the last one of each
-        level gives that stratum's entry.
+        level gives that stratum's entry. A simplex with no singular vertex
+        meets no singular stratum: its profile is empty without the sort,
+        and it is allowable in every degree.
         """
         n, levels = self.n, self.levels
         reg = [[s for s in simplices if levels[s] == n] for simplices in self._by_dim]
@@ -196,9 +198,11 @@ class FilteredComplex:
             ])
         level = {v: levels[(v,)] for (v,) in self._by_dim[0]}
         label = {v: self.label_of[(v,)] for v in level}
+        singular = {v for v, j in level.items() if j < n}
         profiles = {
             s: {label[v]: d for d, v in enumerate(sorted(s, key=level.__getitem__))
                 if level[v] < n}
+            if not singular.isdisjoint(s) else {}
             for simplices in reg for s in simplices
         }
         return reg, bnd, profiles

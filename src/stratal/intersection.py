@@ -7,7 +7,9 @@ X_{n-1}. A simplex is p-allowable in chain degree i when, for every singular
 stratum Y, its largest face labeled Y has dimension at most
 i - codim(Y) + p(Y). Skeleta are full, so that face is spanned by the
 simplex's vertices of level <= level(Y); `FilteredComplex.regular` reads
-every profile from one sort of the vertices by level. The intersection
+every profile from one sort of the vertices by level. A simplex with no
+vertex in X_{n-1} meets no singular stratum, so its profile is empty and it
+is allowable in every degree without a test. The intersection
 chain space in degree i is the kernel of the non-allowable row block of the
 boundary restricted to allowable columns. Betti numbers need no basis: one
 reduction per degree, from the top degree down with clearing, gives both
@@ -49,7 +51,8 @@ class StratifiedChainComplex:
         self.K = K
         self.reg, self._bnd, profiles = K.regular
         self.allowable_indices = [
-            [j for j, s in enumerate(simplices) if _allowed(profiles[s], i, K, p)]
+            [j for j, s in enumerate(simplices)
+             if not (prof := profiles[s]) or _allowed(prof, i, K, p)]
             for i, simplices in enumerate(self.reg)
         ]
 

@@ -6,11 +6,13 @@ values are ints or Fractions; zeros are never stored.
 All elimination goes through one fraction-free integer column reduction,
 `_reduce`. Each column is made primitive over the integers, then reduced
 against the earlier pivot columns at the row that `pivot` picks, until its
-pivot row is new or the column vanishes. Where the pivot entry divides the
-entry being eliminated, the pivot column is subtracted in place; otherwise
-both are scaled to a common multiple. With `track` it also carries the
-column's combination of the inputs, so the columns that vanish give the
-kernel. Everything else derives from its pivot table and zero combinations:
+pivot row is new or the column vanishes. A column that is primitive
+already, as every ±1 boundary column is, enters as a plain copy. Where the
+pivot entry divides the entry being eliminated, the pivot column is
+subtracted in place; otherwise both are scaled to a common multiple. With
+`track` it also carries the column's combination of the inputs, so the
+columns that vanish give the kernel. Everything else derives from its pivot
+table and zero combinations:
 
 - `rank` counts the pivots and `kernel` normalizes the zero combinations.
   Both pivot on the lowest row (`max`); on the boundaries of
@@ -19,9 +21,10 @@ kernel. Everything else derives from its pivot table and zero combinations:
 - `chain_ranks` reduces each degree of a chain complex once, from the top
   degree down, and skips the columns that the degree above has already
   shown to be cycles ("clearing": Chen & Kerber, *Persistent Homology
-  Computation with a Twist*, EuroCG 2011). With the allowed rows numbered
-  first, the pivots that fall in the other rows count the rank of that row
-  block too.
+  Computation with a Twist*, EuroCG 2011). The non-allowable rows are
+  shifted below the allowed rows, which keep their indices, so the pivots
+  that fall in them count the rank of that row block too; a column that
+  meets none of them enters unshifted.
 - `rcef` pivots on the topmost row (`min`), because its canonical form is
   keyed by each column's topmost entry. It divides each pivot column by its
   pivot entry and back-substitutes in Fractions.
@@ -37,15 +40,24 @@ _GROWTH_LIMIT = 1 << 128
 
 
 def col_primitive(col):
-    """Primitive integer copy of a column: denominators cleared, gcd divided out."""
-    dens = [v.denominator for v in col.values() if type(v) is not int]
-    if dens:
-        mult = lcm(*dens)
+    """Primitive integer copy of a column: denominators cleared, gcd divided
+    out, zeros dropped.
+
+    The result is always a fresh dict, since `_reduce` mutates it and its
+    inputs may be cached boundaries. An integer column with gcd 1 and no
+    stored zero, such as every simplicial boundary column, is copied at C
+    level; Fraction entries make `gcd` raise and have their denominators
+    cleared first.
+    """
+    try:
+        g = gcd(*col.values())
+    except TypeError:
+        mult = lcm(*(v.denominator for v in col.values()))
         col = {r: int(v * mult) for r, v in col.items()}
-    g = gcd(*col.values())
-    if g > 1:
-        return {r: v // g for r, v in col.items() if v}
-    return {r: v for r, v in col.items() if v}
+        g = gcd(*col.values())
+    if g == 1 and 0 not in col.values():
+        return dict(col)
+    return {r: v // g for r, v in col.items() if v}
 
 
 def _combine(a_col, a, b_col, b):
@@ -138,30 +150,32 @@ def rank(cols):
 def chain_ranks(bnd, allow):
     """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact.
 
-    `bnd[i]` holds the columns of ∂_i (∂_0 is zero and is not read) and
-    `allow[i]` the sorted allowed indices A_i of degree i, which are both the
-    columns of ∂_i and the allowed rows of ∂_{i+1}; B_{i-1} is the rest of
-    the rows. Each degree is reduced once with the allowed rows numbered
-    first, so the pivots in B rows count the second rank. Degrees go from
-    the top down with clearing: a reduced column of ∂_{i+1} whose pivot j is
-    an allowed row lies wholly in allowed rows, so it is an allowable
-    boundary; putting it in place of column j of ∂_i is an invertible change
-    of columns whose image is zero, so column j is skipped.
+    `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
+    length is read) and `allow[i]` the sorted allowed indices A_i of degree
+    i, which are both the columns of ∂_i and the allowed rows of ∂_{i+1};
+    B_{i-1} is the rest of the rows. Each degree is reduced once with every
+    B row r moved to len(bnd[i-1]) + r, below all allowed rows, so the
+    pivots in B rows count the second rank. Allowed rows keep their indices,
+    and only the columns that meet a B row are copied. Degrees go from the
+    top down with clearing: a reduced column of ∂_{i+1} whose pivot j is an
+    allowed row lies wholly in allowed rows, so it is an allowable boundary;
+    putting it in place of column j of ∂_i is an invertible change of
+    columns whose image is zero, so column j is skipped.
     """
     out = [(0, 0)] * len(bnd)
     cleared = set()
     for i in range(len(bnd) - 1, 0, -1):
-        rows = allow[i - 1]
-        m = len(rows)
+        top = len(bnd[i - 1])
+        shift = set(range(top)).difference(allow[i - 1])
         cols = [bnd[i][j] for j in allow[i] if j not in cleared]
-        if m and rows[-1] != m - 1:
-            # allowed rows to 0..m-1 in order, B row r to m + r
-            pos = {r: k for k, r in enumerate(rows)}
-            cols = [{pos.get(r, m + r): v for r, v in col.items()} for col in cols]
+        if shift:
+            cols = [col if shift.isdisjoint(col)
+                    else {r + top if r in shift else r: v for r, v in col.items()}
+                    for col in cols]
         pivots = _reduce(cols)[0]
-        bad = sum(1 for row in pivots if row >= m)
+        bad = sum(1 for row in pivots if row >= top)
         out[i] = (len(pivots), bad)
-        cleared = {rows[row] for row in pivots if row < m}
+        cleared = {row for row in pivots if row < top}
     return out
 
 

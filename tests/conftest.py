@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from stratal import complexes as cx
 from stratal import corpus
 
 
@@ -67,3 +68,18 @@ def cone_t2(spaces):
 @pytest.fixture(scope="session")
 def mobius(spaces):
     return spaces["mobius"]
+
+
+@pytest.fixture(scope="session")
+def ih_ladder():
+    """The spaces of perfbench's ih-ladder workload (386 to 5,885 simplices)."""
+    st2 = cx.suspension(corpus.load_space("t2_7"))
+    sst2 = cx.suspension(st2)
+    sdst2 = cx.barycentric_subdivide(st2)
+    return {
+        "susp(susp t2)": sst2,
+        "cone(susp(susp t2))": cx.cone(sst2),
+        "sd(cone_t2)": cx.barycentric_subdivide(corpus.load_space("cone_t2")),
+        "sd(susp t2)": sdst2,
+        "cone(sd(susp t2))": cx.cone(sdst2),
+    }

@@ -270,6 +270,19 @@ def test_perversity_rejects_negative_dim(tmp_path, capsys):
         assert captured.err == "error: ambient dimension cannot be negative, got -3\n"
 
 
+@pytest.mark.parametrize("space, values, missing", [
+    pytest.param("susp_t2", {"s0:north": 1}, "s0:south", id="susp_t2"),
+    pytest.param("cone_cone_s1", {"s0:apex'": 1}, "s1:apex", id="cone_cone_s1"),
+])
+def test_ih_per_stratum_missing_stratum(tmp_path, space, values, missing):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(values))
+    r = _run("ih", "--space", space, "--perversity", f"per-stratum:{pfile}")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: perversity has no value on stratum {missing!r}\n"
+
+
 @pytest.mark.parametrize("betti", [
     pytest.param("1,-1", id="negative"),
     pytest.param("1,1,1,1,1", id="too-long"),

@@ -1,5 +1,6 @@
 """Allowable chains and intersection homology against worked oracles."""
 
+import copy
 import random
 from fractions import Fraction as F
 
@@ -182,6 +183,52 @@ def test_regular_profiles_match_face_enumeration(spaces, face_profiles):
         K = spaces[name]
         for L in (K, cx.barycentric_subdivide(K)):
             assert L.regular[2] == face_profiles(L), L.name
+
+
+def _all_spaces(spaces, ih_ladder):
+    return [*(spaces[name] for name in sorted(spaces)), *ih_ladder.values()]
+
+
+def _singular_vertices(K):
+    return {v for (v,) in K.simplices(0) if K.levels[(v,)] < K.n}
+
+
+def test_simplices_off_the_singular_set_have_empty_profiles(spaces, ih_ladder):
+    for K in _all_spaces(spaces, ih_ladder):
+        singular = _singular_vertices(K)
+        reg, _, profiles = K.regular
+        off = [s for simplices in reg for s in simplices if singular.isdisjoint(s)]
+        assert off, K.name
+        for s in off:
+            assert profiles[s] == {}, (K.name, s)
+        # and the others keep a profile
+        assert all(profiles[s] for simplices in reg for s in simplices
+                   if not singular.isdisjoint(s)), K.name
+
+
+def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih_ladder):
+    for K in _all_spaces(spaces, ih_ladder):
+        singular = _singular_vertices(K)
+        p = _per_stratum(K, -100)
+        for simplices in K.regular[0]:
+            for s in simplices:
+                off = singular.isdisjoint(s)
+                for i in range(len(s) - 1, K.n + 1):
+                    # -100 rejects every simplex that meets a singular stratum
+                    assert ix.allowable(s, i, K, p) is off, (K.name, s, i)
+
+
+def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
+    """`_reduce` works in place on its columns, so it must be handed copies:
+    the cached boundaries and dropped-face boundaries stay as they were."""
+    for K in _all_spaces(spaces, ih_ladder):
+        full = copy.deepcopy([K.boundary_matrix(i) for i in range(K.n + 1)])
+        dropped = copy.deepcopy(K.regular[1])
+        for _, p in _named_perversities(K.n):
+            ix.intersection_betti(K, p)
+        K.betti()
+        assert [K.boundary_matrix(i) for i in range(K.n + 1)] == full, K.name
+        assert K.regular[1] == dropped, K.name
 
 
 def test_dd_zero_on_r0_chains(susp_t2):

@@ -1,5 +1,6 @@
 """Exact linear algebra against brute-force and independent oracles."""
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -293,6 +294,83 @@ def test_chain_ranks_clearing_skips_cycle_columns(monkeypatch):
     assert reduced == [1, 2]
     # ∂_1 has rank 2 and its vertex-2 row [0, 1, 1] rank 1
     assert out == [(0, 0), (2, 1), (1, 0)]
+
+
+def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeypatch):
+    """The tetrahedron boundary with allowed vertices 0 and 2, allowed edges
+    01, 02, 12 and allowed triangles 012, 013: in both degrees a
+    non-allowable row sits between allowed rows. Triangle 012 lies in
+    allowed edges, enters unshifted and clears edge 12; triangle 013 meets
+    edges 03 and 13 and is shifted. In degree 1, edge 02 enters unshifted
+    and edge 01 shifted."""
+    bnd = [s2.boundary_matrix(i) for i in range(3)]
+    allow = [[0, 2], [0, 1, 3], [0, 1]]
+    assert [s2.simplices(1)[j] for j in allow[1]] == [(0, 1), (0, 2), (1, 2)]
+    reduced = []
+    reduce = linalg._reduce
+
+    def spy(cols, *args, **kw):
+        reduced.append(cols)
+        return reduce(cols, *args, **kw)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    out = linalg.chain_ranks(bnd, allow)
+    d2, d1 = reduced
+    assert d2[0] is bnd[2][0] and d2[1] is not bnd[2][1]
+    assert len(d1) == 2  # edge 12 was cleared
+    assert d1[0] is not bnd[1][0] and d1[1] is bnd[1][1]
+    monkeypatch.undo()
+    for i in (1, 2):
+        cols = [bnd[i][j] for j in allow[i]]
+        bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
+        assert out[i] == (linalg.rank(cols), linalg.rank(bad)), i
+    assert out == [(0, 0), (2, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("col, want", [
+    ({0: 1, 3: -1}, {0: 1, 3: -1}),
+    ({2: -1}, {2: -1}),
+    ({0: 4, 1: -6, 5: 10}, {0: 2, 1: -3, 5: 5}),
+    ({0: Fraction(1, 2), 2: Fraction(-1, 3)}, {0: 3, 2: -2}),
+    ({1: Fraction(2, 3), 4: Fraction(4, 3)}, {1: 1, 4: 2}),
+    ({5: Fraction(-3, 1)}, {5: -1}),
+    ({1: 2, 2: Fraction(1, 2)}, {1: 4, 2: 1}),
+    ({0: 0, 3: 1}, {3: 1}),
+    ({0: 0, 1: 2, 2: -4}, {1: 1, 2: -2}),
+    ({1: Fraction(0), 2: Fraction(1, 2)}, {2: 1}),
+    ({0: 0}, {}),
+    ({}, {}),
+    ({0: -2, 1: -4}, {0: -1, 1: -2}),
+    ({0: -1, 1: -3}, {0: -1, 1: -3}),
+], ids=["unit", "minus-one", "common-factor", "fractions", "fractions-common-factor",
+        "integral-fraction", "mixed", "zero-unit", "zero-common-factor", "zero-fraction",
+        "only-zero", "empty", "negative-common-factor", "negative-primitive"])
+def test_col_primitive_contract(col, want):
+    before = dict(col)
+    got = linalg.col_primitive(col)
+    assert got == want
+    assert all(type(v) is int for v in got.values())
+    assert got is not col
+    assert col == before
+
+
+def test_elimination_leaves_its_arguments_unchanged():
+    rng = random.Random(14)
+    for _ in range(100):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        cols = _random_cols(rng, nr, nc, lo=-1, hi=1) + _random_cols(rng, nr, nc)
+        for col in cols:
+            assert linalg.col_primitive(col) is not col
+        before = copy.deepcopy(cols)
+        linalg.rank(cols)
+        assert cols == before
+        # cols as ∂_1 over nr vertices, with drawn allowed rows and columns
+        bnd = [_zero_cols(nr), cols]
+        allow = [sorted(rng.sample(range(nr), rng.randint(0, nr))),
+                 sorted(rng.sample(range(len(cols)), rng.randint(0, len(cols))))]
+        before = copy.deepcopy((bnd, allow))
+        linalg.chain_ranks(bnd, allow)
+        assert (bnd, allow) == before
 
 
 def test_large_entries_renormalize_tracked_combinations(monkeypatch):
