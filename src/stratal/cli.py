@@ -87,7 +87,7 @@ def cmd_ih(args):
     if args.emit_generators:
         report["chain_basis"] = {
             str(i): [
-                {_name_simplex(chains.reg[i][r], K.vertex_ids): format_rational(val)
+                {_name_simplex(K.simplices(i)[r], K.vertex_ids): format_rational(val)
                  for r, val in sorted(col.items())}
                 for col in chains.bases[i]
             ]
@@ -110,7 +110,7 @@ def cmd_perversity(args):
         }
         _emit(report)
         return 0
-    if not args.dim:
+    if args.dim is None:
         raise StratalError("perversity needs --space or --dim with --spec")
     if args.dim < 0:
         raise ConfigurationError(f"ambient dimension cannot be negative, got {args.dim}")

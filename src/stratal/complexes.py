@@ -26,7 +26,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, compress, repeat
 from pathlib import Path
 
 from . import linalg
@@ -159,52 +159,83 @@ class FilteredComplex:
         if i <= 0 or i > self.n:
             cols = [{} for _ in self.simplices(i)] if i == 0 else []
         else:
-            rows = self._index[i - 1]
-            cols = []
-            for s in self._by_dim[i]:
-                col = {}
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1 :]
-                    col[rows[face]] = -1 if j % 2 else 1
-                cols.append(col)
+            # combinations yields first the facet without vertex i, last the
+            # one without vertex 0, whose sign is (-1)^0
+            signs = [(-1) ** (i - k) for k in range(i + 1)]
+            face = self._index[i - 1].__getitem__
+            cols = [dict(zip(map(face, combinations(s, i)), signs)) for s in self._by_dim[i]]
         self._boundaries[i] = cols
         return cols
+
+    @cached_property
+    def profile_classes(self):
+        """Per degree i, (profiles, of): the i-simplex j has the singular-face
+        profile profiles[of[j]], which maps each singular stratum that the
+        simplex meets to the dimension of its largest face in that stratum;
+        a singular simplex, one in X_{n-1}, has None.
+
+        The profile comes from the simplex's singular vertices alone. Skeleta
+        are full, so the largest face of a simplex in a stratum of level j is
+        spanned by its vertices of level <= j, and its level-j vertices,
+        joined by its own level-j edges, lie in one stratum. Sorted by level,
+        the vertex at position d closes a face of dimension d, and the last
+        one of each level gives that stratum's entry. So `profiles` has one
+        entry per distinct tuple of singular vertices, in the order in which
+        the simplices first meet it, and equal tuples share one dict in
+        every degree. A simplex with no singular vertex has the empty
+        profile: it meets no singular stratum and is allowable in every
+        degree.
+        """
+        n, levels = self.n, self.levels
+        level = {v: levels[(v,)] for (v,) in self._by_dim[0]}
+        label = {v: self.label_of[(v,)] for v in level}
+        singular_only = partial(filter, {v for v, j in level.items() if j < n}.__contains__)
+        built = {}
+        out = []
+        for i, simplices in enumerate(self._by_dim):
+            keys = list(map(tuple, map(singular_only, simplices)))
+            position = {t: k for k, t in enumerate(dict.fromkeys(keys))}
+            profiles = []
+            for t in position:
+                if len(t) > i:
+                    profiles.append(None)
+                    continue
+                if t not in built:
+                    built[t] = {label[v]: d for d, v in enumerate(sorted(t, key=level.__getitem__))}
+                profiles.append(built[t])
+            out.append((profiles, list(map(position.__getitem__, keys))))
+        return out
 
     @cached_property
     def regular(self):
         """Per degree, the regular simplices (those not in X_{n-1}) and the
         boundary with its singular faces dropped; and per regular simplex its
-        singular-face profile, mapping each singular stratum that it meets to
-        the dimension of its largest face in that stratum.
+        singular-face profile (see `profile_classes`).
 
-        The profile comes from the vertices alone. Skeleta are full, so the
-        largest face of a simplex in a stratum of level j is spanned by its
-        vertices of level <= j, and its level-j vertices, joined by its own
-        level-j edges, lie in one stratum. Sorted by level, the vertex at
-        position d closes a face of dimension d, and the last one of each
-        level gives that stratum's entry. A simplex with no singular vertex
-        meets no singular stratum: its profile is empty without the sort,
-        and it is allowable in every degree.
+        The dropped-face boundary is indexed like `boundary_matrix`: its
+        column j is column j of the full boundary restricted to the regular
+        rows. Skeleta are full, so a simplex lies in X_{n-1} exactly when all
+        of its vertices do; a simplex with at least two non-singular vertices
+        therefore has no singular facet, and its column is the
+        `boundary_matrix` column itself. Only the others, whose singular
+        vertices number at least i, get a filtered copy.
         """
-        n, levels = self.n, self.levels
-        reg = [[s for s in simplices if levels[s] == n] for simplices in self._by_dim]
-        bnd = [[{} for _ in reg[0]]]
-        for i in range(1, n + 1):
-            # the dropped-face boundary is the full boundary restricted to regular rows
-            rows = {self.index(s): j for j, s in enumerate(reg[i - 1])}
+        reg, bnd, profiles = [], [], {}
+        rows = set()
+        for i, simplices in enumerate(self._by_dim):
+            classes, of = self.profile_classes[i]
+            keep = list(map([prof is not None for prof in classes].__getitem__, of))
+            reg.append(list(compress(simplices, keep)))
+            profiles.update(zip(reg[i], map(classes.__getitem__, compress(of, keep))))
             full = self.boundary_matrix(i)
-            bnd.append([
-                {rows[r]: v for r, v in full[self.index(s)].items() if r in rows} for s in reg[i]
-            ])
-        level = {v: levels[(v,)] for (v,) in self._by_dim[0]}
-        label = {v: self.label_of[(v,)] for v in level}
-        singular = {v for v, j in level.items() if j < n}
-        profiles = {
-            s: {label[v]: d for d, v in enumerate(sorted(s, key=level.__getitem__))
-                if level[v] < n}
-            if not singular.isdisjoint(s) else {}
-            for simplices in reg for s in simplices
-        }
+            cols = list(full)
+            # a profile's largest entry is one less than the number of singular vertices
+            near = [prof is None or (prof and max(prof.values()) >= i - 1)
+                    for prof in classes]
+            for j in compress(range(len(of)), map(near.__getitem__, of)):
+                cols[j] = {r: v for r, v in full[j].items() if r in rows}
+            bnd.append(cols)
+            rows = set(compress(range(len(keep)), keep))
         return reg, bnd, profiles
 
     def betti(self):

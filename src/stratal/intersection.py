@@ -3,22 +3,27 @@
 Coefficients are fixed to the rationals, realized as the "zero on the
 singular set" system: the degree-i basis consists of the regular i-simplices
 (those not contained in X_{n-1}), and boundaries drop faces that lie inside
-X_{n-1}. A simplex is p-allowable in chain degree i when, for every singular
-stratum Y, its largest face labeled Y has dimension at most
+X_{n-1}. Chains and allowable sets are indexed by the complex's own simplex
+indices (`FilteredComplex.index`), so the dropped-face boundary
+`FilteredComplex.regular` shares each full boundary column that has no
+singular face. A simplex is p-allowable in chain degree i when, for every
+singular stratum Y, its largest face labeled Y has dimension at most
 i - codim(Y) + p(Y). Skeleta are full, so that face is spanned by the
-simplex's vertices of level <= level(Y); `FilteredComplex.regular` reads
-every profile from one sort of the vertices by level. A simplex with no
-vertex in X_{n-1} meets no singular stratum, so its profile is empty and it
-is allowable in every degree without a test. The intersection
-chain space in degree i is the kernel of the non-allowable row block of the
-boundary restricted to allowable columns. Betti numbers need no basis: one
-reduction per degree, from the top degree down with clearing, gives both
-ranks they need (`linalg.chain_ranks`). Explicit bases are built only when
-read, in reduced column echelon form so that subspace comparisons are
-deterministic.
+simplex's vertices of level <= level(Y), and the profile depends only on
+the simplex's singular vertices: `FilteredComplex.profile_classes` builds
+one per distinct tuple of them, and allowability is decided once per
+profile and degree. A simplex with no vertex in X_{n-1} meets no singular
+stratum, so its profile is empty and it is allowable in every degree. The
+intersection chain space in degree i is the kernel of the non-allowable row
+block of the boundary restricted to allowable columns. Betti numbers need no
+basis: one reduction per degree, from the top degree down with clearing,
+gives both ranks they need (`linalg.chain_ranks`). Explicit bases are built
+only when read, in reduced column echelon form so that subspace comparisons
+are deterministic.
 """
 
 from functools import cached_property
+from itertools import compress
 
 from . import linalg
 from .complexes import check_orientation
@@ -44,22 +49,25 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
 
 
 class StratifiedChainComplex:
-    """The intersection chain complex of (K, p): regular bases, allowable
-    columns, and the dropped-face boundary; explicit bases only on demand."""
+    """The intersection chain complex of (K, p): the regular simplices, the
+    allowable indices into `K.simplices(i)`, and the dropped-face boundary;
+    explicit bases only on demand."""
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        self.reg, self._bnd, profiles = K.regular
-        self.allowable_indices = [
-            [j for j, s in enumerate(simplices)
-             if not (prof := profiles[s]) or _allowed(prof, i, K, p)]
-            for i, simplices in enumerate(self.reg)
-        ]
+        self.reg, self._bnd, _ = K.regular
+        self.allowable_indices = []
+        for i, (profiles, of) in enumerate(K.profile_classes):
+            # once per profile, met in simplex order, so that a perversity
+            # lacking a stratum fails on the same one as a per-simplex test
+            ok = [prof is not None and (not prof or _allowed(prof, i, K, p))
+                  for prof in profiles]
+            self.allowable_indices.append(list(compress(range(len(of)), map(ok.__getitem__, of))))
 
     @cached_property
     def bases(self):
-        """RCEF bases of the chain spaces IC_i over the regular i-simplices,
-        built on first access."""
+        """RCEF bases of the chain spaces IC_i, keyed by the complex's indices
+        of the regular i-simplices, built on first access."""
         bnd, allow = self._bnd, self.allowable_indices
         bases = []
         for i, cols_idx in enumerate(allow):

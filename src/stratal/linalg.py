@@ -4,27 +4,29 @@ Matrices are stored column-wise: a column is a dict {row_index: value} whose
 values are ints or Fractions; zeros are never stored.
 
 All elimination goes through one fraction-free integer column reduction,
-`_reduce`. Each column is made primitive over the integers, then reduced
-against the earlier pivot columns at the row that `pivot` picks, until its
-pivot row is new or the column vanishes. A column that is primitive
-already, as every ±1 boundary column is, enters as a plain copy. Where the
-pivot entry divides the entry being eliminated, the pivot column is
-subtracted in place; otherwise both are scaled to a common multiple. With
-`track` it also carries the column's combination of the inputs, so the
-columns that vanish give the kernel. Everything else derives from its pivot
-table and zero combinations:
+`_reduce`. It takes primitive integer columns with no stored zero, which
+`col_primitive` makes, and reduces each against the earlier pivot columns
+at the row that `pivot` picks, until its pivot row is new or the column
+vanishes. A column whose pivot row is new at once is stored as given; a
+column is copied just before its first update, so the inputs never change.
+Where the pivot entry divides the entry being eliminated, the pivot column
+is subtracted in place; otherwise both are scaled to a common multiple.
+With `track` it also carries the column's combination of the inputs, so
+the columns that vanish give the kernel. Everything else derives from its
+pivot table and zero combinations:
 
-- `rank` counts the pivots and `kernel` normalizes the zero combinations.
-  Both pivot on the lowest row (`max`); on the boundaries of
-  sd(susp(susp t2)) that makes `rank` about three times faster than the
-  topmost row does.
+- `rank` counts the pivots and `kernel` normalizes the zero combinations,
+  taking them from the primitive columns back to its own inputs. Both
+  pivot on the lowest row (`max`); on the boundaries of sd(susp(susp t2))
+  that makes `rank` about three times faster than the topmost row does.
 - `chain_ranks` reduces each degree of a chain complex once, from the top
   degree down, and skips the columns that the degree above has already
   shown to be cycles ("clearing": Chen & Kerber, *Persistent Homology
-  Computation with a Twist*, EuroCG 2011). The non-allowable rows are
-  shifted below the allowed rows, which keep their indices, so the pivots
-  that fall in them count the rank of that row block too; a column that
-  meets none of them enters unshifted.
+  Computation with a Twist*, EuroCG 2011). A degree whose entries are all
+  ±1, as a simplicial boundary's are, enters without being normalized. The
+  non-allowable rows are shifted below the allowed rows, which keep their
+  indices, so the pivots that fall in them count the rank of that row
+  block too; a column that meets none of them enters as it is.
 - `rcef` pivots on the topmost row (`min`), because its canonical form is
   keyed by each column's topmost entry. It divides each pivot column by its
   pivot entry and back-substitutes in Fractions.
@@ -33,6 +35,7 @@ table and zero combinations:
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 # Entries larger than this trigger a gcd renormalization during elimination.
@@ -43,10 +46,9 @@ def col_primitive(col):
     """Primitive integer copy of a column: denominators cleared, gcd divided
     out, zeros dropped.
 
-    The result is always a fresh dict, since `_reduce` mutates it and its
-    inputs may be cached boundaries. An integer column with gcd 1 and no
-    stored zero, such as every simplicial boundary column, is copied at C
-    level; Fraction entries make `gcd` raise and have their denominators
+    The result is always a fresh dict, never `col` itself, so a caller may
+    change it. An integer column with gcd 1 and no stored zero is copied at
+    C level; Fraction entries make `gcd` raise and have their denominators
     cleared first.
     """
     try:
@@ -96,26 +98,23 @@ def _shrink(col, combo):
 
 
 def _reduce(cols, track=False, pivot=max):
-    """Fraction-free column reduction of `cols`.
+    """Fraction-free column reduction of `cols`, a list of primitive integer
+    columns with no stored zero.
 
     Returns (pivots, zeros). `pivots` maps each pivot row to (column, combo):
     the reduced integer column, whose `pivot` row is its pivot, and with
-    `track` its combination of the primitive input columns (else None).
-    Pivot columns span the input columns. With `track`, `zeros` lists, in
-    column order, a combination of the input columns equal to zero for each
-    column that reduced to zero; its largest index is that column.
+    `track` its combination of the input columns (else None). A column
+    whose pivot row is new at once is stored as the input itself; any other
+    is copied before its first update, so the inputs never change. Pivot
+    columns span the input columns. With `track`, `zeros` lists, in column
+    order, a combination of the input columns equal to zero for each column
+    that reduced to zero; its largest index is that column.
     """
     pivots = {}
     zeros = []
-    scale = {}  # input column j times scale[j] is its primitive copy
     for j, raw in enumerate(cols):
-        col = col_primitive(raw)
-        combo = None
-        if track:
-            combo = {j: 1}
-            r = next(iter(col), None)
-            if r is not None and col[r] != raw[r]:
-                scale[j] = Fraction(col[r]) / raw[r]
+        col = raw
+        combo = {j: 1} if track else None
         while col:
             row = pivot(col)
             piv = pivots.get(row)
@@ -133,18 +132,27 @@ def _reduce(cols, track=False, pivot=max):
                     combo = _combine(combo, a, pcombo, b)
                 col, combo = _shrink(col, combo)
             else:
+                if col is raw:
+                    col = dict(raw)
                 _subtract(col, q, pcol)
                 if track:
                     _subtract(combo, q, pcombo)
         else:
             if track:
-                zeros.append({k: v * scale.get(k, 1) for k, v in combo.items()})
+                zeros.append(combo)
     return pivots, zeros
+
+
+def _units(cols):
+    """True when every entry of `cols` is the int 1 or -1, so that the
+    columns are primitive as they stand."""
+    values = list(chain.from_iterable(map(dict.values, cols)))
+    return {1, -1}.issuperset(values) and set(map(type, values)) <= {int}
 
 
 def rank(cols):
     """Rank of the matrix whose columns are `cols`, exact over the rationals."""
-    return len(_reduce(cols)[0])
+    return len(_reduce(list(map(col_primitive, cols)))[0])
 
 
 def chain_ranks(bnd, allow):
@@ -156,11 +164,12 @@ def chain_ranks(bnd, allow):
     B_{i-1} is the rest of the rows. Each degree is reduced once with every
     B row r moved to len(bnd[i-1]) + r, below all allowed rows, so the
     pivots in B rows count the second rank. Allowed rows keep their indices,
-    and only the columns that meet a B row are copied. Degrees go from the
-    top down with clearing: a reduced column of ∂_{i+1} whose pivot j is an
-    allowed row lies wholly in allowed rows, so it is an allowable boundary;
-    putting it in place of column j of ∂_i is an invertible change of
-    columns whose image is zero, so column j is skipped.
+    and only the columns that meet a B row are copied; a degree whose
+    entries are all ±1 is not normalized. Degrees go from the top down with
+    clearing: a reduced column of ∂_{i+1} whose pivot j is an allowed row
+    lies wholly in allowed rows, so it is an allowable boundary; putting it
+    in place of column j of ∂_i is an invertible change of columns whose
+    image is zero, so column j is skipped.
     """
     out = [(0, 0)] * len(bnd)
     cleared = set()
@@ -168,9 +177,14 @@ def chain_ranks(bnd, allow):
         top = len(bnd[i - 1])
         shift = set(range(top)).difference(allow[i - 1])
         cols = [bnd[i][j] for j in allow[i] if j not in cleared]
+        if not _units(cols):
+            cols = list(map(col_primitive, cols))
         if shift:
+            row = list(range(top))
+            for r in shift:
+                row[r] += top
             cols = [col if shift.isdisjoint(col)
-                    else {r + top if r in shift else r: v for r, v in col.items()}
+                    else dict(zip(map(row.__getitem__, col), col.values()))
                     for col in cols]
         pivots = _reduce(cols)[0]
         bad = sum(1 for row in pivots if row >= top)
@@ -188,9 +202,15 @@ def kernel(cols):
     positive coefficient there. That vector is unique, which makes the output
     (and hence downstream bases) deterministic.
     """
+    prims = list(map(col_primitive, cols))
+    scale = {}  # column j times scale[j] is prims[j]
+    for j, (raw, col) in enumerate(zip(cols, prims)):
+        r = next(iter(col), None)
+        if r is not None and col[r] != raw[r]:
+            scale[j] = Fraction(col[r]) / raw[r]
     out = []
-    for combo in _reduce(cols, track=True)[1]:
-        combo = col_primitive(combo)
+    for combo in _reduce(prims, track=True)[1]:
+        combo = col_primitive({k: v * scale.get(k, 1) for k, v in combo.items()})
         if combo[max(combo)] < 0:
             combo = {r: -v for r, v in combo.items()}
         out.append(combo)
@@ -206,7 +226,7 @@ def rcef(cols):
     """
     basis = {
         top: {r: Fraction(v, col[top]) for r, v in col.items()}
-        for top, (col, _) in _reduce(cols, pivot=min)[0].items()
+        for top, (col, _) in _reduce(list(map(col_primitive, cols)), pivot=min)[0].items()
     }
     for top in sorted(basis, reverse=True):
         col = basis[top]
@@ -271,12 +291,12 @@ def project_onto_span(v, cols):
     invertible and [BᵀB | Bᵀv] has a single kernel vector (x, t) with t != 0;
     the projection is B(-x/t).
     """
-    basis = [col for col, _ in _reduce(cols)[0].values()]
+    basis = [col for col, _ in _reduce(list(map(col_primitive, cols)))[0].values()]
     if not basis:
         return {}
     k = len(basis)
     normal = [{i: g for i, b in enumerate(basis) if (g := dot(b, c))} for c in basis]
     normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, v))})
-    (combo,) = _reduce(normal, track=True)[1]
+    (combo,) = kernel(normal)
     t = combo.pop(k)
     return combine_columns(basis, [{i: Fraction(-x) / t for i, x in combo.items()}])[0]

@@ -270,6 +270,18 @@ def test_perversity_rejects_negative_dim(tmp_path, capsys):
         assert captured.err == "error: ambient dimension cannot be negative, got -3\n"
 
 
+def test_perversity_dim_zero_is_a_dimension(capsys):
+    """--dim 0 is given, not absent: the zero perversity of a point has no
+    stratum to take a value on."""
+    assert cli.main(["perversity", "--dim", "0", "--spec", "zero"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"perversity": {"kind": "per-stratum", "values": {}}}
+    assert captured.err == ""
+    # without --dim (or --space) there is still nothing to build
+    assert cli.main(["perversity", "--spec", "zero"]) == 2
+    assert "needs --space or --dim" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("space, values, missing", [
     pytest.param("susp_t2", {"s0:north": 1}, "s0:south", id="susp_t2"),
     pytest.param("cone_cone_s1", {"s0:apex'": 1}, "s1:apex", id="cone_cone_s1"),

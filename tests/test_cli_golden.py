@@ -220,7 +220,7 @@ PINNED = {
     "cone --link-betti 1,3,3,1 --link-dim 3 --weight 1": "353160b5a728e0cc",
     "cone --link-betti 1,3,3,1 --link-dim 3 --weight 2": "deeee0abb6063132",
     "cone --link-betti 1,3,3,1 --link-dim 3 --weight 7/3": "dca708ab92456ff9",
-    "perversity --dim 0 --spec zero": "53c234e5e8472b6a",
+    "perversity --dim 0 --spec zero": "ab757c79180ad230",
     "perversity --dim 0 --spec zero --dual": "53c234e5e8472b6a",
     "perversity --dim 0 --spec top": "53c234e5e8472b6a",
     "perversity --dim 0 --spec top --dual": "53c234e5e8472b6a",
@@ -228,16 +228,16 @@ PINNED = {
     "perversity --dim 0 --spec lower-middle --dual": "53c234e5e8472b6a",
     "perversity --dim 0 --spec upper-middle": "53c234e5e8472b6a",
     "perversity --dim 0 --spec upper-middle --dual": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,1,1": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,1,1 --dual": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,0,1,2": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,0,1,2 --dual": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:1": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:1 --dual": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,2": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:0,2 --dual": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm:": "53c234e5e8472b6a",
-    "perversity --dim 0 --spec gm: --dual": "53c234e5e8472b6a",
+    "perversity --dim 0 --spec gm:0,1,1": "309ff025fa2ebc3a",
+    "perversity --dim 0 --spec gm:0,1,1 --dual": "7ed60b522d4c62ee",
+    "perversity --dim 0 --spec gm:0,0,1,2": "7be20aae9cff6a7e",
+    "perversity --dim 0 --spec gm:0,0,1,2 --dual": "c02be680847db00e",
+    "perversity --dim 0 --spec gm:1": "f2abedfbd6c51ceb",
+    "perversity --dim 0 --spec gm:1 --dual": "abf80c4ddcfd0c58",
+    "perversity --dim 0 --spec gm:0,2": "3141305660cb556a",
+    "perversity --dim 0 --spec gm:0,2 --dual": "adaa316add973930",
+    "perversity --dim 0 --spec gm:": "b642563018d56d75",
+    "perversity --dim 0 --spec gm: --dual": "b642563018d56d75",
     "perversity --dim 1 --spec zero": "c73a4f56443899f4",
     "perversity --dim 1 --spec zero --dual": "ddf2266b0fde13f8",
     "perversity --dim 1 --spec top": "ddf2266b0fde13f8",

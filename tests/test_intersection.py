@@ -140,6 +140,16 @@ def _two_rank_homology(chains):
     return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
+def _allowable_by_definition(K, p, profiles):
+    """Per degree, the complex's indices of the regular simplices that are
+    p-allowable, each tested on its own profile from `face_profiles`."""
+    def allowed(s, i):
+        return all(d <= i - K.strata[sid].codim + p.value(sid, K.strata[sid].codim)
+                   for sid, d in profiles[s].items())
+    return [[K.index(s) for s in K.simplices(i) if K.levels[s] == K.n and allowed(s, i)]
+            for i in range(K.n + 1)]
+
+
 _BASES = ("point", "s0", "s1_hex", "s2", "susp_s0", "mobius", "cone_s1_c_half", "t2_7",
           "cone_cone_s1", "susp_s2")
 _BUILD = {"cone": cx.cone, "susp": cx.suspension, "sd": cx.barycentric_subdivide}
@@ -168,11 +178,13 @@ def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated,
         if path not in generated:
             generated[path] = _BUILD[path[-1]](K)
         K = generated[path]
-    assert K.regular[2] == face_profiles(K), K.name
+    profiles = face_profiles(K)
+    assert K.regular[2] == profiles, K.name
     for _ in range(2):
         p = pv.Perversity(pv.PER_STRATUM, {
             s.id: data.draw(st.integers(-2, K.n + 1)) for s in K.singular_strata()})
         chains = ix.StratifiedChainComplex(K, p)
+        assert chains.allowable_indices == _allowable_by_definition(K, p, profiles), (K.name, p)
         assert chains.homology() == _two_rank_homology(chains), (K.name, p)
 
 
@@ -216,6 +228,68 @@ def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih
                 for i in range(len(s) - 1, K.n + 1):
                     # -100 rejects every simplex that meets a singular stratum
                     assert ix.allowable(s, i, K, p) is off, (K.name, s, i)
+
+
+def test_allowable_indices_match_per_simplex_allowability(spaces, ih_ladder, face_profiles):
+    """Allowability decided once per profile picks the same simplices as the
+    per-simplex test, under the named perversities and seeded per-stratum
+    ones."""
+    rng = random.Random(11)
+    for K in _all_spaces(spaces, ih_ladder):
+        profiles = face_profiles(K)
+        for p in _oracle_perversities(K, rng):
+            chains = ix.StratifiedChainComplex(K, p)
+            want = _allowable_by_definition(K, p, profiles)
+            assert chains.allowable_indices == want, (K.name, p)
+            assert want == [[K.index(s) for s in simplices if ix.allowable(s, i, K, p)]
+                            for i, simplices in enumerate(chains.reg)], (K.name, p)
+
+
+def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder):
+    """Column j of the dropped-face boundary is the boundary of the i-simplex
+    j over its regular facets, built here from the facets; when the simplex
+    has two non-singular vertices it is the `boundary_matrix` column itself."""
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        singular = _singular_vertices(K)
+        reg, bnd, _ = K.regular
+        assert reg == [[s for s in K.simplices(i) if K.levels[s] == K.n]
+                       for i in range(K.n + 1)], K.name
+        for i in range(K.n + 1):
+            full = K.boundary_matrix(i)
+            assert len(bnd[i]) == len(full), (K.name, i)
+            for j, s in enumerate(K.simplices(i)):
+                want = {}
+                for k in range(len(s) if i else 0):
+                    face = s[:k] + s[k + 1:]
+                    if K.levels[face] == K.n:
+                        want[K.index(face)] = (-1) ** k
+                assert bnd[i][j] == want, (K.name, s)
+                if len(set(s) - singular) >= 2:
+                    assert bnd[i][j] is full[j], (K.name, s)
+
+
+# the ih-ladder answers, recorded before the regular part moved to the
+# complex's own indices: zero, lower-middle, upper-middle, top, then betti()
+IH_LADDER = {
+    "susp(susp t2)": [(1, 2, 0, 0, 1), (1, 2, 0, 0, 1), (1, 0, 0, 2, 1), (1, 0, 0, 2, 1),
+                      (1, 0, 0, 2, 1)],
+    "cone(susp(susp t2))": [(1, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+                            (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)],
+    "sd(cone_t2)": [(1, 2, 0, 0), (1, 2, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)],
+    "sd(susp t2)": [(1, 2, 0, 1), (1, 2, 0, 1), (1, 0, 2, 1), (1, 0, 2, 1), (1, 0, 2, 1)],
+    "cone(sd(susp t2))": [(1, 2, 0, 0, 0), (1, 2, 0, 0, 0), (1, 0, 0, 0, 0), (1, 0, 0, 0, 0),
+                          (1, 0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(IH_LADDER))
+def test_ih_ladder_answers_pinned(ih_ladder, name):
+    K = ih_ladder[name]
+    lower, upper = pv.middle_perversities(K.n)
+    got = [ix.intersection_betti(K, p)
+           for p in (pv.zero_perversity(K.n), lower, upper, pv.top_perversity(K.n))]
+    assert [*got, K.betti()] == IH_LADDER[name]
 
 
 def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):

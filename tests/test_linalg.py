@@ -327,6 +327,48 @@ def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeyp
     assert out == [(0, 0), (2, 1), (2, 1)]
 
 
+def test_reduce_stores_a_new_pivot_column_as_given():
+    cols = [{0: 1}, {1: 1, 2: 1}, {1: 1, 2: -1}, {0: -1}]
+    before = copy.deepcopy(cols)
+    pivots, _ = linalg._reduce(cols)
+    # columns 0 and 1 meet a new pivot row at once and are stored as given;
+    # column 2 is reduced on a copy to a new pivot in row 1; column 3 vanishes
+    assert pivots[0][0] is cols[0] and pivots[2][0] is cols[1]
+    assert pivots[1][0] == {1: 2} and pivots[1][0] is not cols[2]
+    assert len(pivots) == 3
+    assert cols == before
+
+
+def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
+    """The tetrahedron boundary with ∂_2 left as ±1 ints, or as ±1 Fractions,
+    and the rows of ∂_1 scaled by Fractions (∂_1 ∂_2 stays zero), against
+    two independent ranks per degree; `_reduce` sees only int entries."""
+    scale = [Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5, 7)]
+    d1 = [{r: v * scale[r] for r, v in col.items()} for col in s2.boundary_matrix(1)]
+    units = s2.boundary_matrix(2)
+    for d2 in (units, [{r: Fraction(v) for r, v in col.items()} for col in units]):
+        bnd = [_zero_cols(4), d1, d2]
+        assert not any(linalg.combine_columns(bnd[1], bnd[2]))
+        seen = []
+        reduce = linalg._reduce
+
+        def spy(cols, *args, **kw):
+            seen.extend(v for col in cols for v in col.values())
+            return reduce(cols, *args, **kw)
+
+        rng = random.Random(5)
+        for _ in range(20):
+            allow = [sorted(rng.sample(range(len(b)), rng.randint(0, len(b)))) for b in bnd]
+            monkeypatch.setattr(linalg, "_reduce", spy)
+            out = linalg.chain_ranks(bnd, allow)
+            monkeypatch.undo()
+            for i in (1, 2):
+                cols = [bnd[i][j] for j in allow[i]]
+                bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
+                assert out[i] == (linalg.rank(cols), linalg.rank(bad)), (i, allow)
+        assert seen and all(type(v) is int for v in seen)
+
+
 @pytest.mark.parametrize("col, want", [
     ({0: 1, 3: -1}, {0: 1, 3: -1}),
     ({2: -1}, {2: -1}),
