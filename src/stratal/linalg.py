@@ -180,11 +180,11 @@ def chain_ranks(bnd, allow):
         if not _units(cols):
             cols = list(map(col_primitive, cols))
         if shift:
-            row = list(range(top))
+            moved = list(range(top))
             for r in shift:
-                row[r] += top
+                moved[r] += top
             cols = [col if shift.isdisjoint(col)
-                    else dict(zip(map(row.__getitem__, col), col.values()))
+                    else dict(zip(map(moved.__getitem__, col), col.values()))
                     for col in cols]
         pivots = _reduce(cols)[0]
         bad = sum(1 for row in pivots if row >= top)
