@@ -18,15 +18,24 @@ is keyed, and `strata` listed, in the iteration order of the set that
 seeded verify suites walk strata in this order, so it is part of the output:
 `verify --suite duality` draws its per-stratum values in it.
 
+Construction runs in C-level passes over whole lists: the closure set is
+filled by `set.update` from one fixed face order per simplex size, levels
+are read from the skeleta with `dict.fromkeys`, fullness is tested on the
+faces of the maximal simplices cut down to their singular vertices, and a
+regular part with one component is taken whole from the sorted list. Python
+loops remain over the edges whose ends share a level (they give the
+components), over the few singular simplices, over the regular simplices
+when they form several components, and in the split by dimension.
+
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
 import json
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import accumulate, combinations, compress, repeat
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, compress, filterfalse, groupby, repeat
+from operator import itemgetter, lt
 from pathlib import Path
 
 from . import linalg
@@ -60,24 +69,52 @@ def _facets(simplex):
     return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
 
 
+@cache
+def _face_getters(length):
+    """One getter per face of a simplex of `length` vertices, in the order in
+    which a depth-first walk first reaches them: each simplex, then the walks
+    of its facets, s[:-1] first. Lengths are at most n + 1 in a complex of
+    dimension n, and one length has as many getters as a simplex has faces."""
+    order = {}
+
+    def walk(face):
+        if face not in order:
+            order[face] = None
+            if len(face) > 1:
+                for i in reversed(range(len(face))):
+                    walk(face[:i] + face[i + 1 :])
+
+    walk(tuple(range(length)))
+    getters = []
+    for face in order:
+        start = face[0] if face else 0
+        if face == tuple(range(start, start + len(face))):
+            # a slice, so that a vertex comes out as a 1-tuple
+            getters.append(itemgetter(slice(start, start + len(face))))
+        else:
+            getters.append(itemgetter(*face))
+    return getters
+
+
 def _face_closure(simplices):
-    """Every face of the given simplices, added to the set depth first: each
-    simplex is followed by its facets, s[:-1] first. The set's iteration
-    order follows from that sequence of additions, and the order of a
-    complex's levels and strata follows from the set's."""
+    """Every face of the given simplices (tuples), as a set filled in the
+    sequence of a depth-first walk: the listed simplices from the last one
+    back, each followed by the walks of its facets, s[:-1] first, and each
+    simplex added when the walk first reaches it. The set's iteration order
+    follows from that sequence, and the order of a complex's levels and
+    strata follows from the set's.
+
+    The walk needs no stack. A face already in the set has all of its own
+    faces there too, so each listed simplex adds exactly the faces that are
+    new, in the one order `_face_getters` gives for its number of vertices.
+    `set.update` fed those faces adds the same simplices in the same
+    sequence, and a run of equal-length simplices is one C-level pass."""
     closed = set()
-    add = closed.add
-    stack = list(map(tuple, simplices))
-    pop, push = stack.pop, stack.extend
-    while stack:
-        s = pop()
-        if s in closed:
-            continue
-        add(s)
-        if len(s) > 1:
-            facets = list(combinations(s, len(s) - 1))
-            facets.reverse()  # pushed in _facets order, so popped s[:-1] first
-            push(facets)
+    backwards = list(simplices)
+    backwards.reverse()
+    for length, run in groupby(backwards, len):
+        run = list(run)
+        closed.update(chain.from_iterable(zip(*[map(g, run) for g in _face_getters(length)])))
     return closed
 
 
@@ -96,18 +133,13 @@ def _name_simplex(simplex, vertex_ids):
 class FilteredComplex:
     """Immutable after construction; build via load(), build(), or a constructor."""
 
-    def __init__(self, name, n, vertex_ids, simplices, skeleta, levels, strata,
-                 label_of, weights):
-        """`simplices` is the whole complex in sorted order."""
+    def __init__(self, name, n, vertex_ids, by_dim, levels, strata, label_of, weights):
+        """`by_dim[i]` holds the i-simplices in sorted order."""
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
-        by_dim = [[] for _ in range(n + 1)]
-        for s in simplices:
-            by_dim[len(s) - 1].append(s)
-        self._by_dim = by_dim = list(map(tuple, by_dim))
+        self._by_dim = by_dim
         self._index = [{s: i for i, s in enumerate(level)} for level in by_dim]
-        self.skeleta = skeleta
         self.levels = levels
         self.strata = strata
         self.label_of = label_of
@@ -133,6 +165,11 @@ class FilteredComplex:
 
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
+
+    def skeleton(self, j):
+        """X_j: the members of the strata of level <= j."""
+        return frozenset(chain.from_iterable(
+            s.simplices for s in self.strata.values() if s.level <= j))
 
     def euler_characteristic(self):
         return sum((-1) ** i * c for i, c in enumerate(self.counts()))
@@ -315,12 +352,19 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     return chain
 
 
-def _stratify(n, closure, top_vertex, vertex_level, vertex_ids):
-    """Strata, in the order in which the list `closure` first reaches them,
-    and the stratum label of each simplex. `top_vertex[i]` is a highest-level
-    vertex of closure[i]. Sorts `closure` in place."""
-    # Skeleta are full, so a level-j simplex shares a stratum with each of its
-    # level-j vertices, and those vertices are joined by its level-j edges.
+def _stratify(n, closure, edges, levels, singular, vertex_level, vertex_ids):
+    """Strata, in the order in which the closure order (that of `levels`)
+    first reaches them, and the stratum label of each simplex. `closure` is
+    the complex in sorted order, `edges` its edges and `singular` X_{n-1}.
+
+    Skeleta are full, so a level-j simplex shares a stratum with each of its
+    level-j vertices, and those vertices are joined by its level-j edges.
+    The few singular simplices are placed one at a time. When the regular
+    vertices form one component, the regular stratum is every simplex
+    outside X_{n-1}, taken from the sorted list with `filterfalse`, and the
+    closure order reaches it right after the singular simplices that lead
+    that order. Only a regular part with several components is grouped one
+    simplex at a time."""
     root = list(range(len(vertex_ids)))
 
     def find(v):
@@ -329,28 +373,47 @@ def _stratify(n, closure, top_vertex, vertex_level, vertex_ids):
             v = root[v]
         return v
 
-    for s in closure:
-        if len(s) == 2 and vertex_level[s[0]] == vertex_level[s[1]]:
-            ra, rb = find(s[0]), find(s[1])
-            if ra != rb:
-                root[ra] = rb
+    # edges whose ends share a level: a few singular ones, and the regular
+    # ones, which are the edges with no singular vertex
+    singular_vertices = {s[0] for s in singular if len(s) == 1}
+    same_level = [s for s in singular if len(s) == 2 and vertex_level[s[0]] == vertex_level[s[1]]]
+    for a, b in chain(same_level, filter(singular_vertices.isdisjoint, edges)):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
     root = list(map(find, range(len(root))))
-    groups = {r: [] for r in dict.fromkeys(map(root.__getitem__, top_vertex))}
     top_of = partial(max, key=vertex_level.__getitem__)
-    closure.sort()
-    for s in closure:
-        groups[root[top_of(s)]].append(s)
+
+    def stratum_of(s):
+        return root[top_of(s)]
+
+    found = list(compress(levels, map(lt, levels.values(), repeat(n))))  # X_{n-1}, closure order
+    members = {}
+    for s in sorted(found):
+        members.setdefault(stratum_of(s), []).append(s)
+    regular = filterfalse(singular.__contains__, closure)
+    roots = {root[v] for v, j in enumerate(vertex_level) if j == n and (v,) in levels}
+    if len(roots) == 1:
+        (r,) = roots
+        ahead = next(pos for pos, s in enumerate(levels) if s not in singular)
+        order = chain(map(stratum_of, found[:ahead]), [r], map(stratum_of, found[ahead:]))
+        members[r] = regular
+    else:
+        order = map(stratum_of, levels)
+        for s in regular:
+            members.setdefault(stratum_of(s), []).append(s)
     strata = {}
     label_of = {}
-    for r, members in groups.items():
-        members = tuple(members)
-        dim = max(map(len, members)) - 1
+    for r in dict.fromkeys(order):
+        group = tuple(members[r])
         lvl = vertex_level[r]
-        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in members[0])
+        # the complex is pure, so every regular stratum holds an n-simplex
+        dim = n if lvl == n else max(map(len, group)) - 1
+        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in group[0])
         if sid in strata:
             raise SpaceFormatError(f"stratum id collision at {sid}")
-        strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, members)
-        label_of.update(zip(members, repeat(sid)))
+        strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, group)
+        label_of.update(zip(group, repeat(sid)))
     return strata, label_of
 
 
@@ -386,43 +449,53 @@ def _subdivide_raw(vertex_ids, closure, top, chain):
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     if not maximal:
         raise SpaceFormatError("a complex needs at least one simplex")
+    # checked before the closure, which has 2^k - 1 faces for each k-vertex simplex
+    widest = max(map(len, maximal))
+    if widest - 1 > n:
+        first = min(s for s in maximal if len(s) == widest)
+        raise SpaceFormatError(f"simplex {_name_simplex(first, vertex_ids)} exceeds dimension {n}")
     closure = _face_closure(maximal)
-    if set(map(len, maximal)) == {n + 1}:
-        # simplices of equal length are never faces of one another
-        top = sorted(set(maximal))
-    else:
-        top = _maximal_of(closure)
-        widest = max(top, key=len)
-        if len(widest) - 1 > n:
-            raise SpaceFormatError(
-                f"simplex {_name_simplex(widest, vertex_ids)} exceeds dimension {n}"
-            )
-        for s in top:
+    # simplices of equal length are never faces of one another
+    if set(map(len, maximal)) != {n + 1}:
+        maximal = _maximal_of(closure)
+        for s in maximal:
             if len(s) - 1 != n:
                 raise SpaceFormatError(
                     f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
                     f"has dimension {len(s) - 1}, expected {n}"
                 )
     chain = _complete_skeleta(n, closure, raw_skeleta, vertex_ids)
+    singular = chain.get(n - 1, frozenset())
     vertex_level = [n] * len(vertex_ids)
     for j in reversed(range(n)):
         for s in chain[j]:
             if len(s) == 1:
                 vertex_level[s[0]] = j
-    closure = list(closure)
-    top_vertex = list(map(partial(max, key=vertex_level.__getitem__), closure))
-    levels = dict(zip(closure, map(vertex_level.__getitem__, top_vertex)))
-    # X_j lies inside {s : levels[s] <= j} and is full exactly when it is all of it
-    per_level = Counter(levels.values())
-    if any(len(chain[j]) != below
-           for j, below in enumerate(accumulate(per_level[j] for j in range(n)))):
-        # some X_j is not full; after one barycentric subdivision every one is
-        new_ids, new_maximal, new_chain, _ = _subdivide_raw(vertex_ids, closure, top, chain)
-        return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    strata, label_of = _stratify(n, closure, top_vertex, vertex_level, vertex_ids)
-    del top_vertex  # freed before the index dicts are built
-    K = FilteredComplex(name, n, vertex_ids, closure, chain, levels, strata,
-                        label_of, {})
+    # X_j holds only simplices whose vertices all lie in it, and is full when
+    # it holds all of them: the faces of the maximal simplices cut down to
+    # their vertices of level <= j, a set as small as the singular part
+    singular_vertices = {v for v, lvl in enumerate(vertex_level) if lvl < n}
+    cut = set(map(tuple, map(partial(filter, singular_vertices.__contains__), maximal)))
+    for j in range(n):
+        low = {v for v in singular_vertices if vertex_level[v] <= j}
+        faces = {t for t in map(tuple, map(partial(filter, low.__contains__), cut)) if t}
+        if len(chain[j]) != len(_face_closure(faces)):
+            # after one barycentric subdivision every skeleton is full
+            new_ids, new_maximal, new_chain, _ = _subdivide_raw(
+                vertex_ids, closure, set(maximal), chain)
+            return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
+    levels = dict.fromkeys(closure, n)
+    for j in reversed(range(n)):
+        levels.update(zip(chain[j], repeat(j)))
+    closure = sorted(closure)
+    by_dim = [[] for _ in range(n + 1)]
+    for s in closure:
+        by_dim[len(s) - 1].append(s)
+    by_dim = list(map(tuple, by_dim))
+    strata, label_of = _stratify(n, closure, by_dim[1] if n else (), levels, singular,
+                                 vertex_level, vertex_ids)
+    del closure  # freed before the index dicts are built
+    K = FilteredComplex(name, n, vertex_ids, by_dim, levels, strata, label_of, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
@@ -496,10 +569,11 @@ def load(source):
     orientation = doc.get("orientation")
     if orientation is not None:
         if not isinstance(orientation, list) or any(
-            not isinstance(e, list) or len(e) != 2 or e[1] not in (1, -1)
+            not isinstance(e, list) or len(e) != 2 or type(e[1]) is not int or e[1] not in (1, -1)
             for e in orientation
         ):
             raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
+        _simplex_list([e[0] for e in orientation], "orientation", len(vertex_ids))
     return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
 
 
@@ -507,13 +581,9 @@ def to_document(K):
     """Serialize to the space-file schema; loading it back is stable, including
     stratum ids (which weights are keyed by)."""
     skeleta = {}
-    for j in range(K.n):
-        level = K.skeleta[j]
-        if j > 0 and level == K.skeleta[j - 1]:
-            continue
-        if not level:
-            continue
-        skeleta[str(j)] = [list(s) for s in _maximal_of(level)]
+    for j in sorted({s.level for s in K.singular_strata()}):
+        # X_j differs from X_{j-1} exactly when some stratum has level j
+        skeleta[str(j)] = [list(s) for s in _maximal_of(K.skeleton(j))]
     doc = {
         "name": K.name,
         "dimension": K.n,
@@ -551,7 +621,7 @@ def _join(K, label, apex_names, apex_weights):
     maximal = [s + (a,) for a in apexes for s in K.simplices(K.n)]
     chain = {0: points}
     for j in range(1, K.n + 1):
-        below = K.skeleta.get(j - 1, frozenset())
+        below = K.skeleton(j - 1)
         chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
     J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
     for a, w in zip(apexes, apex_weights):
@@ -595,7 +665,8 @@ def barycentric_subdivide(K):
     original stratum, and all skeleta of the subdivision are full.
     """
     new_ids, new_maximal, new_chain, flag_vertex = _subdivide_raw(
-        K.vertex_ids, K.all_simplices(), K.simplices(K.n), K.skeleta)
+        K.vertex_ids, K.all_simplices(), K.simplices(K.n),
+        {j: K.skeleton(j) for j in range(K.n)})
     S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_chain)
     for s in K.singular_strata():
         if s.id in K.weights:

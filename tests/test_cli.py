@@ -179,6 +179,8 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
     pytest.param({**_CIRCLE, "skeleta": []}, "zero", id="skeleta-list"),
     pytest.param({**_CIRCLE, "weights": None}, "zero", id="weights-null"),
     pytest.param({**_CIRCLE, "weights": False}, "zero", id="weights-false"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], True]]}, "zero", id="orientation-true"),
+    pytest.param({**_CIRCLE, "orientation": [["junk", 1]]}, "zero", id="orientation-junk"),
 ])
 def test_malformed_json_no_traceback(tmp_path: Path, space, perversity):
     bad = tmp_path / "space.json"

@@ -79,6 +79,11 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
                  r"maximal simplex \(3,4\) has dimension 1", id="impure-not-full"),
     pytest.param({"dimension": 1, "vertices": [0, 1, 2, 3], "maximal_simplices": [[0, 1, 2, 3]]},
                  r"simplex \(0,1,2,3\) exceeds dimension 1", id="exceeds-dimension"),
+    # rejected before the face closure, which would hold 2^40 - 1 faces per
+    # simplex; the least of the widest simplices is named
+    pytest.param({"dimension": 1, "vertices": list(range(41)),
+                  "maximal_simplices": [[0, 1], list(range(1, 41)), list(range(40))]},
+                 r"^simplex \(0,1,2,[0-9,]*,39\) exceeds dimension 1$", id="exceeds-dimension-wide"),
     pytest.param({**_CIRCLE, "maximal_simplices": []}, "at least one simplex", id="empty"),
     # listed faces, or simplices all of one wrong length, still name the simplex
     pytest.param({"dimension": 2, "vertices": [0, 1, 2, 3],
@@ -116,6 +121,21 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
                  r"^bad simplex \[0, 5\] in maximal_simplices$", id="first-bad-range"),
     pytest.param({**_CIRCLE, "skeleta": {"0": [[0], [3]]}},
                  r"^bad simplex \[3\] in skeleton 0$", id="skeleton-vertex-past-count"),
+    # an orientation sign is the integer 1 or -1, and its simplex obeys the simplex rules
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1], [[1, 2], True]]},
+                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-true"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1.0]]},
+                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-float"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 2]]},
+                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-two"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1], ["junk", 1]]},
+                 r"^bad simplex 'junk' in orientation$", id="orientation-simplex-string"),
+    pytest.param({**_CIRCLE, "orientation": [[[99, 98], -1]]},
+                 r"^bad simplex \[99, 98\] in orientation$", id="orientation-vertex-past-count"),
+    pytest.param({**_CIRCLE, "orientation": [[[1, True], -1]]},
+                 r"^bad simplex \[1, True\] in orientation$", id="orientation-vertex-true"),
+    pytest.param({**_CIRCLE, "orientation": [[[2, 2], -1]]},
+                 r"^repeated vertex in simplex \[2, 2\]$", id="orientation-vertex-repeated"),
 ])
 def test_load_rejects_malformed_structure(doc, message):
     with pytest.raises(SpaceFormatError, match=message):
@@ -364,7 +384,7 @@ def test_random_filtrations_load_full_with_facet_strata(face_profiles, case):
     for s in levels:
         assert levels[s] == max(levels[(v,)] for v in s)
     for j in range(K.n):
-        assert K.skeleta[j] == {s for s in levels if levels[s] <= j}
+        assert K.skeleton(j) == {s for s in levels if levels[s] <= j}
     want = _facet_strata(K)
     assert list(K.strata) == list(want)
     for sid, (dim, codim, level, members) in want.items():
@@ -568,8 +588,10 @@ def _reference_assemble(doc):
     return vertex_ids, levels, strata, label_of, by_dim
 
 
-def _assert_matches_reference(doc):
-    K = cx.load(json.dumps(doc))
+def _assert_matches_reference(doc, K=None):
+    """K, by default the loaded `doc`, equals the reference assembly of `doc`."""
+    if K is None:
+        K = cx.load(json.dumps(doc))
     vertex_ids, levels, strata, label_of, by_dim = _reference_assemble(doc)
     assert list(K.vertex_ids) == vertex_ids
     assert list(K.levels.items()) == list(levels.items())
@@ -591,3 +613,71 @@ def test_load_matches_reference_assembly(case):
 def test_ladder_loads_match_reference_assembly(ladder):
     for K in ladder.values():
         _assert_matches_reference(cx.to_document(K))
+
+
+@pytest.mark.parametrize("key", [*corpus.SPACE_NAMES, *(key for key, _, _ in _LADDER)])
+def test_face_closure_order_matches_stack_walk(spaces, ladder, key):
+    K = spaces[key] if key in spaces else ladder[key]
+    doc = cx.to_document(K)
+    listed = [tuple(s) for s in doc["maximal_simplices"]]
+    assert list(cx._face_closure(listed)) == list(_reference_closure(listed))
+    # skeleton levels reach the closure as sets, in their own iteration order
+    for level in doc.get("skeleta", {}).values():
+        listed = {tuple(s) for s in level}
+        assert list(cx._face_closure(listed)) == list(_reference_closure(listed))
+
+
+_SIMPLEX = st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True).map(
+    lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def _simplex_lists(draw):
+    """Simplices of mixed lengths, some repeated and some faces of others."""
+    listed = draw(st.lists(_SIMPLEX, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 6))):
+        s = draw(st.sampled_from(listed))
+        face = tuple(v for v in s if draw(st.booleans())) or s
+        listed.insert(draw(st.integers(0, len(listed))), face)
+    return listed
+
+
+@_PROPERTY
+@given(_simplex_lists())
+def test_face_closure_order_matches_stack_walk_on_random_lists(listed):
+    assert list(cx._face_closure(listed)) == list(_reference_closure(listed))
+
+
+def _two_cones():
+    """Two disjoint copies of cone_t2 with both apexes in X_0: two regular and
+    two singular components, each pair at one level."""
+    doc = cx.to_document(corpus.load_space("cone_t2"))
+    m = len(doc["vertices"])
+    maximal = doc["maximal_simplices"] + [[v + m for v in s] for s in doc["maximal_simplices"]]
+    return {"name": "two cone_t2", "dimension": 3,
+            "vertices": doc["vertices"] + [f"{v}'" for v in doc["vertices"]],
+            "maximal_simplices": maximal, "skeleta": {"0": [[m - 1], [2 * m - 1]]}}
+
+
+# stratum ids and member counts, in stratum order, as the per-simplex
+# grouping gave them before a single regular component was taken whole
+_SEVERAL_COMPONENTS = {
+    "two cone_t2": {"s3:0": 84, "s3:0'": 84, "s0:apex'": 1, "s0:apex": 1},
+    "cone s0": {"s1:1": 2, "s0:apex": 1, "s1:0": 2},
+    "susp_s0": {"s1:1": 3, "s0:north": 1, "s1:0": 3, "s0:south": 1},
+}
+
+
+def test_several_components_per_level_match_reference():
+    two = _two_cones()
+    built = cx.build(two["name"], two["vertices"], two["maximal_simplices"],
+                     skeleta=two["skeleta"])
+    cases = [("two cone_t2", two, built)] + [
+        (key, cx.to_document(_base(key)), _base(key)) for key in ("cone s0", "susp_s0")]
+    for key, doc, K in cases:
+        _assert_matches_reference(doc, K)
+        _assert_matches_reference(doc)
+        assert [(sid, len(stratum.simplices)) for sid, stratum in K.strata.items()] == list(
+            _SEVERAL_COMPONENTS[key].items())
+        assert K.label_of == {s: sid for sid, stratum in K.strata.items()
+                              for s in stratum.simplices}
