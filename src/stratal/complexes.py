@@ -8,24 +8,25 @@ of a regular one. A filtration that is not full is repaired by one barycentric
 subdivision, after which every skeleton is full. Strata are the connected
 components of each difference X_j - X_{j-1}; with full skeleta a level-j
 simplex lies in the stratum of any of its level-j vertices, so the components
-are those of the level-j vertices joined by level-j edges. Every simplex
-carries exactly one stratum label. Codimension-one strata are allowed, and the
-top filtration step X_{n-1} may differ from X_{n-2}.
+are those of the level-j vertices joined by level-j edges. So a simplex's
+level, stratum and singular-face profile follow from its vertices, and the
+complex stores only each vertex's level and stratum id. Codimension-one
+strata are allowed, and X_{n-1} may differ from X_{n-2}.
 
-Stratum order is deterministic and follows the face-closure order: `levels`
-is keyed, and `strata` listed, in the iteration order of the set that
-`_face_closure` fills in one fixed sequence. `singular_strata()` and the
-seeded verify suites walk strata in this order, so it is part of the output:
-`verify --suite duality` draws its per-stratum values in it.
+Stratum order is deterministic and follows the face-closure order: `strata`
+is listed in the iteration order of the set that `_face_closure` fills in
+one fixed sequence. `singular_strata()` and the seeded verify suites walk
+strata in this order, so it is part of the output: `verify --suite duality`
+draws its per-stratum values in it.
 
 Construction runs in C-level passes over whole lists: the closure set is
-filled by `set.update` from one fixed face order per simplex size, levels
-are read from the skeleta with `dict.fromkeys`, fullness is tested on the
-faces of the maximal simplices cut down to their singular vertices, and a
-regular part with one component is taken whole from the sorted list. Python
-loops remain over the edges whose ends share a level (they give the
-components), over the few singular simplices, over the regular simplices
-when they form several components, and in the split by dimension.
+filled by `set.update` from one fixed face order per simplex size, fullness
+is tested on the faces of the maximal simplices cut down to their singular
+vertices, and a regular part with one component is taken whole from the
+sorted list. Python loops remain over the edges whose ends share a level
+(they give the components), over the few singular simplices, over the
+regular simplices when they form several components, and in the split by
+dimension.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
@@ -34,8 +35,8 @@ exact ranks; the allowable-chain machinery lives in `intersection`.
 import json
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, combinations, compress, filterfalse, groupby, repeat
-from operator import itemgetter, lt
+from itertools import chain, combinations, compress, filterfalse, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
@@ -61,12 +62,6 @@ class Stratum:
     def __repr__(self):
         kind = "singular" if self.singular else "regular"
         return f"<Stratum {self.id} dim={self.dim} codim={self.codim} {kind}>"
-
-
-def _facets(simplex):
-    if len(simplex) == 1:
-        return []
-    return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
 
 
 @cache
@@ -101,8 +96,8 @@ def _face_closure(simplices):
     sequence of a depth-first walk: the listed simplices from the last one
     back, each followed by the walks of its facets, s[:-1] first, and each
     simplex added when the walk first reaches it. The set's iteration order
-    follows from that sequence, and the order of a complex's levels and
-    strata follows from the set's.
+    follows from that sequence, and the order of a complex's strata follows
+    from the set's.
 
     The walk needs no stack. A face already in the set has all of its own
     faces there too, so each listed simplex adds exactly the faces that are
@@ -133,16 +128,16 @@ def _name_simplex(simplex, vertex_ids):
 class FilteredComplex:
     """Immutable after construction; build via load(), build(), or a constructor."""
 
-    def __init__(self, name, n, vertex_ids, by_dim, levels, strata, label_of, weights):
-        """`by_dim[i]` holds the i-simplices in sorted order."""
+    def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
+        """`by_dim[i]`: the i-simplices, sorted; per vertex v, its level and stratum id."""
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
         self._by_dim = by_dim
-        self._index = [{s: i for i, s in enumerate(level)} for level in by_dim]
-        self.levels = levels
+        self._index = {s: i for level in by_dim for i, s in enumerate(level)}
+        self._vertex_level = vertex_level
+        self._vertex_label = vertex_label
         self.strata = strata
-        self.label_of = label_of
         self.weights = dict(weights or {})
         self._boundaries = {}
 
@@ -161,7 +156,18 @@ class FilteredComplex:
         return tuple(len(level) for level in self._by_dim)
 
     def index(self, simplex):
-        return self._index[len(simplex) - 1][simplex]
+        """The position of a simplex in `simplices(dim)`; KeyError for a non-simplex."""
+        return self._index[simplex]
+
+    def level(self, simplex):
+        """The least j with the simplex in X_j (n when regular): its top vertex's."""
+        self.index(simplex)
+        return max(map(self._vertex_level.__getitem__, simplex))
+
+    def label(self, simplex):
+        """The id of the stratum holding the simplex: that of its top vertex."""
+        self.index(simplex)
+        return self._vertex_label[max(simplex, key=self._vertex_level.__getitem__)]
 
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
@@ -176,16 +182,7 @@ class FilteredComplex:
 
     def is_closed(self):
         """True when every regular (n-1)-simplex has exactly two n-cofaces."""
-        if self.n == 0:
-            return True
-        cofaces = {}
-        for s in self._by_dim[self.n]:
-            for f in _facets(s):
-                cofaces[f] = cofaces.get(f, 0) + 1
-        for f in self._by_dim[self.n - 1]:
-            if self.levels[f] == self.n and cofaces.get(f, 0) != 2:
-                return False
-        return True
+        return all(len(incident) == 2 for incident in _top_cofaces(self).values())
 
     # ---------------------------------------------------------------- homology
 
@@ -199,7 +196,7 @@ class FilteredComplex:
             # combinations yields first the facet without vertex i, last the
             # one without vertex 0, whose sign is (-1)^0
             signs = [(-1) ** (i - k) for k in range(i + 1)]
-            face = self._index[i - 1].__getitem__
+            face = self._index.__getitem__
             cols = [dict(zip(map(face, combinations(s, i)), signs)) for s in self._by_dim[i]]
         self._boundaries[i] = cols
         return cols
@@ -211,22 +208,17 @@ class FilteredComplex:
         simplex meets to the dimension of its largest face in that stratum;
         a singular simplex, one in X_{n-1}, has None.
 
-        The profile comes from the simplex's singular vertices alone. Skeleta
-        are full, so the largest face of a simplex in a stratum of level j is
-        spanned by its vertices of level <= j, and its level-j vertices,
-        joined by its own level-j edges, lie in one stratum. Sorted by level,
-        the vertex at position d closes a face of dimension d, and the last
-        one of each level gives that stratum's entry. So `profiles` has one
-        entry per distinct tuple of singular vertices, in the order in which
-        the simplices first meet it, and equal tuples share one dict in
-        every degree. A simplex with no singular vertex has the empty
-        profile: it meets no singular stratum and is allowable in every
-        degree.
+        The profile comes from the simplex's singular vertices alone: its
+        largest face in a stratum of level j is spanned by its vertices of
+        level <= j, and its level-j vertices lie in that stratum. Sorted by
+        level, the vertex at position d closes a face of dimension d, and the
+        last one of each level gives that stratum's entry. So `profiles` has
+        one entry per distinct tuple of singular vertices, in the order in
+        which the simplices first meet it, and equal tuples share one dict in
+        every degree. A simplex with no singular vertex has the empty profile.
         """
-        n, levels = self.n, self.levels
-        level = {v: levels[(v,)] for (v,) in self._by_dim[0]}
-        label = {v: self.label_of[(v,)] for v in level}
-        singular_only = partial(filter, {v for v, j in level.items() if j < n}.__contains__)
+        n, level, label = self.n, self._vertex_level, self._vertex_label
+        singular_only = partial(filter, {v for v, j in enumerate(level) if j < n}.__contains__)
         built = {}
         out = []
         for i, simplices in enumerate(self._by_dim):
@@ -245,25 +237,18 @@ class FilteredComplex:
 
     @cached_property
     def regular(self):
-        """Per degree, the regular simplices (those not in X_{n-1}) and the
-        boundary with its singular faces dropped; and per regular simplex its
-        singular-face profile (see `profile_classes`).
-
-        The dropped-face boundary is indexed like `boundary_matrix`: its
-        column j is column j of the full boundary restricted to the regular
-        rows. Skeleta are full, so a simplex lies in X_{n-1} exactly when all
-        of its vertices do; a simplex with at least two non-singular vertices
-        therefore has no singular facet, and its column is the
+        """Per degree i, the boundary with its singular faces dropped, indexed
+        like `boundary_matrix`: column j is column j of the full boundary
+        restricted to the rows of the regular (i-1)-simplices, those not in
+        X_{n-1}. Skeleta are full, so a simplex lies in X_{n-1} exactly when
+        all of its vertices do; a simplex with at least two non-singular
+        vertices therefore has no singular facet, and its column is the
         `boundary_matrix` column itself. Only the others, whose singular
         vertices number at least i, get a filtered copy.
         """
-        reg, bnd, profiles = [], [], {}
+        bnd = []
         rows = set()
-        for i, simplices in enumerate(self._by_dim):
-            classes, of = self.profile_classes[i]
-            keep = list(map([prof is not None for prof in classes].__getitem__, of))
-            reg.append(list(compress(simplices, keep)))
-            profiles.update(zip(reg[i], map(classes.__getitem__, compress(of, keep))))
+        for i, (classes, of) in enumerate(self.profile_classes):
             full = self.boundary_matrix(i)
             cols = list(full)
             # a profile's largest entry is one less than the number of singular vertices
@@ -272,8 +257,9 @@ class FilteredComplex:
             for j in compress(range(len(of)), map(near.__getitem__, of)):
                 cols[j] = {r: v for r, v in full[j].items() if r in rows}
             bnd.append(cols)
-            rows = set(compress(range(len(keep)), keep))
-        return reg, bnd, profiles
+            regular = [prof is not None for prof in classes]
+            rows = set(compress(range(len(of)), map(regular.__getitem__, of)))
+        return bnd
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact."""
@@ -352,10 +338,10 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     return chain
 
 
-def _stratify(n, closure, edges, levels, singular, vertex_level, vertex_ids):
-    """Strata, in the order in which the closure order (that of `levels`)
-    first reaches them, and the stratum label of each simplex. `closure` is
-    the complex in sorted order, `edges` its edges and `singular` X_{n-1}.
+def _stratify(n, closed, closure, edges, singular, vertex_level, vertex_ids):
+    """Strata, in the order in which the iteration of the closure set `closed`
+    first reaches them, and each vertex's stratum id (None off the complex).
+    `closure` is the complex in sorted order, `edges` its edges, `singular` X_{n-1}.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
@@ -387,23 +373,23 @@ def _stratify(n, closure, edges, levels, singular, vertex_level, vertex_ids):
     def stratum_of(s):
         return root[top_of(s)]
 
-    found = list(compress(levels, map(lt, levels.values(), repeat(n))))  # X_{n-1}, closure order
+    found = list(filter(singular.__contains__, closed))  # X_{n-1}, closure order
     members = {}
     for s in sorted(found):
         members.setdefault(stratum_of(s), []).append(s)
     regular = filterfalse(singular.__contains__, closure)
-    roots = {root[v] for v, j in enumerate(vertex_level) if j == n and (v,) in levels}
+    roots = {root[v] for v, j in enumerate(vertex_level) if j == n and (v,) in closed}
     if len(roots) == 1:
         (r,) = roots
-        ahead = next(pos for pos, s in enumerate(levels) if s not in singular)
+        ahead = next(pos for pos, s in enumerate(closed) if s not in singular)
         order = chain(map(stratum_of, found[:ahead]), [r], map(stratum_of, found[ahead:]))
         members[r] = regular
     else:
-        order = map(stratum_of, levels)
+        order = map(stratum_of, closed)
         for s in regular:
             members.setdefault(stratum_of(s), []).append(s)
     strata = {}
-    label_of = {}
+    sid_of = {}
     for r in dict.fromkeys(order):
         group = tuple(members[r])
         lvl = vertex_level[r]
@@ -413,8 +399,8 @@ def _stratify(n, closure, edges, levels, singular, vertex_level, vertex_ids):
         if sid in strata:
             raise SpaceFormatError(f"stratum id collision at {sid}")
         strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, group)
-        label_of.update(zip(group, repeat(sid)))
-    return strata, label_of
+        sid_of[r] = sid
+    return strata, list(map(sid_of.get, root))
 
 
 def _subdivide_raw(vertex_ids, closure, top, chain):
@@ -484,18 +470,15 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
             new_ids, new_maximal, new_chain, _ = _subdivide_raw(
                 vertex_ids, closure, set(maximal), chain)
             return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    levels = dict.fromkeys(closure, n)
-    for j in reversed(range(n)):
-        levels.update(zip(chain[j], repeat(j)))
-    closure = sorted(closure)
+    closed, closure = closure, sorted(closure)
     by_dim = [[] for _ in range(n + 1)]
     for s in closure:
         by_dim[len(s) - 1].append(s)
     by_dim = list(map(tuple, by_dim))
-    strata, label_of = _stratify(n, closure, by_dim[1] if n else (), levels, singular,
-                                 vertex_level, vertex_ids)
-    del closure  # freed before the index dicts are built
-    K = FilteredComplex(name, n, vertex_ids, by_dim, levels, strata, label_of, {})
+    strata, vertex_label = _stratify(n, closed, closure, by_dim[1] if n else (), singular,
+                                     vertex_level, vertex_ids)
+    del closed, closure  # freed before the index dicts are built
+    K = FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
@@ -625,10 +608,10 @@ def _join(K, label, apex_names, apex_weights):
         chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
     J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
     for a, w in zip(apexes, apex_weights):
-        J.weights[J.label_of[(a,)]] = w
+        J.weights[J.label((a,))] = w
     for s in K.singular_strata():
         if s.id in K.weights:
-            J.weights[J.label_of[s.simplices[0]]] = K.weights[s.id]
+            J.weights[J.label(s.simplices[0])] = K.weights[s.id]
     return J
 
 
@@ -671,11 +654,23 @@ def barycentric_subdivide(K):
     for s in K.singular_strata():
         if s.id in K.weights:
             rep = (flag_vertex[s.simplices[0]],)
-            S.weights[S.label_of[rep]] = K.weights[s.id]
+            S.weights[S.label(rep)] = K.weights[s.id]
     return S
 
 
 # ----------------------------------------------------------------- orientation
+
+
+def _top_cofaces(K):
+    """Each regular (n-1)-simplex and its n-cofaces, with the face's sign in each."""
+    singular = {v for v, j in enumerate(K._vertex_level) if j < K.n}
+    cofaces = {}
+    for s in K.simplices(K.n):
+        for idx in range(len(s)):
+            f = s[:idx] + s[idx + 1:]
+            if not singular.issuperset(f):
+                cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
+    return cofaces
 
 
 def check_orientation(K):
@@ -686,18 +681,9 @@ def check_orientation(K):
     top-dimensional cofaces; boundary faces (one coface) impose nothing.
     More than two cofaces on a regular face is a structure error.
     """
-    n = K.n
-    tops = K.simplices(n)
-    if n == 0:
-        return {s: 1 for s in tops}
-    cofaces = {}
-    for s in tops:
-        for idx, f in enumerate(_facets(s)):
-            cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
+    tops = K.simplices(K.n)
     adj = {s: [] for s in tops}
-    for f, incident in cofaces.items():
-        if K.levels[f] != n:
-            continue
+    for f, incident in _top_cofaces(K).items():
         if len(incident) > 2:
             raise StructureError(
                 f"regular face {_name_simplex(f, K.vertex_ids)} has "

@@ -8,12 +8,10 @@ indices (`FilteredComplex.index`), so the dropped-face boundary
 `FilteredComplex.regular` shares each full boundary column that has no
 singular face. A simplex is p-allowable in chain degree i when, for every
 singular stratum Y, its largest face labeled Y has dimension at most
-i - codim(Y) + p(Y). Skeleta are full, so that face is spanned by the
-simplex's vertices of level <= level(Y), and the profile depends only on
-the simplex's singular vertices: `FilteredComplex.profile_classes` builds
-one per distinct tuple of them, and allowability is decided once per
-profile and degree. A simplex with no vertex in X_{n-1} meets no singular
-stratum, so its profile is empty and it is allowable in every degree. The
+i - codim(Y) + p(Y). Those dimensions follow from the simplex's singular
+vertices (`FilteredComplex.profile_classes`, read through the simplex's
+index), so allowability is decided once per profile and degree, and a
+simplex with no singular vertex is allowable in every degree. The
 intersection chain space in degree i is the kernel of the non-allowable row
 block of the boundary restricted to allowable columns. Betti numbers need no
 basis: one reduction per degree, from the top degree down with clearing,
@@ -27,6 +25,7 @@ from itertools import compress
 
 from . import linalg
 from .complexes import check_orientation
+from .errors import ConfigurationError
 from .perversity import Perversity, dual, perversity_to_json
 
 
@@ -45,7 +44,16 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
     The degree is the chain degree, which exceeds dim(sigma) when boundary
     faces are being checked at their own degree i-1.
     """
-    return _allowed(K.regular[2][tuple(sigma)], i, K, p)
+    sigma = tuple(sigma)
+    try:
+        j = K.index(sigma)
+        profiles, of = K.profile_classes[len(sigma) - 1]
+        prof = profiles[of[j]]
+    except KeyError:
+        prof = None
+    if prof is None:
+        raise ConfigurationError(f"{sigma} is not a regular simplex of {K.name}")
+    return _allowed(prof, i, K, p)
 
 
 class StratifiedChainComplex:
@@ -55,7 +63,6 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        self.reg, self._bnd, _ = K.regular
         self.allowable_indices = []
         for i, (profiles, of) in enumerate(K.profile_classes):
             # once per profile, met in simplex order, so that a perversity
@@ -65,10 +72,16 @@ class StratifiedChainComplex:
             self.allowable_indices.append(list(compress(range(len(of)), map(ok.__getitem__, of))))
 
     @cached_property
+    def reg(self):
+        """Per degree, the regular simplices: those not in X_{n-1}."""
+        return [[s for s, k in zip(self.K.simplices(i), of) if profiles[k] is not None]
+                for i, (profiles, of) in enumerate(self.K.profile_classes)]
+
+    @cached_property
     def bases(self):
         """RCEF bases of the chain spaces IC_i, keyed by the complex's indices
         of the regular i-simplices, built on first access."""
-        bnd, allow = self._bnd, self.allowable_indices
+        bnd, allow = self.K.regular, self.allowable_indices
         bases = []
         for i, cols_idx in enumerate(allow):
             # IC_i is the kernel of the non-allowable rows; ∂_0 has no entries
@@ -91,7 +104,7 @@ class StratifiedChainComplex:
         allow = self.allowable_indices
         dims = [len(a) for a in allow]
         ranks = [0] * (n + 2)
-        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(self._bnd, allow)):
+        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(self.K.regular, allow)):
             dims[i] -= r_bad
             ranks[i] = r_all - r_bad
         return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1))

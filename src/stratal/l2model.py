@@ -12,7 +12,7 @@ from fractions import Fraction
 from .complexes import cone
 from .errors import ConfigurationError
 from .intersection import intersection_betti
-from .perversity import Frozen, Record, dual, perversity_to_json, weight_perversity
+from .perversity import Frozen, Record, cone_cutoff, dual, perversity_to_json, weight_perversity
 from .rationals import format_rational
 
 
@@ -84,11 +84,6 @@ class L2Report(Record):
         }
 
 
-def _cutoff(f, c):
-    """The cone truncation cutoff f/2 + 1/(2c) for link dimension f, weight c."""
-    return Fraction(f, 2) + Fraction(1, 2) / c
-
-
 def _cutoff_hypothesis(f, c):
     # In the undecided band the finite-dimensionality clause always applies
     # to representable inputs, so the sharp cutoff is available throughout.
@@ -110,7 +105,7 @@ def cone_max_cohomology(link_betti, f: int, c):
     if c <= 0:
         raise ConfigurationError("cone weight must be positive")
     link = ClosedManifold(link_betti, f)
-    cutoff = _cutoff(f, c)
+    cutoff = cone_cutoff(f, c)
     return tuple(b if i < cutoff else 0 for i, b in enumerate(link.betti + (0,)))
 
 
@@ -118,7 +113,7 @@ def cone_report(link_betti, f: int, c) -> L2Report:
     c = Fraction(c)
     return L2Report(
         max_betti=cone_max_cohomology(link_betti, f, c),
-        cutoff=_cutoff(f, c),
+        cutoff=cone_cutoff(f, c),
         hypothesis_used=_cutoff_hypothesis(f, c),
     )
 
@@ -214,7 +209,7 @@ def local_model_check(K_link, c):
     return {
         "link": K_link.name,
         "weight": format_rational(c),
-        "cutoff": format_rational(_cutoff(f, c)),
+        "cutoff": format_rational(cone_cutoff(f, c)),
         "hypothesis_used": _cutoff_hypothesis(f, c),
         "analytic": list(analytic),
         "simplicial": list(simplicial),

@@ -191,6 +191,11 @@ def _codim_map(ambient):
     return dict(ambient)
 
 
+def cone_cutoff(l, c):
+    """The cone truncation cutoff l/2 + 1/(2c) for link dimension l and weight c."""
+    return Fraction(l, 2) + Fraction(1, 2) / c
+
+
 def perversity_from_weights(strata, weights) -> Perversity:
     """The general perversity attached to a weighted conic metric.
 
@@ -207,7 +212,7 @@ def perversity_from_weights(strata, weights) -> Perversity:
         c = Fraction(weights[sid])
         if c <= 0:
             raise ConfigurationError(f"weight for stratum {sid!r} must be positive")
-        out[sid] = 0 if l == 0 else bracket(Fraction(l, 2) + Fraction(1, 2) / c)
+        out[sid] = 0 if l == 0 else bracket(cone_cutoff(l, c))
     return Perversity(PER_STRATUM, out)
 
 

@@ -8,26 +8,43 @@ from stratal import corpus
 
 def _face_profiles(K):
     """Singular-face profiles by definition, the reference for
-    `FilteredComplex.regular`: every proper face of each regular simplex is
-    looked up in `label_of`, and each singular stratum keeps the dimension
-    of its largest face."""
+    `FilteredComplex.profile_classes`: every proper face of each regular
+    simplex is looked up in the members of the strata, and each singular
+    stratum keeps the dimension of its largest face."""
+    label_of = {s: sid for sid, stratum in K.strata.items() for s in stratum.simplices}
     out = {}
     for s in K.all_simplices():
-        if K.levels[s] != K.n:
+        if K.strata[label_of[s]].singular:
             continue
         prof = {}
         for size in range(1, len(s)):
             for face in combinations(s, size):
-                sid = K.label_of[face]
+                sid = label_of[face]
                 if K.strata[sid].singular:
                     prof[sid] = max(prof.get(sid, -1), size - 1)
         out[s] = prof
     return out
 
 
+def _regular_profiles(K):
+    """The profile `FilteredComplex.profile_classes` gives each regular
+    simplex, keyed by the simplex."""
+    out = {}
+    for i, (profiles, of) in enumerate(K.profile_classes):
+        for s, k in zip(K.simplices(i), of):
+            if profiles[k] is not None:
+                out[s] = profiles[k]
+    return out
+
+
 @pytest.fixture(scope="session")
 def face_profiles():
     return _face_profiles
+
+
+@pytest.fixture(scope="session")
+def regular_profiles():
+    return _regular_profiles
 
 
 @pytest.fixture(scope="session")

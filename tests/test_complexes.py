@@ -269,6 +269,21 @@ def test_subdivision_preserves_betti_and_strata(spaces):
         assert len(sd.singular_strata()) == len(K.singular_strata())
 
 
+def test_level_and_label_follow_the_vertices(cone_t2):
+    apex = len(cone_t2.vertex_ids) - 1
+    for s in cone_t2.all_simplices():
+        singular = s == (apex,)
+        assert cone_t2.level(s) == (0 if singular else 3), s
+        assert cone_t2.strata[cone_t2.label(s)].singular is singular, s
+
+
+def test_level_and_label_reject_a_non_simplex(cone_t2):
+    for s in ((99,), (0, 99), (1, 0), (), tuple(range(5))):
+        for read in (cone_t2.index, cone_t2.level, cone_t2.label):
+            with pytest.raises(KeyError):
+                read(s)
+
+
 def test_orientation(s2, t2, mobius):
     assert cx.check_orientation(s2) is not None
     assert cx.check_orientation(t2) is not None
@@ -346,9 +361,10 @@ def _filtered_documents(draw):
 def _facet_strata(K):
     """Strata by definition: components of each X_j - X_{j-1} joined through
     facets at the same level, grouped in the order in which their simplices
-    come in K.levels (the construction's closure order), each id taken from
-    the least member."""
-    levels = K.levels
+    come in the construction's closure order, each id taken from the least
+    member. That order is the reference closure of K's n-simplices, which
+    the construction lists sorted, as `to_document` and subdivision do."""
+    levels = {s: K.level(s) for s in _reference_closure(list(K.simplices(K.n)))}
     parent = {s: s for s in levels}
 
     def find(x):
@@ -376,13 +392,16 @@ def _facet_strata(K):
 
 @_PROPERTY
 @given(_filtered_documents())
-def test_random_filtrations_load_full_with_facet_strata(face_profiles, case):
+def test_random_filtrations_load_full_with_facet_strata(face_profiles, regular_profiles, case):
     name, doc = case
     K = cx.load(json.dumps(doc))
     assert K.counts() in (_base(name).counts(), _subdivided_counts(name))
-    levels = K.levels
+    # each simplex's level read from the skeleta: the least j with it in X_j
+    skeleta = [K.skeleton(j) for j in range(K.n)]
+    levels = {s: next((j for j, X in enumerate(skeleta) if s in X), K.n)
+              for s in K.all_simplices()}
     for s in levels:
-        assert levels[s] == max(levels[(v,)] for v in s)
+        assert K.level(s) == levels[s] == max(levels[(v,)] for v in s)
     for j in range(K.n):
         assert K.skeleton(j) == {s for s in levels if levels[s] <= j}
     want = _facet_strata(K)
@@ -391,8 +410,8 @@ def test_random_filtrations_load_full_with_facet_strata(face_profiles, case):
         got = K.strata[sid]
         assert (got.dim, got.codim, got.level, got.simplices) == (dim, codim, level, members)
         assert got.singular == (level < K.n)
-        assert all(K.label_of[s] == sid for s in members)
-    assert K.regular[2] == face_profiles(K)
+        assert all(K.label(s) == sid for s in members)
+    assert regular_profiles(K) == face_profiles(K)
     again = cx.to_document(K)
     K2 = cx.load(json.dumps(again))
     assert cx.to_document(K2) == again
@@ -532,7 +551,7 @@ def _reference_assemble(doc):
     vertex permutations when some X_j is not full, and strata grouped in
     closure order by the root of the first highest-level vertex of each
     simplex. Returns (vertex ids, levels, {sid: (dim, level, members)},
-    label_of, simplices per dimension)."""
+    the stratum id of each simplex, simplices per dimension)."""
     n, vertex_ids = doc["dimension"], list(doc["vertices"])
     maximal = [tuple(sorted(s)) for s in doc["maximal_simplices"]]
     listed = {int(j): [tuple(sorted(s)) for s in level]
@@ -594,14 +613,14 @@ def _assert_matches_reference(doc, K=None):
         K = cx.load(json.dumps(doc))
     vertex_ids, levels, strata, label_of, by_dim = _reference_assemble(doc)
     assert list(K.vertex_ids) == vertex_ids
-    assert list(K.levels.items()) == list(levels.items())
+    assert [K.simplices(i) for i in range(K.n + 1)] == by_dim
+    assert [K.level(s) for s in levels] == list(levels.values())
     assert list(K.strata) == list(strata)
     for sid, (dim, level, members) in strata.items():
         got = K.strata[sid]
         assert (got.dim, got.codim, got.level, got.singular, got.simplices) == (
             dim, K.n - dim, level, level < K.n, members)
-    assert K.label_of == label_of
-    assert [K.simplices(i) for i in range(K.n + 1)] == by_dim
+    assert {s: K.label(s) for s in label_of} == label_of
 
 
 @_PROPERTY
@@ -679,5 +698,5 @@ def test_several_components_per_level_match_reference():
         _assert_matches_reference(doc)
         assert [(sid, len(stratum.simplices)) for sid, stratum in K.strata.items()] == list(
             _SEVERAL_COMPONENTS[key].items())
-        assert K.label_of == {s: sid for sid, stratum in K.strata.items()
-                              for s in stratum.simplices}
+        assert {s: K.label(s) for s in K.all_simplices()} == {
+            s: sid for sid, stratum in K.strata.items() for s in stratum.simplices}

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from stratal import complexes as cx
 from stratal import intersection as ix
 from stratal import linalg
 from stratal import perversity as pv
+from stratal.errors import ConfigurationError
 from stratal.verify import _named_perversities
 
 
@@ -33,6 +35,14 @@ def test_allowable_examples(cone_t2):
     assert not ix.allowable(through_apex, 2, cone_t2, p0)
     # a regular simplex with no singular faces is allowable for any perversity
     assert ix.allowable(off_apex, 2, cone_t2, p0)
+
+
+def test_allowable_rejects_a_simplex_that_is_not_regular(cone_t2):
+    apex = (len(cone_t2.vertex_ids) - 1,)
+    p = _per_stratum(cone_t2, 0)
+    for sigma in (apex, (0, 99), (), tuple(range(5))):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{sigma} is not a regular")):
+            ix.allowable(sigma, 2, cone_t2, p)
 
 
 def test_manifold_degeneration(t2, s2):
@@ -88,7 +98,7 @@ def test_boundary_closure(susp_t2):
     for p in (lower, upper, _per_stratum(susp_t2, 2)):
         chains = ix.StratifiedChainComplex(susp_t2, p)
         for i in range(1, susp_t2.n + 1):
-            for img in linalg.combine_columns(chains._bnd[i], chains.bases[i]):
+            for img in linalg.combine_columns(chains.K.regular[i], chains.bases[i]):
                 assert _in_span(img, chains.bases[i - 1])
 
 
@@ -98,7 +108,7 @@ def _basis_homology(chains):
     n = chains.K.n
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
-        ranks[i] = linalg.rank(linalg.combine_columns(chains._bnd[i], chains.bases[i]))
+        ranks[i] = linalg.rank(linalg.combine_columns(chains.K.regular[i], chains.bases[i]))
     return tuple(len(chains.bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
@@ -131,7 +141,7 @@ def _two_rank_homology(chains):
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
         allowed_rows = set(allow[i - 1])
-        cols = [chains._bnd[i][j] for j in allow[i]]
+        cols = [chains.K.regular[i][j] for j in allow[i]]
         r_bad = linalg.rank(
             [{r: v for r, v in col.items() if r not in allowed_rows} for col in cols]
         )
@@ -146,7 +156,7 @@ def _allowable_by_definition(K, p, profiles):
     def allowed(s, i):
         return all(d <= i - K.strata[sid].codim + p.value(sid, K.strata[sid].codim)
                    for sid, d in profiles[s].items())
-    return [[K.index(s) for s in K.simplices(i) if K.levels[s] == K.n and allowed(s, i)]
+    return [[K.index(s) for s in K.simplices(i) if s in profiles and allowed(s, i)]
             for i in range(K.n + 1)]
 
 
@@ -164,7 +174,7 @@ def generated():
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated, face_profiles,
-                                                              data):
+                                                              regular_profiles, data):
     """Iterated cones, suspensions and subdivisions of small corpus spaces,
     under drawn per-stratum perversities. A space stops growing past 400
     simplices and is subdivided only up to 100, which keeps the oracle fast."""
@@ -179,7 +189,7 @@ def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated,
             generated[path] = _BUILD[path[-1]](K)
         K = generated[path]
     profiles = face_profiles(K)
-    assert K.regular[2] == profiles, K.name
+    assert regular_profiles(K) == profiles, K.name
     for _ in range(2):
         p = pv.Perversity(pv.PER_STRATUM, {
             s.id: data.draw(st.integers(-2, K.n + 1)) for s in K.singular_strata()})
@@ -188,13 +198,13 @@ def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated,
         assert chains.homology() == _two_rank_homology(chains), (K.name, p)
 
 
-def test_regular_profiles_match_face_enumeration(spaces, face_profiles):
+def test_regular_profiles_match_face_enumeration(spaces, face_profiles, regular_profiles):
     """Profiles read from vertex levels equal the per-face definition on
     every corpus space and its subdivision."""
     for name in sorted(spaces):
         K = spaces[name]
         for L in (K, cx.barycentric_subdivide(K)):
-            assert L.regular[2] == face_profiles(L), L.name
+            assert regular_profiles(L) == face_profiles(L), L.name
 
 
 def _all_spaces(spaces, ih_ladder):
@@ -202,27 +212,26 @@ def _all_spaces(spaces, ih_ladder):
 
 
 def _singular_vertices(K):
-    return {v for (v,) in K.simplices(0) if K.levels[(v,)] < K.n}
+    return {v for (v,) in K.simplices(0) if K.level((v,)) < K.n}
 
 
-def test_simplices_off_the_singular_set_have_empty_profiles(spaces, ih_ladder):
+def test_simplices_off_the_singular_set_have_empty_profiles(spaces, ih_ladder, regular_profiles):
     for K in _all_spaces(spaces, ih_ladder):
         singular = _singular_vertices(K)
-        reg, _, profiles = K.regular
-        off = [s for simplices in reg for s in simplices if singular.isdisjoint(s)]
+        profiles = regular_profiles(K)
+        off = [s for s in profiles if singular.isdisjoint(s)]
         assert off, K.name
         for s in off:
             assert profiles[s] == {}, (K.name, s)
         # and the others keep a profile
-        assert all(profiles[s] for simplices in reg for s in simplices
-                   if not singular.isdisjoint(s)), K.name
+        assert all(profiles[s] for s in profiles if not singular.isdisjoint(s)), K.name
 
 
 def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih_ladder):
     for K in _all_spaces(spaces, ih_ladder):
         singular = _singular_vertices(K)
         p = _per_stratum(K, -100)
-        for simplices in K.regular[0]:
+        for simplices in ix.StratifiedChainComplex(K, p).reg:
             for s in simplices:
                 off = singular.isdisjoint(s)
                 for i in range(len(s) - 1, K.n + 1):
@@ -252,8 +261,10 @@ def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder):
     subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
     for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
         singular = _singular_vertices(K)
-        reg, bnd, _ = K.regular
-        assert reg == [[s for s in K.simplices(i) if K.levels[s] == K.n]
+        bnd = K.regular
+        in_singular_set = K.skeleton(K.n - 1)
+        reg = ix.StratifiedChainComplex(K, pv.zero_perversity(K.n)).reg
+        assert reg == [[s for s in K.simplices(i) if s not in in_singular_set]
                        for i in range(K.n + 1)], K.name
         for i in range(K.n + 1):
             full = K.boundary_matrix(i)
@@ -262,7 +273,7 @@ def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder):
                 want = {}
                 for k in range(len(s) if i else 0):
                     face = s[:k] + s[k + 1:]
-                    if K.levels[face] == K.n:
+                    if face not in in_singular_set:
                         want[K.index(face)] = (-1) ** k
                 assert bnd[i][j] == want, (K.name, s)
                 if len(set(s) - singular) >= 2:
@@ -297,18 +308,18 @@ def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
     the cached boundaries and dropped-face boundaries stay as they were."""
     for K in _all_spaces(spaces, ih_ladder):
         full = copy.deepcopy([K.boundary_matrix(i) for i in range(K.n + 1)])
-        dropped = copy.deepcopy(K.regular[1])
+        dropped = copy.deepcopy(K.regular)
         for _, p in _named_perversities(K.n):
             ix.intersection_betti(K, p)
         K.betti()
         assert [K.boundary_matrix(i) for i in range(K.n + 1)] == full, K.name
-        assert K.regular[1] == dropped, K.name
+        assert K.regular == dropped, K.name
 
 
 def test_dd_zero_on_r0_chains(susp_t2):
     lower, _ = pv.middle_perversities(3)
     chains = ix.StratifiedChainComplex(susp_t2, lower)
-    bnd = chains._bnd
+    bnd = chains.K.regular
     for i in range(2, susp_t2.n + 1):
         for col in linalg.combine_columns(bnd[i - 1], bnd[i]):
             assert not col
