@@ -182,7 +182,7 @@ class FilteredComplex:
 
     def is_closed(self):
         """True when every regular (n-1)-simplex has exactly two n-cofaces."""
-        return all(len(incident) == 2 for incident in _top_cofaces(self).values())
+        return all(len(incident) == 2 for incident in self.top_cofaces.values())
 
     # ---------------------------------------------------------------- homology
 
@@ -234,6 +234,19 @@ class FilteredComplex:
                 profiles.append(built[t])
             out.append((profiles, list(map(position.__getitem__, keys))))
         return out
+
+    @cached_property
+    def top_cofaces(self):
+        """Each regular (n-1)-simplex and its n-cofaces, with the face's sign
+        in each; read by `is_closed` and `check_orientation`."""
+        singular = {v for v, j in enumerate(self._vertex_level) if j < self.n}
+        cofaces = {}
+        for s in self.simplices(self.n):
+            for idx in range(len(s)):
+                f = s[:idx] + s[idx + 1:]
+                if not singular.issuperset(f):
+                    cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
+        return cofaces
 
     @cached_property
     def regular(self):
@@ -661,18 +674,6 @@ def barycentric_subdivide(K):
 # ----------------------------------------------------------------- orientation
 
 
-def _top_cofaces(K):
-    """Each regular (n-1)-simplex and its n-cofaces, with the face's sign in each."""
-    singular = {v for v, j in enumerate(K._vertex_level) if j < K.n}
-    cofaces = {}
-    for s in K.simplices(K.n):
-        for idx in range(len(s)):
-            f = s[:idx] + s[idx + 1:]
-            if not singular.issuperset(f):
-                cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
-    return cofaces
-
-
 def check_orientation(K):
     """Coherent signs on the n-simplices as a dict simplex -> ±1, or None
     when obstructed.
@@ -683,7 +684,7 @@ def check_orientation(K):
     """
     tops = K.simplices(K.n)
     adj = {s: [] for s in tops}
-    for f, incident in _top_cofaces(K).items():
+    for f, incident in K.top_cofaces.items():
         if len(incident) > 2:
             raise StructureError(
                 f"regular face {_name_simplex(f, K.vertex_ids)} has "

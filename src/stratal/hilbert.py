@@ -4,13 +4,15 @@ A complex is a sequence of coordinate spaces with differentials satisfying
 D_{i+1} D_i = 0 and the identity inner product on each space. In finite
 dimensions every range is closed, so harmonic representatives, the weak
 Kodaira decomposition, the dual-complex dimension reversal, and the
-even-to-odd index are all exact linear algebra.
+even-to-odd index are all exact linear algebra. The Kodaira projections are
+solved over the integers (`linalg.project_onto_span`), with one division per
+entry of each part.
 """
 
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConfigurationError, ConstructionError
+from .errors import ConfigurationError, ConstructionError, SpaceFormatError
 from .rationals import parse_rational
 
 
@@ -97,7 +99,7 @@ def cohomology_dims(C: FiniteHilbertComplex):
     """dim ker D_i - rank D_{i-1} in every degree, exact."""
     n = len(C.dims)
     # reversed, the cochain complex is a chain complex: D_i is ∂_{n-1-i}
-    bnd = [C.differential(n - 1 - k) for k in range(n)]
+    bnd = [list(map(linalg.col_primitive, C.differential(n - 1 - k))) for k in range(n)]
     ranks = [r for r, _ in reversed(linalg.chain_ranks(bnd, [range(len(b)) for b in bnd]))]
     out = []
     for i in range(n):
@@ -143,28 +145,42 @@ def laplacian_cols(C: FiniteHilbertComplex, i: int):
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     """Split v into (harmonic, exact, coexact) parts, pairwise orthogonal.
 
-    The exact part is the projection onto the image of D_{i-1}, the coexact
-    part the projection onto the image of D_i^T; reconstruction is exact.
+    v is a list of dims[i] entries or a dict keyed by int row indices; its
+    entries are read by `parse_rational` (ints, Fractions or "p/q" strings,
+    never bools or floats). The exact part is the projection onto the image
+    of D_{i-1}, the coexact part the projection onto the image of D_i^T,
+    both solved over the integers; the harmonic part is v less the two,
+    formed on their integer numerators over one common denominator. Every
+    entry of every part is one Fraction, and reconstruction is exact.
     """
     if not 0 <= i < len(C.dims):
         raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
     if isinstance(v, dict):
-        vec = {int(r): Fraction(val) for r, val in v.items() if val}
+        if any(type(r) is not int for r in v):
+            raise ConfigurationError("vector keys must be int row indices")
+        items = v.items()
     elif len(v) != C.dims[i]:
         raise ConfigurationError(
             f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")
     else:
-        vec = {r: Fraction(val) for r, val in enumerate(v) if val}
+        items = enumerate(v)
+    try:
+        vec = {r: x for r, val in items if (x := parse_rational(val))}
+    except SpaceFormatError as exc:
+        raise ConfigurationError(f"vector entry: {exc}") from None
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
     exact_span = C.differential(i - 1) if i > 0 else []
     coexact_span = linalg.transpose_cols(C.differential(i), C.diff_rows(i))
     exact = linalg.project_onto_span(vec, exact_span) if exact_span else {}
     coexact = linalg.project_onto_span(vec, coexact_span) if coexact_span else {}
-    harmonic = dict(vec)
-    for part in (exact, coexact):
-        linalg._subtract(harmonic, 1, part)
-    return harmonic, exact, coexact
+    # v - e/de - c/dc over the one denominator m·de·dc
+    (w, m), (e, de), (c, dc) = map(linalg._over, (vec, exact, coexact))
+    harmonic = {r: x * de * dc for r, x in w.items()}
+    linalg._subtract(harmonic, m * dc, e)
+    linalg._subtract(harmonic, m * de, c)
+    d = m * de * dc
+    return {r: Fraction(x, d) for r, x in harmonic.items()}, exact, coexact
 
 
 def dual_complex(C: FiniteHilbertComplex):

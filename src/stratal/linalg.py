@@ -4,38 +4,42 @@ Matrices are stored column-wise: a column is a dict {row_index: value} whose
 values are ints or Fractions; zeros are never stored.
 
 All elimination goes through one fraction-free integer column reduction,
-`_reduce`. It takes primitive integer columns with no stored zero, which
-`col_primitive` makes, and reduces each against the earlier pivot columns
-at the row that `pivot` picks, until its pivot row is new or the column
-vanishes. A column whose pivot row is new at once is stored as given; a
-column is copied just before its first update, so the inputs never change.
-Where the pivot entry divides the entry being eliminated, the pivot column
-is subtracted in place; otherwise both are scaled to a common multiple.
-With `track` it also carries the column's combination of the inputs, so
-the columns that vanish give the kernel. Everything else derives from its
-pivot table and zero combinations:
+`_reduce`. It takes integer columns with no stored zero (`col_primitive`
+makes them from rational ones, and keeps their entries small) and reduces
+each against the earlier pivot columns at the row that `pivot` picks, until
+its pivot row is new or the column vanishes. A column whose pivot row is new
+at once is stored as given; a column is copied just before its first update,
+so the inputs never change. Where the pivot entry divides the entry being
+eliminated, the pivot column is subtracted in place; otherwise both are
+scaled to a common multiple. With `track` it also carries the column's
+combination of the inputs, so the columns that vanish give the kernel.
+Everything else derives from its pivot table (pivot row -> column), its
+combinations and its zero combinations:
 
 - `rank` counts the pivots and `kernel` normalizes the zero combinations,
   taking them from the primitive columns back to its own inputs. Both
   pivot on the lowest row (`max`); on the boundaries of sd(susp(susp t2))
   that makes `rank` about three times faster than the topmost row does.
-- `chain_ranks` reduces each degree of a chain complex once, from the top
-  degree down, and skips the columns that the degree above has already
-  shown to be cycles ("clearing": Chen & Kerber, *Persistent Homology
-  Computation with a Twist*, EuroCG 2011). A degree whose entries are all
-  ±1, as a simplicial boundary's are, enters without being normalized. The
-  non-allowable rows are shifted below the allowed rows, which keep their
-  indices, so the pivots that fall in them count the rank of that row
-  block too; a column that meets none of them enters as it is.
+- `chain_ranks` takes what `_reduce` takes, integer columns with no stored
+  zero, so a simplicial boundary enters as it is; a caller with rational
+  entries maps `col_primitive` over its columns first. It reduces each
+  degree of a chain complex once, from the top degree down, and skips the
+  columns that the degree above has already shown to be cycles ("clearing":
+  Chen & Kerber, *Persistent Homology Computation with a Twist*, EuroCG
+  2011). When some row is not allowed, the non-allowable rows are shifted
+  below the allowed rows, which keep their indices, so the pivots that fall
+  in them count the rank of that row block too; a column that meets none of
+  them enters as it is.
 - `rcef` pivots on the topmost row (`min`), because its canonical form is
   keyed by each column's topmost entry. It divides each pivot column by its
   pivot entry and back-substitutes in Fractions.
-- `project_onto_span` solves the normal equations of the pivot columns B by
-  reading the single kernel vector of [BᵀB | Bᵀv].
+- `project_onto_span` solves the normal equations of the pivot columns B
+  over the integers: v scaled by the lcm m of its denominators is the
+  integer w, and the single zero combination (x, t) of [BᵀB | Bᵀw] gives
+  the projection B(-x)/(t·m), with one division per entry.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 # Entries larger than this trigger a gcd renormalization during elimination.
@@ -98,30 +102,33 @@ def _shrink(col, combo):
 
 
 def _reduce(cols, track=False, pivot=max):
-    """Fraction-free column reduction of `cols`, a list of primitive integer
-    columns with no stored zero.
+    """Fraction-free column reduction of `cols`, a list of integer columns
+    with no stored zero.
 
-    Returns (pivots, zeros). `pivots` maps each pivot row to (column, combo):
-    the reduced integer column, whose `pivot` row is its pivot, and with
-    `track` its combination of the input columns (else None). A column
-    whose pivot row is new at once is stored as the input itself; any other
-    is copied before its first update, so the inputs never change. Pivot
-    columns span the input columns. With `track`, `zeros` lists, in column
-    order, a combination of the input columns equal to zero for each column
-    that reduced to zero; its largest index is that column.
+    Returns (pivots, zeros). `pivots` maps each pivot row to its reduced
+    integer column, whose `pivot` row is that row. A column whose pivot row
+    is new at once is stored as the input itself; any other is copied before
+    its first update, so the inputs never change. Pivot columns span the
+    input columns. With `track`, each pivot column's combination of the
+    inputs is kept beside it, and `zeros` lists, in column order, a
+    combination of the input columns equal to zero for each column that
+    reduced to zero; its largest index is that column. A dict that occurs
+    twice in `cols` is stored once, so it counts once toward the pivots but
+    leaves no zero combination: `track` callers pass fresh columns.
     """
     pivots = {}
+    combos = {}
     zeros = []
     for j, raw in enumerate(cols):
         col = raw
         combo = {j: 1} if track else None
         while col:
             row = pivot(col)
-            piv = pivots.get(row)
-            if piv is None:
-                pivots[row] = (col, combo)
+            pcol = pivots.setdefault(row, col)
+            if pcol is col:
+                if track:
+                    combos[row] = combo
                 break
-            pcol, pcombo = piv
             a, b = pcol[row], col[row]
             q, rem = divmod(b, a)
             if rem:
@@ -129,25 +136,18 @@ def _reduce(cols, track=False, pivot=max):
                 # this step renormalizes
                 col = _combine(col, a, pcol, b)
                 if track:
-                    combo = _combine(combo, a, pcombo, b)
+                    combo = _combine(combo, a, combos[row], b)
                 col, combo = _shrink(col, combo)
             else:
                 if col is raw:
                     col = dict(raw)
                 _subtract(col, q, pcol)
                 if track:
-                    _subtract(combo, q, pcombo)
+                    _subtract(combo, q, combos[row])
         else:
             if track:
                 zeros.append(combo)
     return pivots, zeros
-
-
-def _units(cols):
-    """True when every entry of `cols` is the int 1 or -1, so that the
-    columns are primitive as they stand."""
-    values = list(chain.from_iterable(map(dict.values, cols)))
-    return {1, -1}.issuperset(values) and set(map(type, values)) <= {int}
 
 
 def rank(cols):
@@ -159,37 +159,38 @@ def chain_ranks(bnd, allow):
     """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact.
 
     `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
-    length is read) and `allow[i]` the sorted allowed indices A_i of degree
-    i, which are both the columns of ∂_i and the allowed rows of ∂_{i+1};
-    B_{i-1} is the rest of the rows. Each degree is reduced once with every
-    B row r moved to len(bnd[i-1]) + r, below all allowed rows, so the
-    pivots in B rows count the second rank. Allowed rows keep their indices,
-    and only the columns that meet a B row are copied; a degree whose
-    entries are all ±1 is not normalized. Degrees go from the top down with
-    clearing: a reduced column of ∂_{i+1} whose pivot j is an allowed row
-    lies wholly in allowed rows, so it is an allowable boundary; putting it
-    in place of column j of ∂_i is an invertible change of columns whose
-    image is zero, so column j is skipped.
+    length is read), integer columns with no stored zero as `_reduce` takes
+    them; a caller with rational entries maps `col_primitive` over them
+    first: scaling a column changes neither rank, nor the column space of
+    ∂_{i+1}, nor the supports of the cycles of ∂_i, so clearing skips the
+    same columns. `allow[i]` holds the sorted allowed indices A_i of degree i,
+    which are both the columns of ∂_i and the allowed rows of ∂_{i+1};
+    B_{i-1} is the rest of the rows. Each degree is reduced once. When
+    B_{i-1} is not empty, every B row r is moved to len(bnd[i-1]) + r, below
+    all allowed rows, so the pivots in B rows count the second rank; allowed
+    rows keep their indices, and only the columns that meet a B row are
+    copied. Degrees go from the top down with clearing: a reduced column of
+    ∂_{i+1} whose pivot j is an allowed row lies wholly in allowed rows, so
+    it is an allowable boundary; putting it in place of column j of ∂_i is
+    an invertible change of columns whose image is zero, so column j is
+    skipped.
     """
     out = [(0, 0)] * len(bnd)
     cleared = set()
     for i in range(len(bnd) - 1, 0, -1):
         top = len(bnd[i - 1])
-        shift = set(range(top)).difference(allow[i - 1])
         cols = [bnd[i][j] for j in allow[i] if j not in cleared]
-        if not _units(cols):
-            cols = list(map(col_primitive, cols))
-        if shift:
+        if len(allow[i - 1]) < top:
             moved = list(range(top))
+            shift = set(moved).difference(allow[i - 1])
             for r in shift:
                 moved[r] += top
             cols = [col if shift.isdisjoint(col)
                     else dict(zip(map(moved.__getitem__, col), col.values()))
                     for col in cols]
         pivots = _reduce(cols)[0]
-        bad = sum(1 for row in pivots if row >= top)
-        out[i] = (len(pivots), bad)
         cleared = {row for row in pivots if row < top}
+        out[i] = (len(pivots), len(pivots) - len(cleared))
     return out
 
 
@@ -226,7 +227,7 @@ def rcef(cols):
     """
     basis = {
         top: {r: Fraction(v, col[top]) for r, v in col.items()}
-        for top, (col, _) in _reduce(list(map(col_primitive, cols)), pivot=min)[0].items()
+        for top, col in _reduce(list(map(col_primitive, cols)), pivot=min)[0].items()
     }
     for top in sorted(basis, reverse=True):
         col = basis[top]
@@ -284,19 +285,28 @@ def dot(a, b):
     return total
 
 
+def _over(v):
+    """(w, m): m the lcm of the denominators of v's int or Fraction entries,
+    and w = m·v, an integer vector."""
+    m = lcm(*(x.denominator for x in v.values()))
+    return {r: x.numerator * (m // x.denominator) for r, x in v.items()}, m
+
+
 def project_onto_span(v, cols):
     """Orthogonal projection of v onto the column span, exact over the rationals.
 
     The pivot columns B are independent, so their Gram matrix BᵀB is
-    invertible and [BᵀB | Bᵀv] has a single kernel vector (x, t) with t != 0;
-    the projection is B(-x/t).
+    invertible and, for w = m·v the integer multiple from `_over`, the
+    integer matrix [BᵀB | Bᵀw] has a single zero combination (x, t) with
+    t != 0; the projection is B(-x)/(t·m), one Fraction per entry.
     """
-    basis = [col for col, _ in _reduce(list(map(col_primitive, cols)))[0].values()]
+    basis = list(_reduce(list(map(col_primitive, cols)))[0].values())
     if not basis:
         return {}
-    k = len(basis)
+    w, m = _over(v)
     normal = [{i: g for i, b in enumerate(basis) if (g := dot(b, c))} for c in basis]
-    normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, v))})
-    (combo,) = kernel(normal)
-    t = combo.pop(k)
-    return combine_columns(basis, [{i: Fraction(-x) / t for i, x in combo.items()}])[0]
+    normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, w))})
+    (combo,) = _reduce(normal, track=True)[1]
+    t = combo.pop(len(basis)) * m
+    num = combine_columns(basis, [{i: -x for i, x in combo.items()}])[0]
+    return {r: Fraction(x, t) for r, x in num.items()}

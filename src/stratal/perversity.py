@@ -98,14 +98,8 @@ class Perversity(Frozen):
                 f"perversity has no value on stratum {stratum_id!r}"
             ) from None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Perversity)
-            and self.kind == other.kind
-            and dict(self.values) == dict(other.values)
-        )
-
     def __hash__(self):
+        # Frozen's hash would hash the values dict; Record gives the equality
         return hash((self.kind, tuple(sorted(self.values.items(), key=repr))))
 
 

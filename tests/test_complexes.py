@@ -301,6 +301,23 @@ def test_orientation_signs_cancel(t2):
     assert all(v == 0 for v in incid.values())
 
 
+def test_top_cofaces_built_once_and_orientation_returned_fresh():
+    """`is_closed` and `check_orientation` share one coface table per complex,
+    while each orientation is a new dict that the caller may change."""
+    K = cx.suspension(cx.build("circle", [0, 1, 2], [(0, 1), (1, 2), (0, 2)]))
+    assert "top_cofaces" not in vars(K)
+    assert K.is_closed()
+    table = K.top_cofaces
+    first = cx.check_orientation(K)
+    assert K.top_cofaces is table and K.is_closed()
+    second = cx.check_orientation(K)
+    assert first == second and first is not second
+    first[next(iter(first))] *= -1
+    assert cx.check_orientation(K) == second
+    # the six triangles meet along the three equator edges and six apex edges
+    assert len(table) == 9 and all(len(incident) == 2 for incident in table.values())
+
+
 def test_orientation_structure_error():
     # three triangles sharing one edge: not a pseudomanifold face incidence
     K = cx.build("fan", [0, 1, 2, 3, 4], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])

@@ -240,8 +240,8 @@ def test_chain_ranks_match_sympy(mat, data):
     nr = len(rows)
     good, cols_idx = _subset(data.draw, nr), _subset(data.draw, nc)
     bad = [r for r in range(nr) if r not in good]
-    _, (r_all, r_bad) = linalg.chain_ranks([_zero_cols(nr), _columns(rows, nc)],
-                                           [good, cols_idx])
+    cols = list(map(linalg.col_primitive, _columns(rows, nc)))
+    _, (r_all, r_bad) = linalg.chain_ranks([_zero_cols(nr), cols], [good, cols_idx])
     assert r_all == _sub_rank(rows, range(nr), cols_idx)
     assert r_bad == _sub_rank(rows, bad, cols_idx)
 
@@ -268,7 +268,7 @@ def test_chain_ranks_with_clearing_match_sympy(chain, data):
     bnd = [_zero_cols(n0), _columns(d1, n1), _columns(d2, n2)]
     assert not any(linalg.combine_columns(bnd[1], bnd[2]))
     allow = [_subset(data.draw, n) for n in (n0, n1, n2)]
-    out = linalg.chain_ranks(bnd, allow)
+    out = linalg.chain_ranks([list(map(linalg.col_primitive, b)) for b in bnd], allow)
     for i, rows in ((1, d1), (2, d2)):
         bad = [r for r in range(len(rows)) if r not in allow[i - 1]]
         assert out[i] == (_sub_rank(rows, range(len(rows)), allow[i]),
@@ -333,40 +333,59 @@ def test_reduce_stores_a_new_pivot_column_as_given():
     pivots, _ = linalg._reduce(cols)
     # columns 0 and 1 meet a new pivot row at once and are stored as given;
     # column 2 is reduced on a copy to a new pivot in row 1; column 3 vanishes
-    assert pivots[0][0] is cols[0] and pivots[2][0] is cols[1]
-    assert pivots[1][0] == {1: 2} and pivots[1][0] is not cols[2]
+    assert pivots[0] is cols[0] and pivots[2] is cols[1]
+    assert pivots[1] == {1: 2} and pivots[1] is not cols[2]
     assert len(pivots) == 3
     assert cols == before
 
 
 def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
     """The tetrahedron boundary with ∂_2 left as ±1 ints, or as ±1 Fractions,
-    and the rows of ∂_1 scaled by Fractions (∂_1 ∂_2 stays zero), against
-    two independent ranks per degree; `_reduce` sees only int entries."""
-    scale = [Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5, 7)]
+    and the rows of ∂_1 scaled by Fractions and a non-primitive int
+    (∂_1 ∂_2 stays zero). `chain_ranks` takes integer columns, so every
+    degree is mapped through `col_primitive` first, as `cohomology_dims`
+    does; the result must match two independent ranks per degree of the
+    rational columns. `_reduce` sees only int entries, and the ±1 int
+    columns of ∂_2 that meet no non-allowable row enter as they are."""
+    scale = [Fraction(1, 2), -3, Fraction(2, 3), Fraction(5, 7)]
     d1 = [{r: v * scale[r] for r, v in col.items()} for col in s2.boundary_matrix(1)]
     units = s2.boundary_matrix(2)
     for d2 in (units, [{r: Fraction(v) for r, v in col.items()} for col in units]):
         bnd = [_zero_cols(4), d1, d2]
         assert not any(linalg.combine_columns(bnd[1], bnd[2]))
+        prim = [bnd[0], list(map(linalg.col_primitive, d1)),
+                d2 if d2 is units else list(map(linalg.col_primitive, d2))]
         seen = []
         reduce = linalg._reduce
 
         def spy(cols, *args, **kw):
-            seen.extend(v for col in cols for v in col.values())
+            seen.append(cols)
             return reduce(cols, *args, **kw)
 
         rng = random.Random(5)
         for _ in range(20):
             allow = [sorted(rng.sample(range(len(b)), rng.randint(0, len(b)))) for b in bnd]
+            seen.clear()
             monkeypatch.setattr(linalg, "_reduce", spy)
-            out = linalg.chain_ranks(bnd, allow)
+            out = linalg.chain_ranks(prim, allow)
             monkeypatch.undo()
+            assert all(type(v) is int for cols in seen for col in cols for v in col.values())
+            if d2 is units:
+                moved = set(range(len(bnd[1]))).difference(allow[1])
+                assert all(col is units[j] for col, j in zip(seen[0], allow[2])
+                           if moved.isdisjoint(units[j]))
             for i in (1, 2):
                 cols = [bnd[i][j] for j in allow[i]]
                 bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
                 assert out[i] == (linalg.rank(cols), linalg.rank(bad)), (i, allow)
-        assert seen and all(type(v) is int for v in seen)
+
+
+def test_chain_ranks_counts_a_repeated_column_once():
+    """A dict listed twice is one column of rank one, not two pivots."""
+    col = {0: 1, 1: -1}
+    for bnd in ([_zero_cols(2), [col, col]], [_zero_cols(2), [col, dict(col)]]):
+        assert linalg.chain_ranks(bnd, [[0, 1], [0, 1]]) == [(0, 0), (1, 0)]
+        assert linalg.chain_ranks(bnd, [[0], [0, 1]]) == [(0, 0), (1, 1)]
 
 
 @pytest.mark.parametrize("col, want", [
