@@ -28,6 +28,16 @@ sorted list. Python loops remain over the edges whose ends share a level
 regular simplices when they form several components, and in the split by
 dimension.
 
+Construction holds each table only while something still reads it. `load`
+drops the parsed document, and any file text it read, before the assembly;
+the assembly keeps the closure set through the fullness test and then only
+its iteration order, as a list, for `_stratify`. A complex stores its
+simplices by dimension and each vertex's level and stratum id; the simplex
+index (read by `index`, `level`, `label` and `boundary_matrix`), the
+singular-face profiles, the dropped-face boundaries and the top cofaces are
+derived on first read. No constructor, no `to_document` and no `load` reads
+them.
+
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
@@ -126,7 +136,12 @@ def _name_simplex(simplex, vertex_ids):
 
 
 class FilteredComplex:
-    """Immutable after construction; build via load(), build(), or a constructor."""
+    """Immutable after construction; build via load(), build(), or a constructor.
+
+    Stored: the simplices by dimension, each vertex's level and stratum id,
+    the strata and the weights. The simplex index `_index`, `profile_classes`,
+    `regular` and `top_cofaces` are cached properties, derived on first read.
+    """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
         """`by_dim[i]`: the i-simplices, sorted; per vertex v, its level and stratum id."""
@@ -134,7 +149,6 @@ class FilteredComplex:
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
         self._by_dim = by_dim
-        self._index = {s: i for level in by_dim for i, s in enumerate(level)}
         self._vertex_level = vertex_level
         self._vertex_label = vertex_label
         self.strata = strata
@@ -154,6 +168,11 @@ class FilteredComplex:
 
     def counts(self):
         return tuple(len(level) for level in self._by_dim)
+
+    @cached_property
+    def _index(self):
+        """Each simplex's position in `simplices(dim)`, built on first read."""
+        return {s: i for level in self._by_dim for i, s in enumerate(level)}
 
     def index(self, simplex):
         """The position of a simplex in `simplices(dim)`; KeyError for a non-simplex."""
@@ -351,10 +370,11 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     return chain
 
 
-def _stratify(n, closed, closure, edges, singular, vertex_level, vertex_ids):
-    """Strata, in the order in which the iteration of the closure set `closed`
-    first reaches them, and each vertex's stratum id (None off the complex).
-    `closure` is the complex in sorted order, `edges` its edges, `singular` X_{n-1}.
+def _stratify(n, closed, closure, by_dim, singular, vertex_level, vertex_ids):
+    """Strata, in the order in which the closure set's iteration, listed in
+    `closed`, first reaches them, and each vertex's stratum id (None off the
+    complex). `closure` is the complex in sorted order, `by_dim` the same
+    split by dimension, `singular` X_{n-1}.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
@@ -376,6 +396,7 @@ def _stratify(n, closed, closure, edges, singular, vertex_level, vertex_ids):
     # ones, which are the edges with no singular vertex
     singular_vertices = {s[0] for s in singular if len(s) == 1}
     same_level = [s for s in singular if len(s) == 2 and vertex_level[s[0]] == vertex_level[s[1]]]
+    edges = by_dim[1] if n else ()
     for a, b in chain(same_level, filter(singular_vertices.isdisjoint, edges)):
         ra, rb = find(a), find(b)
         if ra != rb:
@@ -391,7 +412,7 @@ def _stratify(n, closed, closure, edges, singular, vertex_level, vertex_ids):
     for s in sorted(found):
         members.setdefault(stratum_of(s), []).append(s)
     regular = filterfalse(singular.__contains__, closure)
-    roots = {root[v] for v, j in enumerate(vertex_level) if j == n and (v,) in closed}
+    roots = {root[v] for (v,) in by_dim[0] if vertex_level[v] == n}
     if len(roots) == 1:
         (r,) = roots
         ahead = next(pos for pos, s in enumerate(closed) if s not in singular)
@@ -483,14 +504,15 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
             new_ids, new_maximal, new_chain, _ = _subdivide_raw(
                 vertex_ids, closure, set(maximal), chain)
             return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    closed, closure = closure, sorted(closure)
+    # only the set's iteration order is read from here on, by `_stratify`
+    closed = list(closure)
+    del closure
+    closure = sorted(closed)
     by_dim = [[] for _ in range(n + 1)]
     for s in closure:
         by_dim[len(s) - 1].append(s)
     by_dim = list(map(tuple, by_dim))
-    strata, vertex_label = _stratify(n, closed, closure, by_dim[1] if n else (), singular,
-                                     vertex_level, vertex_ids)
-    del closed, closure  # freed before the index dicts are built
+    strata, vertex_label = _stratify(n, closed, closure, by_dim, singular, vertex_level, vertex_ids)
     K = FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
@@ -530,6 +552,13 @@ def _simplex_list(value, field, nverts):
 
 def load(source):
     """Load a space document (dict, JSON text, or path) into a FilteredComplex."""
+    # the parsed document and any file text die with `_read_document`'s frame,
+    # before the assembly; a dict passed in is only read
+    return _assemble(*_read_document(source))
+
+
+def _read_document(source):
+    """The checked fields of a space document, as `_assemble`'s arguments."""
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
         try:
             text = Path(source).read_text()
@@ -570,7 +599,7 @@ def load(source):
         ):
             raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
         _simplex_list([e[0] for e in orientation], "orientation", len(vertex_ids))
-    return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
+    return name, n, list(vertex_ids), maximal, skeleta, weights
 
 
 def to_document(K):
@@ -620,11 +649,14 @@ def _join(K, label, apex_names, apex_weights):
         below = K.skeleton(j - 1)
         chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
     J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
+    # a simplex lies in the stratum of its top vertex
+    sid_of = J._vertex_label.__getitem__
+    top = partial(max, key=J._vertex_level.__getitem__)
     for a, w in zip(apexes, apex_weights):
-        J.weights[J.label((a,))] = w
+        J.weights[sid_of(a)] = w
     for s in K.singular_strata():
         if s.id in K.weights:
-            J.weights[J.label(s.simplices[0])] = K.weights[s.id]
+            J.weights[sid_of(top(s.simplices[0]))] = K.weights[s.id]
     return J
 
 
@@ -666,8 +698,7 @@ def barycentric_subdivide(K):
     S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_chain)
     for s in K.singular_strata():
         if s.id in K.weights:
-            rep = (flag_vertex[s.simplices[0]],)
-            S.weights[S.label(rep)] = K.weights[s.id]
+            S.weights[S._vertex_label[flag_vertex[s.simplices[0]]]] = K.weights[s.id]
     return S
 
 

@@ -56,7 +56,8 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
 
     `matrices[i]` is D_i with dims[i+1] rows and dims[i] columns; entries may
     be ints, Fractions, or "p/q" strings (never bools or floats). D_i may
-    also be given as its dims[i] columns, dicts keyed by int row indices.
+    also be given as its dims[i] columns, dicts keyed by int row indices
+    whose entries are read the same way.
     """
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ConstructionError("dims must be a list of integers")
@@ -80,7 +81,14 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                 )
             if any(type(r) is not int or not 0 <= r < dims[i + 1] for col in mat for r in col):
                 raise ConstructionError(f"D_{i}: column rows must be ints below {dims[i + 1]}")
-            cols.append([{r: v for r, v in col.items() if v} for col in mat])  # linalg stores no zeros
+            # linalg stores no zeros; an int stays an int, which reduces
+            # without Fraction arithmetic
+            try:
+                cols.append([{r: x for r, v in col.items()
+                              if (x := v if type(v) is int else parse_rational(v))}
+                             for col in mat])
+            except SpaceFormatError as exc:
+                raise ConstructionError(f"D_{i}: {exc}") from None
         elif mat == [] and dims[i + 1] == 0:
             cols.append([{} for _ in range(dims[i])])
         else:
@@ -145,13 +153,14 @@ def laplacian_cols(C: FiniteHilbertComplex, i: int):
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     """Split v into (harmonic, exact, coexact) parts, pairwise orthogonal.
 
-    v is a list of dims[i] entries or a dict keyed by int row indices; its
-    entries are read by `parse_rational` (ints, Fractions or "p/q" strings,
-    never bools or floats). The exact part is the projection onto the image
-    of D_{i-1}, the coexact part the projection onto the image of D_i^T,
-    both solved over the integers; the harmonic part is v less the two,
-    formed on their integer numerators over one common denominator. Every
-    entry of every part is one Fraction, and reconstruction is exact.
+    v is a list or tuple of dims[i] entries or a dict keyed by int row
+    indices; its entries are read by `parse_rational` (ints, Fractions or
+    "p/q" strings, never bools or floats). The exact part is the projection
+    onto the image of D_{i-1}, the coexact part the projection onto the
+    image of D_i^T, both solved over the integers; the harmonic part is v
+    less the two, formed on their integer numerators over one common
+    denominator. Every entry of every part is one Fraction, and
+    reconstruction is exact.
     """
     if not 0 <= i < len(C.dims):
         raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
@@ -159,6 +168,8 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
         if any(type(r) is not int for r in v):
             raise ConfigurationError("vector keys must be int row indices")
         items = v.items()
+    elif not isinstance(v, (list, tuple)):
+        raise ConfigurationError(f"vector must be a list, tuple or dict, not {type(v).__name__}")
     elif len(v) != C.dims[i]:
         raise ConfigurationError(
             f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import weakref
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -277,11 +278,53 @@ def test_level_and_label_follow_the_vertices(cone_t2):
         assert cone_t2.strata[cone_t2.label(s)].singular is singular, s
 
 
-def test_level_and_label_reject_a_non_simplex(cone_t2):
-    for s in ((99,), (0, 99), (1, 0), (), tuple(range(5))):
-        for read in (cone_t2.index, cone_t2.level, cone_t2.label):
+def test_level_and_label_reject_a_non_simplex():
+    # each read is the first on a fresh complex, so each builds the index
+    for read in ("index", "level", "label"):
+        K = corpus.load_space("cone_t2")
+        assert "_index" not in vars(K)
+        for s in ((99,), (0, 99), (1, 0), (), tuple(range(5))):
             with pytest.raises(KeyError):
-                read(s)
+                getattr(K, read)(s)
+
+
+def test_index_is_the_position_in_simplices(spaces, ih_ladder):
+    for K in [*spaces.values(), *ih_ladder.values()]:
+        for i in range(K.n + 1):
+            assert list(map(K.index, K.simplices(i))) == list(range(len(K.simplices(i)))), K.name
+
+
+def test_load_frees_the_parsed_document_before_assembly(monkeypatch):
+    class Document(dict):  # a dict that a weak reference can watch
+        pass
+
+    loads, assemble, parsed = json.loads, cx._assemble, []
+
+    def watched_loads(text):
+        doc = Document(loads(text))
+        parsed.append(weakref.ref(doc))
+        return doc
+
+    def checked_assemble(*args):
+        assert parsed and parsed[-1]() is None
+        return assemble(*args)
+
+    monkeypatch.setattr(json, "loads", watched_loads)
+    monkeypatch.setattr(cx, "_assemble", checked_assemble)
+    text = json.dumps(cx.to_document(corpus.load_space("cone_t2")))
+    assert list(cx.load(text).strata) == _STRATUM_ORDER["cone_t2"]
+
+
+def test_unused_vertex_has_no_stratum():
+    # an unused vertex is no 0-simplex, so it joins no stratum and starts none
+    K = cx.load({**_CIRCLE, "vertices": [0, 1, 2, 3]})
+    assert list(K.strata) == ["s1:0"] and K._vertex_label[3] is None
+    with pytest.raises(KeyError):
+        K.label((3,))
+    second = [[4, 5], [5, 6], [4, 6]]
+    K = cx.load({**_CIRCLE, "vertices": list(range(7)),
+                 "maximal_simplices": _CIRCLE["maximal_simplices"] + second})
+    assert list(K.strata) == ["s1:4", "s1:0"] and K._vertex_label[3] is None
 
 
 def test_orientation(s2, t2, mobius):
@@ -530,6 +573,120 @@ def ladder():
         built[key] = getattr(cx, ctor)(built[src])
     del built["t2"]
     return built
+
+
+# stratum order and weights of the constructions on each corpus space; each
+# inherited weight follows its stratum into the construction
+_CONSTRUCTED = {
+    "cone cone_cone_s1": (["s4:0", "s2:apex", "s0:apex''", "s1:apex'"],
+                          {"s0:apex''": "2/3", "s1:apex'": "1", "s2:apex": "1"}),
+    "susp cone_cone_s1": (["s4:0", "s2:apex", "s0:north", "s1:apex'", "s0:south"],
+                          {"s0:north": "1/2", "s0:south": "3", "s1:apex'": "1", "s2:apex": "1"}),
+    "sd cone_cone_s1": (["s3:(0)", "s1:(apex)", "s0:(apex')"],
+                        {"s0:(apex')": "1", "s1:(apex)": "1"}),
+    "cone cone_s1_c_half": (["s3:0", "s0:apex'", "s1:apex"], {"s0:apex'": "2/3", "s1:apex": "1/2"}),
+    "susp cone_s1_c_half": (["s3:0", "s1:apex", "s0:south", "s0:north"],
+                            {"s0:north": "1/2", "s0:south": "3", "s1:apex": "1/2"}),
+    "sd cone_s1_c_half": (["s2:(0)", "s0:(apex)"], {"s0:(apex)": "1/2"}),
+    "cone cone_t2": (["s4:0", "s0:apex'", "s1:apex"], {"s0:apex'": "2/3", "s1:apex": "1"}),
+    "susp cone_t2": (["s4:0", "s0:north", "s1:apex", "s0:south"],
+                     {"s0:north": "1/2", "s0:south": "3", "s1:apex": "1"}),
+    "sd cone_t2": (["s3:(0)", "s0:(apex)"], {"s0:(apex)": "1"}),
+    "cone mobius": (["s3:0", "s0:apex"], {"s0:apex": "2/3"}),
+    "susp mobius": (["s3:0", "s0:north", "s0:south"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd mobius": (["s2:(0)"], {}),
+    "cone point": (["s1:0", "s0:apex"], {"s0:apex": "2/3"}),
+    "susp point": (["s1:0", "s0:south", "s0:north"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd point": (["s0:(0)"], {}),
+    "cone s0": (["s1:1", "s0:apex", "s1:0"], {"s0:apex": "2/3"}),
+    "susp s0": (["s1:1", "s0:north", "s1:0", "s0:south"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd s0": (["s0:(0)", "s0:(1)"], {}),
+    "cone s1_hex": (["s2:0", "s0:apex"], {"s0:apex": "2/3"}),
+    "susp s1_hex": (["s2:0", "s0:south", "s0:north"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd s1_hex": (["s1:(0)"], {}),
+    "cone s2": (["s3:0", "s0:apex"], {"s0:apex": "2/3"}),
+    "susp s2": (["s3:0", "s0:south", "s0:north"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd s2": (["s2:(0)"], {}),
+    "cone susp_s0": (["s2:1", "s1:north", "s1:south", "s2:0", "s0:apex"],
+                     {"s0:apex": "2/3", "s1:north": "1", "s1:south": "1"}),
+    "susp susp_s0": (["s1:north", "s1:south", "s0:south'", "s2:0", "s2:1", "s0:north'"],
+                     {"s0:north'": "1/2", "s0:south'": "3", "s1:north": "1", "s1:south": "1"}),
+    "sd susp_s0": (["s0:(north)", "s1:(0)", "s1:(1)", "s0:(south)"],
+                   {"s0:(north)": "1", "s0:(south)": "1"}),
+    "cone susp_s2": (["s4:0", "s0:apex", "s1:south", "s1:north"],
+                     {"s0:apex": "2/3", "s1:south": "1", "s1:north": "1"}),
+    "susp susp_s2": (["s4:0", "s0:north'", "s1:south", "s1:north", "s0:south'"],
+                     {"s0:north'": "1/2", "s0:south'": "3", "s1:south": "1", "s1:north": "1"}),
+    "sd susp_s2": (["s3:(0)", "s0:(south)", "s0:(north)"],
+                   {"s0:(south)": "1", "s0:(north)": "1"}),
+    "cone susp_t2": (["s4:0", "s1:south", "s1:north", "s0:apex"],
+                     {"s0:apex": "2/3", "s1:south": "1", "s1:north": "1"}),
+    "susp susp_t2": (["s4:0", "s1:south", "s1:north", "s0:south'", "s0:north'"],
+                     {"s0:north'": "1/2", "s0:south'": "3", "s1:south": "1", "s1:north": "1"}),
+    "sd susp_t2": (["s3:(0)", "s0:(south)", "s0:(north)"],
+                   {"s0:(south)": "1", "s0:(north)": "1"}),
+    "cone t2_7": (["s3:0", "s0:apex"], {"s0:apex": "2/3"}),
+    "susp t2_7": (["s3:0", "s0:south", "s0:north"], {"s0:north": "1/2", "s0:south": "3"}),
+    "sd t2_7": (["s2:(0)"], {}),
+}
+
+
+def _strata_and_weights(K):
+    return list(K.strata), {sid: str(w) for sid, w in K.weights.items()}
+
+
+def test_corpus_constructions_leave_the_simplex_index_unbuilt(spaces):
+    """No constructor, `to_document` or `load` reads the simplex index: each
+    result builds it on its first `index`, `level`, `label` or boundary."""
+    for name in corpus.SPACE_NAMES:
+        K = spaces[name]
+        doc = cx.to_document(K)
+        before = json.dumps(doc)
+        rebuilt = [cx.load(json.dumps(doc)), cx.load(doc),
+                   cx.build(name, doc["vertices"], doc["maximal_simplices"],
+                            doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
+        assert json.dumps(doc) == before  # a document passed in is only read
+        for J in rebuilt:
+            assert "_index" not in vars(J), name
+            assert list(J.strata) == _STRATUM_ORDER[name] and J.weights == K.weights, name
+        for ctor, J in (("cone", cx.cone(K, F(2, 3))), ("susp", cx.suspension(K, (F(1, 2), 3))),
+                        ("sd", cx.barycentric_subdivide(K))):
+            assert "_index" not in vars(J), (ctor, name)
+            assert _strata_and_weights(J) == _CONSTRUCTED[f"{ctor} {name}"], (ctor, name)
+
+
+def test_constructions_carry_the_weight_of_a_stratum_led_by_a_lower_vertex():
+    """cone_cone_s1 with its apexes numbered first: the first member of the
+    weighted stratum s1:apex'.apex is the edge (0, 1), whose vertex 0 lies in
+    X_0, so the weight must follow the edge's top vertex (pinned results)."""
+    doc = cx.to_document(corpus.load_space("cone_cone_s1"))
+    order = [7, 6, 0, 1, 2, 3, 4, 5]
+    renumber = {v: i for i, v in enumerate(order)}.__getitem__
+    K = cx.load({**doc, "vertices": [doc["vertices"][v] for v in order],
+                 "maximal_simplices": [list(map(renumber, s)) for s in doc["maximal_simplices"]],
+                 "skeleta": {"0": [[0]], "1": [[0, 1]]},
+                 "weights": {"s1:apex'.apex": "1/2", "s0:apex'": "3"}})
+    assert K.strata["s1:apex'.apex"].simplices[0] == (0, 1)
+    assert _strata_and_weights(cx.cone(K, F(2, 3))) == (
+        ["s4:apex'.apex.0", "s2:apex'.apex", "s0:apex''", "s1:apex'"],
+        {"s0:apex''": "2/3", "s2:apex'.apex": "1/2", "s1:apex'": "3"})
+    assert _strata_and_weights(cx.suspension(K, (5, 7))) == (
+        ["s4:apex'.apex.0", "s2:apex'.apex", "s1:apex'", "s0:north", "s0:south"],
+        {"s0:north": "5", "s0:south": "7", "s2:apex'.apex": "1/2", "s1:apex'": "3"})
+    assert _strata_and_weights(cx.barycentric_subdivide(K)) == (
+        ["s3:(apex').(apex'|apex).(apex'|apex|0)", "s1:(apex').(apex'|apex)", "s0:(apex')"],
+        {"s1:(apex').(apex'|apex)": "1/2", "s0:(apex')": "3"})
+
+
+def test_ladder_constructions_leave_the_simplex_index_unbuilt():
+    built = {"t2": corpus.load_space("t2_7")}
+    for key, ctor, src in _LADDER:
+        K = getattr(cx, ctor)(built[src])
+        built[key] = cx.load(json.dumps(cx.to_document(K)))
+        for J in (K, built[key]):
+            assert "_index" not in vars(J), key
+            assert list(J.strata) == _STRATUM_ORDER[key], key
+            assert J.weights == {s.id: 1 for s in J.singular_strata()}, key
 
 
 def test_corpus_stratum_order_is_pinned(spaces):

@@ -135,10 +135,21 @@ def test_validate_rejects_non_rational_entries(entry):
         hb.validate([1, 1], [[[entry]]])
 
 
+@pytest.mark.parametrize("entry", [True, False, 0.1, 0.5, None, [1], "1/0"])
+def test_validate_rejects_non_rational_column_entries(entry):
+    # read like the dense form: {0: 0.5} would fail later in cohomology_dims,
+    # and {0: True} would be read as 1
+    with pytest.raises(ConstructionError, match="D_1"):
+        hb.validate([1, 1, 1], [[{}], [{0: entry}]])
+
+
 def test_validate_accepts_int_fraction_and_text_entries():
     C = hb.validate([1, 2], [[[2], [F(1, 3)]]])
     D = hb.validate([1, 2], [[["2/1"], ["1/3"]]])
-    assert C.differential(0) == D.differential(0) == [{0: 2, 1: F(1, 3)}]
+    E = hb.validate([1, 2], [[{0: "2", 1: "1/3"}]])
+    Z = hb.validate([1, 2], [[{0: 0, 1: "0/5"}]])
+    assert C.differential(0) == D.differential(0) == E.differential(0) == [{0: 2, 1: F(1, 3)}]
+    assert Z.differential(0) == [{}]
 
 
 def test_cohomology_dims_of_rational_and_non_primitive_differentials(s2):
@@ -213,8 +224,11 @@ def test_projection_and_kodaira_match_sympy_oracle():
     {True: 1},
     {0: 0.25},
     {1: False},
+    "12",
+    b"\x01\x02",
+    range(2),
 ], ids=["float-and-bool", "float", "none", "float-key", "str-key", "bool-key",
-        "float-value", "bool-value"])
+        "float-value", "bool-value", "text-vector", "bytes-vector", "range-vector"])
 def test_kodaira_rejects_non_rational_entries_and_non_int_keys(v):
     C = hb.validate([2, 1], [[[1, 1]]])
     with pytest.raises(ConfigurationError):
@@ -225,4 +239,5 @@ def test_kodaira_reads_text_entries_like_fractions():
     C = hb.validate([2, 1], [[[1, 1]]])
     want = ({0: F(-9, 20), 1: F(9, 20)}, {}, {0: F(11, 20), 1: F(11, 20)})
     assert hb.kodaira_decompose(C, 0, ["1/10", 1]) == want
+    assert hb.kodaira_decompose(C, 0, ("1/10", 1)) == want
     assert hb.kodaira_decompose(C, 0, {0: F(1, 10), 1: "1"}) == want
