@@ -34,9 +34,12 @@ the assembly keeps the closure set through the fullness test and then only
 its iteration order, as a list, for `_stratify`. A complex stores its
 simplices by dimension and each vertex's level and stratum id; the simplex
 index (read by `index`, `level`, `label` and `boundary_matrix`), the
-singular-face profiles, the dropped-face boundaries and the top cofaces are
-derived on first read. No constructor, no `to_document` and no `load` reads
-them.
+singular-face profiles, the dropped-face boundaries, the top cofaces and the
+interior table are derived on first read. No constructor, no `to_document`
+and no `load` reads them. The interior table (`interior`) holds the reduced
+boundaries of the simplices with no singular vertex, which every rank query
+shares: `betti()` and each perversity's `intersection.homology` reduce only
+the simplices near the singular set against a copy of it.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
@@ -140,7 +143,8 @@ class FilteredComplex:
 
     Stored: the simplices by dimension, each vertex's level and stratum id,
     the strata and the weights. The simplex index `_index`, `profile_classes`,
-    `regular` and `top_cofaces` are cached properties, derived on first read.
+    `regular`, `interior` and `top_cofaces` are cached properties, derived on
+    first read.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
@@ -293,10 +297,33 @@ class FilteredComplex:
             rows = set(compress(range(len(of)), map(regular.__getitem__, of)))
         return bnd
 
+    @cached_property
+    def interior(self):
+        """Per degree i, (near, pivots): `near` lists, in order, the indices of
+        the i-simplices with a singular vertex, and `pivots` is the pivot
+        table of the boundary columns of the others, the interior simplices,
+        reduced from the top degree down (`linalg.subcomplex_pivots`).
+
+        An interior simplex has the empty profile, the `()` class of
+        `profile_classes`. All of its faces are interior, it is allowable in
+        every degree for every perversity, and its `regular` column is its
+        `boundary_matrix` column. So the table serves `betti()` and every
+        perversity's `homology()` alike (`linalg.chain_ranks`), and each of
+        them reduces only its allowed near columns against a copy of it.
+        """
+        split, inner = [], []
+        for profiles, of in self.profile_classes:
+            k = profiles.index({}) if {} in profiles else None
+            split.append([j for j, c in enumerate(of) if c != k])
+            inner.append([j for j, c in enumerate(of) if c == k])
+        bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
+        return list(zip(split, linalg.subcomplex_pivots(bnd, inner)))
+
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact."""
         bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
-        ranks = [r for r, _ in linalg.chain_ranks(bnd, [range(len(b)) for b in bnd])] + [0]
+        table = self.interior
+        ranks = [r for r, _ in linalg.chain_ranks(bnd, [near for near, _ in table], table)] + [0]
         return tuple(len(bnd[i]) - ranks[i] - ranks[i + 1] for i in range(self.n + 1))
 
     # ----------------------------------------------------------------- reports
@@ -444,24 +471,16 @@ def _subdivide_raw(vertex_ids, closure, top, chain):
     skeleta, and the new vertex index of each old simplex."""
     new_index = {s: i for i, s in enumerate(sorted(closure))}
     new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in new_index]
+    # the flags ending at each simplex, as sorted tuples, built from those of
+    # its facets, so by size; no recursive closure keeps the table alive
     flags = {}
-
-    def full_chains(simplex):
-        # the flags ending at simplex, as sorted tuples; each face's are built once
-        out = flags.get(simplex)
-        if out is None:
-            i = new_index[simplex]
-            if len(simplex) == 1:
-                out = [(i,)]
-            else:
-                out = [tuple(sorted(f + (i,)))
-                       for face in combinations(simplex, len(simplex) - 1)
-                       for f in full_chains(face)]
-            flags[simplex] = out
-        return out
-
-    new_maximal = sorted(f for s in top for f in full_chains(s))
-    new_chain = {j: [f for s in _maximal_of(level) for f in full_chains(s)]
+    for s in sorted(new_index, key=len):
+        i = new_index[s]
+        flags[s] = ([(i,)] if len(s) == 1 else
+                    [tuple(sorted(f + (i,))) for face in combinations(s, len(s) - 1)
+                     for f in flags[face]])
+    new_maximal = sorted(f for s in top for f in flags[s])
+    new_chain = {j: [f for s in _maximal_of(level) for f in flags[s]]
                  for j, level in chain.items()}
     return new_ids, new_maximal, new_chain, new_index
 
@@ -695,10 +714,13 @@ def barycentric_subdivide(K):
     new_ids, new_maximal, new_chain, flag_vertex = _subdivide_raw(
         K.vertex_ids, K.all_simplices(), K.simplices(K.n),
         {j: K.skeleton(j) for j in range(K.n)})
+    # one barycentre per weighted stratum is read, so the map dies before the assembly
+    weighted = [(flag_vertex[s.simplices[0]], K.weights[s.id])
+                for s in K.singular_strata() if s.id in K.weights]
+    del flag_vertex
     S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_chain)
-    for s in K.singular_strata():
-        if s.id in K.weights:
-            S.weights[S._vertex_label[flag_vertex[s.simplices[0]]]] = K.weights[s.id]
+    for v, w in weighted:
+        S.weights[S._vertex_label[v]] = w
     return S
 
 

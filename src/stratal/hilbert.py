@@ -45,7 +45,10 @@ def _to_columns(matrix, nrows, ncols, where):
         if len(row) != ncols:
             raise ConstructionError(f"{where}: row {r} has length {len(row)}, expected {ncols}")
         for c, entry in enumerate(row):
-            v = parse_rational(entry)
+            try:
+                v = parse_rational(entry)
+            except SpaceFormatError as exc:
+                raise ConstructionError(f"{where}: {exc}") from None
             if v:
                 cols[c][r] = v
     return cols

@@ -15,9 +15,14 @@ simplex with no singular vertex is allowable in every degree. The
 intersection chain space in degree i is the kernel of the non-allowable row
 block of the boundary restricted to allowable columns. Betti numbers need no
 basis: one reduction per degree, from the top degree down with clearing,
-gives both ranks they need (`linalg.chain_ranks`). Explicit bases are built
-only when read, in reduced column echelon form so that subspace comparisons
-are deterministic.
+gives both ranks they need (`linalg.chain_ranks`). The simplices with no
+singular vertex form a subcomplex that is allowable for every perversity,
+so its reduction is derived once per complex on first read
+(`FilteredComplex.interior`) and shared by every perversity and by
+`betti()`; a query tests and reduces only the near simplices, those with a
+singular vertex. Explicit bases are built only when read, in reduced column
+echelon form so that subspace comparisons are deterministic, and the
+allowable indices they use are likewise built on first read.
 """
 
 from functools import cached_property
@@ -63,13 +68,18 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        self.allowable_indices = []
-        for i, (profiles, of) in enumerate(K.profile_classes):
-            # once per profile, met in simplex order, so that a perversity
-            # lacking a stratum fails on the same one as a per-simplex test
-            ok = [prof is not None and (not prof or _allowed(prof, i, K, p))
-                  for prof in profiles]
-            self.allowable_indices.append(list(compress(range(len(of)), map(ok.__getitem__, of))))
+        # per degree, whether each profile class is allowable: decided once
+        # per profile, met in simplex order, so that a perversity lacking a
+        # stratum fails on the same one as a per-simplex test
+        self._ok = [[prof is not None and (not prof or _allowed(prof, i, K, p))
+                     for prof in profiles]
+                    for i, (profiles, _) in enumerate(K.profile_classes)]
+
+    @cached_property
+    def allowable_indices(self):
+        """Per degree, the indices of the allowable simplices, built on first read."""
+        return [list(compress(range(len(of)), map(ok.__getitem__, of)))
+                for ok, (_, of) in zip(self._ok, self.K.profile_classes)]
 
     @cached_property
     def reg(self):
@@ -98,16 +108,22 @@ class StratifiedChainComplex:
         With A_i the allowable columns and B_{i-1} the non-allowable rows,
         IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
         for r_bad = rank ∂_i[B_{i-1}, A_i]. The boundary on IC_i has kernel
-        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad.
+        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad. The
+        interior simplices are allowable for every perversity, so only the
+        near ones are tested here, and their reduced boundaries come from the
+        complex's shared table (`FilteredComplex.interior`).
         """
-        n = self.K.n
-        allow = self.allowable_indices
-        dims = [len(a) for a in allow]
-        ranks = [0] * (n + 2)
-        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(self.K.regular, allow)):
+        K = self.K
+        table = K.interior
+        allow, dims = [], []
+        for ok, (_, of), (near, _) in zip(self._ok, K.profile_classes, table):
+            allow.append([j for j in near if ok[of[j]]])
+            dims.append(len(of) - len(near) + len(allow[-1]))
+        ranks = [0] * (K.n + 2)
+        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(K.regular, allow, table)):
             dims[i] -= r_bad
             ranks[i] = r_all - r_bad
-        return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1))
+        return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
 
 
 def intersection_betti(K, p: Perversity):

@@ -9,9 +9,19 @@ makes them from rational ones, and keeps their entries small) and reduces
 each against the earlier pivot columns at the row that `pivot` picks, until
 its pivot row is new or the column vanishes. A column whose pivot row is new
 at once is stored as given; a column is copied just before its first update,
-so the inputs never change. Where the pivot entry divides the entry being
-eliminated, the pivot column is subtracted in place; otherwise both are
-scaled to a common multiple. With `track` it also carries the column's
+so the inputs never change, and a stored pivot column is never updated
+again. So a pivot table can be shared: `_reduce` may start from a copy of
+one (a dict row -> column) whose columns it only reads. A short working
+column finds its pivot row by a scan; one that fills in past `_HEAP_AFTER`
+entries keeps its rows in a heap (`heapq`, imported only then), pops the
+rows that have left it and pushes each row that a step adds, so a step
+costs the length of the pivot column it subtracts, not of the working
+column (heap-held pivot columns, as in Bauer, Kerber, Reininghaus & Wagner,
+*PHAT*, J. Symb. Comput. 2017). The heap changes how the pivot row is
+found, never which row, so every caller does the same column operations
+either way. Where the pivot entry divides the entry being eliminated, the
+pivot column is subtracted in place; otherwise both are scaled to a common
+multiple. With `track` it also carries the column's
 combination of the inputs, so the columns that vanish give the kernel.
 Everything else derives from its pivot table (pivot row -> column), its
 combinations and its zero combinations:
@@ -29,7 +39,10 @@ combinations and its zero combinations:
   2011). When some row is not allowed, the non-allowable rows are shifted
   below the allowed rows, which keep their indices, so the pivots that fall
   in them count the rank of that row block too; a column that meets none of
-  them enters as it is.
+  them enters as it is. Given a table from `subcomplex_pivots`, each degree
+  starts from a copy of the pivot table of a subcomplex whose rows every
+  caller allows, reduced once per complex, and reduces only the other
+  columns.
 - `rcef` pivots on the topmost row (`min`), because its canonical form is
   keyed by each column's topmost entry. It divides each pivot column by its
   pivot entry and back-substitutes in Fractions.
@@ -40,10 +53,19 @@ combinations and its zero combinations:
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 # Entries larger than this trigger a gcd renormalization during elimination.
 _GROWTH_LIMIT = 1 << 128
+# A working column longer than this finds its pivot row through a heap. A
+# boundary column has at most n + 1 entries and most reduce in a few steps,
+# where a C-level `max` over the column is cheaper than keeping a heap; a
+# column that fills in (a fundamental cycle grows to hundreds of entries)
+# would otherwise be scanned whole on every step. On the perfbench ih-ladder
+# queries any cutoff from 32 to 512 takes the same time; at 16 columns of
+# 17-24 entries pay for heaps they do not need.
+_HEAP_AFTER = 128
 
 
 def col_primitive(col):
@@ -101,14 +123,43 @@ def _shrink(col, combo):
     return col, combo
 
 
-def _reduce(cols, track=False, pivot=max):
+def _heap_of(col, pivot):
+    """(find, add) for a working column that has filled in: find(col) is
+    pivot(col), read off a heap that holds every row of col, and add(pcol)
+    pushes the rows of a column that a step subtracted. A row that has left
+    the column, or is held twice, is popped when it reaches the top."""
+    from heapq import heapify, heappop, heappush
+
+    # heap keys put the pivot row first: negated rows for max
+    sign = -1 if pivot is max else 1
+    heap = [sign * r for r in col]
+    heapify(heap)
+
+    def find(col):
+        while sign * heap[0] not in col:
+            heappop(heap)
+        return sign * heap[0]
+
+    def add(pcol):
+        for r in pcol:
+            heappush(heap, sign * r)
+
+    return find, add
+
+
+def _reduce(cols, track=False, pivot=max, pivots=None):
     """Fraction-free column reduction of `cols`, a list of integer columns
     with no stored zero.
 
     Returns (pivots, zeros). `pivots` maps each pivot row to its reduced
-    integer column, whose `pivot` row is that row. A column whose pivot row
-    is new at once is stored as the input itself; any other is copied before
-    its first update, so the inputs never change. Pivot columns span the
+    integer column, whose `pivot` row (`max`, the lowest, or `min`, the
+    topmost) is that row. A column whose pivot row is new at once is stored
+    as the input itself; any other is copied before its first update, so the
+    inputs never change, and no stored column is updated afterwards. Given
+    `pivots`, a table of columns reduced the same way, the columns are
+    reduced against it and their pivots are added to it in place; its
+    columns are only read, so a caller passes a copy of a shared table (and
+    no `track`, which has no combinations for them). Pivot columns span the
     input columns. With `track`, each pivot column's combination of the
     inputs is kept beside it, and `zeros` lists, in column order, a
     combination of the input columns equal to zero for each column that
@@ -116,14 +167,16 @@ def _reduce(cols, track=False, pivot=max):
     twice in `cols` is stored once, so it counts once toward the pivots but
     leaves no zero combination: `track` callers pass fresh columns.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     combos = {}
     zeros = []
     for j, raw in enumerate(cols):
         col = raw
         combo = {j: 1} if track else None
+        find, add = pivot, None
         while col:
-            row = pivot(col)
+            row = find(col)
             pcol = pivots.setdefault(row, col)
             if pcol is col:
                 if track:
@@ -144,6 +197,10 @@ def _reduce(cols, track=False, pivot=max):
                 _subtract(col, q, pcol)
                 if track:
                     _subtract(combo, q, combos[row])
+            if add is not None:
+                add(pcol)
+            elif len(col) > _HEAP_AFTER:
+                find, add = _heap_of(col, pivot)
         else:
             if track:
                 zeros.append(combo)
@@ -155,7 +212,7 @@ def rank(cols):
     return len(_reduce(list(map(col_primitive, cols)))[0])
 
 
-def chain_ranks(bnd, allow):
+def chain_ranks(bnd, allow, table=None):
     """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact.
 
     `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
@@ -174,23 +231,48 @@ def chain_ranks(bnd, allow):
     it is an allowable boundary; putting it in place of column j of ∂_i is
     an invertible change of columns whose image is zero, so column j is
     skipped.
+
+    `table[i]`, when given, is (near, pivots): the sorted columns of ∂_i
+    outside a subcomplex, and the subcomplex's pivot table from
+    `subcomplex_pivots`. Then A_i and B_i lie in near, `allow[i]` lists A_i,
+    and B_i is the rest of near. A subcomplex column meets only subcomplex rows, which
+    are always allowed, so each degree starts from a copy of its pivot table
+    and reduces only A_i. The ranks do not depend on column order, and
+    skipping fewer cleared columns changes no rank, so clearing uses only the
+    new pivots.
     """
     out = [(0, 0)] * len(bnd)
-    cleared = set()
+    cleared = ()
     for i in range(len(bnd) - 1, 0, -1):
         top = len(bnd[i - 1])
         cols = [bnd[i][j] for j in allow[i] if j not in cleared]
-        if len(allow[i - 1]) < top:
-            moved = list(range(top))
-            shift = set(moved).difference(allow[i - 1])
-            for r in shift:
-                moved[r] += top
+        rows = table[i - 1][0] if table else range(top)
+        if len(allow[i - 1]) < len(rows):
+            shift = set(rows).difference(allow[i - 1])
             cols = [col if shift.isdisjoint(col)
-                    else dict(zip(map(moved.__getitem__, col), col.values()))
+                    else {r + top if r in shift else r: v for r, v in col.items()}
                     for col in cols]
-        pivots = _reduce(cols)[0]
-        cleared = {row for row in pivots if row < top}
-        out[i] = (len(pivots), len(pivots) - len(cleared))
+        pivots = dict(table[i][1]) if table and table[i][1] else {}
+        start = len(pivots)
+        _reduce(cols, pivots=pivots)
+        # a dict keeps insertion order, so the new pivots follow the copied ones
+        cleared = {row for row in islice(pivots, start, None) if row < top}
+        out[i] = (len(pivots), len(pivots) - start - len(cleared))
+    return out
+
+
+def subcomplex_pivots(bnd, inner):
+    """Per degree i, the pivot table of the columns `inner[i]` of ∂_i, as
+    `_reduce` gives it, reduced from the top degree down with clearing.
+
+    The columns must form a subcomplex: column j of `inner[i]` meets only
+    rows in `inner[i - 1]`. Every pivot row is then a row of the subcomplex,
+    so the pivots of ∂_{i+1} clear their rows in ∂_i (see `chain_ranks`).
+    """
+    out = [{}] * len(bnd)
+    cleared = ()
+    for i in range(len(bnd) - 1, 0, -1):
+        out[i] = cleared = _reduce([bnd[i][j] for j in inner[i] if j not in cleared])[0]
     return out
 
 

@@ -1,6 +1,7 @@
 """Complex loading, validation, constructors, subdivision, orientation."""
 
 import functools
+import gc
 import json
 import weakref
 from fractions import Fraction as F
@@ -259,6 +260,22 @@ def test_subdivision_examples(t2, s1):
     assert len(singular) == 1
     assert singular[0].link_dim == 1
     assert sd.weights[singular[0].id] == F(1, 2)
+
+
+def test_subdivision_leaves_no_cyclic_garbage(susp_t2):
+    """The flag table of a subdivision is freed by reference counting: with
+    the face getters cached by a first run, the cyclic collector finds
+    nothing after the second."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cx.barycentric_subdivide(susp_t2)
+        gc.collect()
+        cx.barycentric_subdivide(susp_t2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_subdivision_preserves_betti_and_strata(spaces):

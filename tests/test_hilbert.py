@@ -8,7 +8,7 @@ from sympy import Matrix, Rational
 
 from stratal import hilbert as hb
 from stratal import linalg
-from stratal.errors import ConfigurationError, ConstructionError, SpaceFormatError
+from stratal.errors import ConfigurationError, ConstructionError
 
 
 def _cochain_complex(K):
@@ -130,8 +130,9 @@ def test_random_complexes_properties():
 @pytest.mark.parametrize("entry", [True, False, 0.1, 1.0, None, [1]])
 def test_validate_rejects_non_rational_entries(entry):
     # a bool or float is never read as a number: Fraction(0.1) is a binary
-    # approximation, not one tenth
-    with pytest.raises(SpaceFormatError):
+    # approximation, not one tenth; the error names the differential, as
+    # for column dicts
+    with pytest.raises(ConstructionError, match="D_0"):
         hb.validate([1, 1], [[[entry]]])
 
 

@@ -316,6 +316,44 @@ def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
         assert K.regular == dropped, K.name
 
 
+def _plain_betti(K, p=None):
+    """IH (or, for p None, plain) Betti numbers through `linalg.chain_ranks`
+    without the shared interior table: every allowed column reduced."""
+    if p is None:
+        bnd = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        allow = [range(len(b)) for b in bnd]
+    else:
+        bnd, allow = K.regular, ix.StratifiedChainComplex(K, p).allowable_indices
+    dims = [len(a) for a in allow]
+    ranks = [0] * (K.n + 2)
+    for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(bnd, allow)):
+        dims[i] -= r_bad
+        ranks[i] = r_all - r_bad
+    return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
+
+
+def test_shared_interior_table_matches_the_plain_path(spaces, ih_ladder):
+    """Named and seeded by-codim perversities and `betti()`, asked in two
+    orders of two fresh copies of each space, give what the plain path
+    gives, and leave the complex's interior table as it was built."""
+    rng = random.Random(16)
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        queries = [p for _, p in _named_perversities(K.n)]
+        for _ in range(2):
+            queries.append(pv.Perversity(pv.BY_CODIM, {k: rng.randint(-1, k - 1)
+                                                       for k in range(1, K.n + 1)}))
+        queries.append(None)
+        want = [_plain_betti(K, p) for p in queries]
+        for order in (queries, queries[::-1]):
+            fresh = cx.load(cx.to_document(K))
+            table = copy.deepcopy(fresh.interior)
+            got = [fresh.betti() if p is None else ix.intersection_betti(fresh, p)
+                   for p in order]
+            assert got == [want[queries.index(p)] for p in order], K.name
+            assert fresh.interior == table, K.name
+
+
 def test_dd_zero_on_r0_chains(susp_t2):
     lower, _ = pv.middle_perversities(3)
     chains = ix.StratifiedChainComplex(susp_t2, lower)

@@ -493,6 +493,123 @@ def _kodaira_digest():
     return _digest(parts)
 
 
+def _scan_reduce(cols, track=False, pivot=max, pivots=None):
+    """`linalg._reduce` with every pivot row found by a scan of the whole
+    working column (`max` or `min`): the reference for its heap."""
+    pivots = {} if pivots is None else pivots
+    combos, zeros = {}, []
+    for j, raw in enumerate(cols):
+        col, combo = raw, ({j: 1} if track else None)
+        while col:
+            row = pivot(col)
+            pcol = pivots.setdefault(row, col)
+            if pcol is col:
+                if track:
+                    combos[row] = combo
+                break
+            a, b = pcol[row], col[row]
+            q, rem = divmod(b, a)
+            if rem:
+                col = linalg._combine(col, a, pcol, b)
+                if track:
+                    combo = linalg._combine(combo, a, combos[row], b)
+                col, combo = linalg._shrink(col, combo)
+            else:
+                if col is raw:
+                    col = dict(raw)
+                linalg._subtract(col, q, pcol)
+                if track:
+                    linalg._subtract(combo, q, combos[row])
+        else:
+            if track:
+                zeros.append(combo)
+    return pivots, zeros
+
+
+def _ordered(result):
+    """A `_reduce` result with every dict as its item list, so that equal
+    means the same entries in the same order."""
+    pivots, zeros = result
+    return [(r, list(c.items())) for r, c in pivots.items()], [list(z.items()) for z in zeros]
+
+
+def _outputs(cols):
+    """rank, kernel and rcef of `cols`, every dict as its item list."""
+    return (linalg.rank(cols), [list(c.items()) for c in linalg.kernel(cols)],
+            [list(c.items()) for c in linalg.rcef(cols)])
+
+
+def _same_as_scan(cols, monkeypatch):
+    """`_reduce` in both pivot modes, with and without `track`, and rank,
+    kernel and rcef give exactly what the scan reference gives."""
+    for pivot in (max, min):
+        for track in (False, True):
+            assert (_ordered(linalg._reduce(cols, track, pivot))
+                    == _ordered(_scan_reduce(cols, track, pivot))), (pivot, track)
+    got = _outputs(cols)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_reduce", _scan_reduce)
+        assert got == _outputs(cols)
+
+
+def _count_heaps(monkeypatch):
+    built = []
+    heap_of = linalg._heap_of
+
+    def spy(col, pivot):
+        built.append(len(col))
+        return heap_of(col, pivot)
+
+    monkeypatch.setattr(linalg, "_heap_of", spy)
+    return built
+
+
+def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, monkeypatch):
+    """The columns that `chain_ranks` reduces for the zero perversity on
+    cone(sd(susp t2)): in degree 4 the base's fundamental cycle fills in to
+    672 entries, past `_HEAP_AFTER`, and finds its pivots through a heap."""
+    K = ih_ladder["cone(sd(susp t2))"]
+    allow = StratifiedChainComplex(K, pv.zero_perversity(K.n)).allowable_indices
+    seen = []
+    with monkeypatch.context() as m:
+        reduce = linalg._reduce
+        m.setattr(linalg, "_reduce", lambda cols, *a, **kw: seen.append(cols) or reduce(cols, *a, **kw))
+        linalg.chain_ranks(K.regular, allow)
+    assert max(len(c) for c in linalg._reduce(seen[0])[0].values()) == 672
+    built = _count_heaps(monkeypatch)
+    for cols in seen:
+        _same_as_scan(cols, monkeypatch)
+    assert built
+
+
+@pytest.mark.parametrize("cutoff", [0, 3, linalg._HEAP_AFTER])
+def test_heap_pivots_match_a_scan_on_a_dense_matrix(cutoff, monkeypatch):
+    """A seeded dense integer matrix, with the cutoff also lowered so that
+    nearly every working column goes through the heap in both pivot modes."""
+    rng = random.Random(16)
+    cols = _random_cols(rng, 24, 30, density=0.8, lo=-4, hi=4)
+    monkeypatch.setattr(linalg, "_HEAP_AFTER", cutoff)
+    built = _count_heaps(monkeypatch)
+    _same_as_scan(cols, monkeypatch)
+    assert bool(built) == (cutoff < 24)
+
+
+def test_chain_ranks_from_a_shared_table_leaves_it_unchanged(s2):
+    """The tetrahedron boundary with the triangle 012 and its faces as the
+    subcomplex: its pivot table is copied per call, never updated, and the
+    ranks equal those of the plain path for every allowed set."""
+    bnd = [s2.boundary_matrix(i) for i in range(3)]
+    inner = [[0, 1, 2], [0, 1, 3], [0]]
+    table = list(zip([[3], [2, 4, 5], [1, 2, 3]], linalg.subcomplex_pivots(bnd, inner)))
+    before = copy.deepcopy(table)
+    rng = random.Random(3)
+    for _ in range(20):
+        near = [sorted(rng.sample(rows, rng.randint(0, len(rows)))) for rows, _ in table]
+        allow = [sorted(a + b) for a, b in zip(inner, near)]
+        assert linalg.chain_ranks(bnd, near, table) == linalg.chain_ranks(bnd, allow), near
+    assert table == before
+
+
 # sha256 of the sorted-items bases of StratifiedChainComplex(K, p) over the
 # named perversities of every corpus space, and of the Kodaira parts of 25
 # seeded random complexes. Both are canonical (rcef bases, orthogonal
