@@ -40,8 +40,7 @@ def _load_space(spec, corpus_dir=None):
     path = Path(spec)
     if path.exists():
         return load(path)
-    base = Path(corpus_dir) if corpus_dir else corpus_mod.corpus_dir()
-    if (base / f"{spec}.json").exists():
+    if (corpus_mod.corpus_dir(corpus_dir) / f"{spec}.json").exists():
         return corpus_mod.load_space(spec, corpus_dir)
     raise StratalError(f"space {spec!r} is neither a file nor a corpus name")
 

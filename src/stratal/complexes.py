@@ -53,9 +53,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
-from .errors import ConfigurationError, SpaceFormatError, StructureError
+from .errors import SpaceFormatError, StructureError
 from .perversity import weights_to_json
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_weight
 
 
 class Stratum:
@@ -686,10 +686,7 @@ def cone(K, weight=Fraction(1)):
     `weight`; every stratum of K turns into its coned stratum (same
     codimension, weight inherited); base simplices land in the coned strata.
     """
-    weight = Fraction(weight)
-    if weight <= 0:
-        raise ConfigurationError("cone weight must be positive")
-    return _join(K, "cone", ["apex"], [weight])
+    return _join(K, "cone", ["apex"], [parse_weight(weight, "cone weight")])
 
 
 def suspension(K, weights=(Fraction(1), Fraction(1))):
@@ -698,9 +695,7 @@ def suspension(K, weights=(Fraction(1), Fraction(1))):
     Each stratum Y of K yields one suspended stratum holding the base copy and
     both open cone directions; the result is compact without boundary when K is.
     """
-    w_north, w_south = (Fraction(w) for w in weights)
-    if w_north <= 0 or w_south <= 0:
-        raise ConfigurationError("suspension weights must be positive")
+    w_north, w_south = (parse_weight(w, "suspension weights") for w in weights)
     return _join(K, "susp", ["north", "south"], [w_north, w_south])
 
 

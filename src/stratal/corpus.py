@@ -72,7 +72,10 @@ def generate_space(name):
     return _BUILDERS[name]()
 
 
-def corpus_dir() -> Path:
+def corpus_dir(directory=None) -> Path:
+    """`directory` when given, else STRATAL_CORPUS_DIR, else the bundled data."""
+    if directory:
+        return Path(directory)
     override = os.environ.get("STRATAL_CORPUS_DIR")
     if override:
         return Path(override)
@@ -81,7 +84,7 @@ def corpus_dir() -> Path:
 
 def write_corpus(target=None):
     """Regenerate all bundled space files; byte-stable across runs."""
-    target = Path(target) if target else corpus_dir()
+    target = corpus_dir(target)
     target.mkdir(parents=True, exist_ok=True)
     written = []
     for name in SPACE_NAMES:
@@ -93,7 +96,7 @@ def write_corpus(target=None):
 
 
 def load_space(name, directory=None):
-    directory = Path(directory) if directory else corpus_dir()
+    directory = corpus_dir(directory)
     path = directory / f"{name}.json"
     if not path.exists():
         raise SpaceFormatError(f"corpus space {name!r} not found under {directory}")
@@ -101,7 +104,7 @@ def load_space(name, directory=None):
 
 
 def load_corpus(directory=None):
-    directory = Path(directory) if directory else corpus_dir()
+    directory = corpus_dir(directory)
     spaces = {}
     for path in sorted(directory.glob("*.json")):
         K = load(path)

@@ -92,8 +92,6 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                              for col in mat])
             except SpaceFormatError as exc:
                 raise ConstructionError(f"D_{i}: {exc}") from None
-        elif mat == [] and dims[i + 1] == 0:
-            cols.append([{} for _ in range(dims[i])])
         else:
             cols.append(_to_columns(mat, dims[i + 1], dims[i], f"D_{i}"))
     for i in range(len(cols) - 1):
@@ -112,45 +110,24 @@ def cohomology_dims(C: FiniteHilbertComplex):
     # reversed, the cochain complex is a chain complex: D_i is ∂_{n-1-i}
     bnd = [list(map(linalg.col_primitive, C.differential(n - 1 - k))) for k in range(n)]
     ranks = [r for r, _ in reversed(linalg.chain_ranks(bnd, [range(len(b)) for b in bnd]))]
-    out = []
-    for i in range(n):
-        below = ranks[i - 1] if i > 0 else 0
-        out.append(C.dims[i] - ranks[i] - below)
-    return tuple(out)
+    return tuple(d - r - below for d, r, below in zip(C.dims, ranks, [0, *ranks]))
 
 
 def harmonic_dims(C: FiniteHilbertComplex):
     """dim (ker D_i ∩ ker D_{i-1}^T); equals cohomology_dims in every degree."""
-    n = len(C.dims)
-    out = []
-    for i in range(n):
-        down = C.differential(i)
-        up_t = (
-            linalg.transpose_cols(C.differential(i - 1), C.dims[i]) if i > 0
-            else [{} for _ in range(C.dims[i])]
-        )
-        stacked = linalg.stack_cols(down, up_t, C.dims[i + 1] if i + 1 < n else 0)
-        out.append(C.dims[i] - linalg.rank(stacked))
-    return tuple(out)
+    return tuple(d - linalg.rank(_stacked(C, i)) for i, d in enumerate(C.dims))
+
+
+def _stacked(C, i):
+    """Columns of [D_i ; D_{i-1}^T]; D_{-1} and D_{n-1} are zero maps."""
+    up_t = linalg.transpose_cols(C.differential(i - 1), C.dims[i])
+    return linalg.stack_cols(C.differential(i), up_t, C.diff_rows(i))
 
 
 def laplacian_cols(C: FiniteHilbertComplex, i: int):
     """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T."""
-    d_i = C.differential(i)
-    d_it = linalg.transpose_cols(d_i, C.diff_rows(i))
-    term1 = linalg.combine_columns(d_it, d_i)
-    if i > 0:
-        d_prev = C.differential(i - 1)
-        d_prev_t = linalg.transpose_cols(d_prev, C.dims[i])
-        term2 = linalg.combine_columns(d_prev, d_prev_t)
-    else:
-        term2 = [{} for _ in range(C.dims[i])]
-    out = []
-    for a, b in zip(term1, term2):
-        col = dict(a)
-        linalg._subtract(col, -1, b)
-        out.append(col)
-    return out
+    d_it = linalg.transpose_cols(C.differential(i), C.diff_rows(i))
+    return linalg.combine_columns(d_it + C.differential(i - 1), _stacked(C, i))
 
 
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
@@ -184,10 +161,9 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
         raise ConfigurationError(f"vector entry: {exc}") from None
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
-    exact_span = C.differential(i - 1) if i > 0 else []
-    coexact_span = linalg.transpose_cols(C.differential(i), C.diff_rows(i))
-    exact = linalg.project_onto_span(vec, exact_span) if exact_span else {}
-    coexact = linalg.project_onto_span(vec, coexact_span) if coexact_span else {}
+    exact = linalg.project_onto_span(vec, C.differential(i - 1))
+    coexact = linalg.project_onto_span(
+        vec, linalg.transpose_cols(C.differential(i), C.diff_rows(i)))
     # v - e/de - c/dc over the one denominator m·de·dc
     (w, m), (e, de), (c, dc) = map(linalg._over, (vec, exact, coexact))
     harmonic = {r: x * de * dc for r, x in w.items()}

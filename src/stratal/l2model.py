@@ -7,13 +7,19 @@ simplicial intersection engine via the weight perversity p_g and its dual.
 Cutoff comparisons are exact rational comparisons against integer degrees.
 """
 
-from fractions import Fraction
-
 from .complexes import cone
 from .errors import ConfigurationError
 from .intersection import intersection_betti
-from .perversity import Frozen, Record, cone_cutoff, dual, perversity_to_json, weight_perversity
-from .rationals import format_rational
+from .perversity import (
+    Frozen,
+    Record,
+    _gm_growth,
+    cone_cutoff,
+    dual,
+    perversity_to_json,
+    weight_perversity,
+)
+from .rationals import format_rational, parse_weight
 
 
 class ClosedManifold(Frozen):
@@ -38,9 +44,7 @@ class Cone(Frozen):
     __slots__ = __match_args__ = ("c", "link")
 
     def __init__(self, c, link):
-        c = Fraction(c)
-        if c <= 0:
-            raise ConfigurationError("cone weight must be positive")
+        c = parse_weight(c, "cone weight")
         if isinstance(link, Cylinder):
             raise ConfigurationError("the link of a cone must be compact-flavored")
         if not isinstance(link, (ClosedManifold, Cone)):
@@ -55,15 +59,6 @@ class Cylinder(Frozen):
         if not isinstance(base, (ClosedManifold, Cone, Cylinder)):
             raise ConfigurationError(f"malformed cylinder base: {base!r}")
         self._set(base)
-
-
-def expr_dim(expr) -> int:
-    if isinstance(expr, ClosedManifold):
-        return expr.dim
-    if isinstance(expr, (Cone, Cylinder)):
-        inner = expr.link if isinstance(expr, Cone) else expr.base
-        return expr_dim(inner) + 1
-    raise ConfigurationError(f"not a space expression: {expr!r}")
 
 
 class L2Report(Record):
@@ -101,16 +96,14 @@ def cone_max_cohomology(link_betti, f: int, c):
     Disconnected links enter through the total betti vector of the disjoint
     union; the truncation acts componentwise on that sum.
     """
-    c = Fraction(c)
-    if c <= 0:
-        raise ConfigurationError("cone weight must be positive")
+    c = parse_weight(c, "cone weight")
     link = ClosedManifold(link_betti, f)
     cutoff = cone_cutoff(f, c)
     return tuple(b if i < cutoff else 0 for i, b in enumerate(link.betti + (0,)))
 
 
 def cone_report(link_betti, f: int, c) -> L2Report:
-    c = Fraction(c)
+    c = parse_weight(c, "cone weight")
     return L2Report(
         max_betti=cone_max_cohomology(link_betti, f, c),
         cutoff=cone_cutoff(f, c),
@@ -128,8 +121,9 @@ def eval_max(expr):
     if isinstance(expr, ClosedManifold):
         return expr.betti
     if isinstance(expr, Cone):
+        # the vector of a space of dimension f has f + 1 entries
         link = eval_max(expr.link)
-        return cone_max_cohomology(link, expr_dim(expr.link), expr.c)
+        return cone_max_cohomology(link, len(link) - 1, expr.c)
     if isinstance(expr, Cylinder):
         return cylinder_max_cohomology(eval_max(expr.base))
     raise ConfigurationError(f"not a space expression: {expr!r}")
@@ -137,18 +131,16 @@ def eval_max(expr):
 
 def _is_classical(p, K):
     """Whether the per-stratum p is a classical Goresky-MacPherson
-    perversity on K's strata: one value per codimension, no codimension-one
-    stratum, 0 at codimension 2, and between consecutive codimensions that
-    carry a value (codimension 2 always does) a rise of at least 0 and at
-    most the codimension gap, so the growth rule can fill the gaps."""
-    anchors = {2: 0}
+    perversity on K's strata: no codimension-one stratum, one value per
+    codimension, and those values pass `perversity._gm_growth`, the rule that
+    `is_gm_perversity` applies too; codimensions without a stratum are the
+    gaps it lets a GM perversity fill."""
+    by_codim = {}
     for s in K.singular_strata():
         v = p.values[s.id]
-        if s.codim == 1 or anchors.setdefault(s.codim, v) != v:
+        if s.codim == 1 or by_codim.setdefault(s.codim, v) != v:
             return False
-    anchored = sorted(anchors.items())
-    return all(0 <= v2 - v1 <= k2 - k1
-               for (k1, v1), (k2, v2) in zip(anchored, anchored[1:]))
+    return _gm_growth(by_codim)
 
 
 def theorem_predictions(K):
@@ -195,13 +187,12 @@ def local_model_check(K_link, c):
     weight perversity of its full stratum set, and computes the dual-side
     intersection cohomology. The report lists both vectors degreewise.
     """
-    c = Fraction(c)
+    c = parse_weight(c, "cone weight")
     if K_link.singular_strata():
         link_max = theorem_predictions(K_link)["max_betti"]
     else:
         link_max = list(K_link.betti())
-    f = K_link.n
-    analytic = cone_max_cohomology(link_max, f, c)
+    analytic = cone_report(link_max, K_link.n, c)
     C = cone(K_link, c)
     p_g = weight_perversity(C)
     q_g = dual(p_g, C)
@@ -209,9 +200,9 @@ def local_model_check(K_link, c):
     return {
         "link": K_link.name,
         "weight": format_rational(c),
-        "cutoff": format_rational(cone_cutoff(f, c)),
-        "hypothesis_used": _cutoff_hypothesis(f, c),
-        "analytic": list(analytic),
+        "cutoff": format_rational(analytic.cutoff),
+        "hypothesis_used": analytic.hypothesis_used,
+        "analytic": list(analytic.max_betti),
         "simplicial": list(simplicial),
-        "pass": list(analytic) == list(simplicial),
+        "pass": list(analytic.max_betti) == list(simplicial),
     }

@@ -6,13 +6,13 @@ values are ints or Fractions; zeros are never stored.
 All elimination goes through one fraction-free integer column reduction,
 `_reduce`. It takes integer columns with no stored zero (`col_primitive`
 makes them from rational ones, and keeps their entries small) and reduces
-each against the earlier pivot columns at the row that `pivot` picks, until
-its pivot row is new or the column vanishes. A column whose pivot row is new
+each against the earlier pivot columns at its lowest row, until that row is
+a new pivot row or the column vanishes. A column whose pivot row is new
 at once is stored as given; a column is copied just before its first update,
 so the inputs never change, and a stored pivot column is never updated
 again. So a pivot table can be shared: `_reduce` may start from a copy of
 one (a dict row -> column) whose columns it only reads. A short working
-column finds its pivot row by a scan; one that fills in past `_HEAP_AFTER`
+column finds its lowest row by a scan; one that fills in past `_HEAP_AFTER`
 entries keeps its rows in a heap (`heapq`, imported only then), pops the
 rows that have left it and pushes each row that a step adds, so a step
 costs the length of the pivot column it subtracts, not of the working
@@ -27,9 +27,9 @@ Everything else derives from its pivot table (pivot row -> column), its
 combinations and its zero combinations:
 
 - `rank` counts the pivots and `kernel` normalizes the zero combinations,
-  taking them from the primitive columns back to its own inputs. Both
-  pivot on the lowest row (`max`); on the boundaries of sd(susp(susp t2))
-  that makes `rank` about three times faster than the topmost row does.
+  taking them from the primitive columns back to its own inputs. Pivoting
+  on the lowest row makes `rank` on the boundaries of sd(susp(susp t2))
+  about three times faster than pivoting on the topmost row does.
 - `chain_ranks` takes what `_reduce` takes, integer columns with no stored
   zero, so a simplicial boundary enters as it is; a caller with rational
   entries maps `col_primitive` over its columns first. It reduces each
@@ -43,9 +43,13 @@ combinations and its zero combinations:
   starts from a copy of the pivot table of a subcomplex whose rows every
   caller allows, reduced once per complex, and reduces only the other
   columns.
-- `rcef` pivots on the topmost row (`min`), because its canonical form is
-  keyed by each column's topmost entry. It divides each pivot column by its
-  pivot entry and back-substitutes in Fractions.
+- `rcef` needs the topmost row of each column as its pivot, because its
+  canonical form is keyed by each column's topmost entry. It reflects the
+  rows (row r becomes -r), so the lowest row of a reflected column is the
+  topmost row of the column, reduces the reflected columns and reflects the
+  pivot table back: the same column operations as a reduction on the
+  topmost row. It divides each pivot column by its pivot entry and
+  back-substitutes in Fractions.
 - `project_onto_span` solves the normal equations of the pivot columns B
   over the integers: v scaled by the lcm m of its denominators is the
   integer w, and the single zero combination (x, t) of [BᵀB | Bᵀw] gives
@@ -123,37 +127,36 @@ def _shrink(col, combo):
     return col, combo
 
 
-def _heap_of(col, pivot):
+def _heap_of(col):
     """(find, add) for a working column that has filled in: find(col) is
-    pivot(col), read off a heap that holds every row of col, and add(pcol)
+    max(col), read off a heap of the negated rows of col, and add(pcol)
     pushes the rows of a column that a step subtracted. A row that has left
     the column, or is held twice, is popped when it reaches the top."""
     from heapq import heapify, heappop, heappush
 
-    # heap keys put the pivot row first: negated rows for max
-    sign = -1 if pivot is max else 1
-    heap = [sign * r for r in col]
+    heap = [-r for r in col]
     heapify(heap)
 
     def find(col):
-        while sign * heap[0] not in col:
+        while -heap[0] not in col:
             heappop(heap)
-        return sign * heap[0]
+        return -heap[0]
 
     def add(pcol):
         for r in pcol:
-            heappush(heap, sign * r)
+            heappush(heap, -r)
 
     return find, add
 
 
-def _reduce(cols, track=False, pivot=max, pivots=None):
+def _reduce(cols, track=False, pivots=None):
     """Fraction-free column reduction of `cols`, a list of integer columns
     with no stored zero.
 
     Returns (pivots, zeros). `pivots` maps each pivot row to its reduced
-    integer column, whose `pivot` row (`max`, the lowest, or `min`, the
-    topmost) is that row. A column whose pivot row is new at once is stored
+    integer column, whose lowest row (largest index) is that row; a caller
+    that needs each column's topmost row as its pivot reflects the rows
+    first, as `rcef` does. A column whose pivot row is new at once is stored
     as the input itself; any other is copied before its first update, so the
     inputs never change, and no stored column is updated afterwards. Given
     `pivots`, a table of columns reduced the same way, the columns are
@@ -174,7 +177,7 @@ def _reduce(cols, track=False, pivot=max, pivots=None):
     for j, raw in enumerate(cols):
         col = raw
         combo = {j: 1} if track else None
-        find, add = pivot, None
+        find, add = max, None
         while col:
             row = find(col)
             pcol = pivots.setdefault(row, col)
@@ -200,7 +203,7 @@ def _reduce(cols, track=False, pivot=max, pivots=None):
             if add is not None:
                 add(pcol)
             elif len(col) > _HEAP_AFTER:
-                find, add = _heap_of(col, pivot)
+                find, add = _heap_of(col)
         else:
             if track:
                 zeros.append(combo)
@@ -307,9 +310,11 @@ def rcef(cols):
     (topmost nonzero entry), pivot entries 1, pivot rows cleared from every
     other column. Two inputs span the same subspace iff their rcef is equal.
     """
+    # the lowest row of a reflected column (row r read as -r) is its topmost
+    reflected = [{-r: v for r, v in col.items()} for col in map(col_primitive, cols)]
     basis = {
-        top: {r: Fraction(v, col[top]) for r, v in col.items()}
-        for top, col in _reduce(list(map(col_primitive, cols)), pivot=min)[0].items()
+        -low: {-r: Fraction(v, col[low]) for r, v in col.items()}
+        for low, col in _reduce(reflected)[0].items()
     }
     for top in sorted(basis, reverse=True):
         col = basis[top]

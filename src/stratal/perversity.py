@@ -15,7 +15,7 @@ resulting perversities.
 from fractions import Fraction
 
 from .errors import ConfigurationError, RealizabilityError
-from .rationals import format_rational
+from .rationals import format_rational, parse_weight
 
 BY_CODIM = "by-codim"
 PER_STRATUM = "per-stratum"
@@ -203,9 +203,7 @@ def perversity_from_weights(strata, weights) -> Perversity:
     for sid, l in strata:
         if sid not in weights:
             raise ConfigurationError(f"stratum {sid!r} has no weight")
-        c = Fraction(weights[sid])
-        if c <= 0:
-            raise ConfigurationError(f"weight for stratum {sid!r} must be positive")
+        c = parse_weight(weights[sid], f"weight for stratum {sid!r}")
         out[sid] = 0 if l == 0 else bracket(cone_cutoff(l, c))
     return Perversity(PER_STRATUM, out)
 
@@ -251,26 +249,29 @@ def weights_from_perversity(p: Perversity, strata):
     return out
 
 
-def is_gm_perversity(p: Perversity) -> bool:
-    """True iff p is a classical Goresky-MacPherson perversity.
+def _gm_growth(values) -> bool:
+    """The Goresky-MacPherson growth rule on a map codimension -> value over
+    codimensions >= 2: 0 at codimension 2 (taken as 0 when not listed), and
+    from each listed codimension k to the next listed k' a rise of at least
+    0 and at most k' - k. On all of 2..n this reads p(2) = 0 and
+    p(k) <= p(k+1) <= p(k) + 1; a codimension not listed is a gap that a GM
+    perversity can fill."""
+    anchored = sorted({2: 0, **values}.items())
+    return anchored[0][1] == 0 and all(
+        0 <= v2 - v1 <= k2 - k1 for (k1, v1), (k2, v2) in zip(anchored, anchored[1:]))
 
-    Checks p(2) = 0 and the growth condition p(k) <= p(k+1) <= p(k) + 1 over
-    the by-codim domain {2..n}. A value at codimension 1 is ignored.
+
+def is_gm_perversity(p: Perversity) -> bool:
+    """True iff p is a classical Goresky-MacPherson perversity: `_gm_growth`
+    over the by-codim domain {2..n}, which must have no gap. A value at
+    codimension 1 is ignored.
     """
     if p.kind != BY_CODIM:
         raise ConfigurationError("classicality is a by-codim notion")
     keys = sorted(k for k in p.values if k >= 2)
-    if not keys:
-        return True
-    n = keys[-1]
-    if keys != list(range(2, n + 1)):
+    if keys != list(range(2, len(keys) + 2)):
         raise ConfigurationError("by-codim perversity must cover codimensions 2..n")
-    if p.values[2] != 0:
-        return False
-    for k in range(2, n):
-        if not (p.values[k] <= p.values[k + 1] <= p.values[k] + 1):
-            return False
-    return True
+    return _gm_growth({k: p.values[k] for k in keys})
 
 
 def hunsicker_shift_check(f: int, c) -> bool:
@@ -282,7 +283,7 @@ def hunsicker_shift_check(f: int, c) -> bool:
     """
     if f < 1:
         raise ConfigurationError("the edge reduction needs link dimension >= 1")
-    c = Fraction(c)
+    c = parse_weight(c, "weight for stratum 'Y'")
     p = perversity_from_weights([("Y", f)], {"Y": c})
     q_val = dual(p, {"Y": f + 1}).values["Y"]
     lower_mid = (f + 1 - 2) // 2

@@ -6,7 +6,7 @@ floats are never accepted.
 
 from fractions import Fraction
 
-from .errors import SpaceFormatError
+from .errors import ConfigurationError, SpaceFormatError
 
 
 def parse_rational(text) -> Fraction:
@@ -29,6 +29,19 @@ def parse_rational(text) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise SpaceFormatError(f"malformed rational {text!r}") from exc
     raise SpaceFormatError(f"malformed rational {text!r}")
+
+
+def parse_weight(x, what) -> Fraction:
+    """A metric weight: a positive rational read by `parse_rational`, so
+    never a float or a bool. Anything else raises ConfigurationError, whose
+    message starts with `what` ("cone weight", ...)."""
+    try:
+        c = parse_rational(x)
+    except SpaceFormatError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from None
+    if c <= 0:
+        raise ConfigurationError(f"{what} must be positive")
+    return c
 
 
 def format_rational(x) -> str:

@@ -117,8 +117,8 @@ def test_frozen_records(make, text):
 
 def test_frozen_record_equality_is_by_value():
     assert Perversity(BY_CODIM, {3: 1, 2: 0}) == Perversity(BY_CODIM, {2: 0, 3: 1})
-    assert Cone(0.5, _M) == Cone(F(1, 2), ClosedManifold([1, 1], 1))
-    assert hash(Cone(0.5, _M)) == hash(Cone(F(1, 2), _M))
+    assert Cone("1/2", _M) == Cone(F(1, 2), ClosedManifold([1, 1], 1))
+    assert hash(Cone("1/2", _M)) == hash(Cone(F(1, 2), _M))
     assert ClosedManifold((1, 2, 1), 2) != ClosedManifold((1, 0, 1), 2)
     assert ClosedManifold((1, 2, 1), 2) != (1, 2, 1)
     assert Cone(2, _M) != Cone(1, _M)
@@ -144,6 +144,9 @@ def test_records_take_keyword_arguments():
     (lambda: ClosedManifold((1, -1), 1), "ConfigurationError",
      "betti numbers cannot be negative"),
     (lambda: Cone(0, _M), "ConfigurationError", "cone weight must be positive"),
+    (lambda: Cone(0.5, _M), "ConfigurationError",
+     "cone weight: floats are not accepted as rationals: 0.5"),
+    (lambda: Cone(True, _M), "ConfigurationError", "cone weight: not a rational: True"),
     (lambda: Cone(1, Cylinder(_M)), "ConfigurationError",
      "the link of a cone must be compact-flavored"),
     (lambda: Cone(1, 3), "ConfigurationError", "malformed cone link: 3"),

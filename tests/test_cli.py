@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -330,3 +331,17 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: internal: RuntimeError('boom')\n"
     assert "Traceback" not in captured.err
+
+
+def test_corpus_dir_option_reads_spaces_and_is_reported_as_given(tmp_path):
+    shutil.copy(corpus_dir() / "s2.json", tmp_path)
+    given = str(tmp_path) + os.sep
+    r = _run("corpus-list", "--corpus-dir", given)
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["corpus_dir"] == given
+    assert [s["name"] for s in doc["spaces"]] == ["s2"]
+    r = _run("ih", "--space", "s2", "--perversity", "zero", "--corpus-dir", given)
+    assert r.returncode == 0 and json.loads(r.stdout)["betti"] == [1, 0, 1]
+    r = _run("ih", "--space", "t2_7", "--perversity", "zero", "--corpus-dir", given)
+    assert r.returncode == 2

@@ -37,3 +37,14 @@ def test_generate_space_names_cover_files():
     assert set(corpus.SPACE_NAMES) == {
         p.stem for p in corpus.corpus_dir().glob("*.json")
     }
+
+
+def test_corpus_dir_owns_the_directory_fallback(tmp_path, monkeypatch):
+    monkeypatch.delenv("STRATAL_CORPUS_DIR", raising=False)
+    bundled = corpus.corpus_dir()
+    assert bundled.name == "corpus_data"
+    assert corpus.corpus_dir(None) == corpus.corpus_dir("") == bundled
+    assert corpus.corpus_dir(str(tmp_path)) == tmp_path
+    monkeypatch.setenv("STRATAL_CORPUS_DIR", str(tmp_path))
+    assert corpus.corpus_dir() == tmp_path
+    assert corpus.corpus_dir(bundled) == bundled

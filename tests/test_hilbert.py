@@ -9,6 +9,7 @@ from sympy import Matrix, Rational
 from stratal import hilbert as hb
 from stratal import linalg
 from stratal.errors import ConfigurationError, ConstructionError
+from stratal.rationals import format_rational
 
 
 def _cochain_complex(K):
@@ -242,3 +243,59 @@ def test_kodaira_reads_text_entries_like_fractions():
     assert hb.kodaira_decompose(C, 0, ["1/10", 1]) == want
     assert hb.kodaira_decompose(C, 0, ("1/10", 1)) == want
     assert hb.kodaira_decompose(C, 0, {0: F(1, 10), 1: "1"}) == want
+
+
+# Complexes with no space, one space, and a zero space first, last or in the
+# middle, plus a seeded random complex with zero spaces inside. Each entry is
+# (cohomology_dims, harmonic_dims, the rcef basis of ker Δ_i per degree, the
+# Kodaira parts of `_edge_vector(i, dims[i])` per degree), entries as "p/q".
+# The end degrees are no special case: D_{-1} and D_{n-1} are zero maps.
+EDGE_SHAPES = {
+    "none": ([], []),
+    "one": ([2], []),
+    "zero-first": ([0, 2], [[[], []]]),
+    "zero-last": ([2, 0], [[]]),
+    "zero-middle": ([2, 0, 1], [[], [[]]]),
+}
+EDGE_RECORDS = {
+    "none": [(), (), [], []],
+    "one": [(2,), (2,), [[{0: "1/1"}, {1: "1/1"}]], [({0: "1/2", 1: "-1/1"}, {}, {})]],
+    "zero-first": [(0, 2), (0, 2), [[], [{0: "1/1"}, {1: "1/1"}]],
+                   [({}, {}, {}), ({0: "1/1", 1: "-3/2"}, {}, {})]],
+    "zero-last": [(2, 0), (2, 0), [[{0: "1/1"}, {1: "1/1"}], []],
+                  [({0: "1/2", 1: "-1/1"}, {}, {}), ({}, {}, {})]],
+    "zero-middle": [(2, 0, 1), (2, 0, 1), [[{0: "1/1"}, {1: "1/1"}], [], [{0: "1/1"}]],
+                    [({0: "1/2", 1: "-1/1"}, {}, {}), ({}, {}, {}), ({0: "3/2"}, {}, {})]],
+    "random seed 0": [
+        (3, 0, 0, 0, 2), (3, 0, 0, 0, 2),
+        [[{3: "-1/2", 1: "1/1", 5: "1/2"}, {2: "1/1", 3: "1/2", 5: "-3/2"},
+          {5: "-1/2", 4: "1/1"}], [], [], [], [{1: "1/1"}, {3: "1/1"}]],
+        [({1: "3/148", 2: "127/148", 3: "31/74", 4: "199/74", 5: "-97/37"}, {},
+          {0: "1/2", 2: "95/148", 3: "-179/74", 4: "-7/37", 5: "-14/37", 1: "-151/148"}),
+         ({}, {0: "1/1", 1: "-3/2", 2: "2/1"}, {}),
+         ({}, {}, {}),
+         ({}, {}, {0: "2/1", 1: "-5/2"}),
+         ({1: "-3/1", 3: "-4/1"}, {0: "5/2", 2: "7/2"}, {})],
+    ],
+}
+
+
+def _edge_vector(i, dim):
+    return [(-1) ** k * F(k + i + 1, 2) for k in range(dim)]
+
+
+@pytest.mark.parametrize("name", list(EDGE_RECORDS))
+def test_edge_shapes_at_every_degree(name):
+    C = (hb.random_complex(random.Random(0)) if name == "random seed 0"
+         else hb.validate(*EDGE_SHAPES[name]))
+    assert 0 in C.dims or len(C.dims) < 2
+
+    def q(col):
+        return {r: format_rational(x) for r, x in col.items()}
+
+    got = [hb.cohomology_dims(C), hb.harmonic_dims(C),
+           [[q(c) for c in linalg.rcef(linalg.kernel(hb.laplacian_cols(C, i)))]
+            for i in range(len(C.dims))],
+           [tuple(map(q, hb.kodaira_decompose(C, i, _edge_vector(i, d))))
+            for i, d in enumerate(C.dims)]]
+    assert got == EDGE_RECORDS[name]

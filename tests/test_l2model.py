@@ -51,6 +51,13 @@ def test_eval_max_recursion():
     assert l2.eval_max(l2.Cone(F(1), l2.Cone(F(1), s1))) == (1, 0, 0, 0)
     s2 = l2.ClosedManifold((1, 0, 1), 2)
     assert l2.eval_max(l2.Cylinder(s2)) == (1, 0, 1, 0)
+    # a cylinder over a cone, and a triple cone whose outer cutoff 2 + 1/4
+    # keeps degree 2 only because the middle cone has dimension 4
+    assert l2.eval_max(l2.Cylinder(l2.Cone(F(1), s1))) == (1, 0, 0, 0)
+    assert l2.eval_max(l2.Cylinder(l2.Cone(F(1, 4), t2))) == (1, 2, 1, 0, 0)
+    triple = l2.Cone(F(2), l2.Cone(F(1, 3), l2.Cone(F(1, 6), t2)))
+    assert l2.eval_max(triple) == (1, 2, 1, 0, 0, 0)
+    assert l2.eval_max(l2.Cone(F(2), l2.Cone(F(1, 3), l2.Cone(F(1), s1)))) == (1, 0, 0, 0, 0)
 
 
 def test_space_expr_validation():
@@ -188,6 +195,25 @@ def test_classicality_matches_completion_oracle_on_corpus(spaces):
     assert seen == {True, False}
 
 
+# Hand cases of the one growth rule, (codims, values, classical): gaps a GM
+# perversity can fill, drops, rises wider than the codimension gap,
+# codimension one, and two values at one codimension.
+CLASSICALITY_CASES = [
+    ((), (), True),
+    ((2,), (0,), True),
+    ((2,), (1,), False),
+    ((3,), (1,), True),
+    ((3,), (-1,), False),
+    ((4,), (2,), True),
+    ((4,), (3,), False),
+    ((2, 5), (0, 3), True),
+    ((3, 3), (1, 1), True),
+    ((3, 3), (0, 1), False),
+    ((3, 5), (1, 0), False),
+    ((1, 3), (0, 1), False),
+]
+
+
 def test_classicality_matches_completion_oracle_on_random_strata():
     rng = random.Random(5)
     outcomes = {True: 0, False: 0}
@@ -205,3 +231,9 @@ def test_classicality_matches_completion_oracle_on_random_strata():
         assert got == (_classical_by_codim(p, K) is not None), (n, strata, values)
         outcomes[got] += 1
     assert min(outcomes.values()) >= 2000, outcomes
+    for codims, values, classical in CLASSICALITY_CASES:
+        strata = [SimpleNamespace(id=f"y{i}", codim=k) for i, k in enumerate(codims)]
+        K = SimpleNamespace(n=6, singular_strata=lambda strata=strata: strata)
+        p = Perversity(PER_STRATUM, {s.id: v for s, v in zip(strata, values)})
+        assert l2._is_classical(p, K) is classical, (codims, values)
+        assert (_classical_by_codim(p, K) is not None) is classical, (codims, values)

@@ -540,12 +540,10 @@ def _outputs(cols):
 
 
 def _same_as_scan(cols, monkeypatch):
-    """`_reduce` in both pivot modes, with and without `track`, and rank,
-    kernel and rcef give exactly what the scan reference gives."""
-    for pivot in (max, min):
-        for track in (False, True):
-            assert (_ordered(linalg._reduce(cols, track, pivot))
-                    == _ordered(_scan_reduce(cols, track, pivot))), (pivot, track)
+    """`_reduce`, with and without `track`, and rank, kernel and rcef give
+    exactly what the scan reference gives."""
+    for track in (False, True):
+        assert _ordered(linalg._reduce(cols, track)) == _ordered(_scan_reduce(cols, track)), track
     got = _outputs(cols)
     with monkeypatch.context() as m:
         m.setattr(linalg, "_reduce", _scan_reduce)
@@ -556,9 +554,9 @@ def _count_heaps(monkeypatch):
     built = []
     heap_of = linalg._heap_of
 
-    def spy(col, pivot):
+    def spy(col):
         built.append(len(col))
-        return heap_of(col, pivot)
+        return heap_of(col)
 
     monkeypatch.setattr(linalg, "_heap_of", spy)
     return built
@@ -585,13 +583,51 @@ def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, monkeypatch
 @pytest.mark.parametrize("cutoff", [0, 3, linalg._HEAP_AFTER])
 def test_heap_pivots_match_a_scan_on_a_dense_matrix(cutoff, monkeypatch):
     """A seeded dense integer matrix, with the cutoff also lowered so that
-    nearly every working column goes through the heap in both pivot modes."""
+    nearly every working column goes through the heap, in `rcef` too."""
     rng = random.Random(16)
     cols = _random_cols(rng, 24, 30, density=0.8, lo=-4, hi=4)
     monkeypatch.setattr(linalg, "_HEAP_AFTER", cutoff)
     built = _count_heaps(monkeypatch)
     _same_as_scan(cols, monkeypatch)
     assert bool(built) == (cutoff < 24)
+
+
+def _rcef_on_topmost_rows(cols):
+    """`rcef` as a reduction that pivots on each column's topmost row (the
+    scan reference with `min`), then divides by the pivots and
+    back-substitutes: the reference for its reflected rows."""
+    basis = {
+        top: {r: Fraction(v, col[top]) for r, v in col.items()}
+        for top, col in _scan_reduce(list(map(linalg.col_primitive, cols)), pivot=min)[0].items()
+    }
+    for top in sorted(basis, reverse=True):
+        col = basis[top]
+        for other in sorted(r for r in col if r != top and r in basis):
+            f = col.get(other)
+            if f is not None:
+                linalg._subtract(col, f, basis[other])
+    return [list(basis[top].items()) for top in sorted(basis)]
+
+
+@pytest.mark.parametrize("cutoff", [0, linalg._HEAP_AFTER])
+def test_rcef_keeps_topmost_row_pivots_on_a_dense_matrix(cutoff, monkeypatch):
+    cols = _random_cols(random.Random(16), 24, 30, density=0.8, lo=-4, hi=4)
+    monkeypatch.setattr(linalg, "_HEAP_AFTER", cutoff)
+    assert [list(c.items()) for c in linalg.rcef(cols)] == _rcef_on_topmost_rows(cols)
+
+
+def test_rcef_keeps_topmost_row_pivots_on_zero_perversity_chains(spaces, monkeypatch):
+    """The columns that `StratifiedChainComplex.bases` hands to `rcef` for the
+    zero perversity on every corpus space."""
+    seen = []
+    rcef = linalg.rcef
+    monkeypatch.setattr(linalg, "rcef", lambda cols: seen.append(cols) or rcef(cols))
+    for K in spaces.values():
+        StratifiedChainComplex(K, pv.named_perversity("zero", K.n)).bases
+    monkeypatch.undo()
+    assert sum(map(len, seen)) > 100
+    for cols in seen:
+        assert [list(c.items()) for c in linalg.rcef(cols)] == _rcef_on_topmost_rows(cols)
 
 
 def test_chain_ranks_from_a_shared_table_leaves_it_unchanged(s2):

@@ -92,6 +92,51 @@ def test_perversity_from_weights_matches_raw_bracket_above_dim_zero():
         assert got == pv.bracket(F(l, 2) + F(1, 2) / c)
 
 
+def test_text_weight_is_read_exactly():
+    # the float 1/6 lies just above 1/6, so it gave 4 here: [[1 + 3]] = 3
+    assert pv.perversity_from_weights([("y", 2)], {"y": "1/6"}).values["y"] == 3
+    assert pv.perversity_from_weights([("y", 2)], {"y": F(1, 6)}).values["y"] == 3
+    assert pv.hunsicker_shift_check(2, "1/6")
+
+
+def _weight_entry_points():
+    from stratal import l2model as l2
+
+    s1 = cx.build("s1", [0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    return {
+        "cone": (lambda c: cx.cone(s1, c), "cone weight"),
+        "suspension": (lambda c: cx.suspension(s1, (1, c)), "suspension weights"),
+        "Cone": (lambda c: l2.Cone(c, l2.ClosedManifold((1, 1), 1)), "cone weight"),
+        "cone_max_cohomology": (lambda c: l2.cone_max_cohomology((1, 1), 1, c), "cone weight"),
+        "cone_report": (lambda c: l2.cone_report((1, 1), 1, c), "cone weight"),
+        "local_model_check": (lambda c: l2.local_model_check(s1, c), "cone weight"),
+        "perversity_from_weights": (
+            lambda c: pv.perversity_from_weights([("y", 2)], {"y": c}), "weight for stratum 'y'"),
+        "hunsicker_shift_check": (lambda c: pv.hunsicker_shift_check(2, c),
+                                  "weight for stratum 'Y'"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_weight_entry_points()))
+@pytest.mark.parametrize("weight, message", [
+    (1 / 6, "floats are not accepted as rationals: 0.1666"),
+    (0.5, "floats are not accepted as rationals: 0.5"),
+    (True, "not a rational: True"),
+    (False, "not a rational: False"),
+    ("1/0", "malformed rational '1/0'"),
+    (0, "must be positive"),
+    ("-1/2", "must be positive"),
+])
+def test_every_weight_entry_point_reads_weights_exactly(entry, weight, message):
+    call, what = _weight_entry_points()[entry]
+    with pytest.raises(ConfigurationError) as info:
+        call(weight)
+    assert str(info.value).startswith(what)
+    assert message in str(info.value)
+    # the same value as text is accepted
+    call("1/2")
+
+
 def test_missing_weight_is_configuration_error():
     with pytest.raises(ConfigurationError):
         pv.perversity_from_weights([("a", 2)], {})
@@ -146,6 +191,12 @@ def test_is_gm_perversity():
     assert pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, lower6))
     assert not pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {2: 1, 3: 1}))
     assert not pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {2: 0, 3: 2}))
+    assert not pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {2: 0, 3: -1}))
+    # an empty domain, and a codimension-one value, which is ignored
+    assert pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {}))
+    assert pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {1: 5, 2: 0, 3: 0}))
+    with pytest.raises(ConfigurationError, match="cover codimensions 2..n"):
+        pv.is_gm_perversity(pv.Perversity(pv.BY_CODIM, {2: 0, 4: 1}))
 
 
 def test_hunsicker_examples_and_grid():
