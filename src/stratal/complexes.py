@@ -53,9 +53,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
-from .errors import SpaceFormatError, StructureError
+from .errors import ConfigurationError, SpaceFormatError, StructureError
 from .perversity import weights_to_json
-from .rationals import format_rational, parse_rational, parse_weight
+from .rationals import format_rational, parse_weight
 
 
 class Stratum:
@@ -77,12 +77,20 @@ class Stratum:
         return f"<Stratum {self.id} dim={self.dim} codim={self.codim} {kind}>"
 
 
-@cache
 def _face_getters(length):
     """One getter per face of a simplex of `length` vertices, in the order in
     which a depth-first walk first reaches them: each simplex, then the walks
     of its facets, s[:-1] first. Lengths are at most n + 1 in a complex of
-    dimension n, and one length has as many getters as a simplex has faces."""
+    dimension n, and one length has as many getters as a simplex has faces,
+    2^length - 1. Lengths up to 6 (dimension 5, 63 getters) are kept for the
+    life of the process; a longer one is built for each call, so a wide
+    simplex leaves nothing behind."""
+    if length <= 6:
+        return _kept_face_getters(length)
+    return _walk_face_getters(length)
+
+
+def _walk_face_getters(length):
     order = {}
 
     def walk(face):
@@ -102,6 +110,9 @@ def _face_getters(length):
         else:
             getters.append(itemgetter(*face))
     return getters
+
+
+_kept_face_getters = cache(_walk_face_getters)
 
 
 def _face_closure(simplices):
@@ -143,8 +154,10 @@ class FilteredComplex:
 
     Stored: the simplices by dimension, each vertex's level and stratum id,
     the strata and the weights. The simplex index `_index`, `profile_classes`,
-    `regular`, `interior` and `top_cofaces` are cached properties, derived on
-    first read.
+    `regular`, `interior`, `top_cofaces` and `_orientation` are cached
+    properties, derived on first read. `ih_memo` maps an allowable pattern to
+    its intersection Betti numbers; `intersection.StratifiedChainComplex.homology`
+    fills and reads it.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
@@ -158,6 +171,7 @@ class FilteredComplex:
         self.strata = strata
         self.weights = dict(weights or {})
         self._boundaries = {}
+        self.ih_memo = {}
 
     # ------------------------------------------------------------------ basics
 
@@ -270,6 +284,11 @@ class FilteredComplex:
                 if not singular.issuperset(f):
                     cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
         return cofaces
+
+    @cached_property
+    def _orientation(self):
+        """The signs `check_orientation` returns, or None, decided on first read."""
+        return _coherent_signs(self)
 
     @cached_property
     def regular(self):
@@ -541,10 +560,10 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
                     f"weight references unknown singular stratum {sid!r}; "
                     f"known: {sorted(singular_ids)}"
                 )
-            c = parse_rational(text)
-            if c <= 0:
-                raise SpaceFormatError(f"weight for {sid!r} must be positive")
-            K.weights[sid] = c
+            try:
+                K.weights[sid] = parse_weight(text, f"weight for {sid!r}")
+            except ConfigurationError as exc:
+                raise SpaceFormatError(str(exc)) from None
     return K
 
 
@@ -695,6 +714,9 @@ def suspension(K, weights=(Fraction(1), Fraction(1))):
     Each stratum Y of K yields one suspended stratum holding the base copy and
     both open cone directions; the result is compact without boundary when K is.
     """
+    if not isinstance(weights, (tuple, list)) or len(weights) != 2:
+        raise ConfigurationError(
+            f"suspension weights must be a (north, south) pair, got {weights!r}")
     w_north, w_south = (parse_weight(w, "suspension weights") for w in weights)
     return _join(K, "susp", ["north", "south"], [w_north, w_south])
 
@@ -728,8 +750,14 @@ def check_orientation(K):
 
     Signs must cancel across every regular (n-1)-simplex with exactly two
     top-dimensional cofaces; boundary faces (one coface) impose nothing.
-    More than two cofaces on a regular face is a structure error.
+    More than two cofaces on a regular face is a structure error. The signs
+    are found once per complex; each call returns a new dict.
     """
+    signs = K._orientation
+    return None if signs is None else dict(signs)
+
+
+def _coherent_signs(K):
     tops = K.simplices(K.n)
     adj = {s: [] for s in tops}
     for f, incident in K.top_cofaces.items():

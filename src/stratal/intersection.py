@@ -20,9 +20,15 @@ singular vertex form a subcomplex that is allowable for every perversity,
 so its reduction is derived once per complex on first read
 (`FilteredComplex.interior`) and shared by every perversity and by
 `betti()`; a query tests and reduces only the near simplices, those with a
-singular vertex. Explicit bases are built only when read, in reduced column
-echelon form so that subspace comparisons are deterministic, and the
-allowable indices they use are likewise built on first read.
+singular vertex. Betti numbers depend on the perversity only through its
+allowable pattern, whether each profile class is allowable in each degree,
+and many perversities share one: every value p(Y) >= codim(Y) - 1 admits
+every simplex that meets Y. So each complex keeps the answer per pattern
+(`FilteredComplex.ih_memo`), and a perversity whose pattern that complex has
+already met is not reduced again.
+Explicit bases are built only when read, in reduced column echelon form so
+that subspace comparisons are deterministic, and the allowable indices they
+use are likewise built on first read.
 """
 
 from functools import cached_property
@@ -111,9 +117,14 @@ class StratifiedChainComplex:
         ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad. The
         interior simplices are allowable for every perversity, so only the
         near ones are tested here, and their reduced boundaries come from the
-        complex's shared table (`FilteredComplex.interior`).
+        complex's shared table (`FilteredComplex.interior`). The answer is
+        kept in the complex's memo under the allowable pattern and returned
+        from there for any later perversity with the same pattern.
         """
         K = self.K
+        pattern = tuple(map(tuple, self._ok))
+        if pattern in K.ih_memo:
+            return K.ih_memo[pattern]
         table = K.interior
         allow, dims = [], []
         for ok, (_, of), (near, _) in zip(self._ok, K.profile_classes, table):
@@ -123,7 +134,8 @@ class StratifiedChainComplex:
         for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(K.regular, allow, table)):
             dims[i] -= r_bad
             ranks[i] = r_all - r_bad
-        return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
+        K.ih_memo[pattern] = tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
+        return K.ih_memo[pattern]
 
 
 def intersection_betti(K, p: Perversity):

@@ -104,10 +104,9 @@ class Perversity(Frozen):
 
 
 def bracket(x) -> int:
-    """Greatest integer strictly less than x, for positive rational x."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError(f"bracket is only defined for positive rationals, got {x}")
+    """Greatest integer strictly less than x, for positive rational x, read
+    exactly: a float, a bool or x <= 0 raises ConfigurationError."""
+    x = parse_weight(x, "bracket argument")
     if x.denominator == 1:
         return x.numerator - 1
     return x.numerator // x.denominator

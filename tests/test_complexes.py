@@ -3,6 +3,8 @@
 import functools
 import gc
 import json
+import re
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from itertools import permutations
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from stratal import complexes as cx
 from stratal import corpus, linalg
-from stratal.errors import SpaceFormatError, StratalError, StructureError
+from stratal import intersection as ix
+from stratal import perversity as pv
+from stratal.errors import ConfigurationError, SpaceFormatError, StratalError, StructureError
 
 
 def test_load_boundary_delta3_single_stratum(s2):
@@ -163,6 +167,23 @@ def test_load_rejects_unknown_weight_key(spaces):
         cx.load(doc)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0", "weight for 's0:south' must be positive"),
+    ("-1/2", "weight for 's0:south' must be positive"),
+    ("1/0", "malformed rational '1/0'"),
+    ("half", "malformed rational 'half'"),
+    (0.5, "floats are not accepted as rationals: 0.5"),
+    (True, "not a rational: True"),
+])
+def test_load_reads_document_weights_exactly(spaces, text, message):
+    doc = cx.to_document(spaces["susp_t2"])
+    doc["weights"] = {**doc["weights"], "s0:south": text}
+    with pytest.raises(SpaceFormatError, match=re.escape(message)):
+        cx.load(doc)
+    doc["weights"]["s0:south"] = "3/2"
+    assert cx.load(doc).weights["s0:south"] == F(3, 2)
+
+
 def test_fullness_remedy_subdivides():
     # X_0 = {0, 1} is not full: the edge (0,1) has both vertices in it
     doc = {
@@ -234,6 +255,31 @@ def test_suspension_examples(t2, s2, s0):
     assert st.counts()[0] == 9 and st.counts()[3] == 28
     assert len(st.singular_strata()) == 2
     assert cx.suspension(s0).betti() == (1, 1)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1,), (), 2, "12", {1: 1, 2: 1}, None])
+def test_suspension_takes_a_north_south_pair(s1, weights):
+    with pytest.raises(ConfigurationError, match=r"weights must be a \(north, south\) pair"):
+        cx.suspension(s1, weights)
+    assert cx.suspension(s1, [2, "1/3"]).weights == cx.suspension(s1, (2, F(1, 3))).weights
+
+
+def test_a_wide_simplex_leaves_no_face_getters_behind():
+    """Face getters are kept for lengths up to 6 only: a 16-vertex simplex
+    needs 65,535 of them, and building it once must not hold them."""
+    assert cx._face_getters(6) is cx._face_getters(6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        K = cx.build("wide", range(16), [tuple(range(16))])
+        assert sum(K.counts()) == 2 ** 16 - 1
+        del K
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_suspension_shifts_reduced_betti(spaces):
@@ -381,8 +427,32 @@ def test_top_cofaces_built_once_and_orientation_returned_fresh():
 def test_orientation_structure_error():
     # three triangles sharing one edge: not a pseudomanifold face incidence
     K = cx.build("fan", [0, 1, 2, 3, 4], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-    with pytest.raises(StructureError):
-        cx.check_orientation(K)
+    for _ in range(2):
+        with pytest.raises(StructureError, match="3 top cofaces"):
+            cx.check_orientation(K)
+
+
+def test_orientation_is_decided_once_per_complex(monkeypatch):
+    """Every duality check on one complex reads one orientation, and a
+    caller that changes the returned signs changes no later answer."""
+    walks = []
+    coherent_signs = cx._coherent_signs
+
+    def spy(K):
+        walks.append(K.name)
+        return coherent_signs(K)
+
+    monkeypatch.setattr(cx, "_coherent_signs", spy)
+    for name in ("susp_t2", "mobius"):
+        K = corpus.load_space(name)
+        want = cx.check_orientation(K)
+        if want is not None:
+            cx.check_orientation(K).clear()
+        for p in (pv.zero_perversity(K.n), *pv.middle_perversities(K.n)):
+            r = ix.duality_check(K, p)
+            assert r["applicable"] == (want is not None) and r.get("pass", True), (name, p)
+        assert cx.check_orientation(K) == want
+    assert walks == ["susp_t2", "mobius"]
 
 
 def test_document_round_trip_stable(spaces):

@@ -1,6 +1,7 @@
 """Allowable chains and intersection homology against worked oracles."""
 
 import copy
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratal import complexes as cx
+from stratal import corpus
 from stratal import intersection as ix
 from stratal import linalg
 from stratal import perversity as pv
@@ -352,6 +354,85 @@ def test_shared_interior_table_matches_the_plain_path(spaces, ih_ladder):
                    for p in order]
             assert got == [want[queries.index(p)] for p in order], K.name
             assert fresh.interior == table, K.name
+
+
+def _sweep(K):
+    """Every per-stratum perversity with values in -2..codim+1 on each
+    singular stratum: every value from codim - 1 up admits each simplex that
+    meets the stratum, so many of them share a pattern."""
+    strata = K.singular_strata()
+    for values in itertools.product(*(range(-2, s.codim + 2) for s in strata)):
+        yield pv.Perversity(pv.PER_STRATUM, {s.id: v for s, v in zip(strata, values)})
+
+
+def _space_and_subdivision(name):
+    K = corpus.load_space(name)
+    return [K, cx.barycentric_subdivide(K)]
+
+
+def _counting_chain_ranks(monkeypatch):
+    calls = []
+    chain_ranks = linalg.chain_ranks
+
+    def spy(*args):
+        calls.append(args)
+        return chain_ranks(*args)
+
+    monkeypatch.setattr(linalg, "chain_ranks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_memo_hits_equal_the_answers_of_a_freshly_loaded_complex(name):
+    for K in _space_and_subdivision(name):
+        doc = cx.to_document(K)
+        hits = 0
+        for p in _sweep(K):
+            stored = len(K.ih_memo)
+            got = ix.intersection_betti(K, p)
+            if len(K.ih_memo) == stored:
+                hits += 1
+                assert got == ix.intersection_betti(cx.load(doc), p), (K.name, p)
+        # codim - 1, codim and codim + 1 share a pattern on every stratum
+        assert hits > 0 or not K.singular_strata(), K.name
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_perversities_with_one_allowable_pattern_reduce_once(monkeypatch, name):
+    calls = _counting_chain_ranks(monkeypatch)
+    for K in _space_and_subdivision(name):
+        seen = set()
+        for p in _sweep(K):
+            chains = ix.StratifiedChainComplex(K, p)
+            pattern = tuple(map(tuple, chains.allowable_indices))
+            before = len(calls)
+            chains.homology()
+            assert len(calls) - before == (pattern not in seen), (K.name, p)
+            seen.add(pattern)
+        assert len(K.ih_memo) == len(seen), K.name
+
+
+def test_memo_never_crosses_complex_objects(monkeypatch):
+    calls = _counting_chain_ranks(monkeypatch)
+    first, second = corpus.load_space("susp_s2"), corpus.load_space("susp_s2")
+    p = _per_stratum(first, 1)
+    want = ix.intersection_betti(first, p)
+    assert len(calls) == 1 and len(first.ih_memo) == 1 and not second.ih_memo
+    assert ix.intersection_betti(second, p) == want
+    assert len(calls) == 2 and len(second.ih_memo) == 1
+    # a subdivision is a new complex with its own, empty memo
+    sd = cx.barycentric_subdivide(first)
+    assert not sd.ih_memo
+    assert ix.intersection_betti(sd, _per_stratum(sd, 1)) == want and len(calls) == 3
+
+
+def test_a_perversity_lacking_a_stratum_raises_after_its_pattern_is_stored():
+    K = corpus.load_space("susp_s2")
+    north, south = (s.id for s in sorted(K.singular_strata(), key=lambda s: s.id))
+    ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0, south: 0}))
+    assert K.ih_memo
+    with pytest.raises(ConfigurationError, match="south"):
+        ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0}))
 
 
 def test_dd_zero_on_r0_chains(susp_t2):

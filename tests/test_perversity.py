@@ -19,10 +19,17 @@ def test_bracket_examples():
 
 
 def test_bracket_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="must be positive"):
         pv.bracket(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="must be positive"):
         pv.bracket(F(-1, 2))
+
+
+@pytest.mark.parametrize("x", [3 * 0.1 * 10, 3.0, 0.5, True, False, None, "1/0"])
+def test_bracket_reads_its_argument_exactly(x):
+    with pytest.raises(ConfigurationError, match="^bracket argument"):
+        pv.bracket(x)
+    assert pv.bracket("3") == pv.bracket(3) == 2 and pv.bracket("5/2") == 2
 
 
 def test_bracket_sandwich_property():
