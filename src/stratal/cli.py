@@ -53,7 +53,10 @@ def _resolve_perversity(spec, n, space=None):
             raise StratalError("perversity spec 'from-weights' needs a space")
         return weight_perversity(space)
     if spec.startswith("gm:"):
-        values = [int(v) for v in spec[3:].split(",") if v != ""]
+        try:
+            values = [int(v) for v in spec[3:].split(",") if v != ""]
+        except ValueError:
+            raise ConfigurationError(f"gm values in spec {spec!r} must be integers") from None
         return Perversity(BY_CODIM, {k + 2: v for k, v in enumerate(values)})
     if spec.startswith("per-stratum:"):
         path = spec.split(":", 1)[1]

@@ -13,14 +13,15 @@ level, stratum and singular-face profile follow from its vertices, and the
 complex stores only each vertex's level and stratum id. Codimension-one
 strata are allowed, and X_{n-1} may differ from X_{n-2}.
 
-Stratum order is deterministic and follows the face-closure order: `strata`
-is listed in the iteration order of the set that `_face_closure` fills in
-one fixed sequence. `singular_strata()` and the seeded verify suites walk
-strata in this order, so it is part of the output: `verify --suite duality`
-draws its per-stratum values in it.
+Strata are listed in the order of their least member simplex, members
+being sorted vertex-index tuples. The order depends only on the complex and
+its filtration, not on how a document lists its simplices.
+`singular_strata()` and the seeded verify suites walk strata in this order,
+so it is part of the output: `verify --suite duality` draws its per-stratum
+values in it.
 
 Construction runs in C-level passes over whole lists: the closure set is
-filled by `set.update` from one fixed face order per simplex size, fullness
+filled by `set.update` from `combinations`, one pass per face size, fullness
 is tested on the faces of the maximal simplices cut down to their singular
 vertices, and a regular part with one component is taken whole from the
 sorted list. Python loops remain over the edges whose ends share a level
@@ -30,16 +31,17 @@ dimension.
 
 Construction holds each table only while something still reads it. `load`
 drops the parsed document, and any file text it read, before the assembly;
-the assembly keeps the closure set through the fullness test and then only
-its iteration order, as a list, for `_stratify`. A complex stores its
-simplices by dimension and each vertex's level and stratum id; the simplex
-index (read by `index`, `level`, `label` and `boundary_matrix`), the
-singular-face profiles, the dropped-face boundaries, the top cofaces and the
-interior table are derived on first read. No constructor, no `to_document`
-and no `load` reads them. The interior table (`interior`) holds the reduced
-boundaries of the simplices with no singular vertex, which every rank query
-shares: `betti()` and each perversity's `intersection.homology` reduce only
-the simplices near the singular set against a copy of it.
+the assembly keeps the closure set through the fullness test and then
+replaces it with the sorted list that `_stratify` and the split by
+dimension read. A complex stores its simplices by dimension and each
+vertex's level and stratum id; the simplex index (read by `index`, `level`,
+`label` and `boundary_matrix`), the singular-face profiles, the dropped-face
+boundaries, the top cofaces and the interior table are derived on first
+read. No constructor, no `to_document` and no `load` reads them. The
+interior table (`interior`) holds the reduced boundaries of the simplices
+with no singular vertex, which every rank query shares: `betti()` and each
+perversity's `intersection.homology` reduce only the simplices near the
+singular set against a copy of it.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
@@ -47,9 +49,8 @@ exact ranks; the allowable-chain machinery lives in `intersection`.
 
 import json
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from itertools import chain, combinations, compress, filterfalse, groupby
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import chain, combinations, compress, filterfalse, repeat
 from pathlib import Path
 
 from . import linalg
@@ -77,63 +78,14 @@ class Stratum:
         return f"<Stratum {self.id} dim={self.dim} codim={self.codim} {kind}>"
 
 
-def _face_getters(length):
-    """One getter per face of a simplex of `length` vertices, in the order in
-    which a depth-first walk first reaches them: each simplex, then the walks
-    of its facets, s[:-1] first. Lengths are at most n + 1 in a complex of
-    dimension n, and one length has as many getters as a simplex has faces,
-    2^length - 1. Lengths up to 6 (dimension 5, 63 getters) are kept for the
-    life of the process; a longer one is built for each call, so a wide
-    simplex leaves nothing behind."""
-    if length <= 6:
-        return _kept_face_getters(length)
-    return _walk_face_getters(length)
-
-
-def _walk_face_getters(length):
-    order = {}
-
-    def walk(face):
-        if face not in order:
-            order[face] = None
-            if len(face) > 1:
-                for i in reversed(range(len(face))):
-                    walk(face[:i] + face[i + 1 :])
-
-    walk(tuple(range(length)))
-    getters = []
-    for face in order:
-        start = face[0] if face else 0
-        if face == tuple(range(start, start + len(face))):
-            # a slice, so that a vertex comes out as a 1-tuple
-            getters.append(itemgetter(slice(start, start + len(face))))
-        else:
-            getters.append(itemgetter(*face))
-    return getters
-
-
-_kept_face_getters = cache(_walk_face_getters)
-
-
 def _face_closure(simplices):
-    """Every face of the given simplices (tuples), as a set filled in the
-    sequence of a depth-first walk: the listed simplices from the last one
-    back, each followed by the walks of its facets, s[:-1] first, and each
-    simplex added when the walk first reaches it. The set's iteration order
-    follows from that sequence, and the order of a complex's strata follows
-    from the set's.
-
-    The walk needs no stack. A face already in the set has all of its own
-    faces there too, so each listed simplex adds exactly the faces that are
-    new, in the one order `_face_getters` gives for its number of vertices.
-    `set.update` fed those faces adds the same simplices in the same
-    sequence, and a run of equal-length simplices is one C-level pass."""
-    closed = set()
-    backwards = list(simplices)
-    backwards.reverse()
-    for length, run in groupby(backwards, len):
-        run = list(run)
-        closed.update(chain.from_iterable(zip(*[map(g, run) for g in _face_getters(length)])))
+    """Every face of the given simplices (tuples), as a set. The listed tuples
+    are kept as they are, and the faces of each size k come from one C-level
+    pass of `combinations` over all of them; the set's iteration order is
+    never read."""
+    closed = set(simplices)
+    for k in range(1, max(map(len, closed), default=1)):
+        closed.update(chain.from_iterable(map(combinations, simplices, repeat(k))))
     return closed
 
 
@@ -416,20 +368,17 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     return chain
 
 
-def _stratify(n, closed, closure, by_dim, singular, vertex_level, vertex_ids):
-    """Strata, in the order in which the closure set's iteration, listed in
-    `closed`, first reaches them, and each vertex's stratum id (None off the
-    complex). `closure` is the complex in sorted order, `by_dim` the same
-    split by dimension, `singular` X_{n-1}.
+def _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids):
+    """Strata, ordered by their least member, and each vertex's stratum id
+    (None off the complex). `closure` is the complex in sorted order,
+    `by_dim` the same split by dimension, `singular` X_{n-1}.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
     The few singular simplices are placed one at a time. When the regular
     vertices form one component, the regular stratum is every simplex
-    outside X_{n-1}, taken from the sorted list with `filterfalse`, and the
-    closure order reaches it right after the singular simplices that lead
-    that order. Only a regular part with several components is grouped one
-    simplex at a time."""
+    outside X_{n-1}, taken from the sorted list with `filterfalse`. Only a
+    regular part with several components is grouped one simplex at a time."""
     root = list(range(len(vertex_ids)))
 
     def find(v):
@@ -453,25 +402,23 @@ def _stratify(n, closed, closure, by_dim, singular, vertex_level, vertex_ids):
     def stratum_of(s):
         return root[top_of(s)]
 
-    found = list(filter(singular.__contains__, closed))  # X_{n-1}, closure order
     members = {}
-    for s in sorted(found):
+    for s in sorted(singular):
         members.setdefault(stratum_of(s), []).append(s)
     regular = filterfalse(singular.__contains__, closure)
     roots = {root[v] for (v,) in by_dim[0] if vertex_level[v] == n}
     if len(roots) == 1:
         (r,) = roots
-        ahead = next(pos for pos, s in enumerate(closed) if s not in singular)
-        order = chain(map(stratum_of, found[:ahead]), [r], map(stratum_of, found[ahead:]))
         members[r] = regular
     else:
-        order = map(stratum_of, closed)
         for s in regular:
             members.setdefault(stratum_of(s), []).append(s)
+    # each group is sorted, so its first member is its least
+    groups = {r: tuple(group) for r, group in members.items()}
     strata = {}
     sid_of = {}
-    for r in dict.fromkeys(order):
-        group = tuple(members[r])
+    for r in sorted(groups, key=lambda r: groups[r][0]):
+        group = groups[r]
         lvl = vertex_level[r]
         # the complex is pure, so every regular stratum holds an n-simplex
         dim = n if lvl == n else max(map(len, group)) - 1
@@ -542,15 +489,14 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
             new_ids, new_maximal, new_chain, _ = _subdivide_raw(
                 vertex_ids, closure, set(maximal), chain)
             return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    # only the set's iteration order is read from here on, by `_stratify`
-    closed = list(closure)
-    del closure
-    closure = sorted(closed)
+    # the set is freed before the sort, which `sorted(closure)` would not do
+    closure = list(closure)
+    closure.sort()
     by_dim = [[] for _ in range(n + 1)]
     for s in closure:
         by_dim[len(s) - 1].append(s)
     by_dim = list(map(tuple, by_dim))
-    strata, vertex_label = _stratify(n, closed, closure, by_dim, singular, vertex_level, vertex_ids)
+    strata, vertex_label = _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids)
     K = FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}

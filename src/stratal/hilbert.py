@@ -38,12 +38,14 @@ class FiniteHilbertComplex:
 def _to_columns(matrix, nrows, ncols, where):
     if len(matrix) != nrows:
         raise ConstructionError(f"{where}: expected {nrows} rows, got {len(matrix)}")
-    cols = [{} for _ in range(ncols)]
+    # all rows are checked first: a width that no row has allocates no columns
     for r, row in enumerate(matrix):
         if not isinstance(row, list):
             raise ConstructionError(f"{where}: row {r} is not a list")
         if len(row) != ncols:
             raise ConstructionError(f"{where}: row {r} has length {len(row)}, expected {ncols}")
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(matrix):
         for c, entry in enumerate(row):
             try:
                 v = parse_rational(entry)
@@ -203,12 +205,13 @@ def index_even_odd(C: FiniteHilbertComplex) -> int:
     return sum((-1) ** i * d for i, d in enumerate(C.dims))
 
 
-def random_complex(rng, max_total=24, max_spaces=5) -> FiniteHilbertComplex:
-    """Seeded random complex: pick the top differential freely, then project
-    each lower candidate onto the kernel of the one above."""
-    n = rng.randint(2, max_spaces)
+def random_complex(rng) -> FiniteHilbertComplex:
+    """Seeded random complex of 2 to 5 spaces and total dimension at most 24:
+    pick the top differential freely, then project each lower candidate onto
+    the kernel of the one above."""
+    n = rng.randint(2, 5)
     dims = []
-    remaining = max_total
+    remaining = 24
     for _ in range(n):
         d = rng.randint(0, min(6, remaining))
         dims.append(d)

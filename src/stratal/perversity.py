@@ -327,7 +327,12 @@ def perversity_from_json(doc) -> Perversity:
     if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
         raise ConfigurationError("perversity values must map keys to integers")
     if kind == BY_CODIM:
-        values = {int(k): v for k, v in raw.items()}
+        values = {}
+        for k, v in raw.items():
+            try:
+                values[int(k)] = v
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"by-codim key {k!r} is not an integer") from None
         if any(k < 1 for k in values):
             raise ConfigurationError("by-codim perversity keys must be codimensions >= 1")
     elif kind == PER_STRATUM:

@@ -98,11 +98,11 @@ def suite_hunsicker(corpus_dir=None):
     return report
 
 
-def suite_realizability(corpus_dir=None, seed=DEFAULT_SEED, trials=200):
+def suite_realizability(corpus_dir=None, seed=DEFAULT_SEED):
     """Seeded random perversities at or above the upper middle round-trip."""
     report = CheckSuiteReport("realizability")
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(200):
         strata = []
         values = {}
         for idx in range(rng.randint(1, 6)):
@@ -208,11 +208,11 @@ def suite_ris_consistency(corpus_dir=None):
     return report
 
 
-def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED, trials=100):
+def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED):
     """Property run over seeded random finite complexes."""
     report = CheckSuiteReport("hilbert")
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(100):
         C = hb.random_complex(rng)
         ch = hb.cohomology_dims(C)
         ha = hb.harmonic_dims(C)

@@ -273,6 +273,21 @@ def test_perversity_rejects_negative_dim(tmp_path, capsys):
         assert captured.err == "error: ambient dimension cannot be negative, got -3\n"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["perversity", "--dim", "4", "--spec", "gm:a"], "'gm:a'"),
+    (["ih", "--space", "s2", "--perversity", "gm:0,1.5"], "'gm:0,1.5'"),
+    (["perversity", "--dim", "4", "--spec", "per-stratum:{by_codim}"], "'x'"),
+])
+def test_perversity_with_a_non_integer_codimension_exits_2(tmp_path, capsys, argv, named):
+    by_codim = tmp_path / "p.json"
+    by_codim.write_text('{"kind": "by-codim", "values": {"x": 1}}')
+    assert cli.main([a.format(by_codim=by_codim) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named in captured.err and "integer" in captured.err
+
+
 def test_perversity_dim_zero_is_a_dimension(capsys):
     """--dim 0 is given, not absent: the zero perversity of a point has no
     stratum to take a value on."""

@@ -1,6 +1,7 @@
 """Finite Hilbert complexes: validation, harmonic theory, duality, index."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -143,6 +144,19 @@ def test_validate_rejects_non_rational_column_entries(entry):
     # and {0: True} would be read as 1
     with pytest.raises(ConstructionError, match="D_1"):
         hb.validate([1, 1, 1], [[{}], [{0: entry}]])
+
+
+def test_validate_checks_row_lengths_before_allocating_columns():
+    """A dense D_0 of one 1-entry row claiming 10**6 columns is rejected
+    before one dict per claimed column is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError, match="row 0 has length 1, expected 1000000"):
+            hb.validate([10**6, 1], [[[0]]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_validate_accepts_int_fraction_and_text_entries():

@@ -240,6 +240,12 @@ def test_perversity_from_json_rejects_codimension_below_one():
             pv.perversity_from_json({"kind": pv.BY_CODIM, "values": {key: 0, "2": 0}})
 
 
+@pytest.mark.parametrize("key", ["x", "1.5", ""])
+def test_perversity_from_json_names_a_non_integer_codimension(key):
+    with pytest.raises(ConfigurationError, match=f"key {key!r} is not an integer"):
+        pv.perversity_from_json({"kind": pv.BY_CODIM, "values": {key: 1}})
+
+
 def test_named_perversity():
     lower, upper = pv.middle_perversities(4)
     assert [pv.named_perversity(name, 4) for name in pv.NAMED_PERVERSITIES] == [
