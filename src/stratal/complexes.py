@@ -294,8 +294,8 @@ class FilteredComplex:
         """Rational Betti numbers b_0..b_n, exact."""
         bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
         table = self.interior
-        ranks = [r for r, _ in linalg.chain_ranks(bnd, [near for near, _ in table], table)] + [0]
-        return tuple(len(bnd[i]) - ranks[i] - ranks[i + 1] for i in range(self.n + 1))
+        ranks = linalg.chain_ranks(bnd, [near for near, _ in table], table)
+        return _betti(map(len, bnd), ranks)
 
     # ----------------------------------------------------------------- reports
 
@@ -325,11 +325,21 @@ class FilteredComplex:
         }
 
 
+def _betti(sizes, ranks):
+    """Betti numbers from |A_i| and `linalg.chain_ranks`' (r_all, r_bad) per
+    degree: the chain space ker ∂_i[B_{i-1}, A_i] has dimension |A_i| - r_bad,i
+    and the boundary on it rank r_all,i - r_bad,i, so
+    b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1)."""
+    above = [r_all - r_bad for r_all, r_bad in ranks[1:]] + [0]
+    return tuple(a - r_all - up for a, (r_all, _), up in zip(sizes, ranks, above))
+
+
 # ------------------------------------------------------------------- builders
 
 
 def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
-    """Validate and complete the filtration chain X_0 <= ... <= X_{n-1}."""
+    """Validate and complete the filtration chain X_0 <= ... <= X_{n-1}, whose
+    listed simplices are sorted tuples."""
     chain = {}
     prev = frozenset()
     given = {}
@@ -343,7 +353,7 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
             raise SpaceFormatError(f"skeleton level {j} outside 0..{n - 1}")
     for j in range(n):
         if j in given:
-            listed = {tuple(sorted(s)) for s in given[j]}
+            listed = set(given[j])
             for s in listed:
                 if s not in closure:
                     raise SpaceFormatError(
@@ -514,24 +524,48 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
 
 
 def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None):
-    """Assemble a FilteredComplex from maximal simplices given as index tuples."""
-    maximal = [tuple(sorted(s)) for s in maximal]
+    """Assemble a FilteredComplex from the fields of a space document, checked
+    by the document rules (`_checked_fields`); simplices may be tuples, and
+    the dimension defaults to that of the widest maximal simplex."""
+    maximal = list(maximal)
     n = dimension if dimension is not None else max(map(len, maximal), default=1) - 1
-    return _assemble(name, n, list(vertex_ids), maximal, skeleta, weights)
+    return _assemble(*_checked_fields(
+        name, n, list(vertex_ids), maximal,
+        {} if skeleta is None else skeleta, {} if weights is None else weights))
 
 
 def _simplex_list(value, field, nverts):
     """Simplices of a document field as sorted tuples; each must be a
-    non-empty list of distinct vertex indices below nverts."""
+    non-empty list or tuple of distinct vertex indices below nverts."""
     if not isinstance(value, list):
         raise SpaceFormatError(f"{field} must be a list of simplices")
     for s in value:
-        if (not isinstance(s, list) or not s
+        if (not isinstance(s, (list, tuple)) or not s
                 or any(type(v) is not int or v < 0 or v >= nverts for v in s)):
             raise SpaceFormatError(f"bad simplex {s!r} in {field}")
         if len(set(s)) != len(s):
             raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
     return [tuple(sorted(s)) for s in value]
+
+
+def _checked_fields(name, n, vertex_ids, maximal, skeleta, weights):
+    """`_assemble`'s arguments from the fields of a space document, each
+    checked by the document rules, simplices as sorted tuples. `load` and
+    `build` both read through it."""
+    if not isinstance(name, str):
+        raise SpaceFormatError("name must be a string")
+    if type(n) is not int or n < 0:
+        raise SpaceFormatError("dimension must be a non-negative integer")
+    if (not isinstance(vertex_ids, list)
+            or any(type(v) not in (int, str) for v in vertex_ids)
+            or len(set(map(str, vertex_ids))) != len(vertex_ids)):
+        raise SpaceFormatError("vertices must be a list of unique ids")
+    maximal = _simplex_list(maximal, "maximal_simplices", len(vertex_ids))
+    if not isinstance(skeleta, dict) or not isinstance(weights, dict):
+        raise SpaceFormatError("skeleta and weights must be JSON objects")
+    skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
+               for j, level in skeleta.items()}
+    return name, n, vertex_ids, maximal, skeleta, weights
 
 
 def load(source):
@@ -558,23 +592,9 @@ def _read_document(source):
     for key in ("dimension", "vertices", "maximal_simplices"):
         if key not in doc:
             raise SpaceFormatError(f"space document lacks {key!r}")
-    name = doc.get("name", "unnamed")
-    n = doc["dimension"]
-    vertex_ids = doc["vertices"]
-    if not isinstance(name, str):
-        raise SpaceFormatError("name must be a string")
-    if type(n) is not int or n < 0:
-        raise SpaceFormatError("dimension must be a non-negative integer")
-    if (not isinstance(vertex_ids, list)
-            or any(type(v) not in (int, str) for v in vertex_ids)
-            or len(set(map(str, vertex_ids))) != len(vertex_ids)):
-        raise SpaceFormatError("vertices must be a list of unique ids")
-    maximal = _simplex_list(doc["maximal_simplices"], "maximal_simplices", len(vertex_ids))
-    skeleta, weights = doc.get("skeleta", {}), doc.get("weights", {})
-    if not isinstance(skeleta, dict) or not isinstance(weights, dict):
-        raise SpaceFormatError("skeleta and weights must be JSON objects")
-    skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
-               for j, level in skeleta.items()}
+    fields = _checked_fields(doc.get("name", "unnamed"), doc["dimension"], doc["vertices"],
+                             doc["maximal_simplices"], doc.get("skeleta", {}),
+                             doc.get("weights", {}))
     orientation = doc.get("orientation")
     if orientation is not None:
         if not isinstance(orientation, list) or any(
@@ -582,8 +602,8 @@ def _read_document(source):
             for e in orientation
         ):
             raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
-        _simplex_list([e[0] for e in orientation], "orientation", len(vertex_ids))
-    return name, n, list(vertex_ids), maximal, skeleta, weights
+        _simplex_list([e[0] for e in orientation], "orientation", len(doc["vertices"]))
+    return fields
 
 
 def to_document(K):

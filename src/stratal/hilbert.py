@@ -35,6 +35,18 @@ class FiniteHilbertComplex:
         return self.dims[i + 1] if 0 <= i + 1 < len(self.dims) else 0
 
 
+def _entry(value, where):
+    """A matrix entry as `linalg` stores it: an int stays an int, which
+    reduces without Fraction arithmetic; anything else is read by
+    `parse_rational`, so a bool or a float raises ConstructionError."""
+    if type(value) is int:
+        return value
+    try:
+        return parse_rational(value)
+    except SpaceFormatError as exc:
+        raise ConstructionError(f"{where}: {exc}") from None
+
+
 def _to_columns(matrix, nrows, ncols, where):
     if len(matrix) != nrows:
         raise ConstructionError(f"{where}: expected {nrows} rows, got {len(matrix)}")
@@ -47,11 +59,7 @@ def _to_columns(matrix, nrows, ncols, where):
     cols = [{} for _ in range(ncols)]
     for r, row in enumerate(matrix):
         for c, entry in enumerate(row):
-            try:
-                v = parse_rational(entry)
-            except SpaceFormatError as exc:
-                raise ConstructionError(f"{where}: {exc}") from None
-            if v:
+            if v := _entry(entry, where):
                 cols[c][r] = v
     return cols
 
@@ -61,8 +69,8 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
 
     `matrices[i]` is D_i with dims[i+1] rows and dims[i] columns; entries may
     be ints, Fractions, or "p/q" strings (never bools or floats). D_i may
-    also be given as its dims[i] columns, dicts keyed by int row indices
-    whose entries are read the same way.
+    also be given as its dims[i] columns, dicts keyed by int row indices.
+    Both forms read their entries through `_entry`, so ints stay ints.
     """
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ConstructionError("dims must be a list of integers")
@@ -86,14 +94,9 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                 )
             if any(type(r) is not int or not 0 <= r < dims[i + 1] for col in mat for r in col):
                 raise ConstructionError(f"D_{i}: column rows must be ints below {dims[i + 1]}")
-            # linalg stores no zeros; an int stays an int, which reduces
-            # without Fraction arithmetic
-            try:
-                cols.append([{r: x for r, v in col.items()
-                              if (x := v if type(v) is int else parse_rational(v))}
-                             for col in mat])
-            except SpaceFormatError as exc:
-                raise ConstructionError(f"D_{i}: {exc}") from None
+            # linalg stores no zeros
+            cols.append([{r: x for r, v in col.items() if (x := _entry(v, f"D_{i}"))}
+                         for col in mat])
         else:
             cols.append(_to_columns(mat, dims[i + 1], dims[i], f"D_{i}"))
     for i in range(len(cols) - 1):
@@ -108,11 +111,8 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
 
 def cohomology_dims(C: FiniteHilbertComplex):
     """dim ker D_i - rank D_{i-1} in every degree, exact."""
-    n = len(C.dims)
-    # reversed, the cochain complex is a chain complex: D_i is ∂_{n-1-i}
-    bnd = [list(map(linalg.col_primitive, C.differential(n - 1 - k))) for k in range(n)]
-    ranks = [r for r, _ in reversed(linalg.chain_ranks(bnd, [range(len(b)) for b in bnd]))]
-    return tuple(d - r - below for d, r, below in zip(C.dims, ranks, [0, *ranks]))
+    ranks = [linalg.rank(C.differential(i)) for i in range(-1, len(C.dims))]
+    return tuple(d - below - r for d, below, r in zip(C.dims, ranks, ranks[1:]))
 
 
 def harmonic_dims(C: FiniteHilbertComplex):

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import linalg
-from .complexes import check_orientation
+from .complexes import _betti, check_orientation
 from .errors import ConfigurationError
 from .perversity import Perversity, dual, perversity_to_json
 
@@ -114,10 +114,11 @@ class StratifiedChainComplex:
         With A_i the allowable columns and B_{i-1} the non-allowable rows,
         IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
         for r_bad = rank ∂_i[B_{i-1}, A_i]. The boundary on IC_i has kernel
-        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad. The
-        interior simplices are allowable for every perversity, so only the
-        near ones are tested here, and their reduced boundaries come from the
-        complex's shared table (`FilteredComplex.interior`). The answer is
+        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad; `betti()`
+        reads the same formula (`complexes._betti`). The interior simplices
+        are allowable for every perversity, so only the near ones are tested
+        here, and their reduced boundaries come from the complex's shared
+        table (`FilteredComplex.interior`). The answer is
         kept in the complex's memo under the allowable pattern and returned
         from there for any later perversity with the same pattern.
         """
@@ -126,15 +127,11 @@ class StratifiedChainComplex:
         if pattern in K.ih_memo:
             return K.ih_memo[pattern]
         table = K.interior
-        allow, dims = [], []
+        allow, sizes = [], []
         for ok, (_, of), (near, _) in zip(self._ok, K.profile_classes, table):
             allow.append([j for j in near if ok[of[j]]])
-            dims.append(len(of) - len(near) + len(allow[-1]))
-        ranks = [0] * (K.n + 2)
-        for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(K.regular, allow, table)):
-            dims[i] -= r_bad
-            ranks[i] = r_all - r_bad
-        K.ih_memo[pattern] = tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
+            sizes.append(len(of) - len(near) + len(allow[-1]))
+        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(K.regular, allow, table))
         return K.ih_memo[pattern]
 
 

@@ -23,16 +23,19 @@ from .rationals import format_rational, parse_weight
 
 
 class ClosedManifold(Frozen):
-    """A closed manifold known only through its betti vector."""
+    """A closed manifold known only through its betti vector: dim + 1 ints
+    (never bools, floats or strings), none negative."""
 
     __slots__ = __match_args__ = ("betti", "dim")
 
     def __init__(self, betti, dim):
-        betti = tuple(int(b) for b in betti)
+        betti = tuple(betti)
         if len(betti) != dim + 1:
             raise ConfigurationError(
                 f"betti vector of length {len(betti)} does not match dim {dim}"
             )
+        if any(type(b) is not int for b in betti):
+            raise ConfigurationError(f"betti numbers must be integers, got {list(betti)}")
         if any(b < 0 for b in betti):
             raise ConfigurationError("betti numbers cannot be negative")
         self._set(betti, dim)

@@ -70,17 +70,24 @@ class Frozen(Record):
 class Perversity(Frozen):
     """An integer-valued perversity.
 
-    kind "by-codim": values maps codimension k >= 1 to an integer.
+    kind "by-codim": values maps codimension k >= 1 (an int) to an integer.
     kind "per-stratum": values maps a stratum id to an integer.
-    Negative values are legitimate; nothing is clamped.
+    A value is an int, never a bool, a float or a Fraction; negative values
+    are legitimate, and nothing is clamped. These rules are checked here, for
+    every perversity, read from JSON or built in code.
     """
 
     __slots__ = __match_args__ = ("kind", "values")
 
     def __init__(self, kind, values):
+        values = dict(values)
         if kind not in (BY_CODIM, PER_STRATUM):
             raise ConfigurationError(f"unknown perversity kind {kind!r}")
-        self._set(kind, dict(values))
+        if any(type(v) is not int for v in values.values()):
+            raise ConfigurationError("perversity values must map keys to integers")
+        if kind == BY_CODIM and any(type(k) is not int or k < 1 for k in values):
+            raise ConfigurationError("by-codim perversity keys must be codimensions >= 1")
+        self._set(kind, values)
 
     def value(self, stratum_id, codim):
         """Value on a stratum identified by id and codimension."""
@@ -320,25 +327,20 @@ def perversity_to_json(p: Perversity) -> dict:
 
 
 def perversity_from_json(doc) -> Perversity:
+    """A perversity from its JSON form; `Perversity` checks the values and keys."""
     if not isinstance(doc, dict) or "kind" not in doc or "values" not in doc:
         raise ConfigurationError("perversity document needs 'kind' and 'values'")
-    kind = doc["kind"]
-    raw = doc["values"]
-    if not isinstance(raw, dict) or any(type(v) is not int for v in raw.values()):
+    kind, raw = doc["kind"], doc["values"]
+    if not isinstance(raw, dict):
         raise ConfigurationError("perversity values must map keys to integers")
-    if kind == BY_CODIM:
-        values = {}
-        for k, v in raw.items():
-            try:
-                values[int(k)] = v
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"by-codim key {k!r} is not an integer") from None
-        if any(k < 1 for k in values):
-            raise ConfigurationError("by-codim perversity keys must be codimensions >= 1")
-    elif kind == PER_STRATUM:
-        values = {str(k): v for k, v in raw.items()}
-    else:
-        raise ConfigurationError(f"unknown perversity kind {kind!r}")
+    if kind != BY_CODIM:
+        return Perversity(kind, {str(k): v for k, v in raw.items()})
+    values = {}
+    for k, v in raw.items():
+        try:
+            values[int(k)] = v
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"by-codim key {k!r} is not an integer") from None
     return Perversity(kind, values)
 
 

@@ -150,6 +150,26 @@ def test_load_rejects_malformed_structure(doc, message):
         cx.load(doc)
 
 
+@pytest.mark.parametrize("vertices, maximal, message", [
+    pytest.param([0, 1], [(0, 0, 1)], "repeated vertex in simplex (0, 0, 1)", id="vertex-repeated"),
+    pytest.param([0, 1], [(0, -1)], "bad simplex (0, -1) in maximal_simplices", id="vertex-negative"),
+    pytest.param([0, 1], [(0, 2)], "bad simplex (0, 2) in maximal_simplices", id="vertex-past-count"),
+    pytest.param([0, "0"], [(0, 1)], "vertices must be a list of unique ids", id="ids-not-unique"),
+])
+def test_build_reads_its_fields_by_the_document_rules(vertices, maximal, message):
+    """`build` and `load` go through one field check, so what a space document
+    may not hold is refused as a `build` argument too, with the same message.
+    A repeated vertex gave counts (2, 2, 1), -1 wrapped round to vertex 1, and
+    2 raised a bare IndexError."""
+    with pytest.raises(SpaceFormatError) as built:
+        cx.build("x", vertices, maximal)
+    doc = {"dimension": 1, "vertices": vertices, "maximal_simplices": list(map(list, maximal))}
+    with pytest.raises(SpaceFormatError) as loaded:
+        cx.load(doc)
+    assert str(built.value) == message
+    assert str(loaded.value) == message.replace("(", "[").replace(")", "]")
+
+
 def test_load_ignores_repeated_and_non_maximal_simplices(spaces):
     # repeats alone keep every listed simplex at full length; listed faces do not
     for name in ("s2", "susp_t2", "cone_cone_s1"):

@@ -168,6 +168,15 @@ def test_validate_accepts_int_fraction_and_text_entries():
     assert Z.differential(0) == [{}]
 
 
+def test_validate_keeps_int_entries_in_both_forms():
+    """Dense and column-dict entries go through one reader: an int stays an
+    int in both forms, and a Fraction or "p/q" text becomes a Fraction."""
+    dense = hb.validate([1, 2], [[[2], ["1/3"]]]).differential(0)
+    columns = hb.validate([1, 2], [[{0: 2, 1: "1/3"}]]).differential(0)
+    for col in (dense[0], columns[0]):
+        assert (type(col[0]), type(col[1])) == (int, F)
+
+
 def test_cohomology_dims_of_rational_and_non_primitive_differentials(s2):
     """The tetrahedron boundary as a cochain complex with the rows of ∂_1
     (the vertices) scaled by 1/2, -3, 2/3 and 5/7: D_0 has Fraction entries

@@ -69,6 +69,15 @@ def test_space_expr_validation():
         l2.Cone(F(1), l2.Cylinder(l2.ClosedManifold((1,), 0)))
 
 
+@pytest.mark.parametrize("entry", [1.7, 2.9, True, "2"])
+def test_betti_vectors_hold_ints_only(entry):
+    # int() would read 1.7 and True as 1 and "2" as 2
+    with pytest.raises(ConfigurationError, match="betti numbers must be integers"):
+        l2.ClosedManifold([1, entry, 1], 2)
+    with pytest.raises(ConfigurationError, match="betti numbers must be integers"):
+        l2.cone_max_cohomology([1, entry, 1], 2, 1)
+
+
 def test_cone_report_hypothesis_clauses():
     rep = l2.cone_report((1, 1), 1, F(1, 2))
     assert rep.hypothesis_used == "weight below one"

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from stratal import complexes as cx
+from stratal import intersection as ix
 from stratal import perversity as pv
 from stratal.errors import ConfigurationError, RealizabilityError
 
@@ -244,6 +245,32 @@ def test_perversity_from_json_rejects_codimension_below_one():
 def test_perversity_from_json_names_a_non_integer_codimension(key):
     with pytest.raises(ConfigurationError, match=f"key {key!r} is not an integer"):
         pv.perversity_from_json({"kind": pv.BY_CODIM, "values": {key: 1}})
+
+
+@pytest.mark.parametrize("kind, values, message", [
+    pytest.param(pv.PER_STRATUM, {"y": 0.5}, "perversity values must map keys to integers",
+                 id="float-value"),
+    pytest.param(pv.PER_STRATUM, {"y": True}, "perversity values must map keys to integers",
+                 id="bool-value"),
+    pytest.param(pv.BY_CODIM, {0: 0, 2: 0}, "by-codim perversity keys must be codimensions >= 1",
+                 id="codim-zero"),
+])
+def test_perversity_owns_its_value_and_key_rules(kind, values, message):
+    """A perversity built in code obeys the rules its JSON form does, with
+    the same message."""
+    with pytest.raises(ConfigurationError, match=message):
+        pv.Perversity(kind, values)
+    doc = {"kind": kind, "values": {str(k): v for k, v in values.items()}}
+    with pytest.raises(ConfigurationError, match=message):
+        pv.perversity_from_json(doc)
+
+
+def test_a_non_integer_perversity_value_is_not_an_answer(cone_t2):
+    # the apex value 1/2 gave (1, 2, 0, 0), and True was read as 1
+    apex = cone_t2.singular_strata()[0].id
+    for value in (F(1, 2), 0.5, True):
+        with pytest.raises(ConfigurationError, match="must map keys to integers"):
+            ix.intersection_betti(cone_t2, pv.Perversity(pv.PER_STRATUM, {apex: value}))
 
 
 def test_named_perversity():
