@@ -10,11 +10,12 @@ so no process pays for the modules of another command.
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from .complexes import _name_simplex, load
-from .errors import ConfigurationError, StratalError
+from .errors import ConfigurationError, ConstructionError, StratalError
 from .intersection import StratifiedChainComplex
 from .perversity import (
     BY_CODIM,
@@ -29,7 +30,7 @@ from .perversity import (
     weight_perversity,
     weights_to_json,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, read_json
 
 
 def _emit(doc):
@@ -53,14 +54,12 @@ def _resolve_perversity(spec, n, space=None):
             raise StratalError("perversity spec 'from-weights' needs a space")
         return weight_perversity(space)
     if spec.startswith("gm:"):
-        try:
-            values = [int(v) for v in spec[3:].split(",") if v != ""]
-        except ValueError:
-            raise ConfigurationError(f"gm values in spec {spec!r} must be integers") from None
+        texts = spec[3:].split(",") if spec != "gm:" else []
+        values = [parse_int(v, f"gm spec {spec!r}: value", ConfigurationError) for v in texts]
         return Perversity(BY_CODIM, {k + 2: v for k, v in enumerate(values)})
     if spec.startswith("per-stratum:"):
         path = spec.split(":", 1)[1]
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(Path(path).read_text(), ConfigurationError)
         if not isinstance(doc, dict):
             raise ConfigurationError(f"perversity file {path} must hold a JSON object")
         if "kind" not in doc:
@@ -132,9 +131,9 @@ def cmd_perversity(args):
 def cmd_cone(args):
     from .l2model import cone_report
 
-    betti = [int(b) for b in args.link_betti.split(",")]
-    c = parse_rational(args.weight)
-    rep = cone_report(betti, args.link_dim, c)
+    betti = [parse_int(b, "link betti number", ConfigurationError)
+             for b in args.link_betti.split(",")]
+    rep = cone_report(betti, args.link_dim, args.weight)
     _emit(rep.to_json())
     return 0
 
@@ -167,7 +166,7 @@ def cmd_verify(args):
 def cmd_hilbert(args):
     from . import hilbert as hb
 
-    doc = json.loads(Path(args.complex).read_text())
+    doc = read_json(Path(args.complex).read_text(), ConstructionError)
     if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
         raise StratalError("complex file needs an object with 'dims' and 'differentials'")
     C = hb.validate(doc["dims"], doc["differentials"])
@@ -182,10 +181,7 @@ def cmd_hilbert(args):
     if args.decompose is not None:
         if not args.vector:
             raise StratalError("--decompose needs --vector FILE")
-        vec_doc = json.loads(Path(args.vector).read_text())
-        if not isinstance(vec_doc, list):
-            raise StratalError("vector file must hold a JSON list")
-        vec = [parse_rational(v) for v in vec_doc]
+        vec = read_json(Path(args.vector).read_text(), ConfigurationError)
         h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):
             return {str(r): format_rational(v) for r, v in sorted(part.items())}
@@ -210,6 +206,10 @@ def cmd_corpus_build(args):
     written = corpus_mod.write_corpus(args.out)
     _emit({"written": written})
     return 0
+
+
+# argparse turns an ArgumentTypeError into its usage error, exit code 2
+_integer = partial(parse_int, what="value", error=argparse.ArgumentTypeError)
 
 
 def _build_parser():
@@ -240,14 +240,14 @@ def _build_parser():
 
     p = add_parser("perversity", help="construct and inspect perversities")
     p.add_argument("--space", help="derive p_g/q_g from a weighted space")
-    p.add_argument("--dim", type=int, help="ambient dimension for --spec")
+    p.add_argument("--dim", type=_integer, help="ambient dimension for --spec")
     p.add_argument("--spec", default="zero")
     p.add_argument("--dual", action="store_true")
     p.set_defaults(func=cmd_perversity)
 
     p = add_parser("cone", help="L2 cone truncation of a link betti vector")
     p.add_argument("--link-betti", required=True)
-    p.add_argument("--link-dim", type=int, required=True)
+    p.add_argument("--link-dim", type=_integer, required=True)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=cmd_cone)
 
@@ -262,7 +262,7 @@ def _build_parser():
 
     p = add_parser("hilbert", help="validate and analyze a finite complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--decompose", type=int, default=None)
+    p.add_argument("--decompose", type=_integer, default=None)
     p.add_argument("--vector")
     p.set_defaults(func=cmd_hilbert)
 

@@ -47,7 +47,6 @@ All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
-import json
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, compress, filterfalse, repeat
@@ -56,7 +55,7 @@ from pathlib import Path
 from . import linalg
 from .errors import ConfigurationError, SpaceFormatError, StructureError
 from .perversity import weights_to_json
-from .rationals import format_rational, parse_weight
+from .rationals import format_rational, parse_int, parse_weight, read_json
 
 
 class Stratum:
@@ -342,12 +341,9 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
     listed simplices are sorted tuples."""
     chain = {}
     prev = frozenset()
-    given = {}
-    for j, v in (raw_skeleta or {}).items():
-        try:
-            given[int(j)] = v
-        except (TypeError, ValueError):
-            raise SpaceFormatError(f"skeleton level {j!r} is not an integer") from None
+    given = {parse_int(j, "skeleton level"): v for j, v in raw_skeleta.items()}
+    if len(given) < len(raw_skeleta):  # 0 and "0" name one level
+        raise SpaceFormatError("skeleta give one level twice")
     for j in sorted(given):
         if j < 0 or j > n - 1:
             raise SpaceFormatError(f"skeleton level {j} outside 0..{n - 1}")
@@ -516,10 +512,7 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
                     f"weight references unknown singular stratum {sid!r}; "
                     f"known: {sorted(singular_ids)}"
                 )
-            try:
-                K.weights[sid] = parse_weight(text, f"weight for {sid!r}")
-            except ConfigurationError as exc:
-                raise SpaceFormatError(str(exc)) from None
+            K.weights[sid] = parse_weight(text, f"weight for {sid!r}", SpaceFormatError)
     return K
 
 
@@ -582,9 +575,9 @@ def _read_document(source):
             text = Path(source).read_text()
         except OSError as exc:
             raise SpaceFormatError(f"cannot read space file {source}: {exc}") from exc
-        doc = json.loads(text)
+        doc = read_json(text, SpaceFormatError)
     elif isinstance(source, str):
-        doc = json.loads(source)
+        doc = read_json(source, SpaceFormatError)
     else:
         doc = source
     if not isinstance(doc, dict):

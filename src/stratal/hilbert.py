@@ -12,7 +12,7 @@ entry of each part.
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConfigurationError, ConstructionError, SpaceFormatError
+from .errors import ConfigurationError, ConstructionError
 from .rationals import parse_rational
 
 
@@ -20,7 +20,7 @@ class FiniteHilbertComplex:
     """Spaces of the given dimensions with column-stored differentials."""
 
     def __init__(self, dims, diff_cols):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(dims)
         self.diffs = diff_cols  # diffs[i]: columns of D_i, mapping H_i -> H_{i+1}
 
     def differential(self, i):
@@ -41,10 +41,7 @@ def _entry(value, where):
     `parse_rational`, so a bool or a float raises ConstructionError."""
     if type(value) is int:
         return value
-    try:
-        return parse_rational(value)
-    except SpaceFormatError as exc:
-        raise ConstructionError(f"{where}: {exc}") from None
+    return parse_rational(value, where, ConstructionError)
 
 
 def _to_columns(matrix, nrows, ncols, where):
@@ -157,10 +154,8 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
             f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")
     else:
         items = enumerate(v)
-    try:
-        vec = {r: x for r, val in items if (x := parse_rational(val))}
-    except SpaceFormatError as exc:
-        raise ConfigurationError(f"vector entry: {exc}") from None
+    vec = {r: x for r, val in items
+           if (x := parse_rational(val, "vector entry", ConfigurationError))}
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
     exact = linalg.project_onto_span(vec, C.differential(i - 1))

@@ -185,16 +185,15 @@ def fredholm_indices(max_betti, min_betti):
 def local_model_check(K_link, c):
     """Compare the analytic cone truncation with the simplicial engine.
 
-    The analytic side truncates the link's maximal-cohomology vector at
-    f/2 + 1/(2c); the simplicial side builds the closed cone, derives the
-    weight perversity of its full stratum set, and computes the dual-side
-    intersection cohomology. The report lists both vectors degreewise.
+    The analytic side truncates the link's maximal-cohomology vector (its
+    intersection cohomology for the dual weight perversity, which on a
+    manifold is its betti vector) at f/2 + 1/(2c); the simplicial side
+    builds the closed cone, derives the weight perversity of its full
+    stratum set, and computes the dual-side intersection cohomology. The
+    report lists both vectors degreewise.
     """
     c = parse_weight(c, "cone weight")
-    if K_link.singular_strata():
-        link_max = theorem_predictions(K_link)["max_betti"]
-    else:
-        link_max = list(K_link.betti())
+    link_max = intersection_betti(K_link, dual(weight_perversity(K_link), K_link))
     analytic = cone_report(link_max, K_link.n, c)
     C = cone(K_link, c)
     p_g = weight_perversity(C)

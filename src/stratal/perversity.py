@@ -15,7 +15,7 @@ resulting perversities.
 from fractions import Fraction
 
 from .errors import ConfigurationError, RealizabilityError
-from .rationals import format_rational, parse_weight
+from .rationals import format_rational, parse_int, parse_weight
 
 BY_CODIM = "by-codim"
 PER_STRATUM = "per-stratum"
@@ -333,14 +333,12 @@ def perversity_from_json(doc) -> Perversity:
     kind, raw = doc["kind"], doc["values"]
     if not isinstance(raw, dict):
         raise ConfigurationError("perversity values must map keys to integers")
-    if kind != BY_CODIM:
-        return Perversity(kind, {str(k): v for k, v in raw.items()})
-    values = {}
-    for k, v in raw.items():
-        try:
-            values[int(k)] = v
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"by-codim key {k!r} is not an integer") from None
+    if kind == BY_CODIM:
+        values = {parse_int(k, "by-codim key", ConfigurationError): v for k, v in raw.items()}
+    else:
+        values = {str(k): v for k, v in raw.items()}
+    if len(values) < len(raw):  # 2 and "2" name one codimension
+        raise ConfigurationError("perversity values give one key twice")
     return Perversity(kind, values)
 
 

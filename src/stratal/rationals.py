@@ -1,46 +1,67 @@
-"""Exact rationals and their "p/q" interchange form.
+"""The grammar of outside text: integers, exact rationals in their "p/q"
+interchange form, and JSON documents.
 
-Every rational that crosses a file or report boundary is a "p/q" string;
-floats are never accepted.
+Every reader of a key, spec, option or entry goes through these functions,
+and each takes the error class its caller raises. Integer text is canonical
+decimal, as `str(int)` writes it: "0", or an optional "-" and digits with no
+leading zero. Every rational that crosses a file or report boundary is a
+"p/q" string with q > 0; floats are never accepted. A JSON document may not
+repeat a key within one object.
 """
 
+import json
 from fractions import Fraction
 
 from .errors import ConfigurationError, SpaceFormatError
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p/q" (or a bare integer string / int, not a bool) into a Fraction;
-    a Fraction is returned unchanged."""
+def _decimal(text):
+    """The int that `text` writes in canonical decimal, or None."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        return None
+    return value if str(value) == text else None
+
+
+def parse_int(text, what, error=SpaceFormatError) -> int:
+    """An int (not a bool) as it is, or canonical decimal text; anything else
+    raises `error` naming `what` ("skeleton level", ...) and the input."""
+    if type(text) is int:
+        return text
+    if (value := _decimal(text)) is None:
+        raise error(f"{what} {text!r} is not an integer")
+    return value
+
+
+def parse_rational(text, what=None, error=SpaceFormatError) -> Fraction:
+    """Parse "p/q" with q > 0 (or bare integer text, or an int that is not a
+    bool) into a Fraction; a Fraction is returned unchanged. Anything else
+    raises `error`, its message prefixed with `what` when one is given."""
     if isinstance(text, Fraction):
         return text
     if type(text) is int:
         return Fraction(text)
     if isinstance(text, float):
-        raise SpaceFormatError(f"floats are not accepted as rationals: {text!r}")
-    if not isinstance(text, str):
-        raise SpaceFormatError(f"not a rational: {text!r}")
-    parts = text.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpaceFormatError(f"malformed rational {text!r}") from exc
-    raise SpaceFormatError(f"malformed rational {text!r}")
+        problem = f"floats are not accepted as rationals: {text!r}"
+    elif not isinstance(text, str):
+        problem = f"not a rational: {text!r}"
+    else:
+        num, slash, den = text.partition("/")
+        p, q = _decimal(num), (_decimal(den) if slash else 1)
+        if p is not None and q is not None and q > 0:
+            return Fraction(p, q)
+        problem = f"malformed rational {text!r}"
+    raise error(f"{what}: {problem}" if what else problem)
 
 
-def parse_weight(x, what) -> Fraction:
+def parse_weight(x, what, error=ConfigurationError) -> Fraction:
     """A metric weight: a positive rational read by `parse_rational`, so
-    never a float or a bool. Anything else raises ConfigurationError, whose
-    message starts with `what` ("cone weight", ...)."""
-    try:
-        c = parse_rational(x)
-    except SpaceFormatError as exc:
-        raise ConfigurationError(f"{what}: {exc}") from None
+    never a float or a bool. Anything else raises `error`, whose message
+    starts with `what` ("cone weight", ...)."""
+    c = parse_rational(x, what, error)
     if c <= 0:
-        raise ConfigurationError(f"{what} must be positive")
+        raise error(f"{what} must be positive")
     return c
 
 
@@ -48,3 +69,21 @@ def format_rational(x) -> str:
     """Canonical "p/q" form, denominator always explicit."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _unique_keys(pairs):
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+def read_json(text, error):
+    """A JSON document whose objects repeat no key; malformed text or a
+    repeated key raises `error`. Only objects pass through the key check, so
+    a document made mostly of lists pays nothing for it."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise error(str(exc)) from None

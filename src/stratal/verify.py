@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import hilbert as hb
 from . import linalg
-from .complexes import barycentric_subdivide, check_orientation
+from .complexes import barycentric_subdivide
 from .corpus import load_corpus, load_space
 from .intersection import duality_check, intersection_betti
 from .l2model import fredholm_indices, local_model_check, theorem_predictions
@@ -23,6 +23,7 @@ from .perversity import (
     middle_perversities,
     named_perversity,
     perversity_from_weights,
+    weight_perversity,
     weights_from_perversity,
     zero_perversity,
 )
@@ -194,14 +195,14 @@ def suite_ris_consistency(corpus_dir=None):
                 max_b == betti and min_b == betti,
                 detail,
             )
-        if K.is_closed() and check_orientation(K) is not None:
-            n = K.n
-            reversal = all(max_b[i] == min_b[n - i] for i in range(n + 1))
+        # duality for p_g is the max/min reversal: its dual side is the max vector
+        duality = duality_check(K, weight_perversity(K))
+        if duality["applicable"]:
             euler = sum((-1) ** i * b for i, b in enumerate(max_b))
-            want = 0 if n % 2 == 1 else euler
+            want = 0 if K.n % 2 == 1 else euler
             report.add(
                 f"{name}: max/min reversal and index sanity",
-                reversal and ind_max == want and ind_min == want,
+                duality["pass"] and ind_max == want and ind_min == want,
                 detail,
             )
         else:

@@ -384,8 +384,8 @@ def test_load_frees_the_parsed_document_before_assembly(monkeypatch):
 
     loads, assemble, parsed = json.loads, cx._assemble, []
 
-    def watched_loads(text):
-        doc = Document(loads(text))
+    def watched_loads(text, **kwargs):
+        doc = Document(loads(text, **kwargs))
         parsed.append(weakref.ref(doc))
         return doc
 
