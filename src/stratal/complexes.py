@@ -20,36 +20,43 @@ its filtration, not on how a document lists its simplices.
 so it is part of the output: `verify --suite duality` draws its per-stratum
 values in it.
 
-Construction runs in C-level passes over whole lists: the closure set is
-filled by `set.update` from `combinations`, one pass per face size, fullness
-is tested on the faces of the maximal simplices cut down to their singular
-vertices, and a regular part with one component is taken whole from the
-sorted list. Python loops remain over the edges whose ends share a level
-(they give the components), over the few singular simplices, over the
-regular simplices when they form several components, and in the split by
-dimension.
+Construction makes each dimension's sorted simplex list on its own, in
+C-level passes over whole lists (`_faces_by_dim`): the vertices from one
+flat pass, the faces of each size from one pass of `combinations` with the
+repeats dropped by `dict.fromkeys` and the list sorted in place, and the
+top dimension from the maximal simplices themselves. The complex is never
+held as one set, nor as one list of mixed lengths sorted and then split. A
+listed skeleton simplex is found in its dimension's list by bisection,
+fullness is tested on the faces of the maximal simplices cut down to their
+singular vertices, and a regular part with one component is taken whole
+from the lexicographic list, which one sort merges from the per-dimension
+runs. Python loops remain over the edges whose ends share a level (they
+give the components, joined by union-find), over the few singular
+simplices, and over the regular simplices when they form several
+components.
 
 Construction holds each table only while something still reads it. `load`
 drops the parsed document, and any file text it read, before the assembly;
-the assembly keeps the closure set through the fullness test and then
-replaces it with the sorted list that `_stratify` and the split by
-dimension read. A complex stores its simplices by dimension and each
-vertex's level and stratum id; the simplex index (read by `index`, `level`,
-`label` and `boundary_matrix`), the singular-face profiles, the dropped-face
-boundaries, the top cofaces and the interior table are derived on first
-read. No constructor, no `to_document` and no `load` reads them. The
-interior table (`interior`) holds the reduced boundaries of the simplices
-with no singular vertex, which every rank query shares: `betti()` and each
-perversity's `intersection.homology` reduce only the simplices near the
-singular set against a copy of it.
+each dimension's dedupe table is freed before the next is built, and the
+lexicographic list lives only while `_stratify` groups the strata. A complex
+stores its simplices by dimension and each vertex's level and stratum id;
+the simplex index (read by `index`, `level`, `label` and `boundary_matrix`),
+the singular-face profiles, the dropped-face boundaries, the top cofaces and
+the interior table are derived on first read. No constructor, no
+`to_document` and no `load` reads them. The interior table (`interior`)
+holds the reduced boundaries of the simplices with no singular vertex, which
+every rank query shares: `betti()` and each perversity's
+`intersection.homology` reduce only the simplices near the singular set
+against a copy of it.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, combinations, compress, filterfalse, repeat
+from itertools import accumulate, chain, combinations, compress, filterfalse, repeat
 from pathlib import Path
 
 from . import linalg
@@ -77,23 +84,37 @@ class Stratum:
         return f"<Stratum {self.id} dim={self.dim} codim={self.codim} {kind}>"
 
 
-def _face_closure(simplices):
-    """Every face of the given simplices (tuples), as a set. The listed tuples
-    are kept as they are, and the faces of each size k come from one C-level
-    pass of `combinations` over all of them; the set's iteration order is
-    never read."""
-    closed = set(simplices)
-    for k in range(1, max(map(len, closed), default=1)):
-        closed.update(chain.from_iterable(map(combinations, simplices, repeat(k))))
-    return closed
+def _faces_by_dim(simplices):
+    """Every face of the given sorted tuples, as one sorted list per
+    dimension up to the widest of them (none for no simplices).
+
+    The vertices come from one flat pass, and the widest faces are the
+    widest simplices themselves, kept rather than copied. Each size k in
+    between takes one C-level pass of `combinations`; `dict.fromkeys` drops
+    the repeats and the list is sorted in place. The simplices are sorted
+    first, so a dict's first-occurrence order is made of ascending runs,
+    which the sort merges and which set order would not give. Each dict is
+    freed before the next is built."""
+    simplices = sorted(simplices)
+    if not simplices:
+        return []
+    widest = max(map(len, simplices))
+    by_dim = [list(zip(sorted(set(chain.from_iterable(simplices)))))]
+    for k in range(2, widest):
+        faces = list(dict.fromkeys(chain.from_iterable(map(combinations, simplices, repeat(k)))))
+        faces.sort()
+        by_dim.append(faces)
+    if widest > 1:
+        by_dim.append(list(dict.fromkeys(s for s in simplices if len(s) == widest)))
+    return by_dim
 
 
 def _maximal_of(closed):
-    # in a face-closed set every non-maximal simplex is a facet of another
+    # in a face-closed collection every non-maximal simplex is a facet of another
     facets = set()
     for s in closed:
         facets.update(combinations(s, len(s) - 1))
-    return sorted(closed.difference(facets))
+    return sorted(filterfalse(facets.__contains__, closed))
 
 
 def _name_simplex(simplex, vertex_ids):
@@ -336,10 +357,11 @@ def _betti(sizes, ranks):
 # ------------------------------------------------------------------- builders
 
 
-def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
+def _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids):
     """Validate and complete the filtration chain X_0 <= ... <= X_{n-1}, whose
-    listed simplices are sorted tuples."""
-    chain = {}
+    listed simplices are sorted tuples. `by_dim` is the complex, one sorted
+    list per dimension, in which each listed simplex is looked up."""
+    levels = {}
     prev = frozenset()
     given = {parse_int(j, "skeleton level"): v for j, v in raw_skeleta.items()}
     if len(given) < len(raw_skeleta):  # 0 and "0" name one level
@@ -349,60 +371,67 @@ def _complete_skeleta(n, closure, raw_skeleta, vertex_ids):
             raise SpaceFormatError(f"skeleton level {j} outside 0..{n - 1}")
     for j in range(n):
         if j in given:
-            listed = set(given[j])
+            listed = given[j]
             for s in listed:
-                if s not in closure:
+                known = by_dim[len(s) - 1] if len(s) <= len(by_dim) else ()
+                i = bisect_left(known, s)
+                if i == len(known) or known[i] != s:
                     raise SpaceFormatError(
                         f"skeleton {j} lists unknown simplex {_name_simplex(s, vertex_ids)}"
                     )
-            level = frozenset(_face_closure(listed)) if listed else frozenset()
-            for s in level:
-                if len(s) - 1 > j:
-                    raise SpaceFormatError(
-                        f"skeleton {j} contains {_name_simplex(s, vertex_ids)} "
-                        f"of dimension {len(s) - 1}"
-                    )
+            # a face is never wider than the listed simplex it comes from
+            widest = max(listed, key=len, default=())
+            if len(widest) - 1 > j:
+                raise SpaceFormatError(
+                    f"skeleton {j} contains {_name_simplex(widest, vertex_ids)} "
+                    f"of dimension {len(widest) - 1}"
+                )
+            level = frozenset(chain.from_iterable(_faces_by_dim(listed)))
             if not prev <= level:
                 missing = next(iter(prev - level))
                 raise SpaceFormatError(
                     f"skeleta not nested: X_{j} lacks {_name_simplex(missing, vertex_ids)}"
                 )
-            chain[j] = level
+            levels[j] = level
             prev = level
         else:
-            chain[j] = prev
-    return chain
+            levels[j] = prev
+    return levels
 
 
-def _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids):
+def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
     """Strata, ordered by their least member, and each vertex's stratum id
-    (None off the complex). `closure` is the complex in sorted order,
-    `by_dim` the same split by dimension, `singular` X_{n-1}.
+    (None off the complex). `by_dim` holds the complex's sorted simplices
+    per dimension, `singular` X_{n-1}.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
     The few singular simplices are placed one at a time. When the regular
     vertices form one component, the regular stratum is every simplex
-    outside X_{n-1}, taken from the sorted list with `filterfalse`. Only a
-    regular part with several components is grouped one simplex at a time."""
+    outside X_{n-1}, taken with `filterfalse` from the lexicographic list,
+    which a sort merges from the per-dimension runs. Only a regular part
+    with several components is grouped one simplex at a time."""
+    # union-find with path halving; a vertex's parent is never above it
     root = list(range(len(vertex_ids)))
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     # edges whose ends share a level: a few singular ones, and the regular
     # ones, which are the edges with no singular vertex
     singular_vertices = {s[0] for s in singular if len(s) == 1}
     same_level = [s for s in singular if len(s) == 2 and vertex_level[s[0]] == vertex_level[s[1]]]
     edges = by_dim[1] if n else ()
     for a, b in chain(same_level, filter(singular_vertices.isdisjoint, edges)):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[ra] = rb
-    root = list(map(find, range(len(root))))
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    # in increasing order each parent already points at its root
+    for v, parent in enumerate(root):
+        root[v] = root[parent]
     top_of = partial(max, key=vertex_level.__getitem__)
 
     def stratum_of(s):
@@ -411,7 +440,7 @@ def _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids):
     members = {}
     for s in sorted(singular):
         members.setdefault(stratum_of(s), []).append(s)
-    regular = filterfalse(singular.__contains__, closure)
+    regular = filterfalse(singular.__contains__, sorted(chain.from_iterable(by_dim)))
     roots = {root[v] for (v,) in by_dim[0] if vertex_level[v] == n}
     if len(roots) == 1:
         (r,) = roots
@@ -436,73 +465,71 @@ def _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids):
     return strata, list(map(sid_of.get, root))
 
 
-def _subdivide_raw(vertex_ids, closure, top, chain):
-    """First barycentric subdivision of the raw data: one new vertex per simplex
-    of `closure` in sorted order, and the flags of the maximal simplices `top`
-    and of each skeleton. Returns the new vertex ids, maximal simplices and
-    skeleta, and the new vertex index of each old simplex."""
-    new_index = {s: i for i, s in enumerate(sorted(closure))}
+def _subdivide_raw(vertex_ids, by_dim, skeleta):
+    """First barycentric subdivision of the raw data of a pure complex, whose
+    sorted simplices per dimension are `by_dim`: one new vertex per simplex
+    in lexicographic order, and the flags of the top simplices and of each
+    skeleton. Returns the new vertex ids, maximal simplices and skeleta, and
+    the new vertex index of each old simplex."""
+    new_index = {s: i for i, s in enumerate(sorted(chain.from_iterable(by_dim)))}
     new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in new_index]
     # the flags ending at each simplex, as sorted tuples, built from those of
     # its facets, so by size; no recursive closure keeps the table alive
     flags = {}
-    for s in sorted(new_index, key=len):
+    for s in chain.from_iterable(by_dim):
         i = new_index[s]
         flags[s] = ([(i,)] if len(s) == 1 else
                     [tuple(sorted(f + (i,))) for face in combinations(s, len(s) - 1)
                      for f in flags[face]])
-    new_maximal = sorted(f for s in top for f in flags[s])
-    new_chain = {j: [f for s in _maximal_of(level) for f in flags[s]]
-                 for j, level in chain.items()}
-    return new_ids, new_maximal, new_chain, new_index
+    new_maximal = sorted(f for s in by_dim[-1] for f in flags[s])
+    new_skeleta = {j: [f for s in _maximal_of(level) for f in flags[s]]
+                   for j, level in skeleta.items()}
+    return new_ids, new_maximal, new_skeleta, new_index
 
 
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     if not maximal:
         raise SpaceFormatError("a complex needs at least one simplex")
-    # checked before the closure, which has 2^k - 1 faces for each k-vertex simplex
+    # checked before the faces, which number 2^k - 1 for each k-vertex simplex
     widest = max(map(len, maximal))
     if widest - 1 > n:
         first = min(s for s in maximal if len(s) == widest)
         raise SpaceFormatError(f"simplex {_name_simplex(first, vertex_ids)} exceeds dimension {n}")
-    closure = _face_closure(maximal)
+    # one sorted list per dimension up to the widest simplex, never up to n,
+    # which an impure document may declare as large as it likes
+    by_dim = _faces_by_dim(maximal)
     # simplices of equal length are never faces of one another
     if set(map(len, maximal)) != {n + 1}:
-        maximal = _maximal_of(closure)
+        maximal = _maximal_of(list(chain.from_iterable(by_dim)))
         for s in maximal:
             if len(s) - 1 != n:
                 raise SpaceFormatError(
                     f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
                     f"has dimension {len(s) - 1}, expected {n}"
                 )
-    chain = _complete_skeleta(n, closure, raw_skeleta, vertex_ids)
-    singular = chain.get(n - 1, frozenset())
+    skeleta = _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids)
+    singular = skeleta.get(n - 1, frozenset())
     vertex_level = [n] * len(vertex_ids)
     for j in reversed(range(n)):
-        for s in chain[j]:
+        for s in skeleta[j]:
             if len(s) == 1:
                 vertex_level[s[0]] = j
     # X_j holds only simplices whose vertices all lie in it, and is full when
     # it holds all of them: the faces of the maximal simplices cut down to
-    # their vertices of level <= j, a set as small as the singular part
+    # their singular vertices (a set as small as the singular part) whose
+    # highest vertex has level <= j
     singular_vertices = {v for v, lvl in enumerate(vertex_level) if lvl < n}
     cut = set(map(tuple, map(partial(filter, singular_vertices.__contains__), maximal)))
-    for j in range(n):
-        low = {v for v in singular_vertices if vertex_level[v] <= j}
-        faces = {t for t in map(tuple, map(partial(filter, low.__contains__), cut)) if t}
-        if len(chain[j]) != len(_face_closure(faces)):
+    at_level = [0] * n
+    for face in chain.from_iterable(_faces_by_dim(cut - {()})):
+        at_level[max(map(vertex_level.__getitem__, face))] += 1
+    for j, full in enumerate(accumulate(at_level)):
+        if len(skeleta[j]) != full:
             # after one barycentric subdivision every skeleton is full
-            new_ids, new_maximal, new_chain, _ = _subdivide_raw(
-                vertex_ids, closure, set(maximal), chain)
-            return _assemble(name, n, new_ids, new_maximal, new_chain, weights_doc)
-    # the set is freed before the sort, which `sorted(closure)` would not do
-    closure = list(closure)
-    closure.sort()
-    by_dim = [[] for _ in range(n + 1)]
-    for s in closure:
-        by_dim[len(s) - 1].append(s)
+            new_ids, new_maximal, new_skeleta, _ = _subdivide_raw(vertex_ids, by_dim, skeleta)
+            return _assemble(name, n, new_ids, new_maximal, new_skeleta, weights_doc)
     by_dim = list(map(tuple, by_dim))
-    strata, vertex_label = _stratify(n, closure, by_dim, singular, vertex_level, vertex_ids)
+    strata, vertex_label = _stratify(n, by_dim, singular, vertex_level, vertex_ids)
     K = FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
@@ -687,14 +714,13 @@ def barycentric_subdivide(K):
     with components recomputed this reproduces exactly one stratum per
     original stratum, and all skeleta of the subdivision are full.
     """
-    new_ids, new_maximal, new_chain, flag_vertex = _subdivide_raw(
-        K.vertex_ids, K.all_simplices(), K.simplices(K.n),
-        {j: K.skeleton(j) for j in range(K.n)})
+    new_ids, new_maximal, new_skeleta, flag_vertex = _subdivide_raw(
+        K.vertex_ids, K._by_dim, {j: K.skeleton(j) for j in range(K.n)})
     # one barycentre per weighted stratum is read, so the map dies before the assembly
     weighted = [(flag_vertex[s.simplices[0]], K.weights[s.id])
                 for s in K.singular_strata() if s.id in K.weights]
     del flag_vertex
-    S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_chain)
+    S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_skeleta)
     for v, w in weighted:
         S.weights[S._vertex_label[v]] = w
     return S

@@ -4,22 +4,40 @@ interchange form, and JSON documents.
 Every reader of a key, spec, option or entry goes through these functions,
 and each takes the error class its caller raises. Integer text is canonical
 decimal, as `str(int)` writes it: "0", or an optional "-" and digits with no
-leading zero. Every rational that crosses a file or report boundary is a
-"p/q" string with q > 0; floats are never accepted. A JSON document may not
-repeat a key within one object.
+leading zero; canonical text longer than the interpreter's limit on integer
+text is refused by a message naming that limit. Every rational that crosses
+a file or report boundary is a "p/q" string with q > 0; floats are never
+accepted. A JSON document may not repeat a key within one object. A message
+repeats at most a bounded prefix of the value it refuses.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import ConfigurationError, SpaceFormatError
 
+_ECHO = 40  # characters of a rejected value that a message repeats
+
+
+def _shown(value):
+    """The repr of a rejected value for a message, cut to a bounded prefix."""
+    shown = repr(value)
+    return shown if len(shown) <= _ECHO else shown[:_ECHO] + "..."
+
 
 def _decimal(text):
-    """The int that `text` writes in canonical decimal, or None."""
+    """The int that `text` writes in canonical decimal, or None. Canonical
+    text longer than the interpreter's limit on integer text
+    (`sys.get_int_max_str_digits`) is an integer too long to read: it raises
+    ValueError naming its length and the limit."""
     try:
         value = int(text)
     except (TypeError, ValueError):
+        digits = text.removeprefix("-") if isinstance(text, str) else ""
+        if digits.isascii() and digits.isdigit() and not digits.startswith("0"):
+            raise ValueError(f"{len(digits)} digits, more than the limit of "
+                             f"{sys.get_int_max_str_digits()} for integer text") from None
         return None
     return value if str(value) == text else None
 
@@ -29,8 +47,12 @@ def parse_int(text, what, error=SpaceFormatError) -> int:
     raises `error` naming `what` ("skeleton level", ...) and the input."""
     if type(text) is int:
         return text
-    if (value := _decimal(text)) is None:
-        raise error(f"{what} {text!r} is not an integer")
+    try:
+        value = _decimal(text)
+    except ValueError as exc:
+        raise error(f"{what} {_shown(text)} has {exc}") from None
+    if value is None:
+        raise error(f"{what} {_shown(text)} is not an integer")
     return value
 
 
@@ -45,13 +67,17 @@ def parse_rational(text, what=None, error=SpaceFormatError) -> Fraction:
     if isinstance(text, float):
         problem = f"floats are not accepted as rationals: {text!r}"
     elif not isinstance(text, str):
-        problem = f"not a rational: {text!r}"
+        problem = f"not a rational: {_shown(text)}"
     else:
         num, slash, den = text.partition("/")
-        p, q = _decimal(num), (_decimal(den) if slash else 1)
-        if p is not None and q is not None and q > 0:
-            return Fraction(p, q)
-        problem = f"malformed rational {text!r}"
+        try:
+            p, q = _decimal(num), (_decimal(den) if slash else 1)
+        except ValueError as exc:
+            problem = f"rational {_shown(text)} has a part of {exc}"
+        else:
+            if p is not None and q is not None and q > 0:
+                return Fraction(p, q)
+            problem = f"malformed rational {_shown(text)}"
     raise error(f"{what}: {problem}" if what else problem)
 
 

@@ -3,8 +3,11 @@
 import functools
 import gc
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction as F
@@ -78,9 +81,6 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
 @pytest.mark.parametrize("doc, message", [
     pytest.param({**_CIRCLE, "skeleta": {"x": [[0]]}}, "skeleton level 'x' is not an integer",
                  id="skeleton-key-text"),
-    # purity is checked before the dimension-sized filtration is built
-    pytest.param({"dimension": 10**9, "vertices": [0], "maximal_simplices": [[0]]},
-                 "not pure", id="huge-dimension"),
     # an impure document with a non-full filtration names its own simplex
     pytest.param({"dimension": 2, "vertices": [0, 1, 2, 3, 4],
                   "maximal_simplices": [[0, 1, 2], [3, 4]], "skeleta": {"0": [[3], [4]]}},
@@ -397,6 +397,42 @@ def test_load_frees_the_parsed_document_before_assembly(monkeypatch):
     monkeypatch.setattr(cx, "_assemble", checked_assemble)
     text = json.dumps(cx.to_document(corpus.load_space("cone_t2")))
     assert list(cx.load(text).strata) == _STRATUM_ORDER["cone_t2"]
+
+
+# the huge-dimension document: one vertex in a declared dimension of 10^9
+_HUGE_DIMENSION = {"dimension": 10**9, "vertices": [0], "maximal_simplices": [[0]]}
+_LOAD_IN_SMALL_MEMORY = """
+import json, resource, sys, tracemalloc
+cap = 128 * 2**20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap if hard == resource.RLIM_INFINITY else min(cap, hard)))
+from stratal import complexes as cx
+from stratal.errors import SpaceFormatError
+doc = json.loads(sys.argv[1])
+tracemalloc.start()
+try:
+    cx.load(doc)
+    message = None
+except SpaceFormatError as exc:
+    message = str(exc)
+print(json.dumps([message, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_a_huge_declared_dimension_is_refused_in_small_memory():
+    """Purity is checked before anything is sized by the dimension, so the
+    document is refused as impure with a load that peaks under 1 MB. The
+    load runs in a child process with its address space capped, so that a
+    list or loop sized by the dimension fails this test (a MemoryError or
+    the time-out) instead of exhausting memory."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD_IN_SMALL_MEMORY, json.dumps(_HUGE_DIMENSION)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    message, peak = json.loads(done.stdout)
+    assert "not pure" in message
+    assert peak < 1_000_000
 
 
 def test_unused_vertex_has_no_stratum():
@@ -936,16 +972,24 @@ def test_ladder_loads_match_reference_assembly(ladder):
         _assert_matches_reference(cx.to_document(K))
 
 
+def _assert_faces_match_stack_walk(listed):
+    """`_faces_by_dim` of `listed` is its stack-walk closure split by size,
+    each list sorted and free of repeats, up to the widest listed simplex."""
+    closed = _reference_closure(listed)
+    widest = max(map(len, listed), default=0)
+    assert cx._faces_by_dim(listed) == [sorted(s for s in closed if len(s) == k)
+                                        for k in range(1, widest + 1)]
+
+
 @pytest.mark.parametrize("key", [*corpus.SPACE_NAMES, *(key for key, _, _ in _LADDER)])
-def test_face_closure_matches_stack_walk(spaces, ladder, key):
+def test_faces_by_dim_match_stack_walk(spaces, ladder, key):
     K = spaces[key] if key in spaces else ladder[key]
     doc = cx.to_document(K)
-    listed = [tuple(s) for s in doc["maximal_simplices"]]
-    assert cx._face_closure(listed) == _reference_closure(listed)
-    # skeleton levels reach the closure as sets
+    _assert_faces_match_stack_walk([tuple(s) for s in doc["maximal_simplices"]])
+    # skeleton levels reach it as lists, fullness tests as sets
     for level in doc.get("skeleta", {}).values():
-        listed = {tuple(s) for s in level}
-        assert cx._face_closure(listed) == _reference_closure(listed)
+        _assert_faces_match_stack_walk([tuple(s) for s in level])
+        _assert_faces_match_stack_walk({tuple(s) for s in level})
 
 
 _SIMPLEX = st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True).map(
@@ -965,8 +1009,8 @@ def _simplex_lists(draw):
 
 @_PROPERTY
 @given(_simplex_lists())
-def test_face_closure_matches_stack_walk_on_random_lists(listed):
-    assert cx._face_closure(listed) == _reference_closure(listed)
+def test_faces_by_dim_match_stack_walk_on_random_lists(listed):
+    _assert_faces_match_stack_walk(listed)
 
 
 def _two_cones():
@@ -1002,3 +1046,75 @@ def test_several_components_per_level_match_reference():
         assert list(_SEVERAL_COMPONENTS[key]) == _least_member_order(K)
         assert {s: K.label(s) for s in K.all_simplices()} == {
             s: sid for sid, stratum in K.strata.items() for s in stratum.simplices}
+
+
+def _assert_same_complex(K, J):
+    """K and J agree in every simplex list, their strata (ids, members and
+    order), and each simplex's level and stratum id."""
+    assert [J.simplices(i) for i in range(J.n + 1)] == [K.simplices(i) for i in range(K.n + 1)]
+    assert [(sid, s.simplices) for sid, s in J.strata.items()] == [
+        (sid, s.simplices) for sid, s in K.strata.items()]
+    simplices = list(K.all_simplices())
+    assert list(map(J.level, simplices)) == list(map(K.level, simplices))
+    assert list(map(J.label, simplices)) == list(map(K.label, simplices))
+
+
+def _listing_variants(doc, rng):
+    """The document with its maximal simplices (and skeleton lists) shuffled,
+    vertex order within each simplex too, and with a few of their faces
+    listed among them, which an n-dimensional complex has only when n > 0."""
+    top = doc["maximal_simplices"]
+
+    def shuffled(listed):
+        return [rng.sample(s, len(s)) for s in rng.sample(listed, len(listed))]
+
+    yield "shuffled", {**doc, "maximal_simplices": shuffled(top),
+                       "skeleta": {j: shuffled(s) for j, s in doc.get("skeleta", {}).items()}}
+    faces = [rng.sample(s, rng.randrange(1, len(s))) for s in rng.sample(top, min(4, len(top)))
+             if len(s) > 1]
+    yield "with faces", {**doc, "maximal_simplices": shuffled(top + faces + top[:2])}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_listing_variants_assemble_the_reference_complex(name, seed):
+    """However the maximal simplices are listed, the complex is the one the
+    reference assembly gives for the document as written."""
+    doc = cx.to_document(corpus.load_space(name))
+    K = cx.load(doc)
+    _assert_matches_reference(doc, K)
+    for variant, listed in _listing_variants(doc, random.Random(f"{name} {seed}")):
+        J = cx.load(json.dumps(listed))
+        _assert_same_complex(K, J)
+        _assert_matches_reference(listed, J)
+        assert J.weights == K.weights, variant
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_tuple_and_list_input_build_one_complex(name):
+    doc = cx.to_document(corpus.load_space(name))
+
+    def built(kind):
+        skeleta = {j: list(map(kind, level)) for j, level in doc.get("skeleta", {}).items()}
+        return cx.build(doc["name"], doc["vertices"], list(map(kind, doc["maximal_simplices"])),
+                        skeleta, doc.get("weights"), doc["dimension"])
+
+    K, J = built(list), built(tuple)
+    _assert_same_complex(K, J)
+    _assert_matches_reference(doc, J)
+    assert J.weights == K.weights
+
+
+_SQUARE = {"dimension": 1, "vertices": list(range(5)),
+           "maximal_simplices": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+
+
+@pytest.mark.parametrize("listed, named", [
+    pytest.param([[0, 1, 2]], "(0,1,2)", id="wider-than-every-maximal-simplex"),
+    pytest.param([[0], [0, 2]], "(0,2)", id="absent-face-of-an-existing-width"),
+    pytest.param([[0], [3, 4]], "(3,4)", id="absent-face-past-the-last"),
+    pytest.param([[4]], "(4)", id="unused-vertex"),
+])
+def test_skeleton_lists_unknown_simplex(listed, named):
+    with pytest.raises(SpaceFormatError, match=re.escape(f"skeleton 0 lists unknown simplex {named}")):
+        cx.load({**_SQUARE, "skeleta": {"0": listed}})

@@ -14,6 +14,7 @@ import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -375,6 +376,42 @@ def test_parse_int_takes_ints_and_canonical_text_only():
 def test_parse_rational_wants_canonical_parts_and_a_positive_denominator(text):
     with pytest.raises(ConstructionError, match=re.escape(f"D_0: malformed rational {text!r}")):
         parse_rational(text, "D_0", ConstructionError)
+
+
+# 5000 digits: canonical integer text past the interpreter's default limit
+# of 4300 digits for integer text, which it refuses to convert
+_LONG = "7" * 5000
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_limited = pytest.mark.skipif(not 0 < _DIGIT_LIMIT < len(_LONG),
+                              reason="no interpreter limit on integer text below 5000 digits")
+
+
+@_limited
+def test_integer_text_past_the_digit_limit_names_the_limit():
+    """It used to be called "not an integer", with all 5000 digits echoed."""
+    too_long = f"5000 digits, more than the limit of {_DIGIT_LIMIT} for integer text"
+    for text in (_LONG, "-" + _LONG):
+        with pytest.raises(ConfigurationError) as raised:
+            parse_int(text, "by-codim key", ConfigurationError)
+        assert too_long in str(raised.value) and len(str(raised.value)) < 200
+    for text in (_LONG, _LONG + "/2", "2/" + _LONG):
+        with pytest.raises(ConstructionError) as raised:
+            parse_rational(text, "D_0", ConstructionError)
+        assert str(raised.value).startswith("D_0: rational '")
+        assert too_long in str(raised.value) and len(str(raised.value)) < 200
+    # text that is not canonical is still refused as such, in a bounded echo
+    with pytest.raises(SpaceFormatError, match=r"^x '07{38}\.\.\. is not an integer$"):
+        parse_int("0" + _LONG, "x")
+    with pytest.raises(SpaceFormatError, match=r"^malformed rational '\+7{38}\.\.\.$"):
+        parse_rational("+" + _LONG)
+
+
+@_limited
+def test_cli_names_the_digit_limit_of_a_long_dimension():
+    code, out, err = _cli(["perversity", "--dim", _LONG, "--spec", "zero"])
+    _assert_refused(code, out, err)
+    (line,) = [line for line in err.splitlines() if "error: " in line]
+    assert f"limit of {_DIGIT_LIMIT}" in line and len(line) < 200
 
 
 @pytest.mark.parametrize("text", ['{"a": ' + "[" * 10_000, '{"a": ' * 10_000])
