@@ -20,19 +20,27 @@ its filtration, not on how a document lists its simplices.
 so it is part of the output: `verify --suite duality` draws its per-stratum
 values in it.
 
-Construction makes each dimension's sorted simplex list on its own, in
-C-level passes over whole lists (`_faces_by_dim`): the vertices from one
-flat pass, the faces of each size from one pass of `combinations` with the
-repeats dropped by `dict.fromkeys` and the list sorted in place, and the
-top dimension from the maximal simplices themselves. The complex is never
-held as one set, nor as one list of mixed lengths sorted and then split. A
-listed skeleton simplex is found in its dimension's list by bisection,
-fullness is tested on the faces of the maximal simplices cut down to their
-singular vertices, and a regular part with one component is taken whole
-from the lexicographic list, which one sort merges from the per-dimension
-runs. Python loops remain over the edges whose ends share a level (they
-give the components, joined by union-find), over the few singular
-simplices, and over the regular simplices when they form several
+Construction makes each dimension's sorted simplex list on its own, and
+every path ends in one step, `_finish`, which groups the strata and builds
+the complex. A document (`load`, `build`) gets its faces from C-level
+passes over whole lists (`_faces_by_dim`): the vertices from one flat pass,
+the faces of each size from one pass of `combinations` with the repeats
+dropped by `dict.fromkeys` and the list sorted in place, and the top
+dimension from the maximal simplices themselves. A listed skeleton simplex
+is found in its dimension's list by bisection, and fullness is tested on
+the faces of the maximal simplices cut down to their singular vertices. A
+cone or suspension takes its faces from K: each dimension's list merges
+K's with the cones on K's list one dimension down, and the levels and
+X_{n-1} follow from K's, so nothing is derived again or tested. A
+subdivision gets its faces from `_faces_by_dim` of the top flags and its
+levels from the old simplices; it is pure and full by construction, so
+neither is tested, and a document whose filtration is not full takes the
+same subdivision. The complex is never held as one set, nor as one list of
+mixed lengths sorted and then split. A regular part with one component is
+taken whole from the lexicographic list, which one sort merges from the
+per-dimension runs. Python loops remain over the edges whose ends share a
+level (they give the components, joined by union-find), over the few
+singular simplices, and over the regular simplices when they form several
 components.
 
 Construction holds each table only while something still reads it. `load`
@@ -465,14 +473,36 @@ def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
     return strata, list(map(sid_of.get, root))
 
 
-def _subdivide_raw(vertex_ids, by_dim, skeleta):
-    """First barycentric subdivision of the raw data of a pure complex, whose
-    sorted simplices per dimension are `by_dim`: one new vertex per simplex
-    in lexicographic order, and the flags of the top simplices and of each
-    skeleton. Returns the new vertex ids, maximal simplices and skeleta, and
-    the new vertex index of each old simplex."""
+def _barycentre_ids(vertex_ids, simplices):
+    """One id per simplex: its vertex ids joined by "|" in parentheses. A
+    repeated id, and only a repeat, is made fresh by `_fresh_id`, which
+    avoids every id given, so no first occurrence moves."""
+    ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in simplices]
+    taken = set(ids)
+    if len(taken) < len(ids):
+        seen = set()
+        for k, vid in enumerate(ids):
+            if vid in seen:
+                ids[k] = _fresh_id(taken, vid)
+            seen.add(vid)
+    return ids
+
+
+def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
+    """First barycentric subdivision of a pure complex, whose sorted
+    simplices per dimension are `by_dim` and whose closed skeleta are
+    `skeleta` (X_0..X_{n-1}): one new vertex per simplex in lexicographic
+    order, at the level of its simplex, and the flags of the top simplices.
+    The subdivision is pure, and each X_j, the flags within the old X_j, is
+    full, so neither is tested. `weighted` pairs an old simplex with the
+    weight of the stratum that its barycentre lies in."""
     new_index = {s: i for i, s in enumerate(sorted(chain.from_iterable(by_dim)))}
-    new_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in new_index]
+    new_ids = _barycentre_ids(vertex_ids, new_index)
+    vertex_level = [n] * len(new_ids)
+    for j in reversed(range(n)):
+        for s in skeleta[j]:
+            vertex_level[new_index[s]] = j
+    weighted = [(new_index[s], w) for s, w in weighted]
     # the flags ending at each simplex, as sorted tuples, built from those of
     # its facets, so by size; no recursive closure keeps the table alive
     flags = {}
@@ -481,10 +511,24 @@ def _subdivide_raw(vertex_ids, by_dim, skeleta):
         flags[s] = ([(i,)] if len(s) == 1 else
                     [tuple(sorted(f + (i,))) for face in combinations(s, len(s) - 1)
                      for f in flags[face]])
-    new_maximal = sorted(f for s in by_dim[-1] for f in flags[s])
-    new_skeleta = {j: [f for s in _maximal_of(level) for f in flags[s]]
-                   for j, level in skeleta.items()}
-    return new_ids, new_maximal, new_skeleta, new_index
+    singular = frozenset(chain.from_iterable(_faces_by_dim(
+        [f for s in _maximal_of(skeleta.get(n - 1, ())) for f in flags[s]])))
+    top = [f for s in by_dim[-1] for f in flags[s]]
+    # only the weighted barycentres were read, so the tables die before the assembly
+    del new_index, flags
+    S = _finish(name, n, new_ids, list(map(tuple, _faces_by_dim(top))), vertex_level, singular)
+    for v, w in weighted:
+        S.weights[S._vertex_label[v]] = w
+    return S
+
+
+def _finish(name, n, vertex_ids, by_dim, vertex_level, singular):
+    """The complex with the sorted simplex tuples per dimension `by_dim`,
+    each vertex's level and X_{n-1} as the set `singular`, which the caller
+    has made pure and full; its strata come from `_stratify`, its weights
+    are the caller's to set."""
+    strata, vertex_label = _stratify(n, by_dim, singular, vertex_level, vertex_ids)
+    return FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
 
 
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
@@ -508,7 +552,6 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
                     f"has dimension {len(s) - 1}, expected {n}"
                 )
     skeleta = _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids)
-    singular = skeleta.get(n - 1, frozenset())
     vertex_level = [n] * len(vertex_ids)
     for j in reversed(range(n)):
         for s in skeleta[j]:
@@ -523,14 +566,12 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     at_level = [0] * n
     for face in chain.from_iterable(_faces_by_dim(cut - {()})):
         at_level[max(map(vertex_level.__getitem__, face))] += 1
-    for j, full in enumerate(accumulate(at_level)):
-        if len(skeleta[j]) != full:
-            # after one barycentric subdivision every skeleton is full
-            new_ids, new_maximal, new_skeleta, _ = _subdivide_raw(vertex_ids, by_dim, skeleta)
-            return _assemble(name, n, new_ids, new_maximal, new_skeleta, weights_doc)
-    by_dim = list(map(tuple, by_dim))
-    strata, vertex_label = _stratify(n, by_dim, singular, vertex_level, vertex_ids)
-    K = FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
+    if all(len(skeleta[j]) == full for j, full in enumerate(accumulate(at_level))):
+        K = _finish(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
+                    skeleta.get(n - 1, frozenset()))
+    else:
+        # after one barycentric subdivision every skeleton is full
+        K = _subdivide(name, n, vertex_ids, by_dim, skeleta)
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
@@ -649,30 +690,44 @@ def to_document(K):
 # --------------------------------------------------------------- constructors
 
 
-def _fresh_vertex_id(existing, wanted):
-    vid = wanted
-    while vid in set(map(str, existing)):
-        vid += "'"
-    return vid
+def _fresh_id(taken, wanted):
+    """`wanted`, primed (') until no id in the set `taken` has it; the id
+    returned joins `taken`."""
+    while wanted in taken:
+        wanted += "'"
+    taken.add(wanted)
+    return wanted
 
 
 def _join(K, label, apex_names, apex_weights):
     """K joined with one new apex per name: a cone over K for each apex, the
     cones glued along K. Each apex becomes a singular stratum with its weight;
     every stratum of K turns into its joined stratum (same codimension,
-    weight inherited)."""
-    vertex_ids = list(K.vertex_ids)
-    apexes = []
-    for wanted in apex_names:
-        apexes.append(len(vertex_ids))
-        vertex_ids.append(_fresh_vertex_id(vertex_ids, wanted))
-    points = [(a,) for a in apexes]
-    maximal = [s + (a,) for a in apexes for s in K.simplices(K.n)]
-    chain = {0: points}
-    for j in range(1, K.n + 1):
-        below = K.skeleton(j - 1)
-        chain[j] = points + list(below) + [s + (a,) for a in apexes for s in below]
-    J = _assemble(f"{label}({K.name})", K.n + 1, vertex_ids, maximal, chain)
+    weight inherited).
+
+    Every list follows from K's, which is pure and full, so none is derived
+    again and nothing is tested. The apexes take the largest vertex indices,
+    so the vertices are K's followed by the apexes, and the i-simplices merge
+    K's with the cones s + (a,) on its (i-1)-simplices, which listed by s
+    and then by apex are sorted; the top ones are cones alone. Each vertex
+    of K moves up one level and the apexes make X_0, so X_{n-1} is the
+    apexes, K's X_{n-2} and the cones on it, and the join is full."""
+    taken = set(map(str, K.vertex_ids))
+    vertex_ids = [*K.vertex_ids, *(_fresh_id(taken, wanted) for wanted in apex_names)]
+    apexes = range(len(K.vertex_ids), len(vertex_ids))
+    tips = tuple((a,) for a in apexes)
+
+    def cones(simplices):
+        return [s + t for s in simplices for t in tips]
+
+    faces = K._by_dim
+    by_dim = [faces[0] + tips]
+    by_dim += [tuple(sorted(chain(faces[i], cones(faces[i - 1])))) for i in range(1, K.n + 1)]
+    by_dim.append(tuple(cones(faces[K.n])))
+    vertex_level = [j + 1 for j in K._vertex_level] + [0] * len(tips)
+    below = K.skeleton(K.n - 1)
+    J = _finish(f"{label}({K.name})", K.n + 1, vertex_ids, by_dim, vertex_level,
+                {*tips, *below, *cones(below)})
     # a simplex lies in the stratum of its top vertex
     sid_of = J._vertex_label.__getitem__
     top = partial(max, key=J._vertex_level.__getitem__)
@@ -714,16 +769,10 @@ def barycentric_subdivide(K):
     with components recomputed this reproduces exactly one stratum per
     original stratum, and all skeleta of the subdivision are full.
     """
-    new_ids, new_maximal, new_skeleta, flag_vertex = _subdivide_raw(
-        K.vertex_ids, K._by_dim, {j: K.skeleton(j) for j in range(K.n)})
-    # one barycentre per weighted stratum is read, so the map dies before the assembly
-    weighted = [(flag_vertex[s.simplices[0]], K.weights[s.id])
-                for s in K.singular_strata() if s.id in K.weights]
-    del flag_vertex
-    S = _assemble(f"sd({K.name})", K.n, new_ids, new_maximal, new_skeleta)
-    for v, w in weighted:
-        S.weights[S._vertex_label[v]] = w
-    return S
+    return _subdivide(f"sd({K.name})", K.n, K.vertex_ids, K._by_dim,
+                      {j: K.skeleton(j) for j in range(K.n)},
+                      [(s.simplices[0], K.weights[s.id])
+                       for s in K.singular_strata() if s.id in K.weights])
 
 
 # ----------------------------------------------------------------- orientation

@@ -887,7 +887,8 @@ def _reference_assemble(doc):
     simplex at a time: the stack closure (facets pushed in index order),
     levels as the least j with s in X_j, fullness as "every simplex sits at
     the level of its highest vertex", one subdivision with flags taken from
-    vertex permutations when some X_j is not full, and strata grouped by
+    vertex permutations when some X_j is not full (a repeated barycentre id
+    primed until it is new), and strata grouped by
     the root of the first highest-level vertex of each simplex and ordered
     by their least member. Returns (vertex ids, levels, {sid: (dim, level,
     members)}, the stratum id of each simplex, simplices per dimension)."""
@@ -914,7 +915,13 @@ def _reference_assemble(doc):
             return [tuple(sorted(index[tuple(sorted(p[:k + 1]))] for k in range(len(p))))
                     for p in permutations(s)]
 
-        vertex_ids = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in index]
+        wanted = ["(" + "|".join(str(vertex_ids[v]) for v in s) + ")" for s in index]
+        vertex_ids = []
+        for vid in wanted:
+            if vid in vertex_ids:  # a repeat, primed past every id wanted or given
+                while vid in wanted or vid in vertex_ids:
+                    vid += "'"
+            vertex_ids.append(vid)
         maximal = sorted(f for s in _reference_maximal(closure) for f in flags(s))
         listed = {j: [f for s in _reference_maximal(level) for f in flags(s)]
                   for j, level in chain.items()}
@@ -1118,3 +1125,157 @@ _SQUARE = {"dimension": 1, "vertices": list(range(5)),
 def test_skeleton_lists_unknown_simplex(listed, named):
     with pytest.raises(SpaceFormatError, match=re.escape(f"skeleton 0 lists unknown simplex {named}")):
         cx.load({**_SQUARE, "skeleta": {"0": listed}})
+
+
+_COLLIDING = ("x", ["a", "b", "a|b", "c"], [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
+
+
+def test_subdivision_primes_a_repeated_barycentre_id():
+    """The edge (a, b) and the vertex "a|b" both name their barycentre
+    "(a|b)", and likewise for two triangles; the later of each pair, and no
+    other vertex, is primed, so the document loads back."""
+    K = cx.build(*_COLLIDING)
+    S = cx.barycentric_subdivide(K)
+    assert len(set(S.vertex_ids)) == len(S.vertex_ids) == 13
+    assert [v for v in S.vertex_ids if v.endswith("'")] == ["(a|b)'", "(a|b|c)'"]
+    L = cx.load(json.dumps(cx.to_document(S)))
+    _assert_same_complex(S, L)
+    assert L.vertex_ids == S.vertex_ids
+    assert S.betti() == L.betti() == K.betti()
+    # the fullness remedy takes the same subdivision
+    doc = {"name": "x", "dimension": 2, "vertices": _COLLIDING[1],
+           "maximal_simplices": [list(s) for s in _COLLIDING[2]], "skeleta": {"0": [[0], [1]]}}
+    R = cx.load(doc)
+    assert len(set(R.vertex_ids)) == len(R.vertex_ids) == 13
+    _assert_matches_reference(doc, R)
+    _assert_same_complex(R, cx.load(json.dumps(cx.to_document(R))))
+
+
+def test_fresh_ids_prime_only_repeats():
+    taken = {"apex", "apex'"}
+    assert cx._fresh_id(taken, "apex") == "apex''" and "apex''" in taken
+    assert cx._fresh_id(taken, "north") == "north" and "north" in taken
+    # a repeat is primed and no first occurrence moves
+    assert cx._barycentre_ids(["0", "(0)'"], [(0,), (1,), (0,)]) == ["(0)", "((0)')", "(0)'"]
+    assert cx._barycentre_ids([0, "0"], [(0,), (1,), (0, 1)]) == ["(0)", "(0)'", "(0|0)"]
+
+
+def _joined_weights(K, apex_weights, label_of):
+    """The weights J must carry: each apex's on the apex stratum, and each
+    weighted stratum's of K on the stratum of J holding its first member."""
+    want = {label_of[(len(K.vertex_ids) + k,)]: w for k, w in enumerate(apex_weights)}
+    for s in K.singular_strata():
+        if s.id in K.weights:
+            want[label_of[s.simplices[0]]] = K.weights[s.id]
+    return want
+
+
+def _subdivided_weights(K, label_of):
+    """The weights a subdivision must carry: each weighted stratum's of K on
+    the stratum of the barycentre of its first member."""
+    barycentre = {s: i for i, s in enumerate(sorted(K.all_simplices()))}
+    return {label_of[(barycentre[s.simplices[0]],)]: K.weights[s.id]
+            for s in K.singular_strata() if s.id in K.weights}
+
+
+def _assert_construction_matches_reference(K, ctor, weights=None):
+    """The construction of K as built equals the reference assembly of its
+    document field for field, weights included, and its reload."""
+    if ctor == "sd":
+        J = cx.barycentric_subdivide(K)
+    elif ctor == "cone":
+        J = cx.cone(K, *weights)
+    else:
+        J = cx.suspension(K, weights)
+    doc = cx.to_document(J)
+    _assert_matches_reference(doc, J)
+    label_of = _reference_assemble(doc)[3]
+    want = (_subdivided_weights(K, label_of) if ctor == "sd"
+            else _joined_weights(K, weights, label_of))
+    assert J.weights == want, (ctor, K.name)
+    L = cx.load(json.dumps(doc))
+    _assert_same_complex(J, L)
+    assert (L.vertex_ids, L.weights) == (J.vertex_ids, J.weights)
+    return J
+
+
+_JOIN_WEIGHTS = {"cone": (F(2, 3),), "susp": (F(1, 2), F(3))}
+
+
+@pytest.mark.parametrize("ctor", ["cone", "susp", "sd"])
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_corpus_constructions_match_reference_assembly(spaces, name, ctor):
+    _assert_construction_matches_reference(spaces[name], ctor, _JOIN_WEIGHTS.get(ctor))
+
+
+@pytest.mark.parametrize("key, ctor, src", _LADDER)
+def test_ladder_constructions_match_reference_assembly(ladder, key, ctor, src):
+    """Each rung built from its source; a join with non-unit weights too."""
+    K = corpus.load_space("t2_7") if src == "t2" else ladder[src]
+    if ctor == "barycentric_subdivide":
+        _assert_construction_matches_reference(K, "sd")
+    else:
+        ctor = "cone" if ctor == "cone" else "susp"
+        for weights in ((F(1),) * len(_JOIN_WEIGHTS[ctor]), _JOIN_WEIGHTS[ctor]):
+            _assert_construction_matches_reference(K, ctor, weights)
+
+
+@pytest.mark.parametrize("name, ctors", [
+    ("cone_cone_s1", ["cone", "cone"]),
+    ("susp_s0", ["susp", "susp", "cone"]),
+    ("s0", ["susp", "cone", "sd", "susp"]),
+    ("cone_s1_c_half", ["cone", "susp", "cone"]),
+])
+def test_nested_joins_match_reference_assembly(spaces, name, ctors):
+    K = spaces[name]
+    for k, ctor in enumerate(ctors):
+        weights = tuple(F(k + 2, len(ctors) + j) for j in range(len(_JOIN_WEIGHTS.get(ctor, ()))))
+        K = _assert_construction_matches_reference(K, ctor, weights)
+
+
+# the small corpus spaces that tests/test_intersection.py grows at random
+_GROWN_BASES = ("point", "s0", "s1_hex", "s2", "susp_s0", "mobius", "cone_s1_c_half", "t2_7",
+                "cone_cone_s1", "susp_s2")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generated_constructions_match_reference_assembly(spaces, seed):
+    """Iterated cones, suspensions and subdivisions drawn as in
+    tests/test_intersection.py's generator, with drawn weights."""
+    rng = random.Random(seed)
+    K = spaces[rng.choice(_GROWN_BASES)]
+    for _ in range(rng.randint(1, 3)):
+        size = sum(K.counts())
+        if size > 400:
+            break
+        ctor = rng.choice(["cone", "sd", "susp"] if size <= 100 else ["cone", "susp"])
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 4))
+                        for _ in _JOIN_WEIGHTS.get(ctor, ()))
+        K = _assert_construction_matches_reference(K, ctor, weights)
+
+
+def _assert_full(K):
+    """The reference fullness rule, on the strata alone: X_j holds exactly
+    the simplices whose vertices all lie in X_j."""
+    simplices = list(K.all_simplices())
+    for j in range(K.n):
+        X = K.skeleton(j)
+        assert {s for s in simplices if all((v,) in X for v in s)} == X, (K.name, j)
+
+
+def test_joins_take_their_faces_from_the_complex(monkeypatch, spaces, ladder):
+    """Cones and suspensions never derive faces or skeleta again, so they
+    build with both helpers raising; their outputs, and those of
+    subdivisions, which skip the fullness test too, are full."""
+    inputs = [*spaces.values(), corpus.load_space("t2_7"), *ladder.values()]
+    subdivisions = [cx.barycentric_subdivide(spaces[name]) for name in corpus.SPACE_NAMES]
+
+    def refuse(*args):
+        raise AssertionError("a join derived its faces again")
+
+    monkeypatch.setattr(cx, "_faces_by_dim", refuse)
+    monkeypatch.setattr(cx, "_complete_skeleta", refuse)
+    joins = [J for K in inputs for J in (cx.cone(K, F(2, 3)), cx.suspension(K, (F(1, 2), 3)))]
+    monkeypatch.undo()
+    for K in [*joins, *subdivisions, *ladder.values()]:
+        _assert_full(K)
