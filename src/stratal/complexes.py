@@ -37,23 +37,26 @@ levels from the old simplices; it is pure and full by construction, so
 neither is tested, and a document whose filtration is not full takes the
 same subdivision. The complex is never held as one set, nor as one list of
 mixed lengths sorted and then split. A regular part with one component is
-taken whole from the lexicographic list, which one sort merges from the
-per-dimension runs. Python loops remain over the edges whose ends share a
-level (they give the components, joined by union-find), over the few
-singular simplices, and over the regular simplices when they form several
-components.
+named by its least member, the least of each dimension's first simplex
+outside X_{n-1}, and its member list is not built. Python loops remain over
+the edges whose ends share a level (they give the components, joined by
+union-find), over the few singular simplices, and over the regular
+simplices when they form several components.
 
 Construction holds each table only while something still reads it. `load`
-drops the parsed document, and any file text it read, before the assembly;
-each dimension's dedupe table is freed before the next is built, and the
-lexicographic list lives only while `_stratify` groups the strata. A complex
-stores its simplices by dimension and each vertex's level and stratum id;
-the simplex index (read by `index`, `level`, `label` and `boundary_matrix`),
-the singular-face profiles, the dropped-face boundaries, the top cofaces and
-the interior table are derived on first read. No constructor, no
-`to_document` and no `load` reads them. The interior table (`interior`)
-holds the reduced boundaries of the simplices with no singular vertex, which
-every rank query shares: `betti()` and each perversity's
+drops the parsed document, and any file text it read, before the assembly,
+and each dimension's dedupe table is freed before the next is built. A
+complex stores its simplices by dimension, each vertex's level and stratum
+id, and the members of its singular strata; the simplex index (read by
+`index`, `level`, `label` and `boundary_matrix`), the singular-face
+profiles, the dropped-face boundaries, the top cofaces, the interior table
+and the member list of a one-component regular stratum are derived on first
+read. No constructor, no `to_document` and no `load` reads them. The member
+list is the lexicographic list, which one sort merges from the
+per-dimension runs, less the simplices with no vertex of level n; its
+deferred build holds only the complex's own lists. The interior table
+(`interior`) holds the reduced boundaries of the simplices with no singular
+vertex, which every rank query shares: `betti()` and each perversity's
 `intersection.homology` reduce only the simplices near the singular set
 against a copy of it.
 
@@ -74,9 +77,12 @@ from .rationals import format_rational, parse_int, parse_weight, read_json
 
 
 class Stratum:
-    """One stratum: its id, dimensions, and member simplices."""
+    """One stratum: its id, dimensions, and member simplices.
 
-    __slots__ = ("id", "dim", "codim", "link_dim", "singular", "level", "simplices")
+    `simplices` is the sorted tuple of members. A regular stratum's tuple
+    is the largest table of a complex and no constructor reads it, so it
+    may be deferred: given a function instead of a tuple, the stratum
+    builds it on first read and keeps it."""
 
     def __init__(self, sid, dim, codim, singular, level, simplices):
         self.id = sid
@@ -85,7 +91,16 @@ class Stratum:
         self.link_dim = codim - 1
         self.singular = singular
         self.level = level
-        self.simplices = simplices
+        if callable(simplices):
+            self._members = simplices
+        else:
+            self.simplices = simplices
+
+    @cached_property
+    def simplices(self):
+        members = self._members()
+        del self._members
+        return members
 
     def __repr__(self):
         kind = "singular" if self.singular else "regular"
@@ -135,9 +150,11 @@ class FilteredComplex:
     Stored: the simplices by dimension, each vertex's level and stratum id,
     the strata and the weights. The simplex index `_index`, `profile_classes`,
     `regular`, `interior`, `top_cofaces` and `_orientation` are cached
-    properties, derived on first read. `ih_memo` maps an allowable pattern to
-    its intersection Betti numbers; `intersection.StratifiedChainComplex.homology`
-    fills and reads it.
+    properties, derived on first read, and so is the member list
+    (`Stratum.simplices`) of a regular stratum that is the whole regular
+    part. `ih_memo` maps an allowable pattern to its intersection Betti
+    numbers; `intersection.StratifiedChainComplex.homology` fills and reads
+    it.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
@@ -407,18 +424,34 @@ def _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids):
     return levels
 
 
+def _regular_members(by_dim, vertex_level, n):
+    """The simplices outside X_{n-1}, sorted: skeleta are full, so those
+    with a vertex of level n. They are filtered from the lexicographic
+    list, which one sort merges from the per-dimension runs."""
+    singular_vertices = {v for v, j in enumerate(vertex_level) if j < n}
+    return tuple(filterfalse(singular_vertices.issuperset, sorted(chain.from_iterable(by_dim))))
+
+
+def _escaped_id(vid):
+    return str(vid).replace("\\", "\\\\").replace(".", "\\.")
+
+
 def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
     """Strata, ordered by their least member, and each vertex's stratum id
     (None off the complex). `by_dim` holds the complex's sorted simplices
-    per dimension, `singular` X_{n-1}.
+    per dimension, `singular` X_{n-1}. A stratum's id is `s{dim}:` and the
+    ids of its least member's vertices joined by ".", with each backslash
+    and "." in an id escaped by a backslash; strata are disjoint, so their
+    least members, and so their ids, differ.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
     The few singular simplices are placed one at a time. When the regular
     vertices form one component, the regular stratum is every simplex
-    outside X_{n-1}, taken with `filterfalse` from the lexicographic list,
-    which a sort merges from the per-dimension runs. Only a regular part
-    with several components is grouped one simplex at a time."""
+    outside X_{n-1}, and only its least member is found here, the least of
+    each dimension's first regular simplex; its members are listed by
+    `_regular_members` on first read, from the complex's own lists. Only a
+    regular part with several components is grouped one simplex at a time."""
     # union-find with path halving; a vertex's parent is never above it
     root = list(range(len(vertex_ids)))
     # edges whose ends share a level: a few singular ones, and the regular
@@ -448,26 +481,28 @@ def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
     members = {}
     for s in sorted(singular):
         members.setdefault(stratum_of(s), []).append(s)
-    regular = filterfalse(singular.__contains__, sorted(chain.from_iterable(by_dim)))
+    regular = partial(_regular_members, by_dim, vertex_level, n)
     roots = {root[v] for (v,) in by_dim[0] if vertex_level[v] == n}
-    if len(roots) == 1:
-        (r,) = roots
-        members[r] = regular
-    else:
-        for s in regular:
+    if len(roots) > 1:
+        for s in regular():
             members.setdefault(stratum_of(s), []).append(s)
     # each group is sorted, so its first member is its least
     groups = {r: tuple(group) for r, group in members.items()}
+    least = {r: group[0] for r, group in groups.items()}
+    if len(roots) == 1:
+        (r,) = roots
+        groups[r] = regular
+        # each dimension has a regular simplex: a face of an n-simplex
+        # through its vertex of level n
+        least[r] = min(next(filterfalse(singular_vertices.issuperset, level)) for level in by_dim)
     strata = {}
     sid_of = {}
-    for r in sorted(groups, key=lambda r: groups[r][0]):
+    for r in sorted(least, key=least.__getitem__):
         group = groups[r]
         lvl = vertex_level[r]
         # the complex is pure, so every regular stratum holds an n-simplex
         dim = n if lvl == n else max(map(len, group)) - 1
-        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in group[0])
-        if sid in strata:
-            raise SpaceFormatError(f"stratum id collision at {sid}")
+        sid = f"s{dim}:" + ".".join(_escaped_id(vertex_ids[v]) for v in least[r])
         strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, group)
         sid_of[r] = sid
     return strata, list(map(sid_of.get, root))

@@ -562,6 +562,13 @@ def _filtered_documents(draw):
     return name, doc
 
 
+def _stratum_id(dim, ids):
+    """`s{dim}:` and the vertex ids joined by ".", each backslash and "."
+    within an id preceded by a backslash."""
+    return f"s{dim}:" + ".".join(
+        "".join("\\" + c if c in "\\." else c for c in str(v)) for v in ids)
+
+
 def _facet_strata(K):
     """Strata by definition: components of each X_j - X_{j-1} joined through
     facets at the same level, ordered by their least member, which also
@@ -586,7 +593,7 @@ def _facet_strata(K):
     strata = {}
     for members in sorted(map(sorted, groups.values())):
         dim = max(len(s) for s in members) - 1
-        sid = f"s{dim}:" + ".".join(str(K.vertex_ids[v]) for v in members[0])
+        sid = _stratum_id(dim, (K.vertex_ids[v] for v in members[0]))
         strata[sid] = (dim, K.n - dim, levels[members[0]], tuple(members))
     return strata
 
@@ -945,7 +952,7 @@ def _reference_assemble(doc):
     strata = {}
     for members in sorted(map(sorted, groups.values())):
         dim = len(max(members, key=len)) - 1
-        sid = f"s{dim}:" + ".".join(str(vertex_ids[v]) for v in members[0])
+        sid = _stratum_id(dim, (vertex_ids[v] for v in members[0]))
         strata[sid] = (dim, levels[members[0]], tuple(members))
     label_of = {s: sid for sid, (_, _, members) in strata.items() for s in members}
     by_dim = [tuple(sorted(s for s in closure if len(s) == d + 1)) for d in range(n + 1)]
@@ -1279,3 +1286,123 @@ def test_joins_take_their_faces_from_the_complex(monkeypatch, spaces, ladder):
     monkeypatch.undo()
     for K in [*joins, *subdivisions, *ladder.values()]:
         _assert_full(K)
+
+
+# -------------------------------------------------- stratum ids and members
+
+@pytest.mark.parametrize("vertices, want", [
+    pytest.param(["a", "b", "c", "a.b", "d"], ["s0:a", "s1:a.b", "s1:a\\.b"], id="dot"),
+    pytest.param(["a\\", "b", "c", "a.b", "d"], ["s0:a\\\\", "s1:a\\\\.b", "s1:a\\.b"],
+                 id="backslash"),
+])
+def test_stratum_ids_escape_dots_and_backslashes(vertices, want):
+    """The edge (v0, b) and the vertex v3 lead two strata of dimension 1,
+    and their vertex ids joined by "." read alike; escaping backslash and
+    "." within each id tells them apart."""
+    doc = {"name": "dotted", "dimension": 1, "vertices": vertices,
+           "maximal_simplices": [[0, 1], [1, 2], [3, 4]], "skeleta": {"0": [[0]]}}
+    K = cx.load(json.dumps(doc))
+    assert list(K.strata) == want
+    _assert_matches_reference(doc, K)
+    _assert_same_complex(K, cx.load(cx.to_document(K)))
+
+
+def test_weights_keyed_by_escaped_ids_round_trip():
+    doc = {"name": "dotted square", "dimension": 1, "vertices": ["p.q", "a", "b\\", "c"],
+           "maximal_simplices": [[0, 1], [1, 2], [2, 3], [0, 3]], "skeleta": {"0": [[0], [2]]},
+           "weights": {"s0:p\\.q": "2/3", "s0:b\\\\": "3"}}
+    K = cx.load(json.dumps(doc))
+    assert K.weights == {"s0:p\\.q": F(2, 3), "s0:b\\\\": F(3)}
+    _assert_matches_reference(doc, K)
+    saved = cx.to_document(K)
+    assert sorted(saved["weights"]) == sorted(doc["weights"])
+    L = cx.load(json.dumps(saved))
+    assert (list(L.strata), L.weights) == (list(K.strata), K.weights)
+    # a weight keyed by the unescaped id names no stratum
+    with pytest.raises(SpaceFormatError, match=re.escape("unknown singular stratum 's0:p.q'")):
+        cx.load({**doc, "weights": {"s0:p.q": "2/3"}})
+
+
+def _lone_regular(K):
+    """K's regular stratum when the regular part is one stratum, else None."""
+    regular = [s for s in K.strata.values() if not s.singular]
+    return regular[0] if len(regular) == 1 else None
+
+
+def _assert_unread(*complexes):
+    """Where the regular part is one stratum, its member list is not built
+    yet, and what would build it holds only what the complex itself keeps."""
+    for K in complexes:
+        s = _lone_regular(K)
+        if s is not None:
+            assert "simplices" not in vars(s), K.name
+            kept = vars(K).values()
+            assert all(any(arg is x for x in kept) for arg in s._members.args), K.name
+
+
+def _assert_read_once(doc, *complexes):
+    """In each complex, the first read of each regular stratum's members
+    gives the reference assembly's grouping of `doc`, and a second read
+    the same tuple."""
+    strata = _reference_assemble(doc)[2]
+    for K in complexes:
+        for s in K.strata.values():
+            if not s.singular:
+                first = s.simplices
+                assert first == strata[s.id][2], (K.name, s.id)
+                assert s.simplices is first, (K.name, s.id)
+
+
+def _not_full(doc):
+    """The document, unweighted, with both ends of its first edge added to
+    X_0 and to every listed level, so that X_0 is not full but the levels
+    stay nested. The subdivision renames the strata, so no weight applies."""
+    a, b = doc["maximal_simplices"][0][:2]
+    skeleta = {j: level + [[a], [b]] for j, level in doc.get("skeleta", {}).items()}
+    return {**doc, "skeleta": {"0": [[a], [b]], **skeleta}, "weights": {}}
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_regular_members_wait_for_first_read(name):
+    """No load, build, construction, fullness remedy or `to_document` lists
+    the members of a one-stratum regular part; the first read does."""
+    doc = cx.to_document(corpus.load_space(name))
+    loaded = [cx.load(json.dumps(doc)), cx.load(doc),
+              cx.build(doc["name"], doc["vertices"], doc["maximal_simplices"],
+                       doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
+    K = loaded[0]
+    made = [cx.cone(K), cx.suspension(K), cx.barycentric_subdivide(K)]
+    cases = [(doc, *loaded)] + [(cx.to_document(J), J) for J in made]
+    if K.n:
+        remedied = _not_full(doc)
+        R = cx.load(remedied)
+        assert R.counts() == made[2].counts()
+        cases.append((remedied, R))
+    complexes = [K for _, *Ks in cases for K in Ks]
+    _assert_unread(*complexes)
+    for J in complexes:
+        cx.to_document(J)
+    _assert_unread(*complexes)
+    assert (_lone_regular(K) is None) == (name in ("s0", "susp_s0"))
+    for case in cases:
+        _assert_read_once(*case)
+
+
+# the ih-ladder workload's spaces that the build-ladder workload does not build
+_IH_LADDER = (
+    ("cone(susp(susp t2))", "cone", "susp(susp t2)"),
+    ("sd(cone_t2)", "barycentric_subdivide", "cone_t2"),
+)
+
+
+def test_ladder_regular_members_wait_for_first_read():
+    built = {"t2": corpus.load_space("t2_7"), "cone_t2": corpus.load_space("cone_t2")}
+    cases = []
+    for key, ctor, src in (*_LADDER, *_IH_LADDER):
+        J = built[key] = getattr(cx, ctor)(built[src])
+        doc = cx.to_document(J)
+        loads = [cx.load(json.dumps(doc)), cx.load(doc)]
+        _assert_unread(built[src], J, *loads)
+        cases.append((doc, J, *loads))
+    for case in cases:
+        _assert_read_once(*case)
