@@ -21,50 +21,51 @@ so it is part of the output: `verify --suite duality` draws its per-stratum
 values in it.
 
 Construction makes each dimension's sorted simplex list on its own, and
-every path ends in one step, `_finish`, which groups the strata and builds
-the complex. A document (`load`, `build`) gets its faces from C-level
-passes over whole lists (`_faces_by_dim`): the vertices from one flat pass,
-the faces of each size from one pass of `combinations` with the repeats
-dropped by `dict.fromkeys` and the list sorted in place, and the top
-dimension from the maximal simplices themselves. A listed skeleton simplex
-is found in its dimension's list by bisection, and fullness is tested on
-the faces of the maximal simplices cut down to their singular vertices. A
-cone or suspension takes its faces from K: each dimension's list merges
-K's with the cones on K's list one dimension down, and the levels and
-X_{n-1} follow from K's, so nothing is derived again or tested. A
-subdivision gets its faces from `_faces_by_dim` of the top flags and its
-levels from the old simplices; it is pure and full by construction, so
-neither is tested, and a document whose filtration is not full takes the
-same subdivision. The complex is never held as one set, nor as one list of
-mixed lengths sorted and then split. A regular part with one component is
-named by its least member, the least of each dimension's first simplex
-outside X_{n-1}, and its member list is not built. Python loops remain over
-the edges whose ends share a level (they give the components, joined by
-union-find), over the few singular simplices, and over the regular
-simplices when they form several components.
+every path ends in one step, `FilteredComplex(...)`, which takes X_{n-1} as
+one sorted list and groups the strata. A document (`load`, `build`) gets
+its faces from C-level passes over whole lists (`_faces_by_dim`): the
+vertices from one flat pass, the faces of each size from one pass of
+`combinations` with the repeats dropped by `dict.fromkeys` and the list
+sorted in place, and the top dimension from the maximal simplices
+themselves. A listed skeleton simplex is found in its dimension's list by
+bisection, and fullness is tested on the faces of the maximal simplices cut
+down to their singular vertices. A cone or suspension takes its faces from
+K: each dimension's list merges K's with the cones on K's list one
+dimension down, and the levels and X_{n-1} follow from K's, so nothing is
+derived again or tested. A subdivision gets its faces from `_faces_by_dim`
+of the top flags and its levels from the old simplices; it is pure and full
+by construction, so neither is tested, and a document whose filtration is
+not full takes the same subdivision. The complex is never held as one set,
+nor as one list of mixed lengths sorted and then split. Python loops remain
+over the edges whose ends share a level (they give the components, joined
+by union-find), over the few singular simplices, and over each dimension's
+first regular simplices, until every regular component has been met.
+
+A stratum is a descriptor: its id, dimensions, kind and level, with no
+member list. Its members are the simplices that `label` maps to its id, and
+X_j is the part of X_{n-1} with no vertex above level j. A constructor
+carries each weight through one vertex of its stratum, whose image lies in
+the stratum that inherits it.
 
 Construction holds each table only while something still reads it. `load`
 drops the parsed document, and any file text it read, before the assembly,
 and each dimension's dedupe table is freed before the next is built. A
-complex stores its simplices by dimension, each vertex's level and stratum
-id, and the members of its singular strata; the simplex index (read by
-`index`, `level`, `label` and `boundary_matrix`), the singular-face
-profiles, the dropped-face boundaries, the top cofaces, the interior table
-and the member list of a one-component regular stratum are derived on first
-read. No constructor, no `to_document` and no `load` reads them. The member
-list is the lexicographic list, which one sort merges from the
-per-dimension runs, less the simplices with no vertex of level n; its
-deferred build holds only the complex's own lists. The interior table
-(`interior`) holds the reduced boundaries of the simplices with no singular
-vertex, which every rank query shares: `betti()` and each perversity's
-`intersection.homology` reduce only the simplices near the singular set
-against a copy of it.
+complex stores its simplices by dimension, X_{n-1} as one sorted list, and
+each vertex's level and stratum id; the simplex index (read by `index`,
+`level`, `label` and `boundary_matrix`), the singular-face profiles, the
+dropped-face boundaries, the top cofaces and the interior table are derived
+on first read. No constructor, no `to_document` and no `load` reads them.
+The interior table (`interior`) holds the reduced boundaries of the
+simplices with no singular vertex, which every rank query shares: `betti()`
+and each perversity's `intersection.homology` reduce only the simplices
+near the singular set against a copy of it.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, compress, filterfalse, repeat
@@ -77,30 +78,21 @@ from .rationals import format_rational, parse_int, parse_weight, read_json
 
 
 class Stratum:
-    """One stratum: its id, dimensions, and member simplices.
+    """One stratum, by its id, dimension, codimension, link dimension, kind
+    and level. It keeps no member list: its members are the simplices `s`
+    of its complex `K` with `K.label(s) == id`, so
+    `[s for i in range(K.n + 1) for s in K.simplices(i) if K.label(s) == id]`
+    lists them by dimension, each dimension in order."""
 
-    `simplices` is the sorted tuple of members. A regular stratum's tuple
-    is the largest table of a complex and no constructor reads it, so it
-    may be deferred: given a function instead of a tuple, the stratum
-    builds it on first read and keeps it."""
+    __slots__ = ("id", "dim", "codim", "link_dim", "singular", "level")
 
-    def __init__(self, sid, dim, codim, singular, level, simplices):
+    def __init__(self, sid, dim, codim, singular, level):
         self.id = sid
         self.dim = dim
         self.codim = codim
         self.link_dim = codim - 1
         self.singular = singular
         self.level = level
-        if callable(simplices):
-            self._members = simplices
-        else:
-            self.simplices = simplices
-
-    @cached_property
-    def simplices(self):
-        members = self._members()
-        del self._members
-        return members
 
     def __repr__(self):
         kind = "singular" if self.singular else "regular"
@@ -147,26 +139,28 @@ def _name_simplex(simplex, vertex_ids):
 class FilteredComplex:
     """Immutable after construction; build via load(), build(), or a constructor.
 
-    Stored: the simplices by dimension, each vertex's level and stratum id,
-    the strata and the weights. The simplex index `_index`, `profile_classes`,
-    `regular`, `interior`, `top_cofaces` and `_orientation` are cached
-    properties, derived on first read, and so is the member list
-    (`Stratum.simplices`) of a regular stratum that is the whole regular
-    part. `ih_memo` maps an allowable pattern to its intersection Betti
+    Stored: the simplices by dimension, X_{n-1} as one sorted list, each
+    vertex's level and stratum id, the strata and the weights. The simplex
+    index `_index`, `profile_classes`, `regular`, `interior`, `top_cofaces`
+    and `_orientation` are cached properties, derived on first read.
+    `ih_memo` maps an allowable pattern to its intersection Betti
     numbers; `intersection.StratifiedChainComplex.homology` fills and reads
     it.
     """
 
-    def __init__(self, name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, weights):
-        """`by_dim[i]`: the i-simplices, sorted; per vertex v, its level and stratum id."""
+    def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular):
+        """`by_dim[i]`: the i-simplices, sorted; per vertex v, its level;
+        `singular`: X_{n-1}, sorted. The caller has made the complex pure and
+        its skeleta full, and sets the weights."""
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
         self._by_dim = by_dim
         self._vertex_level = vertex_level
-        self._vertex_label = vertex_label
-        self.strata = strata
-        self.weights = dict(weights or {})
+        self._singular = singular
+        self.strata, self._vertex_label = _stratify(n, by_dim, singular, vertex_level,
+                                                    self.vertex_ids)
+        self.weights = {}
         self._boundaries = {}
         self.ih_memo = {}
 
@@ -207,9 +201,13 @@ class FilteredComplex:
         return [s for s in self.strata.values() if s.singular]
 
     def skeleton(self, j):
-        """X_j: the members of the strata of level <= j."""
-        return frozenset(chain.from_iterable(
-            s.simplices for s in self.strata.values() if s.level <= j))
+        """X_j: X_{n-1} for j = n - 1, the whole complex above it, and below
+        it the simplices of X_{n-1} with no vertex above level j (skeleta
+        are full)."""
+        if j >= self.n - 1:
+            return frozenset(self._singular if j < self.n else self.all_simplices())
+        low = {v for v, lvl in enumerate(self._vertex_level) if lvl <= j}
+        return frozenset(filter(low.issuperset, self._singular))
 
     def euler_characteristic(self):
         return sum((-1) ** i * c for i, c in enumerate(self.counts()))
@@ -284,8 +282,39 @@ class FilteredComplex:
 
     @cached_property
     def _orientation(self):
-        """The signs `check_orientation` returns, or None, decided on first read."""
-        return _coherent_signs(self)
+        """The signs `check_orientation` returns, or None, decided on first
+        read: each component of top simplices across two-coface regular
+        faces is signed from its least simplex."""
+        tops = self.simplices(self.n)
+        adj = {s: [] for s in tops}
+        for f, incident in self.top_cofaces.items():
+            if len(incident) > 2:
+                raise StructureError(
+                    f"regular face {_name_simplex(f, self.vertex_ids)} has "
+                    f"{len(incident)} top cofaces"
+                )
+            if len(incident) == 2:
+                (s1, e1), (s2, e2) = incident
+                adj[s1].append((s2, e1, e2))
+                adj[s2].append((s1, e2, e1))
+        signs = {}
+        for seed in tops:
+            if seed in signs:
+                continue
+            signs[seed] = 1
+            queue = [seed]
+            while queue:
+                s = queue.pop()
+                for t, es, et in adj[s]:
+                    # cancellation: sign_s * es + sign_t * et = 0
+                    wanted = -signs[s] * es * et
+                    if t in signs:
+                        if signs[t] != wanted:
+                            return None
+                    else:
+                        signs[t] = wanted
+                        queue.append(t)
+        return signs
 
     @cached_property
     def regular(self):
@@ -345,6 +374,9 @@ class FilteredComplex:
     # ----------------------------------------------------------------- reports
 
     def describe(self):
+        # a simplex lies in the stratum of its top vertex
+        top = partial(max, key=self._vertex_level.__getitem__)
+        members = Counter(map(self._vertex_label.__getitem__, map(top, self.all_simplices())))
         strata = []
         for sid in sorted(self.strata):
             s = self.strata[sid]
@@ -354,7 +386,7 @@ class FilteredComplex:
                 "codim": s.codim,
                 "link_dim": s.link_dim,
                 "singular": s.singular,
-                "simplex_count": len(s.simplices),
+                "simplex_count": members[sid],
             }
             if sid in self.weights:
                 entry["weight"] = format_rational(self.weights[sid])
@@ -424,14 +456,6 @@ def _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids):
     return levels
 
 
-def _regular_members(by_dim, vertex_level, n):
-    """The simplices outside X_{n-1}, sorted: skeleta are full, so those
-    with a vertex of level n. They are filtered from the lexicographic
-    list, which one sort merges from the per-dimension runs."""
-    singular_vertices = {v for v, j in enumerate(vertex_level) if j < n}
-    return tuple(filterfalse(singular_vertices.issuperset, sorted(chain.from_iterable(by_dim))))
-
-
 def _escaped_id(vid):
     return str(vid).replace("\\", "\\\\").replace(".", "\\.")
 
@@ -439,19 +463,19 @@ def _escaped_id(vid):
 def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
     """Strata, ordered by their least member, and each vertex's stratum id
     (None off the complex). `by_dim` holds the complex's sorted simplices
-    per dimension, `singular` X_{n-1}. A stratum's id is `s{dim}:` and the
-    ids of its least member's vertices joined by ".", with each backslash
-    and "." in an id escaped by a backslash; strata are disjoint, so their
-    least members, and so their ids, differ.
+    per dimension, `singular` X_{n-1}, sorted. A stratum's id is `s{dim}:`
+    and the ids of its least member's vertices joined by ".", with each
+    backslash and "." in an id escaped by a backslash; strata are disjoint,
+    so their least members, and so their ids, differ.
 
     Skeleta are full, so a level-j simplex shares a stratum with each of its
     level-j vertices, and those vertices are joined by its level-j edges.
-    The few singular simplices are placed one at a time. When the regular
-    vertices form one component, the regular stratum is every simplex
-    outside X_{n-1}, and only its least member is found here, the least of
-    each dimension's first regular simplex; its members are listed by
-    `_regular_members` on first read, from the complex's own lists. Only a
-    regular part with several components is grouped one simplex at a time."""
+    One pass over the few singular simplices, in order, gives each singular
+    stratum its least member and its dimension. A regular stratum holds an
+    n-simplex and its faces through a regular vertex, so it has a simplex in
+    every dimension, and its least member is the least of the first one in
+    each; each dimension is scanned only until every regular component has
+    been met."""
     # union-find with path halving; a vertex's parent is never above it
     root = list(range(len(vertex_ids)))
     # edges whose ends share a level: a few singular ones, and the regular
@@ -475,35 +499,29 @@ def _stratify(n, by_dim, singular, vertex_level, vertex_ids):
         root[v] = root[parent]
     top_of = partial(max, key=vertex_level.__getitem__)
 
-    def stratum_of(s):
-        return root[top_of(s)]
-
-    members = {}
-    for s in sorted(singular):
-        members.setdefault(stratum_of(s), []).append(s)
-    regular = partial(_regular_members, by_dim, vertex_level, n)
+    least, dim = {}, {}
+    for s in singular:
+        r = root[top_of(s)]
+        least.setdefault(r, s)
+        dim[r] = max(dim.get(r, 0), len(s) - 1)
     roots = {root[v] for (v,) in by_dim[0] if vertex_level[v] == n}
-    if len(roots) > 1:
-        for s in regular():
-            members.setdefault(stratum_of(s), []).append(s)
-    # each group is sorted, so its first member is its least
-    groups = {r: tuple(group) for r, group in members.items()}
-    least = {r: group[0] for r, group in groups.items()}
-    if len(roots) == 1:
-        (r,) = roots
-        groups[r] = regular
-        # each dimension has a regular simplex: a face of an n-simplex
-        # through its vertex of level n
-        least[r] = min(next(filterfalse(singular_vertices.issuperset, level)) for level in by_dim)
+    for level in by_dim:
+        unseen = set(roots)
+        for s in filterfalse(singular_vertices.issuperset, level):
+            r = root[top_of(s)]
+            if r in unseen:
+                least[r] = min(least.get(r, s), s)
+                unseen.remove(r)
+                if not unseen:
+                    break
     strata = {}
     sid_of = {}
     for r in sorted(least, key=least.__getitem__):
-        group = groups[r]
         lvl = vertex_level[r]
         # the complex is pure, so every regular stratum holds an n-simplex
-        dim = n if lvl == n else max(map(len, group)) - 1
-        sid = f"s{dim}:" + ".".join(_escaped_id(vertex_ids[v]) for v in least[r])
-        strata[sid] = Stratum(sid, dim, n - dim, lvl < n, lvl, group)
+        d = dim.get(r, n)
+        sid = f"s{d}:" + ".".join(_escaped_id(vertex_ids[v]) for v in least[r])
+        strata[sid] = Stratum(sid, d, n - d, lvl < n, lvl)
         sid_of[r] = sid
     return strata, list(map(sid_of.get, root))
 
@@ -546,24 +564,16 @@ def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
         flags[s] = ([(i,)] if len(s) == 1 else
                     [tuple(sorted(f + (i,))) for face in combinations(s, len(s) - 1)
                      for f in flags[face]])
-    singular = frozenset(chain.from_iterable(_faces_by_dim(
+    singular = sorted(chain.from_iterable(_faces_by_dim(
         [f for s in _maximal_of(skeleta.get(n - 1, ())) for f in flags[s]])))
     top = [f for s in by_dim[-1] for f in flags[s]]
     # only the weighted barycentres were read, so the tables die before the assembly
     del new_index, flags
-    S = _finish(name, n, new_ids, list(map(tuple, _faces_by_dim(top))), vertex_level, singular)
+    S = FilteredComplex(name, n, new_ids, list(map(tuple, _faces_by_dim(top))), vertex_level,
+                        singular)
     for v, w in weighted:
         S.weights[S._vertex_label[v]] = w
     return S
-
-
-def _finish(name, n, vertex_ids, by_dim, vertex_level, singular):
-    """The complex with the sorted simplex tuples per dimension `by_dim`,
-    each vertex's level and X_{n-1} as the set `singular`, which the caller
-    has made pure and full; its strata come from `_stratify`, its weights
-    are the caller's to set."""
-    strata, vertex_label = _stratify(n, by_dim, singular, vertex_level, vertex_ids)
-    return FilteredComplex(name, n, vertex_ids, by_dim, vertex_level, vertex_label, strata, {})
 
 
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
@@ -602,8 +612,8 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     for face in chain.from_iterable(_faces_by_dim(cut - {()})):
         at_level[max(map(vertex_level.__getitem__, face))] += 1
     if all(len(skeleta[j]) == full for j, full in enumerate(accumulate(at_level))):
-        K = _finish(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
-                    skeleta.get(n - 1, frozenset()))
+        K = FilteredComplex(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
+                            sorted(skeleta.get(n - 1, ())))
     else:
         # after one barycentric subdivision every skeleton is full
         K = _subdivide(name, n, vertex_ids, by_dim, skeleta)
@@ -760,17 +770,16 @@ def _join(K, label, apex_names, apex_weights):
     by_dim += [tuple(sorted(chain(faces[i], cones(faces[i - 1])))) for i in range(1, K.n + 1)]
     by_dim.append(tuple(cones(faces[K.n])))
     vertex_level = [j + 1 for j in K._vertex_level] + [0] * len(tips)
-    below = K.skeleton(K.n - 1)
-    J = _finish(f"{label}({K.name})", K.n + 1, vertex_ids, by_dim, vertex_level,
-                {*tips, *below, *cones(below)})
-    # a simplex lies in the stratum of its top vertex
+    J = FilteredComplex(f"{label}({K.name})", K.n + 1, vertex_ids, by_dim, vertex_level,
+                        sorted(chain(tips, K._singular, cones(K._singular))))
+    # each stratum of K lies in one stratum of J, as do its vertices
+    vertex_of = {sid: v for v, sid in enumerate(K._vertex_label)}
     sid_of = J._vertex_label.__getitem__
-    top = partial(max, key=J._vertex_level.__getitem__)
     for a, w in zip(apexes, apex_weights):
         J.weights[sid_of(a)] = w
     for s in K.singular_strata():
         if s.id in K.weights:
-            J.weights[sid_of(top(s.simplices[0]))] = K.weights[s.id]
+            J.weights[sid_of(vertex_of[s.id])] = K.weights[s.id]
     return J
 
 
@@ -804,9 +813,10 @@ def barycentric_subdivide(K):
     with components recomputed this reproduces exactly one stratum per
     original stratum, and all skeleta of the subdivision are full.
     """
+    vertex_of = {sid: v for v, sid in enumerate(K._vertex_label)}
     return _subdivide(f"sd({K.name})", K.n, K.vertex_ids, K._by_dim,
                       {j: K.skeleton(j) for j in range(K.n)},
-                      [(s.simplices[0], K.weights[s.id])
+                      [((vertex_of[s.id],), K.weights[s.id])
                        for s in K.singular_strata() if s.id in K.weights])
 
 
@@ -825,35 +835,3 @@ def check_orientation(K):
     signs = K._orientation
     return None if signs is None else dict(signs)
 
-
-def _coherent_signs(K):
-    tops = K.simplices(K.n)
-    adj = {s: [] for s in tops}
-    for f, incident in K.top_cofaces.items():
-        if len(incident) > 2:
-            raise StructureError(
-                f"regular face {_name_simplex(f, K.vertex_ids)} has "
-                f"{len(incident)} top cofaces"
-            )
-        if len(incident) == 2:
-            (s1, e1), (s2, e2) = incident
-            adj[s1].append((s2, e1, e2))
-            adj[s2].append((s1, e2, e1))
-    signs = {}
-    for seed in tops:
-        if seed in signs:
-            continue
-        signs[seed] = 1
-        queue = [seed]
-        while queue:
-            s = queue.pop()
-            for t, es, et in adj[s]:
-                # cancellation: sign_s * es + sign_t * et = 0
-                wanted = -signs[s] * es * et
-                if t in signs:
-                    if signs[t] != wanted:
-                        return None
-                else:
-                    signs[t] = wanted
-                    queue.append(t)
-    return signs

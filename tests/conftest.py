@@ -9,9 +9,10 @@ from stratal import corpus
 def _face_profiles(K):
     """Singular-face profiles by definition, the reference for
     `FilteredComplex.profile_classes`: every proper face of each regular
-    simplex is looked up in the members of the strata, and each singular
-    stratum keeps the dimension of its largest face."""
-    label_of = {s: sid for sid, stratum in K.strata.items() for s in stratum.simplices}
+    simplex is looked up in the members of the strata, the simplices that
+    `K.label` maps to their ids, and each singular stratum keeps the
+    dimension of its largest face."""
+    label_of = {s: K.label(s) for i in range(K.n + 1) for s in K.simplices(i)}
     out = {}
     for s in K.all_simplices():
         if K.strata[label_of[s]].singular:

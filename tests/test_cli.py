@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,31 @@ def test_from_weights_missing_weight_exit_code(tmp_path: Path):
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
     assert dropped in r.stderr
+
+
+def _cap_address_space():
+    cap = 2**30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (cap, cap if hard == resource.RLIM_INFINITY else min(cap, hard)))
+
+
+@pytest.mark.parametrize("complex_doc", [
+    pytest.param({"dims": [100_000_000], "differentials": []}, id="one-space"),
+    pytest.param({"dims": [100_000_000, 0], "differentials": [[]]}, id="two-spaces"),
+])
+def test_hilbert_refuses_a_huge_declared_dimension(tmp_path: Path, complex_doc):
+    """A document of under 50 bytes declaring 10**8 columns is refused
+    before anything is sized by them, with one line naming the bound. The
+    child's address space is capped at 1 GiB, so a table sized by the
+    declared dimension fails this test (exit 3, a MemoryError) instead of
+    filling memory."""
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(complex_doc))
+    r = _run("hilbert", "--complex", str(cfile), preexec_fn=_cap_address_space, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == [
+        "error: total dimension 100000000 exceeds the bound 100000"]
 
 
 _LINE = {"dims": [1, 1], "differentials": [[[1]]]}

@@ -493,13 +493,15 @@ def test_orientation_is_decided_once_per_complex(monkeypatch):
     """Every duality check on one complex reads one orientation, and a
     caller that changes the returned signs changes no later answer."""
     walks = []
-    coherent_signs = cx._coherent_signs
+    decide = cx.FilteredComplex._orientation.func
 
     def spy(K):
         walks.append(K.name)
-        return coherent_signs(K)
+        return decide(K)
 
-    monkeypatch.setattr(cx, "_coherent_signs", spy)
+    orientation = functools.cached_property(spy)
+    orientation.__set_name__(cx.FilteredComplex, "_orientation")
+    monkeypatch.setattr(cx.FilteredComplex, "_orientation", orientation)
     for name in ("susp_t2", "mobius"):
         K = corpus.load_space(name)
         want = cx.check_orientation(K)
@@ -614,9 +616,10 @@ def test_random_filtrations_load_full_with_facet_strata(face_profiles, regular_p
         assert K.skeleton(j) == {s for s in levels if levels[s] <= j}
     want = _facet_strata(K)
     assert list(K.strata) == list(want)
+    got_members = _members(K)
     for sid, (dim, codim, level, members) in want.items():
         got = K.strata[sid]
-        assert (got.dim, got.codim, got.level, got.simplices) == (dim, codim, level, members)
+        assert (got.dim, got.codim, got.level, got_members[sid]) == (dim, codim, level, members)
         assert got.singular == (level < K.n)
         assert all(K.label(s) == sid for s in members)
     assert regular_profiles(K) == face_profiles(K)
@@ -814,7 +817,7 @@ def test_constructions_carry_the_weight_of_a_stratum_led_by_a_lower_vertex():
                  "maximal_simplices": [list(map(renumber, s)) for s in doc["maximal_simplices"]],
                  "skeleta": {"0": [[0]], "1": [[0, 1]]},
                  "weights": {"s1:apex'.apex": "1/2", "s0:apex'": "3"}})
-    assert K.strata["s1:apex'.apex"].simplices[0] == (0, 1)
+    assert _members(K)["s1:apex'.apex"][0] == (0, 1)
     assert _strata_and_weights(cx.cone(K, F(2, 3))) == (
         ["s1:apex'", "s2:apex'.apex", "s4:apex'.apex.0", "s0:apex''"],
         {"s0:apex''": "2/3", "s2:apex'.apex": "1/2", "s1:apex'": "3"})
@@ -837,8 +840,18 @@ def test_ladder_constructions_leave_the_simplex_index_unbuilt():
             assert J.weights == {s.id: 1 for s in J.singular_strata()}, key
 
 
+def _members(K):
+    """Each stratum's members, sorted: the simplices `s` with `K.label(s)`
+    equal to its id."""
+    members = {sid: [] for sid in K.strata}
+    for s in sorted(s for i in range(K.n + 1) for s in K.simplices(i)):
+        members[K.label(s)].append(s)
+    return {sid: tuple(group) for sid, group in members.items()}
+
+
 def _least_member_order(K):
-    return sorted(K.strata, key=lambda sid: min(K.strata[sid].simplices))
+    members = _members(K)
+    return sorted(members, key=lambda sid: members[sid][0])
 
 
 def test_corpus_stratum_order_is_pinned(spaces):
@@ -968,9 +981,10 @@ def _assert_matches_reference(doc, K=None):
     assert [K.simplices(i) for i in range(K.n + 1)] == by_dim
     assert [K.level(s) for s in levels] == list(levels.values())
     assert list(K.strata) == list(strata)
+    got_members = _members(K)
     for sid, (dim, level, members) in strata.items():
         got = K.strata[sid]
-        assert (got.dim, got.codim, got.level, got.singular, got.simplices) == (
+        assert (got.dim, got.codim, got.level, got.singular, got_members[sid]) == (
             dim, K.n - dim, level, level < K.n, members)
     assert {s: K.label(s) for s in label_of} == label_of
 
@@ -1055,19 +1069,16 @@ def test_several_components_per_level_match_reference():
     for key, doc, K in cases:
         _assert_matches_reference(doc, K)
         _assert_matches_reference(doc)
-        assert [(sid, len(stratum.simplices)) for sid, stratum in K.strata.items()] == list(
+        assert [(sid, len(members)) for sid, members in _members(K).items()] == list(
             _SEVERAL_COMPONENTS[key].items())
         assert list(_SEVERAL_COMPONENTS[key]) == _least_member_order(K)
-        assert {s: K.label(s) for s in K.all_simplices()} == {
-            s: sid for sid, stratum in K.strata.items() for s in stratum.simplices}
 
 
 def _assert_same_complex(K, J):
     """K and J agree in every simplex list, their strata (ids, members and
     order), and each simplex's level and stratum id."""
     assert [J.simplices(i) for i in range(J.n + 1)] == [K.simplices(i) for i in range(K.n + 1)]
-    assert [(sid, s.simplices) for sid, s in J.strata.items()] == [
-        (sid, s.simplices) for sid, s in K.strata.items()]
+    assert list(_members(J).items()) == list(_members(K).items())
     simplices = list(K.all_simplices())
     assert list(map(J.level, simplices)) == list(map(K.level, simplices))
     assert list(map(J.label, simplices)) == list(map(K.label, simplices))
@@ -1171,9 +1182,10 @@ def _joined_weights(K, apex_weights, label_of):
     """The weights J must carry: each apex's on the apex stratum, and each
     weighted stratum's of K on the stratum of J holding its first member."""
     want = {label_of[(len(K.vertex_ids) + k,)]: w for k, w in enumerate(apex_weights)}
+    members = _members(K)
     for s in K.singular_strata():
         if s.id in K.weights:
-            want[label_of[s.simplices[0]]] = K.weights[s.id]
+            want[label_of[members[s.id][0]]] = K.weights[s.id]
     return want
 
 
@@ -1181,7 +1193,8 @@ def _subdivided_weights(K, label_of):
     """The weights a subdivision must carry: each weighted stratum's of K on
     the stratum of the barycentre of its first member."""
     barycentre = {s: i for i, s in enumerate(sorted(K.all_simplices()))}
-    return {label_of[(barycentre[s.simplices[0]],)]: K.weights[s.id]
+    members = _members(K)
+    return {label_of[(barycentre[members[s.id][0]],)]: K.weights[s.id]
             for s in K.singular_strata() if s.id in K.weights}
 
 
@@ -1322,87 +1335,3 @@ def test_weights_keyed_by_escaped_ids_round_trip():
     with pytest.raises(SpaceFormatError, match=re.escape("unknown singular stratum 's0:p.q'")):
         cx.load({**doc, "weights": {"s0:p.q": "2/3"}})
 
-
-def _lone_regular(K):
-    """K's regular stratum when the regular part is one stratum, else None."""
-    regular = [s for s in K.strata.values() if not s.singular]
-    return regular[0] if len(regular) == 1 else None
-
-
-def _assert_unread(*complexes):
-    """Where the regular part is one stratum, its member list is not built
-    yet, and what would build it holds only what the complex itself keeps."""
-    for K in complexes:
-        s = _lone_regular(K)
-        if s is not None:
-            assert "simplices" not in vars(s), K.name
-            kept = vars(K).values()
-            assert all(any(arg is x for x in kept) for arg in s._members.args), K.name
-
-
-def _assert_read_once(doc, *complexes):
-    """In each complex, the first read of each regular stratum's members
-    gives the reference assembly's grouping of `doc`, and a second read
-    the same tuple."""
-    strata = _reference_assemble(doc)[2]
-    for K in complexes:
-        for s in K.strata.values():
-            if not s.singular:
-                first = s.simplices
-                assert first == strata[s.id][2], (K.name, s.id)
-                assert s.simplices is first, (K.name, s.id)
-
-
-def _not_full(doc):
-    """The document, unweighted, with both ends of its first edge added to
-    X_0 and to every listed level, so that X_0 is not full but the levels
-    stay nested. The subdivision renames the strata, so no weight applies."""
-    a, b = doc["maximal_simplices"][0][:2]
-    skeleta = {j: level + [[a], [b]] for j, level in doc.get("skeleta", {}).items()}
-    return {**doc, "skeleta": {"0": [[a], [b]], **skeleta}, "weights": {}}
-
-
-@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
-def test_regular_members_wait_for_first_read(name):
-    """No load, build, construction, fullness remedy or `to_document` lists
-    the members of a one-stratum regular part; the first read does."""
-    doc = cx.to_document(corpus.load_space(name))
-    loaded = [cx.load(json.dumps(doc)), cx.load(doc),
-              cx.build(doc["name"], doc["vertices"], doc["maximal_simplices"],
-                       doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
-    K = loaded[0]
-    made = [cx.cone(K), cx.suspension(K), cx.barycentric_subdivide(K)]
-    cases = [(doc, *loaded)] + [(cx.to_document(J), J) for J in made]
-    if K.n:
-        remedied = _not_full(doc)
-        R = cx.load(remedied)
-        assert R.counts() == made[2].counts()
-        cases.append((remedied, R))
-    complexes = [K for _, *Ks in cases for K in Ks]
-    _assert_unread(*complexes)
-    for J in complexes:
-        cx.to_document(J)
-    _assert_unread(*complexes)
-    assert (_lone_regular(K) is None) == (name in ("s0", "susp_s0"))
-    for case in cases:
-        _assert_read_once(*case)
-
-
-# the ih-ladder workload's spaces that the build-ladder workload does not build
-_IH_LADDER = (
-    ("cone(susp(susp t2))", "cone", "susp(susp t2)"),
-    ("sd(cone_t2)", "barycentric_subdivide", "cone_t2"),
-)
-
-
-def test_ladder_regular_members_wait_for_first_read():
-    built = {"t2": corpus.load_space("t2_7"), "cone_t2": corpus.load_space("cone_t2")}
-    cases = []
-    for key, ctor, src in (*_LADDER, *_IH_LADDER):
-        J = built[key] = getattr(cx, ctor)(built[src])
-        doc = cx.to_document(J)
-        loads = [cx.load(json.dumps(doc)), cx.load(doc)]
-        _assert_unread(built[src], J, *loads)
-        cases.append((doc, J, *loads))
-    for case in cases:
-        _assert_read_once(*case)

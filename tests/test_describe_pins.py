@@ -12,8 +12,6 @@ import hashlib
 import json
 from fractions import Fraction as F
 
-import pytest
-
 from stratal import complexes as cx
 from stratal import corpus
 

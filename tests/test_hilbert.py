@@ -147,16 +147,31 @@ def test_validate_rejects_non_rational_column_entries(entry):
 
 
 def test_validate_checks_row_lengths_before_allocating_columns():
-    """A dense D_0 of one 1-entry row claiming 10**6 columns is rejected
+    """A dense D_0 of one 1-entry row claiming 99,999 columns is rejected
     before one dict per claimed column is built."""
     tracemalloc.start()
     try:
-        with pytest.raises(ConstructionError, match="row 0 has length 1, expected 1000000"):
-            hb.validate([10**6, 1], [[[0]]])
+        with pytest.raises(ConstructionError, match="row 0 has length 1, expected 99999"):
+            hb.validate([99_999, 1], [[[0]]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_validate_bounds_the_total_dimension():
+    bound = hb.MAX_TOTAL_DIMENSION
+    assert hb.validate([bound - 1, 1], [[[0] * (bound - 1)]]).dims == (bound - 1, 1)
+    row = [0] * bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError,
+                           match=f"total dimension {bound + 1} exceeds the bound {bound}"):
+            hb.validate([bound, 1], [[row]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_validate_accepts_int_fraction_and_text_entries():
