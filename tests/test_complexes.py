@@ -1334,4 +1334,3 @@ def test_weights_keyed_by_escaped_ids_round_trip():
     # a weight keyed by the unescaped id names no stratum
     with pytest.raises(SpaceFormatError, match=re.escape("unknown singular stratum 's0:p.q'")):
         cx.load({**doc, "weights": {"s0:p.q": "2/3"}})
-
