@@ -21,6 +21,7 @@ from .rationals import parse_rational
 # at 37-153 MB RSS (Python 3.11, x86-64).
 MAX_TOTAL_DIMENSION = 100_000
 
+
 class FiniteHilbertComplex:
     """Spaces of the given dimensions with column-stored differentials."""
 
