@@ -1334,3 +1334,56 @@ def test_weights_keyed_by_escaped_ids_round_trip():
     # a weight keyed by the unescaped id names no stratum
     with pytest.raises(SpaceFormatError, match=re.escape("unknown singular stratum 's0:p.q'")):
         cx.load({**doc, "weights": {"s0:p.q": "2/3"}})
+
+
+def _not_full(doc):
+    """The document, unweighted, with both ends of its first edge added to
+    X_0 and to every listed level, so that X_0 is not full but the levels
+    stay nested. The subdivision renames the strata, so no weight applies."""
+    a, b = doc["maximal_simplices"][0][:2]
+    skeleta = {j: level + [[a], [b]] for j, level in doc.get("skeleta", {}).items()}
+    return {**doc, "skeleta": {"0": [[a], [b]], **skeleta}, "weights": {}}
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_load_paths_and_remedy_match_reference_assembly(name):
+    """A load of the text, a load of the dict and `build` give the reference
+    assembly's strata and members, and so does the fullness remedy of the
+    document made not full, which subdivides it once."""
+    doc = cx.to_document(corpus.load_space(name))
+    loaded = [cx.load(json.dumps(doc)), cx.load(doc),
+              cx.build(doc["name"], doc["vertices"], doc["maximal_simplices"],
+                       doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
+    _assert_matches_reference(doc, loaded[0])
+    for K in loaded[1:]:
+        _assert_same_complex(loaded[0], K)
+        assert (K.vertex_ids, K.weights) == (loaded[0].vertex_ids, loaded[0].weights), name
+    if loaded[0].n:
+        remedied = _not_full(doc)
+        R = cx.load(remedied)
+        assert R.counts() == cx.barycentric_subdivide(loaded[0]).counts()
+        _assert_matches_reference(remedied, R)
+        _assert_same_complex(R, cx.load(json.dumps(cx.to_document(R))))
+
+
+# the ih-ladder workload's spaces that the build-ladder workload does not build
+_IH_LADDER = (
+    ("cone(susp(susp t2))", "cone", "susp(susp t2)"),
+    ("sd(cone_t2)", "barycentric_subdivide", "cone_t2"),
+)
+
+
+def test_ladder_load_paths_match_reference_assembly():
+    """Every `build-ladder` and `ih-ladder` rung loads from its document, as
+    text and as a dict, to the complex built; the `ih-ladder` rungs, which
+    the other ladder tests do not build, are checked against the reference
+    assembly too."""
+    built = {"t2": corpus.load_space("t2_7"), "cone_t2": corpus.load_space("cone_t2")}
+    for key, ctor, src in (*_LADDER, *_IH_LADDER):
+        J = built[key] = getattr(cx, ctor)(built[src])
+        doc = cx.to_document(J)
+        if (key, ctor, src) in _IH_LADDER:
+            _assert_matches_reference(doc, J)
+        for K in (cx.load(json.dumps(doc)), cx.load(doc)):
+            _assert_same_complex(J, K)
+            assert (K.vertex_ids, K.weights) == (J.vertex_ids, J.weights), key
