@@ -52,13 +52,16 @@ drops the parsed document, and any file text it read, before the assembly,
 and each dimension's dedupe table is freed before the next is built. A
 complex stores its simplices by dimension, X_{n-1} as one sorted list, and
 each vertex's level and stratum id; the simplex index (read by `index`,
-`level`, `label` and `boundary_matrix`), the singular-face profiles, the
-dropped-face boundaries, the top cofaces and the interior table are derived
+`level`, `label` and `boundary_matrix`), the boundary of every degree, the
+singular-face profiles, the top cofaces and the interior table are derived
 on first read. No constructor, no `to_document` and no `load` reads them.
-The interior table (`interior`) holds the reduced boundaries of the
-simplices with no singular vertex, which every rank query shares: `betti()`
-and each perversity's `intersection.homology` reduce only the simplices
-near the singular set against a copy of it.
+The complex keeps one boundary, `boundary_matrix`: a chain model that
+leaves out some simplices (stratified coefficients leave out X_{n-1})
+deletes their rows as it reduces (`linalg.chain_ranks`), and never stores a
+second copy. The interior table (`interior`) holds the reduced boundaries
+of the simplices with no singular vertex, which every rank query shares:
+`betti()` and each perversity's `intersection.homology` reduce only the
+simplices near the singular set against a copy of it.
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
@@ -68,7 +71,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, compress, filterfalse, repeat
+from itertools import accumulate, chain, combinations, filterfalse, repeat
 from pathlib import Path
 
 from . import linalg
@@ -141,8 +144,9 @@ class FilteredComplex:
 
     Stored: the simplices by dimension, X_{n-1} as one sorted list, each
     vertex's level and stratum id, the strata and the weights. The simplex
-    index `_index`, `profile_classes`, `regular`, `interior`, `top_cofaces`
-    and `_orientation` are cached properties, derived on first read.
+    index `_index`, the boundaries `_boundary`, `profile_classes`,
+    `interior`, `top_cofaces` and `_orientation` are cached properties,
+    derived on first read.
     `ih_memo` maps an allowable pattern to its intersection Betti
     numbers; `intersection.StratifiedChainComplex.homology` fills and reads
     it.
@@ -161,7 +165,6 @@ class FilteredComplex:
         self.strata, self._vertex_label = _stratify(n, by_dim, singular, vertex_level,
                                                     self.vertex_ids)
         self.weights = {}
-        self._boundaries = {}
         self.ih_memo = {}
 
     # ------------------------------------------------------------------ basics
@@ -220,18 +223,20 @@ class FilteredComplex:
 
     def boundary_matrix(self, i):
         """Columns of the simplicial boundary in lexicographic bases."""
-        if i in self._boundaries:
-            return self._boundaries[i]
-        if i <= 0 or i > self.n:
-            cols = [{} for _ in self.simplices(i)] if i == 0 else []
-        else:
+        return self._boundary[i] if 0 <= i <= self.n else []
+
+    @cached_property
+    def _boundary(self):
+        """`boundary_matrix` of every degree, built together on first read:
+        each of its readers reads every degree."""
+        face = self._index.__getitem__
+        out = [[{} for _ in self._by_dim[0]]]
+        for i in range(1, self.n + 1):
             # combinations yields first the facet without vertex i, last the
             # one without vertex 0, whose sign is (-1)^0
             signs = [(-1) ** (i - k) for k in range(i + 1)]
-            face = self._index.__getitem__
-            cols = [dict(zip(map(face, combinations(s, i)), signs)) for s in self._by_dim[i]]
-        self._boundaries[i] = cols
-        return cols
+            out.append([dict(zip(map(face, combinations(s, i)), signs)) for s in self._by_dim[i]])
+        return out
 
     @cached_property
     def profile_classes(self):
@@ -317,32 +322,6 @@ class FilteredComplex:
         return signs
 
     @cached_property
-    def regular(self):
-        """Per degree i, the boundary with its singular faces dropped, indexed
-        like `boundary_matrix`: column j is column j of the full boundary
-        restricted to the rows of the regular (i-1)-simplices, those not in
-        X_{n-1}. Skeleta are full, so a simplex lies in X_{n-1} exactly when
-        all of its vertices do; a simplex with at least two non-singular
-        vertices therefore has no singular facet, and its column is the
-        `boundary_matrix` column itself. Only the others, whose singular
-        vertices number at least i, get a filtered copy.
-        """
-        bnd = []
-        rows = set()
-        for i, (classes, of) in enumerate(self.profile_classes):
-            full = self.boundary_matrix(i)
-            cols = list(full)
-            # a profile's largest entry is one less than the number of singular vertices
-            near = [prof is None or (prof and max(prof.values()) >= i - 1)
-                    for prof in classes]
-            for j in compress(range(len(of)), map(near.__getitem__, of)):
-                cols[j] = {r: v for r, v in full[j].items() if r in rows}
-            bnd.append(cols)
-            regular = [prof is not None for prof in classes]
-            rows = set(compress(range(len(of)), map(regular.__getitem__, of)))
-        return bnd
-
-    @cached_property
     def interior(self):
         """Per degree i, (near, pivots): `near` lists, in order, the indices of
         the i-simplices with a singular vertex, and `pivots` is the pivot
@@ -350,23 +329,23 @@ class FilteredComplex:
         reduced from the top degree down (`linalg.subcomplex_pivots`).
 
         An interior simplex has the empty profile, the `()` class of
-        `profile_classes`. All of its faces are interior, it is allowable in
-        every degree for every perversity, and its `regular` column is its
-        `boundary_matrix` column. So the table serves `betti()` and every
-        perversity's `homology()` alike (`linalg.chain_ranks`), and each of
-        them reduces only its allowed near columns against a copy of it.
+        `profile_classes`. All of its faces are interior, so none of them is
+        in X_{n-1}, and it is allowable in every degree for every perversity.
+        So the table serves `betti()` and every perversity's `homology()`
+        alike (`linalg.chain_ranks`), and each of them reduces only its
+        allowed near columns against a copy of it.
         """
         split, inner = [], []
         for profiles, of in self.profile_classes:
             k = profiles.index({}) if {} in profiles else None
             split.append([j for j, c in enumerate(of) if c != k])
             inner.append([j for j, c in enumerate(of) if c == k])
-        bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
-        return list(zip(split, linalg.subcomplex_pivots(bnd, inner)))
+        return list(zip(split, linalg.subcomplex_pivots(self._boundary, inner)))
 
     def betti(self):
-        """Rational Betti numbers b_0..b_n, exact."""
-        bnd = [self.boundary_matrix(i) for i in range(self.n + 1)]
+        """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
+        and none is dropped."""
+        bnd = self._boundary
         table = self.interior
         ranks = linalg.chain_ranks(bnd, [near for near, _ in table], table)
         return _betti(map(len, bnd), ranks)

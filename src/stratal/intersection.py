@@ -3,17 +3,21 @@
 Coefficients are fixed to the rationals, realized as the "zero on the
 singular set" system: the degree-i basis consists of the regular i-simplices
 (those not contained in X_{n-1}), and boundaries drop faces that lie inside
-X_{n-1}. Chains and allowable sets are indexed by the complex's own simplex
-indices (`FilteredComplex.index`), so the dropped-face boundary
-`FilteredComplex.regular` shares each full boundary column that has no
-singular face. A simplex is p-allowable in chain degree i when, for every
-singular stratum Y, its largest face labeled Y has dimension at most
-i - codim(Y) + p(Y). Those dimensions follow from the simplex's singular
-vertices (`FilteredComplex.profile_classes`, read through the simplex's
-index), so allowability is decided once per profile and degree, and a
-simplex with no singular vertex is allowable in every degree. The
-intersection chain space in degree i is the kernel of the non-allowable row
-block of the boundary restricted to allowable columns. Betti numbers need no
+X_{n-1}. In chain terms that deletes the X_{n-1} rows of the simplicial
+boundary, so this chain model is a partition of the rows of
+`FilteredComplex.boundary_matrix`: allowed, dropped (X_{n-1}) and the
+non-allowable rest. Chains and allowable sets are indexed by the complex's
+own simplex indices (`FilteredComplex.index`), and the complex keeps no
+second boundary: the rows are dropped as each query reduces
+(`linalg.chain_ranks`), and a column with no singular face enters as it is.
+A simplex is p-allowable in chain degree i when, for every singular stratum
+Y, its largest face labeled Y has dimension at most i - codim(Y) + p(Y).
+Those dimensions follow from the simplex's singular vertices
+(`FilteredComplex.profile_classes`, read through the simplex's index), so
+allowability is decided once per profile and degree, and a simplex with no
+singular vertex is allowable in every degree. The intersection chain space
+in degree i is the kernel of the non-allowable row block of the boundary
+restricted to allowable columns. Betti numbers need no
 basis: one reduction per degree, from the top degree down with clearing,
 gives both ranks they need (`linalg.chain_ranks`). The simplices with no
 singular vertex form a subcomplex that is allowable for every perversity,
@@ -68,9 +72,9 @@ def allowable(sigma, i, K, p: Perversity) -> bool:
 
 
 class StratifiedChainComplex:
-    """The intersection chain complex of (K, p): the regular simplices, the
-    allowable indices into `K.simplices(i)`, and the dropped-face boundary;
-    explicit bases only on demand."""
+    """The intersection chain complex of (K, p): the regular simplices and
+    the allowable indices into `K.simplices(i)`, over the complex's boundary
+    with the X_{n-1} rows dropped; explicit bases only on demand."""
 
     def __init__(self, K, p: Perversity):
         self.K = K
@@ -97,28 +101,33 @@ class StratifiedChainComplex:
     def bases(self):
         """RCEF bases of the chain spaces IC_i, keyed by the complex's indices
         of the regular i-simplices, built on first access."""
-        bnd, allow = self.K.regular, self.allowable_indices
         bases = []
-        for i, cols_idx in enumerate(allow):
-            # IC_i is the kernel of the non-allowable rows; ∂_0 has no entries
-            allowed = set(allow[i - 1])
-            sub = [{r: v for r, v in bnd[i][j].items() if r not in allowed} for j in cols_idx]
+        bad = ()
+        for i, (cols_idx, (profiles, of)) in enumerate(
+                zip(self.allowable_indices, self.K.profile_classes)):
+            # IC_i is the kernel of the rows that are neither allowed nor in X_{n-1}
+            bnd = self.K.boundary_matrix(i)
+            sub = [{r: v for r, v in bnd[j].items() if r in bad} for j in cols_idx]
             combos = [{cols_idx[pos]: v for pos, v in combo.items()}
                       for combo in linalg.kernel(sub)]
             bases.append(linalg.rcef(combos))
+            bad = {j for j, c in enumerate(of) if profiles[c] is not None}.difference(cols_idx)
         return bases
 
     def homology(self):
         """Betti numbers from one reduction per degree.
 
-        With A_i the allowable columns and B_{i-1} the non-allowable rows,
+        With ∂_i the complex's boundary with the X_{n-1} rows dropped, A_i
+        the allowable columns and B_{i-1} the regular non-allowable rows,
         IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
         for r_bad = rank ∂_i[B_{i-1}, A_i]. The boundary on IC_i has kernel
         ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad; `betti()`
-        reads the same formula (`complexes._betti`). The interior simplices
-        are allowable for every perversity, so only the near ones are tested
-        here, and their reduced boundaries come from the complex's shared
-        table (`FilteredComplex.interior`). The answer is
+        reads the same formula (`complexes._betti`) with nothing dropped.
+        The interior simplices are allowable for every perversity, so only
+        the near ones are tested here, and the interior's reduced boundaries
+        come from the complex's shared table (`FilteredComplex.interior`);
+        X_{n-1}, whose simplices are near ones with the profile None, gives
+        the dropped rows. The answer is
         kept in the complex's memo under the allowable pattern and returned
         from there for any later perversity with the same pattern.
         """
@@ -131,7 +140,11 @@ class StratifiedChainComplex:
         for ok, (_, of), (near, _) in zip(self._ok, K.profile_classes, table):
             allow.append([j for j in near if ok[of[j]]])
             sizes.append(len(of) - len(near) + len(allow[-1]))
-        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(K.regular, allow, table))
+        drop = [[] for _ in table]
+        for s in K.skeleton(K.n - 1):
+            drop[len(s) - 1].append(K.index(s))
+        bnd = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(bnd, allow, table, drop))
         return K.ih_memo[pattern]
 
 

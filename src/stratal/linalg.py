@@ -36,13 +36,15 @@ combinations and its zero combinations:
   degree of a chain complex once, from the top degree down, and skips the
   columns that the degree above has already shown to be cycles ("clearing":
   Chen & Kerber, *Persistent Homology Computation with a Twist*, EuroCG
-  2011). When some row is not allowed, the non-allowable rows are shifted
-  below the allowed rows, which keep their indices, so the pivots that fall
-  in them count the rank of that row block too; a column that meets none of
-  them enters as it is. Given a table from `subcomplex_pivots`, each degree
-  starts from a copy of the pivot table of a subcomplex whose rows every
-  caller allows, reduced once per complex, and reduces only the other
-  columns.
+  2011). A chain model is a partition of each degree's rows: allowed rows
+  keep their indices, the rows that the model drops (X_{n-1} for
+  stratified coefficients, none for `betti()`) are deleted, and the
+  non-allowable rest are shifted below the allowed rows, so the pivots that
+  fall in them count the rank of that row block too. A column that meets a
+  dropped or non-allowable row is copied once; any other enters as it is.
+  Given a table from `subcomplex_pivots`, each degree starts from a copy of
+  the pivot table of a subcomplex whose rows every caller allows, reduced
+  once per complex, and reduces only the other columns.
 - `rcef` needs the topmost row of each column as its pivot, because its
   canonical form is keyed by each column's topmost entry. It reflects the
   rows (row r becomes -r), so the lowest row of a reflected column is the
@@ -215,8 +217,9 @@ def rank(cols):
     return len(_reduce(list(map(col_primitive, cols)))[0])
 
 
-def chain_ranks(bnd, allow, table=None):
-    """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact.
+def chain_ranks(bnd, allow, table=None, drop=None):
+    """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact, where
+    ∂_i has the rows `drop[i - 1]` deleted.
 
     `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
     length is read), integer columns with no stored zero as `_reduce` takes
@@ -224,25 +227,29 @@ def chain_ranks(bnd, allow, table=None):
     first: scaling a column changes neither rank, nor the column space of
     ∂_{i+1}, nor the supports of the cycles of ∂_i, so clearing skips the
     same columns. `allow[i]` holds the sorted allowed indices A_i of degree i,
-    which are both the columns of ∂_i and the allowed rows of ∂_{i+1};
-    B_{i-1} is the rest of the rows. Each degree is reduced once. When
-    B_{i-1} is not empty, every B row r is moved to len(bnd[i-1]) + r, below
-    all allowed rows, so the pivots in B rows count the second rank; allowed
-    rows keep their indices, and only the columns that meet a B row are
-    copied. Degrees go from the top down with clearing: a reduced column of
-    ∂_{i+1} whose pivot j is an allowed row lies wholly in allowed rows, so
-    it is an allowable boundary; putting it in place of column j of ∂_i is
-    an invertible change of columns whose image is zero, so column j is
-    skipped.
+    which are both the columns of ∂_i and the allowed rows of ∂_{i+1}.
+    `drop[i]`, when given, lists the indices of degree i that the chain model
+    leaves out, none of them allowed; they must span a subcomplex, so that
+    the boundary with their rows deleted is still a chain complex (a
+    relative one). B_{i-1} is the rest of the rows. Each degree is reduced
+    once. When B_{i-1} or the dropped rows are not empty, every column that
+    meets one of them is copied once: dropped rows are left out, and every
+    B row r is moved to len(bnd[i-1]) + r, below all allowed rows, so the
+    pivots in B rows count the second rank; allowed rows keep their indices,
+    and every other column enters as it is. Degrees go from the top down
+    with clearing: a reduced column of ∂_{i+1} whose pivot j is an allowed
+    row lies wholly in allowed rows, so it is an allowable boundary; putting
+    it in place of column j of ∂_i is an invertible change of columns whose
+    image is zero, so column j is skipped.
 
     `table[i]`, when given, is (near, pivots): the sorted columns of ∂_i
     outside a subcomplex, and the subcomplex's pivot table from
-    `subcomplex_pivots`. Then A_i and B_i lie in near, `allow[i]` lists A_i,
-    and B_i is the rest of near. A subcomplex column meets only subcomplex rows, which
-    are always allowed, so each degree starts from a copy of its pivot table
-    and reduces only A_i. The ranks do not depend on column order, and
-    skipping fewer cleared columns changes no rank, so clearing uses only the
-    new pivots.
+    `subcomplex_pivots`. Then A_i, B_i and the dropped indices lie in near,
+    `allow[i]` lists A_i, and B_i is the rest of near. A subcomplex column
+    meets only subcomplex rows, which are always allowed, so each degree
+    starts from a copy of its pivot table and reduces only A_i. The ranks do
+    not depend on column order, and skipping fewer cleared columns changes
+    no rank, so clearing uses only the new pivots.
     """
     out = [(0, 0)] * len(bnd)
     cleared = ()
@@ -252,8 +259,9 @@ def chain_ranks(bnd, allow, table=None):
         rows = table[i - 1][0] if table else range(top)
         if len(allow[i - 1]) < len(rows):
             shift = set(rows).difference(allow[i - 1])
+            gone = set(drop[i - 1]) if drop else ()
             cols = [col if shift.isdisjoint(col)
-                    else {r + top if r in shift else r: v for r, v in col.items()}
+                    else {r + top if r in shift else r: v for r, v in col.items() if r not in gone}
                     for col in cols]
         pivots = dict(table[i][1]) if table and table[i][1] else {}
         start = len(pivots)

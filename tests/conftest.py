@@ -1,4 +1,5 @@
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 import pytest
 
@@ -36,6 +37,37 @@ def _regular_profiles(K):
             if profiles[k] is not None:
                 out[s] = profiles[k]
     return out
+
+
+_DROPPED = WeakKeyDictionary()
+
+
+def _dropped_boundary(K):
+    """The boundary with the faces in X_{n-1} dropped, by definition, the
+    reference for the chain model of `intersection`: per degree i, column j
+    is the i-simplex j's sum of (-1)^k times its facet without vertex k,
+    over the facets not in `K.skeleton(K.n - 1)`. Built once per complex
+    object; callers only read it."""
+    if K not in _DROPPED:
+        in_singular_set = K.skeleton(K.n - 1)
+        out = []
+        for i in range(K.n + 1):
+            cols = []
+            for s in K.simplices(i):
+                col = {}
+                for k in range(len(s) if i else 0):
+                    face = s[:k] + s[k + 1:]
+                    if face not in in_singular_set:
+                        col[K.index(face)] = (-1) ** k
+                cols.append(col)
+            out.append(cols)
+        _DROPPED[K] = out
+    return _DROPPED[K]
+
+
+@pytest.fixture(scope="session")
+def dropped_boundary():
+    return _dropped_boundary
 
 
 @pytest.fixture(scope="session")

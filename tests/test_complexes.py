@@ -840,9 +840,18 @@ def test_ladder_constructions_leave_the_simplex_index_unbuilt():
             assert J.weights == {s.id: 1 for s in J.singular_strata()}, key
 
 
+_MEMBERS = weakref.WeakKeyDictionary()
+
+
 def _members(K):
     """Each stratum's members, sorted: the simplices `s` with `K.label(s)`
-    equal to its id."""
+    equal to its id. Grouped once per complex object; callers only read it."""
+    if K not in _MEMBERS:
+        _MEMBERS[K] = _members_by_label(K)
+    return _MEMBERS[K]
+
+
+def _members_by_label(K):
     members = {sid: [] for sid in K.strata}
     for s in sorted(s for i in range(K.n + 1) for s in K.simplices(i)):
         members[K.label(s)].append(s)
@@ -902,7 +911,20 @@ def _reference_maximal(closed):
     return sorted(s for s in closed if s not in facets)
 
 
+_ASSEMBLED = {}
+
+
 def _reference_assemble(doc):
+    """`_assemble_by_definition(doc)`, computed once per document: keyed by
+    the document's canonical JSON text, so equal documents share one
+    assembly. Callers only read it."""
+    key = json.dumps(doc, sort_keys=True)
+    if key not in _ASSEMBLED:
+        _ASSEMBLED[key] = _assemble_by_definition(doc)
+    return _ASSEMBLED[key]
+
+
+def _assemble_by_definition(doc):
     """A well-formed space document assembled from the definitions, one
     simplex at a time: the stack closure (facets pushed in index order),
     levels as the least j with s in X_j, fullness as "every simplex sits at
@@ -1280,7 +1302,8 @@ def _assert_full(K):
     simplices = list(K.all_simplices())
     for j in range(K.n):
         X = K.skeleton(j)
-        assert {s for s in simplices if all((v,) in X for v in s)} == X, (K.name, j)
+        vertices = {s[0] for s in X if len(s) == 1}
+        assert set(filter(vertices.issuperset, simplices)) == X, (K.name, j)
 
 
 def test_joins_take_their_faces_from_the_complex(monkeypatch, spaces, ladder):

@@ -95,22 +95,23 @@ def test_monotonicity_of_chain_spaces(susp_t2, cone_t2):
                     assert _in_span(col, big.bases[i])
 
 
-def test_boundary_closure(susp_t2):
+def test_boundary_closure(susp_t2, dropped_boundary):
     lower, upper = pv.middle_perversities(3)
     for p in (lower, upper, _per_stratum(susp_t2, 2)):
         chains = ix.StratifiedChainComplex(susp_t2, p)
         for i in range(1, susp_t2.n + 1):
-            for img in linalg.combine_columns(chains.K.regular[i], chains.bases[i]):
+            for img in linalg.combine_columns(dropped_boundary(susp_t2)[i], chains.bases[i]):
                 assert _in_span(img, chains.bases[i - 1])
 
 
-def _basis_homology(chains):
+def _basis_homology(chains, bnd):
     """Betti numbers from the explicit bases: dim IC_i minus the ranks of the
-    boundary images of the degree-i and degree-(i+1) bases."""
+    images under the dropped-face boundary `bnd` of the degree-i and
+    degree-(i+1) bases."""
     n = chains.K.n
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
-        ranks[i] = linalg.rank(linalg.combine_columns(chains.K.regular[i], chains.bases[i]))
+        ranks[i] = linalg.rank(linalg.combine_columns(bnd[i], chains.bases[i]))
     return tuple(len(chains.bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
@@ -123,7 +124,7 @@ def _oracle_perversities(K, rng):
     return [p for _, p in _named_perversities(K.n)] + seeded
 
 
-def test_rank_homology_matches_basis_homology(spaces):
+def test_rank_homology_matches_basis_homology(spaces, dropped_boundary):
     rng = random.Random(2011)
     for name in sorted(spaces):
         K = spaces[name]
@@ -131,19 +132,20 @@ def test_rank_homology_matches_basis_homology(spaces):
             chains = ix.StratifiedChainComplex(K, p)
             betti = chains.homology()
             assert "bases" not in vars(chains)
-            assert betti == _basis_homology(chains), (name, p)
+            assert betti == _basis_homology(chains, dropped_boundary(K)), (name, p)
 
 
-def _two_rank_homology(chains):
+def _two_rank_homology(chains, bnd):
     """The homology computation before clearing, kept as an oracle: two
-    independent ranks per degree, with no reduction shared between them."""
+    independent ranks per degree of the dropped-face boundary `bnd`, with no
+    reduction shared between them."""
     n = chains.K.n
     allow = chains.allowable_indices
     dims = [len(a) for a in allow]
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
         allowed_rows = set(allow[i - 1])
-        cols = [chains.K.regular[i][j] for j in allow[i]]
+        cols = [bnd[i][j] for j in allow[i]]
         r_bad = linalg.rank(
             [{r: v for r, v in col.items() if r not in allowed_rows} for col in cols]
         )
@@ -176,7 +178,8 @@ def generated():
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated, face_profiles,
-                                                              regular_profiles, data):
+                                                              regular_profiles, dropped_boundary,
+                                                              data):
     """Iterated cones, suspensions and subdivisions of small corpus spaces,
     under drawn per-stratum perversities. A space stops growing past 400
     simplices and is subdivided only up to 100, which keeps the oracle fast."""
@@ -197,7 +200,7 @@ def test_clearing_matches_two_rank_oracle_on_generated_spaces(spaces, generated,
             s.id: data.draw(st.integers(-2, K.n + 1)) for s in K.singular_strata()})
         chains = ix.StratifiedChainComplex(K, p)
         assert chains.allowable_indices == _allowable_by_definition(K, p, profiles), (K.name, p)
-        assert chains.homology() == _two_rank_homology(chains), (K.name, p)
+        assert chains.homology() == _two_rank_homology(chains, dropped_boundary(K)), (K.name, p)
 
 
 def test_regular_profiles_match_face_enumeration(spaces, face_profiles, regular_profiles):
@@ -256,30 +259,21 @@ def test_allowable_indices_match_per_simplex_allowability(spaces, ih_ladder, fac
                             for i, simplices in enumerate(chains.reg)], (K.name, p)
 
 
-def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder):
-    """Column j of the dropped-face boundary is the boundary of the i-simplex
-    j over its regular facets, built here from the facets; when the simplex
-    has two non-singular vertices it is the `boundary_matrix` column itself."""
+def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder, dropped_boundary):
+    """The regular simplices are those off X_{n-1}, and the boundary over
+    their regular facets, built from the facets by `dropped_boundary`, is
+    `boundary_matrix` with the rows of X_{n-1} deleted: the row partition
+    that `homology` hands to `linalg.chain_ranks`."""
     subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
     for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
-        singular = _singular_vertices(K)
-        bnd = K.regular
         in_singular_set = K.skeleton(K.n - 1)
         reg = ix.StratifiedChainComplex(K, pv.zero_perversity(K.n)).reg
         assert reg == [[s for s in K.simplices(i) if s not in in_singular_set]
                        for i in range(K.n + 1)], K.name
-        for i in range(K.n + 1):
-            full = K.boundary_matrix(i)
-            assert len(bnd[i]) == len(full), (K.name, i)
-            for j, s in enumerate(K.simplices(i)):
-                want = {}
-                for k in range(len(s) if i else 0):
-                    face = s[:k] + s[k + 1:]
-                    if face not in in_singular_set:
-                        want[K.index(face)] = (-1) ** k
-                assert bnd[i][j] == want, (K.name, s)
-                if len(set(s) - singular) >= 2:
-                    assert bnd[i][j] is full[j], (K.name, s)
+        for i, cols in enumerate(dropped_boundary(K)):
+            dropped = {K.index(s) for s in in_singular_set if len(s) == i}
+            assert cols == [{r: v for r, v in col.items() if r not in dropped}
+                            for col in K.boundary_matrix(i)], (K.name, i)
 
 
 # the ih-ladder answers, recorded before the regular part moved to the
@@ -306,26 +300,37 @@ def test_ih_ladder_answers_pinned(ih_ladder, name):
 
 
 def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
-    """`_reduce` works in place on its columns, so it must be handed copies:
-    the cached boundaries and dropped-face boundaries stay as they were."""
+    """`_reduce` works in place on its columns, so it must be handed copies,
+    and dropping the X_{n-1} rows copies a column and never edits it: after
+    IH queries on a fresh copy of each space, named and seeded, and
+    `betti()`, every `boundary_matrix` column is the same dict, unchanged."""
+    rng = random.Random(26)
     for K in _all_spaces(spaces, ih_ladder):
-        full = copy.deepcopy([K.boundary_matrix(i) for i in range(K.n + 1)])
-        dropped = copy.deepcopy(K.regular)
-        for _, p in _named_perversities(K.n):
+        K = cx.load(cx.to_document(K))
+        cols = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        full = copy.deepcopy(cols)
+        queries = [p for _, p in _named_perversities(K.n)]
+        queries += [pv.Perversity(pv.PER_STRATUM, {s.id: rng.randint(-2, s.codim + 1)
+                                                   for s in K.singular_strata()})
+                    for _ in range(3)]
+        for p in queries:
             ix.intersection_betti(K, p)
         K.betti()
-        assert [K.boundary_matrix(i) for i in range(K.n + 1)] == full, K.name
-        assert K.regular == dropped, K.name
+        assert K.ih_memo, K.name
+        after = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        assert after == full, K.name
+        assert all(a is b for was, now in zip(cols, after) for a, b in zip(was, now)), K.name
 
 
-def _plain_betti(K, p=None):
+def _plain_betti(K, p, dropped):
     """IH (or, for p None, plain) Betti numbers through `linalg.chain_ranks`
-    without the shared interior table: every allowed column reduced."""
+    without the shared interior table or dropped rows: every allowed column
+    of the boundary (for IH, the dropped-face boundary `dropped`) reduced."""
     if p is None:
         bnd = [K.boundary_matrix(i) for i in range(K.n + 1)]
         allow = [range(len(b)) for b in bnd]
     else:
-        bnd, allow = K.regular, ix.StratifiedChainComplex(K, p).allowable_indices
+        bnd, allow = dropped, ix.StratifiedChainComplex(K, p).allowable_indices
     dims = [len(a) for a in allow]
     ranks = [0] * (K.n + 2)
     for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(bnd, allow)):
@@ -334,7 +339,7 @@ def _plain_betti(K, p=None):
     return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
 
 
-def test_shared_interior_table_matches_the_plain_path(spaces, ih_ladder):
+def test_shared_interior_table_matches_the_plain_path(spaces, ih_ladder, dropped_boundary):
     """Named and seeded by-codim perversities and `betti()`, asked in two
     orders of two fresh copies of each space, give what the plain path
     gives, and leave the complex's interior table as it was built."""
@@ -346,7 +351,7 @@ def test_shared_interior_table_matches_the_plain_path(spaces, ih_ladder):
             queries.append(pv.Perversity(pv.BY_CODIM, {k: rng.randint(-1, k - 1)
                                                        for k in range(1, K.n + 1)}))
         queries.append(None)
-        want = [_plain_betti(K, p) for p in queries]
+        want = [_plain_betti(K, p, dropped_boundary(K)) for p in queries]
         for order in (queries, queries[::-1]):
             fresh = cx.load(cx.to_document(K))
             table = copy.deepcopy(fresh.interior)
@@ -435,10 +440,8 @@ def test_a_perversity_lacking_a_stratum_raises_after_its_pattern_is_stored():
         ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0}))
 
 
-def test_dd_zero_on_r0_chains(susp_t2):
-    lower, _ = pv.middle_perversities(3)
-    chains = ix.StratifiedChainComplex(susp_t2, lower)
-    bnd = chains.K.regular
+def test_dd_zero_on_r0_chains(susp_t2, dropped_boundary):
+    bnd = dropped_boundary(susp_t2)
     for i in range(2, susp_t2.n + 1):
         for col in linalg.combine_columns(bnd[i - 1], bnd[i]):
             assert not col

@@ -233,17 +233,29 @@ def _zero_cols(n):
 _CHAIN_ORACLE = settings(_ORACLE, max_examples=100)
 
 
+def _deleted(bnd, drop):
+    """The columns of `bnd` with the rows `drop[i - 1]` deleted from degree i."""
+    return [[{r: v for r, v in col.items() if r not in drop[i - 1]} for col in cols] if i else cols
+            for i, cols in enumerate(bnd)]
+
+
 @_CHAIN_ORACLE
 @given(_matrices(), st.data())
 def test_chain_ranks_match_sympy(mat, data):
+    """Allowed rows, a dropped block drawn from the others, and the
+    non-allowable rest: the ranks are those of the matrix with the dropped
+    rows deleted."""
     rows, nc = mat
     nr = len(rows)
     good, cols_idx = _subset(data.draw, nr), _subset(data.draw, nc)
-    bad = [r for r in range(nr) if r not in good]
-    cols = list(map(linalg.col_primitive, _columns(rows, nc)))
-    _, (r_all, r_bad) = linalg.chain_ranks([_zero_cols(nr), cols], [good, cols_idx])
-    assert r_all == _sub_rank(rows, range(nr), cols_idx)
+    drop = [r for r in range(nr) if r not in good and data.draw(st.booleans())]
+    kept = [r for r in range(nr) if r not in drop]
+    bad = [r for r in kept if r not in good]
+    bnd = [_zero_cols(nr), list(map(linalg.col_primitive, _columns(rows, nc)))]
+    _, (r_all, r_bad) = out = linalg.chain_ranks(bnd, [good, cols_idx], None, [drop, []])
+    assert r_all == _sub_rank(rows, kept, cols_idx)
     assert r_bad == _sub_rank(rows, bad, cols_idx)
+    assert out == linalg.chain_ranks(_deleted(bnd, [drop, []]), [good, cols_idx])
 
 
 @st.composite
@@ -263,16 +275,27 @@ def _chain_complexes(draw):
 @_CHAIN_ORACLE
 @given(_chain_complexes(), st.data())
 def test_chain_ranks_with_clearing_match_sympy(chain, data):
+    """A drawn dropped block spans a subcomplex: its degree-0 rows hold the
+    boundaries of its degree-1 columns, so deleting them leaves a chain
+    complex. Allowed indices are drawn from the rest, and the ranks, with
+    clearing, are those of the chain complex with the dropped rows deleted."""
     d1, d2, n0 = chain
     n1, n2 = len(d2), len(d2[0]) if d2 else 0
     bnd = [_zero_cols(n0), _columns(d1, n1), _columns(d2, n2)]
     assert not any(linalg.combine_columns(bnd[1], bnd[2]))
-    allow = [_subset(data.draw, n) for n in (n0, n1, n2)]
-    out = linalg.chain_ranks([list(map(linalg.col_primitive, b)) for b in bnd], allow)
+    drop1 = _subset(data.draw, n1)
+    drop0 = sorted({r for j in drop1 for r in bnd[1][j]}.union(_subset(data.draw, n0)))
+    drop = [drop0, drop1, []]
+    assert not any(linalg.combine_columns(*_deleted(bnd, drop)[1:]))
+    allow = [[j for j in _subset(data.draw, n) if j not in gone]
+             for n, gone in zip((n0, n1, n2), drop)]
+    prim = [list(map(linalg.col_primitive, b)) for b in bnd]
+    out = linalg.chain_ranks(prim, allow, None, drop)
     for i, rows in ((1, d1), (2, d2)):
-        bad = [r for r in range(len(rows)) if r not in allow[i - 1]]
-        assert out[i] == (_sub_rank(rows, range(len(rows)), allow[i]),
-                          _sub_rank(rows, bad, allow[i]))
+        kept = [r for r in range(len(rows)) if r not in drop[i - 1]]
+        bad = [r for r in kept if r not in allow[i - 1]]
+        assert out[i] == (_sub_rank(rows, kept, allow[i]), _sub_rank(rows, bad, allow[i]))
+    assert out == linalg.chain_ranks(_deleted(prim, drop), allow)
 
 
 def test_chain_ranks_clearing_skips_cycle_columns(monkeypatch):
@@ -325,6 +348,36 @@ def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeyp
         bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
         assert out[i] == (linalg.rank(cols), linalg.rank(bad)), i
     assert out == [(0, 0), (2, 1), (2, 1)]
+
+
+def test_chain_ranks_copy_a_column_that_meets_dropped_and_non_allowable_rows(s2, monkeypatch):
+    """The tetrahedron boundary with vertex 3 dropped, vertex 0 allowed and
+    vertices 1, 2 non-allowable, on the allowed edges 01, 02 and 13. Edge 13
+    meets dropped vertex 3 and non-allowable vertex 1: it enters as one
+    copy, with row 3 deleted and row 1 moved below the 4 vertex rows."""
+    bnd = [s2.boundary_matrix(i) for i in range(3)]
+    before = copy.deepcopy(bnd)
+    allow, drop = [[0], [0, 1, 4], []], [[3], [], []]
+    assert [s2.simplices(1)[j] for j in allow[1]] == [(0, 1), (0, 2), (1, 3)]
+    reduced = []
+    reduce = linalg._reduce
+
+    def spy(cols, *args, **kw):
+        reduced.append(cols)
+        return reduce(cols, *args, **kw)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    out = linalg.chain_ranks(bnd, allow, None, drop)
+    monkeypatch.undo()
+    (d1,) = [cols for cols in reduced if cols]
+    assert d1 == [{0: -1, 5: 1}, {0: -1, 6: 1}, {5: -1}]
+    assert all(col is not bnd[1][j] for col, j in zip(d1, allow[1]))
+    assert bnd == before
+    # rows 1 and 2 hold the edges' non-allowable block: (1), (2), -(1)
+    assert out == [(0, 0), (3, 2), (0, 0)]
+    assert out == linalg.chain_ranks(_deleted(bnd, drop), allow)
+    # kept as a non-allowable row, vertex 3 would add to that block's rank
+    assert linalg.chain_ranks(bnd, allow) == [(0, 0), (3, 3), (0, 0)]
 
 
 def test_reduce_stores_a_new_pivot_column_as_given():
@@ -562,7 +615,8 @@ def _count_heaps(monkeypatch):
     return built
 
 
-def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, monkeypatch):
+def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, dropped_boundary,
+                                                          monkeypatch):
     """The columns that `chain_ranks` reduces for the zero perversity on
     cone(sd(susp t2)): in degree 4 the base's fundamental cycle fills in to
     672 entries, past `_HEAP_AFTER`, and finds its pivots through a heap."""
@@ -572,7 +626,7 @@ def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, monkeypatch
     with monkeypatch.context() as m:
         reduce = linalg._reduce
         m.setattr(linalg, "_reduce", lambda cols, *a, **kw: seen.append(cols) or reduce(cols, *a, **kw))
-        linalg.chain_ranks(K.regular, allow)
+        linalg.chain_ranks(dropped_boundary(K), allow)
     assert max(len(c) for c in linalg._reduce(seen[0])[0].values()) == 672
     built = _count_heaps(monkeypatch)
     for cols in seen:
