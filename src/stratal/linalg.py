@@ -21,10 +21,10 @@ column (heap-held pivot columns, as in Bauer, Kerber, Reininghaus & Wagner,
 found, never which row, so every caller does the same column operations
 either way. Where the pivot entry divides the entry being eliminated, the
 pivot column is subtracted in place; otherwise both are scaled to a common
-multiple. With `track` it also carries the column's
-combination of the inputs, so the columns that vanish give the kernel.
-Everything else derives from its pivot table (pivot row -> column), its
-combinations and its zero combinations:
+multiple. It has one output, its pivot table (pivot row -> column); a
+column's combination of the inputs rides along as identity rows below the
+matrix (`_zero_combinations`), so the columns that vanish give the kernel.
+Everything else derives from the pivot table:
 
 - `rank` counts the pivots and `kernel` normalizes the zero combinations,
   taking them from the primitive columns back to its own inputs. Pivoting
@@ -111,22 +111,13 @@ def _subtract(col, q, pcol):
             del col[r]
 
 
-def _shrink(col, combo):
-    """Divide a working column and its tracked combination (or None) by their
-    common gcd once an entry outgrows _GROWTH_LIMIT."""
-    if not col:
-        return col, combo
-    big = max(map(abs, col.values()))
-    if combo is not None:
-        big = max(big, max(map(abs, combo.values())))
-    if big < _GROWTH_LIMIT:
-        return col, combo
-    g = gcd(*col.values(), *(combo or {}).values())
-    if g > 1:
-        col = {r: v // g for r, v in col.items()}
-        if combo is not None:
-            combo = {k: v // g for k, v in combo.items()}
-    return col, combo
+def _shrink(col):
+    """Divide a working column by the gcd of its entries once an entry
+    outgrows _GROWTH_LIMIT."""
+    if not col or max(map(abs, col.values())) < _GROWTH_LIMIT:
+        return col
+    g = gcd(*col.values())
+    return {r: v // g for r, v in col.items()} if g > 1 else col
 
 
 def _heap_of(col):
@@ -151,70 +142,73 @@ def _heap_of(col):
     return find, add
 
 
-def _reduce(cols, track=False, pivots=None):
+def _reduce(cols, pivots=None):
     """Fraction-free column reduction of `cols`, a list of integer columns
     with no stored zero.
 
-    Returns (pivots, zeros). `pivots` maps each pivot row to its reduced
-    integer column, whose lowest row (largest index) is that row; a caller
-    that needs each column's topmost row as its pivot reflects the rows
-    first, as `rcef` does. A column whose pivot row is new at once is stored
-    as the input itself; any other is copied before its first update, so the
+    Returns `pivots`, which maps each pivot row to its reduced integer
+    column, whose lowest row (largest index) is that row; a caller that
+    needs each column's topmost row as its pivot reflects the rows first, as
+    `rcef` does. A column whose pivot row is new at once is stored as the
+    input itself; any other is copied before its first update, so the
     inputs never change, and no stored column is updated afterwards. Given
     `pivots`, a table of columns reduced the same way, the columns are
     reduced against it and their pivots are added to it in place; its
-    columns are only read, so a caller passes a copy of a shared table (and
-    no `track`, which has no combinations for them). Pivot columns span the
-    input columns. With `track`, each pivot column's combination of the
-    inputs is kept beside it, and `zeros` lists, in column order, a
-    combination of the input columns equal to zero for each column that
-    reduced to zero; its largest index is that column. A dict that occurs
-    twice in `cols` is stored once, so it counts once toward the pivots but
-    leaves no zero combination: `track` callers pass fresh columns.
+    columns are only read, so a caller passes a copy of a shared table.
+    Pivot columns span the input columns. A dict that occurs twice in
+    `cols` is stored once, so it counts once toward the pivots.
     """
     if pivots is None:
         pivots = {}
-    combos = {}
-    zeros = []
-    for j, raw in enumerate(cols):
+    for raw in cols:
         col = raw
-        combo = {j: 1} if track else None
         find, add = max, None
         while col:
             row = find(col)
             pcol = pivots.setdefault(row, col)
             if pcol is col:
-                if track:
-                    combos[row] = combo
                 break
             a, b = pcol[row], col[row]
             q, rem = divmod(b, a)
             if rem:
                 # scaling by a is what builds up common factors, so only
                 # this step renormalizes
-                col = _combine(col, a, pcol, b)
-                if track:
-                    combo = _combine(combo, a, combos[row], b)
-                col, combo = _shrink(col, combo)
+                col = _shrink(_combine(col, a, pcol, b))
             else:
                 if col is raw:
                     col = dict(raw)
                 _subtract(col, q, pcol)
-                if track:
-                    _subtract(combo, q, combos[row])
             if add is not None:
                 add(pcol)
             elif len(col) > _HEAP_AFTER:
                 find, add = _heap_of(col)
-        else:
-            if track:
-                zeros.append(combo)
-    return pivots, zeros
+    return pivots
+
+
+def _zero_combinations(cols):
+    """Per column j of `cols` that reduces to zero, in column order, a
+    combination {j: c_j, ...} of the columns equal to zero, whose largest
+    index is j.
+
+    Column j enters `_reduce` with the extra identity entry {j - n: 1}, for
+    n = len(cols): the rows of [M; I], numbered below every row of M (the
+    R = MV form of persistence: Cohen-Steiner, Edelsbrunner & Morozov,
+    *Vines and vineyards by updating persistence in linear time*, SoCG 2006).
+    While a column meets a row of M its pivot is a row of M, and each step
+    applies to its combination what it applies to the column. A column
+    left with identity rows only is a zero combination; its lowest row
+    j - n is its own, so it is a new pivot at once, and the pivots in
+    negative rows come in column order. Each column enters as a fresh
+    dict, so a dict listed twice leaves a combination for the repeat.
+    """
+    n = len(cols)
+    pivots = _reduce([{**col, j - n: 1} for j, col in enumerate(cols)])
+    return [{k + n: v for k, v in col.items()} for row, col in pivots.items() if row < 0]
 
 
 def rank(cols):
     """Rank of the matrix whose columns are `cols`, exact over the rationals."""
-    return len(_reduce(list(map(col_primitive, cols)))[0])
+    return len(_reduce(list(map(col_primitive, cols))))
 
 
 def chain_ranks(bnd, allow, table=None, drop=None):
@@ -283,7 +277,7 @@ def subcomplex_pivots(bnd, inner):
     out = [{}] * len(bnd)
     cleared = ()
     for i in range(len(bnd) - 1, 0, -1):
-        out[i] = cleared = _reduce([bnd[i][j] for j in inner[i] if j not in cleared])[0]
+        out[i] = cleared = _reduce([bnd[i][j] for j in inner[i] if j not in cleared])
     return out
 
 
@@ -303,7 +297,7 @@ def kernel(cols):
         if r is not None and col[r] != raw[r]:
             scale[j] = Fraction(col[r]) / raw[r]
     out = []
-    for combo in _reduce(prims, track=True)[1]:
+    for combo in _zero_combinations(prims):
         combo = col_primitive({k: v * scale.get(k, 1) for k, v in combo.items()})
         if combo[max(combo)] < 0:
             combo = {r: -v for r, v in combo.items()}
@@ -322,7 +316,7 @@ def rcef(cols):
     reflected = [{-r: v for r, v in col.items()} for col in map(col_primitive, cols)]
     basis = {
         -low: {-r: Fraction(v, col[low]) for r, v in col.items()}
-        for low, col in _reduce(reflected)[0].items()
+        for low, col in _reduce(reflected).items()
     }
     for top in sorted(basis, reverse=True):
         col = basis[top]
@@ -395,13 +389,13 @@ def project_onto_span(v, cols):
     integer matrix [BᵀB | Bᵀw] has a single zero combination (x, t) with
     t != 0; the projection is B(-x)/(t·m), one Fraction per entry.
     """
-    basis = list(_reduce(list(map(col_primitive, cols)))[0].values())
+    basis = list(_reduce(list(map(col_primitive, cols))).values())
     if not basis:
         return {}
     w, m = _over(v)
     normal = [{i: g for i, b in enumerate(basis) if (g := dot(b, c))} for c in basis]
     normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, w))})
-    (combo,) = _reduce(normal, track=True)[1]
+    (combo,) = _zero_combinations(normal)
     t = combo.pop(len(basis)) * m
     num = combine_columns(basis, [{i: -x for i, x in combo.items()}])[0]
     return {r: Fraction(x, t) for r, x in num.items()}

@@ -383,13 +383,40 @@ def test_chain_ranks_copy_a_column_that_meets_dropped_and_non_allowable_rows(s2,
 def test_reduce_stores_a_new_pivot_column_as_given():
     cols = [{0: 1}, {1: 1, 2: 1}, {1: 1, 2: -1}, {0: -1}]
     before = copy.deepcopy(cols)
-    pivots, _ = linalg._reduce(cols)
+    pivots = linalg._reduce(cols)
     # columns 0 and 1 meet a new pivot row at once and are stored as given;
     # column 2 is reduced on a copy to a new pivot in row 1; column 3 vanishes
     assert pivots[0] is cols[0] and pivots[2] is cols[1]
     assert pivots[1] == {1: 2} and pivots[1] is not cols[2]
     assert len(pivots) == 3
     assert cols == before
+
+
+def test_zero_combinations_follow_the_identity_row_convention():
+    """Every combination annihilates the columns and has its own column as
+    its largest index, and the columns reported are exactly those that
+    depend on the earlier ones (by the dense oracle), in column order."""
+    rng = random.Random(17)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 9)
+        cols = _random_cols(rng, nr, nc, density=rng.choice((0.2, 0.5, 0.9)))
+        if rng.random() < 0.3:
+            cols.insert(rng.randint(0, nc), cols[rng.randrange(nc)])
+        combos = linalg._zero_combinations(cols)
+        for c in combos:
+            assert not linalg.combine_columns(cols, [c])[0]
+            assert all(c.values())
+        dependent = [j for j in range(len(cols))
+                     if _dense_rank(cols[:j + 1], nr) == _dense_rank(cols[:j], nr)]
+        assert [max(c) for c in combos] == dependent
+        assert len(combos) == len(cols) - _dense_rank(cols, nr)
+
+
+def test_zero_combinations_of_a_dict_listed_twice():
+    col = {0: 1, 1: -1}
+    assert linalg._zero_combinations([col, col]) == [{0: -1, 1: 1}]
+    assert linalg._zero_combinations([col, {2: 3}, col]) == [{0: -1, 2: 1}]
+    assert col == {0: 1, 1: -1}
 
 
 def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
@@ -496,9 +523,10 @@ def test_large_entries_renormalize_tracked_combinations(monkeypatch):
     renormalized = []
     shrink = linalg._shrink
 
-    def spy(col, combo):
-        out = shrink(col, combo)
-        if combo is not None and out[1] is not combo:
+    def spy(col):
+        out = shrink(col)
+        # a column of `kernel` carries its combination in negative rows
+        if out is not col and min(col) < 0:
             renormalized.append(True)
         return out
 
@@ -546,44 +574,37 @@ def _kodaira_digest():
     return _digest(parts)
 
 
-def _scan_reduce(cols, track=False, pivot=max, pivots=None):
+def _scan_reduce(cols, pivot=max, pivots=None):
     """`linalg._reduce` with every pivot row found by a scan of the whole
     working column (`max` or `min`): the reference for its heap."""
     pivots = {} if pivots is None else pivots
-    combos, zeros = {}, []
-    for j, raw in enumerate(cols):
-        col, combo = raw, ({j: 1} if track else None)
+    for raw in cols:
+        col = raw
         while col:
             row = pivot(col)
             pcol = pivots.setdefault(row, col)
             if pcol is col:
-                if track:
-                    combos[row] = combo
                 break
             a, b = pcol[row], col[row]
             q, rem = divmod(b, a)
             if rem:
-                col = linalg._combine(col, a, pcol, b)
-                if track:
-                    combo = linalg._combine(combo, a, combos[row], b)
-                col, combo = linalg._shrink(col, combo)
+                col = linalg._shrink(linalg._combine(col, a, pcol, b))
             else:
                 if col is raw:
                     col = dict(raw)
                 linalg._subtract(col, q, pcol)
-                if track:
-                    linalg._subtract(combo, q, combos[row])
-        else:
-            if track:
-                zeros.append(combo)
-    return pivots, zeros
+    return pivots
 
 
-def _ordered(result):
-    """A `_reduce` result with every dict as its item list, so that equal
+def _ordered(pivots):
+    """A pivot table with every column as its item list, so that equal
     means the same entries in the same order."""
-    pivots, zeros = result
-    return [(r, list(c.items())) for r, c in pivots.items()], [list(z.items()) for z in zeros]
+    return [(r, list(c.items())) for r, c in pivots.items()]
+
+
+def _with_identity_rows(cols):
+    """`cols` with the identity rows that `_zero_combinations` adds."""
+    return [{**col, j - len(cols): 1} for j, col in enumerate(cols)]
 
 
 def _outputs(cols):
@@ -593,10 +614,10 @@ def _outputs(cols):
 
 
 def _same_as_scan(cols, monkeypatch):
-    """`_reduce`, with and without `track`, and rank, kernel and rcef give
-    exactly what the scan reference gives."""
-    for track in (False, True):
-        assert _ordered(linalg._reduce(cols, track)) == _ordered(_scan_reduce(cols, track)), track
+    """`_reduce`, with and without identity rows, and rank, kernel and rcef
+    give exactly what the scan reference gives."""
+    for given in (cols, _with_identity_rows(cols)):
+        assert _ordered(linalg._reduce(given)) == _ordered(_scan_reduce(given))
     got = _outputs(cols)
     with monkeypatch.context() as m:
         m.setattr(linalg, "_reduce", _scan_reduce)
@@ -627,7 +648,7 @@ def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, dropped_bou
         reduce = linalg._reduce
         m.setattr(linalg, "_reduce", lambda cols, *a, **kw: seen.append(cols) or reduce(cols, *a, **kw))
         linalg.chain_ranks(dropped_boundary(K), allow)
-    assert max(len(c) for c in linalg._reduce(seen[0])[0].values()) == 672
+    assert max(len(c) for c in linalg._reduce(seen[0]).values()) == 672
     built = _count_heaps(monkeypatch)
     for cols in seen:
         _same_as_scan(cols, monkeypatch)
@@ -652,7 +673,7 @@ def _rcef_on_topmost_rows(cols):
     back-substitutes: the reference for its reflected rows."""
     basis = {
         top: {r: Fraction(v, col[top]) for r, v in col.items()}
-        for top, col in _scan_reduce(list(map(linalg.col_primitive, cols)), pivot=min)[0].items()
+        for top, col in _scan_reduce(list(map(linalg.col_primitive, cols)), pivot=min).items()
     }
     for top in sorted(basis, reverse=True):
         col = basis[top]
