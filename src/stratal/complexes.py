@@ -216,7 +216,10 @@ class FilteredComplex:
         return sum((-1) ** i * c for i, c in enumerate(self.counts()))
 
     def is_closed(self):
-        """True when every regular (n-1)-simplex has exactly two n-cofaces."""
+        """True when every regular (n-1)-simplex has exactly two n-cofaces.
+
+        A regular face with more than two is not a boundary face: it raises
+        StructureError (see `top_cofaces`)."""
         return all(len(incident) == 2 for incident in self.top_cofaces.values())
 
     # ---------------------------------------------------------------- homology
@@ -275,7 +278,9 @@ class FilteredComplex:
     @cached_property
     def top_cofaces(self):
         """Each regular (n-1)-simplex and its n-cofaces, with the face's sign
-        in each; read by `is_closed` and `check_orientation`."""
+        in each; read by `is_closed`, `describe` and `check_orientation`. A
+        regular face with more than two cofaces is a StructureError, raised
+        on every read."""
         singular = {v for v, j in enumerate(self._vertex_level) if j < self.n}
         cofaces = {}
         for s in self.simplices(self.n):
@@ -283,6 +288,12 @@ class FilteredComplex:
                 f = s[:idx] + s[idx + 1:]
                 if not singular.issuperset(f):
                     cofaces.setdefault(f, []).append((s, -1 if idx % 2 else 1))
+        for f, incident in cofaces.items():
+            if len(incident) > 2:
+                raise StructureError(
+                    f"regular face {_name_simplex(f, self.vertex_ids)} has "
+                    f"{len(incident)} top cofaces"
+                )
         return cofaces
 
     @cached_property
@@ -292,12 +303,7 @@ class FilteredComplex:
         faces is signed from its least simplex."""
         tops = self.simplices(self.n)
         adj = {s: [] for s in tops}
-        for f, incident in self.top_cofaces.items():
-            if len(incident) > 2:
-                raise StructureError(
-                    f"regular face {_name_simplex(f, self.vertex_ids)} has "
-                    f"{len(incident)} top cofaces"
-                )
+        for incident in self.top_cofaces.values():
             if len(incident) == 2:
                 (s1, e1), (s2, e2) = incident
                 adj[s1].append((s2, e1, e2))

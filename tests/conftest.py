@@ -120,6 +120,15 @@ def mobius(spaces):
     return spaces["mobius"]
 
 
+@pytest.fixture
+def theta():
+    """Three triangulated disks glued along the regular circle 0-1-2: no
+    face is a boundary face, and each edge of the circle has three top
+    cofaces."""
+    return cx.build("theta", list(range(6)),
+                    [f for a in (3, 4, 5) for f in ((0, 1, a), (1, 2, a), (0, 2, a))])
+
+
 @pytest.fixture(scope="session")
 def ih_ladder():
     """The spaces of perfbench's ih-ladder workload (386 to 5,885 simplices)."""

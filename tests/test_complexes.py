@@ -489,6 +489,14 @@ def test_orientation_structure_error():
             cx.check_orientation(K)
 
 
+def test_a_branching_regular_face_is_not_a_boundary_face(theta):
+    """Every reader of the coface table refuses the theta complex, on every
+    read, rather than call its branching edges boundary faces."""
+    for read in (theta.is_closed, theta.describe, lambda: cx.check_orientation(theta)) * 2:
+        with pytest.raises(StructureError, match=r"^regular face \(0,1\) has 3 top cofaces$"):
+            read()
+
+
 def test_orientation_is_decided_once_per_complex(monkeypatch):
     """Every duality check on one complex reads one orientation, and a
     caller that changes the returned signs changes no later answer."""

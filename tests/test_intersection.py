@@ -15,7 +15,7 @@ from stratal import corpus
 from stratal import intersection as ix
 from stratal import linalg
 from stratal import perversity as pv
-from stratal.errors import ConfigurationError
+from stratal.errors import ConfigurationError, StructureError
 from stratal.verify import _named_perversities
 
 
@@ -463,6 +463,11 @@ def test_duality_not_applicable_on_cone(cone_t2):
     r = ix.duality_check(cone_t2, pv.zero_perversity(3))
     assert not r["applicable"]
     assert "boundary" in r["reason"]
+
+
+def test_duality_refuses_a_branching_regular_face(theta):
+    with pytest.raises(StructureError, match="regular face \\(0,1\\) has 3 top cofaces"):
+        ix.duality_check(theta, pv.zero_perversity(2))
 
 
 def test_subdivision_stability_spot_check(susp_t2):
