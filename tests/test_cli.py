@@ -12,6 +12,7 @@ import pytest
 
 import stratal
 from stratal import cli
+from stratal import complexes as cx
 from stratal.corpus import corpus_dir
 
 # the child processes import the same stratal as the tests, installed or not
@@ -20,6 +21,8 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 
 def _run(*args, **kw):
+    """The CLI as a child process: for exit codes paired with stderr that
+    must hold no traceback, the environment and resource limits."""
     return subprocess.run(
         [sys.executable, "-m", "stratal.cli", *args],
         capture_output=True,
@@ -29,32 +32,43 @@ def _run(*args, **kw):
     )
 
 
-def test_ih_torus_zero():
-    r = _run("ih", "--space", "t2_7", "--perversity", "zero")
+def _main(capsys, *args):
+    """The CLI run in this process through `cli.main`, as a completed
+    process: for tests that read only what a command reports."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+
+
+def test_ih_torus_zero(capsys):
+    r = _main(capsys, "ih", "--space", "t2_7", "--perversity", "zero")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["betti"] == [1, 2, 1]
     assert doc["coefficients"] == "R0"
 
 
-def test_ih_suspension_lower_middle():
-    r = _run("ih", "--space", "susp_t2", "--perversity", "lower-middle")
+def test_ih_suspension_lower_middle(capsys):
+    r = _main(capsys, "ih", "--space", "susp_t2", "--perversity", "lower-middle")
     doc = json.loads(r.stdout)
     assert doc["betti"] == [1, 2, 0, 1]
 
 
-def test_ih_from_weights_pairs_with_dual_middle():
-    r = _run("ih", "--space", "susp_t2", "--perversity", "from-weights")
+def test_ih_from_weights_pairs_with_dual_middle(capsys):
+    r = _main(capsys, "ih", "--space", "susp_t2", "--perversity", "from-weights")
     doc = json.loads(r.stdout)
     # unit weights give the upper middle perversity, the dual of lower-middle
     assert doc["betti"] == [1, 0, 2, 1]
     assert set(doc["perversity_used"]["values"].values()) == {1}
-    r2 = _run("ih", "--space", "susp_t2", "--perversity", "upper-middle")
+    r2 = _main(capsys, "ih", "--space", "susp_t2", "--perversity", "upper-middle")
     assert json.loads(r2.stdout)["betti"] == doc["betti"]
 
 
-def test_ih_cobetti_and_generators():
-    r = _run("ih", "--space", "s1_hex", "--perversity", "zero",
+def test_ih_cobetti_and_generators(capsys):
+    r = _main(capsys, "ih", "--space", "s1_hex", "--perversity", "zero",
              "--cobetti", "--emit-generators")
     doc = json.loads(r.stdout)
     assert doc["cobetti"] == doc["betti"] == [1, 1]
@@ -62,44 +76,44 @@ def test_ih_cobetti_and_generators():
     assert len(doc["chain_basis"]["1"]) == 6
 
 
-def test_cone_command():
-    r = _run("cone", "--link-betti", "1,2,1", "--link-dim", "2", "--weight", "1/2")
+def test_cone_command(capsys):
+    r = _main(capsys, "cone", "--link-betti", "1,2,1", "--link-dim", "2", "--weight", "1/2")
     doc = json.loads(r.stdout)
     assert doc["max_betti"] == [1, 2, 0, 0]
     assert doc["cutoff"] == "2/1"
 
 
-def test_predict_command():
-    r = _run("predict", "--space", "susp_t2")
+def test_predict_command(capsys):
+    r = _main(capsys, "predict", "--space", "susp_t2")
     doc = json.loads(r.stdout)
     assert doc["max_betti"] == [1, 2, 0, 1]
     assert doc["min_betti"] == [1, 0, 2, 1]
     assert doc["fredholm"] == {"ind_max": 0, "ind_min": 0}
 
 
-def test_perversity_command():
-    r = _run("perversity", "--dim", "4", "--spec", "upper-middle", "--dual")
+def test_perversity_command(capsys):
+    r = _main(capsys, "perversity", "--dim", "4", "--spec", "upper-middle", "--dual")
     doc = json.loads(r.stdout)
     assert doc["perversity"]["values"] == {"1": -1, "2": 0, "3": 0, "4": 1}
-    r = _run("perversity", "--space", "susp_t2")
+    r = _main(capsys, "perversity", "--space", "susp_t2")
     doc = json.loads(r.stdout)
     assert set(doc["p_g"]["values"].values()) == {1}
     assert set(doc["q_g"]["values"].values()) == {0}
 
 
-def test_hilbert_command(tmp_path: Path):
+def test_hilbert_command(tmp_path: Path, capsys):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({
         "dims": [1, 2, 1],
         "differentials": [[[1], [1]], [[1, -1]]],
     }))
-    r = _run("hilbert", "--complex", str(cfile))
+    r = _main(capsys, "hilbert", "--complex", str(cfile))
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["cohomology"] == doc["harmonic"] == [0, 0, 0]
     vfile = tmp_path / "v.json"
     vfile.write_text(json.dumps([1, 0]))
-    r = _run("hilbert", "--complex", str(cfile), "--decompose", "1",
+    r = _main(capsys, "hilbert", "--complex", str(cfile), "--decompose", "1",
              "--vector", str(vfile))
     doc = json.loads(r.stdout)
     parts = doc["decomposition"]
@@ -108,25 +122,25 @@ def test_hilbert_command(tmp_path: Path):
     assert parts["coexact"] == {"0": "1/2", "1": "-1/2"}
 
 
-def test_verify_suite_exit_codes(tmp_path: Path):
-    r = _run("verify", "--suite", "hunsicker", "--quiet")
+def test_verify_suite_exit_codes(tmp_path: Path, capsys):
+    r = _main(capsys, "verify", "--suite", "hunsicker", "--quiet")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["pass"] is True
     # a tampered corpus makes the mil whole-space check fail -> exit 1
-    build = _run("corpus-build", "--out", str(tmp_path))
+    build = _main(capsys, "corpus-build", "--out", str(tmp_path))
     assert build.returncode == 0
     st = tmp_path / "susp_t2.json"
     doc = json.loads(st.read_text())
     doc["weights"] = {k: "1/4" for k in doc["weights"]}
     st.write_text(json.dumps(doc))
-    r = _run("verify", "--suite", "mil", "--corpus-dir", str(tmp_path), "--quiet")
+    r = _main(capsys, "verify", "--suite", "mil", "--corpus-dir", str(tmp_path), "--quiet")
     assert r.returncode == 1
     assert json.loads(r.stdout)["pass"] is False
 
 
-def test_corpus_list():
-    r = _run("corpus-list")
+def test_corpus_list(capsys):
+    r = _main(capsys, "corpus-list")
     doc = json.loads(r.stdout)
     names = [s["name"] for s in doc["spaces"]]
     assert len(names) >= 8
@@ -138,26 +152,28 @@ def test_corpus_list():
     assert weights == ["1/2"]
 
 
-def test_reports_are_byte_stable():
+def test_reports_are_byte_stable(capsys):
+    """A report is the same in this process and in a child, whose hash
+    seed differs."""
     for args in (
         ("ih", "--space", "susp_t2", "--perversity", "top"),
         ("verify", "--suite", "cone-local", "--quiet"),
         ("corpus-list",),
     ):
-        a = _run(*args).stdout
+        a = _main(capsys, *args).stdout
         b = _run(*args).stdout
         assert a == b
 
 
-def test_load_error_exit_code(tmp_path: Path):
+def test_load_error_exit_code(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2, "vertices": [0, 1]}')
-    r = _run("ih", "--space", str(bad), "--perversity", "zero")
+    r = _main(capsys, "ih", "--space", str(bad), "--perversity", "zero")
     assert r.returncode == 2
     assert "maximal_simplices" in r.stderr
-    r = _run("ih", "--space", "no_such_space", "--perversity", "zero")
+    r = _main(capsys, "ih", "--space", "no_such_space", "--perversity", "zero")
     assert r.returncode == 2
-    r = _run("ih", "--space", "susp_t2", "--perversity", "bogus")
+    r = _main(capsys, "ih", "--space", "susp_t2", "--perversity", "bogus")
     assert r.returncode == 2
 
 
@@ -374,15 +390,28 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_corpus_dir_option_reads_spaces_and_is_reported_as_given(tmp_path):
+@pytest.mark.parametrize("command", [
+    pytest.param(("verify", "--suite", "duality"), id="verify-duality"),
+    pytest.param(("corpus-list",), id="corpus-list"),
+])
+def test_corpus_with_a_branching_regular_face_exits_2(tmp_path, theta, command):
+    """The theta complex has no boundary face, so it is refused, not passed
+    over as "not applicable (boundary)"."""
+    (tmp_path / "theta.json").write_text(json.dumps(cx.to_document(theta)))
+    r = _run(*command, "--corpus-dir", str(tmp_path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == ["error: regular face (0,1) has 3 top cofaces"]
+
+
+def test_corpus_dir_option_reads_spaces_and_is_reported_as_given(tmp_path, capsys):
     shutil.copy(corpus_dir() / "s2.json", tmp_path)
     given = str(tmp_path) + os.sep
-    r = _run("corpus-list", "--corpus-dir", given)
+    r = _main(capsys, "corpus-list", "--corpus-dir", given)
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["corpus_dir"] == given
     assert [s["name"] for s in doc["spaces"]] == ["s2"]
-    r = _run("ih", "--space", "s2", "--perversity", "zero", "--corpus-dir", given)
+    r = _main(capsys, "ih", "--space", "s2", "--perversity", "zero", "--corpus-dir", given)
     assert r.returncode == 0 and json.loads(r.stdout)["betti"] == [1, 0, 1]
-    r = _run("ih", "--space", "t2_7", "--perversity", "zero", "--corpus-dir", given)
+    r = _main(capsys, "ih", "--space", "t2_7", "--perversity", "zero", "--corpus-dir", given)
     assert r.returncode == 2
