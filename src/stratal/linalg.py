@@ -21,10 +21,10 @@ column (heap-held pivot columns, as in Bauer, Kerber, Reininghaus & Wagner,
 found, never which row, so every caller does the same column operations
 either way. Where the pivot entry divides the entry being eliminated, the
 pivot column is subtracted in place; otherwise both are scaled to a common
-multiple. It has one output, its pivot table (pivot row -> column); a
-column's combination of the inputs rides along as identity rows below the
-matrix (`_zero_combinations`), so the columns that vanish give the kernel.
-Everything else derives from the pivot table:
+multiple. Its one output is its pivot table (pivot row -> column). A
+column's combination of the inputs rides along in identity rows numbered
+below the matrix's rows (`_zero_combinations`), so the columns that vanish
+give the kernel. Everything else derives from the pivot table:
 
 - `rank` counts the pivots and `kernel` normalizes the zero combinations,
   taking them from the primitive columns back to its own inputs. Pivoting
@@ -191,15 +191,17 @@ def _zero_combinations(cols):
     index is j.
 
     Column j enters `_reduce` with the extra identity entry {j - n: 1}, for
-    n = len(cols): the rows of [M; I], numbered below every row of M (the
-    R = MV form of persistence: Cohen-Steiner, Edelsbrunner & Morozov,
-    *Vines and vineyards by updating persistence in linear time*, SoCG 2006).
-    While a column meets a row of M its pivot is a row of M, and each step
-    applies to its combination what it applies to the column. A column
-    left with identity rows only is a zero combination; its lowest row
-    j - n is its own, so it is a new pivot at once, and the pivots in
-    negative rows come in column order. Each column enters as a fresh
-    dict, so a dict listed twice leaves a combination for the repeat.
+    n = len(cols): an identity block whose rows are numbered below every
+    row of the matrix M, so the reduction, which pivots on the largest row,
+    reaches them last (the R = MV form of persistence: Cohen-Steiner,
+    Edelsbrunner & Morozov, *Vines and vineyards by updating persistence in
+    linear time*, SoCG 2006). While a column meets a row of M its pivot is a
+    row of M, and each step applies to its combination what it applies to
+    the column. A column left with identity rows only is a zero
+    combination; its lowest row j - n is its own, so it is a new pivot at
+    once, and the pivots in negative rows come in column order. Each column
+    enters as a fresh dict, so a dict listed twice leaves a combination for
+    the repeat.
     """
     n = len(cols)
     pivots = _reduce([{**col, j - n: 1} for j, col in enumerate(cols)])
@@ -285,10 +287,11 @@ def kernel(cols):
     """Basis of the kernel of the column matrix, as primitive integer
     combination vectors over the column indices.
 
-    Kernel vectors are emitted in column order; the vector produced while
-    processing column j has its largest support index equal to j and a
-    positive coefficient there. That vector is unique, which makes the output
-    (and hence downstream bases) deterministic.
+    The vectors are `_zero_combinations` of the primitive columns, scaled
+    back to `cols`, in column order: the vector for a column j that depends
+    on the earlier columns has its largest support index equal to j and a
+    positive coefficient there. That vector is unique, which makes the
+    output (and hence downstream bases) deterministic.
     """
     prims = list(map(col_primitive, cols))
     scale = {}  # column j times scale[j] is prims[j]
