@@ -69,7 +69,7 @@ def test_ih_from_weights_pairs_with_dual_middle(capsys):
 
 def test_ih_cobetti_and_generators(capsys):
     r = _main(capsys, "ih", "--space", "s1_hex", "--perversity", "zero",
-             "--cobetti", "--emit-generators")
+              "--cobetti", "--emit-generators")
     doc = json.loads(r.stdout)
     assert doc["cobetti"] == doc["betti"] == [1, 1]
     assert set(doc["chain_basis"]) == {"0", "1"}
@@ -114,7 +114,7 @@ def test_hilbert_command(tmp_path: Path, capsys):
     vfile = tmp_path / "v.json"
     vfile.write_text(json.dumps([1, 0]))
     r = _main(capsys, "hilbert", "--complex", str(cfile), "--decompose", "1",
-             "--vector", str(vfile))
+              "--vector", str(vfile))
     doc = json.loads(r.stdout)
     parts = doc["decomposition"]
     assert parts["harmonic"] == {}
