@@ -4,9 +4,22 @@ A complex is a sequence of coordinate spaces with differentials satisfying
 D_{i+1} D_i = 0 and the identity inner product on each space. In finite
 dimensions every range is closed, so harmonic representatives, the weak
 Kodaira decomposition, the dual-complex dimension reversal, and the
-even-to-odd index are all exact linear algebra. The Kodaira projections are
-solved over the integers (`linalg.project_onto_span`), with one division per
-entry of each part.
+even-to-odd index are all exact linear algebra.
+
+A complex reduces each differential D_i and each transpose D_i^T at most
+once. It keeps one `_Map` per degree i in -1..n-1, built on first read:
+D_i's columns, its transpose and the pivot columns (`linalg._basis`) of
+each. `cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` and
+`laplacian_cols` read the transposes; `kodaira_decompose` projects onto the
+pivot columns of D_{i-1} and of D_i^T. The dual complex shares its parent's
+maps, each read as its transpose, so its cohomology comes from the
+transposed columns' pivots while its parent's comes from the columns'. A
+complex is not changed after it is built, so nothing is reduced again.
+
+The Kodaira projections are solved over the integers (`linalg._solve`): the
+vector is scaled to integers once, the two parts come back as integer
+numerators over their own denominators, the harmonic part is formed on
+those integers, and each part becomes Fractions once, at the end.
 """
 
 from fractions import Fraction
@@ -18,8 +31,35 @@ from .rationals import parse_rational
 # The largest sum of `dims` that `validate` accepts. Every space gets one
 # column per dimension, so a short document declaring a huge dimension would
 # otherwise fill memory; `stratal hilbert` on complexes at the bound peaked
-# at 37-153 MB RSS (Python 3.11, x86-64).
+# at 42-162 MB RSS (Python 3.11, x86-64), counting the transposes and pivot
+# columns that the complex keeps.
 MAX_TOTAL_DIMENSION = 100_000
+
+
+class _Map:
+    """A differential's columns, and what is read from them, each built on
+    first read: `t`, the `_Map` of the transpose, whose own `t` is this
+    map, and `basis`, the pivot columns, one per unit of rank."""
+
+    __slots__ = ("cols", "nrows", "_t", "_basis")
+
+    def __init__(self, cols, nrows, t=None):
+        self.cols = cols
+        self.nrows = nrows
+        self._t = t
+        self._basis = None
+
+    @property
+    def t(self):
+        if self._t is None:
+            self._t = _Map(linalg.transpose_cols(self.cols, self.nrows), len(self.cols), self)
+        return self._t
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = linalg._basis(self.cols)
+        return self._basis
 
 
 class FiniteHilbertComplex:
@@ -28,6 +68,13 @@ class FiniteHilbertComplex:
     def __init__(self, dims, diff_cols):
         self.dims = tuple(dims)
         self.diffs = diff_cols  # diffs[i]: columns of D_i, mapping H_i -> H_{i+1}
+        self._maps = {}  # i -> the _Map of D_i, for i in -1..n-1
+
+    def _map(self, i):
+        m = self._maps.get(i)
+        if m is None:
+            m = self._maps[i] = _Map(self.differential(i), self.diff_rows(i))
+        return m
 
     def differential(self, i):
         """Columns of D_i; zero maps outside 0..n-1."""
@@ -119,7 +166,7 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
 
 def cohomology_dims(C: FiniteHilbertComplex):
     """dim ker D_i - rank D_{i-1} in every degree, exact."""
-    ranks = [linalg.rank(C.differential(i)) for i in range(-1, len(C.dims))]
+    ranks = [len(C._map(i).basis) for i in range(-1, len(C.dims))]
     return tuple(d - below - r for d, below, r in zip(C.dims, ranks, ranks[1:]))
 
 
@@ -130,14 +177,12 @@ def harmonic_dims(C: FiniteHilbertComplex):
 
 def _stacked(C, i):
     """Columns of [D_i ; D_{i-1}^T]; D_{-1} and D_{n-1} are zero maps."""
-    up_t = linalg.transpose_cols(C.differential(i - 1), C.dims[i])
-    return linalg.stack_cols(C.differential(i), up_t, C.diff_rows(i))
+    return linalg.stack_cols(C._map(i).cols, C._map(i - 1).t.cols, C.diff_rows(i))
 
 
 def laplacian_cols(C: FiniteHilbertComplex, i: int):
     """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T."""
-    d_it = linalg.transpose_cols(C.differential(i), C.diff_rows(i))
-    return linalg.combine_columns(d_it + C.differential(i - 1), _stacked(C, i))
+    return linalg.combine_columns(C._map(i).t.cols + C._map(i - 1).cols, _stacked(C, i))
 
 
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
@@ -147,10 +192,10 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     indices; its entries are read by `parse_rational` (ints, Fractions or
     "p/q" strings, never bools or floats). The exact part is the projection
     onto the image of D_{i-1}, the coexact part the projection onto the
-    image of D_i^T, both solved over the integers; the harmonic part is v
-    less the two, formed on their integer numerators over one common
-    denominator. Every entry of every part is one Fraction, and
-    reconstruction is exact.
+    image of D_i^T, both solved over the integers on the complex's pivot
+    columns; the harmonic part is v less the two, formed on their integer
+    numerators over one common denominator. Every entry of every part is
+    one Fraction, and reconstruction is exact.
     """
     if not 0 <= i < len(C.dims):
         raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
@@ -169,28 +214,28 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
            if (x := parse_rational(val, "vector entry", ConfigurationError))}
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
-    exact = linalg.project_onto_span(vec, C.differential(i - 1))
-    coexact = linalg.project_onto_span(
-        vec, linalg.transpose_cols(C.differential(i), C.diff_rows(i)))
-    # v - e/de - c/dc over the one denominator m·de·dc
-    (w, m), (e, de), (c, dc) = map(linalg._over, (vec, exact, coexact))
+    w, m = linalg._over(vec)
+    (e, de), (c, dc) = (linalg._solve(w, basis) if basis else ({}, 1)
+                        for basis in (C._map(i - 1).basis, C._map(i).t.basis))
+    # v = w/m, and its parts are e/(de·m) and c/(dc·m): the harmonic part
+    # is (w·de·dc - e·dc - c·de)/(m·de·dc)
     harmonic = {r: x * de * dc for r, x in w.items()}
-    linalg._subtract(harmonic, m * dc, e)
-    linalg._subtract(harmonic, m * de, c)
-    d = m * de * dc
-    return {r: Fraction(x, d) for r, x in harmonic.items()}, exact, coexact
+    linalg._subtract(harmonic, dc, e)
+    linalg._subtract(harmonic, de, c)
+    return tuple({r: Fraction(x, d) for r, x in part.items()}
+                 for part, d in ((harmonic, m * de * dc), (e, de * m), (c, dc * m)))
 
 
 def dual_complex(C: FiniteHilbertComplex):
     """The reversed complex with transposed differentials, plus the
-    dimension-reversal report on cohomology."""
+    dimension-reversal report on cohomology. The dual shares C's maps, so
+    its cohomology reduces C's transposes, and C's is read from C's own
+    pivot columns."""
     n = len(C.dims)
-    dims = tuple(reversed(C.dims))
-    diffs = []
-    for j in range(n - 1):
-        i = n - 2 - j
-        diffs.append(linalg.transpose_cols(C.differential(i), C.diff_rows(i)))
-    D = FiniteHilbertComplex(dims, diffs)
+    # D_j is the transpose of D_i for i = n-2-j, over j in -1..n-1
+    maps = [C._map(n - 2 - j).t for j in range(-1, n)]
+    D = FiniteHilbertComplex(reversed(C.dims), [m.cols for m in maps[1:-1]])
+    D._maps = dict(zip(range(-1, n), maps))
     h_primal = cohomology_dims(C)
     h_dual = cohomology_dims(D)
     report = {

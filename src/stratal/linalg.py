@@ -52,10 +52,14 @@ give the kernel. Everything else derives from the pivot table:
   pivot table back: the same column operations as a reduction on the
   topmost row. It divides each pivot column by its pivot entry and
   back-substitutes in Fractions.
-- `project_onto_span` solves the normal equations of the pivot columns B
-  over the integers: v scaled by the lcm m of its denominators is the
-  integer w, and the single zero combination (x, t) of [BᵀB | Bᵀw] gives
-  the projection B(-x)/(t·m), with one division per entry.
+- `project_onto_span` is two steps. `_basis` reduces the columns to their
+  pivot columns B. `_solve` solves the normal equations of B over the
+  integers: for an integer vector w, the single zero combination (x, t) of
+  [BᵀB | Bᵀw] gives the projection of w as the integer vector B(-x) over
+  t. A rational v is first scaled by the lcm m of its denominators
+  (`_over`), so its projection is B(-x)/(t·m), with one division per
+  entry. A caller that projects onto the same span again keeps B, and one
+  that combines several projections keeps their numerators.
 """
 
 from fractions import Fraction
@@ -201,11 +205,14 @@ def _zero_combinations(cols):
     combination; its lowest row j - n is its own, so it is a new pivot at
     once, and the pivots in negative rows come in column order. Each column
     enters as a fresh dict, so a dict listed twice leaves a combination for
-    the repeat.
+    the repeat. An empty column would be such a pivot at once and is met by
+    no other column, so it is its own combination {j: 1} without entering
+    `_reduce`.
     """
     n = len(cols)
-    pivots = _reduce([{**col, j - n: 1} for j, col in enumerate(cols)])
-    return [{k + n: v for k, v in col.items()} for row, col in pivots.items() if row < 0]
+    pivots = _reduce([{**col, j - n: 1} for j, col in enumerate(cols) if col])
+    found = {row + n: {k + n: v for k, v in col.items()} for row, col in pivots.items() if row < 0}
+    return [found[j] if col else {j: 1} for j, col in enumerate(cols) if not col or j in found]
 
 
 def rank(cols):
@@ -384,21 +391,39 @@ def _over(v):
     return {r: x.numerator * (m // x.denominator) for r, x in v.items()}, m
 
 
-def project_onto_span(v, cols):
-    """Orthogonal projection of v onto the column span, exact over the rationals.
+def _basis(cols):
+    """The pivot columns of `cols` as `_reduce` leaves them: primitive
+    integer columns spanning the column space, one per unit of rank."""
+    return list(_reduce(list(map(col_primitive, cols))).values())
 
-    The pivot columns B are independent, so their Gram matrix BᵀB is
-    invertible and, for w = m·v the integer multiple from `_over`, the
-    integer matrix [BᵀB | Bᵀw] has a single zero combination (x, t) with
-    t != 0; the projection is B(-x)/(t·m), one Fraction per entry.
+
+def _solve(w, basis):
+    """(num, t): the projection of the integer vector w onto the span of
+    the independent integer columns `basis` is num/t, with num an integer
+    vector and t a nonzero int.
+
+    The Gram matrix BᵀB is invertible, so the integer matrix [BᵀB | Bᵀw]
+    has a single zero combination (x, t) with t != 0, and the projection is
+    B(-x)/t.
     """
-    basis = list(_reduce(list(map(col_primitive, cols))).values())
-    if not basis:
-        return {}
-    w, m = _over(v)
     normal = [{i: g for i, b in enumerate(basis) if (g := dot(b, c))} for c in basis]
     normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, w))})
     (combo,) = _zero_combinations(normal)
-    t = combo.pop(len(basis)) * m
-    num = combine_columns(basis, [{i: -x for i, x in combo.items()}])[0]
-    return {r: Fraction(x, t) for r, x in num.items()}
+    t = combo.pop(len(basis))
+    return combine_columns(basis, [{i: -x for i, x in combo.items()}])[0], t
+
+
+def project_onto_span(v, cols):
+    """Orthogonal projection of v onto the column span, exact over the rationals.
+
+    It solves over the integers: for the pivot columns B of `cols`
+    (`_basis`) and w = m·v the integer multiple from `_over`, `_solve`
+    gives the projection of w as num/t, so that of v is num/(t·m), one
+    Fraction per entry.
+    """
+    basis = _basis(cols)
+    if not basis:
+        return {}
+    w, m = _over(v)
+    num, t = _solve(w, basis)
+    return {r: Fraction(x, t * m) for r, x in num.items()}

@@ -7,6 +7,7 @@ suite to exit code 1.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import hilbert as hb
 from . import linalg
@@ -228,9 +229,14 @@ def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED):
             if C.dims[i] == 0:
                 continue
             v = {r: rng.randint(-3, 3) for r in range(C.dims[i])}
-            h, e, c = hb.kodaira_decompose(C, i, v)
+            # the parts scaled by the lcm of their denominators: integers
+            # with the same sums and the same zero inner products
+            parts = hb.kodaira_decompose(C, i, v)
+            m = lcm(*(x.denominator for part in parts for x in part.values()))
+            h, e, c = ({r: x.numerator * (m // x.denominator) for r, x in part.items()}
+                       for part in parts)
             (rec,) = linalg.combine_columns([h, e, c], [{0: 1, 1: 1, 2: 1}])
-            want = {r: Fraction(val) for r, val in v.items() if val}
+            want = {r: val * m for r, val in v.items() if val}
             if rec != want or linalg.dot(h, e) or linalg.dot(h, c) or linalg.dot(e, c):
                 kodaira_ok = False
         report.add(

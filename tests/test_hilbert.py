@@ -94,6 +94,122 @@ def test_dual_complex_reversal(s2):
     assert rep["pass"]
 
 
+def _spy_reduce(monkeypatch):
+    """The column lists that `linalg._reduce` is called on, as a list that
+    fills while the test runs."""
+    seen = []
+    reduce = linalg._reduce
+
+    def spy(cols, *rest):
+        seen.append(cols)
+        return reduce(cols, *rest)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    return seen
+
+
+def _prims(cols):
+    return [linalg.col_primitive(c) for c in cols]
+
+
+def test_each_differential_is_reduced_once(s2, monkeypatch):
+    """`cohomology_dims` reduces each D_i once; a second call reduces
+    nothing. `dual_complex` reduces each transpose D_i^T once and no D_i
+    again, and a second dual reduces nothing. Then `kodaira_decompose`
+    reduces only its two normal systems, whose columns all carry identity
+    rows (negative row indices), which no column of a D_i or D_i^T has."""
+    seen = _spy_reduce(monkeypatch)
+    C = _cochain_complex(s2)
+    n = len(C.dims)
+    hb.cohomology_dims(C)
+    assert seen == [_prims(C.differential(i)) for i in range(-1, n)]
+    seen.clear()
+    hb.cohomology_dims(C)
+    assert seen == []
+    _, rep = hb.dual_complex(C)
+    assert rep["pass"]
+    assert seen == [_prims(linalg.transpose_cols(C.differential(i), C.diff_rows(i)))
+                    for i in range(n - 1, -2, -1)]
+    seen.clear()
+    hb.dual_complex(C)
+    hb.cohomology_dims(C)
+    assert seen == []
+    for i, dim in enumerate(C.dims):
+        hb.kodaira_decompose(C, i, list(range(1, dim + 1)))
+        # D_{-1} and D_{n-1}^T have no columns, so the end degrees solve one system
+        assert len(seen) == 2 - (i == 0) - (i == n - 1)
+        assert all(min(col) < 0 for cols in seen for col in cols)
+        seen.clear()
+
+
+def test_kodaira_on_a_fresh_complex_reduces_its_two_spans_once(s2, monkeypatch):
+    seen = _spy_reduce(monkeypatch)
+    C = _cochain_complex(s2)
+    v = [3, -1, 0, 2, 5, -4]
+    first = hb.kodaira_decompose(C, 1, v)
+    spans = [_prims(C.differential(0)),
+             _prims(linalg.transpose_cols(C.differential(1), C.diff_rows(1)))]
+    assert [cols for cols in seen if cols in spans] == spans and len(seen) == 4
+    seen.clear()
+    assert hb.kodaira_decompose(C, 1, v) == first
+    assert len(seen) == 2 and all(min(col) < 0 for cols in seen for col in cols)
+
+
+def _suite_with(monkeypatch, change):
+    """`suite_hilbert` with each Kodaira decomposition passed through
+    `change`."""
+    from stratal import verify
+
+    decompose = hb.kodaira_decompose
+
+    def patched(C, i, v):
+        return tuple({r: x for r, x in part.items() if x}
+                     for part in change(*decompose(C, i, v)))
+
+    monkeypatch.setattr(hb, "kodaira_decompose", patched)
+    return verify.suite_hilbert()
+
+
+def _move_half(h, e, c):
+    """Half of the first harmonic entry moved to the exact part: the parts
+    still sum to v, but they are no longer orthogonal."""
+    if not h:
+        return h, e, c
+    r = next(iter(h))
+    return {**h, r: h[r] / 2}, {**e, r: e.get(r, 0) + h[r] / 2}, c
+
+
+def _perturb(h, e, c):
+    """One harmonic entry outside the supports of the exact and coexact
+    parts off by one, where there is one: v is not their sum, but the parts
+    stay orthogonal, so only the reconstruction check can see it."""
+    r = next((r for r in h if r not in e and r not in c), None)
+    return ({**h, r: h[r] + 1} if r is not None else h), e, c
+
+
+def _cochain_complex_of_a_square():
+    """The cochains of a 4-cycle: D_0 is the coboundary from four vertices
+    to four edges, so a vertex splits into a constant harmonic part and a
+    coexact rest."""
+    d0 = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]]
+    return hb.validate([4, 4], [d0])
+
+
+def test_the_hilbert_suite_checks_the_kodaira_parts(monkeypatch):
+    from stratal import verify
+
+    assert verify.suite_hilbert().passed
+    C = _cochain_complex_of_a_square()
+    h, e, c = _move_half(*hb.kodaira_decompose(C, 0, [1, 0, 0, 0]))
+    rec = {r: h.get(r, 0) + e.get(r, 0) + c.get(r, 0) for r in range(4)}
+    assert rec == {0: 1, 1: 0, 2: 0, 3: 0} and linalg.dot(h, e)
+    for change in (_move_half, _perturb):
+        report = _suite_with(monkeypatch, change)
+        assert not report.passed, change.__name__
+        monkeypatch.undo()
+    assert verify.suite_hilbert().passed
+
+
 def test_index_examples(s2):
     assert hb.index_even_odd(_cochain_complex(s2)) == 2
     exact = hb.validate([1, 1], [[[1]]])

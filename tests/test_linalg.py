@@ -419,6 +419,30 @@ def test_zero_combinations_of_a_dict_listed_twice():
     assert col == {0: 1, 1: -1}
 
 
+def test_empty_columns_are_their_own_combinations_without_a_reduction(monkeypatch):
+    """An empty column j gives {j: 1} in its place in column order, and only
+    the columns with entries are reduced: none at all when every column is
+    empty, as `kernel` sees in the degrees of a chain model with no
+    non-allowable row."""
+    seen = []
+    reduce = linalg._reduce
+
+    def spy(cols, *rest):
+        seen.extend(cols)
+        return reduce(cols, *rest)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    empty = [{} for _ in range(5)]
+    assert linalg._zero_combinations(empty) == [{j: 1} for j in range(5)]
+    assert linalg.kernel(empty) == [{j: 1} for j in range(5)]
+    assert linalg._zero_combinations([]) == []
+    assert seen == []
+    col = {0: 2, 1: -2}
+    got = linalg._zero_combinations([{}, col, {}, {0: 1, 1: -1}, {}, col])
+    assert got == [{0: 1}, {2: 1}, {1: 1, 3: -2}, {4: 1}, {1: -1, 5: 1}]
+    assert seen == [{0: 2, 1: -2, -5: 1}, {0: 1, 1: -1, -3: 1}, {0: 2, 1: -2, -1: 1}]
+
+
 def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
     """The tetrahedron boundary with ∂_2 left as ±1 ints, or as ±1 Fractions,
     and the rows of ∂_1 scaled by Fractions and a non-primitive int
