@@ -8,7 +8,7 @@ import pytest
 from sympy import Matrix, Rational
 
 from stratal import hilbert as hb
-from stratal import linalg
+from stratal import linalg, verify
 from stratal.errors import ConfigurationError, ConstructionError
 from stratal.rationals import format_rational
 
@@ -158,8 +158,6 @@ def test_kodaira_on_a_fresh_complex_reduces_its_two_spans_once(s2, monkeypatch):
 def _suite_with(monkeypatch, change):
     """`suite_hilbert` with each Kodaira decomposition passed through
     `change`."""
-    from stratal import verify
-
     decompose = hb.kodaira_decompose
 
     def patched(C, i, v):
@@ -187,20 +185,10 @@ def _perturb(h, e, c):
     return ({**h, r: h[r] + 1} if r is not None else h), e, c
 
 
-def _cochain_complex_of_a_square():
-    """The cochains of a 4-cycle: D_0 is the coboundary from four vertices
-    to four edges, so a vertex splits into a constant harmonic part and a
-    coexact rest."""
-    d0 = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]]
-    return hb.validate([4, 4], [d0])
-
-
-def test_the_hilbert_suite_checks_the_kodaira_parts(monkeypatch):
-    from stratal import verify
-
+def test_the_hilbert_suite_checks_the_kodaira_parts(s2, monkeypatch):
     assert verify.suite_hilbert().passed
-    C = _cochain_complex_of_a_square()
-    h, e, c = _move_half(*hb.kodaira_decompose(C, 0, [1, 0, 0, 0]))
+    # a vertex of the tetrahedron: a constant harmonic part and a coexact rest
+    h, e, c = _move_half(*hb.kodaira_decompose(_cochain_complex(s2), 0, [1, 0, 0, 0]))
     rec = {r: h.get(r, 0) + e.get(r, 0) + c.get(r, 0) for r in range(4)}
     assert rec == {0: 1, 1: 0, 2: 0, 3: 0} and linalg.dot(h, e)
     for change in (_move_half, _perturb):
