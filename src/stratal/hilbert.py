@@ -6,14 +6,17 @@ dimensions every range is closed, so harmonic representatives, the weak
 Kodaira decomposition, the dual-complex dimension reversal, and the
 even-to-odd index are all exact linear algebra.
 
-A complex reduces each differential D_i and each transpose D_i^T at most
-once. It keeps one `_Map` per degree i in -1..n-1, built on first read:
-D_i's columns, its transpose and the pivot columns (`linalg._basis`) of
-each. `cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` and
-`laplacian_cols` read the transposes; `kodaira_decompose` projects onto the
-pivot columns of D_{i-1} and of D_i^T. The dual complex shares its parent's
-maps, each read as its transpose, so its cohomology comes from the
-transposed columns' pivots while its parent's comes from the columns'. A
+A complex of n spaces is its dimensions and one list `maps` of n + 1
+`_Map`s: `maps[i + 1]` is D_i for i in -1..n-1, where D_{-1} (no columns)
+and D_{n-1} (no rows) are the zero maps at the ends, so no degree is a
+special case. A `_Map` holds D_i's columns and builds, on first read, its
+transpose and the pivot columns (`linalg._basis`) of each, so each D_i and
+each D_i^T is reduced at most once. `cohomology_dims` counts the pivot
+columns of D_i; `harmonic_dims` and `laplacian_cols` read the transposes;
+`kodaira_decompose` projects onto the pivot columns of D_{i-1} and of
+D_i^T. The dual complex is built from C's maps reversed, each read as its
+transpose, so its cohomology comes from the transposed columns' pivots while
+C's comes from the columns', and the dual of the dual holds C's own maps. A
 complex is not changed after it is built, so nothing is reduced again.
 
 The Kodaira projections are solved over the integers (`linalg._solve`): the
@@ -23,6 +26,7 @@ those integers, and each part becomes Fractions once, at the end.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import ConfigurationError, ConstructionError
@@ -37,55 +41,47 @@ MAX_TOTAL_DIMENSION = 100_000
 
 
 class _Map:
-    """A differential's columns, and what is read from them, each built on
-    first read: `t`, the `_Map` of the transpose, whose own `t` is this
-    map, and `basis`, the pivot columns, one per unit of rank."""
+    """A differential's columns and the height of its target space, and
+    what is read from them, each built on first read: `t`, the `_Map` of
+    the transpose, whose own `t` is this map, and `basis`, the pivot
+    columns, one per unit of rank."""
 
-    __slots__ = ("cols", "nrows", "_t", "_basis")
-
-    def __init__(self, cols, nrows, t=None):
+    def __init__(self, cols, nrows):
         self.cols = cols
         self.nrows = nrows
-        self._t = t
-        self._basis = None
 
-    @property
+    @cached_property
     def t(self):
-        if self._t is None:
-            self._t = _Map(linalg.transpose_cols(self.cols, self.nrows), len(self.cols), self)
-        return self._t
+        t = _Map(linalg.transpose_cols(self.cols, self.nrows), len(self.cols))
+        t.t = self
+        return t
 
-    @property
+    @cached_property
     def basis(self):
-        if self._basis is None:
-            self._basis = linalg._basis(self.cols)
-        return self._basis
+        return linalg._basis(self.cols)
 
 
 class FiniteHilbertComplex:
-    """Spaces of the given dimensions with column-stored differentials."""
+    """Spaces of the given dimensions and the list of their differentials:
+    `maps[i + 1]` is the `_Map` of D_i, for i in -1..n-1. `validate` builds
+    one from matrices; `dual_complex` from another complex's maps."""
 
-    def __init__(self, dims, diff_cols):
+    def __init__(self, dims, maps):
         self.dims = tuple(dims)
-        self.diffs = diff_cols  # diffs[i]: columns of D_i, mapping H_i -> H_{i+1}
-        self._maps = {}  # i -> the _Map of D_i, for i in -1..n-1
+        self.maps = maps
 
-    def _map(self, i):
-        m = self._maps.get(i)
-        if m is None:
-            m = self._maps[i] = _Map(self.differential(i), self.diff_rows(i))
-        return m
+    @property
+    def diffs(self):
+        """Columns of D_i, mapping H_i -> H_{i+1}, for i in 0..n-2."""
+        return [m.cols for m in self.maps[1:-1]]
 
     def differential(self, i):
         """Columns of D_i; zero maps outside 0..n-1."""
-        if 0 <= i < len(self.dims) - 1:
-            return self.diffs[i]
-        dim = self.dims[i] if 0 <= i < len(self.dims) else 0
-        return [{} for _ in range(dim)]
+        return self.maps[i + 1].cols if -1 <= i < len(self.dims) else []
 
     def diff_rows(self, i):
         """Height of D_i (the dimension of its target space)."""
-        return self.dims[i + 1] if 0 <= i + 1 < len(self.dims) else 0
+        return self.maps[i + 1].nrows if -1 <= i < len(self.dims) else 0
 
 
 def _entry(value, where):
@@ -161,12 +157,14 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
                 raise ConstructionError(
                     f"D_{i + 1} ∘ D_{i} is nonzero on basis vector {j} of degree {i}"
                 )
-    return FiniteHilbertComplex(dims, cols)
+    # D_{-1} has no columns and D_{n-1} no rows; with no space, D_{-1} is the one map
+    cols = [[], *cols, *([{} for _ in range(d)] for d in dims[-1:])]
+    return FiniteHilbertComplex(dims, [_Map(c, rows) for c, rows in zip(cols, [*dims, 0])])
 
 
 def cohomology_dims(C: FiniteHilbertComplex):
     """dim ker D_i - rank D_{i-1} in every degree, exact."""
-    ranks = [len(C._map(i).basis) for i in range(-1, len(C.dims))]
+    ranks = [len(m.basis) for m in C.maps]
     return tuple(d - below - r for d, below, r in zip(C.dims, ranks, ranks[1:]))
 
 
@@ -177,12 +175,12 @@ def harmonic_dims(C: FiniteHilbertComplex):
 
 def _stacked(C, i):
     """Columns of [D_i ; D_{i-1}^T]; D_{-1} and D_{n-1} are zero maps."""
-    return linalg.stack_cols(C._map(i).cols, C._map(i - 1).t.cols, C.diff_rows(i))
+    return linalg.stack_cols(C.maps[i + 1].cols, C.maps[i].t.cols, C.maps[i + 1].nrows)
 
 
 def laplacian_cols(C: FiniteHilbertComplex, i: int):
     """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T."""
-    return linalg.combine_columns(C._map(i).t.cols + C._map(i - 1).cols, _stacked(C, i))
+    return linalg.combine_columns(C.maps[i + 1].t.cols + C.maps[i].cols, _stacked(C, i))
 
 
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
@@ -215,8 +213,7 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
     w, m = linalg._over(vec)
-    (e, de), (c, dc) = (linalg._solve(w, basis) if basis else ({}, 1)
-                        for basis in (C._map(i - 1).basis, C._map(i).t.basis))
+    (e, de), (c, dc) = (linalg._solve(w, span.basis) for span in (C.maps[i], C.maps[i + 1].t))
     # v = w/m, and its parts are e/(de·m) and c/(dc·m): the harmonic part
     # is (w·de·dc - e·dc - c·de)/(m·de·dc)
     harmonic = {r: x * de * dc for r, x in w.items()}
@@ -228,14 +225,13 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
 
 def dual_complex(C: FiniteHilbertComplex):
     """The reversed complex with transposed differentials, plus the
-    dimension-reversal report on cohomology. The dual shares C's maps, so
-    its cohomology reduces C's transposes, and C's is read from C's own
-    pivot columns."""
+    dimension-reversal report on cohomology. The dual's maps are C's maps
+    in reverse order, each read as its transpose, so its cohomology reduces
+    C's transposes, C's is read from C's own pivot columns, and the dual of
+    the dual holds C's own maps."""
     n = len(C.dims)
     # D_j is the transpose of D_i for i = n-2-j, over j in -1..n-1
-    maps = [C._map(n - 2 - j).t for j in range(-1, n)]
-    D = FiniteHilbertComplex(reversed(C.dims), [m.cols for m in maps[1:-1]])
-    D._maps = dict(zip(range(-1, n), maps))
+    D = FiniteHilbertComplex(reversed(C.dims), [m.t for m in reversed(C.maps)])
     h_primal = cohomology_dims(C)
     h_dual = cohomology_dims(D)
     report = {

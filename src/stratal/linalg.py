@@ -59,7 +59,9 @@ give the kernel. Everything else derives from the pivot table:
   t. A rational v is first scaled by the lcm m of its denominators
   (`_over`), so its projection is B(-x)/(t·m), with one division per
   entry. A caller that projects onto the same span again keeps B, and one
-  that combines several projections keeps their numerators.
+  that combines several projections keeps their numerators. An empty B
+  needs no special case: [BᵀB | Bᵀw] is one empty column, whose zero
+  combination is t = 1, so the projection is the zero vector over 1.
 """
 
 from fractions import Fraction
@@ -266,7 +268,7 @@ def chain_ranks(bnd, allow, table=None, drop=None):
             cols = [col if shift.isdisjoint(col)
                     else {r + top if r in shift else r: v for r, v in col.items() if r not in gone}
                     for col in cols]
-        pivots = dict(table[i][1]) if table and table[i][1] else {}
+        pivots = dict(table[i][1]) if table else {}
         start = len(pivots)
         _reduce(cols, pivots=pivots)
         # a dict keeps insertion order, so the new pivots follow the copied ones
@@ -421,9 +423,6 @@ def project_onto_span(v, cols):
     gives the projection of w as num/t, so that of v is num/(t·m), one
     Fraction per entry.
     """
-    basis = _basis(cols)
-    if not basis:
-        return {}
     w, m = _over(v)
-    num, t = _solve(w, basis)
+    num, t = _solve(w, _basis(cols))
     return {r: Fraction(x, t * m) for r, x in num.items()}

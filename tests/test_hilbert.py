@@ -117,7 +117,8 @@ def test_each_differential_is_reduced_once(s2, monkeypatch):
     nothing. `dual_complex` reduces each transpose D_i^T once and no D_i
     again, and a second dual reduces nothing. Then `kodaira_decompose`
     reduces only its two normal systems, whose columns all carry identity
-    rows (negative row indices), which no column of a D_i or D_i^T has."""
+    rows (negative row indices), which no column of a D_i or D_i^T has; a
+    normal system over an empty basis reduces no column at all."""
     seen = _spy_reduce(monkeypatch)
     C = _cochain_complex(s2)
     n = len(C.dims)
@@ -136,10 +137,32 @@ def test_each_differential_is_reduced_once(s2, monkeypatch):
     assert seen == []
     for i, dim in enumerate(C.dims):
         hb.kodaira_decompose(C, i, list(range(1, dim + 1)))
-        # D_{-1} and D_{n-1}^T have no columns, so the end degrees solve one system
-        assert len(seen) == 2 - (i == 0) - (i == n - 1)
+        # D_{-1} and D_{n-1}^T have no columns, so at the end degrees one
+        # normal system is empty and hands `_reduce` no column
+        assert len([cols for cols in seen if cols]) == 2 - (i == 0) - (i == n - 1)
         assert all(min(col) < 0 for cols in seen for col in cols)
         seen.clear()
+
+
+@pytest.mark.parametrize("shape", [([], []), ([3], []), ([0, 2, 0], [[[], []], []]), "s2"])
+def test_a_complex_holds_one_list_of_maps_and_its_dual_reads_them(shape, s2, monkeypatch):
+    """`maps[i + 1]` is D_i for i in -1..n-1, zero end maps included; the
+    dual holds C's maps reversed, each as its transpose, and the dual of the
+    dual holds C's own maps and reduces nothing to build its report."""
+    C = _cochain_complex(s2) if shape == "s2" else hb.validate(*shape)
+    n = len(C.dims)
+    assert len(C.maps) == n + 1
+    assert C.maps[0].cols == [] and C.maps[-1].nrows == 0
+    assert [m.nrows for m in C.maps] == [*C.dims, 0]
+    assert [len(m.cols) for m in C.maps] == [0, *C.dims]
+    D, rep = hb.dual_complex(C)
+    assert rep["pass"] and D.dims == C.dims[::-1]
+    assert all(D.maps[j] is C.maps[n - j].t and D.maps[j].t is C.maps[n - j]
+               for j in range(n + 1))
+    seen = _spy_reduce(monkeypatch)
+    E, again = hb.dual_complex(D)
+    assert seen == [] and again["dual_cohomology"] == rep["cohomology"]
+    assert E.dims == C.dims and all(e is c for e, c in zip(E.maps, C.maps, strict=True))
 
 
 def test_kodaira_on_a_fresh_complex_reduces_its_two_spans_once(s2, monkeypatch):
