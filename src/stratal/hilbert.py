@@ -9,15 +9,16 @@ even-to-odd index are all exact linear algebra.
 A complex of n spaces is its dimensions and one list `maps` of n + 1
 `_Map`s: `maps[i + 1]` is D_i for i in -1..n-1, where D_{-1} (no columns)
 and D_{n-1} (no rows) are the zero maps at the ends, so no degree is a
-special case. A `_Map` holds D_i's columns and builds, on first read, its
-transpose and the pivot columns (`linalg._basis`) of each, so each D_i and
-each D_i^T is reduced at most once. `cohomology_dims` counts the pivot
-columns of D_i; `harmonic_dims` and `laplacian_cols` read the transposes;
-`kodaira_decompose` projects onto the pivot columns of D_{i-1} and of
-D_i^T. The dual complex is built from C's maps reversed, each read as its
-transpose, so its cohomology comes from the transposed columns' pivots while
-C's comes from the columns', and the dual of the dual holds C's own maps. A
-complex is not changed after it is built, so nothing is reduced again.
+special case. A `_Map` holds D_i's columns, its transpose and the pivot
+columns (`linalg._basis`) of each, all built when `validate` builds the
+complex, so each D_i and each D_i^T is reduced exactly once, there.
+`cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` and
+`laplacian_cols` read the transposes; `kodaira_decompose` projects onto the
+pivot columns of D_{i-1} and of D_i^T. The dual complex is built from C's
+maps reversed, each read as its transpose, so its cohomology comes from the
+transposed columns' pivots while C's comes from the columns', and the dual
+of the dual holds C's own maps. A complex is not changed after it is built,
+so nothing is reduced again.
 
 The Kodaira projections are solved over the integers (`linalg._solve`): the
 vector is scaled to integers once, the two parts come back as integer
@@ -26,7 +27,6 @@ those integers, and each part becomes Fractions once, at the end.
 """
 
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .errors import ConfigurationError, ConstructionError
@@ -41,24 +41,19 @@ MAX_TOTAL_DIMENSION = 100_000
 
 
 class _Map:
-    """A differential's columns and the height of its target space, and
-    what is read from them, each built on first read: `t`, the `_Map` of
-    the transpose, whose own `t` is this map, and `basis`, the pivot
-    columns, one per unit of rank."""
+    """A differential's columns, the height of its target space, `basis`,
+    the pivot columns, one per unit of rank, and `t`, the `_Map` of the
+    transpose, whose own `t` is this map. All are built with the map, which
+    builds its transpose passing itself as `t`, so when `validate` builds a
+    complex each D_i and each D_i^T is reduced exactly once."""
 
-    def __init__(self, cols, nrows):
+    __slots__ = ("cols", "nrows", "basis", "t")
+
+    def __init__(self, cols, nrows, t=None):
         self.cols = cols
         self.nrows = nrows
-
-    @cached_property
-    def t(self):
-        t = _Map(linalg.transpose_cols(self.cols, self.nrows), len(self.cols))
-        t.t = self
-        return t
-
-    @cached_property
-    def basis(self):
-        return linalg._basis(self.cols)
+        self.basis = linalg._basis(cols)
+        self.t = t or _Map(linalg.transpose_cols(cols, nrows), len(cols), self)
 
 
 class FiniteHilbertComplex:
@@ -69,19 +64,6 @@ class FiniteHilbertComplex:
     def __init__(self, dims, maps):
         self.dims = tuple(dims)
         self.maps = maps
-
-    @property
-    def diffs(self):
-        """Columns of D_i, mapping H_i -> H_{i+1}, for i in 0..n-2."""
-        return [m.cols for m in self.maps[1:-1]]
-
-    def differential(self, i):
-        """Columns of D_i; zero maps outside 0..n-1."""
-        return self.maps[i + 1].cols if -1 <= i < len(self.dims) else []
-
-    def diff_rows(self, i):
-        """Height of D_i (the dimension of its target space)."""
-        return self.maps[i + 1].nrows if -1 <= i < len(self.dims) else 0
 
 
 def _entry(value, where):
@@ -118,7 +100,8 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
     also be given as its dims[i] columns, dicts keyed by int row indices.
     Both forms read their entries through `_entry`, so ints stay ints. A
     total dimension above `MAX_TOTAL_DIMENSION` is refused before anything
-    is built.
+    is built. Once D∘D = 0 holds, each map is built with its transpose and
+    the pivot columns of both.
     """
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ConstructionError("dims must be a list of integers")

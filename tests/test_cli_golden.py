@@ -58,7 +58,7 @@ def _hilbert_inputs(directory):
     rows = []
     for i in range(len(C.dims) - 1):
         dense = [[0] * C.dims[i] for _ in range(C.dims[i + 1])]
-        for j, col in enumerate(C.differential(i)):
+        for j, col in enumerate(C.maps[i + 1].cols):
             for r, v in col.items():
                 dense[r][j] = v
         rows.append(dense)

@@ -57,7 +57,7 @@ def test_kodaira_trivial_cases(s2):
     h, e, c = hb.kodaira_decompose(C, 0, v)
     assert h == v and not e and not c
     # an exact vector comes back entirely in the exact part
-    d0 = C.differential(0)
+    d0 = C.maps[1].cols
     img = linalg.combine_columns(d0, [{0: 1, 2: -2}])[0]
     h, e, c = hb.kodaira_decompose(C, 1, img)
     assert not h and not c
@@ -112,35 +112,37 @@ def _prims(cols):
     return [linalg.col_primitive(c) for c in cols]
 
 
-def test_each_differential_is_reduced_once(s2, monkeypatch):
-    """`cohomology_dims` reduces each D_i once; a second call reduces
-    nothing. `dual_complex` reduces each transpose D_i^T once and no D_i
-    again, and a second dual reduces nothing. Then `kodaira_decompose`
-    reduces only its two normal systems, whose columns all carry identity
-    rows (negative row indices), which no column of a D_i or D_i^T has; a
-    normal system over an empty basis reduces no column at all."""
+def _shape(draw, s2):
+    """(dims, differentials as column dicts) of the tetrahedron cochain
+    complex, or of the `random_complex` drawn with seed `draw`."""
+    C = _cochain_complex(s2) if draw == "s2" else hb.random_complex(random.Random(draw))
+    return list(C.dims), [m.cols for m in C.maps[1:-1]]
+
+
+@pytest.mark.parametrize("draw", ["s2", 1, 7, 11])
+def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch):
+    """`validate` reduces each D_i and then D_i^T, for i in -1..n-1, once
+    each and nothing else. After it, `cohomology_dims`, `dual_complex` and
+    the dual's dual reduce nothing, and each `kodaira_decompose` reduces
+    only its two normal systems, whose columns all carry identity rows
+    (negative row indices), which no column of a D_i or D_i^T has."""
+    dims, diffs = _shape(draw, s2)
     seen = _spy_reduce(monkeypatch)
-    C = _cochain_complex(s2)
-    n = len(C.dims)
-    hb.cohomology_dims(C)
-    assert seen == [_prims(C.differential(i)) for i in range(-1, n)]
+    C = hb.validate(dims, diffs)
+    n = len(dims)
+    assert seen == [_prims(cols) for m in C.maps
+                    for cols in (m.cols, linalg.transpose_cols(m.cols, m.nrows))]
+    assert len(seen) == 2 * (n + 1)
+    assert all(min(col) >= 0 for cols in seen for col in cols if col)
     seen.clear()
-    hb.cohomology_dims(C)
-    assert seen == []
-    _, rep = hb.dual_complex(C)
-    assert rep["pass"]
-    assert seen == [_prims(linalg.transpose_cols(C.differential(i), C.diff_rows(i)))
-                    for i in range(n - 1, -2, -1)]
-    seen.clear()
-    hb.dual_complex(C)
-    hb.cohomology_dims(C)
+    D, rep = hb.dual_complex(C)
+    E, again = hb.dual_complex(D)
+    assert rep["pass"] and again["pass"] and E.dims == C.dims
+    assert list(hb.cohomology_dims(C)) == rep["cohomology"] == again["dual_cohomology"]
     assert seen == []
     for i, dim in enumerate(C.dims):
         hb.kodaira_decompose(C, i, list(range(1, dim + 1)))
-        # D_{-1} and D_{n-1}^T have no columns, so at the end degrees one
-        # normal system is empty and hands `_reduce` no column
-        assert len([cols for cols in seen if cols]) == 2 - (i == 0) - (i == n - 1)
-        assert all(min(col) < 0 for cols in seen for col in cols)
+        assert len(seen) == 2 and all(min(col) < 0 for cols in seen for col in cols)
         seen.clear()
 
 
@@ -163,19 +165,6 @@ def test_a_complex_holds_one_list_of_maps_and_its_dual_reads_them(shape, s2, mon
     E, again = hb.dual_complex(D)
     assert seen == [] and again["dual_cohomology"] == rep["cohomology"]
     assert E.dims == C.dims and all(e is c for e, c in zip(E.maps, C.maps, strict=True))
-
-
-def test_kodaira_on_a_fresh_complex_reduces_its_two_spans_once(s2, monkeypatch):
-    seen = _spy_reduce(monkeypatch)
-    C = _cochain_complex(s2)
-    v = [3, -1, 0, 2, 5, -4]
-    first = hb.kodaira_decompose(C, 1, v)
-    spans = [_prims(C.differential(0)),
-             _prims(linalg.transpose_cols(C.differential(1), C.diff_rows(1)))]
-    assert [cols for cols in seen if cols in spans] == spans and len(seen) == 4
-    seen.clear()
-    assert hb.kodaira_decompose(C, 1, v) == first
-    assert len(seen) == 2 and all(min(col) < 0 for cols in seen for col in cols)
 
 
 def _suite_with(monkeypatch, change):
@@ -233,14 +222,14 @@ def test_laplacian_kernel_is_harmonic_space(s2):
     C = _cochain_complex(s2)
     for i in range(len(C.dims)):
         lap_kernel = linalg.rcef(linalg.kernel(hb.laplacian_cols(C, i)))
-        down = C.differential(i)
+        down = C.maps[i + 1].cols
         up_t = (
-            linalg.transpose_cols(C.differential(i - 1), C.dims[i])
+            linalg.transpose_cols(C.maps[i].cols, C.dims[i])
             if i > 0
             else [{} for _ in range(C.dims[i])]
         )
         stacked_kernel = linalg.rcef(
-            linalg.kernel(linalg.stack_cols(down, up_t, C.diff_rows(i)))
+            linalg.kernel(linalg.stack_cols(down, up_t, C.maps[i + 1].nrows))
         )
         assert lap_kernel == stacked_kernel
 
@@ -306,15 +295,15 @@ def test_validate_accepts_int_fraction_and_text_entries():
     D = hb.validate([1, 2], [[["2/1"], ["1/3"]]])
     E = hb.validate([1, 2], [[{0: "2", 1: "1/3"}]])
     Z = hb.validate([1, 2], [[{0: 0, 1: "0/5"}]])
-    assert C.differential(0) == D.differential(0) == E.differential(0) == [{0: 2, 1: F(1, 3)}]
-    assert Z.differential(0) == [{}]
+    assert C.maps[1].cols == D.maps[1].cols == E.maps[1].cols == [{0: 2, 1: F(1, 3)}]
+    assert Z.maps[1].cols == [{}]
 
 
 def test_validate_keeps_int_entries_in_both_forms():
     """Dense and column-dict entries go through one reader: an int stays an
     int in both forms, and a Fraction or "p/q" text becomes a Fraction."""
-    dense = hb.validate([1, 2], [[[2], ["1/3"]]]).differential(0)
-    columns = hb.validate([1, 2], [[{0: 2, 1: "1/3"}]]).differential(0)
+    dense = hb.validate([1, 2], [[[2], ["1/3"]]]).maps[1].cols
+    columns = hb.validate([1, 2], [[{0: 2, 1: "1/3"}]]).maps[1].cols
     for col in (dense[0], columns[0]):
         assert (type(col[0]), type(col[1])) == (int, F)
 
@@ -329,8 +318,8 @@ def test_cohomology_dims_of_rational_and_non_primitive_differentials(s2):
     dims = list(s2.counts())
     C = hb.validate(dims, [linalg.transpose_cols(d1, dims[0]),
                            linalg.transpose_cols(s2.boundary_matrix(2), dims[1])])
-    assert {v for col in C.differential(0) for v in col.values()} >= {F(-1, 2), 3, -3}
-    ranks = [linalg.rank(C.differential(i)) for i in range(len(dims))]
+    assert {v for col in C.maps[1].cols for v in col.values()} >= {F(-1, 2), 3, -3}
+    ranks = [linalg.rank(C.maps[i + 1].cols) for i in range(len(dims))]
     direct = tuple(d - ranks[i] - (ranks[i - 1] if i else 0) for i, d in enumerate(dims))
     assert hb.cohomology_dims(C) == hb.harmonic_dims(C) == direct == (1, 0, 1)
 
@@ -359,8 +348,8 @@ def test_projection_and_kodaira_match_sympy_oracle():
         for i, dim in enumerate(C.dims):
             if not dim:
                 continue
-            exact_span = C.differential(i - 1) if i > 0 else []
-            coexact_span = linalg.transpose_cols(C.differential(i), C.diff_rows(i))
+            exact_span = C.maps[i].cols
+            coexact_span = linalg.transpose_cols(C.maps[i + 1].cols, C.maps[i + 1].nrows)
             spans = [cols for cols in (exact_span, coexact_span) if cols]
             in_span = [linalg.combine_columns(cols, [{0: F(3, 7), len(cols) - 1: -2}])[0]
                        for cols in spans]

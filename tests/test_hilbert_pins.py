@@ -79,7 +79,8 @@ def _outputs():
         out["harmonic"].append(hb.harmonic_dims(C))
         out["laplacian"].append([_items(hb.laplacian_cols(C, i)) for i in range(len(C.dims))])
         D, report = hb.dual_complex(C)
-        out["dual"].append((json.dumps(report), D.dims, _items(c for d in D.diffs for c in d)))
+        dual_cols = _items(c for m in D.maps[1:-1] for c in m.cols)
+        out["dual"].append((json.dumps(report), D.dims, dual_cols))
         for i, dim in enumerate(C.dims):
             for v in _vectors(i, dim):
                 out["kodaira"].append(_items(hb.kodaira_decompose(C, i, v)))
