@@ -112,13 +112,6 @@ def _prims(cols):
     return [linalg.col_primitive(c) for c in cols]
 
 
-def _shape(draw, s2):
-    """(dims, differentials as column dicts) of the tetrahedron cochain
-    complex, or of the `random_complex` drawn with seed `draw`."""
-    C = _cochain_complex(s2) if draw == "s2" else hb.random_complex(random.Random(draw))
-    return list(C.dims), [m.cols for m in C.maps[1:-1]]
-
-
 @pytest.mark.parametrize("draw", ["s2", 1, 7, 11])
 def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch):
     """`validate` reduces each D_i and then D_i^T, for i in -1..n-1, once
@@ -126,10 +119,10 @@ def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch)
     the dual's dual reduce nothing, and each `kodaira_decompose` reduces
     only its two normal systems, whose columns all carry identity rows
     (negative row indices), which no column of a D_i or D_i^T has."""
-    dims, diffs = _shape(draw, s2)
+    K = _cochain_complex(s2) if draw == "s2" else hb.random_complex(random.Random(draw))
     seen = _spy_reduce(monkeypatch)
-    C = hb.validate(dims, diffs)
-    n = len(dims)
+    C = hb.validate(list(K.dims), [m.cols for m in K.maps[1:-1]])
+    n = len(C.dims)
     assert seen == [_prims(cols) for m in C.maps
                     for cols in (m.cols, linalg.transpose_cols(m.cols, m.nrows))]
     assert len(seen) == 2 * (n + 1)
