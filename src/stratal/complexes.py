@@ -32,14 +32,16 @@ bisection, and fullness is tested on the faces of the maximal simplices cut
 down to their singular vertices. A cone or suspension takes its faces from
 K: each dimension's list merges K's with the cones on K's list one
 dimension down, and the levels and X_{n-1} follow from K's, so nothing is
-derived again or tested. A subdivision gets its faces from `_faces_by_dim`
-of the top flags and its levels from the old simplices; it is pure and full
-by construction, so neither is tested, and a document whose filtration is
-not full takes the same subdivision. The complex is never held as one set,
-nor as one list of mixed lengths sorted and then split. Python loops remain
-over the edges whose ends share a level (they give the components, joined
-by union-find), over the few singular simplices, and over each dimension's
-first regular simplices, until every regular component has been met.
+derived again or tested. A subdivision lists its faces as the chains of
+K's simplices, each made once from its top simplex by C-level `map`s and
+`zip`s over K's lists (`_chains`), sorts each dimension once, and takes its
+levels from the old simplices; it is pure and full by construction, so
+neither is tested, and a document whose filtration is not full takes the
+same subdivision. The complex is never held as one set, nor as one list of
+mixed lengths sorted and then split. Python loops remain over the edges
+whose ends share a level (they give the components, joined by union-find),
+over the few singular simplices, and over each dimension's first regular
+simplices, until every regular component has been met.
 
 A stratum is a descriptor: its id, dimensions, kind and level, with no
 member list. Its members are the simplices that `label` maps to its id, and
@@ -526,14 +528,54 @@ def _barycentre_ids(vertex_ids, simplices):
     return ids
 
 
+def _chain_shapes(d):
+    """The chains S_0 < ... < S_k = {0..d} of nonempty position sets of a
+    d-simplex, each as its sets' sorted position tuples in lexicographic
+    order, listed by length k + 1. They are the ordered partitions of d + 1
+    positions, as many as the faces of one d-simplex's subdivision that
+    contain its barycentre, so they are built per call and never kept."""
+    chains = [(tuple(range(d + 1)),)]  # each from its least set up
+    by_length = []
+    while chains:
+        by_length.append([tuple(sorted(c)) for c in chains])
+        chains = [(least,) + c for c in chains for r in range(1, len(c[0]))
+                  for least in combinations(c[0], r)]
+    return by_length
+
+
+def _chains(by_dim, new_index):
+    """The faces of the subdivision of a face-closed set of simplices, whose
+    d-simplices are `by_dim[d]`: per dimension k, unsorted, the chains of
+    k + 1 of its simplices as tuples of barycentre indices `new_index`.
+
+    A chain ends at one simplex s, so each face is made once, from its top
+    simplex. `new_index` numbers simplices in lexicographic order, which a
+    restriction to positions keeps, so the sorted index tuples of the chains
+    ending at every d-simplex share the shapes `_chain_shapes(d)`: one
+    C-level column of indices per nonempty position set, over all the
+    d-simplices, and one `zip` over each shape's columns give them."""
+    out = [[] for _ in by_dim]
+    for d, simplices in enumerate(by_dim):
+        if not simplices:
+            continue
+        at = list(zip(*simplices)).__getitem__  # the vertices at each position
+        column = {p: list(map(new_index.__getitem__, zip(*map(at, p))))
+                  for r in range(1, d + 2) for p in combinations(range(d + 1), r)}
+        for faces, shapes in zip(out, _chain_shapes(d)):
+            for shape in shapes:
+                faces.extend(zip(*map(column.__getitem__, shape)))
+    return out
+
+
 def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
     """First barycentric subdivision of a pure complex, whose sorted
     simplices per dimension are `by_dim` and whose closed skeleta are
     `skeleta` (X_0..X_{n-1}): one new vertex per simplex in lexicographic
-    order, at the level of its simplex, and the flags of the top simplices.
-    The subdivision is pure, and each X_j, the flags within the old X_j, is
-    full, so neither is tested. `weighted` pairs an old simplex with the
-    weight of the stratum that its barycentre lies in."""
+    order, at the level of its simplex, and as faces the chains of simplices
+    (`_chains`), each dimension sorted once. The subdivision is pure, and
+    each X_j, the chains within the old X_j, is full, so neither is tested.
+    `weighted` pairs an old simplex with the weight of the stratum that its
+    barycentre lies in."""
     new_index = {s: i for i, s in enumerate(sorted(chain.from_iterable(by_dim)))}
     new_ids = _barycentre_ids(vertex_ids, new_index)
     vertex_level = [n] * len(new_ids)
@@ -541,21 +583,17 @@ def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
         for s in skeleta[j]:
             vertex_level[new_index[s]] = j
     weighted = [(new_index[s], w) for s, w in weighted]
-    # the flags ending at each simplex, as sorted tuples, built from those of
-    # its facets, so by size; no recursive closure keeps the table alive
-    flags = {}
-    for s in chain.from_iterable(by_dim):
-        i = new_index[s]
-        flags[s] = ([(i,)] if len(s) == 1 else
-                    [tuple(sorted(f + (i,))) for face in combinations(s, len(s) - 1)
-                     for f in flags[face]])
-    singular = sorted(chain.from_iterable(_faces_by_dim(
-        [f for s in _maximal_of(skeleta.get(n - 1, ())) for f in flags[s]])))
-    top = [f for s in by_dim[-1] for f in flags[s]]
-    # only the weighted barycentres were read, so the tables die before the assembly
-    del new_index, flags
-    S = FilteredComplex(name, n, new_ids, list(map(tuple, _faces_by_dim(top))), vertex_level,
-                        singular)
+    old_singular = skeleta.get(n - 1, ())
+    singular = sorted(chain.from_iterable(_chains(
+        [[s for s in old_singular if len(s) == d + 1] for d in range(n)], new_index)))
+    faces = _chains(by_dim, new_index)
+    # only the weighted barycentres were read, so the index dies before the assembly
+    del new_index
+    # each list is freed once its tuple is made
+    for k, faces_k in enumerate(faces):
+        faces_k.sort()
+        faces[k] = tuple(faces_k)
+    S = FilteredComplex(name, n, new_ids, faces, vertex_level, singular)
     for v, w in weighted:
         S.weights[S._vertex_label[v]] = w
     return S

@@ -3,6 +3,7 @@
 import functools
 import gc
 import json
+import math
 import os
 import random
 import re
@@ -330,9 +331,10 @@ def test_subdivision_examples(t2, s1):
 
 
 def test_subdivision_leaves_no_cyclic_garbage(susp_t2):
-    """The flag table of a subdivision is freed by reference counting: after
-    a first run has filled any lazy module state, the cyclic collector finds
-    nothing after the second."""
+    """The tables of a subdivision (the barycentre index, the index columns
+    and the chain shapes) are freed by reference counting: after a first run
+    has filled any lazy module state, the cyclic collector finds nothing
+    after the second."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -343,6 +345,77 @@ def test_subdivision_leaves_no_cyclic_garbage(susp_t2):
     finally:
         if enabled:
             gc.enable()
+
+
+def _stirling2(m, k):
+    """The partitions of m things into k nonempty blocks, by the recurrence
+    S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)."""
+    if m == 0 or k == 0:
+        return int(m == k)
+    return k * _stirling2(m - 1, k) + _stirling2(m - 1, k - 1)
+
+
+def _ordered_partitions(m, k):
+    return math.factorial(k) * _stirling2(m, k)
+
+
+@pytest.mark.parametrize("d, total", [(0, 1), (1, 3), (2, 13), (3, 75), (4, 541), (5, 4683)])
+def test_chain_shapes_are_the_ordered_partitions(d, total):
+    """The shapes of length L of a d-simplex are the chains of L nonempty
+    position sets ending at {0..d}: the ordered partitions of d + 1 positions
+    into L blocks, L! S(d + 1, L) of them, each listed once with its sets in
+    lexicographic order."""
+    by_length = cx._chain_shapes(d)
+    assert [len(shapes) for shapes in by_length] == [
+        _ordered_partitions(d + 1, length) for length in range(1, d + 2)]
+    assert sum(map(len, by_length)) == total
+    for length, shapes in enumerate(by_length, 1):
+        assert len(set(shapes)) == len(shapes)
+        for shape in shapes:
+            assert len(shape) == length and list(shape) == sorted(shape)
+            assert all(p == tuple(sorted(set(p))) for p in shape)
+            nested = sorted(map(set, shape), key=len)
+            assert nested[-1] == set(range(d + 1))
+            assert all(a < b for a, b in zip(nested, nested[1:]))
+
+
+def _sd_counts(counts):
+    """The f-vector of a barycentric subdivision: an i-face is a chain of
+    i + 1 faces ending at one k-simplex, an ordered partition of its k + 1
+    vertices into i + 1 blocks."""
+    return tuple(sum(c * _ordered_partitions(k + 1, i + 1) for k, c in enumerate(counts))
+                 for i in range(len(counts)))
+
+
+def test_subdivision_counts_follow_the_ordered_partitions(spaces, ladder):
+    pairs = [(K, cx.barycentric_subdivide(K)) for K in spaces.values()]
+    pairs += [(ladder[src], ladder[key]) for key, ctor, src in _LADDER
+              if ctor == "barycentric_subdivide"]
+    assert len(pairs) == len(corpus.SPACE_NAMES) + 3
+    for K, S in pairs:
+        assert S.counts() == _sd_counts(K.counts()), S.name
+
+
+def test_subdivision_keeps_no_table_after_the_call():
+    """A d-simplex has Fubini(d + 1) chain shapes, as many as the faces of
+    its subdivision that contain its barycentre, so no table may outlive the
+    call: the subdivision of a 5-simplex, built and freed, leaves
+    tracemalloc's current size at its baseline. An edge is subdivided first,
+    to fill any lazy module state."""
+    simplex = cx.build("5-simplex", range(6), [tuple(range(6))])
+    cx.barycentric_subdivide(cx.build("edge", range(2), [(0, 1)]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        S = cx.barycentric_subdivide(simplex)
+        assert S.counts() == _sd_counts(simplex.counts())
+        del S
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held == 0
 
 
 def test_subdivision_preserves_betti_and_strata(spaces):
@@ -1315,18 +1388,21 @@ def _assert_full(K):
 
 
 def test_joins_take_their_faces_from_the_complex(monkeypatch, spaces, ladder):
-    """Cones and suspensions never derive faces or skeleta again, so they
-    build with both helpers raising; their outputs, and those of
-    subdivisions, which skip the fullness test too, are full."""
+    """Cones, suspensions and subdivisions never derive faces or skeleta
+    again, so they build with both helpers raising: a join takes K's lists,
+    a subdivision lists the chains of K's simplices. Their outputs, which
+    skip the fullness test, are full."""
     inputs = [*spaces.values(), corpus.load_space("t2_7"), *ladder.values()]
-    subdivisions = [cx.barycentric_subdivide(spaces[name]) for name in corpus.SPACE_NAMES]
 
     def refuse(*args):
-        raise AssertionError("a join derived its faces again")
+        raise AssertionError("a construction derived its faces again")
 
     monkeypatch.setattr(cx, "_faces_by_dim", refuse)
     monkeypatch.setattr(cx, "_complete_skeleta", refuse)
     joins = [J for K in inputs for J in (cx.cone(K, F(2, 3)), cx.suspension(K, (F(1, 2), 3)))]
+    subdivisions = [cx.barycentric_subdivide(spaces[name]) for name in corpus.SPACE_NAMES]
+    subdivisions += [cx.barycentric_subdivide(ladder[key])
+                     for key in ("susp(t2)", "susp(susp t2)")]
     monkeypatch.undo()
     for K in [*joins, *subdivisions, *ladder.values()]:
         _assert_full(K)

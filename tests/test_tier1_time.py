@@ -1,4 +1,5 @@
-"""tools/tier1_time.py: its summary parsing and median, without starting pytest."""
+"""tools/tier1_time.py: its summary parsing, median and run schedule, without
+starting pytest."""
 
 import importlib.util
 from pathlib import Path
@@ -40,3 +41,36 @@ def test_median():
 def test_runs_below_one_are_refused():
     with pytest.raises(SystemExit, match="at least 1"):
         tier1_time.main(["tier1_time.py", "0"])
+
+
+def test_schedule_alternates_which_tree_goes_first():
+    assert tier1_time.schedule(1, ["."]) == ["."]
+    assert tier1_time.schedule(3, ["."]) == [".", ".", "."]
+    assert tier1_time.schedule(4, [".", "parent"]) == [
+        ".", "parent", "parent", ".", ".", "parent", "parent", "."]
+    assert tier1_time.schedule(3, ["a", "b"]).count("b") == 3
+
+
+def test_against_runs_each_tree_in_turn(monkeypatch, capsys):
+    """`--against` times both trees by the schedule, in their own
+    directories, and prints each tree's median."""
+    walls = iter([10.0, 20.0, 22.0, 11.0, 12.0, 21.0])
+    ran = []
+
+    def run_once(tree):
+        ran.append(tree)
+        return next(walls), 0, "1014 passed in 9.00s"
+
+    monkeypatch.setattr(tier1_time, "_run_once", run_once)
+    assert tier1_time.main(["tier1_time.py", "3", "--against", "../parent"]) == 0
+    assert ran == tier1_time.schedule(3, [".", "../parent"])
+    out = capsys.readouterr().out
+    assert "run 2 (../parent): 20.0 s, exit 0: 1014 passed in 9.00s" in out
+    assert out.endswith("median (.): 11.0 s over 3 runs\n"
+                        "median (../parent): 21.0 s over 3 runs\n")
+
+
+def test_a_failed_run_fails_the_tool(monkeypatch, capsys):
+    monkeypatch.setattr(tier1_time, "_run_once", lambda tree: (1.0, 1, None))
+    assert tier1_time.main(["tier1_time.py", "1"]) == 1
+    assert "exit 1: no summary line" in capsys.readouterr().out

@@ -2,16 +2,21 @@
 
 Run from the repository root:
 
-    python tools/tier1_time.py [RUNS]
+    python tools/tier1_time.py [RUNS] [--against DIR]
 
 RUNS defaults to 3. Each run is
 
     PYTHONPATH=src[:$PYTHONPATH] python -m pytest -q --continue-on-collection-errors
 
-in a fresh process. The tool prints each run's wall time and pytest's
-summary line, then the median wall time. It exits 1 if any run fails.
+in a fresh process, in the tree it times. With `--against DIR` the tool
+times this tree and the tree at DIR (say, a copy of the parent commit) in
+RUNS rounds of one run each, the first tree switching every round (this,
+DIR; DIR, this; ...), so that drift of the host falls on both alike. It
+prints each run's wall time and pytest's summary line, then each tree's
+median wall time. It exits 1 if any run fails.
 """
 
+import argparse
 import os
 import re
 import subprocess
@@ -44,26 +49,38 @@ def median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _run_once():
+def schedule(runs, trees):
+    """The trees in the order they run: `runs` rounds of one run per tree,
+    the rounds in turn forward and backward, so each pair switches which
+    tree goes first."""
+    return [tree for k in range(runs) for tree in (trees if k % 2 == 0 else trees[::-1])]
+
+
+def _run_once(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    done = subprocess.run(COMMAND, env=env, capture_output=True, text=True)
+    done = subprocess.run(COMMAND, cwd=tree, env=env, capture_output=True, text=True)
     return time.perf_counter() - start, done.returncode, summary_line(done.stdout)
 
 
 def main(argv):
-    runs = int(argv[1]) if len(argv) > 1 else 3
-    if runs < 1:
+    parser = argparse.ArgumentParser(description="Time the Tier-1 test run.")
+    parser.add_argument("runs", nargs="?", type=int, default=3, help="runs per tree")
+    parser.add_argument("--against", metavar="DIR", help="a second tree, timed alternately")
+    args = parser.parse_args(argv[1:])
+    if args.runs < 1:
         raise SystemExit("RUNS must be at least 1")
-    times, failed = [], False
-    for k in range(runs):
-        wall, code, summary = _run_once()
-        times.append(wall)
+    trees = ["."] if args.against is None else [".", args.against]
+    times, failed = {tree: [] for tree in trees}, False
+    for k, tree in enumerate(schedule(args.runs, trees)):
+        wall, code, summary = _run_once(tree)
+        times[tree].append(wall)
         failed = failed or code != 0
-        print(f"run {k + 1}: {wall:.1f} s, exit {code}: {summary or 'no summary line'}",
+        print(f"run {k + 1} ({tree}): {wall:.1f} s, exit {code}: {summary or 'no summary line'}",
               flush=True)
-    print(f"median: {median(times):.1f} s over {runs} runs")
+    for tree, walls in times.items():
+        print(f"median ({tree}): {median(walls):.1f} s over {len(walls)} runs")
     return 1 if failed else 0
 
 
