@@ -30,14 +30,12 @@ from .errors import (
 )
 from .intersection import (
     StratifiedChainComplex,
-    allowable,
     duality_check,
     intersection_betti,
 )
 from .perversity import (
     Perversity,
     bracket,
-    compare,
     dual,
     hunsicker_shift_check,
     is_gm_perversity,
@@ -49,7 +47,7 @@ from .perversity import (
     zero_perversity,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _LAZY = {
     **dict.fromkeys(("FiniteHilbertComplex", "cohomology_dims", "dual_complex",

@@ -234,8 +234,12 @@ def _build_parser():
     p = add_parser("ih", help="intersection betti/cobetti of a space")
     p.add_argument("--space", required=True)
     p.add_argument("--perversity", required=True)
-    p.add_argument("--cobetti", action="store_true")
-    p.add_argument("--emit-generators", action="store_true")
+    p.add_argument("--cobetti", action="store_true",
+                   help="also report the intersection cobetti numbers, which over Q "
+                        "equal the betti numbers")
+    p.add_argument("--emit-generators", action="store_true",
+                   help="also emit RCEF bases of the chain spaces IC_i: not cycles, "
+                        "and not generators of IH")
     p.set_defaults(func=cmd_ih)
 
     p = add_parser("perversity", help="construct and inspect perversities")

@@ -40,7 +40,6 @@ from itertools import compress
 
 from . import linalg
 from .complexes import _betti, check_orientation
-from .errors import ConfigurationError
 from .perversity import Perversity, dual, perversity_to_json
 
 
@@ -53,24 +52,6 @@ def _allowed(prof, i, K, p):
     return True
 
 
-def allowable(sigma, i, K, p: Perversity) -> bool:
-    """p-allowability of a regular simplex at chain degree i.
-
-    The degree is the chain degree, which exceeds dim(sigma) when boundary
-    faces are being checked at their own degree i-1.
-    """
-    sigma = tuple(sigma)
-    try:
-        j = K.index(sigma)
-        profiles, of = K.profile_classes[len(sigma) - 1]
-        prof = profiles[of[j]]
-    except KeyError:
-        prof = None
-    if prof is None:
-        raise ConfigurationError(f"{sigma} is not a regular simplex of {K.name}")
-    return _allowed(prof, i, K, p)
-
-
 class StratifiedChainComplex:
     """The intersection chain complex of (K, p): the regular simplices and
     the allowable indices into `K.simplices(i)`, over the complex's boundary
@@ -79,8 +60,8 @@ class StratifiedChainComplex:
     def __init__(self, K, p: Perversity):
         self.K = K
         # per degree, whether each profile class is allowable: decided once
-        # per profile, met in simplex order, so that a perversity lacking a
-        # stratum fails on the same one as a per-simplex test
+        # per profile, met in simplex order, so that a perversity lacking
+        # several strata names the first one that a simplex meets
         self._ok = [[prof is not None and (not prof or _allowed(prof, i, K, p))
                      for prof in profiles]
                     for i, (profiles, _) in enumerate(K.profile_classes)]
@@ -108,8 +89,10 @@ class StratifiedChainComplex:
             # IC_i is the kernel of the rows that are neither allowed nor in X_{n-1}
             bnd = self.K.boundary_matrix(i)
             sub = [{r: v for r, v in bnd[j].items() if r in bad} for j in cols_idx]
+            # integer ±1 columns with no stored zero, and rcef is canonical
+            # for a span, so the raw zero combinations serve
             combos = [{cols_idx[pos]: v for pos, v in combo.items()}
-                      for combo in linalg.kernel(sub)]
+                      for combo in linalg._zero_combinations(sub)]
             bases.append(linalg.rcef(combos))
             bad = {j for j, c in enumerate(of) if profiles[c] is not None}.difference(cols_idx)
         return bases

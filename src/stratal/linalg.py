@@ -52,16 +52,17 @@ give the kernel. Everything else derives from the pivot table:
   pivot table back: the same column operations as a reduction on the
   topmost row. It divides each pivot column by its pivot entry and
   back-substitutes in Fractions.
-- `project_onto_span` is two steps. `_basis` reduces the columns to their
+- `_basis` and `_solve` project onto a span, as
+  `hilbert.kodaira_decompose` does. `_basis` reduces the columns to their
   pivot columns B. `_solve` solves the normal equations of B over the
   integers: for an integer vector w, the single zero combination (x, t) of
   [BᵀB | Bᵀw] gives the projection of w as the integer vector B(-x) over
   t. A rational v is first scaled by the lcm m of its denominators
-  (`_over`), so its projection is B(-x)/(t·m), with one division per
-  entry. A caller that projects onto the same span again keeps B, and one
-  that combines several projections keeps their numerators. An empty B
-  needs no special case: [BᵀB | Bᵀw] is one empty column, whose zero
-  combination is t = 1, so the projection is the zero vector over 1.
+  (`_over`), so its projection is B(-x)/(t·m). A caller that projects onto
+  the same span again keeps B, and one that combines several projections
+  keeps their numerators. An empty B needs no special case: [BᵀB | Bᵀw] is
+  one empty column, whose zero combination is t = 1, so the projection is
+  the zero vector over 1.
 """
 
 from fractions import Fraction
@@ -414,15 +415,3 @@ def _solve(w, basis):
     t = combo.pop(len(basis))
     return combine_columns(basis, [{i: -x for i, x in combo.items()}])[0], t
 
-
-def project_onto_span(v, cols):
-    """Orthogonal projection of v onto the column span, exact over the rationals.
-
-    It solves over the integers: for the pivot columns B of `cols`
-    (`_basis`) and w = m·v the integer multiple from `_over`, `_solve`
-    gives the projection of w as num/t, so that of v is num/(t·m), one
-    Fraction per entry.
-    """
-    w, m = _over(v)
-    num, t = _solve(w, _basis(cols))
-    return {r: Fraction(x, t * m) for r, x in num.items()}

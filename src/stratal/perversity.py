@@ -1,4 +1,4 @@
-"""Perversity values, constructions, comparisons, and the weight maps.
+"""Perversity values, constructions, duals, and the weight maps.
 
 A perversity is either a function of stratum codimension (the classical
 Goresky-MacPherson shape, extended to arbitrary integers) or an arbitrary
@@ -298,28 +298,6 @@ def hunsicker_shift_check(f: int, c) -> bool:
     else:
         shift = bracket(Fraction(1, 2) + Fraction(1, 2) / c)
     return q_val == lower_mid - shift
-
-
-def compare(p: Perversity, q: Perversity) -> str:
-    """Pointwise comparison over the common domain.
-
-    Returns "eq", "le", "ge", or "incomparable"; mixed signs are reported,
-    not raised. Perversities of different kinds cannot be compared directly.
-    """
-    if p.kind != q.kind:
-        raise ConfigurationError("cannot compare perversities of different kinds")
-    common = set(p.values) & set(q.values)
-    if not common:
-        raise ConfigurationError("perversities share no domain")
-    has_lt = any(p.values[k] < q.values[k] for k in common)
-    has_gt = any(p.values[k] > q.values[k] for k in common)
-    if has_lt and has_gt:
-        return "incomparable"
-    if has_lt:
-        return "le"
-    if has_gt:
-        return "ge"
-    return "eq"
 
 
 def perversity_to_json(p: Perversity) -> dict:

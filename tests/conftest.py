@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
@@ -5,6 +6,7 @@ import pytest
 
 from stratal import complexes as cx
 from stratal import corpus
+from stratal import linalg
 
 
 def _face_profiles(K):
@@ -63,6 +65,20 @@ def _dropped_boundary(K):
             out.append(cols)
         _DROPPED[K] = out
     return _DROPPED[K]
+
+
+def _project_onto_span(v, cols):
+    """Orthogonal projection of v onto the column span of `cols`, exact,
+    through the steps that `hilbert.kodaira_decompose` takes: `_over`,
+    `_basis` and `_solve`."""
+    w, m = linalg._over(v)
+    num, t = linalg._solve(w, linalg._basis(cols))
+    return {r: Fraction(x, t * m) for r, x in num.items()}
+
+
+@pytest.fixture(scope="session")
+def project_onto_span():
+    return _project_onto_span
 
 
 @pytest.fixture(scope="session")

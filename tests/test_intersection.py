@@ -3,7 +3,6 @@
 import copy
 import itertools
 import random
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,21 +29,14 @@ def test_allowable_examples(cone_t2):
         s for s in cone_t2.simplices(2) if apex_vertex in s
     )
     off_apex = next(s for s in cone_t2.simplices(2) if apex_vertex not in s)
-    p1 = pv.Perversity(pv.PER_STRATUM, {apex_id: 1})
-    p0 = pv.Perversity(pv.PER_STRATUM, {apex_id: 0})
+    allowed = {value: ix.StratifiedChainComplex(
+        cone_t2, pv.Perversity(pv.PER_STRATUM, {apex_id: value})).allowable_indices[2]
+        for value in (0, 1)}
     # 0 <= 2 - 3 + 1 admits the apex face; 0 <= 2 - 3 + 0 does not
-    assert ix.allowable(through_apex, 2, cone_t2, p1)
-    assert not ix.allowable(through_apex, 2, cone_t2, p0)
+    assert cone_t2.index(through_apex) in allowed[1]
+    assert cone_t2.index(through_apex) not in allowed[0]
     # a regular simplex with no singular faces is allowable for any perversity
-    assert ix.allowable(off_apex, 2, cone_t2, p0)
-
-
-def test_allowable_rejects_a_simplex_that_is_not_regular(cone_t2):
-    apex = (len(cone_t2.vertex_ids) - 1,)
-    p = _per_stratum(cone_t2, 0)
-    for sigma in (apex, (0, 99), (), tuple(range(5))):
-        with pytest.raises(ConfigurationError, match=re.escape(f"{sigma} is not a regular")):
-            ix.allowable(sigma, 2, cone_t2, p)
+    assert cone_t2.index(off_apex) in allowed[0]
 
 
 def test_manifold_degeneration(t2, s2):
@@ -235,19 +227,17 @@ def test_simplices_off_the_singular_set_have_empty_profiles(spaces, ih_ladder, r
 def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih_ladder):
     for K in _all_spaces(spaces, ih_ladder):
         singular = _singular_vertices(K)
-        p = _per_stratum(K, -100)
-        for simplices in ix.StratifiedChainComplex(K, p).reg:
-            for s in simplices:
-                off = singular.isdisjoint(s)
-                for i in range(len(s) - 1, K.n + 1):
-                    # -100 rejects every simplex that meets a singular stratum
-                    assert ix.allowable(s, i, K, p) is off, (K.name, s, i)
+        chains = ix.StratifiedChainComplex(K, _per_stratum(K, -100))
+        for i, simplices in enumerate(chains.reg):
+            # -100 rejects every simplex that meets a singular stratum
+            off = [K.index(s) for s in simplices if singular.isdisjoint(s)]
+            assert chains.allowable_indices[i] == off, (K.name, i)
 
 
 def test_allowable_indices_match_per_simplex_allowability(spaces, ih_ladder, face_profiles):
-    """Allowability decided once per profile picks the same simplices as the
-    per-simplex test, under the named perversities and seeded per-stratum
-    ones."""
+    """Allowability decided once per profile picks the same simplices as
+    testing each simplex on its own face profile, under the named
+    perversities and seeded per-stratum ones."""
     rng = random.Random(11)
     for K in _all_spaces(spaces, ih_ladder):
         profiles = face_profiles(K)
@@ -255,8 +245,6 @@ def test_allowable_indices_match_per_simplex_allowability(spaces, ih_ladder, fac
             chains = ix.StratifiedChainComplex(K, p)
             want = _allowable_by_definition(K, p, profiles)
             assert chains.allowable_indices == want, (K.name, p)
-            assert want == [[K.index(s) for s in simplices if ix.allowable(s, i, K, p)]
-                            for i, simplices in enumerate(chains.reg)], (K.name, p)
 
 
 def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder, dropped_boundary):

@@ -105,14 +105,14 @@ def test_in_span_and_residual():
     assert linalg.rcef([*ech, {0: 1}]) != ech
 
 
-def test_projection_is_orthogonal_and_idempotent():
+def test_projection_is_orthogonal_and_idempotent(project_onto_span):
     rng = random.Random(14)
     for _ in range(60):
         nr = rng.randint(1, 6)
         cols = _random_cols(rng, nr, rng.randint(1, 4), density=0.7)
         v = {r: rng.randint(-3, 3) for r in range(nr)}
         v = {r: x for r, x in v.items() if x}
-        proj = linalg.project_onto_span(v, cols)
+        proj = project_onto_span(v, cols)
         resid = dict(v)
         for r, val in proj.items():
             w = resid.get(r, 0) - val
@@ -122,7 +122,7 @@ def test_projection_is_orthogonal_and_idempotent():
                 del resid[r]
         for col in cols:
             assert linalg.dot(resid, col) == 0
-        again = linalg.project_onto_span(proj, cols)
+        again = project_onto_span(proj, cols)
         assert again == proj
 
 

@@ -1,8 +1,9 @@
 """Pinned outputs of the exact elimination on seeded matrices.
 
 Each digest is the sha256 of `repr` of what `rank`, `kernel`, `rcef` or
-`project_onto_span` returns over a seeded list of matrices, every dict given
-as its item list, so that equal means the same entries in the same order.
+the projection onto a span (`_over`, `_basis` and `_solve`, as
+`conftest.project_onto_span` chains them) returns over a seeded list of
+matrices, every dict given as its item list, so that equal means the same entries in the same order.
 The matrices hold small ints, Fractions, or ints past 2**128 (which make
 `_shrink` renormalize), and each also holds an empty column and one dict
 object passed twice. Each case runs with `_HEAP_AFTER` at 0, at 3 and at its
@@ -52,7 +53,7 @@ def _items(cols):
     return [list(c.items()) for c in cols]
 
 
-def _outputs():
+def _outputs(project_onto_span):
     out = {"rank": [], "kernel": [], "rcef": [], "project_onto_span": []}
     for kind in _KINDS:
         rng = random.Random(f"pins-{kind}")
@@ -61,7 +62,7 @@ def _outputs():
             out["rank"].append(linalg.rank(cols))
             out["kernel"].append(_items(linalg.kernel(cols)))
             out["rcef"].append(_items(linalg.rcef(cols)))
-            out["project_onto_span"].append(list(linalg.project_onto_span(v, cols).items()))
+            out["project_onto_span"].append(list(project_onto_span(v, cols).items()))
     return {name: hashlib.sha256(repr(got).encode()).hexdigest() for name, got in out.items()}
 
 
@@ -76,7 +77,7 @@ PINS = {
 
 
 @pytest.mark.parametrize("cutoff", [0, 3, "default"])
-def test_elimination_outputs_are_pinned(cutoff, monkeypatch):
+def test_elimination_outputs_are_pinned(cutoff, monkeypatch, project_onto_span):
     if cutoff != "default":
         monkeypatch.setattr(linalg, "_HEAP_AFTER", cutoff)
     fired = []
@@ -87,5 +88,5 @@ def test_elimination_outputs_are_pinned(cutoff, monkeypatch):
         return shrink(col, *rest)
 
     monkeypatch.setattr(linalg, "_shrink", spy)
-    assert _outputs() == PINS
+    assert _outputs(project_onto_span) == PINS
     assert any(fired)

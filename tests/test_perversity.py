@@ -216,16 +216,6 @@ def test_hunsicker_examples_and_grid():
             assert pv.hunsicker_shift_check(f, c)
 
 
-def test_compare_reports_incomparable():
-    a = pv.Perversity(pv.BY_CODIM, {2: 0, 3: 0})
-    b = pv.Perversity(pv.BY_CODIM, {2: 0, 3: 1})
-    m = pv.Perversity(pv.BY_CODIM, {2: 1, 3: 0})
-    assert pv.compare(a, b) == "le"
-    assert pv.compare(b, a) == "ge"
-    assert pv.compare(a, a) == "eq"
-    assert pv.compare(b, m) == "incomparable"
-
-
 def test_json_round_trip():
     t = pv.top_perversity(3)
     assert pv.perversity_from_json(json.loads(json.dumps(pv.perversity_to_json(t)))) == t
