@@ -55,6 +55,18 @@ def test_exported_name_is_the_defining_object(module, name):
     assert namespace[name] is getattr(importlib.import_module(f"stratal.{module}"), name)
 
 
+# names exported in 0.1.0 whose functions 0.2.0 deleted, with their old module
+REMOVED = {"allowable": "intersection", "compare": "perversity"}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_name_is_not_exported(name):
+    assert name not in dir(stratal)
+    assert not hasattr(importlib.import_module(f"stratal.{REMOVED[name]}"), name)
+    with pytest.raises(ImportError, match=name):
+        exec(f"from stratal import {name}", {})
+
+
 def test_unknown_attribute_raises():
     assert stratal.__version__ == "0.2.0"
     assert {name for names in EXPORTS.values() for name in names} <= set(dir(stratal))

@@ -234,6 +234,15 @@ def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih
             assert chains.allowable_indices[i] == off, (K.name, i)
 
 
+def test_simplices_that_are_not_regular_are_never_allowable(spaces, ih_ladder):
+    for K in _all_spaces(spaces, ih_ladder):
+        chains = ix.StratifiedChainComplex(K, _per_stratum(K, 100))
+        for i in range(K.n + 1):
+            # 100 admits every regular simplex; a simplex of X_{n-1} stays out
+            regular = [j for j, s in enumerate(K.simplices(i)) if K.level(s) == K.n]
+            assert chains.allowable_indices[i] == regular, (K.name, i)
+
+
 def test_allowable_indices_match_per_simplex_allowability(spaces, ih_ladder, face_profiles):
     """Allowability decided once per profile picks the same simplices as
     testing each simplex on its own face profile, under the named
