@@ -22,32 +22,38 @@ values in it.
 
 Construction makes each dimension's sorted simplex list on its own, and
 every path ends in one step, `FilteredComplex(...)`, which takes X_{n-1} as
-one sorted list and groups the strata. A document (`load`, `build`) gets
-its faces from C-level passes over whole lists (`_faces_by_dim`): the
-vertices from one flat pass, the faces of each size from one pass of
-`combinations` with the repeats dropped by `dict.fromkeys` and the list
-sorted in place, and the top dimension from the maximal simplices
-themselves. A listed skeleton simplex is found in its dimension's list by
-bisection, and fullness is tested on the faces of the maximal simplices cut
-down to their singular vertices. A cone or suspension takes its faces from
-K: each dimension's list merges K's with the cones on K's list one
+one sorted list and the weights as (vertex, weight) pairs, and groups the
+strata; no constructor writes into the complex after it. A document
+(`load`, `build`) gets its faces from C-level passes over whole lists
+(`_faces_by_dim`): the vertices from one flat pass, the faces of each size
+from one pass of `combinations` with the repeats dropped by `dict.fromkeys`
+and the list sorted in place, and the top dimension from the maximal
+simplices themselves. Its skeleta become one map, `_skeleton_levels`, from
+each simplex of X_{n-1} to the least j with the simplex in X_j: a listed
+skeleton simplex is found in its dimension's list by bisection, and
+fullness is tested level by level on the faces of the maximal simplices
+cut down to their singular vertices. A cone or suspension takes its faces
+from K: each dimension's list merges K's with the cones on K's list one
 dimension down, and the levels and X_{n-1} follow from K's, so nothing is
 derived again or tested. A subdivision lists its faces as the chains of
 K's simplices, each made once from its top simplex by C-level `map`s and
 `zip`s over K's lists (`_chains`), sorts each dimension once, and takes its
-levels from the old simplices; it is pure and full by construction, so
-neither is tested, and a document whose filtration is not full takes the
-same subdivision. The complex is never held as one set, nor as one list of
-mixed lengths sorted and then split. Python loops remain over the edges
-whose ends share a level (they give the components, joined by union-find),
-over the few singular simplices, and over each dimension's first regular
-simplices, until every regular component has been met.
+levels from the same map, made from K's vertex levels; it is pure and full
+by construction, so neither is tested, and a document whose filtration is
+not full takes the same subdivision. The complex is never held as one set,
+nor as one list of mixed lengths sorted and then split. Python loops
+remain over the edges whose ends share a level (they give the components,
+joined by union-find), over the few singular simplices, and over each
+dimension's first regular simplices, until every regular component has
+been met.
 
 A stratum is a descriptor: its id, dimensions, kind and level, with no
 member list. Its members are the simplices that `label` maps to its id, and
-X_j is the part of X_{n-1} with no vertex above level j. A constructor
-carries each weight through one vertex of its stratum, whose image lies in
-the stratum that inherits it.
+X_j is the part of X_{n-1} with no vertex above level j. A cone,
+suspension or subdivision hands each weight on with one vertex of its
+stratum (`_weighted_vertices`), whose image lies in the stratum that
+inherits it. A document names strata, not vertices, so `load` checks its
+weights against the assembled strata and sets them by stratum id.
 
 Construction holds each table only while something still reads it. `load`
 drops the parsed document, and any file text it read, before the assembly,
@@ -73,7 +79,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, filterfalse, repeat
+from itertools import chain, combinations, filterfalse, repeat
 from pathlib import Path
 
 from . import linalg
@@ -142,7 +148,7 @@ def _name_simplex(simplex, vertex_ids):
 
 
 class FilteredComplex:
-    """Immutable after construction; build via load(), build(), or a constructor.
+    """Build via load(), build(), or a constructor.
 
     Stored: the simplices by dimension, X_{n-1} as one sorted list, each
     vertex's level and stratum id, the strata and the weights. The simplex
@@ -154,10 +160,11 @@ class FilteredComplex:
     it.
     """
 
-    def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular):
+    def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular, weighted):
         """`by_dim[i]`: the i-simplices, sorted; per vertex v, its level;
-        `singular`: X_{n-1}, sorted. The caller has made the complex pure and
-        its skeleta full, and sets the weights."""
+        `singular`: X_{n-1}, sorted; `weighted`: (vertex, weight) pairs, each
+        weighting the stratum of its vertex. The caller has made the complex
+        pure and its skeleta full."""
         self.name = name
         self.n = n
         self.vertex_ids = tuple(vertex_ids)
@@ -166,7 +173,7 @@ class FilteredComplex:
         self._singular = singular
         self.strata, self._vertex_label = _stratify(n, by_dim, singular, vertex_level,
                                                     self.vertex_ids)
-        self.weights = {}
+        self.weights = {self._vertex_label[v]: w for v, w in weighted}
         self.ih_memo = {}
 
     # ------------------------------------------------------------------ basics
@@ -204,6 +211,12 @@ class FilteredComplex:
 
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
+
+    def _weighted_vertices(self):
+        """Each weight paired with a vertex of its stratum, as a constructor
+        hands it on: the image of that vertex lies in the stratum that
+        inherits the weight."""
+        return [(self._vertex_label.index(sid), w) for sid, w in self.weights.items()]
 
     def skeleton(self, j):
         """X_j: X_{n-1} for j = n - 1, the whole complex above it, and below
@@ -401,11 +414,12 @@ def _betti(sizes, ranks):
 # ------------------------------------------------------------------- builders
 
 
-def _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids):
-    """Validate and complete the filtration chain X_0 <= ... <= X_{n-1}, whose
-    listed simplices are sorted tuples. `by_dim` is the complex, one sorted
+def _skeleton_levels(n, by_dim, raw_skeleta, vertex_ids):
+    """Validate the filtration chain X_0 <= ... <= X_{n-1}, whose listed
+    simplices are sorted tuples, and map each simplex of X_{n-1} to the
+    least j with the simplex in X_j. `by_dim` is the complex, one sorted
     list per dimension, in which each listed simplex is looked up."""
-    levels = {}
+    level = {}
     prev = frozenset()
     given = {parse_int(j, "skeleton level"): v for j, v in raw_skeleta.items()}
     if len(given) < len(raw_skeleta):  # 0 and "0" name one level
@@ -413,34 +427,32 @@ def _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids):
     for j in sorted(given):
         if j < 0 or j > n - 1:
             raise SpaceFormatError(f"skeleton level {j} outside 0..{n - 1}")
-    for j in range(n):
-        if j in given:
-            listed = given[j]
-            for s in listed:
-                known = by_dim[len(s) - 1] if len(s) <= len(by_dim) else ()
-                i = bisect_left(known, s)
-                if i == len(known) or known[i] != s:
-                    raise SpaceFormatError(
-                        f"skeleton {j} lists unknown simplex {_name_simplex(s, vertex_ids)}"
-                    )
-            # a face is never wider than the listed simplex it comes from
-            widest = max(listed, key=len, default=())
-            if len(widest) - 1 > j:
+    # a level that is not listed repeats the one below it
+    for j in sorted(given):
+        listed = given[j]
+        for s in listed:
+            known = by_dim[len(s) - 1] if len(s) <= len(by_dim) else ()
+            i = bisect_left(known, s)
+            if i == len(known) or known[i] != s:
                 raise SpaceFormatError(
-                    f"skeleton {j} contains {_name_simplex(widest, vertex_ids)} "
-                    f"of dimension {len(widest) - 1}"
+                    f"skeleton {j} lists unknown simplex {_name_simplex(s, vertex_ids)}"
                 )
-            level = frozenset(chain.from_iterable(_faces_by_dim(listed)))
-            if not prev <= level:
-                missing = next(iter(prev - level))
-                raise SpaceFormatError(
-                    f"skeleta not nested: X_{j} lacks {_name_simplex(missing, vertex_ids)}"
-                )
-            levels[j] = level
-            prev = level
-        else:
-            levels[j] = prev
-    return levels
+        # a face is never wider than the listed simplex it comes from
+        widest = max(listed, key=len, default=())
+        if len(widest) - 1 > j:
+            raise SpaceFormatError(
+                f"skeleton {j} contains {_name_simplex(widest, vertex_ids)} "
+                f"of dimension {len(widest) - 1}"
+            )
+        closed = frozenset(chain.from_iterable(_faces_by_dim(listed)))
+        if not prev <= closed:
+            missing = next(iter(prev - closed))
+            raise SpaceFormatError(
+                f"skeleta not nested: X_{j} lacks {_name_simplex(missing, vertex_ids)}"
+            )
+        level.update(dict.fromkeys(closed - prev, j))
+        prev = closed
+    return level
 
 
 def _escaped_id(vid):
@@ -567,25 +579,24 @@ def _chains(by_dim, new_index):
     return out
 
 
-def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
+def _subdivide(name, n, vertex_ids, by_dim, level, weighted):
     """First barycentric subdivision of a pure complex, whose sorted
-    simplices per dimension are `by_dim` and whose closed skeleta are
-    `skeleta` (X_0..X_{n-1}): one new vertex per simplex in lexicographic
-    order, at the level of its simplex, and as faces the chains of simplices
-    (`_chains`), each dimension sorted once. The subdivision is pure, and
-    each X_j, the chains within the old X_j, is full, so neither is tested.
-    `weighted` pairs an old simplex with the weight of the stratum that its
-    barycentre lies in."""
+    simplices per dimension are `by_dim` and whose X_{n-1} is the keys of
+    `level`, which maps each of them to the least j with it in X_j: one new
+    vertex per simplex in lexicographic order, at the level of its simplex
+    (n off X_{n-1}), and as faces the chains of simplices (`_chains`), each
+    dimension sorted once. The subdivision is pure, and each X_j, the chains
+    within the old X_j, is full, so neither is tested. `weighted` holds
+    (old vertex, weight) pairs; a vertex is its own barycentre, so it lies
+    in the stratum that inherits its stratum's weight."""
     new_index = {s: i for i, s in enumerate(sorted(chain.from_iterable(by_dim)))}
     new_ids = _barycentre_ids(vertex_ids, new_index)
     vertex_level = [n] * len(new_ids)
-    for j in reversed(range(n)):
-        for s in skeleta[j]:
-            vertex_level[new_index[s]] = j
-    weighted = [(new_index[s], w) for s, w in weighted]
-    old_singular = skeleta.get(n - 1, ())
+    for s, j in level.items():
+        vertex_level[new_index[s]] = j
+    weighted = [(new_index[(v,)], w) for v, w in weighted]
     singular = sorted(chain.from_iterable(_chains(
-        [[s for s in old_singular if len(s) == d + 1] for d in range(n)], new_index)))
+        [[s for s in level if len(s) == d + 1] for d in range(n)], new_index)))
     faces = _chains(by_dim, new_index)
     # only the weighted barycentres were read, so the index dies before the assembly
     del new_index
@@ -593,10 +604,7 @@ def _subdivide(name, n, vertex_ids, by_dim, skeleta, weighted=()):
     for k, faces_k in enumerate(faces):
         faces_k.sort()
         faces[k] = tuple(faces_k)
-    S = FilteredComplex(name, n, new_ids, faces, vertex_level, singular)
-    for v, w in weighted:
-        S.weights[S._vertex_label[v]] = w
-    return S
+    return FilteredComplex(name, n, new_ids, faces, vertex_level, singular, weighted)
 
 
 def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
@@ -619,27 +627,29 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
                     f"complex not pure: maximal simplex {_name_simplex(s, vertex_ids)} "
                     f"has dimension {len(s) - 1}, expected {n}"
                 )
-    skeleta = _complete_skeleta(n, by_dim, raw_skeleta, vertex_ids)
+    level = _skeleton_levels(n, by_dim, raw_skeleta, vertex_ids)
     vertex_level = [n] * len(vertex_ids)
-    for j in reversed(range(n)):
-        for s in skeleta[j]:
-            if len(s) == 1:
-                vertex_level[s[0]] = j
+    for s, j in level.items():
+        if len(s) == 1:
+            vertex_level[s[0]] = j
     # X_j holds only simplices whose vertices all lie in it, and is full when
     # it holds all of them: the faces of the maximal simplices cut down to
     # their singular vertices (a set as small as the singular part) whose
-    # highest vertex has level <= j
+    # highest vertex has level <= j. So every X_j is full when, level by
+    # level, as many simplices of X_{n-1} have a given level as faces have
+    # that highest vertex level
     singular_vertices = {v for v, lvl in enumerate(vertex_level) if lvl < n}
     cut = set(map(tuple, map(partial(filter, singular_vertices.__contains__), maximal)))
     at_level = [0] * n
     for face in chain.from_iterable(_faces_by_dim(cut - {()})):
         at_level[max(map(vertex_level.__getitem__, face))] += 1
-    if all(len(skeleta[j]) == full for j, full in enumerate(accumulate(at_level))):
+    levels = list(level.values())
+    if at_level == list(map(levels.count, range(n))):
         K = FilteredComplex(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
-                            sorted(skeleta.get(n - 1, ())))
+                            sorted(level), ())
     else:
         # after one barycentric subdivision every skeleton is full
-        K = _subdivide(name, n, vertex_ids, by_dim, skeleta)
+        K = _subdivide(name, n, vertex_ids, by_dim, level, ())
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
@@ -793,17 +803,10 @@ def _join(K, label, apex_names, apex_weights):
     by_dim += [tuple(sorted(chain(faces[i], cones(faces[i - 1])))) for i in range(1, K.n + 1)]
     by_dim.append(tuple(cones(faces[K.n])))
     vertex_level = [j + 1 for j in K._vertex_level] + [0] * len(tips)
-    J = FilteredComplex(f"{label}({K.name})", K.n + 1, vertex_ids, by_dim, vertex_level,
-                        sorted(chain(tips, K._singular, cones(K._singular))))
     # each stratum of K lies in one stratum of J, as do its vertices
-    vertex_of = {sid: v for v, sid in enumerate(K._vertex_label)}
-    sid_of = J._vertex_label.__getitem__
-    for a, w in zip(apexes, apex_weights):
-        J.weights[sid_of(a)] = w
-    for s in K.singular_strata():
-        if s.id in K.weights:
-            J.weights[sid_of(vertex_of[s.id])] = K.weights[s.id]
-    return J
+    return FilteredComplex(f"{label}({K.name})", K.n + 1, vertex_ids, by_dim, vertex_level,
+                           sorted(chain(tips, K._singular, cones(K._singular))),
+                           [*zip(apexes, apex_weights), *K._weighted_vertices()])
 
 
 def cone(K, weight=Fraction(1)):
@@ -836,11 +839,9 @@ def barycentric_subdivide(K):
     with components recomputed this reproduces exactly one stratum per
     original stratum, and all skeleta of the subdivision are full.
     """
-    vertex_of = {sid: v for v, sid in enumerate(K._vertex_label)}
+    level_of = K._vertex_level.__getitem__
     return _subdivide(f"sd({K.name})", K.n, K.vertex_ids, K._by_dim,
-                      {j: K.skeleton(j) for j in range(K.n)},
-                      [((vertex_of[s.id],), K.weights[s.id])
-                       for s in K.singular_strata() if s.id in K.weights])
+                      {s: max(map(level_of, s)) for s in K._singular}, K._weighted_vertices())
 
 
 # ----------------------------------------------------------------- orientation

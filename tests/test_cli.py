@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -11,9 +12,13 @@ from pathlib import Path
 import pytest
 
 import stratal
-from stratal import cli
+from stratal import cli, corpus
 from stratal import complexes as cx
+from stratal import hilbert as hb
+from stratal import l2model as l2
+from stratal import perversity as pv
 from stratal.corpus import corpus_dir
+from stratal.errors import ConfigurationError, SpaceFormatError
 
 # the child processes import the same stratal as the tests, installed or not
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -415,3 +420,96 @@ def test_corpus_dir_option_reads_spaces_and_is_reported_as_given(tmp_path, capsy
     assert r.returncode == 0 and json.loads(r.stdout)["betti"] == [1, 0, 1]
     r = _main(capsys, "ih", "--space", "t2_7", "--perversity", "zero", "--corpus-dir", given)
     assert r.returncode == 2
+
+
+_TRIANGLE = {"dimension": 2, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1, 2]]}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    pytest.param(("ih", "--space", "susp_t2", "--perversity", "gm:"), {},
+                 "perversity has no value at codimension 3", id="gm-empty"),
+    pytest.param(("perversity", "--dim", "3", "--spec", "from-weights"), {},
+                 "perversity spec 'from-weights' needs a space", id="from-weights-no-space"),
+    pytest.param(("perversity", "--dim", "3", "--spec", "per-stratum:@p.json"),
+                 {"p.json": [0]}, "must hold a JSON object", id="perversity-list"),
+    pytest.param(("perversity", "--dim", "3", "--spec", "per-stratum:@p.json"),
+                 {"p.json": {"kind": "by-codim"}}, "perversity document needs 'kind' and 'values'",
+                 id="perversity-no-values"),
+    pytest.param(("perversity", "--dim", "3", "--spec", "per-stratum:@p.json"),
+                 {"p.json": {"kind": "by-codim", "values": [0]}},
+                 "perversity values must map keys to integers", id="perversity-values-list"),
+    pytest.param(("verify", "--suite", "nope"), {},
+                 "unknown suite 'nope'; use one of cone-local, degeneration, duality, hilbert, "
+                 "hunsicker, mil, realizability, ris-consistency", id="verify-unknown-suite"),
+    pytest.param(("verify", "--suite", "duality", "--corpus-dir", "@empty"), {},
+                 "no corpus spaces under", id="verify-empty-corpus"),
+    pytest.param(("hilbert", "--complex", "@c.json", "--decompose", "0"),
+                 {"c.json": {"dims": [1, 1], "differentials": [[[0]]]}},
+                 "--decompose needs --vector FILE", id="hilbert-decompose-no-vector"),
+    pytest.param(("hilbert", "--complex", "@c.json"),
+                 {"c.json": {"dims": [1, 1], "differentials": [[]]}},
+                 "D_0: expected 1 rows, got 0", id="hilbert-row-count"),
+    pytest.param(("hilbert", "--complex", "@c.json"),
+                 {"c.json": {"dims": [-1], "differentials": []}},
+                 "space dimensions cannot be negative", id="hilbert-negative-dim"),
+    pytest.param(("hilbert", "--complex", "@c.json"),
+                 {"c.json": {"dims": [1, 1], "differentials": []}},
+                 "expected 1 differentials for 2 spaces, got 0", id="hilbert-differential-count"),
+    pytest.param(("hilbert", "--complex", "@c.json"),
+                 {"c.json": {"dims": [2, 1], "differentials": [[{}]]}},
+                 "D_0: expected 2 columns, got 1", id="hilbert-column-count"),
+    pytest.param(("ih", "--space", "@k.json", "--perversity", "zero"), {"k.json": []},
+                 "space document must be a JSON object", id="space-not-object"),
+    pytest.param(("ih", "--space", "@k.json", "--perversity", "zero"),
+                 {"k.json": {**_TRIANGLE, "name": 5}}, "name must be a string",
+                 id="space-name-not-string"),
+    pytest.param(("ih", "--space", "@k.json", "--perversity", "zero"),
+                 {"k.json": {**_TRIANGLE, "skeleta": []}},
+                 "skeleta and weights must be JSON objects", id="space-skeleta-not-object"),
+    pytest.param(("ih", "--space", "@k.json", "--perversity", "zero"),
+                 {"k.json": {**_TRIANGLE, "skeleta": {"2": [[0]]}}},
+                 "skeleton level 2 outside 0..1", id="space-skeleton-level"),
+])
+def test_error_paths_exit_2_with_their_message(tmp_path, capsys, argv, files, message):
+    """Each of these errors is met in this process: exit 2, one error line
+    holding its message, no traceback. An argument "@name" names a file or
+    (for "@empty") an empty directory under `tmp_path`."""
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "empty").mkdir()
+    r = _main(capsys, *(a.replace("@", str(tmp_path) + os.sep) for a in argv))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "Traceback" not in r.stderr
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "by-codim", "values": {"3": 0}}))
+    r = _main(capsys, "perversity", "--dim", "3", "--spec", f"per-stratum:{path}")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"perversity": {"kind": "by-codim", "values": {"3": 0}}}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: hb.kodaira_decompose(hb.validate([1, 1], [[[0]]]), 0, {5: 1}),
+                 ConfigurationError, "vector does not live in degree 0", id="kodaira"),
+    pytest.param(lambda: pv.dual(pv.Perversity(pv.PER_STRATUM, {"nope": 0}),
+                                 corpus.load_space("cone_t2")),
+                 ConfigurationError, "no codimension known for stratum 'nope'", id="dual"),
+    pytest.param(lambda: pv.is_gm_perversity(pv.Perversity(pv.PER_STRATUM, {"a": 0})),
+                 ConfigurationError, "classicality is a by-codim notion", id="is-gm"),
+    pytest.param(lambda: pv.hunsicker_shift_check(0, 1), ConfigurationError,
+                 "the edge reduction needs link dimension >= 1", id="hunsicker"),
+    pytest.param(lambda: l2.eval_max("x"), ConfigurationError, "not a space expression: 'x'",
+                 id="eval-max"),
+    pytest.param(lambda: corpus.generate_space("nope"), SpaceFormatError,
+                 "unknown corpus space 'nope'", id="generate-space"),
+    pytest.param(lambda: corpus.load_space("nope"), SpaceFormatError,
+                 "corpus space 'nope' not found under", id="load-space"),
+])
+def test_library_errors_carry_their_message(call, error, message):
+    """Messages of the library that no command reaches."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -41,6 +41,12 @@ def test_load_cone_file_has_apex_stratum(cone_t2):
     assert cone_t2.weights[apex.id] == F(1)
 
 
+def test_stratum_repr_and_simplices_outside_the_dimensions(cone_t2):
+    apex = cone_t2.singular_strata()[0]
+    assert repr(apex) == f"<Stratum {apex.id} dim=0 codim=3 singular>"
+    assert cone_t2.simplices(-1) == () == cone_t2.simplices(cone_t2.n + 1)
+
+
 def test_load_rejects_non_nested_skeleta():
     doc = {
         "name": "bad",
@@ -1389,16 +1395,18 @@ def _assert_full(K):
 
 def test_joins_take_their_faces_from_the_complex(monkeypatch, spaces, ladder):
     """Cones, suspensions and subdivisions never derive faces or skeleta
-    again, so they build with both helpers raising: a join takes K's lists,
-    a subdivision lists the chains of K's simplices. Their outputs, which
-    skip the fullness test, are full."""
+    again, so they build with the face, level and skeleton helpers raising:
+    a join takes K's lists, a subdivision lists the chains of K's simplices
+    and takes its levels from K's vertices. Their outputs, which skip the
+    fullness test, are full."""
     inputs = [*spaces.values(), corpus.load_space("t2_7"), *ladder.values()]
 
     def refuse(*args):
         raise AssertionError("a construction derived its faces again")
 
     monkeypatch.setattr(cx, "_faces_by_dim", refuse)
-    monkeypatch.setattr(cx, "_complete_skeleta", refuse)
+    monkeypatch.setattr(cx, "_skeleton_levels", refuse)
+    monkeypatch.setattr(cx.FilteredComplex, "skeleton", refuse)
     joins = [J for K in inputs for J in (cx.cone(K, F(2, 3)), cx.suspension(K, (F(1, 2), 3)))]
     subdivisions = [cx.barycentric_subdivide(spaces[name]) for name in corpus.SPACE_NAMES]
     subdivisions += [cx.barycentric_subdivide(ladder[key])

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from stratal import corpus
 from stratal import intersection as ix
 from stratal import linalg
 from stratal import perversity as pv
+from stratal import verify
 from stratal.errors import ConfigurationError, StructureError
 from stratal.verify import _named_perversities
 
@@ -460,6 +462,43 @@ def test_duality_not_applicable_on_cone(cone_t2):
     r = ix.duality_check(cone_t2, pv.zero_perversity(3))
     assert not r["applicable"]
     assert "boundary" in r["reason"]
+
+
+# the 6-vertex projective plane: triangles 123 134 145 156 162 235 346 452
+# 563 624, vertices renumbered from 0
+_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+@pytest.fixture(scope="module")
+def rp2():
+    return cx.build("rp2", range(6), _RP2)
+
+
+def test_duality_is_not_applicable_on_an_unorientable_space(rp2):
+    assert rp2.is_closed() and cx.check_orientation(rp2) is None
+    assert rp2.betti() == (1, 0, 0)
+    # the suspension is singular at both apexes and still unorientable
+    for K in (rp2, cx.suspension(rp2)):
+        r = ix.duality_check(K, pv.zero_perversity(K.n))
+        assert (r["applicable"], r["reason"]) == (False, "space is unorientable"), K.name
+
+
+def test_duality_suite_reports_an_unorientable_space_as_not_applicable(rp2, tmp_path):
+    (tmp_path / "rp2.json").write_text(json.dumps(cx.to_document(rp2)))
+    report = verify.suite_duality(tmp_path)
+    assert report.passed
+    assert [c["name"] for c in report.checks] == ["rp2: not applicable (unorientable)"]
+
+
+def test_ris_consistency_skips_a_singular_space_without_weights(cone_t2, tmp_path):
+    doc = cx.to_document(cone_t2)
+    del doc["weights"]
+    (tmp_path / "cone_t2.json").write_text(json.dumps(doc))
+    assert verify.suite_ris_consistency(tmp_path).checks == []
+    # with its weights the space is checked
+    (tmp_path / "cone_t2.json").write_text(json.dumps(cx.to_document(cone_t2)))
+    assert verify.suite_ris_consistency(tmp_path).checks
 
 
 def test_duality_refuses_a_branching_regular_face(theta):
