@@ -23,28 +23,30 @@ values in it.
 Construction makes each dimension's sorted simplex list on its own, and
 every path ends in one step, `FilteredComplex(...)`, which takes X_{n-1} as
 one sorted list and the weights as (vertex, weight) pairs, and groups the
-strata; no constructor writes into the complex after it. A document
-(`load`, `build`) gets its faces from C-level passes over whole lists
+strata; no constructor writes into the complex after it. A document (`load`,
+`build`) gets its faces from C-level passes over whole lists
 (`_faces_by_dim`): the vertices from one flat pass, the faces of each size
-from one pass of `combinations` with the repeats dropped by `dict.fromkeys`
-and the list sorted in place, and the top dimension from the maximal
-simplices themselves. Its skeleta become one map, `_skeleton_levels`, from
-each simplex of X_{n-1} to the least j with the simplex in X_j: a listed
-skeleton simplex is found in its dimension's list by bisection, and
-fullness is tested level by level on the faces of the maximal simplices
-cut down to their singular vertices. A cone or suspension takes its faces
-from K: each dimension's list merges K's with the cones on K's list one
-dimension down, and the levels and X_{n-1} follow from K's, so nothing is
-derived again or tested. A subdivision lists its faces as the chains of
-K's simplices, each made once from its top simplex by C-level `map`s and
-`zip`s over K's lists (`_chains`), sorts each dimension once, and takes its
-levels from the same map, made from K's vertex levels; it is pure and full
-by construction, so neither is tested, and a document whose filtration is
-not full takes the same subdivision. The complex is never held as one set,
-nor as one list of mixed lengths sorted and then split. Python loops
-remain over the edges whose ends share a level (they give the components,
-joined by union-find), over the few singular simplices, and over each
-dimension's first regular simplices, until every regular component has
+from one `zip` per position subset over the position columns of the
+simplices of each length, with the repeats dropped by `dict.fromkeys` and
+the list sorted in place, and the top dimension from the maximal simplices
+themselves. Each listed simplex is checked by C-level passes in one loop
+(`_simplex_list`). A document's skeleta become one map, `_skeleton_levels`,
+from each simplex of X_{n-1} to the least j with the simplex in X_j: a
+listed skeleton simplex is found in its dimension's list by bisection, and
+fullness is tested level by level on the faces of the maximal simplices that
+meet a singular vertex, cut down to their singular vertices. A cone or
+suspension takes its faces from K: each dimension's list merges K's with the
+cones on K's list one dimension down, and the levels and X_{n-1} follow from
+K's, so nothing is derived again or tested. A subdivision lists its faces as
+the chains of K's simplices, each made once from its top simplex by C-level
+`map`s and `zip`s over K's lists (`_chains`), sorts each dimension once, and
+takes its levels from the same map, made from K's vertex levels; it is pure
+and full by construction, so neither is tested, and a document whose
+filtration is not full takes the same subdivision. The complex is never held
+as one set, nor as one list of mixed lengths sorted and then split. Python
+loops remain over the edges whose ends share a level (they give the
+components, joined by union-find), over the few singular simplices, and over
+each dimension's first regular simplices, until every regular component has
 been met.
 
 A stratum is a descriptor: its id, dimensions, kind and level, with no
@@ -79,7 +81,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, combinations, filterfalse, repeat
+from itertools import chain, combinations, filterfalse, groupby
 from pathlib import Path
 
 from . import linalg
@@ -115,23 +117,31 @@ def _faces_by_dim(simplices):
     dimension up to the widest of them (none for no simplices).
 
     The vertices come from one flat pass, and the widest faces are the
-    widest simplices themselves, kept rather than copied. Each size k in
-    between takes one C-level pass of `combinations`; `dict.fromkeys` drops
-    the repeats and the list is sorted in place. The simplices are sorted
-    first, so a dict's first-occurrence order is made of ascending runs,
-    which the sort merges and which set order would not give. Each dict is
-    freed before the next is built."""
+    widest simplices themselves, kept rather than copied. The simplices are
+    grouped by length, and each group is held as its position columns. The
+    faces of each size k in between are one C-level `zip` over the columns
+    of each k-subset of a group's positions; `dict.fromkeys` drops the
+    repeats and the list is sorted in place. The simplices are sorted
+    first, so each zip yields the faces in long ascending runs, which the
+    sort merges and which set order would not give. Each dict is freed
+    before the next is built."""
     simplices = sorted(simplices)
     if not simplices:
         return []
-    widest = max(map(len, simplices))
     by_dim = [list(zip(sorted(set(chain.from_iterable(simplices)))))]
+    # the sort by length is stable, so each group stays sorted
+    groups = [(length, list(group)) for length, group in groupby(sorted(simplices, key=len), len)]
+    del simplices
+    widest, top = groups[-1]
+    columns = [(length, list(zip(*group)).__getitem__) for length, group in groups]
     for k in range(2, widest):
-        faces = list(dict.fromkeys(chain.from_iterable(map(combinations, simplices, repeat(k)))))
+        faces = list(dict.fromkeys(chain.from_iterable(
+            zip(*map(at, p)) for length, at in columns if length >= k
+            for p in combinations(range(length), k))))
         faces.sort()
         by_dim.append(faces)
     if widest > 1:
-        by_dim.append(list(dict.fromkeys(s for s in simplices if len(s) == widest)))
+        by_dim.append(list(dict.fromkeys(top)))
     return by_dim
 
 
@@ -545,7 +555,8 @@ def _chain_shapes(d):
     d-simplex, each as its sets' sorted position tuples in lexicographic
     order, listed by length k + 1. They are the ordered partitions of d + 1
     positions, as many as the faces of one d-simplex's subdivision that
-    contain its barycentre, so they are built per call and never kept."""
+    contain its barycentre, so they are built once per subdivision and never
+    kept."""
     chains = [(tuple(range(d + 1)),)]  # each from its least set up
     by_length = []
     while chains:
@@ -555,10 +566,11 @@ def _chain_shapes(d):
     return by_length
 
 
-def _chains(by_dim, new_index):
+def _chains(by_dim, new_index, shapes):
     """The faces of the subdivision of a face-closed set of simplices, whose
     d-simplices are `by_dim[d]`: per dimension k, unsorted, the chains of
     k + 1 of its simplices as tuples of barycentre indices `new_index`.
+    `shapes[d]` is `_chain_shapes(d)`, built once per subdivision.
 
     A chain ends at one simplex s, so each face is made once, from its top
     simplex. `new_index` numbers simplices in lexicographic order, which a
@@ -573,8 +585,8 @@ def _chains(by_dim, new_index):
         at = list(zip(*simplices)).__getitem__  # the vertices at each position
         column = {p: list(map(new_index.__getitem__, zip(*map(at, p))))
                   for r in range(1, d + 2) for p in combinations(range(d + 1), r)}
-        for faces, shapes in zip(out, _chain_shapes(d)):
-            for shape in shapes:
+        for faces, shapes_k in zip(out, shapes[d]):
+            for shape in shapes_k:
                 faces.extend(zip(*map(column.__getitem__, shape)))
     return out
 
@@ -595,11 +607,13 @@ def _subdivide(name, n, vertex_ids, by_dim, level, weighted):
     for s, j in level.items():
         vertex_level[new_index[s]] = j
     weighted = [(new_index[(v,)], w) for v, w in weighted]
+    # X_{n-1} and the whole complex share the shapes, which die before the assembly
+    shapes = list(map(_chain_shapes, range(n + 1)))
     singular = sorted(chain.from_iterable(_chains(
-        [[s for s in level if len(s) == d + 1] for d in range(n)], new_index)))
-    faces = _chains(by_dim, new_index)
+        [[s for s in level if len(s) == d + 1] for d in range(n)], new_index, shapes)))
+    faces = _chains(by_dim, new_index, shapes)
     # only the weighted barycentres were read, so the index dies before the assembly
-    del new_index
+    del new_index, shapes
     # each list is freed once its tuple is made
     for k, faces_k in enumerate(faces):
         faces_k.sort()
@@ -633,15 +647,16 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
         if len(s) == 1:
             vertex_level[s[0]] = j
     # X_j holds only simplices whose vertices all lie in it, and is full when
-    # it holds all of them: the faces of the maximal simplices cut down to
-    # their singular vertices (a set as small as the singular part) whose
-    # highest vertex has level <= j. So every X_j is full when, level by
-    # level, as many simplices of X_{n-1} have a given level as faces have
-    # that highest vertex level
+    # it holds all of them: the faces of the maximal simplices that meet a
+    # singular vertex, cut down to their singular vertices (a set as small
+    # as the singular part), whose highest vertex has level <= j. So every
+    # X_j is full when, level by level, as many simplices of X_{n-1} have a
+    # given level as faces have that highest vertex level
     singular_vertices = {v for v, lvl in enumerate(vertex_level) if lvl < n}
-    cut = set(map(tuple, map(partial(filter, singular_vertices.__contains__), maximal)))
+    cut = set(map(tuple, map(partial(filter, singular_vertices.__contains__),
+                             filterfalse(singular_vertices.isdisjoint, maximal))))
     at_level = [0] * n
-    for face in chain.from_iterable(_faces_by_dim(cut - {()})):
+    for face in chain.from_iterable(_faces_by_dim(cut)):
         at_level[max(map(vertex_level.__getitem__, face))] += 1
     levels = list(level.values())
     if at_level == list(map(levels.count, range(n))):
@@ -675,16 +690,26 @@ def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None)
 
 def _simplex_list(value, field, nverts):
     """Simplices of a document field as sorted tuples; each must be a
-    non-empty list or tuple of distinct vertex indices below nverts."""
+    non-empty list or tuple of distinct vertex indices below nverts.
+
+    One loop checks each simplex by C-level passes in rule order: its
+    vertex types first, so that `sorted` and `set` see only integers, then
+    its range from the ends of its sorted tuple, then its repeats. So a
+    simplex that breaks the type or range rule is named as bad even when it
+    also repeats a vertex, and the first simplex to break any rule is
+    named."""
     if not isinstance(value, list):
         raise SpaceFormatError(f"{field} must be a list of simplices")
+    all_int = {int}.issuperset
+    out = []
     for s in value:
-        if (not isinstance(s, (list, tuple)) or not s
-                or any(type(v) is not int or v < 0 or v >= nverts for v in s)):
+        if (not isinstance(s, (list, tuple)) or not s or not all_int(map(type, s))
+                or (t := tuple(sorted(s)))[0] < 0 or t[-1] >= nverts):
             raise SpaceFormatError(f"bad simplex {s!r} in {field}")
-        if len(set(s)) != len(s):
+        if len(set(t)) != len(t):
             raise SpaceFormatError(f"repeated vertex in simplex {s!r}")
-    return [tuple(sorted(s)) for s in value]
+        out.append(t)
+    return out
 
 
 def _checked_fields(name, n, vertex_ids, maximal, skeleta, weights):
@@ -696,7 +721,7 @@ def _checked_fields(name, n, vertex_ids, maximal, skeleta, weights):
     if type(n) is not int or n < 0:
         raise SpaceFormatError("dimension must be a non-negative integer")
     if (not isinstance(vertex_ids, list)
-            or any(type(v) not in (int, str) for v in vertex_ids)
+            or not {int, str}.issuperset(map(type, vertex_ids))
             or len(set(map(str, vertex_ids))) != len(vertex_ids)):
         raise SpaceFormatError("vertices must be a list of unique ids")
     maximal = _simplex_list(maximal, "maximal_simplices", len(vertex_ids))
