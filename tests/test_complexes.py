@@ -120,10 +120,20 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
                  r"^bad simplex \[1, True\] in maximal_simplices$", id="vertex-true"),
     pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, 2.0]]},
                  r"^bad simplex \[1, 2\.0\] in maximal_simplices$", id="vertex-float"),
+    # the vertex types are checked before the simplex is sorted or made a set
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, "2"]]},
+                 r"^bad simplex \[1, '2'\] in maximal_simplices$", id="vertex-string"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, [2]]]},
+                 r"^bad simplex \[1, \[2\]\] in maximal_simplices$", id="vertex-unhashable"),
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [True, True]]},
+                 r"^bad simplex \[True, True\] in maximal_simplices$", id="vertex-true-repeated"),
     pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [-1, 2]]},
                  r"^bad simplex \[-1, 2\] in maximal_simplices$", id="vertex-negative"),
     pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [1, 3]]},
                  r"^bad simplex \[1, 3\] in maximal_simplices$", id="vertex-past-count"),
+    # within one simplex the range rule comes before the repeat rule
+    pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], [4, 4]]},
+                 r"^bad simplex \[4, 4\] in maximal_simplices$", id="past-count-repeated"),
     pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], []]},
                  r"^bad simplex \[\] in maximal_simplices$", id="simplex-empty"),
     pytest.param({**_CIRCLE, "maximal_simplices": [[0, 1], "12"]},
@@ -161,6 +171,8 @@ def test_load_rejects_malformed_structure(doc, message):
     pytest.param([0, 1], [(0, 0, 1)], "repeated vertex in simplex (0, 0, 1)", id="vertex-repeated"),
     pytest.param([0, 1], [(0, -1)], "bad simplex (0, -1) in maximal_simplices", id="vertex-negative"),
     pytest.param([0, 1], [(0, 2)], "bad simplex (0, 2) in maximal_simplices", id="vertex-past-count"),
+    pytest.param([0, 1], [(0, None)], "bad simplex (0, None) in maximal_simplices",
+                 id="vertex-none"),
     pytest.param([0, "0"], [(0, 1)], "vertices must be a list of unique ids", id="ids-not-unique"),
 ])
 def test_build_reads_its_fields_by_the_document_rules(vertices, maximal, message):
