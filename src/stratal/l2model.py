@@ -4,7 +4,9 @@ Three constructions are licensed: a cone over a compact space truncates the
 link cohomology strictly below the rational cutoff f/2 + 1/(2c); a cylinder
 copies the base cohomology; and a compact global space routes through the
 simplicial intersection engine via the weight perversity p_g and its dual.
-Cutoff comparisons are exact rational comparisons against integer degrees.
+A cone keeps degree i iff i <= [[f/2 + 1/(2c)]], the integer that
+`perversity._cutoff_bracket` computes for p_g too; the rational cutoff
+itself (`perversity.cone_cutoff`) is only reported.
 """
 
 from .complexes import cone
@@ -13,6 +15,7 @@ from .intersection import intersection_betti
 from .perversity import (
     Frozen,
     Record,
+    _cutoff_bracket,
     _gm_growth,
     cone_cutoff,
     dual,
@@ -93,7 +96,8 @@ def _cutoff_hypothesis(f, c):
 
 
 def cone_max_cohomology(link_betti, f: int, c):
-    """Truncate the link vector strictly below f/2 + 1/(2c); degrees 0..f+1.
+    """Truncate the link vector strictly below f/2 + 1/(2c), keeping degree i
+    iff i <= [[f/2 + 1/(2c)]]; degrees 0..f+1.
 
     The link vector is a ClosedManifold's: f+1 entries, none negative.
     Disconnected links enter through the total betti vector of the disjoint
@@ -101,8 +105,8 @@ def cone_max_cohomology(link_betti, f: int, c):
     """
     c = parse_weight(c, "cone weight")
     link = ClosedManifold(link_betti, f)
-    cutoff = cone_cutoff(f, c)
-    return tuple(b if i < cutoff else 0 for i, b in enumerate(link.betti + (0,)))
+    top = _cutoff_bracket(f, c)
+    return tuple(b if i <= top else 0 for i, b in enumerate(link.betti + (0,)))
 
 
 def cone_report(link_betti, f: int, c) -> L2Report:

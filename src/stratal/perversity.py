@@ -6,7 +6,9 @@ integer function on singular strata. Metric weights c_Y > 0 are exact
 rationals; the bracket function [[x]] (greatest integer strictly below x) is
 the only nonlinearity, and it is evaluated exactly. No floats anywhere: the
 bracket is discontinuous at integers and float rounding would corrupt the
-resulting perversities.
+resulting perversities. The bracket of the cone cutoff, which gives p_g and
+the L2 cone truncation, is one integer floor division (`_cutoff_bracket`);
+Fractions appear only where weights are read or written.
 
 `Record` and `Frozen` are the small value-type bases that `l2model` and
 `verify` reuse; they live here because both modules already import this one.
@@ -192,8 +194,20 @@ def _codim_map(ambient):
 
 
 def cone_cutoff(l, c):
-    """The cone truncation cutoff l/2 + 1/(2c) for link dimension l and weight c."""
+    """The cone truncation cutoff l/2 + 1/(2c) for link dimension l and weight
+    c, as the rational that `l2model.cone_report` prints. Its bracket is
+    `_cutoff_bracket`."""
     return Fraction(l, 2) + Fraction(1, 2) / c
+
+
+def _cutoff_bracket(l, c) -> int:
+    """[[l/2 + 1/(2c)]] for an integer l and a weight c already read by
+    `parse_weight`, in integer arithmetic: with c = a/b in lowest terms the
+    cutoff is (l*a + b) / (2a), and the greatest integer strictly below N/D,
+    for integers N and D > 0, is (N - 1) // D. The weight perversity and the
+    L2 cone truncation both read it."""
+    a = c.numerator
+    return (l * a + c.denominator - 1) // (2 * a)
 
 
 def perversity_from_weights(strata, weights) -> Perversity:
@@ -202,15 +216,15 @@ def perversity_from_weights(strata, weights) -> Perversity:
     `strata` is a list of (stratum_id, link_dim) pairs; `weights` maps
     stratum_id to a positive rational. Link dimension zero always gives 0
     (the weight is metrically inert on codimension-one strata); any other l
-    gives [[l/2 + 1/(2c)]], which is l/2 + [[1/(2c)]] for even l and
-    (l-1)/2 + [[1/2 + 1/(2c)]] for odd l.
+    gives [[l/2 + 1/(2c)]] (`_cutoff_bracket`), which is l/2 + [[1/(2c)]] for
+    even l and (l-1)/2 + [[1/2 + 1/(2c)]] for odd l.
     """
     out = {}
     for sid, l in strata:
         if sid not in weights:
             raise ConfigurationError(f"stratum {sid!r} has no weight")
         c = parse_weight(weights[sid], f"weight for stratum {sid!r}")
-        out[sid] = 0 if l == 0 else bracket(cone_cutoff(l, c))
+        out[sid] = 0 if l == 0 else _cutoff_bracket(l, c)
     return Perversity(PER_STRATUM, out)
 
 
@@ -286,6 +300,10 @@ def hunsicker_shift_check(f: int, c) -> bool:
     For a single stratum with link dimension f and weight c, the dual of the
     weight perversity must equal the lower middle shifted down by [[1/(2c)]]
     for even f and by [[1/2 + 1/(2c)]] for odd f.
+
+    The shift is taken with the Fraction `bracket` on purpose, not with the
+    integer `_cutoff_bracket` that `perversity_from_weights` uses, so that the
+    two sides of the check stay independent computations.
     """
     if f < 1:
         raise ConfigurationError("the edge reduction needs link dimension >= 1")

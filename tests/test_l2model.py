@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from stratal.perversity import (
     BY_CODIM,
     PER_STRATUM,
     Perversity,
+    cone_cutoff,
     is_gm_perversity,
     weight_perversity,
 )
@@ -27,15 +29,17 @@ def test_cone_max_cohomology_examples():
 
 
 def test_cone_truncation_never_creates_cohomology():
+    # every link dimension 0..12 against every weight a/b in lowest terms with
+    # 1 <= a, b <= 40, integer cutoffs included; the oracle compares each
+    # degree with the rational cutoff itself
     rng = random.Random(4)
-    for _ in range(200):
-        f = rng.randint(0, 6)
-        betti = tuple(rng.randint(0, 4) for _ in range(f + 1))
-        c = F(rng.randint(1, 12), rng.randint(1, 12))
-        out = l2.eval_max(l2.Cone(c, l2.ClosedManifold(betti, f)))
-        assert len(out) == f + 2
-        for i, b in enumerate(out):
-            assert b <= (betti[i] if i < len(betti) else 0)
+    weights = [F(a, b) for a in range(1, 41) for b in range(1, 41) if gcd(a, b) == 1]
+    for f in range(13):
+        for c in weights:
+            betti = tuple(rng.randint(0, 4) for _ in range(f + 1))
+            out = l2.eval_max(l2.Cone(c, l2.ClosedManifold(betti, f)))
+            cutoff = cone_cutoff(f, c)
+            assert out == tuple(b if i < cutoff else 0 for i, b in enumerate(betti + (0,))), (f, c)
 
 
 def test_cylinder_examples():

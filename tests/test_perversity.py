@@ -1,8 +1,9 @@
-"""Perversity algebra: bracket, middles, duals, weight maps, comparisons."""
+"""Perversity algebra: bracket, middles, duals, weight maps, classicality."""
 
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -91,13 +92,21 @@ def test_perversity_from_weights_examples():
     assert pv.perversity_from_weights([("a", 3)], {"a": F(1)}).values["a"] == 1
 
 
+# every weight a/b in lowest terms with 1 <= a, b <= 40: each link dimension
+# 0..12 meets integer cutoffs l/2 + b/(2a) among them
+WEIGHT_GRID = [F(a, b) for a in range(1, 41) for b in range(1, 41) if gcd(a, b) == 1]
+
+
 def test_perversity_from_weights_matches_raw_bracket_above_dim_zero():
-    rng = random.Random(9)
-    for _ in range(300):
-        l = rng.randint(1, 12)
-        c = F(rng.randint(1, 30), rng.randint(1, 30))
-        got = pv.perversity_from_weights([("y", l)], {"y": c}).values["y"]
-        assert got == pv.bracket(F(l, 2) + F(1, 2) / c)
+    with_integer_cutoff = set()
+    for l in range(13):
+        for c in WEIGHT_GRID:
+            got = pv.perversity_from_weights([("y", l)], {"y": c}).values["y"]
+            cutoff = pv.cone_cutoff(l, c)
+            if cutoff.denominator == 1:
+                with_integer_cutoff.add(l)
+            assert got == (pv.bracket(cutoff) if l else 0), (l, c)
+    assert with_integer_cutoff == set(range(13))
 
 
 def test_text_weight_is_read_exactly():
