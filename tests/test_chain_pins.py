@@ -9,8 +9,12 @@ their subdivisions and cones, and the five ih-ladder spaces.
 the named perversities, as `tests/test_linalg.py`'s `PINNED_BASES` does for
 the corpus. The digests were recorded while each complex still cached a
 second, dropped-face boundary beside `boundary_matrix`; they guard the
-answers of the chain model that drops the X_{n-1} rows instead. A mismatch
-is a regression to fix, not a value to re-record.
+answers of the chain model that drops the X_{n-1} rows instead. `BOUNDARY_PINS`
+digests every `boundary_matrix(i)`, i from -1 to n + 1, of the corpus
+spaces, their subdivisions and the five ih-ladder spaces, each column as its
+sorted items; they were recorded while each complex still cached the
+boundary of every degree, and guard the columns that it builds afresh. A
+mismatch is a regression to fix, not a value to re-record.
 """
 
 import hashlib
@@ -122,3 +126,50 @@ def test_subdivided_chain_bases_are_pinned(ih_ladder, name):
              for _, p in _named_perversities(K.n)
              for b in ix.StratifiedChainComplex(K, p).bases]
     assert _digest(bases) == BASES_PINS[name]
+
+
+BOUNDARY_PINS = {
+    "cone_cone_s1": "0982143b7f60de8d",
+    "sd cone_cone_s1": "d8a74ff0587fb1fd",
+    "cone_s1_c_half": "0293a431514d116a",
+    "sd cone_s1_c_half": "caf92402a4655021",
+    "cone_t2": "bfe983fac183a133",
+    "sd cone_t2": "a31adc50f78c73ea",
+    "mobius": "06a0b1cb2448cb99",
+    "sd mobius": "2cf0c3d037a42810",
+    "point": "10a357b0356fed08",
+    "sd point": "10a357b0356fed08",
+    "s0": "cbb3c428e51fe19e",
+    "sd s0": "cbb3c428e51fe19e",
+    "s1_hex": "d1473715c207a6ed",
+    "sd s1_hex": "f075206701c53985",
+    "s2": "51ea99809834233f",
+    "sd s2": "2e6d663fee9bc937",
+    "susp_s0": "312d583bfb62f3bb",
+    "sd susp_s0": "b9522eb5e7ac70d0",
+    "susp_s2": "9d39d18f9aaeeac1",
+    "sd susp_s2": "73ddc0c06169e514",
+    "susp_t2": "449118990e3094de",
+    "sd susp_t2": "56b819a8815f5231",
+    "t2_7": "80a9a7b79382d367",
+    "sd t2_7": "c3d355eed8974092",
+    "susp(susp t2)": "a1f61a8d776dd573",
+    "cone(susp(susp t2))": "d5c8eda12c1c7f6c",
+    "sd(cone_t2)": "a31adc50f78c73ea",
+    "sd(susp t2)": "56b819a8815f5231",
+    "cone(sd(susp t2))": "8565ae8b735ea98c",
+}
+
+
+def _boundary_complexes(spaces, ih_ladder):
+    for name in corpus.SPACE_NAMES:
+        yield name, spaces[name]
+        yield f"sd {name}", cx.barycentric_subdivide(spaces[name])
+    yield from ih_ladder.items()
+
+
+def test_boundary_matrices_are_pinned(spaces, ih_ladder):
+    got = {key: _digest([[sorted(col.items()) for col in K.boundary_matrix(i)]
+                         for i in range(-1, K.n + 2)])
+           for key, K in _boundary_complexes(spaces, ih_ladder)}
+    assert got == BOUNDARY_PINS
