@@ -33,6 +33,23 @@ from .perversity import (
 from .rationals import format_rational, parse_int, read_json
 
 
+# The largest `perversity --dim` and `cone --link-dim` accepted, and so at
+# most MAX_DIMENSION + 1 `--link-betti` entries. Each costs one dictionary or
+# tuple entry and one output line: at the bound `perversity --spec zero` took
+# 0.12 s, 59 MB peak RSS and 1.8 MB of output, and `cone` 0.06 s and 26 MB
+# (Python 3.11, x86-64), where `--dim 1000000` printed 18.9 MB and
+# `--dim 100000000` ran out of memory.
+MAX_DIMENSION = 100_000
+
+
+def _bounded(value, what):
+    """`value`, an int; above MAX_DIMENSION, a ConfigurationError that
+    names `what` and the bound."""
+    if value > MAX_DIMENSION:
+        raise ConfigurationError(f"{what} exceeds the bound of {MAX_DIMENSION}")
+    return value
+
+
 def _emit(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -115,7 +132,7 @@ def cmd_perversity(args):
         raise StratalError("perversity needs --space or --dim with --spec")
     if args.dim < 0:
         raise ConfigurationError(f"ambient dimension cannot be negative, got {args.dim}")
-    p = _resolve_perversity(args.spec, args.dim)
+    p = _resolve_perversity(args.spec, _bounded(args.dim, "--dim"))
     if args.dual:
         p = dual(p)
     report = {"perversity": perversity_to_json(p)}
@@ -131,9 +148,12 @@ def cmd_perversity(args):
 def cmd_cone(args):
     from .l2model import cone_report
 
+    link_dim = _bounded(args.link_dim, "--link-dim")
+    if args.link_betti.count(",") > MAX_DIMENSION:
+        raise ConfigurationError(f"--link-betti exceeds the bound of {MAX_DIMENSION + 1} entries")
     betti = [parse_int(b, "link betti number", ConfigurationError)
              for b in args.link_betti.split(",")]
-    rep = cone_report(betti, args.link_dim, args.weight)
+    rep = cone_report(betti, link_dim, args.weight)
     _emit(rep.to_json())
     return 0
 

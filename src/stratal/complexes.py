@@ -62,23 +62,31 @@ drops the parsed document, and any file text it read, before the assembly,
 and each dimension's dedupe table is freed before the next is built. A
 complex stores its simplices by dimension, X_{n-1} as one sorted list, and
 each vertex's level and stratum id; the simplex index (read by `index`,
-`level`, `label` and `boundary_matrix`), the boundary of every degree, the
-singular-face profiles, the top cofaces and the interior table are derived
-on first read. No constructor, no `to_document` and no `load` reads them.
-The complex keeps one boundary, `boundary_matrix`: a chain model that
-leaves out some simplices (stratified coefficients leave out X_{n-1})
-deletes their rows as it reduces (`linalg.chain_ranks`), and never stores a
-second copy. The interior table (`interior`) holds the reduced boundaries
-of the simplices with no singular vertex, which every rank query shares:
-`betti()` and each perversity's `intersection.homology` reduce only the
-simplices near the singular set against a copy of it.
+`level`, `label` and the column builder), the singular-face profiles, the
+top cofaces, the interior table and the near columns are derived on first
+read. No constructor, no `to_document` and no `load` reads them.
+
+One builder, `_columns`, makes every boundary column, and a complex keeps
+only the columns that a rank query reads. The simplices with no singular
+vertex, the interior ones, form a subcomplex that every rank query allows.
+Its pivot table (`interior`) is reduced once, degree by degree from the
+top, and only the interior columns that the pivots of the degree above do
+not clear are built. The columns of the near simplices, those with a
+singular vertex, are built once and kept (`near_boundary`): `betti()` and
+each perversity's `intersection.homology` reduce only near columns, against
+a copy of the interior table. A chain model that leaves out some simplices
+(stratified coefficients leave out X_{n-1}) deletes their rows as it
+reduces (`linalg.chain_ranks`), and never stores a second boundary.
+`boundary_matrix` builds every column of a degree afresh on each call, for
+its few readers (`intersection.StratifiedChainComplex.bases`, tests and
+demos).
 
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, filterfalse, groupby
@@ -162,9 +170,11 @@ class FilteredComplex:
 
     Stored: the simplices by dimension, X_{n-1} as one sorted list, each
     vertex's level and stratum id, the strata and the weights. The simplex
-    index `_index`, the boundaries `_boundary`, `profile_classes`,
-    `interior`, `top_cofaces` and `_orientation` are cached properties,
-    derived on first read.
+    index `_index`, `profile_classes`, `interior`, `near_boundary`,
+    `top_cofaces` and `_orientation` are cached properties, derived on first
+    read. The only boundary columns kept are the near columns
+    (`near_boundary`) and the interior pivot table (`interior`);
+    `boundary_matrix` builds its columns afresh.
     `ih_memo` maps an allowable pattern to its intersection Betti
     numbers; `intersection.StratifiedChainComplex.homology` fills and reads
     it.
@@ -250,21 +260,25 @@ class FilteredComplex:
     # ---------------------------------------------------------------- homology
 
     def boundary_matrix(self, i):
-        """Columns of the simplicial boundary in lexicographic bases."""
-        return self._boundary[i] if 0 <= i <= self.n else []
+        """Columns of the simplicial boundary in lexicographic bases, built
+        afresh on every call (`_columns`): the complex keeps only the near
+        columns (`near_boundary`) and the interior pivot table (`interior`)."""
+        return self._columns(i, range(len(self._by_dim[i]))) if 0 <= i <= self.n else []
 
-    @cached_property
-    def _boundary(self):
-        """`boundary_matrix` of every degree, built together on first read:
-        each of its readers reads every degree."""
+    def _columns(self, i, indices):
+        """The boundary columns of the i-simplices at `indices`, in order,
+        each a new dict: every boundary column is built here."""
+        simplices = self._by_dim[i]
+        # the indices are sorted and distinct: as many as the simplices are all of them
+        if len(indices) < len(simplices):
+            simplices = map(simplices.__getitem__, indices)
+        if not i:
+            return [{} for _ in simplices]
         face = self._index.__getitem__
-        out = [[{} for _ in self._by_dim[0]]]
-        for i in range(1, self.n + 1):
-            # combinations yields first the facet without vertex i, last the
-            # one without vertex 0, whose sign is (-1)^0
-            signs = [(-1) ** (i - k) for k in range(i + 1)]
-            out.append([dict(zip(map(face, combinations(s, i)), signs)) for s in self._by_dim[i]])
-        return out
+        # combinations yields first the facet without vertex i, last the
+        # one without vertex 0, whose sign is (-1)^0
+        signs = [(-1) ** (i - k) for k in range(i + 1)]
+        return [dict(zip(map(face, combinations(s, i)), signs)) for s in simplices]
 
     @cached_property
     def profile_classes(self):
@@ -357,7 +371,9 @@ class FilteredComplex:
         """Per degree i, (near, pivots): `near` lists, in order, the indices of
         the i-simplices with a singular vertex, and `pivots` is the pivot
         table of the boundary columns of the others, the interior simplices,
-        reduced from the top degree down (`linalg.subcomplex_pivots`).
+        reduced from the top degree down (`linalg.subcomplex_pivots`). Only
+        the interior columns that the pivots of the degree above do not
+        clear are built.
 
         An interior simplex has the empty profile, the `()` class of
         `profile_classes`. All of its faces are interior, so none of them is
@@ -369,17 +385,37 @@ class FilteredComplex:
         split, inner = [], []
         for profiles, of in self.profile_classes:
             k = profiles.index({}) if {} in profiles else None
-            split.append([j for j, c in enumerate(of) if c != k])
-            inner.append([j for j, c in enumerate(of) if c == k])
-        return list(zip(split, linalg.subcomplex_pivots(self._boundary, inner)))
+            split.append([])
+            inner.append([])
+            for j, c in enumerate(of):
+                (inner if c == k else split)[-1].append(j)
+        return list(zip(split, linalg.subcomplex_pivots(self._columns, inner)))
+
+    @cached_property
+    def near_boundary(self):
+        """Per degree i, the boundary columns of the near i-simplices (those
+        of `interior`'s near list), in a list as long as `simplices(i)` that
+        holds None at each interior simplex; degree 0, whose boundary is
+        zero and of which only the length is read, holds None throughout.
+        `betti()` and every perversity's `homology()` read their columns
+        here, and only near ones, so each near column is built once per
+        complex. The holes are filled by one C-level `map` of
+        `list.__setitem__`, with no Python loop over the simplices."""
+        out = [[None] * len(self._by_dim[0])]
+        for i, (near, _) in enumerate(self.interior[1:], 1):
+            cols = self._columns(i, near)
+            if len(cols) < len(self._by_dim[i]):
+                built, cols = cols, [None] * len(self._by_dim[i])
+                deque(map(cols.__setitem__, near, built), maxlen=0)
+            out.append(cols)
+        return out
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
         and none is dropped."""
-        bnd = self._boundary
         table = self.interior
-        ranks = linalg.chain_ranks(bnd, [near for near, _ in table], table)
-        return _betti(map(len, bnd), ranks)
+        ranks = linalg.chain_ranks(self.near_boundary, [near for near, _ in table], table)
+        return _betti(self.counts(), ranks)
 
     # ----------------------------------------------------------------- reports
 

@@ -24,12 +24,13 @@ singular vertex form a subcomplex that is allowable for every perversity,
 so its reduction is derived once per complex on first read
 (`FilteredComplex.interior`) and shared by every perversity and by
 `betti()`; a query tests and reduces only the near simplices, those with a
-singular vertex. Betti numbers depend on the perversity only through its
-allowable pattern, whether each profile class is allowable in each degree,
-and many perversities share one: every value p(Y) >= codim(Y) - 1 admits
-every simplex that meets Y. So each complex keeps the answer per pattern
-(`FilteredComplex.ih_memo`), and a perversity whose pattern that complex has
-already met is not reduced again.
+singular vertex, whose columns the complex builds once and keeps
+(`FilteredComplex.near_boundary`). Betti numbers depend on the perversity
+only through its allowable pattern, whether each profile class is
+allowable in each degree, and many perversities share one: every value
+p(Y) >= codim(Y) - 1 admits every simplex that meets Y. So each complex
+keeps the answer per pattern (`FilteredComplex.ih_memo`), and a perversity
+whose pattern that complex has already met is not reduced again.
 Explicit bases are built only when read, in reduced column echelon form so
 that subspace comparisons are deterministic, and the allowable indices they
 use are likewise built on first read.
@@ -107,7 +108,8 @@ class StratifiedChainComplex:
         ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad; `betti()`
         reads the same formula (`complexes._betti`) with nothing dropped.
         The interior simplices are allowable for every perversity, so only
-        the near ones are tested here, and the interior's reduced boundaries
+        the near ones are tested here, their columns read from the
+        complex's `near_boundary`, and the interior's reduced boundaries
         come from the complex's shared table (`FilteredComplex.interior`);
         X_{n-1}, whose simplices are near ones with the profile None, gives
         the dropped rows. The answer is
@@ -126,8 +128,7 @@ class StratifiedChainComplex:
         drop = [[] for _ in table]
         for s in K.skeleton(K.n - 1):
             drop[len(s) - 1].append(K.index(s))
-        bnd = [K.boundary_matrix(i) for i in range(K.n + 1)]
-        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(bnd, allow, table, drop))
+        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(K.near_boundary, allow, table, drop))
         return K.ih_memo[pattern]
 
 

@@ -44,7 +44,11 @@ give the kernel. Everything else derives from the pivot table:
   dropped or non-allowable row is copied once; any other enters as it is.
   Given a table from `subcomplex_pivots`, each degree starts from a copy of
   the pivot table of a subcomplex whose rows every caller allows, reduced
-  once per complex, and reduces only the other columns.
+  once per complex, and reduces only the other columns, so only those are
+  read: a caller may hold None for the subcomplex's columns. The table is
+  reduced from the top degree down with clearing too, and its columns come
+  from the caller's builder, which is asked only for the columns that
+  clearing does not skip: the cleared ones are never built.
 - `rcef` needs the topmost row of each column as its pivot, because its
   canonical form is keyed by each column's topmost entry. It reflects the
   rows (row r becomes -r), so the lowest row of a reflected column is the
@@ -228,7 +232,8 @@ def chain_ranks(bnd, allow, table=None, drop=None):
     ∂_i has the rows `drop[i - 1]` deleted.
 
     `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
-    length is read), integer columns with no stored zero as `_reduce` takes
+    length is read, and of ∂_i only the columns in `allow[i]`), integer
+    columns with no stored zero as `_reduce` takes
     them; a caller with rational entries maps `col_primitive` over them
     first: scaling a column changes neither rank, nor the column space of
     ∂_{i+1}, nor the supports of the cycles of ∂_i, so clearing skips the
@@ -278,18 +283,20 @@ def chain_ranks(bnd, allow, table=None, drop=None):
     return out
 
 
-def subcomplex_pivots(bnd, inner):
+def subcomplex_pivots(columns, inner):
     """Per degree i, the pivot table of the columns `inner[i]` of ∂_i, as
     `_reduce` gives it, reduced from the top degree down with clearing.
+    `columns(i, js)` builds the columns js of ∂_i, and is asked only for
+    those that clearing does not skip.
 
     The columns must form a subcomplex: column j of `inner[i]` meets only
     rows in `inner[i - 1]`. Every pivot row is then a row of the subcomplex,
     so the pivots of ∂_{i+1} clear their rows in ∂_i (see `chain_ranks`).
     """
-    out = [{}] * len(bnd)
+    out = [{}] * len(inner)
     cleared = ()
-    for i in range(len(bnd) - 1, 0, -1):
-        out[i] = cleared = _reduce([bnd[i][j] for j in inner[i] if j not in cleared])
+    for i in range(len(inner) - 1, 0, -1):
+        out[i] = cleared = _reduce(columns(i, [j for j in inner[i] if j not in cleared]))
     return out
 
 

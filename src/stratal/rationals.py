@@ -86,7 +86,8 @@ def parse_weight(x, what, error=ConfigurationError) -> Fraction:
     never a float or a bool. Anything else raises `error`, whose message
     starts with `what` ("cone weight", ...)."""
     c = parse_rational(x, what, error)
-    if c <= 0:
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    if c.numerator <= 0:
         raise error(f"{what} must be positive")
     return c
 

@@ -335,6 +335,46 @@ def test_perversity_with_a_non_integer_codimension_exits_2(tmp_path, capsys, arg
     assert named in captured.err and "integer" in captured.err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work began before the bound was checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perversity", "--dim", "100001"], "--dim exceeds the bound of 100000"),
+    (["perversity", "--dim", "100001", "--spec", "top", "--dual"],
+     "--dim exceeds the bound of 100000"),
+    (["cone", "--link-betti", "1", "--link-dim", "100001", "--weight", "1"],
+     "--link-dim exceeds the bound of 100000"),
+    (["cone", "--link-betti", "1" + ",0" * 100001, "--link-dim", "1", "--weight", "1"],
+     "--link-betti exceeds the bound of 100001 entries"),
+])
+def test_one_past_a_dimension_bound_exits_2_before_any_work(monkeypatch, capsys, argv, message):
+    """One past each bound exits 2 with one line naming the bound, before a
+    perversity is resolved or a link betti number is read: both are
+    replaced by a step that fails, which would exit 3."""
+    monkeypatch.setattr(cli, "_resolve_perversity", _refuse)
+    monkeypatch.setattr(cli, "parse_int", _refuse)
+    monkeypatch.setattr(l2, "cone_report", _refuse)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_dimension_bounds_admit_their_own_value(monkeypatch, capsys):
+    """At the bound a command answers and one past it refuses, for each
+    bounded value (with the bound lowered to 3)."""
+    monkeypatch.setattr(cli, "MAX_DIMENSION", 3)
+    assert cli.main(["perversity", "--dim", "3"]) == 0
+    assert cli.main(["cone", "--link-betti", "1,0,0,1", "--link-dim", "3", "--weight", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["perversity", "--dim", "4"]) == 2
+    assert cli.main(["cone", "--link-betti", "1,0,0,0,1", "--link-dim", "3", "--weight", "1"]) == 2
+    assert cli.main(["cone", "--link-betti", "1,0,0,1", "--link-dim", "4", "--weight", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --dim exceeds the bound of 3",
+        "error: --link-betti exceeds the bound of 4 entries",
+        "error: --link-dim exceeds the bound of 3"]
+
+
 def test_perversity_dim_zero_is_a_dimension(capsys):
     """--dim 0 is given, not absent: the zero perversity of a point has no
     stratum to take a value on."""

@@ -298,27 +298,82 @@ def test_ih_ladder_answers_pinned(ih_ladder, name):
     assert [*got, K.betti()] == IH_LADDER[name]
 
 
+def _queries(K, rng):
+    """The named perversities of K and three seeded per-stratum ones."""
+    queries = [p for _, p in _named_perversities(K.n)]
+    queries += [pv.Perversity(pv.PER_STRATUM, {s.id: rng.randint(-2, s.codim + 1)
+                                               for s in K.singular_strata()})
+                for _ in range(3)]
+    return queries
+
+
+def _cached_columns(K):
+    """The columns that a complex keeps: its near-column table and the
+    columns of its interior pivot tables, per degree, in order."""
+    return [[list(cols) for cols in K.near_boundary],
+            [list(pivots.items()) for _, pivots in K.interior]]
+
+
 def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
     """`_reduce` works in place on its columns, so it must be handed copies,
     and dropping the X_{n-1} rows copies a column and never edits it: after
     IH queries on a fresh copy of each space, named and seeded, and
-    `betti()`, every `boundary_matrix` column is the same dict, unchanged."""
+    `betti()`, every cached column, of the near-column table and of the
+    interior pivot tables, is the same dict, unchanged. The near columns are
+    those of `boundary_matrix`, with None at the interior simplices and
+    throughout degree 0."""
     rng = random.Random(26)
     for K in _all_spaces(spaces, ih_ladder):
         K = cx.load(cx.to_document(K))
-        cols = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        cols = _cached_columns(K)
         full = copy.deepcopy(cols)
-        queries = [p for _, p in _named_perversities(K.n)]
-        queries += [pv.Perversity(pv.PER_STRATUM, {s.id: rng.randint(-2, s.codim + 1)
-                                                   for s in K.singular_strata()})
-                    for _ in range(3)]
-        for p in queries:
+        for p in _queries(K, rng):
             ix.intersection_betti(K, p)
         K.betti()
         assert K.ih_memo, K.name
-        after = [K.boundary_matrix(i) for i in range(K.n + 1)]
+        after = _cached_columns(K)
         assert after == full, K.name
-        assert all(a is b for was, now in zip(cols, after) for a, b in zip(was, now)), K.name
+        assert all(a is b for was, now in zip(cols[0], after[0]) for a, b in zip(was, now)), K.name
+        assert all(a[1] is b[1] for was, now in zip(cols[1], after[1])
+                   for a, b in zip(was, now)), K.name
+        assert K.near_boundary[0] == [None] * len(K.simplices(0)), K.name
+        for i in range(1, K.n + 1):
+            near = set(K.interior[i][0])
+            assert K.near_boundary[i] == [col if j in near else None
+                                          for j, col in enumerate(K.boundary_matrix(i))], K.name
+
+
+def test_each_near_column_is_built_once_and_no_cleared_column_at_all(spaces, ih_ladder,
+                                                                      monkeypatch):
+    """Named and seeded IH queries and `betti()` on a fresh copy of each
+    space build, through the one column builder, each near column of degree
+    1 and up once, and of the interior columns only those that the interior
+    pivots of the degree above do not clear, each once; no column of degree
+    0 is built."""
+    built = []
+    columns = cx.FilteredComplex._columns
+
+    def spy(K, i, indices):
+        built.extend((i, j) for j in indices)
+        return columns(K, i, indices)
+
+    monkeypatch.setattr(cx.FilteredComplex, "_columns", spy)
+    rng = random.Random(36)
+    counts = {}
+    for K in _all_spaces(spaces, ih_ladder):
+        K = cx.load(cx.to_document(K))
+        built.clear()
+        for p in _queries(K, rng):
+            ix.intersection_betti(K, p)
+        K.betti()
+        near = {(i, j) for i in range(1, K.n + 1) for j in K.interior[i][0]}
+        cleared = {(i, j) for i in range(1, K.n) for j in K.interior[i + 1][1]}
+        inner = {(i, j) for i in range(1, K.n + 1)
+                 for j in range(len(K.simplices(i)))}.difference(near, cleared)
+        assert len(built) == len(set(built)), K.name
+        assert set(built) == near | inner, K.name
+        counts[K.name] = len(near), len(inner), sum(K.counts()[1:])
+    assert counts[ih_ladder["sd(susp t2)"].name] == (504, 1219, 2814)
 
 
 def _plain_betti(K, p, dropped):

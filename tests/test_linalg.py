@@ -727,11 +727,20 @@ def test_rcef_keeps_topmost_row_pivots_on_zero_perversity_chains(spaces, monkeyp
 
 def test_chain_ranks_from_a_shared_table_leaves_it_unchanged(s2):
     """The tetrahedron boundary with the triangle 012 and its faces as the
-    subcomplex: its pivot table is copied per call, never updated, and the
-    ranks equal those of the plain path for every allowed set."""
+    subcomplex: its pivot table is built from the columns that clearing does
+    not skip, copied per call, never updated, and the ranks equal those of
+    the plain path for every allowed set."""
     bnd = [s2.boundary_matrix(i) for i in range(3)]
     inner = [[0, 1, 2], [0, 1, 3], [0]]
-    table = list(zip([[3], [2, 4, 5], [1, 2, 3]], linalg.subcomplex_pivots(bnd, inner)))
+    asked = []
+
+    def columns(i, js):
+        asked.append((i, js))
+        return [bnd[i][j] for j in js]
+
+    table = list(zip([[3], [2, 4, 5], [1, 2, 3]], linalg.subcomplex_pivots(columns, inner)))
+    # the triangle's pivot row, edge 3, clears that edge; degree 0 is never asked
+    assert asked == [(2, [0]), (1, [0, 1])]
     before = copy.deepcopy(table)
     rng = random.Random(3)
     for _ in range(20):

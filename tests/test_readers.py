@@ -268,6 +268,30 @@ def test_weights_round_trip_or_reject(case, error):
     assert format_rational(got) == format_rational(c)
 
 
+@pytest.mark.parametrize("value", ["0", "0/7", "-1/2", F(-1, 2), 0, -3])
+def test_weights_that_are_not_positive_are_refused(value):
+    with pytest.raises(ConfigurationError, match=r"^cone weight must be positive$"):
+        parse_weight(value, "cone weight")
+
+
+@pytest.mark.parametrize("value, problem", [
+    (True, "not a rational: True"),
+    (False, "not a rational: False"),
+    (0.5, "floats are not accepted as rationals: 0.5"),
+    (-1.0, "floats are not accepted as rationals: -1.0"),
+])
+def test_weights_refuse_bools_and_floats(value, problem):
+    with pytest.raises(SpaceFormatError) as info:
+        parse_weight(value, "weight for 's1:x'", SpaceFormatError)
+    assert str(info.value) == f"weight for 's1:x': {problem}"
+
+
+def test_positive_weights_are_read_exactly():
+    assert parse_weight("3/6", "weight") == F(1, 2)
+    assert parse_weight(F(1, 7), "weight") == F(1, 7)
+    assert parse_weight(2, "weight") == 2
+
+
 # ----------------------------------------------------------- hilbert.validate
 
 @st.composite
