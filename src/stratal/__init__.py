@@ -4,59 +4,33 @@ finite-dimensional Hilbert-complex lab.
 
 Everything is exact rational arithmetic; no floats enter any computation.
 
-The names from `hilbert` and `l2model` load their module on first access.
+`import stratal` loads no layer: each exported name loads its defining
+module on first access, so a program pays only for the layers it reads.
 """
 
 from importlib import import_module as _import_module
 
-from .complexes import (
-    FilteredComplex,
-    Stratum,
-    barycentric_subdivide,
-    build,
-    check_orientation,
-    cone,
-    load,
-    suspension,
-    to_document,
-)
-from .errors import (
-    ConfigurationError,
-    ConstructionError,
-    RealizabilityError,
-    SpaceFormatError,
-    StratalError,
-    StructureError,
-)
-from .intersection import (
-    StratifiedChainComplex,
-    duality_check,
-    intersection_betti,
-)
-from .perversity import (
-    Perversity,
-    bracket,
-    dual,
-    hunsicker_shift_check,
-    is_gm_perversity,
-    middle_perversities,
-    perversity_from_weights,
-    top_perversity,
-    weight_perversity,
-    weights_from_perversity,
-    zero_perversity,
-)
-
 __version__ = "0.2.0"
 
 _LAZY = {
+    **dict.fromkeys(("FilteredComplex", "Stratum", "barycentric_subdivide", "build",
+                     "check_orientation", "cone", "load", "suspension", "to_document"),
+                    "complexes"),
+    **dict.fromkeys(("ConfigurationError", "ConstructionError", "RealizabilityError",
+                     "SpaceFormatError", "StratalError", "StructureError"), "errors"),
     **dict.fromkeys(("FiniteHilbertComplex", "cohomology_dims", "dual_complex",
                      "harmonic_dims", "index_even_odd", "kodaira_decompose",
                      "random_complex", "validate"), "hilbert"),
+    **dict.fromkeys(("StratifiedChainComplex", "duality_check", "intersection_betti"),
+                    "intersection"),
     **dict.fromkeys(("ClosedManifold", "Cone", "Cylinder", "L2Report",
                      "cone_max_cohomology", "cone_report", "cylinder_max_cohomology",
                      "eval_max", "fredholm_indices", "local_model_check",
                      "theorem_predictions"), "l2model"),
+    **dict.fromkeys(("Perversity", "bracket", "dual", "hunsicker_shift_check",
+                     "is_gm_perversity", "middle_perversities", "perversity_from_weights",
+                     "top_perversity", "weight_perversity", "weights_from_perversity",
+                     "zero_perversity"), "perversity"),
 }
 
 

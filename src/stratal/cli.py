@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a verification check failed, 2 usage/load error,
 3 an internal error. No exit code comes with a traceback.
 
-A command imports `verify`, `hilbert` or `l2model` only when it needs them,
-so no process pays for the modules of another command.
+A command imports the layers it runs, and no others, when it runs them:
+only `errors` and `rationals` load with this module. So no process pays
+for the modules of another command: `perversity --dim` loads `perversity`
+alone, `cone` adds `l2model`, and `verify` loads each suite's own layers.
 """
 
 import argparse
@@ -13,23 +15,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from .complexes import _name_simplex, load
 from .errors import ConfigurationError, ConstructionError, StratalError
-from .intersection import StratifiedChainComplex
-from .perversity import (
-    BY_CODIM,
-    NAMED_PERVERSITIES,
-    PER_STRATUM,
-    Perversity,
-    dual,
-    is_gm_perversity,
-    named_perversity,
-    perversity_from_json,
-    perversity_to_json,
-    weight_perversity,
-    weights_to_json,
-)
 from .rationals import format_rational, parse_int, read_json
 
 
@@ -57,31 +43,37 @@ def _emit(doc):
 def _load_space(spec, corpus_dir=None):
     path = Path(spec)
     if path.exists():
+        from .complexes import load
+
         return load(path)
-    if (corpus_mod.corpus_dir(corpus_dir) / f"{spec}.json").exists():
-        return corpus_mod.load_space(spec, corpus_dir)
+    from . import corpus
+
+    if (corpus.corpus_dir(corpus_dir) / f"{spec}.json").exists():
+        return corpus.load_space(spec, corpus_dir)
     raise StratalError(f"space {spec!r} is neither a file nor a corpus name")
 
 
 def _resolve_perversity(spec, n, space=None):
-    if spec in NAMED_PERVERSITIES:
-        return named_perversity(spec, n)
+    from . import perversity as pv
+
+    if spec in pv.NAMED_PERVERSITIES:
+        return pv.named_perversity(spec, n)
     if spec == "from-weights":
         if space is None:
             raise StratalError("perversity spec 'from-weights' needs a space")
-        return weight_perversity(space)
+        return pv.weight_perversity(space)
     if spec.startswith("gm:"):
         texts = spec[3:].split(",") if spec != "gm:" else []
         values = [parse_int(v, f"gm spec {spec!r}: value", ConfigurationError) for v in texts]
-        return Perversity(BY_CODIM, {k + 2: v for k, v in enumerate(values)})
+        return pv.Perversity(pv.BY_CODIM, {k + 2: v for k, v in enumerate(values)})
     if spec.startswith("per-stratum:"):
         path = spec.split(":", 1)[1]
         doc = read_json(Path(path).read_text(), ConfigurationError)
         if not isinstance(doc, dict):
             raise ConfigurationError(f"perversity file {path} must hold a JSON object")
         if "kind" not in doc:
-            doc = {"kind": PER_STRATUM, "values": doc}
-        return perversity_from_json(doc)
+            doc = {"kind": pv.PER_STRATUM, "values": doc}
+        return pv.perversity_from_json(doc)
     raise StratalError(
         f"unknown perversity spec {spec!r}; use zero | top | lower-middle | "
         "upper-middle | gm:k0,k1,... | per-stratum:FILE | from-weights"
@@ -89,6 +81,10 @@ def _resolve_perversity(spec, n, space=None):
 
 
 def cmd_ih(args):
+    from .complexes import _name_simplex
+    from .intersection import StratifiedChainComplex
+    from .perversity import perversity_to_json
+
     K = _load_space(args.space, args.corpus_dir)
     p = _resolve_perversity(args.perversity, K.n, K)
     chains = StratifiedChainComplex(K, p)
@@ -116,15 +112,17 @@ def cmd_ih(args):
 
 
 def cmd_perversity(args):
+    from . import perversity as pv
+
     if args.space:
         K = _load_space(args.space, args.corpus_dir)
-        p_g = weight_perversity(K)
-        q_g = dual(p_g, K)
+        p_g = pv.weight_perversity(K)
+        q_g = pv.dual(p_g, K)
         report = {
             "space": K.name,
-            "weights": weights_to_json(K.weights),
-            "p_g": perversity_to_json(p_g),
-            "q_g": perversity_to_json(q_g),
+            "weights": pv.weights_to_json(K.weights),
+            "p_g": pv.perversity_to_json(p_g),
+            "q_g": pv.perversity_to_json(q_g),
         }
         _emit(report)
         return 0
@@ -134,11 +132,11 @@ def cmd_perversity(args):
         raise ConfigurationError(f"ambient dimension cannot be negative, got {args.dim}")
     p = _resolve_perversity(args.spec, _bounded(args.dim, "--dim"))
     if args.dual:
-        p = dual(p)
-    report = {"perversity": perversity_to_json(p)}
-    if p.kind == BY_CODIM:
+        p = pv.dual(p)
+    report = {"perversity": pv.perversity_to_json(p)}
+    if p.kind == pv.BY_CODIM:
         try:
-            report["classical_gm"] = is_gm_perversity(p)
+            report["classical_gm"] = pv.is_gm_perversity(p)
         except StratalError:
             pass  # a by-codim file need not cover codimensions 2..n
     _emit(report)
@@ -216,14 +214,18 @@ def cmd_hilbert(args):
 
 
 def cmd_corpus_list(args):
-    listing = corpus_mod.corpus_listing(args.corpus_dir)
-    _emit({"corpus_dir": str(args.corpus_dir or corpus_mod.corpus_dir()),
+    from . import corpus
+
+    listing = corpus.corpus_listing(args.corpus_dir)
+    _emit({"corpus_dir": str(args.corpus_dir or corpus.corpus_dir()),
            "spaces": listing})
     return 0
 
 
 def cmd_corpus_build(args):
-    written = corpus_mod.write_corpus(args.out)
+    from .corpus import write_corpus
+
+    written = write_corpus(args.out)
     _emit({"written": written})
     return 0
 

@@ -81,6 +81,13 @@ reduces (`linalg.chain_ranks`), and never stores a second boundary.
 its few readers (`intersection.StratifiedChainComplex.bases`, tests and
 demos).
 
+A document may ask for at most MAX_SIMPLICES simplices, counted by
+arithmetic before they are built: first the upper bound Σ(2^|s| - 1) over
+its maximal simplices, before `_faces_by_dim`, and, when the filtration is
+not full, the exact size Σ_i |faces_i| · Fubini(i + 1) of the subdivision
+that repairs it, before `_subdivide`. A constructor (`cone`, `suspension`,
+`barycentric_subdivide`) is bounded by the complex it is given.
+
 All homology here is ordinary simplicial homology over the rationals with
 exact ranks; the allowable-chain machinery lives in `intersection`.
 """
@@ -90,12 +97,21 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, filterfalse, groupby
+from math import comb
 from pathlib import Path
 
 from . import linalg
 from .errors import ConfigurationError, SpaceFormatError, StructureError
 from .perversity import weights_to_json
 from .rationals import format_rational, parse_int, parse_weight, read_json
+
+# The most simplices a space document may ask for. At about this size a
+# full 19-simplex (1,048,575 faces) loaded in 1.05 s at 160 MB peak RSS, and
+# a 7-simplex whose filtration is not full, which a subdivision makes into
+# 1,091,669 simplices, in 1.3 s at 204 MB (Python 3.11, x86-64); the largest
+# benchmark document, sd²(susp t2), has 70,394 simplices and the upper bound
+# 16,128 · 15 = 241,920.
+MAX_SIMPLICES = 1_000_000
 
 
 class Stratum:
@@ -665,6 +681,11 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     if widest - 1 > n:
         first = min(s for s in maximal if len(s) == widest)
         raise SpaceFormatError(f"simplex {_name_simplex(first, vertex_ids)} exceeds dimension {n}")
+    # the sum is taken only when its O(1) upper bound is above the limit
+    if (len(maximal) * ((1 << widest) - 1) > MAX_SIMPLICES
+            and (faces := sum((1 << len(s)) - 1 for s in maximal)) > MAX_SIMPLICES):
+        raise SpaceFormatError(f"the maximal simplices have up to {faces} faces, "
+                               f"above the bound of {MAX_SIMPLICES} simplices")
     # one sorted list per dimension up to the widest simplex, never up to n,
     # which an impure document may declare as large as it likes
     by_dim = _faces_by_dim(maximal)
@@ -699,7 +720,16 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
         K = FilteredComplex(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
                             sorted(level), ())
     else:
-        # after one barycentric subdivision every skeleton is full
+        # after one barycentric subdivision every skeleton is full; it has one
+        # face per chain of faces ending at each i-simplex, as many as the
+        # ordered partitions of i + 1 vertices (the Fubini number a(i + 1))
+        fubini = [1]
+        for m in range(1, len(by_dim) + 1):
+            fubini.append(sum(comb(m, j) * fubini[m - j] for j in range(1, m + 1)))
+        size = sum(len(faces) * fubini[i + 1] for i, faces in enumerate(by_dim))
+        if size > MAX_SIMPLICES:
+            raise SpaceFormatError(f"subdividing the filtration to make it full gives {size} "
+                                   f"simplices, above the bound of {MAX_SIMPLICES} simplices")
         K = _subdivide(name, n, vertex_ids, by_dim, level, ())
     if weights_doc:
         singular_ids = {s.id for s in K.singular_strata()}

@@ -7,11 +7,14 @@ simplicial intersection engine via the weight perversity p_g and its dual.
 A cone keeps degree i iff i <= [[f/2 + 1/(2c)]], the integer that
 `perversity._cutoff_bracket` computes for p_g too; the rational cutoff
 itself (`perversity.cone_cutoff`) is only reported.
+
+The formulas need only `perversity` and `rationals`; the two functions that
+route through the simplicial engine, `theorem_predictions` and
+`local_model_check`, import it when called (one package-relative import
+statement each, the cheapest form), so `cone_report` loads no complex.
 """
 
-from .complexes import cone
 from .errors import ConfigurationError
-from .intersection import intersection_betti
 from .perversity import (
     Frozen,
     Record,
@@ -157,10 +160,12 @@ def theorem_predictions(K):
     perversity, the minimal side for the weight perversity itself; the report
     also notes when plain (non-stratified) coefficients would already do.
     """
+    from . import intersection
+
     p_g = weight_perversity(K)
     q_g = dual(p_g, K)
-    max_betti = intersection_betti(K, q_g)
-    min_betti = intersection_betti(K, p_g)
+    max_betti = intersection.intersection_betti(K, q_g)
+    min_betti = intersection.intersection_betti(K, p_g)
     classical = _is_classical(p_g, K)
     skeleta_equal = not any(s.level == K.n - 1 for s in K.strata.values())
     return {
@@ -196,13 +201,15 @@ def local_model_check(K_link, c):
     stratum set, and computes the dual-side intersection cohomology. The
     report lists both vectors degreewise.
     """
+    from . import complexes, intersection
+
     c = parse_weight(c, "cone weight")
-    link_max = intersection_betti(K_link, dual(weight_perversity(K_link), K_link))
+    link_max = intersection.intersection_betti(K_link, dual(weight_perversity(K_link), K_link))
     analytic = cone_report(link_max, K_link.n, c)
-    C = cone(K_link, c)
+    C = complexes.cone(K_link, c)
     p_g = weight_perversity(C)
     q_g = dual(p_g, C)
-    simplicial = intersection_betti(C, q_g)
+    simplicial = intersection.intersection_betti(C, q_g)
     return {
         "link": K_link.name,
         "weight": format_rational(c),

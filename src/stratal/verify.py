@@ -3,18 +3,18 @@
 Each suite returns a CheckSuiteReport: a deterministic list of named checks
 with expected/actual payloads and a single pass flag. The CLI maps a failed
 suite to exit code 1.
+
+Only `perversity` and `rationals` load with this module, and each suite
+imports the other layers it runs once per call, so a process pays only for
+the suites it runs: `hunsicker` and `realizability` need nothing more,
+`hilbert` only `hilbert` and `linalg`, and the suites over spaces load the
+corpus, the complexes and the intersection layer.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from . import hilbert as hb
-from . import linalg
-from .complexes import barycentric_subdivide
-from .corpus import load_corpus, load_space
-from .intersection import duality_check, intersection_betti
-from .l2model import fredholm_indices, local_model_check, theorem_predictions
 from .perversity import (
     NAMED_PERVERSITIES,
     PER_STRATUM,
@@ -61,6 +61,10 @@ MIL_WEIGHTS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5), Fraction(1
 
 def suite_mil(corpus_dir=None):
     """Weights at or above one give exactly the middle perversities."""
+    from .corpus import load_space
+    from .intersection import intersection_betti
+    from .l2model import theorem_predictions
+
     report = CheckSuiteReport("mil")
     for l in range(13):
         upper_v = l // 2
@@ -124,6 +128,9 @@ def suite_realizability(corpus_dir=None, seed=DEFAULT_SEED):
 
 def suite_cone_local(corpus_dir=None):
     """Analytic cone truncations against the simplicial dual-side engine."""
+    from .corpus import load_space
+    from .l2model import local_model_check
+
     report = CheckSuiteReport("cone-local")
     weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
     for name in ("s0", "s1_hex", "t2_7", "s2"):
@@ -161,6 +168,9 @@ _NOT_APPLICABLE = {"space has boundary faces": "boundary",
 
 def suite_duality(corpus_dir=None, seed=DEFAULT_SEED):
     """Dimension reversal between complementary perversities, corpus-wide."""
+    from .corpus import load_corpus
+    from .intersection import duality_check
+
     report = CheckSuiteReport("duality")
     spaces = load_corpus(corpus_dir)
     rng = random.Random(seed)
@@ -178,6 +188,10 @@ def suite_duality(corpus_dir=None, seed=DEFAULT_SEED):
 
 def suite_ris_consistency(corpus_dir=None):
     """Predictions, max/min reversal, and index sanity on weighted spaces."""
+    from .corpus import load_corpus
+    from .intersection import duality_check
+    from .l2model import fredholm_indices, theorem_predictions
+
     report = CheckSuiteReport("ris-consistency")
     spaces = load_corpus(corpus_dir)
     for name in sorted(spaces):
@@ -211,10 +225,11 @@ def suite_ris_consistency(corpus_dir=None):
     return report
 
 
-def _hilbert_trial(C, rng):
-    """(passed, detail) for one random complex. The complex and its dual,
-    whose maps are C's transposes, are freed when this returns, before the
-    next complex is drawn."""
+def _hilbert_trial(hb, linalg, C, rng):
+    """(passed, detail) for one random complex, checked with the modules
+    `hilbert` and `linalg` that `suite_hilbert` imported. The complex and
+    its dual, whose maps are C's transposes, are freed when this returns,
+    before the next complex is drawn."""
     ch = hb.cohomology_dims(C)
     ha = hb.harmonic_dims(C)
     _, dual_rep = hb.dual_complex(C)
@@ -241,15 +256,22 @@ def _hilbert_trial(C, rng):
 
 def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED):
     """Property run over seeded random finite complexes."""
+    from . import hilbert as hb
+    from . import linalg
+
     report = CheckSuiteReport("hilbert")
     rng = random.Random(seed)
     for trial in range(100):
-        report.add(f"trial {trial}", *_hilbert_trial(hb.random_complex(rng), rng))
+        report.add(f"trial {trial}", *_hilbert_trial(hb, linalg, hb.random_complex(rng), rng))
     return report
 
 
 def suite_degeneration(corpus_dir=None):
     """Manifolds give ordinary homology; subdivision preserves every vector."""
+    from .complexes import barycentric_subdivide
+    from .corpus import load_corpus
+    from .intersection import intersection_betti
+
     report = CheckSuiteReport("degeneration")
     spaces = load_corpus(corpus_dir)
     for name in sorted(spaces):

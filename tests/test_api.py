@@ -77,10 +77,52 @@ def test_unknown_attribute_raises():
         exec("from stratal import no_such_name", {})
 
 
-def test_package_import_defers_hilbert_and_l2model():
+def test_package_import_loads_no_layer():
     loaded = _loaded_after("import stratal")
-    assert {"stratal.complexes", "stratal.perversity"} <= loaded
-    assert not loaded & {"stratal.hilbert", "stratal.l2model"}
+    assert "stratal" in loaded
+    assert not {name for name in loaded if name.startswith("stratal.")}
+
+
+# the modules that every command but `hilbert` loads: the CLI, its errors and
+# readers, and the perversities; a space loads the complexes, which read
+# their ranks from `linalg`
+_BASE = {"cli", "errors", "rationals", "perversity"}
+_SPACE = {"complexes", "linalg"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["perversity", "--dim", "4", "--spec", "upper-middle", "--dual"], _BASE,
+                 id="perversity-dim"),
+    pytest.param(["cone", "--link-betti", "1,2,1", "--link-dim", "2", "--weight", "1/2"],
+                 _BASE | {"l2model"}, id="cone"),
+    pytest.param(["verify", "--suite", "hunsicker"], _BASE | {"verify"}, id="verify-hunsicker"),
+    pytest.param(["verify", "--suite", "realizability"], _BASE | {"verify"},
+                 id="verify-realizability"),
+    pytest.param(["verify", "--suite", "hilbert"], _BASE | {"verify", "hilbert", "linalg"},
+                 id="verify-hilbert"),
+    pytest.param(["ih", "--space", "susp_t2", "--perversity", "lower-middle"],
+                 _BASE | _SPACE | {"corpus", "intersection"}, id="ih-corpus"),
+    pytest.param(["ih", "--space", f"{SRC}/stratal/corpus_data/susp_t2.json",
+                  "--perversity", "upper-middle"], _BASE | _SPACE | {"intersection"},
+                 id="ih-file"),
+    pytest.param(["predict", "--space", "susp_t2"],
+                 _BASE | _SPACE | {"corpus", "intersection", "l2model"}, id="predict"),
+    pytest.param(["perversity", "--space", "susp_t2"], _BASE | _SPACE | {"corpus"},
+                 id="perversity-space"),
+    pytest.param(["corpus-list"], _BASE | _SPACE | {"corpus"}, id="corpus-list"),
+    pytest.param(["hilbert", "--complex", "{complex}"],
+                 (_BASE - {"perversity"}) | {"hilbert", "linalg"}, id="hilbert"),
+])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
+    """The exact `stratal.*` modules that one command, run through
+    `cli.main` in a fresh interpreter, loads; its report is discarded."""
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_text('{"dims": [1, 1], "differentials": [[[1]]]}')
+    argv = [a.format(complex=complex_file) for a in argv]
+    loaded = _loaded_after(
+        "import io; from stratal.cli import main; out, sys.stdout = sys.stdout, io.StringIO(); "
+        f"code = main({argv!r}); sys.stdout = out; assert code == 0, code")
+    assert {name[len("stratal."):] for name in loaded if name.startswith("stratal.")} == layers
 
 
 def test_cli_import_surface():

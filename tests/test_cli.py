@@ -375,6 +375,50 @@ def test_dimension_bounds_admit_their_own_value(monkeypatch, capsys):
         "error: --link-dim exceeds the bound of 3"]
 
 
+def _simplex_document(k, full):
+    """One k-simplex. Unless `full`, its X_0 is two vertices, which is not
+    full (the edge between them lies outside it), so a load subdivides it."""
+    doc = {"name": f"delta{k}", "dimension": k, "vertices": list(range(k + 1)),
+           "maximal_simplices": [list(range(k + 1))]}
+    if not full:
+        doc["skeleta"] = {"0": [[0], [1]]}
+    return doc
+
+
+@pytest.mark.parametrize("k, full, refused, message", [
+    pytest.param(21, True, ("_faces_by_dim", "_subdivide"),
+                 "the maximal simplices have up to 4194303 faces, above the bound of "
+                 "1000000 simplices", id="22-vertex-simplex"),
+    pytest.param(9, False, ("_subdivide", "_chain_shapes"),
+                 "subdividing the filtration to make it full gives 204495125 simplices, "
+                 "above the bound of 1000000 simplices", id="non-full-9-simplex"),
+])
+def test_an_oversized_document_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys,
+                                                          k, full, refused, message):
+    """A 22-vertex simplex has 2^22 - 1 faces, and the subdivision of a
+    9-simplex 2 a(10) - 1 simplices, a(m) the ordered partitions of m
+    vertices: each document exits 2 with one line naming the bound, before
+    the faces or the subdivision that it asks for are built (those steps are
+    replaced by one that fails, which would exit 3)."""
+    for name in refused:
+        monkeypatch.setattr(cx, name, _refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_simplex_document(k, full)))
+    assert cli.main(["ih", "--space", str(path), "--perversity", "zero"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_non_full_5_simplex_document_still_loads(tmp_path, capsys):
+    """Its subdivision has 2 a(6) - 1 = 9,365 simplices and is a cone, so
+    its IH is that of a point."""
+    path = tmp_path / "delta5.json"
+    path.write_text(json.dumps(_simplex_document(5, full=False)))
+    r = _main(capsys, "ih", "--space", str(path), "--perversity", "zero")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["betti"] == [1, 0, 0, 0, 0, 0]
+    assert sum(cx.load(path).counts()) == 9365
+
+
 def test_perversity_dim_zero_is_a_dimension(capsys):
     """--dim 0 is given, not absent: the zero perversity of a point has no
     stratum to take a value on."""

@@ -322,6 +322,38 @@ def test_a_wide_simplex_leaves_nothing_behind():
     assert held < 1_000_000
 
 
+def test_document_bounds_admit_their_own_value(monkeypatch):
+    """Each document bound admits a document of exactly its size and refuses
+    it one below (with the bound lowered): a full 5-simplex has 63 faces,
+    and the subdivision of one whose X_0 is not full 2 a(6) - 1 = 9,365
+    simplices, a(m) the ordered partitions of m vertices."""
+    full = {"dimension": 5, "vertices": list(range(6)), "maximal_simplices": [list(range(6))]}
+    not_full = {**full, "skeleta": {"0": [[0], [1]]}}
+    for doc, size, message in ((full, 63, "the maximal simplices have up to 63 faces"),
+                               (not_full, 9365, "gives 9365 simplices")):
+        monkeypatch.setattr(cx, "MAX_SIMPLICES", size)
+        assert sum(cx.load(doc).counts()) == size
+        monkeypatch.setattr(cx, "MAX_SIMPLICES", size - 1)
+        with pytest.raises(SpaceFormatError,
+                           match=f"{message}, above the bound of {size - 1} simplices"):
+            cx.load(doc)
+
+
+def test_the_face_bound_sums_the_maximal_simplices(monkeypatch):
+    """A 5-simplex and a triangle ask for 63 + 7 = 70 faces, though the
+    quick bound, two 6-vertex simplices, allows 126: at a bound of 70 the
+    document passes and is refused as impure, at 69 it is refused for its
+    size."""
+    doc = {"dimension": 5, "vertices": list(range(9)),
+           "maximal_simplices": [list(range(6)), [6, 7, 8]]}
+    monkeypatch.setattr(cx, "MAX_SIMPLICES", 70)
+    with pytest.raises(SpaceFormatError, match="not pure"):
+        cx.load(doc)
+    monkeypatch.setattr(cx, "MAX_SIMPLICES", 69)
+    with pytest.raises(SpaceFormatError, match="up to 70 faces, above the bound of 69"):
+        cx.load(doc)
+
+
 def test_suspension_shifts_reduced_betti(spaces):
     for name in ("s0", "s1_hex", "t2_7", "s2"):
         K = spaces[name]
