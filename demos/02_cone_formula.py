@@ -2,16 +2,15 @@
 
 The maximal L2 cohomology of a metric cone over a compact space keeps the
 link cohomology strictly below the cutoff f/2 + 1/(2c) and kills everything
-at or above it; a metric cylinder copies its base. Model spaces compose, so
-iterated cones evaluate by recursion.
+at or above it. Model spaces compose, so iterated cones evaluate by
+recursion.
 """
 
 from fractions import Fraction as F
 
-from stratal import ClosedManifold, Cone, Cylinder, cone_report, eval_max
+from stratal import ClosedManifold, Cone, cone_report, eval_max
 
 torus = ClosedManifold((1, 2, 1), 2)
-sphere = ClosedManifold((1, 0, 1), 2)
 circle = ClosedManifold((1, 1), 1)
 
 print("cones over the torus, sweeping the weight:")
@@ -22,8 +21,6 @@ for c in (F(1, 4), F(1, 2), F(1), F(2), F(10)):
 
 # The cutoff is strict: at weight 1/2 the cutoff on a 2-dimensional link is
 # exactly 2, so degree 2 dies while degree 1 survives.
-print()
-print("cylinder over the sphere:", eval_max(Cylinder(sphere)))
 
 # Iterated cones: the inner evaluation feeds the outer truncation.
 print()

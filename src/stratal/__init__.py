@@ -10,7 +10,7 @@ module on first access, so a program pays only for the layers it reads.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _LAZY = {
     **dict.fromkeys(("FilteredComplex", "Stratum", "barycentric_subdivide", "build",
@@ -23,9 +23,8 @@ _LAZY = {
                      "random_complex", "validate"), "hilbert"),
     **dict.fromkeys(("StratifiedChainComplex", "duality_check", "intersection_betti"),
                     "intersection"),
-    **dict.fromkeys(("ClosedManifold", "Cone", "Cylinder", "L2Report",
-                     "cone_max_cohomology", "cone_report", "cylinder_max_cohomology",
-                     "eval_max", "fredholm_indices", "local_model_check",
+    **dict.fromkeys(("ClosedManifold", "Cone", "L2Report", "cone_max_cohomology",
+                     "cone_report", "eval_max", "fredholm_indices", "local_model_check",
                      "theorem_predictions"), "l2model"),
     **dict.fromkeys(("Perversity", "bracket", "dual", "hunsicker_shift_check",
                      "is_gm_perversity", "middle_perversities", "perversity_from_weights",

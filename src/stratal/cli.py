@@ -114,7 +114,9 @@ def cmd_ih(args):
 def cmd_perversity(args):
     from . import perversity as pv
 
-    if args.space:
+    if args.space is not None:
+        if args.spec is not None or args.dual:
+            raise ConfigurationError("--spec and --dual go with --dim, not --space")
         K = _load_space(args.space, args.corpus_dir)
         p_g = pv.weight_perversity(K)
         q_g = pv.dual(p_g, K)
@@ -126,11 +128,14 @@ def cmd_perversity(args):
         }
         _emit(report)
         return 0
+    if args.corpus_dir is not None:
+        raise ConfigurationError("--corpus-dir goes with --space, not --dim")
     if args.dim is None:
-        raise StratalError("perversity needs --space or --dim with --spec")
+        raise StratalError("perversity needs --space or --dim")
     if args.dim < 0:
         raise ConfigurationError(f"ambient dimension cannot be negative, got {args.dim}")
-    p = _resolve_perversity(args.spec, _bounded(args.dim, "--dim"))
+    spec = "zero" if args.spec is None else args.spec
+    p = _resolve_perversity(spec, _bounded(args.dim, "--dim"))
     if args.dual:
         p = pv.dual(p)
     report = {"perversity": pv.perversity_to_json(p)}
@@ -184,6 +189,9 @@ def cmd_verify(args):
 def cmd_hilbert(args):
     from . import hilbert as hb
 
+    if (args.decompose is None) != (args.vector is None):
+        raise ConfigurationError("--decompose needs --vector FILE" if args.vector is None
+                                 else "--vector needs --decompose DEGREE")
     doc = read_json(Path(args.complex).read_text(), ConstructionError)
     if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
         raise StratalError("complex file needs an object with 'dims' and 'differentials'")
@@ -197,8 +205,6 @@ def cmd_hilbert(args):
         "dual_reversal": dual_rep,
     }
     if args.decompose is not None:
-        if not args.vector:
-            raise StratalError("--decompose needs --vector FILE")
         vec = read_json(Path(args.vector).read_text(), ConfigurationError)
         h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):
@@ -235,25 +241,18 @@ _integer = partial(parse_int, what="value", error=argparse.ArgumentTypeError)
 
 
 def _build_parser():
-    # SUPPRESS keeps a subcommand's unset flags from clobbering globals given
-    # before the subcommand; real defaults are applied after parsing.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help="suppress progress lines")
-    common.add_argument("--corpus-dir", default=argparse.SUPPRESS,
-                        help="override the corpus directory (also STRATAL_CORPUS_DIR)")
     parser = argparse.ArgumentParser(
         prog="stratal",
         description="Exact intersection (co)homology of filtered simplicial "
                     "pseudomanifolds and weighted-cone L2 model formulas.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_corpus_dir(p):
+        p.add_argument("--corpus-dir", metavar="DIR",
+                       help="read corpus spaces from DIR (also STRATAL_CORPUS_DIR)")
 
-    p = add_parser("ih", help="intersection betti/cobetti of a space")
+    p = sub.add_parser("ih", help="intersection betti/cobetti of a space")
     p.add_argument("--space", required=True)
     p.add_argument("--perversity", required=True)
     p.add_argument("--cobetti", action="store_true",
@@ -262,51 +261,54 @@ def _build_parser():
     p.add_argument("--emit-generators", action="store_true",
                    help="also emit RCEF bases of the chain spaces IC_i: not cycles, "
                         "and not generators of IH")
+    add_corpus_dir(p)
     p.set_defaults(func=cmd_ih)
 
-    p = add_parser("perversity", help="construct and inspect perversities")
-    p.add_argument("--space", help="derive p_g/q_g from a weighted space")
-    p.add_argument("--dim", type=_integer, help="ambient dimension for --spec")
-    p.add_argument("--spec", default="zero")
+    p = sub.add_parser("perversity", help="construct and inspect perversities")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--space", help="derive p_g/q_g from a weighted space")
+    mode.add_argument("--dim", type=_integer, help="ambient dimension for --spec")
+    p.add_argument("--spec", help="perversity for --dim (default: zero)")
     p.add_argument("--dual", action="store_true")
+    add_corpus_dir(p)
     p.set_defaults(func=cmd_perversity)
 
-    p = add_parser("cone", help="L2 cone truncation of a link betti vector")
+    p = sub.add_parser("cone", help="L2 cone truncation of a link betti vector")
     p.add_argument("--link-betti", required=True)
     p.add_argument("--link-dim", type=_integer, required=True)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=cmd_cone)
 
-    p = add_parser("predict", help="max/min cohomology predictions for a space")
+    p = sub.add_parser("predict", help="max/min cohomology predictions for a space")
     p.add_argument("--space", required=True)
+    add_corpus_dir(p)
     p.set_defaults(func=cmd_predict)
 
-    p = add_parser("verify", help="run a theorem-check suite over the corpus")
+    p = sub.add_parser("verify", help="run a theorem-check suite over the corpus")
     p.add_argument("--suite", required=True,
                    help="suite name (see README 'Command line'); an unknown one lists them")
+    p.add_argument("--quiet", action="store_true", help="omit the summary line on stderr")
+    add_corpus_dir(p)
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("hilbert", help="validate and analyze a finite complex")
+    p = sub.add_parser("hilbert", help="validate and analyze a finite complex")
     p.add_argument("--complex", required=True)
-    p.add_argument("--decompose", type=_integer, default=None)
-    p.add_argument("--vector")
+    p.add_argument("--decompose", type=_integer, metavar="DEGREE")
+    p.add_argument("--vector", metavar="FILE")
     p.set_defaults(func=cmd_hilbert)
 
-    p = add_parser("corpus-list", help="list the bundled spaces")
+    p = sub.add_parser("corpus-list", help="list the bundled spaces")
+    add_corpus_dir(p)
     p.set_defaults(func=cmd_corpus_list)
 
-    p = add_parser("corpus-build", help="regenerate the corpus data files")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("corpus-build", help="regenerate the corpus data files")
+    p.add_argument("--out", help="default: STRATAL_CORPUS_DIR, else the bundled directory")
     p.set_defaults(func=cmd_corpus_build)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for name, default in (("quiet", False), ("corpus_dir", None)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (StratalError, OSError, ValueError) as exc:

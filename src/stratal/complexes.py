@@ -23,7 +23,8 @@ values in it.
 Construction makes each dimension's sorted simplex list on its own, and
 every path ends in one step, `FilteredComplex(...)`, which takes X_{n-1} as
 one sorted list and the weights as (vertex, weight) pairs, and groups the
-strata; no constructor writes into the complex after it. A document (`load`,
+strata. Only a document's weights are written after it: they name strata,
+so `_assemble` sets them by stratum id once the strata exist. A document (`load`,
 `build`) gets its faces from C-level passes over whole lists
 (`_faces_by_dim`): the vertices from one flat pass, the faces of each size
 from one `zip` per position subset over the position columns of the

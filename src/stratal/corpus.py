@@ -22,8 +22,8 @@ def two_points():
     return build("s0", [0, 1], [(0,), (1,)])
 
 
-def circle(k=6):
-    return build("s1_hex", list(range(k)), [tuple(sorted((i, (i + 1) % k))) for i in range(k)])
+def circle():
+    return build("s1_hex", list(range(6)), [tuple(sorted((i, (i + 1) % 6))) for i in range(6)])
 
 
 def sphere2():

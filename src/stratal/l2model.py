@@ -1,9 +1,9 @@
 """Symbolic evaluation of the maximal L2 cohomology of weighted model spaces.
 
-Three constructions are licensed: a cone over a compact space truncates the
-link cohomology strictly below the rational cutoff f/2 + 1/(2c); a cylinder
-copies the base cohomology; and a compact global space routes through the
-simplicial intersection engine via the weight perversity p_g and its dual.
+Two constructions are licensed: a cone over a compact space truncates the
+link cohomology strictly below the rational cutoff f/2 + 1/(2c), and a
+compact global space routes through the simplicial intersection engine via
+the weight perversity p_g and its dual.
 A cone keeps degree i iff i <= [[f/2 + 1/(2c)]], the integer that
 `perversity._cutoff_bracket` computes for p_g too; the rational cutoff
 itself (`perversity.cone_cutoff`) is only reported.
@@ -54,20 +54,9 @@ class Cone(Frozen):
 
     def __init__(self, c, link):
         c = parse_weight(c, "cone weight")
-        if isinstance(link, Cylinder):
-            raise ConfigurationError("the link of a cone must be compact-flavored")
         if not isinstance(link, (ClosedManifold, Cone)):
             raise ConfigurationError(f"malformed cone link: {link!r}")
         self._set(c, link)
-
-
-class Cylinder(Frozen):
-    __slots__ = __match_args__ = ("base",)
-
-    def __init__(self, base):
-        if not isinstance(base, (ClosedManifold, Cone, Cylinder)):
-            raise ConfigurationError(f"malformed cylinder base: {base!r}")
-        self._set(base)
 
 
 class L2Report(Record):
@@ -121,11 +110,6 @@ def cone_report(link_betti, f: int, c) -> L2Report:
     )
 
 
-def cylinder_max_cohomology(base_betti):
-    """A metric cylinder copies its base cohomology, one degree longer."""
-    return tuple(list(base_betti) + [0])
-
-
 def eval_max(expr):
     """Recursive maximal L2 cohomology of a model space expression."""
     if isinstance(expr, ClosedManifold):
@@ -134,8 +118,6 @@ def eval_max(expr):
         # the vector of a space of dimension f has f + 1 entries
         link = eval_max(expr.link)
         return cone_max_cohomology(link, len(link) - 1, expr.c)
-    if isinstance(expr, Cylinder):
-        return cylinder_max_cohomology(eval_max(expr.base))
     raise ConfigurationError(f"not a space expression: {expr!r}")
 
 

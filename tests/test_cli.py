@@ -1,5 +1,8 @@
 """CLI smoke tests: reports, determinism, exit codes."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
 import re
@@ -7,6 +10,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -566,6 +570,65 @@ def test_error_paths_exit_2_with_their_message(tmp_path, capsys, argv, files, me
     assert "Traceback" not in r.stderr
     (line,) = r.stderr.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def _options(parser):
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def test_each_command_takes_exactly_the_options_it_reads():
+    """An option that no code reads would be accepted and dropped: the
+    root parser takes none, and each command's options are the `args.<name>`
+    attributes that its `cmd_*` function reads."""
+    parser = cli._build_parser()
+    assert _options(parser) == set()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(sub.get_default("func"))))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        assert _options(sub) == read, name
+
+
+_BUNDLED = Path(corpus.__file__).parent / "corpus_data"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("corpus-build", "--corpus-dir", "@out"),
+                 "unrecognized arguments: --corpus-dir", id="corpus-build-corpus-dir"),
+    pytest.param(("hilbert", "--complex", "@c.json", "--quiet"),
+                 "unrecognized arguments: --quiet", id="hilbert-quiet"),
+    pytest.param(("--quiet", "verify", "--suite", "hunsicker"),
+                 "unrecognized arguments: --quiet", id="quiet-before-command"),
+    pytest.param(("perversity", "--space", "susp_t2", "--spec", "top"),
+                 "--spec and --dual go with --dim, not --space", id="space-spec"),
+    pytest.param(("perversity", "--space", "susp_t2", "--dual"),
+                 "--spec and --dual go with --dim, not --space", id="space-dual"),
+    pytest.param(("perversity", "--space", "susp_t2", "--dim", "3"),
+                 "argument --dim: not allowed with argument --space", id="space-dim"),
+    pytest.param(("perversity", "--dim", "3", "--corpus-dir", "@empty"),
+                 "--corpus-dir goes with --space, not --dim", id="dim-corpus-dir"),
+    pytest.param(("hilbert", "--complex", "@c.json", "--vector", "@v.json"),
+                 "--vector needs --decompose DEGREE", id="hilbert-vector-no-decompose"),
+])
+def test_options_that_would_be_ignored_are_refused(tmp_path, capsys, argv, message):
+    """Each of these options would change nothing, so it is refused: exit 2,
+    no report, and an error line holding its message last on stderr. An
+    argument "@name" names a path under `tmp_path`; `corpus-build` writes no
+    file, neither there nor over the bundled corpus."""
+    (tmp_path / "c.json").write_text(json.dumps(_PATH))
+    (tmp_path / "v.json").write_text(json.dumps([1, 0]))
+    (tmp_path / "empty").mkdir()
+    bundled = {path: (path.read_bytes(), path.stat().st_mtime_ns)
+               for path in _BUNDLED.glob("*.json")}
+    r = _main(capsys, *(a.replace("@", str(tmp_path) + os.sep) for a in argv))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "Traceback" not in r.stderr
+    assert "error: " in r.stderr.splitlines()[-1] and message in r.stderr.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+    assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in _BUNDLED.glob("*.json")} == bundled
 
 
 def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Cone/cylinder truncation formulas and the global prediction pipeline."""
+"""Cone truncation formulas and the global prediction pipeline."""
 
 import random
 from fractions import Fraction as F
@@ -42,23 +42,13 @@ def test_cone_truncation_never_creates_cohomology():
             assert out == tuple(b if i < cutoff else 0 for i, b in enumerate(betti + (0,))), (f, c)
 
 
-def test_cylinder_examples():
-    assert l2.cylinder_max_cohomology((1, 2, 1)) == (1, 2, 1, 0)
-    assert l2.cylinder_max_cohomology((1,)) == (1, 0)
-    assert l2.cylinder_max_cohomology((1, 0, 1)) == (1, 0, 1, 0)
-
-
 def test_eval_max_recursion():
     t2 = l2.ClosedManifold((1, 2, 1), 2)
     assert l2.eval_max(l2.Cone(F(1), t2)) == (1, 2, 0, 0)
     s1 = l2.ClosedManifold((1, 1), 1)
     assert l2.eval_max(l2.Cone(F(1), l2.Cone(F(1), s1))) == (1, 0, 0, 0)
-    s2 = l2.ClosedManifold((1, 0, 1), 2)
-    assert l2.eval_max(l2.Cylinder(s2)) == (1, 0, 1, 0)
-    # a cylinder over a cone, and a triple cone whose outer cutoff 2 + 1/4
-    # keeps degree 2 only because the middle cone has dimension 4
-    assert l2.eval_max(l2.Cylinder(l2.Cone(F(1), s1))) == (1, 0, 0, 0)
-    assert l2.eval_max(l2.Cylinder(l2.Cone(F(1, 4), t2))) == (1, 2, 1, 0, 0)
+    # a triple cone whose outer cutoff 2 + 1/4 keeps degree 2 only because
+    # the middle cone has dimension 4
     triple = l2.Cone(F(2), l2.Cone(F(1, 3), l2.Cone(F(1, 6), t2)))
     assert l2.eval_max(triple) == (1, 2, 1, 0, 0, 0)
     assert l2.eval_max(l2.Cone(F(2), l2.Cone(F(1, 3), l2.Cone(F(1), s1)))) == (1, 0, 0, 0, 0)
@@ -69,8 +59,6 @@ def test_space_expr_validation():
         l2.ClosedManifold((1, 0), 2)
     with pytest.raises(ConfigurationError):
         l2.Cone(F(0), l2.ClosedManifold((1,), 0))
-    with pytest.raises(ConfigurationError):
-        l2.Cone(F(1), l2.Cylinder(l2.ClosedManifold((1,), 0)))
 
 
 @pytest.mark.parametrize("entry", [1.7, 2.9, True, "2"])
