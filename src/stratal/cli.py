@@ -41,16 +41,14 @@ def _emit(doc):
 
 
 def _load_space(spec, corpus_dir=None):
-    path = Path(spec)
-    if path.exists():
+    """The space in the file `spec`, else the corpus space named `spec`."""
+    if Path(spec).is_file():
         from .complexes import load
 
-        return load(path)
-    from . import corpus
+        return load(spec)
+    from .corpus import load_space
 
-    if (corpus.corpus_dir(corpus_dir) / f"{spec}.json").exists():
-        return corpus.load_space(spec, corpus_dir)
-    raise StratalError(f"space {spec!r} is neither a file nor a corpus name")
+    return load_space(spec, corpus_dir)
 
 
 def _resolve_perversity(spec, n, space=None):
@@ -68,6 +66,8 @@ def _resolve_perversity(spec, n, space=None):
         return pv.Perversity(pv.BY_CODIM, {k + 2: v for k, v in enumerate(values)})
     if spec.startswith("per-stratum:"):
         path = spec.split(":", 1)[1]
+        if not path:
+            raise ConfigurationError("perversity spec 'per-stratum:' names no FILE")
         doc = read_json(Path(path).read_text(), ConfigurationError)
         if not isinstance(doc, dict):
             raise ConfigurationError(f"perversity file {path} must hold a JSON object")
@@ -173,12 +173,17 @@ def cmd_predict(args):
 
 
 def cmd_verify(args):
-    from .verify import SUITES
+    from .verify import CORPUS_SUITES, SUITES
 
     if args.suite not in SUITES:
         raise ConfigurationError(
             f"unknown suite {args.suite!r}; use one of {', '.join(sorted(SUITES))}")
-    report = SUITES[args.suite](args.corpus_dir)
+    if args.suite in CORPUS_SUITES:
+        report = SUITES[args.suite](args.corpus_dir)
+    elif args.corpus_dir is None:
+        report = SUITES[args.suite]()
+    else:
+        raise ConfigurationError(f"--corpus-dir goes with the suites {', '.join(CORPUS_SUITES)}")
     _emit(report.to_json())
     if not args.quiet:
         status = "PASS" if report.passed else "FAIL"
@@ -223,7 +228,7 @@ def cmd_corpus_list(args):
     from . import corpus
 
     listing = corpus.corpus_listing(args.corpus_dir)
-    _emit({"corpus_dir": str(args.corpus_dir or corpus.corpus_dir()),
+    _emit({"corpus_dir": str(corpus.corpus_dir()) if args.corpus_dir is None else args.corpus_dir,
            "spaces": listing})
     return 0
 
@@ -240,6 +245,13 @@ def cmd_corpus_build(args):
 _integer = partial(parse_int, what="value", error=argparse.ArgumentTypeError)
 
 
+def _path(text):
+    """`text`, the value of a path option; an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stratal",
@@ -249,8 +261,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_corpus_dir(p):
-        p.add_argument("--corpus-dir", metavar="DIR",
-                       help="read corpus spaces from DIR (also STRATAL_CORPUS_DIR)")
+        p.add_argument("--corpus-dir", type=_path, metavar="DIR",
+                       help="read corpus spaces from DIR (default: the bundled corpus)")
 
     p = sub.add_parser("ih", help="intersection betti/cobetti of a space")
     p.add_argument("--space", required=True)
@@ -292,9 +304,9 @@ def _build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hilbert", help="validate and analyze a finite complex")
-    p.add_argument("--complex", required=True)
+    p.add_argument("--complex", type=_path, required=True)
     p.add_argument("--decompose", type=_integer, metavar="DEGREE")
-    p.add_argument("--vector", metavar="FILE")
+    p.add_argument("--vector", type=_path, metavar="FILE")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("corpus-list", help="list the bundled spaces")
@@ -302,7 +314,7 @@ def _build_parser():
     p.set_defaults(func=cmd_corpus_list)
 
     p = sub.add_parser("corpus-build", help="regenerate the corpus data files")
-    p.add_argument("--out", help="default: STRATAL_CORPUS_DIR, else the bundled directory")
+    p.add_argument("--out", type=_path, help="default: the bundled directory")
     p.set_defaults(func=cmd_corpus_build)
     return parser
 

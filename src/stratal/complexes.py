@@ -806,6 +806,11 @@ def load(source):
     return _assemble(*_read_document(source))
 
 
+# every key a space document may hold, each read by `_read_document`: any
+# other key, such as a misspelled "skeleta", would load a different space
+_FIELDS = ("name", "dimension", "vertices", "maximal_simplices", "skeleta", "weights")
+
+
 def _read_document(source):
     """The checked fields of a space document, as `_assemble`'s arguments."""
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -820,21 +825,15 @@ def _read_document(source):
         doc = source
     if not isinstance(doc, dict):
         raise SpaceFormatError("space document must be a JSON object")
+    for key in doc:
+        if key not in _FIELDS:
+            raise SpaceFormatError(f"space document key {key!r} is not one of {', '.join(_FIELDS)}")
     for key in ("dimension", "vertices", "maximal_simplices"):
         if key not in doc:
             raise SpaceFormatError(f"space document lacks {key!r}")
-    fields = _checked_fields(doc.get("name", "unnamed"), doc["dimension"], doc["vertices"],
-                             doc["maximal_simplices"], doc.get("skeleta", {}),
-                             doc.get("weights", {}))
-    orientation = doc.get("orientation")
-    if orientation is not None:
-        if not isinstance(orientation, list) or any(
-            not isinstance(e, list) or len(e) != 2 or type(e[1]) is not int or e[1] not in (1, -1)
-            for e in orientation
-        ):
-            raise SpaceFormatError("orientation must be a list of [simplex, ±1] pairs")
-        _simplex_list([e[0] for e in orientation], "orientation", len(doc["vertices"]))
-    return fields
+    return _checked_fields(doc.get("name", "unnamed"), doc["dimension"], doc["vertices"],
+                           doc["maximal_simplices"], doc.get("skeleta", {}),
+                           doc.get("weights", {}))
 
 
 def to_document(K):

@@ -2,11 +2,11 @@
 
 The corpus ships as data files so verification runs are hermetic; the
 generators below rebuild those files bit-for-bit (`stratal corpus-build`).
-STRATAL_CORPUS_DIR overrides the bundled directory.
+Every reader and writer takes the directory as an argument, and reads the
+bundled one when that argument is None; nothing else names a directory.
 """
 
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,13 +73,10 @@ def generate_space(name):
 
 
 def corpus_dir(directory=None) -> Path:
-    """`directory` when given, else STRATAL_CORPUS_DIR, else the bundled data."""
-    if directory:
-        return Path(directory)
-    override = os.environ.get("STRATAL_CORPUS_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "corpus_data"
+    """`directory`, or the bundled data when it is None."""
+    if directory is None:
+        return Path(__file__).parent / "corpus_data"
+    return Path(directory)
 
 
 def write_corpus(target=None):
@@ -96,10 +93,9 @@ def write_corpus(target=None):
 
 
 def load_space(name, directory=None):
-    directory = corpus_dir(directory)
-    path = directory / f"{name}.json"
+    path = corpus_dir(directory) / f"{name}.json"
     if not path.exists():
-        raise SpaceFormatError(f"corpus space {name!r} not found under {directory}")
+        raise SpaceFormatError(f"corpus space {name!r} not found under {path.parent}")
     return load(path)
 
 

@@ -90,7 +90,7 @@ def suite_mil(corpus_dir=None):
     return report
 
 
-def suite_hunsicker(corpus_dir=None):
+def suite_hunsicker():
     report = CheckSuiteReport("hunsicker")
     grid = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
             Fraction(1), Fraction(2), Fraction(4)]
@@ -104,7 +104,7 @@ def suite_hunsicker(corpus_dir=None):
     return report
 
 
-def suite_realizability(corpus_dir=None, seed=DEFAULT_SEED):
+def suite_realizability(seed=DEFAULT_SEED):
     """Seeded random perversities at or above the upper middle round-trip."""
     report = CheckSuiteReport("realizability")
     rng = random.Random(seed)
@@ -254,7 +254,7 @@ def _hilbert_trial(hb, linalg, C, rng):
     return ok, {"dims": list(C.dims), "cohomology": list(ch), "index": idx}
 
 
-def suite_hilbert(corpus_dir=None, seed=DEFAULT_SEED):
+def suite_hilbert(seed=DEFAULT_SEED):
     """Property run over seeded random finite complexes."""
     from . import hilbert as hb
     from . import linalg
@@ -296,6 +296,10 @@ def suite_degeneration(corpus_dir=None):
             )
     return report
 
+
+# the suites that read spaces, each from `corpus_dir` (the bundled corpus
+# when None); the others take no directory
+CORPUS_SUITES = ("cone-local", "degeneration", "duality", "mil", "ris-consistency")
 
 SUITES = {
     "duality": suite_duality,

@@ -1,6 +1,7 @@
 """The package surface: exported names, what an import loads, and the value
 semantics of the record types."""
 
+import ast
 import copy
 import importlib
 import pickle
@@ -13,13 +14,14 @@ from pathlib import Path
 import pytest
 
 import stratal
+from stratal import verify
 from stratal.l2model import ClosedManifold, Cone, L2Report, cone_report
 from stratal.perversity import BY_CODIM, PER_STRATUM, Perversity
 from stratal.verify import CheckSuiteReport
 
 SRC = str(Path(stratal.__file__).parents[1])
 
-# every name the package exports in 0.3.0, with its defining module
+# every name the package exports in 0.4.0, with its defining module
 EXPORTS = {
     "complexes": ("FilteredComplex", "Stratum", "barycentric_subdivide", "build",
                   "check_orientation", "cone", "load", "suspension", "to_document"),
@@ -70,7 +72,7 @@ def test_removed_name_is_not_exported(name):
 
 
 def test_unknown_attribute_raises():
-    assert stratal.__version__ == "0.3.0"
+    assert stratal.__version__ == "0.4.0"
     assert {name for names in EXPORTS.values() for name in names} <= set(dir(stratal))
     assert "importlib" not in dir(stratal)
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -236,3 +238,33 @@ def test_report_records_are_mutable_values():
     for report in (r, s):
         with pytest.raises(TypeError, match=f"unhashable type: '{type(report).__name__}'"):
             hash(report)
+
+
+def test_no_module_reads_the_environment():
+    """Every setting is an argument or a command-line option, so no variable
+    of the environment can change an answer unseen."""
+    for path in sorted(Path(stratal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+def test_each_verify_suite_reads_every_parameter_it_takes():
+    """A parameter that a suite never reads would take a value and drop it;
+    the suites that take `corpus_dir` are the ones `verify.CORPUS_SUITES`
+    names, which `stratal verify --corpus-dir` accepts."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    suites = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")}
+    assert set(suites) == {suite.__name__ for suite in verify.SUITES.values()}
+    takes = {}
+    for name, node in suites.items():
+        takes[name] = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        assert takes[name] <= read, name
+    assert set(verify.CORPUS_SUITES) == {
+        key for key, suite in verify.SUITES.items() if "corpus_dir" in takes[suite.__name__]}

@@ -206,8 +206,8 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
     pytest.param({**_CIRCLE, "skeleta": []}, "zero", id="skeleta-list"),
     pytest.param({**_CIRCLE, "weights": None}, "zero", id="weights-null"),
     pytest.param({**_CIRCLE, "weights": False}, "zero", id="weights-false"),
-    pytest.param({**_CIRCLE, "orientation": [[[0, 1], True]]}, "zero", id="orientation-true"),
-    pytest.param({**_CIRCLE, "orientation": [["junk", 1]]}, "zero", id="orientation-junk"),
+    pytest.param({**_CIRCLE, "skeleton": {"0": [[0]]}}, "zero", id="unknown-key-skeleton"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1]]}, "zero", id="unknown-key-orientation"),
 ])
 def test_malformed_json_no_traceback(tmp_path: Path, space, perversity):
     bad = tmp_path / "space.json"
@@ -592,6 +592,7 @@ def test_each_command_takes_exactly_the_options_it_reads():
 
 
 _BUNDLED = Path(corpus.__file__).parent / "corpus_data"
+_EMPTY_PATH = "an empty path names no file"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -611,22 +612,66 @@ _BUNDLED = Path(corpus.__file__).parent / "corpus_data"
                  "--corpus-dir goes with --space, not --dim", id="dim-corpus-dir"),
     pytest.param(("hilbert", "--complex", "@c.json", "--vector", "@v.json"),
                  "--vector needs --decompose DEGREE", id="hilbert-vector-no-decompose"),
+    *(pytest.param(("verify", "--suite", suite, "--corpus-dir", "@nonexistent"),
+                   "--corpus-dir goes with the suites cone-local, degeneration, duality, mil, "
+                   "ris-consistency", id=f"verify-{suite}-corpus-dir")
+      for suite in ("hunsicker", "realizability", "hilbert")),
+    # an empty path once stood for the bundled corpus or the working directory
+    *(pytest.param((*command, "--corpus-dir", ""), f"argument --corpus-dir: {_EMPTY_PATH}",
+                   id=f"{command[0]}-empty-corpus-dir")
+      for command in (("ih", "--space", "s2", "--perversity", "zero"),
+                      ("perversity", "--space", "s2"),
+                      ("predict", "--space", "s2"),
+                      ("verify", "--suite", "mil"),
+                      ("corpus-list",))),
+    pytest.param(("corpus-build", "--out", ""), f"argument --out: {_EMPTY_PATH}",
+                 id="corpus-build-empty-out"),
+    pytest.param(("hilbert", "--complex", ""), f"argument --complex: {_EMPTY_PATH}",
+                 id="hilbert-empty-complex"),
+    pytest.param(("hilbert", "--complex", "@c.json", "--decompose", "0", "--vector", ""),
+                 f"argument --vector: {_EMPTY_PATH}", id="hilbert-empty-vector"),
+    pytest.param(("ih", "--space", "s2", "--perversity", "per-stratum:"),
+                 "perversity spec 'per-stratum:' names no FILE", id="ih-empty-per-stratum"),
+    pytest.param(("perversity", "--dim", "2", "--spec", "per-stratum:"),
+                 "perversity spec 'per-stratum:' names no FILE",
+                 id="perversity-empty-per-stratum"),
+    pytest.param(("ih", "--space", "", "--perversity", "zero"),
+                 "corpus space '' not found under ", id="ih-empty-space"),
+    # a key the loader does not read, such as a misspelled "skeleta", would
+    # load a different space
+    pytest.param(("ih", "--space", "@skeleton.json", "--perversity", "zero"),
+                 "space document key 'skeleton' is not one of ", id="document-skeleton"),
+    pytest.param(("predict", "--space", "@orientation.json"),
+                 "space document key 'orientation' is not one of ", id="document-orientation"),
 ])
-def test_options_that_would_be_ignored_are_refused(tmp_path, capsys, argv, message):
-    """Each of these options would change nothing, so it is refused: exit 2,
-    no report, and an error line holding its message last on stderr. An
-    argument "@name" names a path under `tmp_path`; `corpus-build` writes no
-    file, neither there nor over the bundled corpus."""
+def test_options_that_would_be_ignored_are_refused(tmp_path, monkeypatch, capsys, argv,
+                                                   message):
+    """Each of these inputs would change nothing, or would be read as
+    something else, so it is refused: exit 2, no report, and one error line
+    holding its message, after argparse's usage lines for an option. An
+    argument "@name" names a path under `tmp_path`. Nothing is written,
+    neither in the working directory nor over the bundled corpus."""
     (tmp_path / "c.json").write_text(json.dumps(_PATH))
     (tmp_path / "v.json").write_text(json.dumps([1, 0]))
     (tmp_path / "empty").mkdir()
+    space = json.loads((corpus_dir() / "susp_t2.json").read_text())
+    (tmp_path / "orientation.json").write_text(
+        json.dumps({**space, "orientation": [[s, 1] for s in space["maximal_simplices"]]}))
+    (tmp_path / "skeleton.json").write_text(
+        json.dumps({**space, "skeleton": space.pop("skeleta")}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     bundled = {path: (path.read_bytes(), path.stat().st_mtime_ns)
                for path in _BUNDLED.glob("*.json")}
     r = _main(capsys, *(a.replace("@", str(tmp_path) + os.sep) for a in argv))
     assert (r.returncode, r.stdout) == (2, "")
     assert "Traceback" not in r.stderr
-    assert "error: " in r.stderr.splitlines()[-1] and message in r.stderr.splitlines()[-1]
+    *usage, line = r.stderr.splitlines()
+    assert all(u.startswith(("usage: ", " ")) for u in usage)
+    assert "error: " in line and message in line
     assert not (tmp_path / "out").exists()
+    assert list(work.iterdir()) == []
     assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
             for path in _BUNDLED.glob("*.json")} == bundled
 

@@ -146,21 +146,15 @@ _CIRCLE = {"dimension": 1, "vertices": [0, 1, 2], "maximal_simplices": [[0, 1], 
                  r"^bad simplex \[0, 5\] in maximal_simplices$", id="first-bad-range"),
     pytest.param({**_CIRCLE, "skeleta": {"0": [[0], [3]]}},
                  r"^bad simplex \[3\] in skeleton 0$", id="skeleton-vertex-past-count"),
-    # an orientation sign is the integer 1 or -1, and its simplex obeys the simplex rules
-    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1], [[1, 2], True]]},
-                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-true"),
-    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1.0]]},
-                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-float"),
-    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 2]]},
-                 r"^orientation must be a list of \[simplex, ±1\] pairs$", id="orientation-two"),
-    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1], ["junk", 1]]},
-                 r"^bad simplex 'junk' in orientation$", id="orientation-simplex-string"),
-    pytest.param({**_CIRCLE, "orientation": [[[99, 98], -1]]},
-                 r"^bad simplex \[99, 98\] in orientation$", id="orientation-vertex-past-count"),
-    pytest.param({**_CIRCLE, "orientation": [[[1, True], -1]]},
-                 r"^bad simplex \[1, True\] in orientation$", id="orientation-vertex-true"),
-    pytest.param({**_CIRCLE, "orientation": [[[2, 2], -1]]},
-                 r"^repeated vertex in simplex \[2, 2\]$", id="orientation-vertex-repeated"),
+    # a document holds only the keys the loader reads; any other key, such as
+    # a misspelled "skeleta", would otherwise load a different space
+    pytest.param({**_CIRCLE, "skeleton": {"0": [[0]]}},
+                 r"^space document key 'skeleton' is not one of name, dimension, vertices, "
+                 r"maximal_simplices, skeleta, weights$", id="unknown-key-skeleton"),
+    pytest.param({**_CIRCLE, "orientation": [[[0, 1], 1]]},
+                 r"^space document key 'orientation' is not one", id="unknown-key-orientation"),
+    pytest.param({"orientation": []}, r"^space document key 'orientation' is not one",
+                 id="unknown-key-before-missing-key"),
 ])
 def test_load_rejects_malformed_structure(doc, message):
     with pytest.raises(SpaceFormatError, match=message):
@@ -785,11 +779,10 @@ def _paths(value, prefix=()):
 
 @st.composite
 def _mutated_documents(draw):
-    """A small corpus document, with an orientation, in which one value
-    anywhere is replaced by random JSON or one object gains a random key."""
+    """A small corpus document in which one value anywhere is replaced by
+    random JSON or one object gains a random key."""
     doc = cx.to_document(corpus.load_space(draw(st.sampled_from(
         ["point", "s0", "s1_hex", "cone_s1_c_half", "susp_s0", "cone_cone_s1"]))))
-    doc["orientation"] = [[s, 1] for s in doc["maximal_simplices"]]
     path = draw(st.sampled_from(list(_paths(doc))))
     value = draw(_JSON_VALUES)
     if not path:

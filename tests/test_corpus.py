@@ -39,12 +39,9 @@ def test_generate_space_names_cover_files():
     }
 
 
-def test_corpus_dir_owns_the_directory_fallback(tmp_path, monkeypatch):
-    monkeypatch.delenv("STRATAL_CORPUS_DIR", raising=False)
+def test_corpus_dir_owns_the_directory_fallback(tmp_path):
     bundled = corpus.corpus_dir()
     assert bundled.name == "corpus_data"
-    assert corpus.corpus_dir(None) == corpus.corpus_dir("") == bundled
+    assert corpus.corpus_dir(None) == bundled
     assert corpus.corpus_dir(str(tmp_path)) == tmp_path
-    monkeypatch.setenv("STRATAL_CORPUS_DIR", str(tmp_path))
-    assert corpus.corpus_dir() == tmp_path
     assert corpus.corpus_dir(bundled) == bundled
