@@ -40,12 +40,12 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_space(spec, corpus_dir=None):
+def _load_space(spec, corpus_dir):
     """The space in the file `spec`, else the corpus space named `spec`."""
     if Path(spec).is_file():
         from .complexes import load
 
-        return load(spec)
+        return load(Path(spec))
     from .corpus import load_space
 
     return load_space(spec, corpus_dir)

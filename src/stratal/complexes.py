@@ -13,6 +13,12 @@ level, stratum and singular-face profile follow from its vertices, and the
 complex stores only each vertex's level and stratum id. Codimension-one
 strata are allowed, and X_{n-1} may differ from X_{n-2}.
 
+A filtered, weighted space comes in one way, as a space document that
+`load` reads: the Path of its file, its JSON text (a str, never taken for a
+file name) or the parsed dict. `build` makes an unfiltered, unweighted
+complex from a name, vertex ids and maximal simplices, read by the same
+document reader (`_read_document`), so both obey one set of rules.
+
 Strata are listed in the order of their least member simplex, members
 being sorted vertex-index tuples. The order depends only on the complex and
 its filtration, not on how a document lists its simplices.
@@ -674,7 +680,7 @@ def _subdivide(name, n, vertex_ids, by_dim, level, weighted):
     return FilteredComplex(name, n, new_ids, faces, vertex_level, singular, weighted)
 
 
-def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
+def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc):
     if not maximal:
         raise SpaceFormatError("a complex needs at least one simplex")
     # checked before the faces, which number 2^k - 1 for each k-vertex simplex
@@ -744,15 +750,15 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc=None):
     return K
 
 
-def build(name, vertex_ids, maximal, skeleta=None, weights=None, dimension=None):
-    """Assemble a FilteredComplex from the fields of a space document, checked
-    by the document rules (`_checked_fields`); simplices may be tuples, and
-    the dimension defaults to that of the widest maximal simplex."""
+def build(name, vertex_ids, maximal):
+    """An unfiltered, unweighted FilteredComplex of the dimension of its
+    widest maximal simplex, read as the space document of these fields
+    (`_read_document`); simplices may be tuples. A filtered or weighted
+    space comes in through `load`."""
     maximal = list(maximal)
-    n = dimension if dimension is not None else max(map(len, maximal), default=1) - 1
-    return _assemble(*_checked_fields(
-        name, n, list(vertex_ids), maximal,
-        {} if skeleta is None else skeleta, {} if weights is None else weights))
+    return _assemble(*_read_document({
+        "name": name, "dimension": max(map(len, maximal), default=1) - 1,
+        "vertices": list(vertex_ids), "maximal_simplices": maximal}))
 
 
 def _simplex_list(value, field, nverts):
@@ -779,28 +785,9 @@ def _simplex_list(value, field, nverts):
     return out
 
 
-def _checked_fields(name, n, vertex_ids, maximal, skeleta, weights):
-    """`_assemble`'s arguments from the fields of a space document, each
-    checked by the document rules, simplices as sorted tuples. `load` and
-    `build` both read through it."""
-    if not isinstance(name, str):
-        raise SpaceFormatError("name must be a string")
-    if type(n) is not int or n < 0:
-        raise SpaceFormatError("dimension must be a non-negative integer")
-    if (not isinstance(vertex_ids, list)
-            or not {int, str}.issuperset(map(type, vertex_ids))
-            or len(set(map(str, vertex_ids))) != len(vertex_ids)):
-        raise SpaceFormatError("vertices must be a list of unique ids")
-    maximal = _simplex_list(maximal, "maximal_simplices", len(vertex_ids))
-    if not isinstance(skeleta, dict) or not isinstance(weights, dict):
-        raise SpaceFormatError("skeleta and weights must be JSON objects")
-    skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
-               for j, level in skeleta.items()}
-    return name, n, vertex_ids, maximal, skeleta, weights
-
-
 def load(source):
-    """Load a space document (dict, JSON text, or path) into a FilteredComplex."""
+    """Load a space document into a FilteredComplex: `source` is the Path of
+    its file, its JSON text (a str) or the parsed dict."""
     # the parsed document and any file text die with `_read_document`'s frame,
     # before the assembly; a dict passed in is only read
     return _assemble(*_read_document(source))
@@ -812,17 +799,15 @@ _FIELDS = ("name", "dimension", "vertices", "maximal_simplices", "skeleta", "wei
 
 
 def _read_document(source):
-    """The checked fields of a space document, as `_assemble`'s arguments."""
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    """The fields of a space document, each checked by the document rules,
+    as `_assemble`'s arguments, simplices as sorted tuples. `load` and
+    `build` both read through it."""
+    if isinstance(source, Path):
         try:
-            text = Path(source).read_text()
+            source = source.read_text()
         except OSError as exc:
             raise SpaceFormatError(f"cannot read space file {source}: {exc}") from exc
-        doc = read_json(text, SpaceFormatError)
-    elif isinstance(source, str):
-        doc = read_json(source, SpaceFormatError)
-    else:
-        doc = source
+    doc = read_json(source, SpaceFormatError) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise SpaceFormatError("space document must be a JSON object")
     for key in doc:
@@ -831,9 +816,22 @@ def _read_document(source):
     for key in ("dimension", "vertices", "maximal_simplices"):
         if key not in doc:
             raise SpaceFormatError(f"space document lacks {key!r}")
-    return _checked_fields(doc.get("name", "unnamed"), doc["dimension"], doc["vertices"],
-                           doc["maximal_simplices"], doc.get("skeleta", {}),
-                           doc.get("weights", {}))
+    name, n, vertex_ids = doc.get("name", "unnamed"), doc["dimension"], doc["vertices"]
+    if not isinstance(name, str):
+        raise SpaceFormatError("name must be a string")
+    if type(n) is not int or n < 0:
+        raise SpaceFormatError("dimension must be a non-negative integer")
+    if (not isinstance(vertex_ids, list)
+            or not {int, str}.issuperset(map(type, vertex_ids))
+            or len(set(map(str, vertex_ids))) != len(vertex_ids)):
+        raise SpaceFormatError("vertices must be a list of unique ids")
+    maximal = _simplex_list(doc["maximal_simplices"], "maximal_simplices", len(vertex_ids))
+    skeleta, weights = doc.get("skeleta", {}), doc.get("weights", {})
+    if not isinstance(skeleta, dict) or not isinstance(weights, dict):
+        raise SpaceFormatError("skeleta and weights must be JSON objects")
+    skeleta = {j: _simplex_list(level, f"skeleton {j}", len(vertex_ids))
+               for j, level in skeleta.items()}
+    return name, n, vertex_ids, maximal, skeleta, weights
 
 
 def to_document(K):

@@ -4,6 +4,10 @@ The corpus ships as data files so verification runs are hermetic; the
 generators below rebuild those files bit-for-bit (`stratal corpus-build`).
 Every reader and writer takes the directory as an argument, and reads the
 bundled one when that argument is None; nothing else names a directory.
+The generators make the unfiltered spaces with `build` and the others by
+cone and suspension; a space file is read by `load`. A directory's spaces
+are known by their document names, so two files that hold one name (or
+both omit it) are refused, naming both files.
 """
 
 import json
@@ -101,10 +105,13 @@ def load_space(name, directory=None):
 
 def load_corpus(directory=None):
     directory = corpus_dir(directory)
-    spaces = {}
+    spaces, files = {}, {}
     for path in sorted(directory.glob("*.json")):
         K = load(path)
-        spaces[K.name] = K
+        # a space is listed and checked by its name, so a second would hide the first
+        if K.name in files:
+            raise SpaceFormatError(f"{files[K.name]} and {path} both hold a space named {K.name!r}")
+        spaces[K.name], files[K.name] = K, path
     if not spaces:
         raise SpaceFormatError(f"no corpus spaces under {directory}")
     return spaces

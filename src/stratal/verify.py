@@ -36,9 +36,9 @@ DEFAULT_SEED = 20260808
 class CheckSuiteReport(Record):
     __match_args__ = ("suite", "checks")
 
-    def __init__(self, suite, checks=None):
+    def __init__(self, suite):
         self.suite = suite
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, name, passed, detail=None):
         self.checks.append({"name": name, "pass": bool(passed), "detail": detail or {}})

@@ -676,6 +676,36 @@ def test_options_that_would_be_ignored_are_refused(tmp_path, monkeypatch, capsys
             for path in _BUNDLED.glob("*.json")} == bundled
 
 
+def test_a_space_file_may_have_any_name(tmp_path, monkeypatch, capsys):
+    """`--space` names a file whenever one exists: a name starting with "{"
+    was once read as JSON text and refused."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(_BUNDLED / "s2.json", tmp_path / "{s2}.json")
+    r = _main(capsys, "ih", "--space", "{s2}.json", "--perversity", "zero")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["betti"] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("unnamed", [pytest.param(False, id="renamed"),
+                                     pytest.param(True, id="both-unnamed")])
+def test_corpus_spaces_of_one_name_exit_2_naming_both_files(tmp_path, capsys, unnamed):
+    """A corpus knows its spaces by name, so a second document of one name
+    would hide the first: `a.json` holds s2 and `b.json` t2_7 renamed "s2",
+    or both omit the name and load as "unnamed"."""
+    s2, t2 = (json.loads((_BUNDLED / f"{name}.json").read_text()) for name in ("s2", "t2_7"))
+    if unnamed:
+        del s2["name"], t2["name"]
+    else:
+        t2["name"] = "s2"
+    (tmp_path / "a.json").write_text(json.dumps(s2))
+    (tmp_path / "b.json").write_text(json.dumps(t2))
+    r = _main(capsys, "corpus-list", "--corpus-dir", str(tmp_path))
+    assert (r.returncode, r.stdout) == (2, "")
+    name = "unnamed" if unnamed else "s2"
+    assert r.stderr.splitlines() == [
+        f"error: {tmp_path / 'a.json'} and {tmp_path / 'b.json'} both hold a space named {name!r}"]
+
+
 def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"kind": "by-codim", "values": {"3": 0}}))

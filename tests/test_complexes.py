@@ -913,16 +913,16 @@ def _strata_and_weights(K):
     return list(K.strata), {sid: str(w) for sid, w in K.weights.items()}
 
 
-def test_corpus_constructions_leave_the_simplex_index_unbuilt(spaces):
+def test_corpus_constructions_leave_the_simplex_index_unbuilt(spaces, tmp_path):
     """No constructor, `to_document` or `load` reads the simplex index: each
     result builds it on its first `index`, `level`, `label` or boundary."""
     for name in corpus.SPACE_NAMES:
         K = spaces[name]
         doc = cx.to_document(K)
         before = json.dumps(doc)
-        rebuilt = [cx.load(json.dumps(doc)), cx.load(doc),
-                   cx.build(name, doc["vertices"], doc["maximal_simplices"],
-                            doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
+        path = tmp_path / f"{name}.json"
+        path.write_text(before)
+        rebuilt = [cx.load(json.dumps(doc)), cx.load(doc), cx.load(path)]
         assert json.dumps(doc) == before  # a document passed in is only read
         for J in rebuilt:
             assert "_index" not in vars(J), name
@@ -1211,8 +1211,7 @@ _SEVERAL_COMPONENTS = {
 
 def test_several_components_per_level_match_reference():
     two = _two_cones()
-    built = cx.build(two["name"], two["vertices"], two["maximal_simplices"],
-                     skeleta=two["skeleta"])
+    built = cx.load(two)
     cases = [("two cone_t2", two, built)] + [
         (key, cx.to_document(_base(key)), _base(key)) for key in ("cone s0", "susp_s0")]
     for key, doc, K in cases:
@@ -1270,8 +1269,8 @@ def test_tuple_and_list_input_build_one_complex(name):
 
     def built(kind):
         skeleta = {j: list(map(kind, level)) for j, level in doc.get("skeleta", {}).items()}
-        return cx.build(doc["name"], doc["vertices"], list(map(kind, doc["maximal_simplices"])),
-                        skeleta, doc.get("weights"), doc["dimension"])
+        return cx.load({**doc, "maximal_simplices": list(map(kind, doc["maximal_simplices"])),
+                        "skeleta": skeleta})
 
     K, J = built(list), built(tuple)
     _assert_same_complex(K, J)
@@ -1501,14 +1500,14 @@ def _not_full(doc):
 
 
 @pytest.mark.parametrize("name", corpus.SPACE_NAMES)
-def test_load_paths_and_remedy_match_reference_assembly(name):
-    """A load of the text, a load of the dict and `build` give the reference
-    assembly's strata and members, and so does the fullness remedy of the
-    document made not full, which subdivides it once."""
+def test_load_paths_and_remedy_match_reference_assembly(name, tmp_path):
+    """A load of the JSON text, of the dict and of the file's Path give the
+    reference assembly's strata and members, and so does the fullness remedy
+    of the document made not full, which subdivides it once."""
     doc = cx.to_document(corpus.load_space(name))
-    loaded = [cx.load(json.dumps(doc)), cx.load(doc),
-              cx.build(doc["name"], doc["vertices"], doc["maximal_simplices"],
-                       doc.get("skeleta"), doc.get("weights"), doc["dimension"])]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    loaded = [cx.load(json.dumps(doc)), cx.load(doc), cx.load(path)]
     _assert_matches_reference(doc, loaded[0])
     for K in loaded[1:]:
         _assert_same_complex(loaded[0], K)
@@ -1519,6 +1518,16 @@ def test_load_paths_and_remedy_match_reference_assembly(name):
         assert R.counts() == cx.barycentric_subdivide(loaded[0]).counts()
         _assert_matches_reference(remedied, R)
         _assert_same_complex(R, cx.load(json.dumps(cx.to_document(R))))
+
+
+def test_a_str_is_json_text_and_never_a_file_name(tmp_path):
+    """Only a Path names a file: the text of a path, even one that exists,
+    is read as JSON and refused."""
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(cx.to_document(corpus.load_space("s2"))))
+    assert cx.load(path).counts() == (4, 6, 4)
+    with pytest.raises(SpaceFormatError, match="^Expecting value: line 1 column 1"):
+        cx.load(str(path))
 
 
 # the ih-ladder workload's spaces that the build-ladder workload does not build

@@ -1,31 +1,47 @@
-"""Every function of the package is reached by a command or a demo.
+"""Every function of the package is reached by a command or a demo, and
+every parameter with a default is set by one.
 
 A profile hook (`sys.setprofile`) records each call of a function defined
 in `src/stratal` while a fixed list of command lines runs through
 `cli.main` in this process and the demos run through `runpy`. The
 command lines cover every perversity spec kind, `ih --cobetti
 --emit-generators`, a malformed spec, both `perversity` forms, `predict`,
-`cone`, `hilbert --decompose`, `corpus-list`, `corpus-build` and every
-verify suite. The functions that the AST of each module defines and that
-were never called must be exactly `UNREACHED`, each kept for the reason
-given there. Dunder methods are not checked: they define the value types'
-semantics (repr, hash, pickling, the assignment guards) whether or not a
-command reaches them. A function that no command and no demo calls is
-either given a caller or deleted, with its entry added here only when a
-reason to keep it holds.
+`cone`, `hilbert --decompose`, `corpus-list`, `corpus-build`, every verify
+suite and `--corpus-dir` on each command that takes it: every option of
+every command appears in one of them. The functions that the AST of each
+module defines and that were never called must be exactly `UNREACHED`,
+each kept for the reason given there. Dunder methods are not checked: they
+define the value types' semantics (repr, hash, pickling, the assignment
+guards) whether or not a command reaches them. A function that no command
+and no demo calls is either given a caller or deleted, with its entry
+added here only when a reason to keep it holds.
+
+In the same pass the hook records, for each function with defaulted
+parameters (`__init__` included), every such parameter that a call binds
+to an object other than its default. The parameters never set must be
+exactly `UNSET`: a parameter that nothing sets is a constant, and is
+deleted unless a reason to keep it is given there.
 """
 
+import argparse
 import ast
+import contextlib
+import importlib
+import inspect
+import io
 import json
 import os
 import runpy
 import sys
+from functools import cached_property
 from pathlib import Path
+
+import pytest
 
 import stratal
 from stratal import cli
 from stratal.corpus import load_space
-from stratal.verify import SUITES
+from stratal.verify import CORPUS_SUITES, SUITES
 
 SRC = Path(stratal.__file__).parent
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
@@ -42,6 +58,12 @@ UNREACHED = {
         "the reference implementation that test_hilbert checks harmonic_dims against",
 }
 
+
+UNSET = {
+    f"verify.{suite}.seed": "perfbench's verify-sweep runs the suite at each run's seed; "
+                            "the CLI runs it at DEFAULT_SEED"
+    for suite in ("suite_duality", "suite_realizability", "suite_hilbert")
+}
 
 def _functions():
     """(module, first line) -> module.qualname of every function that the
@@ -65,6 +87,44 @@ def _functions():
     return out
 
 
+def _unwrapped(member):
+    """The function behind a method descriptor, else `member` itself."""
+    if isinstance(member, (staticmethod, classmethod)):
+        return member.__func__
+    if isinstance(member, property):
+        return member.fget
+    if isinstance(member, cached_property):
+        return member.func
+    return member
+
+
+def _defaulted():
+    """The code object of each function of `src/stratal` that has defaulted
+    parameters, mapped to its module.qualname and its (parameter, default
+    object) pairs. The functions are found in the module namespaces and
+    their classes, which must hold every function whose AST gives defaults."""
+    in_ast, out = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (node.args.defaults or any(node.args.kw_defaults))):
+                in_ast.add((path.stem, min([node.lineno,
+                                            *(d.lineno for d in node.decorator_list)])))
+        module = importlib.import_module(f"stratal.{path.stem}")
+        members = [m for m in vars(module).values()
+                   if getattr(m, "__module__", None) == module.__name__]
+        members += [m for cls in members if inspect.isclass(cls) for m in vars(cls).values()]
+        for fn in map(_unwrapped, members):
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            code, defaults = fn.__code__, fn.__defaults__ or ()
+            named = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+            if pairs := [*zip(named, defaults), *(fn.__kwdefaults__ or {}).items()]:
+                out[code] = (f"{path.stem}.{fn.__qualname__}", pairs)
+    assert {(Path(code.co_filename).stem, code.co_firstlineno) for code in out} == in_ast
+    return out
+
+
 def _commands(tmp_path):
     space = "cone_t2"
     (stratum,) = (s.id for s in load_space(space).singular_strata())
@@ -77,44 +137,64 @@ def _commands(tmp_path):
     vector.write_text(json.dumps([1, 2]))
     specs = ["zero", "top", "lower-middle", "upper-middle", "gm:0,1", "from-weights",
              f"per-stratum:{per_stratum}", "gm:x"]
+    bundled = ["--corpus-dir", str(SRC / "corpus_data")]
     return [
         *(["ih", "--space", space, "--perversity", spec, "--cobetti", "--emit-generators"]
           for spec in specs),
         ["ih", "--space", str(SRC / "corpus_data" / "susp_t2.json"),
          "--perversity", "lower-middle"],
-        ["predict", "--space", "susp_t2"],
-        ["perversity", "--space", "susp_t2"],
+        ["ih", "--space", space, "--perversity", "zero", *bundled],
+        ["predict", "--space", "susp_t2", *bundled],
+        ["perversity", "--space", "susp_t2", *bundled],
         ["perversity", "--dim", "4", "--spec", "upper-middle", "--dual"],
         ["cone", "--link-betti", "1,2,1", "--link-dim", "2", "--weight", "1/2"],
         ["hilbert", "--complex", str(complex_file), "--decompose", "1",
          "--vector", str(vector)],
-        ["corpus-list"],
+        ["corpus-list", *bundled],
         ["corpus-build", "--out", str(tmp_path / "corpus")],
-        *(["verify", "--suite", suite, "--quiet"] for suite in sorted(SUITES)),
+        *(["verify", "--suite", suite, "--quiet", *(bundled if suite in CORPUS_SUITES else [])]
+          for suite in sorted(SUITES)),
     ]
 
 
-def test_every_function_is_reached_by_a_command_or_demo(tmp_path, capsys):
-    commands = _commands(tmp_path)
+@pytest.fixture(scope="module")
+def profile(tmp_path_factory):
+    """One profile pass over the commands and the demos: the command lines,
+    their exit codes, the (module, first line) of each function called, and
+    the (code, parameter) of each defaulted parameter set."""
+    commands = _commands(tmp_path_factory.mktemp("reach"))
+    defaulted = _defaulted()
     src = str(SRC) + os.sep
-    called = set()
+    called, set_params = set(), set()
 
     def hook(frame, event, arg):
         if event == "call":
             code = frame.f_code
             if code.co_filename.startswith(src):
                 called.add((Path(code.co_filename).stem, code.co_firstlineno))
+                if code in defaulted:
+                    bound = frame.f_locals
+                    set_params.update((code, name) for name, default in defaulted[code][1]
+                                      if bound[name] is not default)
 
     codes = []
+    out = io.StringIO()
     sys.setprofile(hook)
     try:
-        for argv in commands:
-            codes.append(cli.main(argv))
-        for demo in DEMOS:
-            runpy.run_path(str(demo), run_name="__main__")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            for argv in commands:
+                codes.append(cli.main(argv))
+            for demo in DEMOS:
+                runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    capsys.readouterr()
+    return commands, codes, called, {
+        f"{name}.{param}" for code, (name, pairs) in defaulted.items() for param, _ in pairs
+        if (code, param) not in set_params}
+
+
+def test_every_function_is_reached_by_a_command_or_demo(profile):
+    commands, codes, called, _ = profile
     # the malformed spec exits 2; a failing verify suite would exit 1
     assert codes == [2 if "gm:x" in argv else 0 for argv in commands], codes
     functions = _functions()
@@ -122,3 +202,23 @@ def test_every_function_is_reached_by_a_command_or_demo(tmp_path, capsys):
     assert unreached == set(UNREACHED), (
         f"called by no command: {sorted(unreached - set(UNREACHED))}; "
         f"reached though listed: {sorted(set(UNREACHED) - unreached)}")
+
+
+def test_every_defaulted_parameter_is_set_by_a_command_or_demo(profile):
+    unset = profile[3]
+    assert unset == set(UNSET), (
+        f"set by no command: {sorted(unset - set(UNSET))}; "
+        f"set though listed: {sorted(set(UNSET) - unset)}")
+
+
+def test_every_option_appears_in_a_command(profile):
+    """Each option of each command is given on one of its command lines, so
+    the parameters it reaches can be seen set."""
+    parser = cli._build_parser()
+    (subparsers,) = [a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {(command, option) for command, sub in subparsers.items()
+               for action in sub._actions if action.dest != "help"
+               for option in action.option_strings}
+    given = {(argv[0], arg) for argv in profile[0] for arg in argv[1:] if arg.startswith("--")}
+    assert options - given == set()

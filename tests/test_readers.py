@@ -386,8 +386,7 @@ def test_an_int_key_and_its_text_do_not_collide():
     doc = cx.to_document(corpus.load_space("susp_t2"))
     level = doc["skeleta"]["0"]
     with pytest.raises(SpaceFormatError, match="give one level twice"):
-        cx.build(doc["name"], doc["vertices"], doc["maximal_simplices"],
-                 skeleta={0: level[:1], "0": level[1:]})
+        cx.load({**doc, "skeleta": {0: level[:1], "0": level[1:]}})
 
 
 def test_parse_int_takes_ints_and_canonical_text_only():
