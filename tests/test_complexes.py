@@ -1522,12 +1522,17 @@ def test_load_paths_and_remedy_match_reference_assembly(name, tmp_path):
 
 def test_a_str_is_json_text_and_never_a_file_name(tmp_path):
     """Only a Path names a file: the text of a path, even one that exists,
-    is read as JSON and refused."""
+    is read as JSON and refused, and so is JSON text that does not start
+    with "{", which was once taken for a file name."""
     path = tmp_path / "s2.json"
     path.write_text(json.dumps(cx.to_document(corpus.load_space("s2"))))
     assert cx.load(path).counts() == (4, 6, 4)
     with pytest.raises(SpaceFormatError, match="^Expecting value: line 1 column 1"):
         cx.load(str(path))
+    with pytest.raises(SpaceFormatError, match="^space document must be a JSON object$"):
+        cx.load("[]")
+    with pytest.raises(SpaceFormatError, match="^cannot read space file .*missing.json: "):
+        cx.load(tmp_path / "missing.json")
 
 
 # the ih-ladder workload's spaces that the build-ladder workload does not build

@@ -35,6 +35,7 @@ import runpy
 import sys
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,12 +59,12 @@ UNREACHED = {
         "the reference implementation that test_hilbert checks harmonic_dims against",
 }
 
-
 UNSET = {
     f"verify.{suite}.seed": "perfbench's verify-sweep runs the suite at each run's seed; "
                             "the CLI runs it at DEFAULT_SEED"
     for suite in ("suite_duality", "suite_realizability", "suite_hilbert")
 }
+
 
 def _functions():
     """(module, first line) -> module.qualname of every function that the
@@ -139,11 +140,10 @@ def _commands(tmp_path):
              f"per-stratum:{per_stratum}", "gm:x"]
     bundled = ["--corpus-dir", str(SRC / "corpus_data")]
     return [
-        *(["ih", "--space", space, "--perversity", spec, "--cobetti", "--emit-generators"]
-          for spec in specs),
+        *(["ih", "--space", space, "--perversity", spec, "--cobetti", "--emit-generators",
+           *bundled] for spec in specs),
         ["ih", "--space", str(SRC / "corpus_data" / "susp_t2.json"),
          "--perversity", "lower-middle"],
-        ["ih", "--space", space, "--perversity", "zero", *bundled],
         ["predict", "--space", "susp_t2", *bundled],
         ["perversity", "--space", "susp_t2", *bundled],
         ["perversity", "--dim", "4", "--spec", "upper-middle", "--dual"],
@@ -161,7 +161,7 @@ def _commands(tmp_path):
 def profile(tmp_path_factory):
     """One profile pass over the commands and the demos: the command lines,
     their exit codes, the (module, first line) of each function called, and
-    the (code, parameter) of each defaulted parameter set."""
+    the module.qualname.parameter of each defaulted parameter never set."""
     commands = _commands(tmp_path_factory.mktemp("reach"))
     defaulted = _defaulted()
     src = str(SRC) + os.sep
@@ -188,27 +188,26 @@ def profile(tmp_path_factory):
                 runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    return commands, codes, called, {
-        f"{name}.{param}" for code, (name, pairs) in defaulted.items() for param, _ in pairs
-        if (code, param) not in set_params}
+    unset = {f"{name}.{param}" for code, (name, pairs) in defaulted.items()
+             for param, _ in pairs if (code, param) not in set_params}
+    return SimpleNamespace(commands=commands, codes=codes, called=called, unset=unset)
 
 
 def test_every_function_is_reached_by_a_command_or_demo(profile):
-    commands, codes, called, _ = profile
     # the malformed spec exits 2; a failing verify suite would exit 1
-    assert codes == [2 if "gm:x" in argv else 0 for argv in commands], codes
+    codes = profile.codes
+    assert codes == [2 if "gm:x" in argv else 0 for argv in profile.commands], codes
     functions = _functions()
-    unreached = {name for key, name in functions.items() if key not in called}
+    unreached = {name for key, name in functions.items() if key not in profile.called}
     assert unreached == set(UNREACHED), (
         f"called by no command: {sorted(unreached - set(UNREACHED))}; "
         f"reached though listed: {sorted(set(UNREACHED) - unreached)}")
 
 
 def test_every_defaulted_parameter_is_set_by_a_command_or_demo(profile):
-    unset = profile[3]
-    assert unset == set(UNSET), (
-        f"set by no command: {sorted(unset - set(UNSET))}; "
-        f"set though listed: {sorted(set(UNSET) - unset)}")
+    assert profile.unset == set(UNSET), (
+        f"set by no command: {sorted(profile.unset - set(UNSET))}; "
+        f"set though listed: {sorted(set(UNSET) - profile.unset)}")
 
 
 def test_every_option_appears_in_a_command(profile):
@@ -220,5 +219,6 @@ def test_every_option_appears_in_a_command(profile):
     options = {(command, option) for command, sub in subparsers.items()
                for action in sub._actions if action.dest != "help"
                for option in action.option_strings}
-    given = {(argv[0], arg) for argv in profile[0] for arg in argv[1:] if arg.startswith("--")}
+    given = {(argv[0], arg) for argv in profile.commands for arg in argv[1:]
+             if arg.startswith("--")}
     assert options - given == set()
