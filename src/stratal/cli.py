@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigurationError, ConstructionError, StratalError
-from .rationals import format_rational, parse_int, read_json
+from .rationals import format_rational, parse_int, read_json, read_text
 
 
 # The largest `perversity --dim` and `cone --link-dim` accepted, and so at
@@ -68,7 +68,8 @@ def _resolve_perversity(spec, n, space=None):
         path = spec.split(":", 1)[1]
         if not path:
             raise ConfigurationError("perversity spec 'per-stratum:' names no FILE")
-        doc = read_json(Path(path).read_text(), ConfigurationError)
+        doc = read_json(read_text(Path(path), "perversity file", ConfigurationError),
+                        ConfigurationError)
         if not isinstance(doc, dict):
             raise ConfigurationError(f"perversity file {path} must hold a JSON object")
         if "kind" not in doc:
@@ -197,7 +198,8 @@ def cmd_hilbert(args):
     if (args.decompose is None) != (args.vector is None):
         raise ConfigurationError("--decompose needs --vector FILE" if args.vector is None
                                  else "--vector needs --decompose DEGREE")
-    doc = read_json(Path(args.complex).read_text(), ConstructionError)
+    doc = read_json(read_text(Path(args.complex), "complex file", ConstructionError),
+                    ConstructionError)
     if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
         raise StratalError("complex file needs an object with 'dims' and 'differentials'")
     C = hb.validate(doc["dims"], doc["differentials"])
@@ -210,7 +212,8 @@ def cmd_hilbert(args):
         "dual_reversal": dual_rep,
     }
     if args.decompose is not None:
-        vec = read_json(Path(args.vector).read_text(), ConfigurationError)
+        vec = read_json(read_text(Path(args.vector), "vector file", ConfigurationError),
+                        ConfigurationError)
         h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):
             return {str(r): format_rational(v) for r, v in sorted(part.items())}

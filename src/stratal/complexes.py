@@ -110,7 +110,7 @@ from pathlib import Path
 from . import linalg
 from .errors import ConfigurationError, SpaceFormatError, StructureError
 from .perversity import weights_to_json
-from .rationals import format_rational, parse_int, parse_weight, read_json
+from .rationals import format_rational, parse_int, parse_weight, read_json, read_text
 
 # The most simplices a space document may ask for. At about this size a
 # full 19-simplex (1,048,575 faces) loaded in 1.05 s at 160 MB peak RSS, and
@@ -803,10 +803,7 @@ def _read_document(source):
     as `_assemble`'s arguments, simplices as sorted tuples. `load` and
     `build` both read through it."""
     if isinstance(source, Path):
-        try:
-            source = source.read_text()
-        except OSError as exc:
-            raise SpaceFormatError(f"cannot read space file {source}: {exc}") from exc
+        source = read_text(source, "space file", SpaceFormatError)
     doc = read_json(source, SpaceFormatError) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise SpaceFormatError("space document must be a JSON object")

@@ -91,7 +91,7 @@ def write_corpus(target=None):
     for name in SPACE_NAMES:
         doc = to_document(generate_space(name))
         path = target / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         written.append(str(path))
     return written
 

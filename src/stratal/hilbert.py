@@ -20,10 +20,14 @@ transposed columns' pivots while C's comes from the columns', and the dual
 of the dual holds C's own maps. A complex is not changed after it is built,
 so nothing is reduced again.
 
-The Kodaira projections are solved over the integers (`linalg._solve`): the
-vector is scaled to integers once, the two parts come back as integer
-numerators over their own denominators, the harmonic part is formed on
-those integers, and each part becomes Fractions once, at the end.
+The Kodaira projections are solved over the integers, in one normal system
+(`linalg._solve`) over the pivot columns of D_{i-1} and of D_i^T joined. The
+two images are orthogonal, since D_i D_{i-1} = 0, so the joined Gram matrix
+is block diagonal and its one zero combination splits by column index into
+the exact and the coexact part. The vector is scaled to integers once, the
+two parts come back as integer numerators over one denominator, the
+harmonic part is formed on those integers, and each part becomes Fractions
+once, at the end. A vector's int entries stay ints, as a matrix's do.
 """
 
 from fractions import Fraction
@@ -66,13 +70,13 @@ class FiniteHilbertComplex:
         self.maps = maps
 
 
-def _entry(value, where):
-    """A matrix entry as `linalg` stores it: an int stays an int, which
-    reduces without Fraction arithmetic; anything else is read by
-    `parse_rational`, so a bool or a float raises ConstructionError."""
+def _entry(value, where, error):
+    """A matrix or vector entry as `linalg` stores it: an int stays an int,
+    which reduces without Fraction arithmetic; anything else is read by
+    `parse_rational`, so a bool or a float raises `error`."""
     if type(value) is int:
         return value
-    return parse_rational(value, where, ConstructionError)
+    return parse_rational(value, where, error)
 
 
 def _to_columns(matrix, nrows, ncols, where):
@@ -87,7 +91,7 @@ def _to_columns(matrix, nrows, ncols, where):
     cols = [{} for _ in range(ncols)]
     for r, row in enumerate(matrix):
         for c, entry in enumerate(row):
-            if v := _entry(entry, where):
+            if v := _entry(entry, where, ConstructionError):
                 cols[c][r] = v
     return cols
 
@@ -100,8 +104,9 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
     also be given as its dims[i] columns, dicts keyed by int row indices.
     Both forms read their entries through `_entry`, so ints stay ints. A
     total dimension above `MAX_TOTAL_DIMENSION` is refused before anything
-    is built. Once D∘D = 0 holds, each map is built with its transpose and
-    the pivot columns of both.
+    is built. D∘D = 0 is checked with one `combine_columns` per degree; once
+    it holds, each map is built with its transpose and the pivot columns of
+    both.
     """
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ConstructionError("dims must be a list of integers")
@@ -129,13 +134,15 @@ def validate(dims, matrices) -> FiniteHilbertComplex:
             if any(type(r) is not int or not 0 <= r < dims[i + 1] for col in mat for r in col):
                 raise ConstructionError(f"D_{i}: column rows must be ints below {dims[i + 1]}")
             # linalg stores no zeros
-            cols.append([{r: x for r, v in col.items() if (x := _entry(v, f"D_{i}"))}
-                         for col in mat])
+            where = f"D_{i}"
+            cols.append([{r: x for r, v in col.items()
+                          if (x := _entry(v, where, ConstructionError))} for col in mat])
         else:
             cols.append(_to_columns(mat, dims[i + 1], dims[i], f"D_{i}"))
     for i in range(len(cols) - 1):
-        for j, col in enumerate(cols[i]):
-            image = linalg.combine_columns(cols[i + 1], [col])[0]
+        # column j of D_i, read as a combination of the columns of D_{i+1},
+        # gives column j of D_{i+1} D_i
+        for j, image in enumerate(linalg.combine_columns(cols[i + 1], cols[i])):
             if image:
                 raise ConstructionError(
                     f"D_{i + 1} ∘ D_{i} is nonzero on basis vector {j} of degree {i}"
@@ -170,12 +177,13 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     """Split v into (harmonic, exact, coexact) parts, pairwise orthogonal.
 
     v is a list or tuple of dims[i] entries or a dict keyed by int row
-    indices; its entries are read by `parse_rational` (ints, Fractions or
-    "p/q" strings, never bools or floats). The exact part is the projection
-    onto the image of D_{i-1}, the coexact part the projection onto the
-    image of D_i^T, both solved over the integers on the complex's pivot
-    columns; the harmonic part is v less the two, formed on their integer
-    numerators over one common denominator. Every entry of every part is
+    indices; its entries are read by `_entry` (ints, Fractions or "p/q"
+    strings, never bools or floats). The exact part is the projection onto
+    the image of D_{i-1}, the coexact part the projection onto the image of
+    D_i^T. The two images are orthogonal, so both come from one normal
+    system over the complex's pivot columns of the two, solved over the
+    integers, as numerators over one denominator; the harmonic part is v
+    less the two, formed on those numerators. Every entry of every part is
     one Fraction, and reconstruction is exact.
     """
     if not 0 <= i < len(C.dims):
@@ -191,19 +199,22 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
             f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")
     else:
         items = enumerate(v)
-    vec = {r: x for r, val in items
-           if (x := parse_rational(val, "vector entry", ConfigurationError))}
+    vec = {r: x for r, val in items if (x := _entry(val, "vector entry", ConfigurationError))}
     if any(r < 0 or r >= C.dims[i] for r in vec):
         raise ConfigurationError(f"vector does not live in degree {i}")
     w, m = linalg._over(vec)
-    (e, de), (c, dc) = (linalg._solve(w, span.basis) for span in (C.maps[i], C.maps[i + 1].t))
-    # v = w/m, and its parts are e/(de·m) and c/(dc·m): the harmonic part
-    # is (w·de·dc - e·dc - c·de)/(m·de·dc)
-    harmonic = {r: x * de * dc for r, x in w.items()}
-    linalg._subtract(harmonic, dc, e)
-    linalg._subtract(harmonic, de, c)
-    return tuple({r: Fraction(x, d) for r, x in part.items()}
-                 for part, d in ((harmonic, m * de * dc), (e, de * m), (c, dc * m)))
+    exact, coexact = C.maps[i].basis, C.maps[i + 1].t.basis
+    x, t = linalg._solve(w, exact + coexact)
+    k = len(exact)
+    (e,) = linalg.combine_columns(exact, [{j: -a for j, a in x.items() if j < k}])
+    (c,) = linalg.combine_columns(coexact, [{j - k: -a for j, a in x.items() if j >= k}])
+    # v = w/m and its exact and coexact parts are e/(t·m) and c/(t·m), so
+    # the harmonic part is (w·t - e - c)/(t·m)
+    harmonic = {r: a * t for r, a in w.items()}
+    linalg._subtract(harmonic, 1, e)
+    linalg._subtract(harmonic, 1, c)
+    d = t * m
+    return tuple({r: Fraction(a, d) for r, a in part.items()} for part in (harmonic, e, c))
 
 
 def dual_complex(C: FiniteHilbertComplex):
@@ -237,8 +248,8 @@ def index_even_odd(C: FiniteHilbertComplex) -> int:
 
 def random_complex(rng) -> FiniteHilbertComplex:
     """Seeded random complex of 2 to 5 spaces and total dimension at most 24:
-    pick the top differential freely, then project each lower candidate onto
-    the kernel of the one above."""
+    pick the top differential freely, then draw each lower one's columns as
+    combinations of the kernel of the one above, built in one call."""
     n = rng.randint(2, 5)
     dims = []
     remaining = 24
@@ -248,27 +259,16 @@ def random_complex(rng) -> FiniteHilbertComplex:
         remaining -= d
     diffs = [None] * (n - 1)
     for i in range(n - 2, -1, -1):
-        rows, colsn = dims[i + 1], dims[i]
+        # an entry is drawn only where the coin falls under the density, and
+        # a zero entry is not stored
         if i == n - 2:
-            cols = []
-            for _ in range(colsn):
-                col = {
-                    r: rng.randint(-2, 2)
-                    for r in range(rows)
-                    if rng.random() < 0.6
-                }
-                cols.append({r: v for r, v in col.items() if v})
-            diffs[i] = cols
+            diffs[i] = [{r: x for r in range(dims[i + 1])
+                         if rng.random() < 0.6 and (x := rng.randint(-2, 2))}
+                        for _ in range(dims[i])]
         else:
             kern = linalg.kernel(diffs[i + 1])
-            cols = []
-            for _ in range(colsn):
-                combo = {
-                    j: rng.randint(-2, 2)
-                    for j in range(len(kern))
-                    if rng.random() < 0.7
-                }
-                combo = {j: v for j, v in combo.items() if v}
-                cols.append(linalg.combine_columns(kern, [combo])[0] if combo else {})
-            diffs[i] = cols
+            combos = [{j: x for j in range(len(kern))
+                       if rng.random() < 0.7 and (x := rng.randint(-2, 2))}
+                      for _ in range(dims[i])]
+            diffs[i] = linalg.combine_columns(kern, combos)
     return validate(dims, diffs)

@@ -59,14 +59,16 @@ give the kernel. Everything else derives from the pivot table:
 - `_basis` and `_solve` project onto a span, as
   `hilbert.kodaira_decompose` does. `_basis` reduces the columns to their
   pivot columns B. `_solve` solves the normal equations of B over the
-  integers: for an integer vector w, the single zero combination (x, t) of
-  [BᵀB | Bᵀw] gives the projection of w as the integer vector B(-x) over
-  t. A rational v is first scaled by the lcm m of its denominators
-  (`_over`), so its projection is B(-x)/(t·m). A caller that projects onto
-  the same span again keeps B, and one that combines several projections
-  keeps their numerators. An empty B needs no special case: [BᵀB | Bᵀw] is
-  one empty column, whose zero combination is t = 1, so the projection is
-  the zero vector over 1.
+  integers: for an integer vector w, it returns the single zero combination
+  (x, t) of [BᵀB | Bᵀw], and the projection of w is the integer vector
+  B(-x) over t. A rational v is first scaled by the lcm m of its
+  denominators (`_over`), so its projection is B(-x)/(t·m). A caller that
+  projects onto the same span again keeps B. A caller whose B joins
+  mutually orthogonal blocks, as the exact and coexact pivot columns of a
+  Hilbert complex are, reads each block's projection off its own indices
+  of x, all over the one t: BᵀB is block diagonal. An empty B needs no
+  special case: [BᵀB | Bᵀw] is one empty column, whose zero combination is
+  t = 1, so the projection is the zero vector over 1.
 """
 
 from fractions import Fraction
@@ -408,17 +410,22 @@ def _basis(cols):
 
 
 def _solve(w, basis):
-    """(num, t): the projection of the integer vector w onto the span of
-    the independent integer columns `basis` is num/t, with num an integer
-    vector and t a nonzero int.
+    """(x, t): the single zero combination of [BᵀB | Bᵀw], for the integer
+    vector w and the independent integer columns B = `basis`, split into
+    x, a dict {column index: int}, and t, a nonzero int. The projection of
+    w onto the span of B is B(-x)/t.
 
-    The Gram matrix BᵀB is invertible, so the integer matrix [BᵀB | Bᵀw]
-    has a single zero combination (x, t) with t != 0, and the projection is
-    B(-x)/t.
+    BᵀB is invertible, so the zero combination is single and t != 0. BᵀB is
+    symmetric, so each dot product is taken once, for i >= j, and stored
+    at (i, j) and (j, i); every column still gets its rows in increasing
+    order.
     """
-    normal = [{i: g for i, b in enumerate(basis) if (g := dot(b, c))} for c in basis]
+    normal = [{} for _ in basis]
+    for j, b in enumerate(basis):
+        for i in range(j, len(basis)):
+            if g := dot(b, basis[i]):
+                normal[i][j] = normal[j][i] = g
     normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, w))})
-    (combo,) = _zero_combinations(normal)
-    t = combo.pop(len(basis))
-    return combine_columns(basis, [{i: -x for i, x in combo.items()}])[0], t
+    (x,) = _zero_combinations(normal)
+    return x, x.pop(len(basis))
 

@@ -7,8 +7,9 @@ decimal, as `str(int)` writes it: "0", or an optional "-" and digits with no
 leading zero; canonical text longer than the interpreter's limit on integer
 text is refused by a message naming that limit. Every rational that crosses
 a file or report boundary is a "p/q" string with q > 0; floats are never
-accepted. A JSON document may not repeat a key within one object. A message
-repeats at most a bounded prefix of the value it refuses.
+accepted. A JSON document may not repeat a key within one object, and a
+file is read as UTF-8. A message repeats at most a bounded prefix of the
+value it refuses.
 """
 
 import json
@@ -104,6 +105,16 @@ def _unique_keys(pairs):
         keys = [k for k, _ in pairs]
         raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
     return doc
+
+
+def read_text(path, what, error):
+    """The text of the file at `path`, read as UTF-8. A file that cannot be
+    read or is not UTF-8 raises `error`, whose message names it as `what`
+    ("space file", ...)."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_json(text, error):

@@ -70,10 +70,13 @@ def _dropped_boundary(K):
 def _project_onto_span(v, cols):
     """Orthogonal projection of v onto the column span of `cols`, exact,
     through the steps that `hilbert.kodaira_decompose` takes: `_over`,
-    `_basis` and `_solve`."""
+    `_basis` and `_solve`, whose zero combination (x, t) gives the
+    projection B(-x)/(t·m) of v = w/m."""
     w, m = linalg._over(v)
-    num, t = linalg._solve(w, linalg._basis(cols))
-    return {r: Fraction(x, t * m) for r, x in num.items()}
+    basis = linalg._basis(cols)
+    x, t = linalg._solve(w, basis)
+    (num,) = linalg.combine_columns(basis, [{i: -a for i, a in x.items()}])
+    return {r: Fraction(a, t * m) for r, a in num.items()}
 
 
 @pytest.fixture(scope="session")

@@ -117,8 +117,9 @@ def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch)
     """`validate` reduces each D_i and then D_i^T, for i in -1..n-1, once
     each and nothing else. After it, `cohomology_dims`, `dual_complex` and
     the dual's dual reduce nothing, and each `kodaira_decompose` reduces
-    only its two normal systems, whose columns all carry identity rows
-    (negative row indices), which no column of a D_i or D_i^T has."""
+    only its one normal system, over the pivot columns of D_{i-1} and of
+    D_i^T joined, whose columns all carry identity rows (negative row
+    indices), which no column of a D_i or D_i^T has."""
     K = _cochain_complex(s2) if draw == "s2" else hb.random_complex(random.Random(draw))
     seen = _spy_reduce(monkeypatch)
     C = hb.validate(list(K.dims), [m.cols for m in K.maps[1:-1]])
@@ -135,7 +136,7 @@ def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch)
     assert seen == []
     for i, dim in enumerate(C.dims):
         hb.kodaira_decompose(C, i, list(range(1, dim + 1)))
-        assert len(seen) == 2 and all(min(col) < 0 for cols in seen for col in cols)
+        assert len(seen) == 1 and all(min(col) < 0 for cols in seen for col in cols)
         seen.clear()
 
 
@@ -362,6 +363,54 @@ def test_projection_and_kodaira_match_sympy_oracle(project_onto_span):
                 assert all(type(x) is F for part in (h, e, c) for x in part.values())
             for v, cols in zip(in_span, spans):
                 assert project_onto_span(v, cols) == {r: F(x) for r, x in v.items()}
+
+
+def test_kodaira_parts_are_the_projections_onto_each_span_alone(project_onto_span):
+    """im D_{i-1} ⊥ im D_i^T, so the one normal system over both spans'
+    pivot columns gives, in every degree, the exact and coexact parts that
+    `project_onto_span` (checked against sympy above) gives onto each span
+    taken alone, including degrees where one span is empty and the other
+    is not."""
+    rng = random.Random(4141)
+    one_empty = 0
+    for _ in range(40):
+        C = hb.random_complex(rng)
+        for i, dim in enumerate(C.dims):
+            exact_span, coexact_span = C.maps[i].cols, C.maps[i + 1].t.cols
+            one_empty += bool(C.maps[i].basis) != bool(C.maps[i + 1].t.basis)
+            for v in _vectors(rng, dim):
+                h, e, c = hb.kodaira_decompose(C, i, v)
+                assert e == project_onto_span(v, exact_span)
+                assert c == project_onto_span(v, coexact_span)
+                want_h = {r: F(v.get(r, 0)) - e.get(r, 0) - c.get(r, 0) for r in range(dim)}
+                assert h == {r: x for r, x in want_h.items() if x}
+    assert one_empty > 10
+
+
+def test_solve_takes_each_dot_product_once_and_sees_the_full_normal_system(monkeypatch):
+    """`_solve` fills BᵀB from its upper triangle, so it takes n(n+1)/2
+    dot products for BᵀB and n for Bᵀw, yet the normal system it reduces is
+    the full [BᵀB | Bᵀw], each column's rows in increasing order, and its
+    zero combination (x, t) solves it with t != 0."""
+    dot, zero_combinations = linalg.dot, linalg._zero_combinations
+    dots, systems = [], []
+    monkeypatch.setattr(linalg, "dot", lambda a, b: dots.append(1) or dot(a, b))
+    monkeypatch.setattr(linalg, "_zero_combinations",
+                        lambda cols: systems.append(cols) or zero_combinations(cols))
+    rng = random.Random(4242)
+    for _ in range(30):
+        C = hb.random_complex(rng)
+        for i, dim in enumerate(C.dims):
+            basis = C.maps[i].basis + C.maps[i + 1].t.basis
+            w = {r: x for r in range(dim) if (x := rng.randint(-3, 3))}
+            dots.clear()
+            systems.clear()
+            x, t = linalg._solve(w, basis)
+            n = len(basis)
+            assert len(dots) == n * (n + 1) // 2 + n
+            full = [{j: g for j, b in enumerate(basis) if (g := dot(b, c))} for c in [*basis, w]]
+            assert [list(col.items()) for col in systems[0]] == [list(col.items()) for col in full]
+            assert t != 0 and not linalg.combine_columns(full, [{**x, n: t}])[0]
 
 
 @pytest.mark.parametrize("v", [

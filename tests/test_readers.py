@@ -25,7 +25,7 @@ from stratal import cli, corpus
 from stratal import complexes as cx
 from stratal import hilbert as hb
 from stratal import perversity as pv
-from stratal.errors import ConfigurationError, ConstructionError, SpaceFormatError
+from stratal.errors import ConfigurationError, ConstructionError, SpaceFormatError, StratalError
 from stratal.rationals import format_rational, parse_int, parse_rational, parse_weight, read_json
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100,
@@ -474,3 +474,33 @@ def test_cli_refuses_misspelled_input_with_exit_2(tmp_path, argv, named):
     code, out, err = _cli([a.format(**files) for a in argv])
     _assert_refused(code, out, err)
     assert named in err
+
+
+# a byte-order mark of UTF-16 and "{": no UTF-8 decoder reads it
+_NOT_UTF8 = b"\xff\xfe{"
+
+
+def test_a_space_file_that_is_not_utf8_is_refused_naming_it(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    with pytest.raises(SpaceFormatError) as info:
+        cx.load(path)
+    assert isinstance(info.value, StratalError)
+    assert str(info.value).startswith(f"cannot read space file {path}: 'utf-8' codec ")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["ih", "--space", "{bad}", "--perversity", "zero"], "space file"),
+    (["ih", "--space", "s2", "--perversity", "per-stratum:{bad}"], "perversity file"),
+    (["hilbert", "--complex", "{bad}"], "complex file"),
+    (["hilbert", "--complex", "{complex}", "--decompose", "0", "--vector", "{bad}"],
+     "vector file"),
+])
+def test_cli_refuses_a_file_that_is_not_utf8_naming_it(tmp_path, argv, what):
+    bad, complex_file = tmp_path / "bad.json", tmp_path / "complex.json"
+    bad.write_bytes(_NOT_UTF8)
+    complex_file.write_text('{"dims": [1], "differentials": []}')
+    code, out, err = _cli([a.format(bad=bad, complex=complex_file) for a in argv])
+    _assert_refused(code, out, err)
+    assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec ")
+    assert err.count("\n") == 1
