@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a verification check failed, 2 usage/load error,
 3 an internal error. No exit code comes with a traceback.
 
+`--space` names a space file, else a bundled corpus space. `--corpus-dir`
+goes only with the commands that read every space of a directory:
+`corpus-list` and the verify suites in `verify.CORPUS_SUITES`.
+
 A command imports the layers it runs, and no others, when it runs them:
 only `errors` and `rationals` load with this module. So no process pays
 for the modules of another command: `perversity --dim` loads `perversity`
@@ -40,15 +44,15 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_space(spec, corpus_dir):
-    """The space in the file `spec`, else the corpus space named `spec`."""
+def _load_space(spec):
+    """The space in the file `spec`, else the bundled corpus space named `spec`."""
     if Path(spec).is_file():
         from .complexes import load
 
         return load(Path(spec))
     from .corpus import load_space
 
-    return load_space(spec, corpus_dir)
+    return load_space(spec)
 
 
 def _resolve_perversity(spec, n, space=None):
@@ -86,7 +90,7 @@ def cmd_ih(args):
     from .intersection import StratifiedChainComplex
     from .perversity import perversity_to_json
 
-    K = _load_space(args.space, args.corpus_dir)
+    K = _load_space(args.space)
     p = _resolve_perversity(args.perversity, K.n, K)
     chains = StratifiedChainComplex(K, p)
     betti = chains.homology()
@@ -118,7 +122,7 @@ def cmd_perversity(args):
     if args.space is not None:
         if args.spec is not None or args.dual:
             raise ConfigurationError("--spec and --dual go with --dim, not --space")
-        K = _load_space(args.space, args.corpus_dir)
+        K = _load_space(args.space)
         p_g = pv.weight_perversity(K)
         q_g = pv.dual(p_g, K)
         report = {
@@ -129,8 +133,6 @@ def cmd_perversity(args):
         }
         _emit(report)
         return 0
-    if args.corpus_dir is not None:
-        raise ConfigurationError("--corpus-dir goes with --space, not --dim")
     if args.dim is None:
         raise StratalError("perversity needs --space or --dim")
     if args.dim < 0:
@@ -165,7 +167,7 @@ def cmd_cone(args):
 def cmd_predict(args):
     from .l2model import fredholm_indices, theorem_predictions
 
-    K = _load_space(args.space, args.corpus_dir)
+    K = _load_space(args.space)
     pred = theorem_predictions(K)
     ind_max, ind_min = fredholm_indices(pred["max_betti"], pred["min_betti"])
     pred["fredholm"] = {"ind_max": ind_max, "ind_min": ind_min}
@@ -276,7 +278,6 @@ def _build_parser():
     p.add_argument("--emit-generators", action="store_true",
                    help="also emit RCEF bases of the chain spaces IC_i: not cycles, "
                         "and not generators of IH")
-    add_corpus_dir(p)
     p.set_defaults(func=cmd_ih)
 
     p = sub.add_parser("perversity", help="construct and inspect perversities")
@@ -285,7 +286,6 @@ def _build_parser():
     mode.add_argument("--dim", type=_integer, help="ambient dimension for --spec")
     p.add_argument("--spec", help="perversity for --dim (default: zero)")
     p.add_argument("--dual", action="store_true")
-    add_corpus_dir(p)
     p.set_defaults(func=cmd_perversity)
 
     p = sub.add_parser("cone", help="L2 cone truncation of a link betti vector")
@@ -296,7 +296,6 @@ def _build_parser():
 
     p = sub.add_parser("predict", help="max/min cohomology predictions for a space")
     p.add_argument("--space", required=True)
-    add_corpus_dir(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="run a theorem-check suite over the corpus")

@@ -123,10 +123,11 @@ MAX_SIMPLICES = 1_000_000
 
 class Stratum:
     """One stratum, by its id, dimension, codimension, link dimension, kind
-    and level. It keeps no member list: its members are the simplices `s`
-    of its complex `K` with `K.label(s) == id`, so
-    `[s for i in range(K.n + 1) for s in K.simplices(i) if K.label(s) == id]`
-    lists them by dimension, each dimension in order."""
+    and level. It keeps no member list: a simplex of its complex is a
+    member of the stratum that holds the simplex's vertices of highest
+    level, and lies in X_j for j that level and for no lower j. Those
+    vertices lie in one stratum, since the edges between them have their
+    level too."""
 
     __slots__ = ("id", "dim", "codim", "link_dim", "singular", "level")
 
@@ -241,16 +242,6 @@ class FilteredComplex:
     def index(self, simplex):
         """The position of a simplex in `simplices(dim)`; KeyError for a non-simplex."""
         return self._index[simplex]
-
-    def level(self, simplex):
-        """The least j with the simplex in X_j (n when regular): its top vertex's."""
-        self.index(simplex)
-        return max(map(self._vertex_level.__getitem__, simplex))
-
-    def label(self, simplex):
-        """The id of the stratum holding the simplex: that of its top vertex."""
-        self.index(simplex)
-        return self._vertex_label[max(simplex, key=self._vertex_level.__getitem__)]
 
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
@@ -787,10 +778,20 @@ def _simplex_list(value, field, nverts):
 
 def load(source):
     """Load a space document into a FilteredComplex: `source` is the Path of
-    its file, its JSON text (a str) or the parsed dict."""
-    # the parsed document and any file text die with `_read_document`'s frame,
-    # before the assembly; a dict passed in is only read
-    return _assemble(*_read_document(source))
+    its file, its JSON text (a str) or the parsed dict. Every error in a
+    file names the file once: a read error names it already, and any other
+    is prefixed with it."""
+    # the parsed document dies with `_read_document`'s frame and the file
+    # text just after, both before the assembly; a dict passed in is only read
+    if not isinstance(source, Path):
+        return _assemble(*_read_document(source))
+    text = read_text(source, "space file", SpaceFormatError)
+    try:
+        fields = _read_document(text)
+        del text
+        return _assemble(*fields)
+    except SpaceFormatError as exc:
+        raise SpaceFormatError(f"space file {source}: {exc}") from None
 
 
 # every key a space document may hold, each read by `_read_document`: any
@@ -800,10 +801,8 @@ _FIELDS = ("name", "dimension", "vertices", "maximal_simplices", "skeleta", "wei
 
 def _read_document(source):
     """The fields of a space document, each checked by the document rules,
-    as `_assemble`'s arguments, simplices as sorted tuples. `load` and
-    `build` both read through it."""
-    if isinstance(source, Path):
-        source = read_text(source, "space file", SpaceFormatError)
+    as `_assemble`'s arguments, simplices as sorted tuples. `source` is
+    JSON text or the parsed dict; `load` and `build` both read through it."""
     doc = read_json(source, SpaceFormatError) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise SpaceFormatError("space document must be a JSON object")

@@ -2,7 +2,8 @@
 
 The corpus ships as data files so verification runs are hermetic; the
 generators below rebuild those files bit-for-bit (`stratal corpus-build`).
-Every reader and writer takes the directory as an argument, and reads the
+`load_space` reads a bundled space by its name. The readers of a whole
+directory and the writer take the directory as an argument, and read the
 bundled one when that argument is None; nothing else names a directory.
 The generators make the unfiltered spaces with `build` and the others by
 cone and suspension; a space file is read by `load`. A directory's spaces
@@ -96,10 +97,12 @@ def write_corpus(target=None):
     return written
 
 
-def load_space(name, directory=None):
-    path = corpus_dir(directory) / f"{name}.json"
-    if not path.exists():
-        raise SpaceFormatError(f"corpus space {name!r} not found under {path.parent}")
+def load_space(name):
+    """The bundled space `name`, the stem of a file in the bundled directory;
+    a name with a directory part names no bundled space."""
+    path = corpus_dir() / f"{name}.json"
+    if path.name != f"{name}.json" or not path.is_file():
+        raise SpaceFormatError(f"corpus space {name!r} not found under {corpus_dir()}")
     return load(path)
 
 

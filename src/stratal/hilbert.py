@@ -12,12 +12,12 @@ and D_{n-1} (no rows) are the zero maps at the ends, so no degree is a
 special case. A `_Map` holds D_i's columns, its transpose and the pivot
 columns (`linalg._basis`) of each, all built when `validate` builds the
 complex, so each D_i and each D_i^T is reduced exactly once, there.
-`cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` and
-`laplacian_cols` read the transposes; `kodaira_decompose` projects onto the
-pivot columns of D_{i-1} and of D_i^T. The dual complex is built from C's
-maps reversed, each read as its transpose, so its cohomology comes from the
-transposed columns' pivots while C's comes from the columns', and the dual
-of the dual holds C's own maps. A complex is not changed after it is built,
+`cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` reads
+the transposes; `kodaira_decompose` projects onto the pivot columns of
+D_{i-1} and of D_i^T. The dual complex is built from C's maps reversed,
+each read as its transpose, so its cohomology comes from the transposed
+columns' pivots while C's comes from the columns', and the dual of the
+dual holds C's own maps. A complex is not changed after it is built,
 so nothing is reduced again.
 
 The Kodaira projections are solved over the integers, in one normal system
@@ -166,11 +166,6 @@ def harmonic_dims(C: FiniteHilbertComplex):
 def _stacked(C, i):
     """Columns of [D_i ; D_{i-1}^T]; D_{-1} and D_{n-1} are zero maps."""
     return linalg.stack_cols(C.maps[i + 1].cols, C.maps[i].t.cols, C.maps[i + 1].nrows)
-
-
-def laplacian_cols(C: FiniteHilbertComplex, i: int):
-    """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T."""
-    return linalg.combine_columns(C.maps[i + 1].t.cols + C.maps[i].cols, _stacked(C, i))
 
 
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):

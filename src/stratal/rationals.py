@@ -109,12 +109,14 @@ def _unique_keys(pairs):
 
 def read_text(path, what, error):
     """The text of the file at `path`, read as UTF-8. A file that cannot be
-    read or is not UTF-8 raises `error`, whose message names it as `what`
-    ("space file", ...)."""
+    read or is not UTF-8 raises `error`, whose message names it once, as
+    `what` ("space file", ...)."""
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        # an OSError's own text names the file again
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise error(f"cannot read {what} {path}: {reason}") from exc
 
 
 def read_json(text, error):

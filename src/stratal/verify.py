@@ -4,6 +4,12 @@ Each suite returns a CheckSuiteReport: a deterministic list of named checks
 with expected/actual payloads and a single pass flag. The CLI maps a failed
 suite to exit code 1.
 
+The suites that check every space of a corpus, `CORPUS_SUITES`, take its
+directory (the bundled corpus when None). `mil` and `cone-local` check
+named bundled spaces, whose weights and links their checks assume, and
+take no directory: a replaced space would change a check's premise, not
+test a statement.
+
 Only `perversity` and `rationals` load with this module, and each suite
 imports the other layers it runs once per call, so a process pays only for
 the suites it runs: `hunsicker` and `realizability` need nothing more,
@@ -59,7 +65,7 @@ class CheckSuiteReport(Record):
 MIL_WEIGHTS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5), Fraction(100))
 
 
-def suite_mil(corpus_dir=None):
+def suite_mil():
     """Weights at or above one give exactly the middle perversities."""
     from .corpus import load_space
     from .intersection import intersection_betti
@@ -77,7 +83,7 @@ def suite_mil(corpus_dir=None):
                 p == upper_v and q == lower_v,
                 {"p_g": p, "upper_middle": upper_v, "q_g": q, "lower_middle": lower_v},
             )
-    st2 = load_space("susp_t2", corpus_dir)
+    st2 = load_space("susp_t2")
     pred = theorem_predictions(st2)
     lower, upper = middle_perversities(st2.n)
     want_max = list(intersection_betti(st2, lower))
@@ -126,7 +132,7 @@ def suite_realizability(seed=DEFAULT_SEED):
     return report
 
 
-def suite_cone_local(corpus_dir=None):
+def suite_cone_local():
     """Analytic cone truncations against the simplicial dual-side engine."""
     from .corpus import load_space
     from .l2model import local_model_check
@@ -134,12 +140,12 @@ def suite_cone_local(corpus_dir=None):
     report = CheckSuiteReport("cone-local")
     weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
     for name in ("s0", "s1_hex", "t2_7", "s2"):
-        link = load_space(name, corpus_dir)
+        link = load_space(name)
         for c in weights:
             r = local_model_check(link, c)
             report.add(f"{name} c={format_rational(c)}", r["pass"], r)
     # a stratified link: the disk with a weighted interior cone point
-    inner = load_space("cone_s1_c_half", corpus_dir)
+    inner = load_space("cone_s1_c_half")
     for c in (Fraction(1, 2), Fraction(1)):
         r = local_model_check(inner, c)
         report.add(f"cone_s1_c_half c={format_rational(c)}", r["pass"], r)
@@ -297,9 +303,9 @@ def suite_degeneration(corpus_dir=None):
     return report
 
 
-# the suites that read spaces, each from `corpus_dir` (the bundled corpus
+# the suites that check every space of `corpus_dir` (the bundled corpus
 # when None); the others take no directory
-CORPUS_SUITES = ("cone-local", "degeneration", "duality", "mil", "ris-consistency")
+CORPUS_SUITES = ("degeneration", "duality", "ris-consistency")
 
 SUITES = {
     "duality": suite_duality,

@@ -6,16 +6,42 @@ import pytest
 
 from stratal import complexes as cx
 from stratal import corpus
+from stratal import hilbert as hb
 from stratal import linalg
+
+
+# Reference code, imported by the test modules (`from conftest import ...`):
+# no command reads a simplex's level or stratum one simplex at a time, or a
+# Laplacian, so these check the library from outside it.
+
+
+def simplex_level(K, simplex):
+    """The least j with the simplex in X_j (n when regular): its top
+    vertex's. A KeyError for a non-simplex."""
+    K.index(simplex)
+    return max(map(K._vertex_level.__getitem__, simplex))
+
+
+def simplex_label(K, simplex):
+    """The id of the stratum holding the simplex: that of its top vertex.
+    A KeyError for a non-simplex."""
+    K.index(simplex)
+    return K._vertex_label[max(simplex, key=K._vertex_level.__getitem__)]
+
+
+def laplacian_cols(C, i):
+    """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T of the finite Hilbert
+    complex C."""
+    return linalg.combine_columns(C.maps[i + 1].t.cols + C.maps[i].cols, hb._stacked(C, i))
 
 
 def _face_profiles(K):
     """Singular-face profiles by definition, the reference for
     `FilteredComplex.profile_classes`: every proper face of each regular
     simplex is looked up in the members of the strata, the simplices that
-    `K.label` maps to their ids, and each singular stratum keeps the
+    `simplex_label` maps to their ids, and each singular stratum keeps the
     dimension of its largest face."""
-    label_of = {s: K.label(s) for i in range(K.n + 1) for s in K.simplices(i)}
+    label_of = {s: simplex_label(K, s) for i in range(K.n + 1) for s in K.simplices(i)}
     out = {}
     for s in K.all_simplices():
         if K.strata[label_of[s]].singular:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import stratal
-from stratal import cli, corpus
+from stratal import cli, corpus, verify
 from stratal import complexes as cx
 from stratal import hilbert as hb
 from stratal import l2model as l2
@@ -131,21 +132,27 @@ def test_hilbert_command(tmp_path: Path, capsys):
     assert parts["coexact"] == {"0": "1/2", "1": "-1/2"}
 
 
-def test_verify_suite_exit_codes(tmp_path: Path, capsys):
+def test_verify_suite_exit_codes(tmp_path: Path, monkeypatch, capsys):
     r = _main(capsys, "verify", "--suite", "hunsicker", "--quiet")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["pass"] is True
-    # a tampered corpus makes the mil whole-space check fail -> exit 1
-    build = _main(capsys, "corpus-build", "--out", str(tmp_path))
-    assert build.returncode == 0
-    st = tmp_path / "susp_t2.json"
-    doc = json.loads(st.read_text())
-    doc["weights"] = {k: "1/4" for k in doc["weights"]}
-    st.write_text(json.dumps(doc))
+    # mil checks bundled spaces whose weights its checks assume: no directory
     r = _main(capsys, "verify", "--suite", "mil", "--corpus-dir", str(tmp_path), "--quiet")
+    assert (r.returncode, r.stdout) == (2, "")
+    # a failed check -> exit 1, with the failing report on stdout
+    def failing():
+        report = verify.CheckSuiteReport("mil")
+        report.add("passes", True)
+        report.add("fails", False, {"want": 1, "got": 0})
+        return report
+
+    monkeypatch.setitem(verify.SUITES, "mil", failing)
+    r = _main(capsys, "verify", "--suite", "mil")
     assert r.returncode == 1
+    assert json.loads(r.stdout) == failing().to_json()
     assert json.loads(r.stdout)["pass"] is False
+    assert r.stderr == "suite mil: 2 checks FAIL\n"
 
 
 def test_corpus_list(capsys):
@@ -409,7 +416,7 @@ def test_an_oversized_document_exits_2_before_it_is_built(monkeypatch, tmp_path,
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_simplex_document(k, full)))
     assert cli.main(["ih", "--space", str(path), "--perversity", "zero"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: space file {path}: {message}\n")
 
 
 def test_a_non_full_5_simplex_document_still_loads(tmp_path, capsys):
@@ -504,9 +511,9 @@ def test_corpus_dir_option_reads_spaces_and_is_reported_as_given(tmp_path, capsy
     doc = json.loads(r.stdout)
     assert doc["corpus_dir"] == given
     assert [s["name"] for s in doc["spaces"]] == ["s2"]
-    r = _main(capsys, "ih", "--space", "s2", "--perversity", "zero", "--corpus-dir", given)
+    r = _main(capsys, "ih", "--space", given + "s2.json", "--perversity", "zero")
     assert r.returncode == 0 and json.loads(r.stdout)["betti"] == [1, 0, 1]
-    r = _main(capsys, "ih", "--space", "t2_7", "--perversity", "zero", "--corpus-dir", given)
+    r = _main(capsys, "ih", "--space", given + "t2_7.json", "--perversity", "zero")
     assert r.returncode == 2
 
 
@@ -609,21 +616,23 @@ _EMPTY_PATH = "an empty path names no file"
     pytest.param(("perversity", "--space", "susp_t2", "--dim", "3"),
                  "argument --dim: not allowed with argument --space", id="space-dim"),
     pytest.param(("perversity", "--dim", "3", "--corpus-dir", "@empty"),
-                 "--corpus-dir goes with --space, not --dim", id="dim-corpus-dir"),
+                 "unrecognized arguments: --corpus-dir", id="dim-corpus-dir"),
     pytest.param(("hilbert", "--complex", "@c.json", "--vector", "@v.json"),
                  "--vector needs --decompose DEGREE", id="hilbert-vector-no-decompose"),
     *(pytest.param(("verify", "--suite", suite, "--corpus-dir", "@nonexistent"),
-                   "--corpus-dir goes with the suites cone-local, degeneration, duality, mil, "
-                   "ris-consistency", id=f"verify-{suite}-corpus-dir")
-      for suite in ("hunsicker", "realizability", "hilbert")),
-    # an empty path once stood for the bundled corpus or the working directory
-    *(pytest.param((*command, "--corpus-dir", ""), f"argument --corpus-dir: {_EMPTY_PATH}",
+                   "--corpus-dir goes with the suites degeneration, duality, ris-consistency",
+                   id=f"verify-{suite}-corpus-dir")
+      for suite in ("hunsicker", "realizability", "hilbert", "mil", "cone-local")),
+    # an empty path once stood for the bundled corpus or the working
+    # directory; a command that names one space file takes no directory
+    *(pytest.param((*command, "--corpus-dir", ""), message,
                    id=f"{command[0]}-empty-corpus-dir")
-      for command in (("ih", "--space", "s2", "--perversity", "zero"),
-                      ("perversity", "--space", "s2"),
-                      ("predict", "--space", "s2"),
-                      ("verify", "--suite", "mil"),
-                      ("corpus-list",))),
+      for command, message in (
+          (("ih", "--space", "s2", "--perversity", "zero"), "unrecognized arguments: --corpus-dir"),
+          (("perversity", "--space", "s2"), "unrecognized arguments: --corpus-dir"),
+          (("predict", "--space", "s2"), "unrecognized arguments: --corpus-dir"),
+          (("verify", "--suite", "duality"), f"argument --corpus-dir: {_EMPTY_PATH}"),
+          (("corpus-list",), f"argument --corpus-dir: {_EMPTY_PATH}"))),
     pytest.param(("corpus-build", "--out", ""), f"argument --out: {_EMPTY_PATH}",
                  id="corpus-build-empty-out"),
     pytest.param(("hilbert", "--complex", ""), f"argument --complex: {_EMPTY_PATH}",
@@ -704,6 +713,76 @@ def test_corpus_spaces_of_one_name_exit_2_naming_both_files(tmp_path, capsys, un
     name = "unnamed" if unnamed else "s2"
     assert r.stderr.splitlines() == [
         f"error: {tmp_path / 'a.json'} and {tmp_path / 'b.json'} both hold a space named {name!r}"]
+
+
+def _repeated_vertex_file(path):
+    """t2_7's document, its first maximal simplex made [0, 0, 1], at `path`."""
+    doc = json.loads((_BUNDLED / "t2_7.json").read_text())
+    doc["maximal_simplices"][0] = [0, 0, 1]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(("corpus-list",), id="corpus-list"),
+    pytest.param(("verify", "--suite", "degeneration"), id="verify-degeneration"),
+])
+def test_a_bad_file_of_a_corpus_directory_is_named(tmp_path, capsys, command):
+    """Among the files of a directory, the error names the one at fault."""
+    shutil.copy(_BUNDLED / "s2.json", tmp_path)
+    bad = _repeated_vertex_file(tmp_path / "t2_7.json")
+    r = _main(capsys, *command, "--corpus-dir", str(tmp_path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: space file {bad}: repeated vertex in simplex [0, 0, 1]\n"
+
+
+def test_a_bad_space_file_is_named_once(tmp_path, capsys):
+    """A load from a file names the file once, whether it cannot be read or
+    holds a bad document, and a load from the text of the same document
+    keeps the bare message."""
+    bad = _repeated_vertex_file(tmp_path / "t2_7.json")
+    r = _main(capsys, "ih", "--space", str(bad), "--perversity", "zero")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: space file {bad}: repeated vertex in simplex [0, 0, 1]\n"
+    for path in (bad, tmp_path / "missing.json", tmp_path):
+        with pytest.raises(SpaceFormatError) as from_file:
+            cx.load(path)
+        assert str(from_file.value).count(str(path)) == 1, from_file.value
+    with pytest.raises(SpaceFormatError) as from_text:
+        cx.load(bad.read_text())
+    assert str(from_text.value) == "repeated vertex in simplex [0, 0, 1]"
+
+
+# sha256 of each command's stdout for `--space NAME --corpus-dir DIR`, the
+# form that named a file of DIR before `--corpus-dir` went with directory
+# readers alone; `--space DIR/NAME.json` prints the same bytes
+_SPACE_FILE_DIGESTS = {
+    ("susp_t2", "ih"): "99ffe47f4998975949ca28c5a119e4a0c595ad29c7449dd231946a4819c67dd2",
+    ("susp_t2", "predict"): "4e31ad012d52d5cce54bcc9b99ee2122a82a1f9877bcf6025c86daaef044c1e8",
+    ("susp_t2", "perversity"): "588fce175b152b7be586be696df2b9b0d213ce9408405feaeada5bc130e74edc",
+    ("cone_t2", "ih"): "87ff838f8920aa7d1f3bfaad9e01956bd272fef890c89c5c63ef5a17d88c2095",
+    ("cone_t2", "predict"): "57a2efe830a2d31f0d1aaa9cfaadd0b34a010a195b2775df1ee7b12aee7bc2b6",
+    ("cone_t2", "perversity"): "0b8e640d13c8280fa71395e3619a7e94459c056e352a143aa575442fe7111c12",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(_SPACE_FILE_DIGESTS))
+def test_a_space_file_reports_as_its_corpus_directory_name_did(tmp_path, capsys, name, command):
+    shutil.copy(_BUNDLED / f"{name}.json", tmp_path)
+    perversity = ("--perversity", "lower-middle") if command == "ih" else ()
+    r = _main(capsys, command, "--space", str(tmp_path / f"{name}.json"), *perversity)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == _SPACE_FILE_DIGESTS[name, command]
+
+
+def test_a_space_name_with_a_directory_names_no_bundled_space(tmp_path, capsys):
+    """`--space DIR/NAME` once read DIR/NAME.json by the corpus-name rule: a
+    space is a file, or the name of a bundled space, and nothing between."""
+    shutil.copy(_BUNDLED / "s2.json", tmp_path)
+    spec = str(tmp_path / "s2")
+    r = _main(capsys, "ih", "--space", spec, "--perversity", "zero")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: corpus space {spec!r} not found under {_BUNDLED}\n"
 
 
 def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path, capsys):

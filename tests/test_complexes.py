@@ -15,6 +15,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from conftest import simplex_label, simplex_level
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -478,18 +479,18 @@ def test_level_and_label_follow_the_vertices(cone_t2):
     apex = len(cone_t2.vertex_ids) - 1
     for s in cone_t2.all_simplices():
         singular = s == (apex,)
-        assert cone_t2.level(s) == (0 if singular else 3), s
-        assert cone_t2.strata[cone_t2.label(s)].singular is singular, s
+        assert simplex_level(cone_t2, s) == (0 if singular else 3), s
+        assert cone_t2.strata[simplex_label(cone_t2, s)].singular is singular, s
 
 
 def test_level_and_label_reject_a_non_simplex():
     # each read is the first on a fresh complex, so each builds the index
-    for read in ("index", "level", "label"):
+    for read in (cx.FilteredComplex.index, simplex_level, simplex_label):
         K = corpus.load_space("cone_t2")
         assert "_index" not in vars(K)
         for s in ((99,), (0, 99), (1, 0), (), tuple(range(5))):
             with pytest.raises(KeyError):
-                getattr(K, read)(s)
+                read(K, s)
 
 
 def test_index_is_the_position_in_simplices(spaces, ih_ladder):
@@ -560,7 +561,7 @@ def test_unused_vertex_has_no_stratum():
     K = cx.load({**_CIRCLE, "vertices": [0, 1, 2, 3]})
     assert list(K.strata) == ["s1:0"] and K._vertex_label[3] is None
     with pytest.raises(KeyError):
-        K.label((3,))
+        simplex_label(K, (3,))
     second = [[4, 5], [5, 6], [4, 6]]
     K = cx.load({**_CIRCLE, "vertices": list(range(7)),
                  "maximal_simplices": _CIRCLE["maximal_simplices"] + second})
@@ -703,7 +704,7 @@ def _facet_strata(K):
     """Strata by definition: components of each X_j - X_{j-1} joined through
     facets at the same level, ordered by their least member, which also
     gives each id."""
-    levels = {s: K.level(s) for s in _reference_closure(list(K.simplices(K.n)))}
+    levels = {s: simplex_level(K, s) for s in _reference_closure(list(K.simplices(K.n)))}
     parent = {s: s for s in levels}
 
     def find(x):
@@ -739,7 +740,7 @@ def test_random_filtrations_load_full_with_facet_strata(face_profiles, regular_p
     levels = {s: next((j for j, X in enumerate(skeleta) if s in X), K.n)
               for s in K.all_simplices()}
     for s in levels:
-        assert K.level(s) == levels[s] == max(levels[(v,)] for v in s)
+        assert simplex_level(K, s) == levels[s] == max(levels[(v,)] for v in s)
     for j in range(K.n):
         assert K.skeleton(j) == {s for s in levels if levels[s] <= j}
     want = _facet_strata(K)
@@ -749,7 +750,7 @@ def test_random_filtrations_load_full_with_facet_strata(face_profiles, regular_p
         got = K.strata[sid]
         assert (got.dim, got.codim, got.level, got_members[sid]) == (dim, codim, level, members)
         assert got.singular == (level < K.n)
-        assert all(K.label(s) == sid for s in members)
+        assert all(simplex_label(K, s) == sid for s in members)
     assert regular_profiles(K) == face_profiles(K)
     again = cx.to_document(K)
     K2 = cx.load(json.dumps(again))
@@ -971,8 +972,9 @@ _MEMBERS = weakref.WeakKeyDictionary()
 
 
 def _members(K):
-    """Each stratum's members, sorted: the simplices `s` with `K.label(s)`
-    equal to its id. Grouped once per complex object; callers only read it."""
+    """Each stratum's members, sorted: the simplices `s` with
+    `simplex_label(K, s)` equal to its id. Grouped once per complex object;
+    callers only read it."""
     if K not in _MEMBERS:
         _MEMBERS[K] = _members_by_label(K)
     return _MEMBERS[K]
@@ -981,7 +983,7 @@ def _members(K):
 def _members_by_label(K):
     members = {sid: [] for sid in K.strata}
     for s in sorted(s for i in range(K.n + 1) for s in K.simplices(i)):
-        members[K.label(s)].append(s)
+        members[simplex_label(K, s)].append(s)
     return {sid: tuple(group) for sid, group in members.items()}
 
 
@@ -1128,14 +1130,14 @@ def _assert_matches_reference(doc, K=None):
     vertex_ids, levels, strata, label_of, by_dim = _reference_assemble(doc)
     assert list(K.vertex_ids) == vertex_ids
     assert [K.simplices(i) for i in range(K.n + 1)] == by_dim
-    assert [K.level(s) for s in levels] == list(levels.values())
+    assert [simplex_level(K, s) for s in levels] == list(levels.values())
     assert list(K.strata) == list(strata)
     got_members = _members(K)
     for sid, (dim, level, members) in strata.items():
         got = K.strata[sid]
         assert (got.dim, got.codim, got.level, got.singular, got_members[sid]) == (
             dim, K.n - dim, level, level < K.n, members)
-    assert {s: K.label(s) for s in label_of} == label_of
+    assert {s: simplex_label(K, s) for s in label_of} == label_of
 
 
 @_PROPERTY
@@ -1228,8 +1230,8 @@ def _assert_same_complex(K, J):
     assert [J.simplices(i) for i in range(J.n + 1)] == [K.simplices(i) for i in range(K.n + 1)]
     assert list(_members(J).items()) == list(_members(K).items())
     simplices = list(K.all_simplices())
-    assert list(map(J.level, simplices)) == list(map(K.level, simplices))
-    assert list(map(J.label, simplices)) == list(map(K.label, simplices))
+    for read in (simplex_level, simplex_label):
+        assert [read(J, s) for s in simplices] == [read(K, s) for s in simplices]
 
 
 def _listing_variants(doc, rng):

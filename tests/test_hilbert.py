@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from conftest import laplacian_cols
 from sympy import Matrix, Rational
 
 from stratal import hilbert as hb
@@ -215,7 +216,7 @@ def test_index_examples(s2):
 def test_laplacian_kernel_is_harmonic_space(s2):
     C = _cochain_complex(s2)
     for i in range(len(C.dims)):
-        lap_kernel = linalg.rcef(linalg.kernel(hb.laplacian_cols(C, i)))
+        lap_kernel = linalg.rcef(linalg.kernel(laplacian_cols(C, i)))
         down = C.maps[i + 1].cols
         up_t = (
             linalg.transpose_cols(C.maps[i].cols, C.dims[i])
@@ -490,7 +491,7 @@ def test_edge_shapes_at_every_degree(name):
         return {r: format_rational(x) for r, x in col.items()}
 
     got = [hb.cohomology_dims(C), hb.harmonic_dims(C),
-           [[q(c) for c in linalg.rcef(linalg.kernel(hb.laplacian_cols(C, i)))]
+           [[q(c) for c in linalg.rcef(linalg.kernel(laplacian_cols(C, i)))]
             for i in range(len(C.dims))],
            [tuple(map(q, hb.kodaira_decompose(C, i, _edge_vector(i, d))))
             for i, d in enumerate(C.dims)]]

@@ -1,8 +1,8 @@
 """Pinned outputs of the finite Hilbert complexes.
 
 Each digest is the sha256 of `repr` of what `cohomology_dims`,
-`harmonic_dims`, `laplacian_cols`, the `dual_complex` report or
-`kodaira_decompose` returns over a fixed list of complexes, every dict given
+`harmonic_dims`, the reference `conftest.laplacian_cols`, the
+`dual_complex` report or `kodaira_decompose` returns over a fixed list of complexes, every dict given
 as its item list, so that equal means the same entries in the same order.
 The complexes are 100 seeded `random_complex` outputs and hand complexes
 whose differentials hold Fractions, "p/q" text and non-primitive integer
@@ -18,6 +18,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+
+from conftest import laplacian_cols
 
 from stratal import corpus
 from stratal import hilbert as hb
@@ -77,7 +79,7 @@ def _outputs():
     for C in _complexes():
         out["cohomology"].append(hb.cohomology_dims(C))
         out["harmonic"].append(hb.harmonic_dims(C))
-        out["laplacian"].append([_items(hb.laplacian_cols(C, i)) for i in range(len(C.dims))])
+        out["laplacian"].append([_items(laplacian_cols(C, i)) for i in range(len(C.dims))])
         D, report = hb.dual_complex(C)
         dual_cols = _items(c for m in D.maps[1:-1] for c in m.cols)
         out["dual"].append((json.dumps(report), D.dims, dual_cols))

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import simplex_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,7 +212,7 @@ def _all_spaces(spaces, ih_ladder):
 
 
 def _singular_vertices(K):
-    return {v for (v,) in K.simplices(0) if K.level((v,)) < K.n}
+    return {v for (v,) in K.simplices(0) if simplex_level(K, (v,)) < K.n}
 
 
 def test_simplices_off_the_singular_set_have_empty_profiles(spaces, ih_ladder, regular_profiles):
@@ -241,7 +242,7 @@ def test_simplices_that_are_not_regular_are_never_allowable(spaces, ih_ladder):
         chains = ix.StratifiedChainComplex(K, _per_stratum(K, 100))
         for i in range(K.n + 1):
             # 100 admits every regular simplex; a simplex of X_{n-1} stays out
-            regular = [j for j, s in enumerate(K.simplices(i)) if K.level(s) == K.n]
+            regular = [j for j, s in enumerate(K.simplices(i)) if simplex_level(K, s) == K.n]
             assert chains.allowable_indices[i] == regular, (K.name, i)
 
 

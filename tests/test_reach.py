@@ -7,14 +7,15 @@ in `src/stratal` while a fixed list of command lines runs through
 command lines cover every perversity spec kind, `ih --cobetti
 --emit-generators`, a malformed spec, both `perversity` forms, `predict`,
 `cone`, `hilbert --decompose`, `corpus-list`, `corpus-build`, every verify
-suite and `--corpus-dir` on each command that takes it: every option of
-every command appears in one of them. The functions that the AST of each
-module defines and that were never called must be exactly `UNREACHED`,
-each kept for the reason given there. Dunder methods are not checked: they
-define the value types' semantics (repr, hash, pickling, the assignment
-guards) whether or not a command reaches them. A function that no command
-and no demo calls is either given a caller or deleted, with its entry
-added here only when a reason to keep it holds.
+suite, and `--corpus-dir` with `corpus-list` and each suite that reads a
+whole directory (`verify.CORPUS_SUITES`): every option of every command
+appears in one of them, and the options are counted. The functions that
+the AST of each module defines and that were never called must be exactly
+`UNREACHED`, each kept for the reason given there. Dunder methods are not
+checked: they define the value types' semantics (repr, hash, pickling, the
+assignment guards) whether or not a command reaches them. A function that
+no command and no demo calls is either given a caller or deleted, with its
+entry added here only when a reason to keep it holds.
 
 In the same pass the hook records, for each function with defaulted
 parameters (`__init__` included), every such parameter that a call binds
@@ -48,15 +49,8 @@ SRC = Path(stratal.__file__).parent
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 UNREACHED = {
-    "complexes.FilteredComplex.level":
-        "the test oracle of vertex levels (test_complexes, test_intersection)",
-    "complexes.FilteredComplex.label":
-        "the test oracle of strata (conftest, test_complexes); the Stratum docstring "
-        "defines membership through it",
     "intersection.StratifiedChainComplex.reg":
         "read by perfbench's tracer in every traced run",
-    "hilbert.laplacian_cols":
-        "the reference implementation that test_hilbert checks harmonic_dims against",
 }
 
 UNSET = {
@@ -140,12 +134,12 @@ def _commands(tmp_path):
              f"per-stratum:{per_stratum}", "gm:x"]
     bundled = ["--corpus-dir", str(SRC / "corpus_data")]
     return [
-        *(["ih", "--space", space, "--perversity", spec, "--cobetti", "--emit-generators",
-           *bundled] for spec in specs),
+        *(["ih", "--space", space, "--perversity", spec, "--cobetti", "--emit-generators"]
+          for spec in specs),
         ["ih", "--space", str(SRC / "corpus_data" / "susp_t2.json"),
          "--perversity", "lower-middle"],
-        ["predict", "--space", "susp_t2", *bundled],
-        ["perversity", "--space", "susp_t2", *bundled],
+        ["predict", "--space", "susp_t2"],
+        ["perversity", "--space", "susp_t2"],
         ["perversity", "--dim", "4", "--spec", "upper-middle", "--dual"],
         ["cone", "--link-betti", "1,2,1", "--link-dim", "2", "--weight", "1/2"],
         ["hilbert", "--complex", str(complex_file), "--decompose", "1",
@@ -222,3 +216,15 @@ def test_every_option_appears_in_a_command(profile):
     given = {(argv[0], arg) for argv in profile.commands for arg in argv[1:]
              if arg.startswith("--")}
     assert options - given == set()
+
+
+def test_the_option_count_is_pinned():
+    """The option positions of all commands, `-h` left out. A change that
+    adds or removes an option changes this pin in the same diff, so each
+    new knob is seen and counted."""
+    parser = cli._build_parser()
+    (subparsers,) = [a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    positions = [(command, action.dest) for command, sub in subparsers.items()
+                 for action in sub._actions if action.option_strings and action.dest != "help"]
+    assert len(positions) == 20, positions
