@@ -188,9 +188,8 @@ def cmd_verify(args):
     else:
         raise ConfigurationError(f"--corpus-dir goes with the suites {', '.join(CORPUS_SUITES)}")
     _emit(report.to_json())
-    if not args.quiet:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"suite {args.suite}: {len(report.checks)} checks {status}", file=sys.stderr)
+    status = "PASS" if report.passed else "FAIL"
+    print(f"suite {args.suite}: {len(report.checks)} checks {status}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -301,7 +300,6 @@ def _build_parser():
     p = sub.add_parser("verify", help="run a theorem-check suite over the corpus")
     p.add_argument("--suite", required=True,
                    help="suite name (see README 'Command line'); an unknown one lists them")
-    p.add_argument("--quiet", action="store_true", help="omit the summary line on stderr")
     add_corpus_dir(p)
     p.set_defaults(func=cmd_verify)
 

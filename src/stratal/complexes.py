@@ -57,9 +57,9 @@ each dimension's first regular simplices, until every regular component has
 been met.
 
 A stratum is a descriptor: its id, dimensions, kind and level, with no
-member list. Its members are the simplices that `label` maps to its id, and
-X_j is the part of X_{n-1} with no vertex above level j. A cone,
-suspension or subdivision hands each weight on with one vertex of its
+member list. Its members are the simplices whose vertex of highest level
+lies in it, and X_j is the part of X_{n-1} with no vertex above level j. A
+cone, suspension or subdivision hands each weight on with one vertex of its
 stratum (`_weighted_vertices`), whose image lies in the stratum that
 inherits it. A document names strata, not vertices, so `load` checks its
 weights against the assembled strata and sets them by stratum id.
@@ -68,25 +68,27 @@ Construction holds each table only while something still reads it. `load`
 drops the parsed document, and any file text it read, before the assembly,
 and each dimension's dedupe table is freed before the next is built. A
 complex stores its simplices by dimension, X_{n-1} as one sorted list, and
-each vertex's level and stratum id; the simplex index (read by `index`,
-`level`, `label` and the column builder), the singular-face profiles, the
-top cofaces, the interior table and the near columns are derived on first
-read. No constructor, no `to_document` and no `load` reads them.
+each vertex's level and stratum id; the simplex index (read by the column
+builder), the singular-face profiles, the top cofaces and the rank-query
+table are derived on first read. No constructor, no `to_document` and no
+`load` reads them.
 
 One builder, `_columns`, makes every boundary column, and a complex keeps
-only the columns that a rank query reads. The simplices with no singular
-vertex, the interior ones, form a subcomplex that every rank query allows.
-Its pivot table (`interior`) is reduced once, degree by degree from the
-top, and only the interior columns that the pivots of the degree above do
-not clear are built. The columns of the near simplices, those with a
-singular vertex, are built once and kept (`near_boundary`): `betti()` and
-each perversity's `intersection.homology` reduce only near columns, against
-a copy of the interior table. A chain model that leaves out some simplices
-(stratified coefficients leave out X_{n-1}) deletes their rows as it
-reduces (`linalg.chain_ranks`), and never stores a second boundary.
+only the columns that a rank query reads, all in the one table that every
+rank query reads (`interior`). The simplices with no singular vertex, the
+interior ones, form a subcomplex that every rank query allows. Its pivot
+table is reduced once, degree by degree from the top, and only the interior
+columns that the pivots of the degree above do not clear are built. The
+columns of the near simplices, those with a singular vertex, are built once
+and kept beside it: `betti()` and each perversity's
+`intersection.StratifiedChainComplex.homology` reduce only near columns,
+against a copy of the interior pivots, and the chain bases read the near
+columns too. A chain model that leaves
+out some simplices (stratified coefficients leave out X_{n-1}, whose
+positions the table also lists) deletes their rows as it reduces
+(`linalg.chain_ranks`), and never stores a second boundary.
 `boundary_matrix` builds every column of a degree afresh on each call, for
-its few readers (`intersection.StratifiedChainComplex.bases`, tests and
-demos).
+the tests and the demos; no command calls it.
 
 A document may ask for at most MAX_SIMPLICES simplices, counted by
 arithmetic before they are built: first the upper bound Σ(2^|s| - 1) over
@@ -194,11 +196,11 @@ class FilteredComplex:
 
     Stored: the simplices by dimension, X_{n-1} as one sorted list, each
     vertex's level and stratum id, the strata and the weights. The simplex
-    index `_index`, `profile_classes`, `interior`, `near_boundary`,
-    `top_cofaces` and `_orientation` are cached properties, derived on first
-    read. The only boundary columns kept are the near columns
-    (`near_boundary`) and the interior pivot table (`interior`);
-    `boundary_matrix` builds its columns afresh.
+    index `_index`, `profile_classes`, `interior`, `top_cofaces` and
+    `_orientation` are cached properties, derived on first read. The only
+    boundary columns kept are those of the rank-query table (`interior`):
+    the near columns and the interior pivot tables; `boundary_matrix` builds
+    its columns afresh.
     `ih_memo` maps an allowable pattern to its intersection Betti
     numbers; `intersection.StratifiedChainComplex.homology` fills and reads
     it.
@@ -239,10 +241,6 @@ class FilteredComplex:
         """Each simplex's position in `simplices(dim)`, built on first read."""
         return {s: i for level in self._by_dim for i, s in enumerate(level)}
 
-    def index(self, simplex):
-        """The position of a simplex in `simplices(dim)`; KeyError for a non-simplex."""
-        return self._index[simplex]
-
     def singular_strata(self):
         return [s for s in self.strata.values() if s.singular]
 
@@ -275,8 +273,8 @@ class FilteredComplex:
 
     def boundary_matrix(self, i):
         """Columns of the simplicial boundary in lexicographic bases, built
-        afresh on every call (`_columns`): the complex keeps only the near
-        columns (`near_boundary`) and the interior pivot table (`interior`)."""
+        afresh on every call (`_columns`): the complex keeps only the
+        columns of its rank-query table (`interior`)."""
         return self._columns(i, range(len(self._by_dim[i]))) if 0 <= i <= self.n else []
 
     def _columns(self, i, indices):
@@ -382,54 +380,44 @@ class FilteredComplex:
 
     @cached_property
     def interior(self):
-        """Per degree i, (near, pivots): `near` lists, in order, the indices of
-        the i-simplices with a singular vertex, and `pivots` is the pivot
-        table of the boundary columns of the others, the interior simplices,
-        reduced from the top degree down (`linalg.subcomplex_pivots`). Only
-        the interior columns that the pivots of the degree above do not
-        clear are built.
+        """The one table that a rank query reads: per degree i, (near,
+        pivots, columns, singular). `near` lists, in order, the indices of
+        the i-simplices with a singular vertex; `pivots` is the pivot table
+        of the boundary columns of the others, the interior simplices,
+        reduced from the top degree down (`linalg.subcomplex_pivots`), of
+        which only the columns that the pivots of the degree above do not
+        clear are built; `columns` holds the boundary columns of the near
+        simplices, each built once, in a list as long as `simplices(i)` with
+        None at each interior simplex and throughout degree 0, whose
+        boundary is zero and of which only the length is read; `singular`
+        lists, in order, the near simplices that lie in X_{n-1}, those whose
+        profile is None in `profile_classes`.
 
         An interior simplex has the empty profile, the `()` class of
         `profile_classes`. All of its faces are interior, so none of them is
         in X_{n-1}, and it is allowable in every degree for every perversity.
         So the table serves `betti()` and every perversity's `homology()`
         alike (`linalg.chain_ranks`), and each of them reduces only its
-        allowed near columns against a copy of it.
+        allowed near columns against a copy of the pivots; the chain bases
+        (`intersection.StratifiedChainComplex.bases`) read its near columns
+        and X_{n-1} positions.
         """
-        split, inner = [], []
-        for profiles, of in self.profile_classes:
+        near, inner, singular, columns = [], [], [], []
+        for i, (profiles, of) in enumerate(self.profile_classes):
             k = profiles.index({}) if {} in profiles else None
-            split.append([])
-            inner.append([])
-            for j, c in enumerate(of):
-                (inner if c == k else split)[-1].append(j)
-        return list(zip(split, linalg.subcomplex_pivots(self._columns, inner)))
-
-    @cached_property
-    def near_boundary(self):
-        """Per degree i, the boundary columns of the near i-simplices (those
-        of `interior`'s near list), in a list as long as `simplices(i)` that
-        holds None at each interior simplex; degree 0, whose boundary is
-        zero and of which only the length is read, holds None throughout.
-        `betti()` and every perversity's `homology()` read their columns
-        here, and only near ones, so each near column is built once per
-        complex. The holes are filled by one C-level `map` of
-        `list.__setitem__`, with no Python loop over the simplices."""
-        out = [[None] * len(self._by_dim[0])]
-        for i, (near, _) in enumerate(self.interior[1:], 1):
-            cols = self._columns(i, near)
-            if len(cols) < len(self._by_dim[i]):
-                built, cols = cols, [None] * len(self._by_dim[i])
-                deque(map(cols.__setitem__, near, built), maxlen=0)
-            out.append(cols)
-        return out
+            near.append([j for j, c in enumerate(of) if c != k])
+            inner.append([j for j, c in enumerate(of) if c == k])
+            singular.append([j for j in near[-1] if profiles[of[j]] is None])
+            columns.append([None] * len(of))
+            if i:
+                deque(map(columns[i].__setitem__, near[i], self._columns(i, near[i])), maxlen=0)
+        return list(zip(near, linalg.subcomplex_pivots(self._columns, inner), columns, singular))
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
         and none is dropped."""
-        table = self.interior
-        ranks = linalg.chain_ranks(self.near_boundary, [near for near, _ in table], table)
-        return _betti(self.counts(), ranks)
+        near, _, columns, _ = zip(*self.interior)
+        return _betti(self.counts(), linalg.chain_ranks(columns, near, self.interior))
 
     # ----------------------------------------------------------------- reports
 

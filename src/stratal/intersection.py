@@ -7,8 +7,8 @@ X_{n-1}. In chain terms that deletes the X_{n-1} rows of the simplicial
 boundary, so this chain model is a partition of the rows of
 `FilteredComplex.boundary_matrix`: allowed, dropped (X_{n-1}) and the
 non-allowable rest. Chains and allowable sets are indexed by the complex's
-own simplex indices (`FilteredComplex.index`), and the complex keeps no
-second boundary: the rows are dropped as each query reduces
+own simplex indices, the positions in `FilteredComplex.simplices`, and the
+complex keeps no second boundary: the rows are dropped as each query reduces
 (`linalg.chain_ranks`), and a column with no singular face enters as it is.
 A simplex is p-allowable in chain degree i when, for every singular stratum
 Y, its largest face labeled Y has dimension at most i - codim(Y) + p(Y).
@@ -19,18 +19,18 @@ singular vertex is allowable in every degree. The intersection chain space
 in degree i is the kernel of the non-allowable row block of the boundary
 restricted to allowable columns. Betti numbers need no
 basis: one reduction per degree, from the top degree down with clearing,
-gives both ranks they need (`linalg.chain_ranks`). The simplices with no
+gives both ranks they need (`linalg.chain_ranks`). A query reads one table
+of the complex, derived once on first read and shared by every perversity
+and by `betti()` (`FilteredComplex.interior`). The simplices with no
 singular vertex form a subcomplex that is allowable for every perversity,
-so its reduction is derived once per complex on first read
-(`FilteredComplex.interior`) and shared by every perversity and by
-`betti()`; a query tests and reduces only the near simplices, those with a
-singular vertex, whose columns the complex builds once and keeps
-(`FilteredComplex.near_boundary`). Betti numbers depend on the perversity
-only through its allowable pattern, whether each profile class is
-allowable in each degree, and many perversities share one: every value
-p(Y) >= codim(Y) - 1 admits every simplex that meets Y. So each complex
-keeps the answer per pattern (`FilteredComplex.ih_memo`), and a perversity
-whose pattern that complex has already met is not reduced again.
+so the table holds its reduction; a query tests and reduces only the near
+simplices, those with a singular vertex, whose columns the table holds
+too, beside the positions of X_{n-1}, whose rows are dropped. Betti numbers
+depend on the perversity only through its allowable pattern, whether each
+profile class is allowable in each degree, and many perversities share one:
+every value p(Y) >= codim(Y) - 1 admits every simplex that meets Y. So each
+complex keeps the answer per pattern (`FilteredComplex.ih_memo`), and a
+perversity whose pattern that complex has already met is not reduced again.
 Explicit bases are built only when read, in reduced column echelon form so
 that subspace comparisons are deterministic, and the allowable indices they
 use are likewise built on first read.
@@ -85,17 +85,17 @@ class StratifiedChainComplex:
         of the regular i-simplices, built on first access."""
         bases = []
         bad = ()
-        for i, (cols_idx, (profiles, of)) in enumerate(
-                zip(self.allowable_indices, self.K.profile_classes)):
-            # IC_i is the kernel of the rows that are neither allowed nor in X_{n-1}
-            bnd = self.K.boundary_matrix(i)
-            sub = [{r: v for r, v in bnd[j].items() if r in bad} for j in cols_idx]
+        for cols_idx, (near, _, columns, singular) in zip(self.allowable_indices, self.K.interior):
+            # IC_i is the kernel of the rows that are neither allowed nor in
+            # X_{n-1}; an interior column meets only allowed rows, so its
+            # block is empty, as is every column of degree 0
+            sub = [{r: v for r, v in (columns[j] or {}).items() if r in bad} for j in cols_idx]
             # integer ±1 columns with no stored zero, and rcef is canonical
             # for a span, so the raw zero combinations serve
             combos = [{cols_idx[pos]: v for pos, v in combo.items()}
                       for combo in linalg._zero_combinations(sub)]
             bases.append(linalg.rcef(combos))
-            bad = {j for j, c in enumerate(of) if profiles[c] is not None}.difference(cols_idx)
+            bad = set(near).difference(cols_idx, singular)
         return bases
 
     def homology(self):
@@ -108,27 +108,23 @@ class StratifiedChainComplex:
         ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad; `betti()`
         reads the same formula (`complexes._betti`) with nothing dropped.
         The interior simplices are allowable for every perversity, so only
-        the near ones are tested here, their columns read from the
-        complex's `near_boundary`, and the interior's reduced boundaries
-        come from the complex's shared table (`FilteredComplex.interior`);
-        X_{n-1}, whose simplices are near ones with the profile None, gives
-        the dropped rows. The answer is
-        kept in the complex's memo under the allowable pattern and returned
-        from there for any later perversity with the same pattern.
+        the near ones are tested here. Everything else comes from the
+        complex's one table (`FilteredComplex.interior`): the near columns,
+        the interior pivots and the X_{n-1} simplices, whose rows are
+        dropped. The answer is kept in the complex's memo under the
+        allowable pattern and returned from there for any later perversity
+        with the same pattern.
         """
         K = self.K
         pattern = tuple(map(tuple, self._ok))
         if pattern in K.ih_memo:
             return K.ih_memo[pattern]
-        table = K.interior
-        allow, sizes = [], []
-        for ok, (_, of), (near, _) in zip(self._ok, K.profile_classes, table):
-            allow.append([j for j in near if ok[of[j]]])
-            sizes.append(len(of) - len(near) + len(allow[-1]))
-        drop = [[] for _ in table]
-        for s in K.skeleton(K.n - 1):
-            drop[len(s) - 1].append(K.index(s))
-        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(K.near_boundary, allow, table, drop))
+        near, _, columns, singular = zip(*K.interior)
+        allow = [[j for j in js if ok[of[j]]]
+                 for ok, (_, of), js in zip(self._ok, K.profile_classes, near)]
+        sizes = [len(of) - len(js) + len(a)
+                 for (_, of), js, a in zip(K.profile_classes, near, allow)]
+        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(columns, allow, K.interior, singular))
         return K.ih_memo[pattern]
 
 

@@ -255,9 +255,11 @@ def chain_ranks(bnd, allow, table=None, drop=None):
     it in place of column j of ∂_i is an invertible change of columns whose
     image is zero, so column j is skipped.
 
-    `table[i]`, when given, is (near, pivots): the sorted columns of ∂_i
-    outside a subcomplex, and the subcomplex's pivot table from
-    `subcomplex_pivots`. Then A_i, B_i and the dropped indices lie in near,
+    `table[i]`, when given, starts with (near, pivots): the sorted columns
+    of ∂_i outside a subcomplex, and the subcomplex's pivot table from
+    `subcomplex_pivots`; anything after them, such as the columns and the
+    dropped indices that `FilteredComplex.interior` keeps there, is not
+    read. Then A_i, B_i and the dropped indices lie in near,
     `allow[i]` lists A_i, and B_i is the rest of near. A subcomplex column
     meets only subcomplex rows, which are always allowed, so each degree
     starts from a copy of its pivot table and reduces only A_i. The ranks do

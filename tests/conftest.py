@@ -11,21 +11,27 @@ from stratal import linalg
 
 
 # Reference code, imported by the test modules (`from conftest import ...`):
-# no command reads a simplex's level or stratum one simplex at a time, or a
-# Laplacian, so these check the library from outside it.
+# no command reads a simplex's index, level or stratum one simplex at a
+# time, or a Laplacian, so these check the library from outside it.
+
+
+def simplex_index(K, simplex):
+    """The position of a simplex in `K.simplices(dim)`; a KeyError for a
+    non-simplex."""
+    return K._index[simplex]
 
 
 def simplex_level(K, simplex):
     """The least j with the simplex in X_j (n when regular): its top
     vertex's. A KeyError for a non-simplex."""
-    K.index(simplex)
+    simplex_index(K, simplex)
     return max(map(K._vertex_level.__getitem__, simplex))
 
 
 def simplex_label(K, simplex):
     """The id of the stratum holding the simplex: that of its top vertex.
     A KeyError for a non-simplex."""
-    K.index(simplex)
+    simplex_index(K, simplex)
     return K._vertex_label[max(simplex, key=K._vertex_level.__getitem__)]
 
 
@@ -86,7 +92,7 @@ def _dropped_boundary(K):
                 for k in range(len(s) if i else 0):
                     face = s[:k] + s[k + 1:]
                     if face not in in_singular_set:
-                        col[K.index(face)] = (-1) ** k
+                        col[simplex_index(K, face)] = (-1) ** k
                 cols.append(col)
             out.append(cols)
         _DROPPED[K] = out

@@ -133,12 +133,13 @@ def test_hilbert_command(tmp_path: Path, capsys):
 
 
 def test_verify_suite_exit_codes(tmp_path: Path, monkeypatch, capsys):
-    r = _main(capsys, "verify", "--suite", "hunsicker", "--quiet")
+    r = _main(capsys, "verify", "--suite", "hunsicker")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["pass"] is True
+    assert r.stderr == f"suite hunsicker: {len(doc['checks'])} checks PASS\n"
     # mil checks bundled spaces whose weights its checks assume: no directory
-    r = _main(capsys, "verify", "--suite", "mil", "--corpus-dir", str(tmp_path), "--quiet")
+    r = _main(capsys, "verify", "--suite", "mil", "--corpus-dir", str(tmp_path))
     assert (r.returncode, r.stdout) == (2, "")
     # a failed check -> exit 1, with the failing report on stdout
     def failing():
@@ -173,7 +174,7 @@ def test_reports_are_byte_stable(capsys):
     seed differs."""
     for args in (
         ("ih", "--space", "susp_t2", "--perversity", "top"),
-        ("verify", "--suite", "cone-local", "--quiet"),
+        ("verify", "--suite", "cone-local"),
         ("corpus-list",),
     ):
         a = _main(capsys, *args).stdout

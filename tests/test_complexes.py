@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from conftest import simplex_label, simplex_level
+from conftest import simplex_index, simplex_label, simplex_level
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -485,7 +485,7 @@ def test_level_and_label_follow_the_vertices(cone_t2):
 
 def test_level_and_label_reject_a_non_simplex():
     # each read is the first on a fresh complex, so each builds the index
-    for read in (cx.FilteredComplex.index, simplex_level, simplex_label):
+    for read in (simplex_index, simplex_level, simplex_label):
         K = corpus.load_space("cone_t2")
         assert "_index" not in vars(K)
         for s in ((99,), (0, 99), (1, 0), (), tuple(range(5))):
@@ -496,7 +496,7 @@ def test_level_and_label_reject_a_non_simplex():
 def test_index_is_the_position_in_simplices(spaces, ih_ladder):
     for K in [*spaces.values(), *ih_ladder.values()]:
         for i in range(K.n + 1):
-            assert list(map(K.index, K.simplices(i))) == list(range(len(K.simplices(i)))), K.name
+            assert [simplex_index(K, s) for s in K.simplices(i)] == list(range(len(K.simplices(i)))), K.name
 
 
 def test_load_frees_the_parsed_document_before_assembly(monkeypatch):
@@ -916,7 +916,7 @@ def _strata_and_weights(K):
 
 def test_corpus_constructions_leave_the_simplex_index_unbuilt(spaces, tmp_path):
     """No constructor, `to_document` or `load` reads the simplex index: each
-    result builds it on its first `index`, `level`, `label` or boundary."""
+    result builds it on its first column or rank query."""
     for name in corpus.SPACE_NAMES:
         K = spaces[name]
         doc = cx.to_document(K)

@@ -7,10 +7,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import simplex_level
+from conftest import simplex_index, simplex_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratal import cli
 from stratal import complexes as cx
 from stratal import corpus
 from stratal import intersection as ix
@@ -36,10 +37,10 @@ def test_allowable_examples(cone_t2):
         cone_t2, pv.Perversity(pv.PER_STRATUM, {apex_id: value})).allowable_indices[2]
         for value in (0, 1)}
     # 0 <= 2 - 3 + 1 admits the apex face; 0 <= 2 - 3 + 0 does not
-    assert cone_t2.index(through_apex) in allowed[1]
-    assert cone_t2.index(through_apex) not in allowed[0]
+    assert simplex_index(cone_t2, through_apex) in allowed[1]
+    assert simplex_index(cone_t2, through_apex) not in allowed[0]
     # a regular simplex with no singular faces is allowable for any perversity
-    assert cone_t2.index(off_apex) in allowed[0]
+    assert simplex_index(cone_t2, off_apex) in allowed[0]
 
 
 def test_manifold_degeneration(t2, s2):
@@ -155,7 +156,7 @@ def _allowable_by_definition(K, p, profiles):
     def allowed(s, i):
         return all(d <= i - K.strata[sid].codim + p.value(sid, K.strata[sid].codim)
                    for sid, d in profiles[s].items())
-    return [[K.index(s) for s in K.simplices(i) if s in profiles and allowed(s, i)]
+    return [[simplex_index(K, s) for s in K.simplices(i) if s in profiles and allowed(s, i)]
             for i in range(K.n + 1)]
 
 
@@ -233,7 +234,7 @@ def test_simplices_off_the_singular_set_are_allowable_in_every_degree(spaces, ih
         chains = ix.StratifiedChainComplex(K, _per_stratum(K, -100))
         for i, simplices in enumerate(chains.reg):
             # -100 rejects every simplex that meets a singular stratum
-            off = [K.index(s) for s in simplices if singular.isdisjoint(s)]
+            off = [simplex_index(K, s) for s in simplices if singular.isdisjoint(s)]
             assert chains.allowable_indices[i] == off, (K.name, i)
 
 
@@ -271,7 +272,7 @@ def test_dropped_face_columns_restrict_the_full_boundary(spaces, ih_ladder, drop
         assert reg == [[s for s in K.simplices(i) if s not in in_singular_set]
                        for i in range(K.n + 1)], K.name
         for i, cols in enumerate(dropped_boundary(K)):
-            dropped = {K.index(s) for s in in_singular_set if len(s) == i}
+            dropped = {simplex_index(K, s) for s in in_singular_set if len(s) == i}
             assert cols == [{r: v for r, v in col.items() if r not in dropped}
                             for col in K.boundary_matrix(i)], (K.name, i)
 
@@ -309,39 +310,87 @@ def _queries(K, rng):
 
 
 def _cached_columns(K):
-    """The columns that a complex keeps: its near-column table and the
-    columns of its interior pivot tables, per degree, in order."""
-    return [[list(cols) for cols in K.near_boundary],
-            [list(pivots.items()) for _, pivots in K.interior]]
+    """The columns that a complex keeps, all in its one rank-query table:
+    per degree, in order, the near columns and the columns of the interior
+    pivot table."""
+    return [[list(columns) for _, _, columns, _ in K.interior],
+            [list(pivots.items()) for _, pivots, _, _ in K.interior]]
 
 
 def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
     """`_reduce` works in place on its columns, so it must be handed copies,
     and dropping the X_{n-1} rows copies a column and never edits it: after
     IH queries on a fresh copy of each space, named and seeded, and
-    `betti()`, every cached column, of the near-column table and of the
-    interior pivot tables, is the same dict, unchanged. The near columns are
-    those of `boundary_matrix`, with None at the interior simplices and
-    throughout degree 0."""
+    `betti()`, the complex's rank-query table is the same object, and every
+    column in it, near or of the interior pivot tables, is the same dict,
+    unchanged. The near columns are those of `boundary_matrix`, with None at
+    the interior simplices and throughout degree 0."""
     rng = random.Random(26)
     for K in _all_spaces(spaces, ih_ladder):
         K = cx.load(cx.to_document(K))
+        table = K.interior
         cols = _cached_columns(K)
         full = copy.deepcopy(cols)
         for p in _queries(K, rng):
             ix.intersection_betti(K, p)
         K.betti()
         assert K.ih_memo, K.name
+        assert K.interior is table, K.name
         after = _cached_columns(K)
         assert after == full, K.name
         assert all(a is b for was, now in zip(cols[0], after[0]) for a, b in zip(was, now)), K.name
         assert all(a[1] is b[1] for was, now in zip(cols[1], after[1])
                    for a, b in zip(was, now)), K.name
-        assert K.near_boundary[0] == [None] * len(K.simplices(0)), K.name
+        near, _, columns, _ = zip(*table)
+        assert columns[0] == [None] * len(K.simplices(0)), K.name
         for i in range(1, K.n + 1):
-            near = set(K.interior[i][0])
-            assert K.near_boundary[i] == [col if j in near else None
-                                          for j, col in enumerate(K.boundary_matrix(i))], K.name
+            assert columns[i] == [col if j in set(near[i]) else None
+                                  for j, col in enumerate(K.boundary_matrix(i))], K.name
+
+
+def test_the_table_lists_the_simplices_of_the_singular_set(spaces, ih_ladder):
+    """Per degree, the X_{n-1} positions of the rank-query table, taken from
+    the None class of `profile_classes`, are those of `skeleton(n - 1)`, on
+    the corpus, its subdivisions and the ih-ladder spaces."""
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        in_singular_set = K.skeleton(K.n - 1)
+        want = [sorted(simplex_index(K, s) for s in in_singular_set if len(s) == i + 1)
+                for i in range(K.n + 1)]
+        assert [singular for _, _, _, singular in K.interior] == want, K.name
+
+
+def test_rank_queries_read_only_the_table(spaces, ih_ladder, monkeypatch, capsys):
+    """Named and seeded IH queries and `betti()` on a fresh copy of each
+    space build no skeleton and no `boundary_matrix`: the one table holds
+    all they read. Neither does `ih --emit-generators`, whose bases take
+    their near columns from the table."""
+    calls = []
+
+    def spy(name):
+        method = getattr(cx.FilteredComplex, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return method(*args, **kw)
+        monkeypatch.setattr(cx.FilteredComplex, name, wrapper)
+
+    fresh = [cx.load(cx.to_document(K)) for K in _all_spaces(spaces, ih_ladder)]
+    spy("skeleton")
+    spy("boundary_matrix")
+    rng = random.Random(43)
+    for K in fresh:
+        for p in _queries(K, rng):
+            ix.intersection_betti(K, p)
+        K.betti()
+        assert K.ih_memo, K.name
+    assert calls == []
+    for name in ("cone_t2", "susp_t2", "mobius"):
+        for spec in ("zero", "lower-middle", "upper-middle", "top"):
+            assert cli.main(["ih", "--space", name, "--perversity", spec,
+                             "--emit-generators"]) == 0
+            assert "chain_basis" in json.loads(capsys.readouterr().out)
+    assert "boundary_matrix" not in calls
 
 
 def test_each_near_column_is_built_once_and_no_cleared_column_at_all(spaces, ih_ladder,

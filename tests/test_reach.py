@@ -146,7 +146,7 @@ def _commands(tmp_path):
          "--vector", str(vector)],
         ["corpus-list", *bundled],
         ["corpus-build", "--out", str(tmp_path / "corpus")],
-        *(["verify", "--suite", suite, "--quiet", *(bundled if suite in CORPUS_SUITES else [])]
+        *(["verify", "--suite", suite, *(bundled if suite in CORPUS_SUITES else [])]
           for suite in sorted(SUITES)),
     ]
 
@@ -227,4 +227,4 @@ def test_the_option_count_is_pinned():
                      if isinstance(a, argparse._SubParsersAction)]
     positions = [(command, action.dest) for command, sub in subparsers.items()
                  for action in sub._actions if action.option_strings and action.dest != "help"]
-    assert len(positions) == 20, positions
+    assert len(positions) == 19, positions
