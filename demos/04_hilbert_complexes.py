@@ -32,12 +32,17 @@ print("cohomology:", cohomology_dims(C))
 print("harmonic:  ", harmonic_dims(C))
 
 # Kodaira: any cochain splits into harmonic + exact + coexact, orthogonally.
+# The parts come back as integer numerators over one positive denominator d,
+# so each check stays in integers: h + e + c = d·v.
 rng = random.Random(1)
 v = {r: rng.randint(-3, 3) for r in range(dims[1])}
-h, e, c = kodaira_decompose(C, 1, v)
+h, e, c, d = kodaira_decompose(C, 1, v)
 print()
 print("random 1-cochain:", v)
-print("harmonic part:", h or "0")
+for name, part in (("harmonic", h), ("exact", e), ("coexact", c)):
+    print(f"{name} part: {part or 0} over {d}")
+(rec,) = linalg.combine_columns([h, e, c], [{0: 1, 1: 1, 2: 1}])
+print("parts sum to the cochain:", rec == {r: x * d for r, x in v.items() if x})
 print("pairwise orthogonal:",
       linalg.dot(h, e) == 0 and linalg.dot(h, c) == 0 and linalg.dot(e, c) == 0)
 

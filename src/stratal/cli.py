@@ -16,6 +16,7 @@ alone, `cone` adds `l2model`, and `verify` loads each suite's own layers.
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -215,9 +216,9 @@ def cmd_hilbert(args):
     if args.decompose is not None:
         vec = read_json(read_text(Path(args.vector), "vector file", ConfigurationError),
                         ConfigurationError)
-        h, e, c = hb.kodaira_decompose(C, args.decompose, vec)
+        h, e, c, d = hb.kodaira_decompose(C, args.decompose, vec)
         def fmt(part):
-            return {str(r): format_rational(v) for r, v in sorted(part.items())}
+            return {str(r): format_rational(Fraction(a, d)) for r, a in sorted(part.items())}
         report["decomposition"] = {
             "degree": args.decompose,
             "harmonic": fmt(h),

@@ -12,8 +12,9 @@ and D_{n-1} (no rows) are the zero maps at the ends, so no degree is a
 special case. A `_Map` holds D_i's columns, its transpose and the pivot
 columns (`linalg._basis`) of each, all built when `validate` builds the
 complex, so each D_i and each D_i^T is reduced exactly once, there.
-`cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` reads
-the transposes; `kodaira_decompose` projects onto the pivot columns of
+`cohomology_dims` counts the pivot columns of D_i; `harmonic_dims` reduces
+the stored columns of D_i^T and D_{i-1} side by side, a check independent
+of those pivots; `kodaira_decompose` projects onto the pivot columns of
 D_{i-1} and of D_i^T. The dual complex is built from C's maps reversed,
 each read as its transpose, so its cohomology comes from the transposed
 columns' pivots while C's comes from the columns', and the dual of the
@@ -25,12 +26,11 @@ The Kodaira projections are solved over the integers, in one normal system
 two images are orthogonal, since D_i D_{i-1} = 0, so the joined Gram matrix
 is block diagonal and its one zero combination splits by column index into
 the exact and the coexact part. The vector is scaled to integers once, the
-two parts come back as integer numerators over one denominator, the
-harmonic part is formed on those integers, and each part becomes Fractions
-once, at the end. A vector's int entries stay ints, as a matrix's do.
+two parts come back as integer numerators over one positive denominator,
+the harmonic part is formed on those integers, and all three are returned
+in that form: a caller that wants rationals divides. A vector's int entries
+stay ints, as a matrix's do.
 """
-
-from fractions import Fraction
 
 from . import linalg
 from .errors import ConfigurationError, ConstructionError
@@ -159,17 +159,17 @@ def cohomology_dims(C: FiniteHilbertComplex):
 
 
 def harmonic_dims(C: FiniteHilbertComplex):
-    """dim (ker D_i ∩ ker D_{i-1}^T); equals cohomology_dims in every degree."""
-    return tuple(d - linalg.rank(_stacked(C, i)) for i, d in enumerate(C.dims))
-
-
-def _stacked(C, i):
-    """Columns of [D_i ; D_{i-1}^T]; D_{-1} and D_{n-1} are zero maps."""
-    return linalg.stack_cols(C.maps[i + 1].cols, C.maps[i].t.cols, C.maps[i + 1].nrows)
+    """dim (ker D_i ∩ ker D_{i-1}^T); equals cohomology_dims in every degree.
+    The kernel is that of the stack [D_i ; D_{i-1}^T], whose rank is that of
+    its transpose [D_i^T | D_{i-1}]: the stored columns of the two maps."""
+    return tuple(d - linalg.rank(C.maps[i + 1].t.cols + C.maps[i].cols)
+                 for i, d in enumerate(C.dims))
 
 
 def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
-    """Split v into (harmonic, exact, coexact) parts, pairwise orthogonal.
+    """Split v into harmonic, exact and coexact parts, pairwise orthogonal,
+    returned as (harmonic, exact, coexact, d): three dicts {row: int} of
+    numerators over one int d > 0, so the harmonic part is harmonic/d.
 
     v is a list or tuple of dims[i] entries or a dict keyed by int row
     indices; its entries are read by `_entry` (ints, Fractions or "p/q"
@@ -177,9 +177,9 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     the image of D_{i-1}, the coexact part the projection onto the image of
     D_i^T. The two images are orthogonal, so both come from one normal
     system over the complex's pivot columns of the two, solved over the
-    integers, as numerators over one denominator; the harmonic part is v
-    less the two, formed on those numerators. Every entry of every part is
-    one Fraction, and reconstruction is exact.
+    integers, as numerators over d; the harmonic part is v less the two,
+    formed on those numerators. No entry is stored as zero, and
+    reconstruction is exact: harmonic + exact + coexact = d·v.
     """
     if not 0 <= i < len(C.dims):
         raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
@@ -208,8 +208,7 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     harmonic = {r: a * t for r, a in w.items()}
     linalg._subtract(harmonic, 1, e)
     linalg._subtract(harmonic, 1, c)
-    d = t * m
-    return tuple({r: Fraction(a, d) for r, a in part.items()} for part in (harmonic, e, c))
+    return harmonic, e, c, t * m
 
 
 def dual_complex(C: FiniteHilbertComplex):

@@ -60,15 +60,16 @@ give the kernel. Everything else derives from the pivot table:
   `hilbert.kodaira_decompose` does. `_basis` reduces the columns to their
   pivot columns B. `_solve` solves the normal equations of B over the
   integers: for an integer vector w, it returns the single zero combination
-  (x, t) of [BᵀB | Bᵀw], and the projection of w is the integer vector
-  B(-x) over t. A rational v is first scaled by the lcm m of its
-  denominators (`_over`), so its projection is B(-x)/(t·m). A caller that
-  projects onto the same span again keeps B. A caller whose B joins
-  mutually orthogonal blocks, as the exact and coexact pivot columns of a
-  Hilbert complex are, reads each block's projection off its own indices
-  of x, all over the one t: BᵀB is block diagonal. An empty B needs no
-  special case: [BᵀB | Bᵀw] is one empty column, whose zero combination is
-  t = 1, so the projection is the zero vector over 1.
+  (x, t) of [BᵀB | Bᵀw], scaled so that t > 0, and the projection of w is
+  the integer vector B(-x) over t. A rational v is first scaled by the lcm
+  m of its denominators (`_over`), so its projection is B(-x) over the
+  positive denominator t·m. A caller that projects onto the same span again
+  keeps B. A caller whose B joins mutually orthogonal blocks, as the exact
+  and coexact pivot columns of a Hilbert complex are, reads each block's
+  projection off its own indices of x, all over the one t: BᵀB is block
+  diagonal. An empty B needs no special case: [BᵀB | Bᵀw] is one empty
+  column, whose zero combination is t = 1, so the projection is the zero
+  vector over 1.
 """
 
 from fractions import Fraction
@@ -376,17 +377,6 @@ def transpose_cols(cols, nrows):
     return out
 
 
-def stack_cols(top_cols, bottom_cols, top_rows):
-    """Columns of the vertical stack [A; B]; B's rows are shifted by A's height."""
-    out = []
-    for a, b in zip(top_cols, bottom_cols):
-        col = dict(a)
-        for r, v in b.items():
-            col[r + top_rows] = v
-        out.append(col)
-    return out
-
-
 def dot(a, b):
     if len(a) > len(b):
         a, b = b, a
@@ -414,10 +404,11 @@ def _basis(cols):
 def _solve(w, basis):
     """(x, t): the single zero combination of [BᵀB | Bᵀw], for the integer
     vector w and the independent integer columns B = `basis`, split into
-    x, a dict {column index: int}, and t, a nonzero int. The projection of
+    x, a dict {column index: int}, and t, a positive int. The projection of
     w onto the span of B is B(-x)/t.
 
-    BᵀB is invertible, so the zero combination is single and t != 0. BᵀB is
+    BᵀB is invertible, so the zero combination is single and t != 0; where
+    the reduction leaves t < 0, x and t are negated together. BᵀB is
     symmetric, so each dot product is taken once, for i >= j, and stored
     at (i, j) and (j, i); every column still gets its rows in increasing
     order.
@@ -429,5 +420,6 @@ def _solve(w, basis):
                 normal[i][j] = normal[j][i] = g
     normal.append({i: g for i, b in enumerate(basis) if (g := dot(b, w))})
     (x,) = _zero_combinations(normal)
-    return x, x.pop(len(basis))
+    t = x.pop(len(basis))
+    return ({j: -a for j, a in x.items()}, -t) if t < 0 else (x, t)
 

@@ -19,7 +19,6 @@ corpus, the complexes and the intersection layer.
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .perversity import (
     NAMED_PERVERSITIES,
@@ -247,14 +246,11 @@ def _hilbert_trial(hb, linalg, C, rng):
         if C.dims[i] == 0:
             continue
         v = {r: rng.randint(-3, 3) for r in range(C.dims[i])}
-        # the parts scaled by the lcm of their denominators: integers
-        # with the same sums and the same zero inner products
-        parts = hb.kodaira_decompose(C, i, v)
-        m = lcm(*(x.denominator for part in parts for x in part.values()))
-        h, e, c = ({r: x.numerator * (m // x.denominator) for r, x in part.items()}
-                   for part in parts)
+        # integer numerators over d: the sums and zero inner products of
+        # the parts times d
+        h, e, c, d = hb.kodaira_decompose(C, i, v)
         (rec,) = linalg.combine_columns([h, e, c], [{0: 1, 1: 1, 2: 1}])
-        want = {r: val * m for r, val in v.items() if val}
+        want = {r: val * d for r, val in v.items() if val}
         if rec != want or linalg.dot(h, e) or linalg.dot(h, c) or linalg.dot(e, c):
             ok = False
     return ok, {"dims": list(C.dims), "cohomology": list(ch), "index": idx}

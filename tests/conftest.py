@@ -35,10 +35,26 @@ def simplex_label(K, simplex):
     return K._vertex_label[max(simplex, key=K._vertex_level.__getitem__)]
 
 
+def stacked_cols(top_cols, bottom_cols, top_rows):
+    """Columns of the vertical stack [A; B]; B's rows are shifted by A's
+    height."""
+    return [{**a, **{r + top_rows: v for r, v in b.items()}}
+            for a, b in zip(top_cols, bottom_cols)]
+
+
 def laplacian_cols(C, i):
     """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T of the finite Hilbert
-    complex C."""
-    return linalg.combine_columns(C.maps[i + 1].t.cols + C.maps[i].cols, hb._stacked(C, i))
+    complex C: [D_i^T | D_{i-1}] times the stack [D_i ; D_{i-1}^T]."""
+    down, up = C.maps[i + 1], C.maps[i]
+    return linalg.combine_columns(down.t.cols + up.cols,
+                                  stacked_cols(down.cols, up.t.cols, down.nrows))
+
+
+def kodaira_parts(C, i, v):
+    """The (harmonic, exact, coexact) parts of `hilbert.kodaira_decompose`
+    as Fraction dicts: each integer numerator over the one denominator."""
+    *parts, d = hb.kodaira_decompose(C, i, v)
+    return tuple({r: Fraction(a, d) for r, a in part.items()} for part in parts)
 
 
 def _face_profiles(K):

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from conftest import laplacian_cols
+from conftest import kodaira_parts, laplacian_cols, stacked_cols
 from sympy import Matrix, Rational
 
 from stratal import hilbert as hb
@@ -51,18 +51,34 @@ def test_harmonic_equals_cohomology(s2, spaces):
     assert hb.harmonic_dims(z) == (4, 2)
 
 
+@pytest.mark.parametrize("draw", ["s2", 3, 29])
+def test_harmonic_dims_reduce_the_stored_columns_of_both_maps(draw, s2, monkeypatch):
+    """`harmonic_dims` ranks [D_i^T | D_{i-1}], once per degree, as the
+    very column dicts the complex stores for D_i^T and D_{i-1}: no stacked
+    copy is built."""
+    C = _cochain_complex(s2) if draw == "s2" else hb.random_complex(random.Random(draw))
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda cols: seen.append(cols) or rank(cols))
+    assert hb.harmonic_dims(C) == hb.cohomology_dims(C)
+    assert len(seen) == len(C.dims)
+    for i, cols in enumerate(seen):
+        want = C.maps[i + 1].t.cols + C.maps[i].cols
+        assert len(cols) == len(want) and all(a is b for a, b in zip(cols, want))
+
+
 def test_kodaira_trivial_cases(s2):
     C = _cochain_complex(s2)
     # constant 0-cochain is harmonic for the sphere complex
     v = {r: F(1) for r in range(C.dims[0])}
-    h, e, c = hb.kodaira_decompose(C, 0, v)
-    assert h == v and not e and not c
+    h, e, c, d = hb.kodaira_decompose(C, 0, v)
+    assert h == {r: d for r in v} and not e and not c
     # an exact vector comes back entirely in the exact part
     d0 = C.maps[1].cols
     img = linalg.combine_columns(d0, [{0: 1, 2: -2}])[0]
-    h, e, c = hb.kodaira_decompose(C, 1, img)
+    h, e, c, d = hb.kodaira_decompose(C, 1, img)
     assert not h and not c
-    assert e == {r: F(v) for r, v in img.items()}
+    assert e == {r: v * d for r, v in img.items()}
 
 
 def test_kodaira_random_reconstruction(s2):
@@ -70,17 +86,36 @@ def test_kodaira_random_reconstruction(s2):
     rng = random.Random(8)
     for i in range(len(C.dims)):
         v = {r: rng.randint(-4, 4) for r in range(C.dims[i])}
-        h, e, c = hb.kodaira_decompose(C, i, v)
+        h, e, c, d = hb.kodaira_decompose(C, i, v)
         rec = {}
         for part in (h, e, c):
             for r, val in part.items():
                 rec[r] = rec.get(r, 0) + val
         assert {r: v for r, v in rec.items() if v} == {
-            r: F(val) for r, val in v.items() if val
+            r: val * d for r, val in v.items() if val
         }
         assert linalg.dot(h, e) == 0
         assert linalg.dot(h, c) == 0
         assert linalg.dot(e, c) == 0
+
+
+def test_kodaira_parts_are_int_numerators_over_a_positive_denominator(s2):
+    """On the sphere cochain complex and 50 seeded random complexes, in every
+    degree, `kodaira_decompose` returns three dicts of nonzero ints and one
+    int d > 0, whose sum is d·v and whose pairwise dot products are zero."""
+    rng = random.Random(44)
+    complexes = [_cochain_complex(s2), *(hb.random_complex(random.Random(seed))
+                                         for seed in range(50))]
+    for C in complexes:
+        for i, dim in enumerate(C.dims):
+            v = {r: x for r in range(dim) if (x := rng.randint(-3, 3))}
+            *parts, d = hb.kodaira_decompose(C, i, v)
+            h, e, c = parts
+            assert type(d) is int and d > 0
+            assert all(type(x) is int and x for part in parts for x in part.values())
+            (rec,) = linalg.combine_columns(parts, [{0: 1, 1: 1, 2: 1}])
+            assert rec == {r: x * d for r, x in v.items()}
+            assert linalg.dot(h, e) == linalg.dot(h, c) == linalg.dot(e, c) == 0
 
 
 def test_dual_complex_reversal(s2):
@@ -168,36 +203,38 @@ def _suite_with(monkeypatch, change):
     decompose = hb.kodaira_decompose
 
     def patched(C, i, v):
-        return tuple({r: x for r, x in part.items() if x}
-                     for part in change(*decompose(C, i, v)))
+        *parts, d = change(*decompose(C, i, v))
+        return (*({r: x for r, x in part.items() if x} for part in parts), d)
 
     monkeypatch.setattr(hb, "kodaira_decompose", patched)
     return verify.suite_hilbert()
 
 
-def _move_half(h, e, c):
-    """Half of the first harmonic entry moved to the exact part: the parts
-    still sum to v, but they are no longer orthogonal."""
+def _move_half(h, e, c, d):
+    """Half of the first harmonic entry moved to the exact part, over the
+    denominator 2d: the parts still sum to v, but they are no longer
+    orthogonal."""
     if not h:
-        return h, e, c
+        return h, e, c, d
     r = next(iter(h))
-    return {**h, r: h[r] / 2}, {**e, r: e.get(r, 0) + h[r] / 2}, c
+    h, e, c = ({k: 2 * x for k, x in part.items()} for part in (h, e, c))
+    return {**h, r: h[r] // 2}, {**e, r: e.get(r, 0) + h[r] // 2}, c, 2 * d
 
 
-def _perturb(h, e, c):
+def _perturb(h, e, c, d):
     """One harmonic entry outside the supports of the exact and coexact
     parts off by one, where there is one: v is not their sum, but the parts
     stay orthogonal, so only the reconstruction check can see it."""
     r = next((r for r in h if r not in e and r not in c), None)
-    return ({**h, r: h[r] + 1} if r is not None else h), e, c
+    return ({**h, r: h[r] + d} if r is not None else h), e, c, d
 
 
 def test_the_hilbert_suite_checks_the_kodaira_parts(s2, monkeypatch):
     assert verify.suite_hilbert().passed
     # a vertex of the tetrahedron: a constant harmonic part and a coexact rest
-    h, e, c = _move_half(*hb.kodaira_decompose(_cochain_complex(s2), 0, [1, 0, 0, 0]))
+    h, e, c, d = _move_half(*hb.kodaira_decompose(_cochain_complex(s2), 0, [1, 0, 0, 0]))
     rec = {r: h.get(r, 0) + e.get(r, 0) + c.get(r, 0) for r in range(4)}
-    assert rec == {0: 1, 1: 0, 2: 0, 3: 0} and linalg.dot(h, e)
+    assert rec == {0: d, 1: 0, 2: 0, 3: 0} and linalg.dot(h, e)
     for change in (_move_half, _perturb):
         report = _suite_with(monkeypatch, change)
         assert not report.passed, change.__name__
@@ -224,7 +261,7 @@ def test_laplacian_kernel_is_harmonic_space(s2):
             else [{} for _ in range(C.dims[i])]
         )
         stacked_kernel = linalg.rcef(
-            linalg.kernel(linalg.stack_cols(down, up_t, C.maps[i + 1].nrows))
+            linalg.kernel(stacked_cols(down, up_t, C.maps[i + 1].nrows))
         )
         assert lap_kernel == stacked_kernel
 
@@ -354,14 +391,13 @@ def test_projection_and_kodaira_match_sympy_oracle(project_onto_span):
                     got = project_onto_span(v, cols)
                     assert got == _oracle_projection(v, cols, dim)
                     assert all(type(x) is F for x in got.values())
-                h, e, c = hb.kodaira_decompose(C, i, v)
+                h, e, c = kodaira_parts(C, i, v)
                 want_e = _oracle_projection(v, exact_span, dim) if exact_span else {}
                 want_c = _oracle_projection(v, coexact_span, dim)
                 assert e == want_e and c == want_c
                 want_h = {r: F(v.get(r, 0)) - want_e.get(r, 0) - want_c.get(r, 0)
                           for r in range(dim)}
                 assert h == {r: x for r, x in want_h.items() if x}
-                assert all(type(x) is F for part in (h, e, c) for x in part.values())
             for v, cols in zip(in_span, spans):
                 assert project_onto_span(v, cols) == {r: F(x) for r, x in v.items()}
 
@@ -380,7 +416,7 @@ def test_kodaira_parts_are_the_projections_onto_each_span_alone(project_onto_spa
             exact_span, coexact_span = C.maps[i].cols, C.maps[i + 1].t.cols
             one_empty += bool(C.maps[i].basis) != bool(C.maps[i + 1].t.basis)
             for v in _vectors(rng, dim):
-                h, e, c = hb.kodaira_decompose(C, i, v)
+                h, e, c = kodaira_parts(C, i, v)
                 assert e == project_onto_span(v, exact_span)
                 assert c == project_onto_span(v, coexact_span)
                 want_h = {r: F(v.get(r, 0)) - e.get(r, 0) - c.get(r, 0) for r in range(dim)}
@@ -392,7 +428,7 @@ def test_solve_takes_each_dot_product_once_and_sees_the_full_normal_system(monke
     """`_solve` fills BᵀB from its upper triangle, so it takes n(n+1)/2
     dot products for BᵀB and n for Bᵀw, yet the normal system it reduces is
     the full [BᵀB | Bᵀw], each column's rows in increasing order, and its
-    zero combination (x, t) solves it with t != 0."""
+    zero combination (x, t) solves it with t > 0."""
     dot, zero_combinations = linalg.dot, linalg._zero_combinations
     dots, systems = [], []
     monkeypatch.setattr(linalg, "dot", lambda a, b: dots.append(1) or dot(a, b))
@@ -411,7 +447,16 @@ def test_solve_takes_each_dot_product_once_and_sees_the_full_normal_system(monke
             assert len(dots) == n * (n + 1) // 2 + n
             full = [{j: g for j, b in enumerate(basis) if (g := dot(b, c))} for c in [*basis, w]]
             assert [list(col.items()) for col in systems[0]] == [list(col.items()) for col in full]
-            assert t != 0 and not linalg.combine_columns(full, [{**x, n: t}])[0]
+            assert t > 0 and not linalg.combine_columns(full, [{**x, n: t}])[0]
+
+
+def test_solve_returns_a_positive_denominator():
+    """Where the reduction's zero combination of [BᵀB | Bᵀw] ends in a
+    negative t, `_solve` negates x and t together."""
+    basis, w = [{0: 2, 1: 1}, {0: 4}], {0: -2}
+    (raw,) = linalg._zero_combinations([{0: 5, 1: 8}, {0: 8, 1: 16}, {0: -4, 1: -8}])
+    assert raw == {1: -1, 2: -2}
+    assert linalg._solve(w, basis) == ({1: 1}, 2)
 
 
 @pytest.mark.parametrize("v", [
@@ -437,9 +482,9 @@ def test_kodaira_rejects_non_rational_entries_and_non_int_keys(v):
 def test_kodaira_reads_text_entries_like_fractions():
     C = hb.validate([2, 1], [[[1, 1]]])
     want = ({0: F(-9, 20), 1: F(9, 20)}, {}, {0: F(11, 20), 1: F(11, 20)})
-    assert hb.kodaira_decompose(C, 0, ["1/10", 1]) == want
-    assert hb.kodaira_decompose(C, 0, ("1/10", 1)) == want
-    assert hb.kodaira_decompose(C, 0, {0: F(1, 10), 1: "1"}) == want
+    assert kodaira_parts(C, 0, ["1/10", 1]) == want
+    assert kodaira_parts(C, 0, ("1/10", 1)) == want
+    assert kodaira_parts(C, 0, {0: F(1, 10), 1: "1"}) == want
 
 
 # Complexes with no space, one space, and a zero space first, last or in the
@@ -493,6 +538,6 @@ def test_edge_shapes_at_every_degree(name):
     got = [hb.cohomology_dims(C), hb.harmonic_dims(C),
            [[q(c) for c in linalg.rcef(linalg.kernel(laplacian_cols(C, i)))]
             for i in range(len(C.dims))],
-           [tuple(map(q, hb.kodaira_decompose(C, i, _edge_vector(i, d))))
+           [tuple(map(q, kodaira_parts(C, i, _edge_vector(i, d))))
             for i, d in enumerate(C.dims)]]
     assert got == EDGE_RECORDS[name]

@@ -2,8 +2,11 @@
 
 Each digest is the sha256 of `repr` of what `cohomology_dims`,
 `harmonic_dims`, the reference `conftest.laplacian_cols`, the
-`dual_complex` report or `kodaira_decompose` returns over a fixed list of complexes, every dict given
-as its item list, so that equal means the same entries in the same order.
+`dual_complex` report or `kodaira_decompose` returns over a fixed list of
+complexes, every dict given as its item list, so that equal means the same
+entries in the same order. Kodaira parts are hashed as the Fractions that
+their integer numerators over the one denominator stand for
+(`conftest.kodaira_parts`).
 The complexes are 100 seeded `random_complex` outputs and hand complexes
 whose differentials hold Fractions, "p/q" text and non-primitive integer
 columns, with zero spaces first, last and in the middle. Each degree is
@@ -19,7 +22,7 @@ import json
 import random
 from fractions import Fraction as F
 
-from conftest import laplacian_cols
+from conftest import kodaira_parts, laplacian_cols
 
 from stratal import corpus
 from stratal import hilbert as hb
@@ -85,7 +88,7 @@ def _outputs():
         out["dual"].append((json.dumps(report), D.dims, dual_cols))
         for i, dim in enumerate(C.dims):
             for v in _vectors(i, dim):
-                out["kodaira"].append(_items(hb.kodaira_decompose(C, i, v)))
+                out["kodaira"].append(_items(kodaira_parts(C, i, v)))
     return {name: _digest(got) for name, got in out.items()}
 
 

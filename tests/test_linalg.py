@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import kodaira_parts
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
@@ -126,12 +127,10 @@ def test_projection_is_orthogonal_and_idempotent(project_onto_span):
         assert again == proj
 
 
-def test_transpose_and_stack_shapes():
+def test_transpose_shapes():
     cols = [{0: 1, 2: -1}, {1: 5}]
     t = linalg.transpose_cols(cols, 3)
     assert t == [{0: 1}, {1: 5}, {0: -1}]
-    stacked = linalg.stack_cols(cols, [{0: 7}, {}], 3)
-    assert stacked == [{0: 1, 2: -1, 3: 7}, {1: 5}]
 
 
 # ------------------------------------------------ sympy oracle (tests only)
@@ -594,7 +593,7 @@ def _kodaira_digest():
         for i, dim in enumerate(C.dims):
             if dim:
                 v = [rng.randint(-3, 3) for _ in range(dim)]
-                parts.append(_sorted_cols(hb.kodaira_decompose(C, i, v)))
+                parts.append(_sorted_cols(kodaira_parts(C, i, v)))
     return _digest(parts)
 
 
