@@ -10,7 +10,7 @@ module on first access, so a program pays only for the layers it reads.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 _LAZY = {
     **dict.fromkeys(("FilteredComplex", "Stratum", "barycentric_subdivide", "build",

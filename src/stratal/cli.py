@@ -79,7 +79,15 @@ def _resolve_perversity(spec, n, space=None):
             raise ConfigurationError(f"perversity file {path} must hold a JSON object")
         if "kind" not in doc:
             doc = {"kind": pv.PER_STRATUM, "values": doc}
-        return pv.perversity_from_json(doc)
+        p = pv.perversity_from_json(doc)
+        if space is not None and p.kind == pv.PER_STRATUM:
+            known = sorted(s.id for s in space.singular_strata())
+            for sid in p.values:
+                if sid not in known:
+                    raise ConfigurationError(
+                        f"perversity file {path} names unknown singular stratum {sid!r}; "
+                        f"known: {known}")
+        return p
     raise StratalError(
         f"unknown perversity spec {spec!r}; use zero | top | lower-middle | "
         "upper-middle | gm:k0,k1,... | per-stratum:FILE | from-weights"
@@ -204,6 +212,9 @@ def cmd_hilbert(args):
                     ConstructionError)
     if not isinstance(doc, dict) or "dims" not in doc or "differentials" not in doc:
         raise StratalError("complex file needs an object with 'dims' and 'differentials'")
+    for key in doc:
+        if key not in ("dims", "differentials"):
+            raise ConstructionError(f"complex file key {key!r} is not one of dims, differentials")
     C = hb.validate(doc["dims"], doc["differentials"])
     _, dual_rep = hb.dual_complex(C)
     report = {

@@ -80,13 +80,15 @@ interior ones, form a subcomplex that every rank query allows. Its pivot
 table is reduced once, degree by degree from the top, and only the interior
 columns that the pivots of the degree above do not clear are built. The
 columns of the near simplices, those with a singular vertex, are built once
-and kept beside it: `betti()` and each perversity's
-`intersection.StratifiedChainComplex.homology` reduce only near columns,
-against a copy of the interior pivots, and the chain bases read the near
-columns too. A chain model that leaves
-out some simplices (stratified coefficients leave out X_{n-1}, whose
-positions the table also lists) deletes their rows as it reduces
-(`linalg.chain_ranks`), and never stores a second boundary.
+and kept beside it. One method, `betti_of`, makes every rank query:
+`betti()` allows every simplex, and each perversity's
+`intersection.StratifiedChainComplex.homology` passes its allowable
+pattern. It reduces only the allowed near columns, against a copy of the
+interior pivots, and keeps the answer per pattern (`ih_memo`); the chain
+bases read the near columns too. A chain model that leaves out some
+simplices (stratified coefficients leave out X_{n-1}, whose positions the
+table also lists) deletes their rows as it reduces (`linalg.chain_ranks`),
+and never stores a second boundary.
 `boundary_matrix` builds every column of a degree afresh on each call, for
 the tests and the demos; no command calls it.
 
@@ -201,9 +203,8 @@ class FilteredComplex:
     boundary columns kept are those of the rank-query table (`interior`):
     the near columns and the interior pivot tables; `boundary_matrix` builds
     its columns afresh.
-    `ih_memo` maps an allowable pattern to its intersection Betti
-    numbers; `intersection.StratifiedChainComplex.homology` fills and reads
-    it.
+    `ih_memo` maps an allowable pattern to its Betti numbers; `betti_of`
+    alone fills and reads it.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular, weighted):
@@ -396,9 +397,9 @@ class FilteredComplex:
         An interior simplex has the empty profile, the `()` class of
         `profile_classes`. All of its faces are interior, so none of them is
         in X_{n-1}, and it is allowable in every degree for every perversity.
-        So the table serves `betti()` and every perversity's `homology()`
-        alike (`linalg.chain_ranks`), and each of them reduces only its
-        allowed near columns against a copy of the pivots; the chain bases
+        So the table serves every rank query (`betti_of`) alike, and each
+        reduces only its allowed near columns against a copy of the pivots
+        (`linalg.chain_ranks`); the chain bases
         (`intersection.StratifiedChainComplex.bases`) read its near columns
         and X_{n-1} positions.
         """
@@ -416,8 +417,36 @@ class FilteredComplex:
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
         and none is dropped."""
-        near, _, columns, _ = zip(*self.interior)
-        return _betti(self.counts(), linalg.chain_ranks(columns, near, self.interior))
+        return self.betti_of(tuple((True,) * len(profiles) for profiles, _ in self.profile_classes))
+
+    def betti_of(self, ok):
+        """Betti numbers of the chains that `ok` allows, exact: `ok[i][c]`
+        says whether profile class c of degree i (`profile_classes`) is
+        allowed. Either every class is allowed, as `betti()` asks, or no
+        class of X_{n-1} simplices (profile None) is, as a perversity's
+        stratified coefficients ask, and then their rows are dropped.
+
+        Every rank query of the complex comes here. With ∂_i the boundary
+        with the dropped rows deleted, A_i the allowed columns and B_{i-1}
+        the other rows, the chain space ker ∂_i[B_{i-1}, A_i] has dimension
+        |A_i| - r_bad,i and the boundary on it rank r_all,i - r_bad,i, for
+        `linalg.chain_ranks`' (r_all, r_bad) per degree, so
+        b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1). Only the near
+        simplices are tested and reduced, against the interior pivots of
+        the one table (`interior`). The answer is kept in `ih_memo` under
+        `ok` and returned from there for any later query with the same
+        pattern."""
+        if ok in self.ih_memo:
+            return self.ih_memo[ok]
+        near, _, columns, singular = zip(*self.interior)
+        allow = [[j for j in js if allowed[of[j]]]
+                 for allowed, (_, of), js in zip(ok, self.profile_classes, near)]
+        ranks = linalg.chain_ranks(columns, allow, self.interior, singular)
+        above = [r_all - r_bad for r_all, r_bad in ranks[1:]] + [0]
+        self.ih_memo[ok] = tuple(
+            len(of) - len(js) + len(a) - r_all - up for (_, of), js, a, (r_all, _), up
+            in zip(self.profile_classes, near, allow, ranks, above))
+        return self.ih_memo[ok]
 
     # ----------------------------------------------------------------- reports
 
@@ -448,15 +477,6 @@ class FilteredComplex:
             "strata": strata,
             "singular_strata": sum(1 for s in self.strata.values() if s.singular),
         }
-
-
-def _betti(sizes, ranks):
-    """Betti numbers from |A_i| and `linalg.chain_ranks`' (r_all, r_bad) per
-    degree: the chain space ker ∂_i[B_{i-1}, A_i] has dimension |A_i| - r_bad,i
-    and the boundary on it rank r_all,i - r_bad,i, so
-    b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1)."""
-    above = [r_all - r_bad for r_all, r_bad in ranks[1:]] + [0]
-    return tuple(a - r_all - up for a, (r_all, _), up in zip(sizes, ranks, above))
 
 
 # ------------------------------------------------------------------- builders

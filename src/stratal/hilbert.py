@@ -45,17 +45,17 @@ MAX_TOTAL_DIMENSION = 100_000
 
 
 class _Map:
-    """A differential's columns, the height of its target space, `basis`,
-    the pivot columns, one per unit of rank, and `t`, the `_Map` of the
-    transpose, whose own `t` is this map. All are built with the map, which
-    builds its transpose passing itself as `t`, so when `validate` builds a
-    complex each D_i and each D_i^T is reduced exactly once."""
+    """A differential's columns, `basis`, the pivot columns, one per unit of
+    rank, and `t`, the `_Map` of the transpose, whose own `t` is this map,
+    and whose columns number the rows of the target space. All are built
+    with the map, which builds its transpose passing itself as `t`, so when
+    `validate` builds a complex each D_i and each D_i^T is reduced exactly
+    once."""
 
-    __slots__ = ("cols", "nrows", "basis", "t")
+    __slots__ = ("cols", "basis", "t")
 
     def __init__(self, cols, nrows, t=None):
         self.cols = cols
-        self.nrows = nrows
         self.basis = linalg._basis(cols)
         self.t = t or _Map(linalg.transpose_cols(cols, nrows), len(cols), self)
 

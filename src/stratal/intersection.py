@@ -17,19 +17,12 @@ Those dimensions follow from the simplex's singular vertices
 allowability is decided once per profile and degree, and a simplex with no
 singular vertex is allowable in every degree. The intersection chain space
 in degree i is the kernel of the non-allowable row block of the boundary
-restricted to allowable columns. Betti numbers need no
-basis: one reduction per degree, from the top degree down with clearing,
-gives both ranks they need (`linalg.chain_ranks`). A query reads one table
-of the complex, derived once on first read and shared by every perversity
-and by `betti()` (`FilteredComplex.interior`). The simplices with no
-singular vertex form a subcomplex that is allowable for every perversity,
-so the table holds its reduction; a query tests and reduces only the near
-simplices, those with a singular vertex, whose columns the table holds
-too, beside the positions of X_{n-1}, whose rows are dropped. Betti numbers
-depend on the perversity only through its allowable pattern, whether each
-profile class is allowable in each degree, and many perversities share one:
-every value p(Y) >= codim(Y) - 1 admits every simplex that meets Y. So each
-complex keeps the answer per pattern (`FilteredComplex.ih_memo`), and a
+restricted to allowable columns. Betti numbers need no basis, and depend
+on the perversity only through its allowable pattern, whether each profile
+class is allowable in each degree. So this module decides the pattern, and
+the complex's one rank query (`FilteredComplex.betti_of`), which `betti()`
+reads too, reduces each pattern once: many perversities share one, since
+every value p(Y) >= codim(Y) - 1 admits every simplex that meets Y, and a
 perversity whose pattern that complex has already met is not reduced again.
 Explicit bases are built only when read, in reduced column echelon form so
 that subspace comparisons are deterministic, and the allowable indices they
@@ -40,7 +33,7 @@ from functools import cached_property
 from itertools import compress
 
 from . import linalg
-from .complexes import _betti, check_orientation
+from .complexes import check_orientation
 from .perversity import Perversity, dual, perversity_to_json
 
 
@@ -60,12 +53,13 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        # per degree, whether each profile class is allowable: decided once
-        # per profile, met in simplex order, so that a perversity lacking
-        # several strata names the first one that a simplex meets
-        self._ok = [[prof is not None and (not prof or _allowed(prof, i, K, p))
-                     for prof in profiles]
-                    for i, (profiles, _) in enumerate(K.profile_classes)]
+        # per degree, whether each profile class is allowable, the pattern
+        # that `K.betti_of` takes: decided once per profile, met in simplex
+        # order, so that a perversity lacking several strata names the first
+        # one that a simplex meets
+        self._ok = tuple(tuple(prof is not None and (not prof or _allowed(prof, i, K, p))
+                               for prof in profiles)
+                         for i, (profiles, _) in enumerate(K.profile_classes))
 
     @cached_property
     def allowable_indices(self):
@@ -99,33 +93,10 @@ class StratifiedChainComplex:
         return bases
 
     def homology(self):
-        """Betti numbers from one reduction per degree.
-
-        With ∂_i the complex's boundary with the X_{n-1} rows dropped, A_i
-        the allowable columns and B_{i-1} the regular non-allowable rows,
-        IC_i is the kernel of ∂_i[B_{i-1}, A_i], so dim IC_i = |A_i| - r_bad
-        for r_bad = rank ∂_i[B_{i-1}, A_i]. The boundary on IC_i has kernel
-        ker ∂_i[:, A_i], so its rank is rank ∂_i[:, A_i] - r_bad; `betti()`
-        reads the same formula (`complexes._betti`) with nothing dropped.
-        The interior simplices are allowable for every perversity, so only
-        the near ones are tested here. Everything else comes from the
-        complex's one table (`FilteredComplex.interior`): the near columns,
-        the interior pivots and the X_{n-1} simplices, whose rows are
-        dropped. The answer is kept in the complex's memo under the
-        allowable pattern and returned from there for any later perversity
-        with the same pattern.
-        """
-        K = self.K
-        pattern = tuple(map(tuple, self._ok))
-        if pattern in K.ih_memo:
-            return K.ih_memo[pattern]
-        near, _, columns, singular = zip(*K.interior)
-        allow = [[j for j in js if ok[of[j]]]
-                 for ok, (_, of), js in zip(self._ok, K.profile_classes, near)]
-        sizes = [len(of) - len(js) + len(a)
-                 for (_, of), js, a in zip(K.profile_classes, near, allow)]
-        K.ih_memo[pattern] = _betti(sizes, linalg.chain_ranks(columns, allow, K.interior, singular))
-        return K.ih_memo[pattern]
+        """Betti numbers of IC, from the complex's one rank query
+        (`FilteredComplex.betti_of`) under this allowable pattern, with the
+        X_{n-1} rows dropped."""
+        return self.K.betti_of(self._ok)
 
 
 def intersection_betti(K, p: Perversity):

@@ -38,10 +38,11 @@ give the kernel. Everything else derives from the pivot table:
   Chen & Kerber, *Persistent Homology Computation with a Twist*, EuroCG
   2011). A chain model is a partition of each degree's rows: allowed rows
   keep their indices, the rows that the model drops (X_{n-1} for
-  stratified coefficients, none for `betti()`) are deleted, and the
-  non-allowable rest are shifted below the allowed rows, so the pivots that
-  fall in them count the rank of that row block too. A column that meets a
-  dropped or non-allowable row is copied once; any other enters as it is.
+  stratified coefficients) are deleted, and the non-allowable rest are
+  shifted below the allowed rows, so the pivots that fall in them count the
+  rank of that row block too; where every row is allowed, as for
+  `FilteredComplex.betti`, no row is dropped. A column that meets a dropped
+  or non-allowable row is copied once; any other enters as it is.
   Given a table from `subcomplex_pivots`, each degree starts from a copy of
   the pivot table of a subcomplex whose rows every caller allows, reduced
   once per complex, and reduces only the other columns, so only those are
@@ -89,13 +90,13 @@ _HEAP_AFTER = 128
 
 
 def col_primitive(col):
-    """Primitive integer copy of a column: denominators cleared, gcd divided
-    out, zeros dropped.
+    """Primitive integer form of a column: denominators cleared, gcd
+    divided out, zeros dropped. `col` is never changed.
 
-    The result is always a fresh dict, never `col` itself, so a caller may
-    change it. An integer column with gcd 1 and no stored zero is copied at
-    C level; Fraction entries make `gcd` raise and have their denominators
-    cleared first.
+    An integer column with no stored zero and gcd 1, or with no entry, is
+    already primitive and comes back as it is, `col` itself, which
+    `_reduce` only reads; any other comes back as a new dict. Fraction
+    entries make `gcd` raise and have their denominators cleared first.
     """
     try:
         g = gcd(*col.values())
@@ -103,8 +104,9 @@ def col_primitive(col):
         mult = lcm(*(v.denominator for v in col.values()))
         col = {r: int(v * mult) for r, v in col.items()}
         g = gcd(*col.values())
-    if g == 1 and 0 not in col.values():
-        return dict(col)
+    # no stored zero and a gcd of 1, or none for no entry
+    if g < 2 and 0 not in col.values():
+        return col
     return {r: v // g for r, v in col.items() if v}
 
 
@@ -243,18 +245,19 @@ def chain_ranks(bnd, allow, table=None, drop=None):
     same columns. `allow[i]` holds the sorted allowed indices A_i of degree i,
     which are both the columns of ∂_i and the allowed rows of ∂_{i+1}.
     `drop[i]`, when given, lists the indices of degree i that the chain model
-    leaves out, none of them allowed; they must span a subcomplex, so that
-    the boundary with their rows deleted is still a chain complex (a
-    relative one). B_{i-1} is the rest of the rows. Each degree is reduced
-    once. When B_{i-1} or the dropped rows are not empty, every column that
-    meets one of them is copied once: dropped rows are left out, and every
-    B row r is moved to len(bnd[i-1]) + r, below all allowed rows, so the
-    pivots in B rows count the second rank; allowed rows keep their indices,
-    and every other column enters as it is. Degrees go from the top down
-    with clearing: a reduced column of ∂_{i+1} whose pivot j is an allowed
-    row lies wholly in allowed rows, so it is an allowable boundary; putting
-    it in place of column j of ∂_i is an invertible change of columns whose
-    image is zero, so column j is skipped.
+    leaves out; they must span a subcomplex, so that the boundary with their
+    rows deleted is still a chain complex (a relative one). It is read only
+    when some index of degree i is not allowed, and then none of its
+    indices may be allowed. B_{i-1} is the rest of the rows. Each degree is
+    reduced once. When B_{i-1} or the dropped rows are not empty, every
+    column that meets one of them is copied once: dropped rows are left out,
+    and every B row r is moved to len(bnd[i-1]) + r, below all allowed
+    rows, so the pivots in B rows count the second rank; allowed rows keep
+    their indices, and every other column enters as it is. Degrees go from
+    the top down with clearing: a reduced column of ∂_{i+1} whose pivot j is
+    an allowed row lies wholly in allowed rows, so it is an allowable
+    boundary; putting it in place of column j of ∂_i is an invertible change
+    of columns whose image is zero, so column j is skipped.
 
     `table[i]`, when given, starts with (near, pivots): the sorted columns
     of ∂_i outside a subcomplex, and the subcomplex's pivot table from

@@ -323,9 +323,13 @@ def perversity_to_json(p: Perversity) -> dict:
 
 
 def perversity_from_json(doc) -> Perversity:
-    """A perversity from its JSON form; `Perversity` checks the values and keys."""
+    """A perversity from its JSON form, which holds 'kind' and 'values' and
+    no other key; `Perversity` checks the values and keys."""
     if not isinstance(doc, dict) or "kind" not in doc or "values" not in doc:
         raise ConfigurationError("perversity document needs 'kind' and 'values'")
+    for key in doc:
+        if key not in ("kind", "values"):
+            raise ConfigurationError(f"perversity document key {key!r} is not one of kind, values")
     kind, raw = doc["kind"], doc["values"]
     if not isinstance(raw, dict):
         raise ConfigurationError("perversity values must map keys to integers")

@@ -47,7 +47,7 @@ def laplacian_cols(C, i):
     complex C: [D_i^T | D_{i-1}] times the stack [D_i ; D_{i-1}^T]."""
     down, up = C.maps[i + 1], C.maps[i]
     return linalg.combine_columns(down.t.cols + up.cols,
-                                  stacked_cols(down.cols, up.t.cols, down.nrows))
+                                  stacked_cols(down.cols, up.t.cols, len(down.t.cols)))
 
 
 def kodaira_parts(C, i, v):

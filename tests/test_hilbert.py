@@ -161,7 +161,7 @@ def test_validate_reduces_each_map_and_its_transpose_once(draw, s2, monkeypatch)
     C = hb.validate(list(K.dims), [m.cols for m in K.maps[1:-1]])
     n = len(C.dims)
     assert seen == [_prims(cols) for m in C.maps
-                    for cols in (m.cols, linalg.transpose_cols(m.cols, m.nrows))]
+                    for cols in (m.cols, linalg.transpose_cols(m.cols, len(m.t.cols)))]
     assert len(seen) == 2 * (n + 1)
     assert all(min(col) >= 0 for cols in seen for col in cols if col)
     seen.clear()
@@ -184,8 +184,8 @@ def test_a_complex_holds_one_list_of_maps_and_its_dual_reads_them(shape, s2, mon
     C = _cochain_complex(s2) if shape == "s2" else hb.validate(*shape)
     n = len(C.dims)
     assert len(C.maps) == n + 1
-    assert C.maps[0].cols == [] and C.maps[-1].nrows == 0
-    assert [m.nrows for m in C.maps] == [*C.dims, 0]
+    assert C.maps[0].cols == [] and len(C.maps[-1].t.cols) == 0
+    assert [len(m.t.cols) for m in C.maps] == [*C.dims, 0]
     assert [len(m.cols) for m in C.maps] == [0, *C.dims]
     D, rep = hb.dual_complex(C)
     assert rep["pass"] and D.dims == C.dims[::-1]
@@ -261,7 +261,7 @@ def test_laplacian_kernel_is_harmonic_space(s2):
             else [{} for _ in range(C.dims[i])]
         )
         stacked_kernel = linalg.rcef(
-            linalg.kernel(stacked_cols(down, up_t, C.maps[i + 1].nrows))
+            linalg.kernel(stacked_cols(down, up_t, len(C.maps[i + 1].t.cols)))
         )
         assert lap_kernel == stacked_kernel
 
@@ -381,7 +381,7 @@ def test_projection_and_kodaira_match_sympy_oracle(project_onto_span):
             if not dim:
                 continue
             exact_span = C.maps[i].cols
-            coexact_span = linalg.transpose_cols(C.maps[i + 1].cols, C.maps[i + 1].nrows)
+            coexact_span = linalg.transpose_cols(C.maps[i + 1].cols, len(C.maps[i + 1].t.cols))
             spans = [cols for cols in (exact_span, coexact_span) if cols]
             in_span = [linalg.combine_columns(cols, [{0: F(3, 7), len(cols) - 1: -2}])[0]
                        for cols in spans]

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from stratal import cli
 from stratal import complexes as cx
 from stratal import corpus
 from stratal import intersection as ix
-from stratal import linalg
+from stratal import l2model, linalg
 from stratal import perversity as pv
 from stratal import verify
 from stratal.errors import ConfigurationError, StructureError
@@ -542,6 +543,50 @@ def test_a_perversity_lacking_a_stratum_raises_after_its_pattern_is_stored():
     assert K.ih_memo
     with pytest.raises(ConfigurationError, match="south"):
         ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0}))
+
+
+# each entry point to a Betti vector, run on a complex of its own
+_BETTI_QUERIES = {
+    "betti": lambda K: K.betti(),
+    "intersection_betti": lambda K: [ix.intersection_betti(K, p)
+                                     for _, p in _named_perversities(K.n)],
+    "duality_check": lambda K: [ix.duality_check(K, p) for _, p in _named_perversities(K.n)],
+    "theorem_predictions": l2model.theorem_predictions,
+}
+
+
+@pytest.mark.parametrize("query", sorted(_BETTI_QUERIES))
+def test_every_rank_query_comes_from_betti_of(monkeypatch, query):
+    callers = []
+    chain_ranks = linalg.chain_ranks
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code)
+        return chain_ranks(*args)
+
+    monkeypatch.setattr(linalg, "chain_ranks", spy)
+    for name in corpus.SPACE_NAMES:
+        _BETTI_QUERIES[query](corpus.load_space(name))
+    assert callers and set(callers) == {cx.FilteredComplex.betti_of.__code__}
+
+
+@pytest.mark.parametrize("name", corpus.SPACE_NAMES)
+def test_betti_shares_the_memo_with_the_perversities_exactly_on_a_manifold(monkeypatch, name):
+    """With X_{n-1} empty every perversity allows every simplex, as `betti()`
+    does, so all of them make one reduction; otherwise `betti()` allows the
+    simplices of X_{n-1}, which no perversity does, and keeps an entry of
+    its own beside the perversities' patterns."""
+    alone = corpus.load_space(name)
+    want = [ix.intersection_betti(alone, p) for _, p in _named_perversities(alone.n)]
+    calls = _counting_chain_ranks(monkeypatch)
+    K = corpus.load_space(name)
+    betti = K.betti()
+    assert [ix.intersection_betti(K, p) for _, p in _named_perversities(K.n)] == want
+    if K.singular_strata():
+        assert len(K.ih_memo) == len(calls) == 1 + len(alone.ih_memo)
+    else:
+        assert len(K.ih_memo) == len(calls) == 1
+        assert want == [betti] * len(want)
 
 
 def test_dd_zero_on_r0_chains(susp_t2, dropped_boundary):

@@ -514,7 +514,8 @@ def test_col_primitive_contract(col, want):
     got = linalg.col_primitive(col)
     assert got == want
     assert all(type(v) is int for v in got.values())
-    assert got is not col
+    # a column that is already primitive comes back as it is, any other anew
+    assert (got is col) == (got == col and all(type(v) is int for v in col.values()))
     assert col == before
 
 
@@ -523,9 +524,12 @@ def test_elimination_leaves_its_arguments_unchanged():
     for _ in range(100):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         cols = _random_cols(rng, nr, nc, lo=-1, hi=1) + _random_cols(rng, nr, nc)
-        for col in cols:
-            assert linalg.col_primitive(col) is not col
         before = copy.deepcopy(cols)
+        # a primitive column comes back as it is, and no column is changed
+        for col in cols:
+            prim = linalg.col_primitive(col)
+            assert (prim is col) == (prim == col)
+        assert cols == before
         linalg.rank(cols)
         assert cols == before
         # cols as ∂_1 over nr vertices, with drawn allowed rows and columns

@@ -22,6 +22,12 @@ parameters (`__init__` included), every such parameter that a call binds
 to an object other than its default. The parameters never set must be
 exactly `UNSET`: a parameter that nothing sets is a constant, and is
 deleted unless a reason to keep it is given there.
+
+With no profile pass, an AST scan of `src/stratal` finds every attribute
+that a method assigns on `self` and checks that the package reads an
+attribute of that name somewhere (`x.name` in a load). The ones never
+read must be exactly `UNREAD`: a field that is stored and never read is
+deleted, unless a reason to keep it is given there.
 """
 
 import argparse
@@ -52,6 +58,10 @@ UNREACHED = {
     "intersection.StratifiedChainComplex.reg":
         "read by perfbench's tracer in every traced run",
 }
+
+# attributes that the package assigns on `self` and reads nowhere, each
+# with the reason it is kept
+UNREAD = {}
 
 UNSET = {
     f"verify.{suite}.seed": "perfbench's verify-sweep runs the suite at each run's seed; "
@@ -228,3 +238,25 @@ def test_the_option_count_is_pinned():
     positions = [(command, action.dest) for command, sub in subparsers.items()
                  for action in sub._actions if action.option_strings and action.dest != "help"]
     assert len(positions) == 19, positions
+
+
+def _stored_but_unread():
+    """module.Class.attribute for each attribute that a method of a class in
+    `src/stratal` assigns on `self` and that no attribute load in the
+    package reads by name."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{stem}.{cls.name}.{node.attr}"
+            for stem, tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr not in read}
+
+
+def test_every_attribute_stored_on_self_is_read():
+    unread = _stored_but_unread()
+    assert unread == set(UNREAD), (
+        f"stored and never read: {sorted(unread - set(UNREAD))}; "
+        f"read though listed: {sorted(set(UNREAD) - unread)}")

@@ -476,6 +476,39 @@ def test_cli_refuses_misspelled_input_with_exit_2(tmp_path, argv, named):
     assert named in err
 
 
+def test_hilbert_refuses_a_complex_key_it_does_not_read(tmp_path):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dims": [1, 1], "differentials": [[[1]]], "dimz": [3]}))
+    code, out, err = _cli(["hilbert", "--complex", str(path)])
+    _assert_refused(code, out, err)
+    assert err == "error: complex file key 'dimz' is not one of dims, differentials\n"
+
+
+def test_a_perversity_document_refuses_a_key_it_does_not_read(tmp_path):
+    doc = {"kind": "by-codim", "values": {"2": 0, "3": 1}, "extra": 1}
+    with pytest.raises(ConfigurationError, match="key 'extra' is not one of kind, values"):
+        pv.perversity_from_json(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _cli(["perversity", "--dim", "3", "--spec", f"per-stratum:{path}"])
+    _assert_refused(code, out, err)
+    assert err == "error: perversity document key 'extra' is not one of kind, values\n"
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "kind-and-values"])
+def test_ih_refuses_a_per_stratum_value_on_a_stratum_the_space_lacks(tmp_path, wrapped):
+    values = {"s0:apex": 1, "s9:typo": 5}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "per-stratum", "values": values} if wrapped else values))
+    code, out, err = _cli(["ih", "--space", "cone_t2", "--perversity", f"per-stratum:{path}"])
+    _assert_refused(code, out, err)
+    assert err == (f"error: perversity file {path} names unknown singular stratum "
+                   "'s9:typo'; known: ['s0:apex']\n")
+    # with no space there are no strata to check against
+    code, out, err = _cli(["perversity", "--dim", "3", "--spec", f"per-stratum:{path}"])
+    assert code == 0 and json.loads(out)["perversity"]["values"] == values
+
+
 # a byte-order mark of UTF-16 and "{": no UTF-8 decoder reads it
 _NOT_UTF8 = b"\xff\xfe{"
 
