@@ -80,13 +80,8 @@ def _resolve_perversity(spec, n, space=None):
         if "kind" not in doc:
             doc = {"kind": pv.PER_STRATUM, "values": doc}
         p = pv.perversity_from_json(doc)
-        if space is not None and p.kind == pv.PER_STRATUM:
-            known = sorted(s.id for s in space.singular_strata())
-            for sid in p.values:
-                if sid not in known:
-                    raise ConfigurationError(
-                        f"perversity file {path} names unknown singular stratum {sid!r}; "
-                        f"known: {known}")
+        if space is not None:
+            pv.resolve(p, space, f"perversity file {path}")
         return p
     raise StratalError(
         f"unknown perversity spec {spec!r}; use zero | top | lower-middle | "

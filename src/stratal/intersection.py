@@ -11,7 +11,9 @@ own simplex indices, the positions in `FilteredComplex.simplices`, and the
 complex keeps no second boundary: the rows are dropped as each query reduces
 (`linalg.chain_ranks`), and a column with no singular face enters as it is.
 A simplex is p-allowable in chain degree i when, for every singular stratum
-Y, its largest face labeled Y has dimension at most i - codim(Y) + p(Y).
+Y, its largest face labeled Y has dimension at most i - codim(Y) + p(Y),
+with p(Y) read from `perversity.resolve`, which refuses a perversity that
+does not fit the space before any chain is built.
 Those dimensions follow from the simplex's singular vertices
 (`FilteredComplex.profile_classes`, read through the simplex's index), so
 allowability is decided once per profile and degree, and a simplex with no
@@ -34,14 +36,14 @@ from itertools import compress
 
 from . import linalg
 from .complexes import check_orientation
-from .perversity import Perversity, dual, perversity_to_json
+from .perversity import Perversity, dual, perversity_to_json, resolve
 
 
-def _allowed(prof, i, K, p):
-    """p-allowability at chain degree i of a simplex with singular-face profile prof."""
+def _allowed(prof, i, K, values):
+    """Allowability at chain degree i of a simplex with singular-face
+    profile prof, under the perversity values of `perversity.resolve`."""
     for sid, d in prof.items():
-        st = K.strata[sid]
-        if d > i - st.codim + p.value(sid, st.codim):
+        if d > i - K.strata[sid].codim + values[sid]:
             return False
     return True
 
@@ -53,11 +55,10 @@ class StratifiedChainComplex:
 
     def __init__(self, K, p: Perversity):
         self.K = K
-        # per degree, whether each profile class is allowable, the pattern
-        # that `K.betti_of` takes: decided once per profile, met in simplex
-        # order, so that a perversity lacking several strata names the first
-        # one that a simplex meets
-        self._ok = tuple(tuple(prof is not None and (not prof or _allowed(prof, i, K, p))
+        values = resolve(p, K)
+        # per degree, whether each profile class is allowable: the pattern
+        # that `K.betti_of` takes, decided once per profile
+        self._ok = tuple(tuple(prof is not None and (not prof or _allowed(prof, i, K, values))
                                for prof in profiles)
                          for i, (profiles, _) in enumerate(K.profile_classes))
 
@@ -108,9 +109,11 @@ def duality_check(K, p: Perversity):
     """Check dim I^pH_i = dim I^{t-p}H_{n-i} on a compact oriented space.
 
     Unorientable or bounded inputs yield a not-applicable report (the duality
-    hypothesis is unmet), never a failure.
+    hypothesis is unmet), never a failure; p is resolved against K first, on
+    every space.
     """
     n = K.n
+    q = dual(p, K)
     report = {
         "space": K.name,
         "perversity": perversity_to_json(p),
@@ -125,7 +128,6 @@ def duality_check(K, p: Perversity):
         report["applicable"] = False
         report["reason"] = "space is unorientable"
         return report
-    q = dual(p, K)
     v_p = intersection_betti(K, p)
     v_q = intersection_betti(K, q)
     report["dual_perversity"] = perversity_to_json(q)

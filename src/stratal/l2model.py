@@ -23,6 +23,7 @@ from .perversity import (
     cone_cutoff,
     dual,
     perversity_to_json,
+    resolve,
     weight_perversity,
 )
 from .rationals import format_rational, parse_weight
@@ -122,14 +123,16 @@ def eval_max(expr):
 
 
 def _is_classical(p, K):
-    """Whether the per-stratum p is a classical Goresky-MacPherson
-    perversity on K's strata: no codimension-one stratum, one value per
-    codimension, and those values pass `perversity._gm_growth`, the rule that
-    `is_gm_perversity` applies too; codimensions without a stratum are the
-    gaps it lets a GM perversity fill."""
+    """Whether p, resolved on K's strata (`perversity.resolve`), is a
+    classical Goresky-MacPherson perversity there: no codimension-one
+    stratum, one value per codimension, and those values pass
+    `perversity._gm_growth`, the rule that `is_gm_perversity` applies too;
+    codimensions without a stratum are the gaps it lets a GM perversity
+    fill."""
+    values = resolve(p, K)
     by_codim = {}
     for s in K.singular_strata():
-        v = p.values[s.id]
+        v = values[s.id]
         if s.codim == 1 or by_codim.setdefault(s.codim, v) != v:
             return False
     return _gm_growth(by_codim)

@@ -77,6 +77,10 @@ class Perversity(Frozen):
     A value is an int, never a bool, a float or a Fraction; negative values
     are legitimate, and nothing is clamped. These rules are checked here, for
     every perversity, read from JSON or built in code.
+
+    Either kind writes a function on the singular strata of a space, a
+    general perversity in Friedman's sense. A perversity is built without a
+    space; `resolve` evaluates it on one, and is the only check against it.
     """
 
     __slots__ = __match_args__ = ("kind", "values")
@@ -90,22 +94,6 @@ class Perversity(Frozen):
         if kind == BY_CODIM and any(type(k) is not int or k < 1 for k in values):
             raise ConfigurationError("by-codim perversity keys must be codimensions >= 1")
         self._set(kind, values)
-
-    def value(self, stratum_id, codim):
-        """Value on a stratum identified by id and codimension."""
-        if self.kind == BY_CODIM:
-            try:
-                return self.values[codim]
-            except KeyError:
-                raise ConfigurationError(
-                    f"perversity has no value at codimension {codim}"
-                ) from None
-        try:
-            return self.values[stratum_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"perversity has no value on stratum {stratum_id!r}"
-            ) from None
 
     def __hash__(self):
         # Frozen's hash would hash the values dict; Record gives the equality
@@ -167,30 +155,47 @@ def named_perversity(name, n) -> Perversity:
     )
 
 
-def dual(p: Perversity, ambient=None) -> Perversity:
+def resolve(p: Perversity, K, what="perversity"):
+    """p's value on each singular stratum of the complex K, keyed by stratum
+    id in `K.singular_strata()` order: the one place where a perversity
+    meets a space. Before any chain work it refuses, with a
+    ConfigurationError, a per-stratum id that is not a singular stratum of
+    K, a by-codim key above `K.n` and a singular stratum that p gives no
+    value; `what` names p in the first two messages. A by-codim key at most
+    `K.n` that no stratum has is accepted, so that the named perversities
+    fit every space of their dimension. O(singular strata): no simplex is
+    read."""
+    strata = K.singular_strata()
+    by_codim = p.kind == BY_CODIM
+    values = {s.id: p.values.get(s.codim if by_codim else s.id) for s in strata}
+    if by_codim and p.values and max(p.values) > K.n:
+        over = next(k for k in p.values if k > K.n)
+        raise ConfigurationError(
+            f"{what} names codimension {over}, above the dimension {K.n} of the space")
+    if not by_codim and not values.keys() >= p.values.keys():
+        unknown = next(sid for sid in p.values if sid not in values)
+        raise ConfigurationError(f"{what} names unknown singular stratum {unknown!r}; "
+                                 f"known: {sorted(values)}")
+    if None in values.values():  # a value is an int, never None
+        s = next(s for s in strata if values[s.id] is None)
+        where = f"at codimension {s.codim}" if by_codim else f"on stratum {s.id!r}"
+        raise ConfigurationError(f"perversity has no value {where}")
+    return values
+
+
+def dual(p: Perversity, K=None) -> Perversity:
     """The complementary perversity t - p (an involution).
 
-    By-codim perversities dualize on their own domain. Per-stratum
-    perversities need codimensions: `ambient` may be a FilteredComplex or a
-    mapping stratum_id -> codim.
+    Given the complex K, p is first resolved against it (`resolve`). A
+    by-codim p dualizes on its own domain; a per-stratum p needs K and
+    dualizes on its singular strata.
     """
+    values = None if K is None else resolve(p, K)
     if p.kind == BY_CODIM:
         return Perversity(BY_CODIM, {k: k - 2 - v for k, v in p.values.items()})
-    codims = _codim_map(ambient)
-    out = {}
-    for sid, v in p.values.items():
-        if sid not in codims:
-            raise ConfigurationError(f"no codimension known for stratum {sid!r}")
-        out[sid] = codims[sid] - 2 - v
-    return Perversity(PER_STRATUM, out)
-
-
-def _codim_map(ambient):
-    if ambient is None:
+    if values is None:
         raise ConfigurationError("dualizing a per-stratum perversity needs codimensions")
-    if hasattr(ambient, "strata"):
-        return {sid: s.codim for sid, s in ambient.strata.items()}
-    return dict(ambient)
+    return Perversity(PER_STRATUM, {sid: K.strata[sid].codim - 2 - v for sid, v in values.items()})
 
 
 def cone_cutoff(l, c):
@@ -243,12 +248,15 @@ def weights_from_perversity(p: Perversity, strata):
 
     Canonical deterministic choice: with excess n = p(Y) - upper_middle(Y),
     even links get c = 1/(2n+1) and odd links get c = 1/(2n) (or c = 1 when
-    the excess is zero). Round-trips through perversity_from_weights.
+    the excess is zero). Round-trips through perversity_from_weights. A
+    listed stratum that p gives no value raises ConfigurationError.
     """
     out = {}
     for sid, l in strata:
-        codim = l + 1
-        v = p.value(sid, codim)
+        v = p.values.get(l + 1 if p.kind == BY_CODIM else sid)
+        if v is None:  # a value is an int, never None
+            where = f"at codimension {l + 1}" if p.kind == BY_CODIM else f"on stratum {sid!r}"
+            raise ConfigurationError(f"perversity has no value {where}")
         if l == 0:
             if v != 0:
                 raise RealizabilityError(
@@ -309,7 +317,7 @@ def hunsicker_shift_check(f: int, c) -> bool:
         raise ConfigurationError("the edge reduction needs link dimension >= 1")
     c = parse_weight(c, "weight for stratum 'Y'")
     p = perversity_from_weights([("Y", f)], {"Y": c})
-    q_val = dual(p, {"Y": f + 1}).values["Y"]
+    q_val = (f + 1) - 2 - p.values["Y"]
     lower_mid = (f + 1 - 2) // 2
     if f % 2 == 0:
         shift = bracket(Fraction(1, 2) / c)

@@ -72,7 +72,7 @@ def test_removed_name_is_not_exported(name):
 
 
 def test_unknown_attribute_raises():
-    assert stratal.__version__ == "0.9.0"
+    assert stratal.__version__ == "0.10.0"
     assert {name for names in EXPORTS.values() for name in names} <= set(dir(stratal))
     assert "importlib" not in dir(stratal)
     with pytest.raises(AttributeError, match="no_such_name"):

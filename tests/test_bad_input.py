@@ -4,10 +4,13 @@ About 300 seeded mutations of the inputs a user hands the command line run
 through `cli.main` in this process: corpus space documents (through `ih`,
 `predict`, `perversity --space` and `corpus-list --corpus-dir`), Hilbert
 complex and vector documents (`hilbert`), `per-stratum:` perversity files
-(`ih` and `perversity --dim`), and the raw bytes of space files, with
-invalid UTF-8, a byte-order mark and NUL bytes among the changes. Each
-must exit 0, 1 or 2: exit 3 is an internal error, and an exception that
-escapes `cli.main` would print a traceback. The mutated space files are
+(`ih` and `perversity --dim`), `gm:` specs (`ih`), and the raw bytes of
+space files, with invalid UTF-8, a byte-order mark and NUL bytes among the
+changes. The perversity files include ones that name a stratum or a
+codimension the space lacks, and the `gm:` specs run past the dimension
+of the space now and then. Each must exit 0, 1 or 2: exit 3 is an
+internal error, and an exception that escapes `cli.main` would print a
+traceback; a `gm:` spec with a codimension above the dimension must exit 2. The mutated space files are
 also handed to `complexes.load` directly, which may raise only
 `SpaceFormatError`.
 
@@ -33,7 +36,9 @@ _JUNK = (None, True, False, 0, 1, -1, 2, 7, 10**12, 1.5, "", "x", "1/2", "s0:ape
          [], {}, [0], [[0, 1]], {"0": [[0]]})
 _HILBERT = ({"dims": [1, 2, 1], "differentials": [[[1], [1]], [[1, -1]]]},
             {"dims": [2, 2], "differentials": [[["1/2", 0], [0, 1]]]})
-_CASES = {"space": 100, "bytes": 60, "perversity": 70, "hilbert": 70}
+_CASES = {"space": 100, "bytes": 60, "perversity": 70, "hilbert": 70, "gm": 40}
+# the dimension of each space in _SPACES
+_DIMENSION = {"s1_hex": 1, "mobius": 2, "cone_s1_c_half": 2, "cone_t2": 3, "susp_s0": 1}
 
 
 def _nodes(doc):
@@ -145,7 +150,9 @@ def test_seeded_bad_input_exits_cleanly(tmp_path):
     space_file = directory / "space.json"
     stratum = load_space("cone_t2").singular_strata()[0].id
     perversity_docs = ({stratum: 1}, {"kind": "per-stratum", "values": {stratum: 0}},
-                       {"kind": "by-codim", "values": {"2": 0, "3": 1}})
+                       {"kind": "by-codim", "values": {"2": 0, "3": 1}},
+                       {"kind": "by-codim", "values": {"3": 1, "7": 5}},
+                       {stratum: 1, "s9:typo": 5})
     other = tmp_path / "other.json"
     vector = tmp_path / "vector.json"
     vector.write_text("[1, 0]")
@@ -191,5 +198,13 @@ def test_seeded_bad_input_exits_cleanly(tmp_path):
         if code not in (0, 1, 2) or "Traceback" in err:
             bad.append(("hilbert", other.read_text(encoding="utf-8"),
                         vector.read_text(encoding="utf-8"), code, err))
+    for _ in range(_CASES["gm"]):
+        name = rng.choice(_SPACES)
+        values = [rng.randint(-2, 5) for _ in range(rng.randint(0, 7))]
+        cases.append(["ih", "--space", name, "--perversity", "gm:" + ",".join(map(str, values))])
+        code, err = _run(cases[-1])
+        if code not in (0, 1, 2) or "Traceback" in err or (
+                len(values) + 1 > _DIMENSION[name] and code != 2):
+            bad.append(("gm", cases[-1], code, err))
     assert len(cases) == sum(_CASES.values())
     assert bad == []

@@ -799,7 +799,9 @@ def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path,
                  ConfigurationError, "vector does not live in degree 0", id="kodaira"),
     pytest.param(lambda: pv.dual(pv.Perversity(pv.PER_STRATUM, {"nope": 0}),
                                  corpus.load_space("cone_t2")),
-                 ConfigurationError, "no codimension known for stratum 'nope'", id="dual"),
+                 ConfigurationError,
+                 "perversity names unknown singular stratum 'nope'; known: ['s0:apex']",
+                 id="dual"),
     pytest.param(lambda: pv.is_gm_perversity(pv.Perversity(pv.PER_STRATUM, {"a": 0})),
                  ConfigurationError, "classicality is a by-codim notion", id="is-gm"),
     pytest.param(lambda: pv.hunsicker_shift_check(0, 1), ConfigurationError,

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -153,10 +154,14 @@ def _two_rank_homology(chains, bnd):
 
 def _allowable_by_definition(K, p, profiles):
     """Per degree, the complex's indices of the regular simplices that are
-    p-allowable, each tested on its own profile from `face_profiles`."""
+    p-allowable, each tested on its own profile from `face_profiles`. It
+    reads p's value on a stratum from `p.values` by kind itself, not
+    through `perversity.resolve`."""
+    def value(sid):
+        return p.values[K.strata[sid].codim if p.kind == pv.BY_CODIM else sid]
+
     def allowed(s, i):
-        return all(d <= i - K.strata[sid].codim + p.value(sid, K.strata[sid].codim)
-                   for sid, d in profiles[s].items())
+        return all(d <= i - K.strata[sid].codim + value(sid) for sid, d in profiles[s].items())
     return [[simplex_index(K, s) for s in K.simplices(i) if s in profiles and allowed(s, i)]
             for i in range(K.n + 1)]
 
@@ -612,6 +617,59 @@ def test_duality_not_applicable_on_cone(cone_t2):
     r = ix.duality_check(cone_t2, pv.zero_perversity(3))
     assert not r["applicable"]
     assert "boundary" in r["reason"]
+
+
+# each refusal of `perversity.resolve` on susp_t2 (dimension 3, singular
+# strata s0:north and s0:south of codimension 3), with its message
+_REFUSED = [
+    pytest.param({"s0:north": 1, "s0:south": 1, "s9:typo": 5},
+                 "perversity names unknown singular stratum 's9:typo'; "
+                 "known: ['s0:north', 's0:south']", id="unknown-stratum"),
+    pytest.param({k + 2: k for k in range(6)},
+                 "perversity names codimension 4, above the dimension 3 of the space",
+                 id="codimension-above-n"),
+    pytest.param({"s0:north": 1}, "perversity has no value on stratum 's0:south'",
+                 id="no-value-on-stratum"),
+    pytest.param({1: 0, 2: 0}, "perversity has no value at codimension 3",
+                 id="no-value-at-codimension"),
+]
+_ENTRY_POINTS = {"intersection_betti": ix.intersection_betti,
+                 "dual": lambda K, p: pv.dual(p, K),
+                 "duality_check": ix.duality_check}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("values, message", _REFUSED)
+def test_every_entry_point_refuses_what_resolve_refuses(susp_t2, entry, values, message):
+    kind = pv.BY_CODIM if all(type(k) is int for k in values) else pv.PER_STRATUM
+    p = pv.Perversity(kind, values)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        pv.resolve(p, susp_t2)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        _ENTRY_POINTS[entry](susp_t2, p)
+
+
+def test_duality_check_resolves_before_it_reports_not_applicable(cone_t2):
+    """On a space with boundary the check is not applicable, yet a
+    perversity that the space refuses is still refused, not reported."""
+    bad = pv.Perversity(pv.PER_STRATUM, {"s0:apex": 1, "s9:typo": 5})
+    with pytest.raises(ConfigurationError, match="unknown singular stratum 's9:typo'"):
+        ix.duality_check(cone_t2, bad)
+    good = pv.Perversity(pv.PER_STRATUM, {"s0:apex": 1})
+    assert ix.duality_check(cone_t2, good)["applicable"] is False
+
+
+def test_resolve_reads_each_stratum_in_singular_strata_order(susp_t2, spaces):
+    """The values of both kinds, keyed in `singular_strata()` order; a
+    by-codim key at most n that no stratum has is accepted."""
+    ids = [s.id for s in susp_t2.singular_strata()]
+    p = pv.Perversity(pv.PER_STRATUM, {sid: k for k, sid in enumerate(reversed(ids))})
+    assert list(pv.resolve(p, susp_t2).items()) == [(ids[0], 1), (ids[1], 0)]
+    assert pv.resolve(pv.zero_perversity(3), susp_t2) == {sid: 0 for sid in ids}
+    assert pv.resolve(pv.Perversity(pv.BY_CODIM, {3: 7}), susp_t2) == {sid: 7 for sid in ids}
+    K = spaces["cone_cone_s1"]
+    want = [(s.id, s.codim - 2) for s in K.singular_strata()]
+    assert list(pv.resolve(pv.top_perversity(K.n), K).items()) == want
 
 
 # the 6-vertex projective plane: triangles 123 134 145 156 162 235 346 452

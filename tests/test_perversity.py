@@ -76,13 +76,16 @@ def test_dual_examples_and_involution():
             assert pv.dual(pv.dual(p)) == p
 
 
-def test_dual_per_stratum_needs_codims():
-    p = pv.Perversity(pv.PER_STRATUM, {"a": 1})
-    with pytest.raises(ConfigurationError):
+def test_dual_per_stratum_needs_codims(cone_t2):
+    apex = cone_t2.singular_strata()[0]
+    assert apex.codim == 3
+    p = pv.Perversity(pv.PER_STRATUM, {apex.id: 1})
+    with pytest.raises(ConfigurationError, match="dualizing a per-stratum perversity needs "
+                                                 "codimensions"):
         pv.dual(p)
-    q = pv.dual(p, {"a": 3})
-    assert q.values["a"] == 0
-    assert pv.dual(q, {"a": 3}) == p
+    q = pv.dual(p, cone_t2)
+    assert q == pv.Perversity(pv.PER_STRATUM, {apex.id: 0})
+    assert pv.dual(q, cone_t2) == p
 
 
 def test_perversity_from_weights_examples():
@@ -199,6 +202,18 @@ def test_realizability_errors_name_the_stratum():
         pv.weights_from_perversity(
             pv.Perversity(pv.PER_STRATUM, {"edge": 1}), [("edge", 0)]
         )
+
+
+def test_weights_from_perversity_refuses_a_stratum_without_a_value():
+    """A listed stratum that p gives no value is a ConfigurationError that
+    names it, not a KeyError, for either kind of p."""
+    strata = [("a", 2), ("b", 3)]
+    with pytest.raises(ConfigurationError, match="^perversity has no value on stratum 'b'$"):
+        pv.weights_from_perversity(pv.Perversity(pv.PER_STRATUM, {"a": 1}), strata)
+    with pytest.raises(ConfigurationError, match="^perversity has no value at codimension 4$"):
+        pv.weights_from_perversity(pv.Perversity(pv.BY_CODIM, {3: 1}), strata)
+    assert pv.weights_from_perversity(pv.Perversity(pv.BY_CODIM, {3: 1, 4: 1}), strata) == {
+        "a": F(1), "b": F(1)}
 
 
 def test_is_gm_perversity():

@@ -509,6 +509,29 @@ def test_ih_refuses_a_per_stratum_value_on_a_stratum_the_space_lacks(tmp_path, w
     assert code == 0 and json.loads(out)["perversity"]["values"] == values
 
 
+@pytest.mark.parametrize("spec, doc, message", [
+    pytest.param("gm:0,1,2,3,4,5", None,
+                 "perversity names codimension 4, above the dimension 3 of the space",
+                 id="gm"),
+    pytest.param("per-stratum:{path}", {"kind": "by-codim", "values": {"3": 1, "7": 5}},
+                 "perversity file {path} names codimension 7, above the dimension 3 of the space",
+                 id="by-codim-file"),
+])
+def test_ih_refuses_a_codimension_above_the_dimension_of_the_space(tmp_path, spec, doc, message):
+    """A by-codim key above n on cone_t2 (dimension 3): exit 2 and one line,
+    which names the file when a file gives the key."""
+    path = tmp_path / "p.json"
+    spec = spec.format(path=path)
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out, err = _cli(["ih", "--space", "cone_t2", "--perversity", spec])
+    _assert_refused(code, out, err)
+    assert err == f"error: {message.format(path=path)}\n"
+    # `perversity --dim` has no space to resolve against
+    code, out, err = _cli(["perversity", "--dim", "3", "--spec", spec])
+    assert (code, err) == (0, "")
+
+
 # a byte-order mark of UTF-16 and "{": no UTF-8 decoder reads it
 _NOT_UTF8 = b"\xff\xfe{"
 
