@@ -1,18 +1,18 @@
 """Seeded malformed input never crashes the program.
 
-About 300 seeded mutations of the inputs a user hands the command line run
+About 340 seeded mutations of the inputs a user hands the command line run
 through `cli.main` in this process: corpus space documents (through `ih`,
 `predict`, `perversity --space` and `corpus-list --corpus-dir`), Hilbert
 complex and vector documents (`hilbert`), `per-stratum:` perversity files
 (`ih` and `perversity --dim`), `gm:` specs (`ih`), and the raw bytes of
 space files, with invalid UTF-8, a byte-order mark and NUL bytes among the
 changes. The perversity files include ones that name a stratum or a
-codimension the space lacks, and the `gm:` specs run past the dimension
-of the space now and then. Each must exit 0, 1 or 2: exit 3 is an
-internal error, and an exception that escapes `cli.main` would print a
-traceback; a `gm:` spec with a codimension above the dimension must exit 2. The mutated space files are
-also handed to `complexes.load` directly, which may raise only
-`SpaceFormatError`.
+codimension the space lacks, and the `gm:` specs run past the dimension of
+the space now and then. Each must exit 0, 1 or 2: exit 3 is an internal
+error, and an exception that escapes `cli.main` would print a traceback. A
+`gm:` spec with a codimension above the dimension must exit 2. The mutated
+space files are also handed to `complexes.load` directly, which may raise
+only `SpaceFormatError`.
 
 A JSON mutation picks a random node of the document and replaces it with
 a value of another kind, deletes it, wraps it in a list, repeats it or
