@@ -84,8 +84,11 @@ and kept beside it. One method, `betti_of`, makes every rank query:
 `betti()` allows every simplex, and each perversity's
 `intersection.StratifiedChainComplex.homology` passes its allowable
 pattern. It reduces only the allowed near columns, against a copy of the
-interior pivots, and keeps the answer per pattern (`ih_memo`); the chain
-bases read the near columns too. A chain model that leaves out some
+interior pivots, and keeps the answer per pattern (`ih_memo`). A new
+pattern reduces only its degrees that no earlier pattern of the complex
+reduced: degree i depends only on the allowed classes of degrees i - 1
+and i, and each reduced degree is kept under those (`degree_memo`). The
+chain bases read the near columns too. A chain model that leaves out some
 simplices (stratified coefficients leave out X_{n-1}, whose positions the
 table also lists) deletes their rows as it reduces (`linalg.chain_ranks`),
 and never stores a second boundary.
@@ -203,8 +206,10 @@ class FilteredComplex:
     boundary columns kept are those of the rank-query table (`interior`):
     the near columns and the interior pivot tables; `boundary_matrix` builds
     its columns afresh.
-    `ih_memo` maps an allowable pattern to its Betti numbers; `betti_of`
-    alone fills and reads it.
+    `ih_memo` maps an allowable pattern to its Betti numbers, and
+    `degree_memo` maps (i, ok[i - 1], ok[i]) to degree i's ranks and
+    cleared rows; `betti_of` alone fills and reads them. Neither is shared
+    with another complex, a subdivision or a copy included.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular, weighted):
@@ -222,6 +227,7 @@ class FilteredComplex:
                                                     self.vertex_ids)
         self.weights = {self._vertex_label[v]: w for v, w in weighted}
         self.ih_memo = {}
+        self.degree_memo = {}
 
     # ------------------------------------------------------------------ basics
 
@@ -434,14 +440,31 @@ class FilteredComplex:
         b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1). Only the near
         simplices are tested and reduced, against the interior pivots of
         the one table (`interior`). The answer is kept in `ih_memo` under
-        `ok` and returned from there for any later query with the same
-        pattern."""
+        `ok` and returned from there, by one lookup, for any later query
+        with the same pattern.
+
+        A new pattern reduces only the degrees that no earlier pattern has:
+        degree i >= 1 is kept in `degree_memo` under (i, ok[i - 1], ok[i])
+        with its (r_all, r_bad) and the cleared rows it hands to degree
+        i - 1 (`linalg.chain_ranks`' `known`). That is exact. ok[i - 1]
+        fixes the row partition of degree i: which rows are allowed, which
+        are shifted, and whether the X_{n-1} rows are dropped (only when a
+        class is not allowed). ok[i] fixes the columns A_i, and the
+        interior table is fixed per complex. Clearing changes no rank. And
+        a pivot in an allowed row under that key is the pivot of an
+        allowable boundary, so it is a valid clearing row for any later
+        query with the same ok[i - 1]. `ih_memo` stays the answer cache: a
+        repeated pattern costs one lookup, not a key and a count per
+        degree."""
         if ok in self.ih_memo:
             return self.ih_memo[ok]
+        keys = list(zip(range(1, len(ok)), ok, ok[1:]))
+        known = [None, *map(self.degree_memo.get, keys)]
         near, _, columns, singular = zip(*self.interior)
         allow = [[j for j in js if allowed[of[j]]]
                  for allowed, (_, of), js in zip(ok, self.profile_classes, near)]
-        ranks = linalg.chain_ranks(columns, allow, self.interior, singular)
+        ranks = linalg.chain_ranks(columns, allow, self.interior, singular, known)
+        self.degree_memo.update(zip(keys, known[1:]))
         above = [r_all - r_bad for r_all, r_bad in ranks[1:]] + [0]
         self.ih_memo[ok] = tuple(
             len(of) - len(js) + len(a) - r_all - up for (_, of), js, a, (r_all, _), up

@@ -49,7 +49,11 @@ give the kernel. Everything else derives from the pivot table:
   read: a caller may hold None for the subcomplex's columns. The table is
   reduced from the top degree down with clearing too, and its columns come
   from the caller's builder, which is asked only for the columns that
-  clearing does not skip: the cleared ones are never built.
+  clearing does not skip: the cleared ones are never built. A caller that
+  asks about one chain complex under many row partitions keeps each
+  degree's ranks and cleared rows (`known`) and hands them back whenever
+  a degree's columns and row partition come again; that degree is then
+  not reduced, and the degree below still skips the rows it cleared.
 - `rcef` needs the topmost row of each column as its pivot, because its
   canonical form is keyed by each column's topmost entry. It reflects the
   rows (row r becomes -r), so the lowest row of a reflected column is the
@@ -232,7 +236,7 @@ def rank(cols):
     return len(_reduce(list(map(col_primitive, cols))))
 
 
-def chain_ranks(bnd, allow, table=None, drop=None):
+def chain_ranks(bnd, allow, table=None, drop=None, known=None):
     """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact, where
     ∂_i has the rows `drop[i - 1]` deleted.
 
@@ -269,10 +273,27 @@ def chain_ranks(bnd, allow, table=None, drop=None):
     starts from a copy of its pivot table and reduces only A_i. The ranks do
     not depend on column order, and skipping fewer cleared columns changes
     no rank, so clearing uses only the new pivots.
+
+    `known`, when given, holds one slot per degree and carries a degree's
+    reduction from one call to the next. A slot i holding ((r_all, r_bad),
+    cleared) is not reduced: those are its ranks, and `cleared`, its new
+    pivot rows below len(bnd[i - 1]), is what it hands to degree i - 1 to
+    skip. An empty slot (None) is reduced and filled so. A filled slot
+    answers any later call whose degree i has the same `table`, the same
+    columns A_i and the same row partition (A_{i-1}, B_{i-1} and the
+    dropped rows), exactly: with those fixed, so are the degree's columns
+    and rows; clearing changes no rank, and even no pivot, since a cleared
+    column j is a combination of the columns reduced before it (the
+    reduced column that clears it lies in allowed rows up to j, and ∂_i
+    maps it to zero); and a new pivot in an allowed row is the pivot of an
+    allowable boundary, so it is a valid clearing row for any such call.
     """
     out = [(0, 0)] * len(bnd)
     cleared = ()
     for i in range(len(bnd) - 1, 0, -1):
+        if known and known[i]:
+            out[i], cleared = known[i]
+            continue
         top = len(bnd[i - 1])
         cols = [bnd[i][j] for j in allow[i] if j not in cleared]
         rows = table[i - 1][0] if table else range(top)
@@ -288,6 +309,8 @@ def chain_ranks(bnd, allow, table=None, drop=None):
         # a dict keeps insertion order, so the new pivots follow the copied ones
         cleared = {row for row in islice(pivots, start, None) if row < top}
         out[i] = (len(pivots), len(pivots) - start - len(cleared))
+        if known is not None:
+            known[i] = out[i], cleared
     return out
 
 

@@ -188,13 +188,16 @@ def dual(p: Perversity, K=None) -> Perversity:
 
     Given the complex K, p is first resolved against it (`resolve`). A
     by-codim p dualizes on its own domain; a per-stratum p needs K and
-    dualizes on its singular strata.
+    dualizes on its singular strata, bar the empty one (zero on a
+    0-dimensional space), which has no value to dualize and is its own dual.
     """
     values = None if K is None else resolve(p, K)
     if p.kind == BY_CODIM:
         return Perversity(BY_CODIM, {k: k - 2 - v for k, v in p.values.items()})
     if values is None:
-        raise ConfigurationError("dualizing a per-stratum perversity needs codimensions")
+        if p.values:
+            raise ConfigurationError("dualizing a per-stratum perversity needs codimensions")
+        return p
     return Perversity(PER_STRATUM, {sid: K.strata[sid].codim - 2 - v for sid, v in values.items()})
 
 

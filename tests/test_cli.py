@@ -438,6 +438,10 @@ def test_perversity_dim_zero_is_a_dimension(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"perversity": {"kind": "per-stratum", "values": {}}}
     assert captured.err == ""
+    # the empty perversity has no value to dualize: it is its own dual
+    assert cli.main(["perversity", "--dim", "0", "--spec", "zero", "--dual"]) == 0
+    dual = capsys.readouterr()
+    assert (dual.out, dual.err) == (captured.out, "")
     # without --dim (or --space) there is still nothing to build
     assert cli.main(["perversity", "--spec", "zero"]) == 2
     assert "needs --space or --dim" in capsys.readouterr().err

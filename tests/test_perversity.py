@@ -88,6 +88,17 @@ def test_dual_per_stratum_needs_codims(cone_t2):
     assert pv.dual(q, cone_t2) == p
 
 
+def test_the_empty_per_stratum_perversity_is_its_own_dual(spaces):
+    """Zero on a 0-dimensional space is the empty per-stratum perversity: it
+    has no value to dualize, so it is its own dual with or without a
+    complex, as on any space with no singular stratum."""
+    empty = pv.named_perversity("zero", 0)
+    assert empty == pv.Perversity(pv.PER_STRATUM, {})
+    assert pv.dual(empty) == empty
+    assert pv.dual(pv.dual(empty)) == empty
+    assert pv.dual(empty, spaces["point"]) == empty
+
+
 def test_perversity_from_weights_examples():
     assert pv.perversity_from_weights([("a", 2)], {"a": F(1)}).values["a"] == 1
     assert pv.perversity_from_weights([("a", 0)], {"a": F(7, 3)}).values["a"] == 0
