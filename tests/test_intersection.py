@@ -594,6 +594,87 @@ def test_betti_shares_the_memo_with_the_perversities_exactly_on_a_manifold(monke
         assert want == [betti] * len(want)
 
 
+def _box(K, rng, size):
+    """A seeded sample of `size` perversities of the box -1..codim-1 on
+    each singular stratum of K, the whole box when it is smaller (one
+    empty perversity on a space with no singular stratum)."""
+    strata = K.singular_strata()
+    box = list(itertools.product(*(range(-1, s.codim) for s in strata)))
+    return [pv.Perversity(pv.PER_STRATUM, {s.id: v for s, v in zip(strata, values)})
+            for values in rng.sample(box, min(size, len(box)))]
+
+
+def test_shuffled_queries_equal_the_answers_of_a_freshly_loaded_complex(spaces, ih_ladder):
+    """Box perversities and `betti()`, each asked twice in a seeded shuffled
+    order on one complex, so that both memos are read across patterns,
+    give what each gives alone on a freshly loaded complex: on every corpus
+    space, its subdivision and the ih-ladder spaces."""
+    rng = random.Random(47)
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    asked = 0
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        doc = cx.to_document(K)
+        queries = [*_box(K, rng, 8), None] * 2
+        rng.shuffle(queries)
+        K = cx.load(doc)
+        fresh = {}
+        for p in queries:
+            got = K.betti() if p is None else ix.intersection_betti(K, p)
+            if p not in fresh:
+                alone = cx.load(doc)
+                fresh[p] = alone.betti() if p is None else ix.intersection_betti(alone, p)
+            assert got == fresh[p], (K.name, p)
+            asked += 1
+    assert asked == 294
+
+
+def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
+    """The ih-ladder round, the zero, lower-middle, upper-middle and top
+    perversities and then `betti()` on a fresh copy of each space, reduces
+    each (i, ok[i - 1], ok[i]) once: 61 of the 83 degrees that its 21
+    `ih_memo` misses ask for. A degree stored by an earlier pattern hands
+    no column to `_reduce`, and the rows it cleared are still skipped in
+    the degree below it."""
+    calls = []
+    chain_ranks, reduce = linalg.chain_ranks, linalg._reduce
+
+    def spy(*args):
+        stored = {i: slot for i, slot in enumerate(args[4]) if slot}
+        calls.append((args[1], stored, []))
+        return chain_ranks(*args)
+
+    def reduce_spy(cols, pivots=None):
+        frame = sys._getframe(1)
+        if frame.f_code is chain_ranks.__code__:
+            calls[-1][2].append((frame.f_locals["i"], len(cols)))
+        return reduce(cols, pivots)
+
+    monkeypatch.setattr(linalg, "chain_ranks", spy)
+    monkeypatch.setattr(linalg, "_reduce", reduce_spy)
+    stored = 0
+    for K in ih_ladder.values():
+        K = cx.load(cx.to_document(K))
+        lower, upper = pv.middle_perversities(K.n)
+        for p in (pv.zero_perversity(K.n), lower, upper, pv.top_perversity(K.n)):
+            ix.intersection_betti(K, p)
+        K.betti()
+        stored += len(K.degree_memo)
+    asked = sum(len(allow) - 1 for allow, _, _ in calls)
+    reduced = [step for _, _, steps in calls for step in steps]
+    assert (len(calls), asked, len(reduced), stored) == (21, 83, 61, 61)
+    skipped = 0
+    for allow, known, steps in calls:
+        assert [i for i, _ in steps] == [i for i in range(len(allow) - 1, 0, -1)
+                                         if i not in known]
+        for i, handed in steps:
+            if i + 1 in known:
+                _, cleared = known[i + 1]
+                kept = [j for j in allow[i] if j not in cleared]
+                assert handed == len(kept)
+                skipped += len(allow[i]) - len(kept)
+    assert skipped > 0
+
+
 def test_dd_zero_on_r0_chains(susp_t2, dropped_boundary):
     bnd = dropped_boundary(susp_t2)
     for i in range(2, susp_t2.n + 1):
