@@ -77,10 +77,10 @@ One builder, `_columns`, makes every boundary column, and a complex keeps
 only the columns that a rank query reads, all in the one table that every
 rank query reads (`interior`). The simplices with no singular vertex, the
 interior ones, form a subcomplex that every rank query allows. Its pivot
-table is reduced once, degree by degree from the top, and only the interior
-columns that the pivots of the degree above do not clear are built. The
-columns of the near simplices, those with a singular vertex, are built once
-and kept beside it. One method, `betti_of`, makes every rank query:
+table is reduced once (`linalg._reduce`), degree by degree from the top,
+and only the interior columns that the pivots of the degree above do not
+clear are built. The columns of the near simplices, those with a singular
+vertex, are built once and kept beside it. One method, `betti_of`, makes every rank query:
 `betti()` allows every simplex, and each perversity's
 `intersection.StratifiedChainComplex.homology` passes its allowable
 pattern. It reduces only the allowed near columns, against a copy of the
@@ -90,8 +90,10 @@ reduced: degree i depends only on the allowed classes of degrees i - 1
 and i, and each reduced degree is kept under those (`degree_memo`). The
 chain bases read the near columns too. A chain model that leaves out some
 simplices (stratified coefficients leave out X_{n-1}, whose positions the
-table also lists) deletes their rows as it reduces (`linalg.chain_ranks`),
-and never stores a second boundary.
+table also lists) deletes their rows as it reduces (`linalg.chain_ranks`,
+which takes the table as it is and returns one record per degree: its two
+ranks and the rows it clears in the degree below), and never stores a
+second boundary.
 `boundary_matrix` builds every column of a degree afresh on each call, for
 the tests and the demos; no command calls it.
 
@@ -207,9 +209,11 @@ class FilteredComplex:
     the near columns and the interior pivot tables; `boundary_matrix` builds
     its columns afresh.
     `ih_memo` maps an allowable pattern to its Betti numbers, and
-    `degree_memo` maps (i, ok[i - 1], ok[i]) to degree i's ranks and
-    cleared rows; `betti_of` alone fills and reads them. Neither is shared
-    with another complex, a subdivision or a copy included.
+    `degree_memo` maps (i, ok[i - 1], ok[i]) to degree i's record as
+    `linalg.chain_ranks` returns it, (r_all, r_bad, cleared): its two ranks
+    and the set of rows it clears in degree i - 1; `betti_of` alone fills
+    and reads them. Neither is shared with another complex, a subdivision
+    or a copy included.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular, weighted):
@@ -391,21 +395,22 @@ class FilteredComplex:
         pivots, columns, singular). `near` lists, in order, the indices of
         the i-simplices with a singular vertex; `pivots` is the pivot table
         of the boundary columns of the others, the interior simplices,
-        reduced from the top degree down (`linalg.subcomplex_pivots`), of
-        which only the columns that the pivots of the degree above do not
-        clear are built; `columns` holds the boundary columns of the near
-        simplices, each built once, in a list as long as `simplices(i)` with
-        None at each interior simplex and throughout degree 0, whose
-        boundary is zero and of which only the length is read; `singular`
-        lists, in order, the near simplices that lie in X_{n-1}, those whose
-        profile is None in `profile_classes`.
+        reduced by `linalg._reduce` from the top degree down with clearing
+        (see `linalg.chain_ranks`), of which only the columns that the
+        pivots of the degree above do not clear are built; `columns` holds
+        the boundary columns of the near simplices, each built once, in a
+        list as long as `simplices(i)` with None at each interior simplex
+        and throughout degree 0, whose boundary is zero and of which only
+        the length is read; `singular` lists, in order, the near simplices
+        that lie in X_{n-1}, those whose profile is None in
+        `profile_classes`.
 
         An interior simplex has the empty profile, the `()` class of
         `profile_classes`. All of its faces are interior, so none of them is
         in X_{n-1}, and it is allowable in every degree for every perversity.
-        So the table serves every rank query (`betti_of`) alike, and each
-        reduces only its allowed near columns against a copy of the pivots
-        (`linalg.chain_ranks`); the chain bases
+        So the table serves every rank query (`betti_of`) alike: it is the
+        rank table of `linalg.chain_ranks`, which reduces only the allowed
+        near columns against a copy of the pivots; the chain bases
         (`intersection.StratifiedChainComplex.bases`) read its near columns
         and X_{n-1} positions.
         """
@@ -418,7 +423,13 @@ class FilteredComplex:
             columns.append([None] * len(of))
             if i:
                 deque(map(columns[i].__setitem__, near[i], self._columns(i, near[i])), maxlen=0)
-        return list(zip(near, linalg.subcomplex_pivots(self._columns, inner), columns, singular))
+        # the interior columns of degree i meet only interior rows, so every
+        # pivot row is one and clears its column in degree i - 1
+        pivots, cleared = [{}] * len(inner), ()
+        for i in range(len(inner) - 1, 0, -1):
+            pivots[i] = cleared = linalg._reduce(
+                self._columns(i, [j for j in inner[i] if j not in cleared]))
+        return list(zip(near, pivots, columns, singular))
 
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
@@ -436,7 +447,8 @@ class FilteredComplex:
         with the dropped rows deleted, A_i the allowed columns and B_{i-1}
         the other rows, the chain space ker ∂_i[B_{i-1}, A_i] has dimension
         |A_i| - r_bad,i and the boundary on it rank r_all,i - r_bad,i, for
-        `linalg.chain_ranks`' (r_all, r_bad) per degree, so
+        the (r_all, r_bad, cleared) record of each degree that
+        `linalg.chain_ranks` returns, so
         b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1). Only the near
         simplices are tested and reduced, against the interior pivots of
         the one table (`interior`). The answer is kept in `ih_memo` under
@@ -444,31 +456,32 @@ class FilteredComplex:
         with the same pattern.
 
         A new pattern reduces only the degrees that no earlier pattern has:
-        degree i >= 1 is kept in `degree_memo` under (i, ok[i - 1], ok[i])
-        with its (r_all, r_bad) and the cleared rows it hands to degree
-        i - 1 (`linalg.chain_ranks`' `known`). That is exact. ok[i - 1]
-        fixes the row partition of degree i: which rows are allowed, which
-        are shifted, and whether the X_{n-1} rows are dropped (only when a
-        class is not allowed). ok[i] fixes the columns A_i, and the
-        interior table is fixed per complex. Clearing changes no rank. And
-        a pivot in an allowed row under that key is the pivot of an
-        allowable boundary, so it is a valid clearing row for any later
-        query with the same ok[i - 1]. `ih_memo` stays the answer cache: a
+        the record of degree i >= 1 is kept in `degree_memo` under
+        (i, ok[i - 1], ok[i]), as `linalg.chain_ranks` returns it, and
+        handed back to it as `known`, so that degree is not reduced again
+        and its cleared rows are still skipped in degree i - 1. That is
+        exact. ok[i - 1] fixes the row partition of degree i: which rows
+        are allowed, which are shifted, and whether the X_{n-1} rows are
+        dropped (only when a class is not allowed). ok[i] fixes the columns
+        A_i, and the interior table is fixed per complex. Clearing changes
+        no rank. And a pivot in an allowed row under that key is the pivot
+        of an allowable boundary, so it is a valid clearing row for any
+        later query with the same ok[i - 1]. `ih_memo` stays the answer cache: a
         repeated pattern costs one lookup, not a key and a count per
         degree."""
         if ok in self.ih_memo:
             return self.ih_memo[ok]
         keys = list(zip(range(1, len(ok)), ok, ok[1:]))
-        known = [None, *map(self.degree_memo.get, keys)]
-        near, _, columns, singular = zip(*self.interior)
+        near = [row[0] for row in self.interior]
         allow = [[j for j in js if allowed[of[j]]]
                  for allowed, (_, of), js in zip(ok, self.profile_classes, near)]
-        ranks = linalg.chain_ranks(columns, allow, self.interior, singular, known)
-        self.degree_memo.update(zip(keys, known[1:]))
-        above = [r_all - r_bad for r_all, r_bad in ranks[1:]] + [0]
+        records = linalg.chain_ranks(self.interior, allow,
+                                     [None, *map(self.degree_memo.get, keys)])
+        self.degree_memo.update(zip(keys, records[1:]))
+        above = [r_all - r_bad for r_all, r_bad, _ in records[1:]] + [0]
         self.ih_memo[ok] = tuple(
-            len(of) - len(js) + len(a) - r_all - up for (_, of), js, a, (r_all, _), up
-            in zip(self.profile_classes, near, allow, ranks, above))
+            len(of) - len(js) + len(a) - r_all - up for (_, of), js, a, (r_all, _, _), up
+            in zip(self.profile_classes, near, allow, records, above))
         return self.ih_memo[ok]
 
     # ----------------------------------------------------------------- reports

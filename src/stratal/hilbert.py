@@ -171,32 +171,24 @@ def kodaira_decompose(C: FiniteHilbertComplex, i: int, v):
     returned as (harmonic, exact, coexact, d): three dicts {row: int} of
     numerators over one int d > 0, so the harmonic part is harmonic/d.
 
-    v is a list or tuple of dims[i] entries or a dict keyed by int row
-    indices; its entries are read by `_entry` (ints, Fractions or "p/q"
-    strings, never bools or floats). The exact part is the projection onto
-    the image of D_{i-1}, the coexact part the projection onto the image of
-    D_i^T. The two images are orthogonal, so both come from one normal
-    system over the complex's pivot columns of the two, solved over the
-    integers, as numerators over d; the harmonic part is v less the two,
-    formed on those numerators. No entry is stored as zero, and
+    v is a list or tuple of dims[i] entries, read by `_entry` (ints,
+    Fractions or "p/q" strings, never bools or floats). The exact part is
+    the projection onto the image of D_{i-1}, the coexact part the
+    projection onto the image of D_i^T. The two images are orthogonal, so
+    both come from one normal system over the complex's pivot columns of
+    the two, solved over the integers, as numerators over d; the harmonic
+    part is v less the two, formed on those numerators. No entry is stored as zero, and
     reconstruction is exact: harmonic + exact + coexact = d·v.
     """
     if not 0 <= i < len(C.dims):
         raise ConfigurationError(f"degree {i} outside 0..{len(C.dims) - 1}")
-    if isinstance(v, dict):
-        if any(type(r) is not int for r in v):
-            raise ConfigurationError("vector keys must be int row indices")
-        items = v.items()
-    elif not isinstance(v, (list, tuple)):
-        raise ConfigurationError(f"vector must be a list, tuple or dict, not {type(v).__name__}")
-    elif len(v) != C.dims[i]:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigurationError(f"vector must be a list or tuple, not {type(v).__name__}")
+    if len(v) != C.dims[i]:
         raise ConfigurationError(
             f"vector has length {len(v)}, but degree {i} has dimension {C.dims[i]}")
-    else:
-        items = enumerate(v)
-    vec = {r: x for r, val in items if (x := _entry(val, "vector entry", ConfigurationError))}
-    if any(r < 0 or r >= C.dims[i] for r in vec):
-        raise ConfigurationError(f"vector does not live in degree {i}")
+    vec = {r: x for r, val in enumerate(v)
+           if (x := _entry(val, "vector entry", ConfigurationError))}
     w, m = linalg._over(vec)
     exact, coexact = C.maps[i].basis, C.maps[i + 1].t.basis
     x, t = linalg._solve(w, exact + coexact)

@@ -9,7 +9,9 @@ boundary, so this chain model is a partition of the rows of
 non-allowable rest. Chains and allowable sets are indexed by the complex's
 own simplex indices, the positions in `FilteredComplex.simplices`, and the
 complex keeps no second boundary: the rows are dropped as each query reduces
-(`linalg.chain_ranks`), and a column with no singular face enters as it is.
+the complex's rank table (`linalg.chain_ranks`, which returns one record of
+ranks and cleared rows per degree), and a column with no singular face
+enters as it is.
 A simplex is p-allowable in chain degree i when, for every singular stratum
 Y, its largest face labeled Y has dimension at most i - codim(Y) + p(Y),
 with p(Y) read from `perversity.resolve`, which refuses a perversity that

@@ -30,30 +30,32 @@ give the kernel. Everything else derives from the pivot table:
   taking them from the primitive columns back to its own inputs. Pivoting
   on the lowest row makes `rank` on the boundaries of sd(susp(susp t2))
   about three times faster than pivoting on the topmost row does.
-- `chain_ranks` takes what `_reduce` takes, integer columns with no stored
-  zero, so a simplicial boundary enters as it is; a caller with rational
-  entries maps `col_primitive` over its columns first. It reduces each
-  degree of a chain complex once, from the top degree down, and skips the
-  columns that the degree above has already shown to be cycles ("clearing":
-  Chen & Kerber, *Persistent Homology Computation with a Twist*, EuroCG
-  2011). A chain model is a partition of each degree's rows: allowed rows
-  keep their indices, the rows that the model drops (X_{n-1} for
-  stratified coefficients) are deleted, and the non-allowable rest are
-  shifted below the allowed rows, so the pivots that fall in them count the
-  rank of that row block too; where every row is allowed, as for
+- `chain_ranks` takes a chain complex as a rank table, one row per degree:
+  the indices that a query may leave out, a pivot table to start from, the
+  boundary columns and the rows that the chain model drops. Its columns are
+  what `_reduce` takes, integer columns with no stored zero, so a
+  simplicial boundary enters as it is; a caller with rational entries maps
+  `col_primitive` over its columns first. It reduces each degree of the
+  complex once, from the top degree down, and skips the columns that the
+  degree above has already shown to be cycles ("clearing": Chen & Kerber,
+  *Persistent Homology Computation with a Twist*, EuroCG 2011). A chain
+  model is a partition of each degree's rows: allowed rows keep their
+  indices, the rows that the model drops (X_{n-1} for stratified
+  coefficients) are deleted, and the non-allowable rest are shifted below
+  the allowed rows, so the pivots that fall in them count the rank of that
+  row block too; where every row is allowed, as for
   `FilteredComplex.betti`, no row is dropped. A column that meets a dropped
-  or non-allowable row is copied once; any other enters as it is.
-  Given a table from `subcomplex_pivots`, each degree starts from a copy of
-  the pivot table of a subcomplex whose rows every caller allows, reduced
-  once per complex, and reduces only the other columns, so only those are
-  read: a caller may hold None for the subcomplex's columns. The table is
-  reduced from the top degree down with clearing too, and its columns come
-  from the caller's builder, which is asked only for the columns that
-  clearing does not skip: the cleared ones are never built. A caller that
-  asks about one chain complex under many row partitions keeps each
-  degree's ranks and cleared rows (`known`) and hands them back whenever
-  a degree's columns and row partition come again; that degree is then
-  not reduced, and the degree below still skips the rows it cleared.
+  or non-allowable row is copied once; any other enters as it is. Each
+  degree starts from a copy of its row's pivot table, the pivots of a
+  subcomplex whose rows every query allows (the interior simplices, for
+  `FilteredComplex.interior`, which reduces them once per complex with the
+  same clearing), and reduces only the other columns. A plain chain
+  complex is a table with no pivots that may leave out every index. The
+  answer is one record per degree, its two ranks and the rows it cleared.
+  A caller that asks about one chain complex under many row partitions
+  keeps each degree's record (`known`) and hands it back whenever a
+  degree's columns and row partition come again; that degree is then not
+  reduced, and the degree below still skips the rows it cleared.
 - `rcef` needs the topmost row of each column as its pivot, because its
   canonical form is keyed by each column's topmost entry. It reflects the
   rows (row r becomes -r), so the lowest row of a reflected column is the
@@ -236,98 +238,80 @@ def rank(cols):
     return len(_reduce(list(map(col_primitive, cols))))
 
 
-def chain_ranks(bnd, allow, table=None, drop=None, known=None):
-    """Per degree i, (rank ∂_i[:, A_i], rank ∂_i[B_{i-1}, A_i]), exact, where
-    ∂_i has the rows `drop[i - 1]` deleted.
+def chain_ranks(table, allow, known=None):
+    """Per degree i, the record (r_all, r_bad, cleared): r_all = rank
+    ∂_i[:, A_i] and r_bad = rank ∂_i[B_{i-1}, A_i], exact, where ∂_i has the
+    dropped rows of degree i - 1 deleted, and `cleared` the rows that degree
+    i hands to degree i - 1 to skip. Degree 0, whose boundary is zero, has
+    the record (0, 0, ()).
 
-    `bnd[i]` holds the columns of ∂_i (of ∂_0, which is zero, only the
-    length is read, and of ∂_i only the columns in `allow[i]`), integer
-    columns with no stored zero as `_reduce` takes
-    them; a caller with rational entries maps `col_primitive` over them
-    first: scaling a column changes neither rank, nor the column space of
-    ∂_{i+1}, nor the supports of the cycles of ∂_i, so clearing skips the
-    same columns. `allow[i]` holds the sorted allowed indices A_i of degree i,
-    which are both the columns of ∂_i and the allowed rows of ∂_{i+1}.
-    `drop[i]`, when given, lists the indices of degree i that the chain model
-    leaves out; they must span a subcomplex, so that the boundary with their
-    rows deleted is still a chain complex (a relative one). It is read only
-    when some index of degree i is not allowed, and then none of its
-    indices may be allowed. B_{i-1} is the rest of the rows. Each degree is
-    reduced once. When B_{i-1} or the dropped rows are not empty, every
-    column that meets one of them is copied once: dropped rows are left out,
-    and every B row r is moved to len(bnd[i-1]) + r, below all allowed
+    `table[i]` is (near, pivots, columns, dropped). `columns` holds the
+    columns of ∂_i (of ∂_0 only the length is read, and of ∂_i only the
+    columns in `allow[i]`), integer columns with no stored zero as
+    `_reduce` takes them; a caller with rational entries maps
+    `col_primitive` over them first: scaling a column changes neither rank,
+    nor the column space of ∂_{i+1}, nor the supports of the cycles of ∂_i,
+    so clearing skips the same columns. `pivots` is the pivot table, as
+    `_reduce` gives it, of the columns of a subcomplex, which meet only its
+    own rows; every call allows those rows, and `pivots` is only read.
+    `near` lists, sorted, the indices of degree i outside the subcomplex,
+    and `allow[i]` the allowed ones among them, A_i, which are both the
+    columns of ∂_i and the allowed rows of ∂_{i+1}. `dropped` lists the
+    indices of degree i that the chain model leaves out; they must span a
+    subcomplex, so that the boundary with their rows deleted is still a
+    chain complex (a relative one). They are read only when some index of
+    near is not allowed, and then none of them may be allowed. B_i is the
+    rest of near. A plain chain complex has every index in near and no
+    pivots.
+
+    Each degree starts from a copy of its pivot table and reduces A_i
+    once. When B_{i-1} or the dropped rows are not empty, every column that
+    meets one of them is copied once: dropped rows are left out, and every
+    B row r is moved to len(columns of degree i - 1) + r, below all allowed
     rows, so the pivots in B rows count the second rank; allowed rows keep
     their indices, and every other column enters as it is. Degrees go from
-    the top down with clearing: a reduced column of ∂_{i+1} whose pivot j is
-    an allowed row lies wholly in allowed rows, so it is an allowable
-    boundary; putting it in place of column j of ∂_i is an invertible change
-    of columns whose image is zero, so column j is skipped.
+    the top down with clearing: a reduced column of ∂_{i+1} whose new pivot
+    j is an allowed row lies wholly in allowed rows, so it is an allowable
+    boundary; putting it in place of column j of ∂_i is an invertible
+    change of columns whose image is zero, so column j is skipped. The
+    ranks do not depend on column order, and skipping fewer cleared columns
+    changes no rank, so clearing uses only the new pivots.
 
-    `table[i]`, when given, starts with (near, pivots): the sorted columns
-    of ∂_i outside a subcomplex, and the subcomplex's pivot table from
-    `subcomplex_pivots`; anything after them, such as the columns and the
-    dropped indices that `FilteredComplex.interior` keeps there, is not
-    read. Then A_i, B_i and the dropped indices lie in near,
-    `allow[i]` lists A_i, and B_i is the rest of near. A subcomplex column
-    meets only subcomplex rows, which are always allowed, so each degree
-    starts from a copy of its pivot table and reduces only A_i. The ranks do
-    not depend on column order, and skipping fewer cleared columns changes
-    no rank, so clearing uses only the new pivots.
-
-    `known`, when given, holds one slot per degree and carries a degree's
-    reduction from one call to the next. A slot i holding ((r_all, r_bad),
-    cleared) is not reduced: those are its ranks, and `cleared`, its new
-    pivot rows below len(bnd[i - 1]), is what it hands to degree i - 1 to
-    skip. An empty slot (None) is reduced and filled so. A filled slot
-    answers any later call whose degree i has the same `table`, the same
-    columns A_i and the same row partition (A_{i-1}, B_{i-1} and the
-    dropped rows), exactly: with those fixed, so are the degree's columns
-    and rows; clearing changes no rank, and even no pivot, since a cleared
-    column j is a combination of the columns reduced before it (the
-    reduced column that clears it lies in allowed rows up to j, and ∂_i
-    maps it to zero); and a new pivot in an allowed row is the pivot of an
-    allowable boundary, so it is a valid clearing row for any such call.
+    `known`, when given, holds one slot per degree. A slot i holding a
+    record is not reduced: the record comes back as it is, the same object,
+    and its `cleared` rows are still skipped in degree i - 1. An empty slot
+    (None) is reduced. A record answers any later call whose degree i has
+    the same `table`, the same columns A_i and the same row partition
+    (A_{i-1}, B_{i-1} and the dropped rows), exactly: with those fixed, so
+    are the degree's columns and rows; clearing changes no rank, and even no
+    pivot, since a cleared column j is a combination of the columns reduced
+    before it (the reduced column that clears it lies in allowed rows up to
+    j, and ∂_i maps it to zero); and a new pivot in an allowed row is the
+    pivot of an allowable boundary, so it is a valid clearing row for any
+    such call. No argument is changed.
     """
-    out = [(0, 0)] * len(bnd)
+    out = [(0, 0, ())] * len(table)
     cleared = ()
-    for i in range(len(bnd) - 1, 0, -1):
+    for i in range(len(table) - 1, 0, -1):
         if known and known[i]:
-            out[i], cleared = known[i]
+            out[i] = known[i]
+            cleared = out[i][2]
             continue
-        top = len(bnd[i - 1])
-        cols = [bnd[i][j] for j in allow[i] if j not in cleared]
-        rows = table[i - 1][0] if table else range(top)
+        rows, _, below, gone = table[i - 1]
+        _, pivots, columns, _ = table[i]
+        top = len(below)
+        cols = [columns[j] for j in allow[i] if j not in cleared]
         if len(allow[i - 1]) < len(rows):
-            shift = set(rows).difference(allow[i - 1])
-            gone = set(drop[i - 1]) if drop else ()
+            shift, gone = set(rows).difference(allow[i - 1]), set(gone)
             cols = [col if shift.isdisjoint(col)
                     else {r + top if r in shift else r: v for r, v in col.items() if r not in gone}
                     for col in cols]
-        pivots = dict(table[i][1]) if table else {}
+        pivots = dict(pivots)
         start = len(pivots)
         _reduce(cols, pivots=pivots)
         # a dict keeps insertion order, so the new pivots follow the copied ones
         cleared = {row for row in islice(pivots, start, None) if row < top}
-        out[i] = (len(pivots), len(pivots) - start - len(cleared))
-        if known is not None:
-            known[i] = out[i], cleared
-    return out
-
-
-def subcomplex_pivots(columns, inner):
-    """Per degree i, the pivot table of the columns `inner[i]` of ∂_i, as
-    `_reduce` gives it, reduced from the top degree down with clearing.
-    `columns(i, js)` builds the columns js of ∂_i, and is asked only for
-    those that clearing does not skip.
-
-    The columns must form a subcomplex: column j of `inner[i]` meets only
-    rows in `inner[i - 1]`. Every pivot row is then a row of the subcomplex,
-    so the pivots of ∂_{i+1} clear their rows in ∂_i (see `chain_ranks`).
-    """
-    out = [{}] * len(inner)
-    cleared = ()
-    for i in range(len(inner) - 1, 0, -1):
-        out[i] = cleared = _reduce(columns(i, [j for j in inner[i] if j not in cleared]))
+        out[i] = (len(pivots), len(pivots) - start - len(cleared), cleared)
     return out
 
 

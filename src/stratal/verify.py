@@ -245,12 +245,12 @@ def _hilbert_trial(hb, linalg, C, rng):
     for i in range(len(C.dims)):
         if C.dims[i] == 0:
             continue
-        v = {r: rng.randint(-3, 3) for r in range(C.dims[i])}
+        v = [rng.randint(-3, 3) for _ in range(C.dims[i])]
         # integer numerators over d: the sums and zero inner products of
         # the parts times d
         h, e, c, d = hb.kodaira_decompose(C, i, v)
         (rec,) = linalg.combine_columns([h, e, c], [{0: 1, 1: 1, 2: 1}])
-        want = {r: val * d for r, val in v.items() if val}
+        want = {r: val * d for r, val in enumerate(v) if val}
         if rec != want or linalg.dot(h, e) or linalg.dot(h, c) or linalg.dot(e, c):
             ok = False
     return ok, {"dims": list(C.dims), "cohomology": list(ch), "index": idx}

@@ -42,6 +42,15 @@ def stacked_cols(top_cols, bottom_cols, top_rows):
             for a, b in zip(top_cols, bottom_cols)]
 
 
+def plain_table(bnd, drop=None):
+    """The rank table that `linalg.chain_ranks` takes for the chain complex
+    whose boundary columns are `bnd`: per degree i, every index may be left
+    out, there are no pivots to start from, and the chain model leaves out
+    the rows `drop[i]` (none when `drop` is None)."""
+    return [(list(range(len(cols))), {}, cols, drop[i] if drop else ())
+            for i, cols in enumerate(bnd)]
+
+
 def laplacian_cols(C, i):
     """Columns of Δ_i = D_i^T D_i + D_{i-1} D_{i-1}^T of the finite Hilbert
     complex C: [D_i^T | D_{i-1}] times the stack [D_i ; D_{i-1}^T]."""

@@ -19,7 +19,6 @@ import pytest
 import stratal
 from stratal import cli, corpus, verify
 from stratal import complexes as cx
-from stratal import hilbert as hb
 from stratal import l2model as l2
 from stratal import perversity as pv
 from stratal.corpus import corpus_dir
@@ -320,6 +319,18 @@ def test_hilbert_rejects_malformed_shape(tmp_path: Path, capsys, complex_doc, ve
     assert captured.out == ""
     assert "internal" not in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_hilbert_refuses_a_vector_object(tmp_path: Path, capsys):
+    """A vector file holds a JSON list: an object, whose keys are strings,
+    is refused as the dict it reads as."""
+    cfile, vfile = tmp_path / "c.json", tmp_path / "v.json"
+    cfile.write_text(json.dumps(_LINE))
+    vfile.write_text(json.dumps({"0": 1}))
+    r = _main(capsys, "hilbert", "--complex", str(cfile), "--decompose", "0",
+              "--vector", str(vfile))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: vector must be a list or tuple, not dict\n"
 
 
 def test_perversity_rejects_negative_dim(tmp_path, capsys):
@@ -799,8 +810,6 @@ def test_a_by_codim_file_without_codimension_2_is_not_called_classical(tmp_path,
 
 
 @pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda: hb.kodaira_decompose(hb.validate([1, 1], [[[0]]]), 0, {5: 1}),
-                 ConfigurationError, "vector does not live in degree 0", id="kodaira"),
     pytest.param(lambda: pv.dual(pv.Perversity(pv.PER_STRATUM, {"nope": 0}),
                                  corpus.load_space("cone_t2")),
                  ConfigurationError,

@@ -10,7 +10,7 @@ their integer numerators over the one denominator stand for
 The complexes are 100 seeded `random_complex` outputs and hand complexes
 whose differentials hold Fractions, "p/q" text and non-primitive integer
 columns, with zero spaces first, last and in the middle. Each degree is
-decomposed with an int list, a Fraction dict and a "p/q" list. The last
+decomposed with an int list, a Fraction list with zero entries and a "p/q" list. The last
 digest is the `suite_hilbert` report JSON for seeds 1-10, the seeds of the
 perfbench verify-sweep workload. The digests were recorded before the
 complex kept its reduced differentials; a mismatch is a regression to fix,
@@ -64,8 +64,8 @@ def _complexes():
 def _vectors(i, dim):
     rng = random.Random(f"pins-{i}-{dim}")
     yield [rng.randint(-3, 3) for _ in range(dim)]
-    yield {r: F(rng.randint(-9, 9), rng.randint(1, 12)) for r in range(dim)
-           if rng.random() < 0.8}
+    yield [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.8 else 0
+           for _ in range(dim)]
     yield [f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}" for _ in range(dim)]
 
 

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from conftest import simplex_index, simplex_level
+from conftest import plain_table, simplex_index, simplex_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -432,10 +432,23 @@ def test_each_near_column_is_built_once_and_no_cleared_column_at_all(spaces, ih_
     assert counts[ih_ladder["sd(susp t2)"].name] == (504, 1219, 2814)
 
 
+def test_interior_pivot_rows_are_those_of_a_reduction_without_clearing(spaces, ih_ladder):
+    """Per degree, the interior pivot table that `FilteredComplex.interior`
+    reduces with clearing has the pivot rows of a reduction of every
+    interior column without clearing: a cleared column is a combination of
+    earlier ones, so it adds no pivot."""
+    for K in _all_spaces(spaces, ih_ladder):
+        for i, (near, pivots, _, _) in enumerate(K.interior):
+            inner = sorted(set(range(len(K.simplices(i)))).difference(near))
+            want = linalg._reduce(K._columns(i, inner)) if i else {}
+            assert set(pivots) == set(want), (K.name, i)
+
+
 def _plain_betti(K, p, dropped):
     """IH (or, for p None, plain) Betti numbers through `linalg.chain_ranks`
-    without the shared interior table or dropped rows: every allowed column
-    of the boundary (for IH, the dropped-face boundary `dropped`) reduced."""
+    on a plain table, without the shared interior pivots or dropped rows:
+    every allowed column of the boundary (for IH, the dropped-face boundary
+    `dropped`) reduced."""
     if p is None:
         bnd = [K.boundary_matrix(i) for i in range(K.n + 1)]
         allow = [range(len(b)) for b in bnd]
@@ -443,7 +456,7 @@ def _plain_betti(K, p, dropped):
         bnd, allow = dropped, ix.StratifiedChainComplex(K, p).allowable_indices
     dims = [len(a) for a in allow]
     ranks = [0] * (K.n + 2)
-    for i, (r_all, r_bad) in enumerate(linalg.chain_ranks(bnd, allow)):
+    for i, (r_all, r_bad, _) in enumerate(linalg.chain_ranks(plain_table(bnd), allow)):
         dims[i] -= r_bad
         ranks[i] = r_all - r_bad
     return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(K.n + 1))
@@ -639,7 +652,7 @@ def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
     chain_ranks, reduce = linalg.chain_ranks, linalg._reduce
 
     def spy(*args):
-        stored = {i: slot for i, slot in enumerate(args[4]) if slot}
+        stored = {i: slot for i, slot in enumerate(args[2]) if slot}
         calls.append((args[1], stored, []))
         return chain_ranks(*args)
 
@@ -668,7 +681,7 @@ def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
                                          if i not in known]
         for i, handed in steps:
             if i + 1 in known:
-                _, cleared = known[i + 1]
+                *_, cleared = known[i + 1]
                 kept = [j for j in allow[i] if j not in cleared]
                 assert handed == len(kept)
                 skipped += len(allow[i]) - len(kept)

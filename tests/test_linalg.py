@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import kodaira_parts
+from conftest import kodaira_parts, plain_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
@@ -251,10 +251,11 @@ def test_chain_ranks_match_sympy(mat, data):
     kept = [r for r in range(nr) if r not in drop]
     bad = [r for r in kept if r not in good]
     bnd = [_zero_cols(nr), list(map(linalg.col_primitive, _columns(rows, nc)))]
-    _, (r_all, r_bad) = out = linalg.chain_ranks(bnd, [good, cols_idx], None, [drop, []])
+    _, (r_all, r_bad, _) = out = linalg.chain_ranks(plain_table(bnd, [drop, []]),
+                                                    [good, cols_idx])
     assert r_all == _sub_rank(rows, kept, cols_idx)
     assert r_bad == _sub_rank(rows, bad, cols_idx)
-    assert out == linalg.chain_ranks(_deleted(bnd, [drop, []]), [good, cols_idx])
+    assert out == linalg.chain_ranks(plain_table(_deleted(bnd, [drop, []])), [good, cols_idx])
 
 
 @st.composite
@@ -289,12 +290,12 @@ def test_chain_ranks_with_clearing_match_sympy(chain, data):
     allow = [[j for j in _subset(data.draw, n) if j not in gone]
              for n, gone in zip((n0, n1, n2), drop)]
     prim = [list(map(linalg.col_primitive, b)) for b in bnd]
-    out = linalg.chain_ranks(prim, allow, None, drop)
+    out = linalg.chain_ranks(plain_table(prim, drop), allow)
     for i, rows in ((1, d1), (2, d2)):
         kept = [r for r in range(len(rows)) if r not in drop[i - 1]]
         bad = [r for r in kept if r not in allow[i - 1]]
-        assert out[i] == (_sub_rank(rows, kept, allow[i]), _sub_rank(rows, bad, allow[i]))
-    assert out == linalg.chain_ranks(_deleted(prim, drop), allow)
+        assert out[i][:2] == (_sub_rank(rows, kept, allow[i]), _sub_rank(rows, bad, allow[i]))
+    assert out == linalg.chain_ranks(plain_table(_deleted(prim, drop)), allow)
 
 
 def test_chain_ranks_clearing_skips_cycle_columns(monkeypatch):
@@ -312,10 +313,11 @@ def test_chain_ranks_clearing_skips_cycle_columns(monkeypatch):
         return reduce(cols, *args, **kw)
 
     monkeypatch.setattr(linalg, "_reduce", spy)
-    out = linalg.chain_ranks(bnd, [[0, 1], [0, 1, 2], [0]])
+    out = linalg.chain_ranks(plain_table(bnd), [[0, 1], [0, 1, 2], [0]])
     assert reduced == [1, 2]
-    # ∂_1 has rank 2 and its vertex-2 row [0, 1, 1] rank 1
-    assert out == [(0, 0), (2, 1), (1, 0)]
+    # ∂_1 has rank 2 and its vertex-2 row [0, 1, 1] rank 1; edge 01 pivots
+    # on the allowed vertex 1, and edge 02 on the shifted vertex 2
+    assert out == [(0, 0, ()), (2, 1, {1}), (1, 0, {2})]
 
 
 def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeypatch):
@@ -336,7 +338,7 @@ def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeyp
         return reduce(cols, *args, **kw)
 
     monkeypatch.setattr(linalg, "_reduce", spy)
-    out = linalg.chain_ranks(bnd, allow)
+    out = linalg.chain_ranks(plain_table(bnd), allow)
     d2, d1 = reduced
     assert d2[0] is bnd[2][0] and d2[1] is not bnd[2][1]
     assert len(d1) == 2  # edge 12 was cleared
@@ -345,8 +347,8 @@ def test_chain_ranks_shift_only_columns_that_meet_non_allowable_rows(s2, monkeyp
     for i in (1, 2):
         cols = [bnd[i][j] for j in allow[i]]
         bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
-        assert out[i] == (linalg.rank(cols), linalg.rank(bad)), i
-    assert out == [(0, 0), (2, 1), (2, 1)]
+        assert out[i][:2] == (linalg.rank(cols), linalg.rank(bad)), i
+    assert [record[:2] for record in out] == [(0, 0), (2, 1), (2, 1)]
 
 
 def test_chain_ranks_copy_a_column_that_meets_dropped_and_non_allowable_rows(s2, monkeypatch):
@@ -366,17 +368,18 @@ def test_chain_ranks_copy_a_column_that_meets_dropped_and_non_allowable_rows(s2,
         return reduce(cols, *args, **kw)
 
     monkeypatch.setattr(linalg, "_reduce", spy)
-    out = linalg.chain_ranks(bnd, allow, None, drop)
+    out = linalg.chain_ranks(plain_table(bnd, drop), allow)
     monkeypatch.undo()
     (d1,) = [cols for cols in reduced if cols]
     assert d1 == [{0: -1, 5: 1}, {0: -1, 6: 1}, {5: -1}]
     assert all(col is not bnd[1][j] for col, j in zip(d1, allow[1]))
     assert bnd == before
     # rows 1 and 2 hold the edges' non-allowable block: (1), (2), -(1)
-    assert out == [(0, 0), (3, 2), (0, 0)]
-    assert out == linalg.chain_ranks(_deleted(bnd, drop), allow)
+    assert out == [(0, 0, ()), (3, 2, {0}), (0, 0, set())]
+    assert out == linalg.chain_ranks(plain_table(_deleted(bnd, drop)), allow)
     # kept as a non-allowable row, vertex 3 would add to that block's rank
-    assert linalg.chain_ranks(bnd, allow) == [(0, 0), (3, 3), (0, 0)]
+    assert linalg.chain_ranks(plain_table(bnd), allow) == [(0, 0, ()), (3, 3, set()),
+                                                           (0, 0, set())]
 
 
 def test_reduce_stores_a_new_pivot_column_as_given():
@@ -470,7 +473,7 @@ def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
             allow = [sorted(rng.sample(range(len(b)), rng.randint(0, len(b)))) for b in bnd]
             seen.clear()
             monkeypatch.setattr(linalg, "_reduce", spy)
-            out = linalg.chain_ranks(prim, allow)
+            out = linalg.chain_ranks(plain_table(prim), allow)
             monkeypatch.undo()
             assert all(type(v) is int for cols in seen for col in cols for v in col.values())
             if d2 is units:
@@ -480,15 +483,17 @@ def test_chain_ranks_mixes_unit_and_fraction_degrees(s2, monkeypatch):
             for i in (1, 2):
                 cols = [bnd[i][j] for j in allow[i]]
                 bad = [{r: v for r, v in col.items() if r not in allow[i - 1]} for col in cols]
-                assert out[i] == (linalg.rank(cols), linalg.rank(bad)), (i, allow)
+                assert out[i][:2] == (linalg.rank(cols), linalg.rank(bad)), (i, allow)
 
 
 def test_chain_ranks_counts_a_repeated_column_once():
     """A dict listed twice is one column of rank one, not two pivots."""
     col = {0: 1, 1: -1}
     for bnd in ([_zero_cols(2), [col, col]], [_zero_cols(2), [col, dict(col)]]):
-        assert linalg.chain_ranks(bnd, [[0, 1], [0, 1]]) == [(0, 0), (1, 0)]
-        assert linalg.chain_ranks(bnd, [[0], [0, 1]]) == [(0, 0), (1, 1)]
+        assert linalg.chain_ranks(plain_table(bnd), [[0, 1], [0, 1]]) == [(0, 0, ()),
+                                                                         (1, 0, {1})]
+        assert linalg.chain_ranks(plain_table(bnd), [[0], [0, 1]]) == [(0, 0, ()),
+                                                                      (1, 1, set())]
 
 
 @pytest.mark.parametrize("col, want", [
@@ -536,9 +541,10 @@ def test_elimination_leaves_its_arguments_unchanged():
         bnd = [_zero_cols(nr), cols]
         allow = [sorted(rng.sample(range(nr), rng.randint(0, nr))),
                  sorted(rng.sample(range(len(cols)), rng.randint(0, len(cols))))]
-        before = copy.deepcopy((bnd, allow))
-        linalg.chain_ranks(bnd, allow)
-        assert (bnd, allow) == before
+        table = plain_table(bnd)
+        before = copy.deepcopy((table, allow))
+        linalg.chain_ranks(table, allow)
+        assert (table, allow) == before
 
 
 def test_large_entries_renormalize_tracked_combinations(monkeypatch):
@@ -670,7 +676,7 @@ def test_heap_pivots_match_a_scan_on_filled_in_boundaries(ih_ladder, dropped_bou
     with monkeypatch.context() as m:
         reduce = linalg._reduce
         m.setattr(linalg, "_reduce", lambda cols, *a, **kw: seen.append(cols) or reduce(cols, *a, **kw))
-        linalg.chain_ranks(dropped_boundary(K), allow)
+        linalg.chain_ranks(plain_table(dropped_boundary(K)), allow)
     assert max(len(c) for c in linalg._reduce(seen[0]).values()) == 672
     built = _count_heaps(monkeypatch)
     for cols in seen:
@@ -730,27 +736,49 @@ def test_rcef_keeps_topmost_row_pivots_on_zero_perversity_chains(spaces, monkeyp
 
 def test_chain_ranks_from_a_shared_table_leaves_it_unchanged(s2):
     """The tetrahedron boundary with the triangle 012 and its faces as the
-    subcomplex: its pivot table is built from the columns that clearing does
-    not skip, copied per call, never updated, and the ranks equal those of
-    the plain path for every allowed set."""
+    subcomplex: its pivot table, copied per call and never updated, gives
+    the ranks of the plain path for every allowed set."""
     bnd = [s2.boundary_matrix(i) for i in range(3)]
     inner = [[0, 1, 2], [0, 1, 3], [0]]
-    asked = []
-
-    def columns(i, js):
-        asked.append((i, js))
-        return [bnd[i][j] for j in js]
-
-    table = list(zip([[3], [2, 4, 5], [1, 2, 3]], linalg.subcomplex_pivots(columns, inner)))
-    # the triangle's pivot row, edge 3, clears that edge; degree 0 is never asked
-    assert asked == [(2, [0]), (1, [0, 1])]
+    pivots = [linalg._reduce([bnd[i][j] for j in js]) if i else {} for i, js in enumerate(inner)]
+    table = list(zip([[3], [2, 4, 5], [1, 2, 3]], pivots, bnd, [[], [], []]))
     before = copy.deepcopy(table)
     rng = random.Random(3)
     for _ in range(20):
-        near = [sorted(rng.sample(rows, rng.randint(0, len(rows)))) for rows, _ in table]
+        near = [sorted(rng.sample(rows, rng.randint(0, len(rows)))) for rows, *_ in table]
         allow = [sorted(a + b) for a, b in zip(inner, near)]
-        assert linalg.chain_ranks(bnd, near, table) == linalg.chain_ranks(bnd, allow), near
+        got = [record[:2] for record in linalg.chain_ranks(table, near)]
+        assert got == [record[:2] for record in linalg.chain_ranks(plain_table(bnd), allow)], near
     assert table == before
+
+
+def test_a_known_record_comes_back_as_it_is_and_its_cleared_rows_are_skipped(s2, monkeypatch):
+    """A filled slot of `known` is returned as the same object, unchanged
+    and not reduced, and the degree below it is handed exactly its allowed
+    columns less that record's cleared rows: a record's own, and one whose
+    cleared rows differ from those the degree would clear."""
+    bnd = [s2.boundary_matrix(i) for i in range(3)]
+    table, allow = plain_table(bnd), [[0, 1, 2, 3], [0, 1, 2, 3, 5], [0, 1, 3]]
+    records = linalg.chain_ranks(table, allow)
+    assert records[2][2] and records[2][2] != {0, 3}
+    handed = []
+    reduce = linalg._reduce
+
+    def spy(cols, *args, **kw):
+        handed.append(cols)
+        return reduce(cols, *args, **kw)
+
+    for record in (records[2], (2, 1, {0, 3})):
+        before = copy.deepcopy(record)
+        handed.clear()
+        monkeypatch.setattr(linalg, "_reduce", spy)
+        out = linalg.chain_ranks(table, allow, [None, None, record])
+        monkeypatch.undo()
+        assert out[2] is record and record == before
+        # every vertex is allowed, so the edges enter as they are
+        kept = [j for j in allow[1] if j not in record[2]]
+        assert len(handed) == 1 and list(map(id, handed[0])) == [id(bnd[1][j]) for j in kept]
+        assert out[1] == linalg.chain_ranks(plain_table(bnd[:2]), [allow[0], kept])[1]
 
 
 # sha256 of the sorted-items bases of StratifiedChainComplex(K, p) over the
