@@ -772,9 +772,11 @@ def test_a_known_record_comes_back_as_it_is_and_its_cleared_rows_are_skipped(s2,
         before = copy.deepcopy(record)
         handed.clear()
         monkeypatch.setattr(linalg, "_reduce", spy)
-        out = linalg.chain_ranks(table, allow, [None, None, record])
+        known = [None, None, record]
+        out = linalg.chain_ranks(table, allow, known)
         monkeypatch.undo()
         assert out[2] is record and record == before
+        assert known == [None, None, record] and known[2] is record
         # every vertex is allowed, so the edges enter as they are
         kept = [j for j in allow[1] if j not in record[2]]
         assert len(handed) == 1 and list(map(id, handed[0])) == [id(bnd[1][j]) for j in kept]
