@@ -84,16 +84,17 @@ vertex, are built once and kept beside it. One method, `betti_of`, makes every r
 `betti()` allows every simplex, and each perversity's
 `intersection.StratifiedChainComplex.homology` passes its allowable
 pattern. It reduces only the allowed near columns, against a copy of the
-interior pivots, and keeps the answer per pattern (`ih_memo`). A new
-pattern reduces only its degrees that no earlier pattern of the complex
-reduced: degree i depends only on the allowed classes of degrees i - 1
-and i, and each reduced degree is kept under those (`degree_memo`). The
-chain bases read the near columns too. A chain model that leaves out some
-simplices (stratified coefficients leave out X_{n-1}, whose positions the
-table also lists) deletes their rows as it reduces (`linalg.chain_ranks`,
-which takes the table as it is and returns one record per degree: its two
-ranks and the rows it clears in the degree below), and never stores a
-second boundary.
+interior pivots, and only in the degrees that no earlier pattern of the
+complex reduced: degree i depends only on the allowed classes of degrees
+i - 1 and i, and each reduced degree's record is kept under those
+(`degree_memo`), the one cache of rank answers. Every Betti vector is
+formed from the records, so a pattern whose degrees are all stored makes
+no reduction. The chain bases read the near columns too. A chain model
+that leaves out some simplices (stratified coefficients leave out
+X_{n-1}, whose positions the table also lists) deletes their rows as it
+reduces (`linalg.chain_ranks`, which takes the table as it is and returns
+one record per degree: its two ranks and the rows it clears in the degree
+below), and never stores a second boundary.
 `boundary_matrix` builds every column of a degree afresh on each call, for
 the tests and the demos; no command calls it.
 
@@ -112,7 +113,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, combinations, filterfalse, groupby
+from itertools import chain, combinations, compress, filterfalse, groupby
 from math import comb
 from pathlib import Path
 
@@ -208,12 +209,12 @@ class FilteredComplex:
     boundary columns kept are those of the rank-query table (`interior`):
     the near columns and the interior pivot tables; `boundary_matrix` builds
     its columns afresh.
-    `ih_memo` maps an allowable pattern to its Betti numbers, and
     `degree_memo` maps (i, ok[i - 1], ok[i]) to degree i's record as
     `linalg.chain_ranks` returns it, (r_all, r_bad, cleared): its two ranks
-    and the set of rows it clears in degree i - 1; `betti_of` alone fills
-    and reads them. Neither is shared with another complex, a subdivision
-    or a copy included.
+    and the set of rows it clears in degree i - 1. It is the one cache of
+    rank answers, and every Betti vector is formed from its records;
+    `betti_of` alone fills and reads it. It is not shared with another
+    complex, a subdivision or a copy included.
     """
 
     def __init__(self, name, n, vertex_ids, by_dim, vertex_level, singular, weighted):
@@ -230,7 +231,6 @@ class FilteredComplex:
         self.strata, self._vertex_label = _stratify(n, by_dim, singular, vertex_level,
                                                     self.vertex_ids)
         self.weights = {self._vertex_label[v]: w for v, w in weighted}
-        self.ih_memo = {}
         self.degree_memo = {}
 
     # ------------------------------------------------------------------ basics
@@ -305,10 +305,12 @@ class FilteredComplex:
 
     @cached_property
     def profile_classes(self):
-        """Per degree i, (profiles, of): the i-simplex j has the singular-face
-        profile profiles[of[j]], which maps each singular stratum that the
-        simplex meets to the dimension of its largest face in that stratum;
-        a singular simplex, one in X_{n-1}, has None.
+        """Per degree i, (profiles, of, sizes): the i-simplex j has the
+        singular-face profile profiles[of[j]], which maps each singular
+        stratum that the simplex meets to the dimension of its largest face
+        in that stratum; a singular simplex, one in X_{n-1}, has None; and
+        sizes[c] i-simplices have the profile of class c, so a pattern's
+        allowed simplices are counted without a pass over `of`.
 
         The profile comes from the simplex's singular vertices alone: its
         largest face in a stratum of level j is spanned by its vertices of
@@ -325,7 +327,8 @@ class FilteredComplex:
         out = []
         for i, simplices in enumerate(self._by_dim):
             keys = list(map(tuple, map(singular_only, simplices)))
-            position = {t: k for k, t in enumerate(dict.fromkeys(keys))}
+            sizes = Counter(keys)
+            position = {t: k for k, t in enumerate(sizes)}
             profiles = []
             for t in position:
                 if len(t) > i:
@@ -334,7 +337,7 @@ class FilteredComplex:
                 if t not in built:
                     built[t] = {label[v]: d for d, v in enumerate(sorted(t, key=level.__getitem__))}
                 profiles.append(built[t])
-            out.append((profiles, list(map(position.__getitem__, keys))))
+            out.append((profiles, list(map(position.__getitem__, keys)), list(sizes.values())))
         return out
 
     @cached_property
@@ -415,7 +418,7 @@ class FilteredComplex:
         and X_{n-1} positions.
         """
         near, inner, singular, columns = [], [], [], []
-        for i, (profiles, of) in enumerate(self.profile_classes):
+        for i, (profiles, of, _) in enumerate(self.profile_classes):
             k = profiles.index({}) if {} in profiles else None
             near.append([j for j, c in enumerate(of) if c != k])
             inner.append([j for j, c in enumerate(of) if c == k])
@@ -434,7 +437,7 @@ class FilteredComplex:
     def betti(self):
         """Rational Betti numbers b_0..b_n, exact: every simplex is allowed
         and none is dropped."""
-        return self.betti_of(tuple((True,) * len(profiles) for profiles, _ in self.profile_classes))
+        return self.betti_of(tuple((True,) * len(sizes) for _, _, sizes in self.profile_classes))
 
     def betti_of(self, ok):
         """Betti numbers of the chains that `ok` allows, exact: `ok[i][c]`
@@ -446,43 +449,45 @@ class FilteredComplex:
         Every rank query of the complex comes here. With ∂_i the boundary
         with the dropped rows deleted, A_i the allowed columns and B_{i-1}
         the other rows, the chain space ker ∂_i[B_{i-1}, A_i] has dimension
-        |A_i| - r_bad,i and the boundary on it rank r_all,i - r_bad,i, for
-        the (r_all, r_bad, cleared) record of each degree that
-        `linalg.chain_ranks` returns, so
-        b_i = |A_i| - r_all,i - (r_all,i+1 - r_bad,i+1). Only the near
+        n_i - r_bad,i and the boundary on it rank r_all,i - r_bad,i, for
+        n_i = |A_i| and the (r_all, r_bad, cleared) record of each degree
+        that `linalg.chain_ranks` returns, so
+        b_i = n_i - r_all,i - (r_all,i+1 - r_bad,i+1). n_i is summed from
+        the sizes of the allowed classes (`profile_classes`). Only the near
         simplices are tested and reduced, against the interior pivots of
-        the one table (`interior`). The answer is kept in `ih_memo` under
-        `ok` and returned from there, by one lookup, for any later query
-        with the same pattern.
+        the one table (`interior`).
 
-        A new pattern reduces only the degrees that no earlier pattern has:
-        the record of degree i >= 1 is kept in `degree_memo` under
-        (i, ok[i - 1], ok[i]), as `linalg.chain_ranks` returns it, and
-        handed back to it as `known`, so that degree is not reduced again
-        and its cleared rows are still skipped in degree i - 1. That is
-        exact. ok[i - 1] fixes the row partition of degree i: which rows
-        are allowed, which are shifted, and whether the X_{n-1} rows are
-        dropped (only when a class is not allowed). ok[i] fixes the columns
-        A_i, and the interior table is fixed per complex. Clearing changes
-        no rank. And a pivot in an allowed row under that key is the pivot
-        of an allowable boundary, so it is a valid clearing row for any
-        later query with the same ok[i - 1]. `ih_memo` stays the answer cache: a
-        repeated pattern costs one lookup, not a key and a count per
-        degree."""
-        if ok in self.ih_memo:
-            return self.ih_memo[ok]
+        The record of degree i >= 1 is kept in `degree_memo` under
+        (i, ok[i - 1], ok[i]), and every vector is formed from the records.
+        A query looks each degree's record up, and calls `chain_ranks` only
+        when some record is missing, handing the stored ones back as
+        `known`, so a stored degree is not reduced again and its cleared
+        rows are still skipped in degree i - 1; it then stores the records
+        that come back. So a repeated pattern, or a new one whose degrees
+        earlier patterns have all reduced, makes no call. `chain_ranks`
+        reads the allowed near list of degree i as the columns of degree i
+        and as the rows of degree i + 1, only where it reduces, so the list
+        is built only where the record of degree i or i + 1 is missing, and
+        None is handed for the rest. That is exact. ok[i - 1] fixes the row
+        partition of degree i: which rows are allowed, which are shifted,
+        and whether the X_{n-1} rows are dropped (only when a class is not
+        allowed). ok[i] fixes the columns A_i, and the interior table is
+        fixed per complex. Clearing changes no rank. And a pivot in an
+        allowed row under that key is the pivot of an allowable boundary,
+        so it is a valid clearing row for any later query with the same
+        ok[i - 1]."""
         keys = list(zip(range(1, len(ok)), ok, ok[1:]))
-        near = [row[0] for row in self.interior]
-        allow = [[j for j in js if allowed[of[j]]]
-                 for allowed, (_, of), js in zip(ok, self.profile_classes, near)]
-        records = linalg.chain_ranks(self.interior, allow,
-                                     [None, *map(self.degree_memo.get, keys)])
-        self.degree_memo.update(zip(keys, records[1:]))
-        above = [r_all - r_bad for r_all, r_bad, _ in records[1:]] + [0]
-        self.ih_memo[ok] = tuple(
-            len(of) - len(js) + len(a) - r_all - up for (_, of), js, a, (r_all, _, _), up
-            in zip(self.profile_classes, near, allow, records, above))
-        return self.ih_memo[ok]
+        records = [(0, 0, ()), *map(self.degree_memo.get, keys)]
+        if None in records:
+            gaps = [record is None for record in records]
+            allow = [[j for j in near if allowed[of[j]]] if gap or gap_above else None
+                     for allowed, (_, of, _), (near, *_), gap, gap_above
+                     in zip(ok, self.profile_classes, self.interior, gaps, gaps[1:] + [False])]
+            records = linalg.chain_ranks(self.interior, allow, records)
+            self.degree_memo.update(zip(keys, records[1:]))
+        return tuple(sum(compress(sizes, allowed)) - r_all - up_all + up_bad
+                     for allowed, (_, _, sizes), (r_all, _, _), (up_all, up_bad, _)
+                     in zip(ok, self.profile_classes, records, [*records[1:], (0, 0, ())]))
 
     # ----------------------------------------------------------------- reports
 
@@ -758,7 +763,7 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc):
     for face in chain.from_iterable(_faces_by_dim(cut)):
         at_level[max(map(vertex_level.__getitem__, face))] += 1
     levels = list(level.values())
-    if at_level == list(map(levels.count, range(n))):
+    if full := at_level == list(map(levels.count, range(n))):
         K = FilteredComplex(name, n, vertex_ids, list(map(tuple, by_dim)), vertex_level,
                             sorted(level), ())
     else:
@@ -777,10 +782,10 @@ def _assemble(name, n, vertex_ids, maximal, raw_skeleta, weights_doc):
         singular_ids = {s.id for s in K.singular_strata()}
         for sid, text in weights_doc.items():
             if sid not in singular_ids:
-                raise SpaceFormatError(
-                    f"weight references unknown singular stratum {sid!r}; "
-                    f"known: {sorted(singular_ids)}"
-                )
+                why = "" if full else ("; the filtration was not full, and its repair by "
+                                       "barycentric subdivision renamed the strata")
+                raise SpaceFormatError(f"weight references unknown singular stratum {sid!r}; "
+                                       f"known: {sorted(singular_ids)}{why}")
             K.weights[sid] = parse_weight(text, f"weight for {sid!r}", SpaceFormatError)
     return K
 

@@ -23,11 +23,14 @@ singular vertex is allowable in every degree. The intersection chain space
 in degree i is the kernel of the non-allowable row block of the boundary
 restricted to allowable columns. Betti numbers need no basis, and depend
 on the perversity only through its allowable pattern, whether each profile
-class is allowable in each degree. So this module decides the pattern, and
-the complex's one rank query (`FilteredComplex.betti_of`), which `betti()`
-reads too, reduces each pattern once: many perversities share one, since
-every value p(Y) >= codim(Y) - 1 admits every simplex that meets Y, and a
-perversity whose pattern that complex has already met is not reduced again.
+class is allowable in each degree, and degree i only through the pattern of
+degrees i - 1 and i. So this module decides the pattern, and the complex's
+one rank query (`FilteredComplex.betti_of`), which `betti()` reads too,
+reduces each degree once per pattern of its two degrees, keeps its record
+(`FilteredComplex.degree_memo`) and forms every Betti vector from the
+records: many perversities share a pattern, since every value
+p(Y) >= codim(Y) - 1 admits every simplex that meets Y, and a perversity
+whose degrees that complex has all met is not reduced again.
 Explicit bases are built only when read, in reduced column echelon form so
 that subspace comparisons are deterministic, and the allowable indices they
 use are likewise built on first read.
@@ -62,19 +65,19 @@ class StratifiedChainComplex:
         # that `K.betti_of` takes, decided once per profile
         self._ok = tuple(tuple(prof is not None and (not prof or _allowed(prof, i, K, values))
                                for prof in profiles)
-                         for i, (profiles, _) in enumerate(K.profile_classes))
+                         for i, (profiles, *_) in enumerate(K.profile_classes))
 
     @cached_property
     def allowable_indices(self):
         """Per degree, the indices of the allowable simplices, built on first read."""
         return [list(compress(range(len(of)), map(ok.__getitem__, of)))
-                for ok, (_, of) in zip(self._ok, self.K.profile_classes)]
+                for ok, (_, of, _) in zip(self._ok, self.K.profile_classes)]
 
     @cached_property
     def reg(self):
         """Per degree, the regular simplices: those not in X_{n-1}."""
         return [[s for s, k in zip(self.K.simplices(i), of) if profiles[k] is not None]
-                for i, (profiles, of) in enumerate(self.K.profile_classes)]
+                for i, (profiles, of, _) in enumerate(self.K.profile_classes)]
 
     @cached_property
     def bases(self):

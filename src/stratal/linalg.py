@@ -288,7 +288,9 @@ def chain_ranks(table, allow, known=None):
     before it (the reduced column that clears it lies in allowed rows up to
     j, and ∂_i maps it to zero); and a new pivot in an allowed row is the
     pivot of an allowable boundary, so it is a valid clearing row for any
-    such call. No argument is changed.
+    such call. `allow[i]` is read only where degree i or i + 1 is reduced,
+    so a caller may hand None for every other degree. No argument is
+    changed.
     """
     out = [(0, 0, ())] * len(table)
     cleared = ()

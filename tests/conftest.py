@@ -91,7 +91,7 @@ def _regular_profiles(K):
     """The profile `FilteredComplex.profile_classes` gives each regular
     simplex, keyed by the simplex."""
     out = {}
-    for i, (profiles, of) in enumerate(K.profile_classes):
+    for i, (profiles, of, _) in enumerate(K.profile_classes):
         for s, k in zip(K.simplices(i), of):
             if profiles[k] is not None:
                 out[s] = profiles[k]

@@ -1522,6 +1522,25 @@ def test_load_paths_and_remedy_match_reference_assembly(name, tmp_path):
         _assert_same_complex(R, cx.load(json.dumps(cx.to_document(R))))
 
 
+def test_a_weight_that_the_fullness_repair_renamed_is_refused_with_its_cause():
+    """`susp_t2`'s document with vertices 0 and 1 added to X_0 is not full,
+    so its repair by one barycentric subdivision names the strata after
+    chains of faces, and the weight on 's0:north' names none of them: the
+    refusal says so. A weight on an unknown stratum of a document that
+    needs no repair keeps the plain message."""
+    doc = cx.to_document(corpus.load_space("susp_t2"))
+    known = "['s0:(0)', 's0:(1)', 's0:(north)', 's0:(south)']"
+    with pytest.raises(SpaceFormatError) as err:
+        cx.load({**doc, "skeleta": {"0": [[7], [8], [0], [1]]}})
+    assert str(err.value) == (
+        f"weight references unknown singular stratum 's0:north'; known: {known}; the "
+        "filtration was not full, and its repair by barycentric subdivision renamed the strata")
+    with pytest.raises(SpaceFormatError) as err:
+        cx.load({**doc, "weights": {"s0:east": "1"}})
+    assert str(err.value) == ("weight references unknown singular stratum 's0:east'; "
+                              "known: ['s0:north', 's0:south']")
+
+
 def test_a_str_is_json_text_and_never_a_file_name(tmp_path):
     """Only a Path names a file: the text of a path, even one that exists,
     is read as JSON and refused, and so is JSON text that does not start

@@ -5,7 +5,7 @@ each backticked span that starts with a dotted name, `K.skeleton(j)` giving
 `K.skeleton`. A name is checked when its head is `stratal`, a stratal
 module, a stratal class or `K`, the docs' name for a loaded complex: each
 attribute after the head must exist. A `FilteredComplex` name is looked up
-on a loaded complex too, since some of its attributes (`ih_memo`,
+on a loaded complex too, since some of its attributes (`degree_memo`,
 `strata`) are set per instance. Other heads (`sys`, `dict`, ...) are not
 stratal's to check.
 """

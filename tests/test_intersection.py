@@ -340,7 +340,8 @@ def test_elimination_leaves_cached_boundaries_unchanged(spaces, ih_ladder):
         for p in _queries(K, rng):
             ix.intersection_betti(K, p)
         K.betti()
-        assert K.ih_memo, K.name
+        # dimension 0 has no degree to reduce, so nothing to store
+        assert K.degree_memo or not K.n, K.name
         assert K.interior is table, K.name
         after = _cached_columns(K)
         assert after == full, K.name
@@ -389,7 +390,8 @@ def test_rank_queries_read_only_the_table(spaces, ih_ladder, monkeypatch, capsys
         for p in _queries(K, rng):
             ix.intersection_betti(K, p)
         K.betti()
-        assert K.ih_memo, K.name
+        # dimension 0 has no degree to reduce, so nothing to store
+        assert K.degree_memo or not K.n, K.name
     assert calls == []
     for name in ("cone_t2", "susp_t2", "mobius"):
         for spec in ("zero", "lower-middle", "upper-middle", "top"):
@@ -510,15 +512,24 @@ def _counting_chain_ranks(monkeypatch):
     return calls
 
 
+def _keys(ok):
+    """The `degree_memo` key of each degree i >= 1 under the pattern ok."""
+    return set(zip(range(1, len(ok)), ok, ok[1:]))
+
+
 @pytest.mark.parametrize("name", corpus.SPACE_NAMES)
-def test_memo_hits_equal_the_answers_of_a_freshly_loaded_complex(name):
+def test_memo_hits_equal_the_answers_of_a_freshly_loaded_complex(monkeypatch, name):
+    """A hit, a query whose degrees are all stored so that it calls no
+    `chain_ranks`, gives what the perversity gives on a freshly loaded
+    complex."""
+    calls = _counting_chain_ranks(monkeypatch)
     for K in _space_and_subdivision(name):
         doc = cx.to_document(K)
         hits = 0
         for p in _sweep(K):
-            stored = len(K.ih_memo)
+            before = len(calls)
             got = ix.intersection_betti(K, p)
-            if len(K.ih_memo) == stored:
+            if len(calls) == before:
                 hits += 1
                 assert got == ix.intersection_betti(cx.load(doc), p), (K.name, p)
         # codim - 1, codim and codim + 1 share a pattern on every stratum
@@ -527,17 +538,23 @@ def test_memo_hits_equal_the_answers_of_a_freshly_loaded_complex(name):
 
 @pytest.mark.parametrize("name", corpus.SPACE_NAMES)
 def test_perversities_with_one_allowable_pattern_reduce_once(monkeypatch, name):
+    """A repeated pattern calls no `chain_ranks`; a new one calls it once
+    when it asks for a degree key (i, ok[i - 1], ok[i]) that no earlier
+    pattern asked for, and not at all otherwise; and `degree_memo` holds
+    one record per distinct key asked."""
     calls = _counting_chain_ranks(monkeypatch)
     for K in _space_and_subdivision(name):
-        seen = set()
+        seen, asked = set(), set()
         for p in _sweep(K):
             chains = ix.StratifiedChainComplex(K, p)
-            pattern = tuple(map(tuple, chains.allowable_indices))
+            keys = _keys(chains._ok)
             before = len(calls)
             chains.homology()
-            assert len(calls) - before == (pattern not in seen), (K.name, p)
-            seen.add(pattern)
-        assert len(K.ih_memo) == len(seen), K.name
+            made = len(calls) - before
+            assert made == (chains._ok not in seen and not keys <= asked), (K.name, p)
+            seen.add(chains._ok)
+            asked |= keys
+        assert set(K.degree_memo) == asked, K.name
 
 
 def test_memo_never_crosses_complex_objects(monkeypatch):
@@ -545,12 +562,14 @@ def test_memo_never_crosses_complex_objects(monkeypatch):
     first, second = corpus.load_space("susp_s2"), corpus.load_space("susp_s2")
     p = _per_stratum(first, 1)
     want = ix.intersection_betti(first, p)
-    assert len(calls) == 1 and len(first.ih_memo) == 1 and not second.ih_memo
+    assert len(calls) == 1 and first.degree_memo and not second.degree_memo
     assert ix.intersection_betti(second, p) == want
-    assert len(calls) == 2 and len(second.ih_memo) == 1
+    assert len(calls) == 2 and second.degree_memo == first.degree_memo
+    assert all(second.degree_memo[key] is not record
+               for key, record in first.degree_memo.items())
     # a subdivision is a new complex with its own, empty memo
     sd = cx.barycentric_subdivide(first)
-    assert not sd.ih_memo
+    assert not sd.degree_memo
     assert ix.intersection_betti(sd, _per_stratum(sd, 1)) == want and len(calls) == 3
 
 
@@ -558,7 +577,7 @@ def test_a_perversity_lacking_a_stratum_raises_after_its_pattern_is_stored():
     K = corpus.load_space("susp_s2")
     north, south = (s.id for s in sorted(K.singular_strata(), key=lambda s: s.id))
     ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0, south: 0}))
-    assert K.ih_memo
+    assert K.degree_memo
     with pytest.raises(ConfigurationError, match="south"):
         ix.intersection_betti(K, pv.Perversity(pv.PER_STRATUM, {north: 0}))
 
@@ -591,19 +610,28 @@ def test_every_rank_query_comes_from_betti_of(monkeypatch, query):
 @pytest.mark.parametrize("name", corpus.SPACE_NAMES)
 def test_betti_shares_the_memo_with_the_perversities_exactly_on_a_manifold(monkeypatch, name):
     """With X_{n-1} empty every perversity allows every simplex, as `betti()`
-    does, so all of them make one reduction; otherwise `betti()` allows the
-    simplices of X_{n-1}, which no perversity does, and keeps an entry of
-    its own beside the perversities' patterns."""
+    does, so all of them make one reduction (none in dimension 0, which has
+    no degree to reduce) and share its records; otherwise `betti()` allows
+    the simplices of X_{n-1}, which no perversity does, so it makes one
+    reduction more and keeps records of its own beside the perversities',
+    and a key that both ask for holds one record."""
+    calls = _counting_chain_ranks(monkeypatch)
     alone = corpus.load_space(name)
     want = [ix.intersection_betti(alone, p) for _, p in _named_perversities(alone.n)]
-    calls = _counting_chain_ranks(monkeypatch)
+    alone_calls = len(calls)
+    calls.clear()
     K = corpus.load_space(name)
     betti = K.betti()
+    own = dict(K.degree_memo)
     assert [ix.intersection_betti(K, p) for _, p in _named_perversities(K.n)] == want
+    assert K.degree_memo == {**alone.degree_memo, **own}
+    assert all(alone.degree_memo[key] == own[key] for key in own.keys() & alone.degree_memo.keys())
     if K.singular_strata():
-        assert len(K.ih_memo) == len(calls) == 1 + len(alone.ih_memo)
+        assert len(calls) == 1 + alone_calls
+        assert own.keys() - alone.degree_memo.keys()
     else:
-        assert len(K.ih_memo) == len(calls) == 1
+        assert len(calls) == alone_calls == (K.n > 0)
+        assert K.degree_memo == own
         assert want == [betti] * len(want)
 
 
@@ -645,14 +673,14 @@ def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
     """The ih-ladder round, the zero, lower-middle, upper-middle and top
     perversities and then `betti()` on a fresh copy of each space, reduces
     each (i, ok[i - 1], ok[i]) once: 61 of the 83 degrees that its 21
-    `ih_memo` misses ask for. A degree stored by an earlier pattern hands
-    no column to `_reduce`, and the rows it cleared are still skipped in
-    the degree below it."""
+    `chain_ranks` calls ask for, which are handed 82 allowed lists. A
+    degree stored by an earlier pattern hands no column to `_reduce`, and
+    the rows it cleared are still skipped in the degree below it."""
     calls = []
     chain_ranks, reduce = linalg.chain_ranks, linalg._reduce
 
     def spy(*args):
-        stored = {i: slot for i, slot in enumerate(args[2]) if slot}
+        stored = {i: slot for i, slot in enumerate(args[2]) if i and slot}
         calls.append((args[1], stored, []))
         return chain_ranks(*args)
 
@@ -673,8 +701,9 @@ def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
         K.betti()
         stored += len(K.degree_memo)
     asked = sum(len(allow) - 1 for allow, _, _ in calls)
+    lists = sum(a is not None for allow, _, _ in calls for a in allow)
     reduced = [step for _, _, steps in calls for step in steps]
-    assert (len(calls), asked, len(reduced), stored) == (21, 83, 61, 61)
+    assert (len(calls), asked, lists, len(reduced), stored) == (21, 83, 82, 61, 61)
     skipped = 0
     for allow, known, steps in calls:
         assert [i for i, _ in steps] == [i for i in range(len(allow) - 1, 0, -1)
@@ -686,6 +715,119 @@ def test_the_ladder_round_reduces_each_degree_pair_once(ih_ladder, monkeypatch):
                 assert handed == len(kept)
                 skipped += len(allow[i]) - len(kept)
     assert skipped > 0
+
+
+def test_a_repeated_pattern_calls_neither_chain_ranks_nor_reduce(spaces, ih_ladder,
+                                                                 monkeypatch):
+    """A query whose pattern the complex has met reads its degrees' records
+    and nothing else: named and seeded perversities and `betti()`, asked
+    again in reverse order on the same fresh copy of each space, call
+    neither `chain_ranks` nor `_reduce` and give the same vectors."""
+    calls = []
+    chain_ranks, reduce = linalg.chain_ranks, linalg._reduce
+
+    def spy(*args):
+        calls.append("chain_ranks")
+        return chain_ranks(*args)
+
+    def reduce_spy(cols, pivots=None):
+        calls.append("_reduce")
+        return reduce(cols, pivots)
+
+    monkeypatch.setattr(linalg, "chain_ranks", spy)
+    monkeypatch.setattr(linalg, "_reduce", reduce_spy)
+    rng = random.Random(49)
+    for K in _all_spaces(spaces, ih_ladder):
+        K = cx.load(cx.to_document(K))
+        queries = [*_queries(K, rng), None]
+        first = [K.betti() if p is None else ix.intersection_betti(K, p) for p in queries]
+        assert ("chain_ranks" in calls) == (K.n > 0), K.name
+        calls.clear()
+        again = [K.betti() if p is None else ix.intersection_betti(K, p) for p in queries[::-1]]
+        assert calls == [] and again == first[::-1], K.name
+
+
+def test_chain_ranks_gets_an_allowed_list_only_where_a_record_is_missing(spaces, ih_ladder,
+                                                                         monkeypatch):
+    """`chain_ranks` reads degree i's allowed list as the columns of degree
+    i and as the rows of degree i + 1, only in a degree that it reduces. So
+    `betti_of` hands it the list of degree i, the allowed near simplices,
+    exactly where degree i's record or degree i + 1's is missing, and None
+    elsewhere: box perversities and `betti()` in a seeded order on the
+    corpus, its subdivisions and the ih-ladder spaces, where some calls
+    find part of their records stored."""
+    handed = []
+    chain_ranks = linalg.chain_ranks
+
+    def spy(table, allow, known):
+        handed.append((allow, known))
+        return chain_ranks(table, allow, known)
+
+    monkeypatch.setattr(linalg, "chain_ranks", spy)
+    rng = random.Random(491)
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    partial = 0
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        K = cx.load(cx.to_document(K))
+        queries = [*_box(K, rng, 8), None]
+        rng.shuffle(queries)
+        for p in queries:
+            handed.clear()
+            if p is None:
+                K.betti()
+                allowed = [range(len(K.simplices(i))) for i in range(K.n + 1)]
+            else:
+                chains = ix.StratifiedChainComplex(K, p)
+                chains.homology()
+                allowed = chains.allowable_indices
+            for allow, known in handed:
+                missing = [record is None for record in known] + [False]
+                for i, (near, *_) in enumerate(K.interior):
+                    if missing[i] or missing[i + 1]:
+                        assert allow[i] == sorted(set(near).intersection(allowed[i])), (K.name, i)
+                    else:
+                        assert allow[i] is None, (K.name, i)
+                partial += None in allow
+    assert partial > 0
+
+
+def test_degree_records_do_not_depend_on_the_order_of_the_queries(spaces, ih_ladder):
+    """Every Betti vector is formed from `degree_memo` records, and a
+    record is stored by whichever query first reduces its degree, skipping
+    the rows cleared by whichever record then stands above it. So a record
+    must not depend on that query: box perversities and `betti()`, asked in
+    three orders on fresh loads of the corpus, its subdivisions and the
+    ih-ladder spaces, leave equal memos, record for record, cleared rows
+    included, and each record is that of its degree reduced alone, with no
+    row cleared."""
+    rng = random.Random(5)
+    subdivided = [cx.barycentric_subdivide(spaces[name]) for name in sorted(spaces)]
+    compared = 0
+    for K in [*_all_spaces(spaces, ih_ladder), *subdivided]:
+        doc = cx.to_document(K)
+        queries = [*_box(K, rng, 12), None]
+        memos = []
+        for order in (queries, queries[::-1], rng.sample(queries, len(queries))):
+            fresh = cx.load(doc)
+            for p in order:
+                fresh.betti() if p is None else ix.intersection_betti(fresh, p)
+            memos.append(fresh.degree_memo)
+        first, *others = memos
+        for memo in others:
+            assert memo.keys() == first.keys(), K.name
+            for key, record in first.items():
+                assert memo[key] == record, (K.name, key)
+                compared += 1
+        for (i, below, here), record in first.items():
+            allow = [None] * (K.n + 1)
+            for d, allowed in ((i - 1, below), (i, here)):
+                _, of, _ = fresh.profile_classes[d]
+                allow[d] = [j for j in fresh.interior[d][0] if allowed[of[j]]]
+            # every other degree is given a record, whose cleared rows are none
+            alone = [(0, 0, ())] * (K.n + 1)
+            alone[i] = None
+            assert linalg.chain_ranks(fresh.interior, allow, alone)[i] == record, (K.name, i)
+    assert compared == 692
 
 
 def test_dd_zero_on_r0_chains(susp_t2, dropped_boundary):
