@@ -512,11 +512,6 @@ def _counting_chain_ranks(monkeypatch):
     return calls
 
 
-def _keys(ok):
-    """The `degree_memo` key of each degree i >= 1 under the pattern ok."""
-    return set(zip(range(1, len(ok)), ok, ok[1:]))
-
-
 @pytest.mark.parametrize("name", corpus.SPACE_NAMES)
 def test_memo_hits_equal_the_answers_of_a_freshly_loaded_complex(monkeypatch, name):
     """A hit, a query whose degrees are all stored so that it calls no
@@ -547,12 +542,13 @@ def test_perversities_with_one_allowable_pattern_reduce_once(monkeypatch, name):
         seen, asked = set(), set()
         for p in _sweep(K):
             chains = ix.StratifiedChainComplex(K, p)
-            keys = _keys(chains._ok)
+            ok = chains._ok
+            keys = set(zip(range(1, len(ok)), ok, ok[1:]))
             before = len(calls)
             chains.homology()
             made = len(calls) - before
-            assert made == (chains._ok not in seen and not keys <= asked), (K.name, p)
-            seen.add(chains._ok)
+            assert made == (ok not in seen and not keys <= asked), (K.name, p)
+            seen.add(ok)
             asked |= keys
         assert set(K.degree_memo) == asked, K.name
 
